@@ -250,22 +250,18 @@ def _stationary_row(alpha: float, z: float, t: float, outputs) -> _Row:
     return _Row(alpha=alpha, z=z, t=t, values=values)
 
 
-def _point_row(cfg, rho0, family, alpha, z, t, cache) -> _Row:
-    if t == 0.0:
-        return _stationary_row(alpha, z, t, cfg.outputs)
-    p = ent.EntropyParams(alpha, z)
-    if t not in cache:
-        if family is None:
-            hmod = dyn.HamiltonianModel.qubit(cfg.n)
-            traj = dyn.evolve_unitary(hmod, rho0, t, cfg.n_steps)
-            terms = None
-        else:
-            traj = dyn.evolve_kraus(family, rho0, t, cfg.n_steps)
-            terms = dyn.kraus_speed_term_stacks(
-                family, rho0, traj.times, fd_step=1e-5 * t
-            ).sum(axis=1)
-        cache[t] = (traj, terms)
-    traj, terms = cache[t]
+def _trajectory(cfg: SweepConfig, rho0: DensityMatrix, family, t: float, terms: bool):
+    """The panel's trajectory to horizon t, with the summed Kraus rates when
+    `terms` is set and the model is a channel (None otherwise)."""
+    if family is None:
+        hmod = dyn.HamiltonianModel.qubit(cfg.n)
+        return dyn.evolve_unitary(hmod, rho0, t, cfg.n_steps), None
+    return dyn._evolve_kraus(family, rho0, t, cfg.n_steps, terms=terms)
+
+
+def _grid_row(outputs, alpha: float, z: float, t: float, bound, report) -> _Row:
+    """One CSV row from its bound and speed-limit reports (or the errors
+    that ended them); each output group degrades independently."""
     values = {}
     warnings: tuple[str, ...] = ()
 
@@ -273,63 +269,78 @@ def _point_row(cfg, rho0, family, alpha, z, t, cache) -> _Row:
         nonlocal warnings
         warnings += tuple(w for w in flags if w not in warnings)
 
-    # each output group degrades independently: near-singular late-time
-    # states can blow up the speed-limit ratios while the entropies and
-    # integrated bounds are still reportable
-    if "entropy" in cfg.outputs or "bounds" in cfg.outputs:
-        try:
-            bound = qsl.integrate_bounds(traj, p)
-            note(bound.warnings)
-            if "entropy" in cfg.outputs:
-                values.update({"D_fwd": bound.d_fwd, "D_bwd": bound.d_bwd, "D_sym": bound.d_sym})
-            if "bounds" in cfg.outputs:
-                values.update({
-                    "rhs_fwd": bound.rhs_fwd, "rhs_bwd": bound.rhs_bwd,
-                    "rhs_sym": bound.rhs_sym, "delta_bound": bound.delta_bound,
-                })
-        except AzqslError as exc:
-            note((f"error:{type(exc).__name__}",))
-    if "qsl" in cfg.outputs:
-        try:
-            if terms is None:
-                report = qsl.qsl_general(traj, p)
-            else:
-                report = qsl.nonunitary_qsl_from_terms(traj, terms, p)
-            note(report.warnings)
+    # near-singular late-time states can blow up the speed-limit ratios
+    # while the entropies and integrated bounds are still reportable
+    if isinstance(bound, AzqslError):
+        note((f"error:{type(bound).__name__}",))
+    elif bound is not None:
+        note(bound.warnings)
+        if "entropy" in outputs:
+            values.update({"D_fwd": bound.d_fwd, "D_bwd": bound.d_bwd, "D_sym": bound.d_sym})
+        if "bounds" in outputs:
             values.update({
-                "tau_fwd": report.tau_fwd, "tau_bwd": report.tau_bwd,
-                "tau_sym": report.tau_sym, "tau_qsl": report.tau_qsl,
-                "delta_qsl": report.delta_qsl,
+                "rhs_fwd": bound.rhs_fwd, "rhs_bwd": bound.rhs_bwd,
+                "rhs_sym": bound.rhs_sym, "delta_bound": bound.delta_bound,
             })
-        except AzqslError as exc:
-            note((f"error:{type(exc).__name__}",))
+    if isinstance(report, AzqslError):
+        note((f"error:{type(report).__name__}",))
+    elif report is not None:
+        note(report.warnings)
+        values.update({
+            "tau_fwd": report.tau_fwd, "tau_bwd": report.tau_bwd,
+            "tau_sym": report.tau_sym, "tau_qsl": report.tau_qsl,
+            "delta_qsl": report.delta_qsl,
+        })
     return _Row(alpha=alpha, z=z, t=t, values=values, warnings=warnings)
+
+
+def _time_column(cfg: SweepConfig, rho0: DensityMatrix, family, alphas, zs, t: float):
+    """Rows of one time column, indexed [alpha][z]: one trajectory, one
+    validated endpoint pair and one entropy pair per (alpha, z)."""
+    if t == 0.0:
+        return [[_stationary_row(a, z, t, cfg.outputs) for z in zs] for a in alphas]
+    want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
+    want_qsl = "qsl" in cfg.outputs
+    try:
+        traj, terms = _trajectory(cfg, rho0, family, t, terms=want_qsl)
+    except AzqslError as exc:
+        tag = (f"error:{type(exc).__name__}",)
+        return [[_Row(alpha=a, z=z, t=t, warnings=tag) for z in zs] for a in alphas]
+    bounds, reports = qsl._trajectory_reports(
+        traj, alphas, zs, bounds=want_bounds, qsl=want_qsl, terms=terms
+    )
+    return [
+        [_grid_row(cfg.outputs, a, z, t, bounds[i][j], reports[i][j]) for j, z in enumerate(zs)]
+        for i, a in enumerate(alphas)
+    ]
 
 
 def sweep_rows(cfg: SweepConfig) -> list[_Row]:
     """Evaluate the panel on its (alpha, z, t) grid, ordered lexicographically.
 
-    Trajectories depend only on t, so they are computed once per time value
-    and shared across the (alpha, z) grid."""
+    Evaluation is column-major: for each time value the sweep builds one
+    trajectory (with its Kraus rates), validates its two endpoint states
+    once, computes the weighted integrals once per alpha and the endpoint
+    entropies D(rho_t||rho_0) and D(rho_0||rho_t) once per (alpha, z), for
+    the whole (alpha, z) grid at once. Each trajectory is released after its
+    column; rows are then emitted in (alpha, z, t) order."""
     cfg.validate()
     rho0 = _probe_state(cfg)
     family = _build_family(cfg)
     if family is not None and family.dim != rho0.dim:
         raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {family.dim}")
-    alphas = _grid_values(cfg.alpha_grid)
-    zs = _grid_values(cfg.z_grid)
-    times = _grid_values(cfg.time_grid)
-    cache: dict = {}
-    rows = []
-    for alpha in alphas:
-        for z in zs:
-            for t in times:
-                try:
-                    row = _point_row(cfg, rho0, family, float(alpha), float(z), float(t), cache)
-                except AzqslError as exc:
-                    row = _Row(alpha=float(alpha), z=float(z), t=float(t),
-                               warnings=(f"error:{type(exc).__name__}",))
-                rows.append(row)
+    alphas = [float(a) for a in _grid_values(cfg.alpha_grid)]
+    zs = [float(z) for z in _grid_values(cfg.z_grid)]
+    columns = [
+        _time_column(cfg, rho0, family, alphas, zs, float(t))
+        for t in _grid_values(cfg.time_grid)
+    ]
+    rows = [
+        column[i][j]
+        for i in range(len(alphas))
+        for j in range(len(zs))
+        for column in columns
+    ]
     if "errors" in cfg.outputs:
         _attach_normalized(rows)
     return rows
@@ -531,20 +542,10 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _trajectory_for(cfg: SweepConfig, rho0: DensityMatrix, tau: float):
-    family = _build_family(cfg)
-    if family is None:
-        hmod = dyn.HamiltonianModel.qubit(cfg.n)
-        return dyn.evolve_unitary(hmod, rho0, tau, cfg.n_steps), None
-    traj = dyn.evolve_kraus(family, rho0, tau, cfg.n_steps)
-    terms = dyn.kraus_speed_term_stacks(family, rho0, traj.times, fd_step=1e-5 * tau)
-    return traj, terms.sum(axis=1)
-
-
 def _cmd_bound(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj, _ = _trajectory_for(cfg, rho0, args.tau)
+    traj, _ = _trajectory(cfg, rho0, _build_family(cfg), args.tau, terms=False)
     report = qsl.integrate_bounds(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("D_fwd", report.d_fwd), ("D_bwd", report.d_bwd), ("D_sym", report.d_sym),
@@ -557,7 +558,7 @@ def _cmd_bound(args) -> int:
 def _cmd_qsl(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj, terms = _trajectory_for(cfg, rho0, args.tau)
+    traj, terms = _trajectory(cfg, rho0, _build_family(cfg), args.tau, terms=True)
     p = ent.EntropyParams(args.alpha, args.z)
     if terms is None:
         report = qsl.qsl_general(traj, p)

@@ -6,6 +6,7 @@ two-qubit amplitude-damping channel with independent reservoirs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,12 +163,17 @@ class KrausFamily:
         Products like K rho dK† may have finite limits where each factor is
         separately singular or vanishing; channels with such points override
         this to sample both factors at the same regularized time."""
-        nt = len(times)
         K = self.op_stacks(times)
         dK = np.empty_like(K)
         for i, t in enumerate(times):
             dK[i] = self.derivatives(float(t), fd_step=fd_step)
         return K, dK
+
+    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
+        """(K at the exact times, K, dK): the state operators and the
+        derivative pair. A family whose pair is always sampled at the exact
+        times returns the pair's K twice instead of building it again."""
+        return (self.op_stacks(times),) + tuple(self.stacks(times, fd_step=fd_step))
 
 
 class DepolarizingFamily(KrausFamily):
@@ -299,6 +305,10 @@ class AmplitudeDampingFamily(KrausFamily):
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return self.stacks(times)[0]
 
+    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
+        K, dK = self.stacks(times)
+        return K, K, dK
+
 
 def depolarizing_family(params: DepolarizingParams) -> DepolarizingFamily:
     return DepolarizingFamily(params)
@@ -342,12 +352,14 @@ class Trajectory:
     def state(self, i: int) -> DensityMatrix:
         return DensityMatrix(self.states[i])
 
-    @property
+    @cached_property
     def initial_state(self) -> DensityMatrix:
+        """Validated once, then reused."""
         return self.state(0)
 
-    @property
+    @cached_property
     def final_state(self) -> DensityMatrix:
+        """Validated once, then reused."""
         return self.state(-1)
 
 
@@ -440,6 +452,37 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
     return DensityMatrix(out)
 
 
+def _kraus_trajectory(
+    rho0: DensityMatrix, times: np.ndarray, K_exact: np.ndarray, K: np.ndarray, dK: np.ndarray
+) -> Trajectory:
+    _check_completeness(K_exact)
+    states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
+    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+    half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
+    dstates = half + np.conj(np.swapaxes(half, 1, 2))
+    speeds = _batch_hermitian_trace_norm(dstates)
+    kmins = _batch_kmin(states)
+    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
+
+
+def _evolve_kraus(
+    fam: KrausFamily, rho0: DensityMatrix, tau: float, n_steps: int, terms: bool = False
+) -> tuple[Trajectory, np.ndarray | None]:
+    """evolve_kraus, plus the summed per-operator rates
+    sum_l ||K_l rho_0 dK_l†/dt||_1 when `terms` is set. Both come from one
+    (K, dK) pair, built and validated once."""
+    if fam.dim != rho0.dim:
+        raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
+    times = _time_grid(tau, n_steps)
+    K_exact, K, dK = fam._exact_and_pair(times, fd_step=1e-5 * tau)
+    traj = _kraus_trajectory(rho0, times, K_exact, K, dK)
+    if not terms:
+        return traj, None
+    if K is not K_exact:
+        _check_completeness(K)
+    return traj, _speed_terms(K, dK, rho0).sum(axis=1)
+
+
 def evolve_kraus(
     fam: KrausFamily, rho0: DensityMatrix, tau: float, n_steps: int = 1001
 ) -> Trajectory:
@@ -448,19 +491,12 @@ def evolve_kraus(
 
     States come from the exact-time operators; derivative products use the
     channel's consistent (possibly regularized) pair."""
-    if fam.dim != rho0.dim:
-        raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    times = _time_grid(tau, n_steps)
-    K_exact = fam.op_stacks(times)
-    _check_completeness(K_exact)
-    states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
-    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
-    Kp, dKp = fam.stacks(times, fd_step=1e-5 * tau)
-    half = np.einsum("tlij,jk,tlmk->tim", dKp, rho0.mat, Kp.conj())
-    dstates = half + np.conj(np.swapaxes(half, 1, 2))
-    speeds = _batch_hermitian_trace_norm(dstates)
-    kmins = _batch_kmin(states)
-    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
+    return _evolve_kraus(fam, rho0, tau, n_steps)[0]
+
+
+def _speed_terms(K: np.ndarray, dK: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
+    prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
+    return np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
 
 
 def kraus_speed_term_stacks(
@@ -470,8 +506,7 @@ def kraus_speed_term_stacks(
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     K, dK = kraus_stacks(fam, times, fd_step=fd_step)
-    prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
-    return np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
+    return _speed_terms(K, dK, rho0)
 
 
 def kraus_speed_terms(fam: KrausFamily, rho0: DensityMatrix, t: float) -> np.ndarray:

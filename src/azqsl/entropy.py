@@ -64,12 +64,10 @@ def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 _ZPOW_NOISE_REL = 1e-13
 
 
-def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float) -> float:
-    half_exp = (1.0 - alpha) / (2.0 * z)
-    outer = linalg.mat_pow(sigma.mat, half_exp)
-    core = outer @ linalg.mat_pow(rho.mat, alpha / z) @ outer
-    core = linalg.hermitian_part(core)
-    vals = np.maximum(np.linalg.eigvalsh(core), 0.0)
+def _zpow_trace(
+    vals: np.ndarray, rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float
+) -> float:
+    """Tr core^z from the clamped ascending spectrum of one sandwiched core."""
     top = float(vals[-1])
     if top <= 0.0:
         return 0.0
@@ -77,12 +75,34 @@ def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: flo
     unresolved = len(vals) - len(resolved)
     if unresolved == 1 and rho.full_rank and sigma.full_rank:
         # det(core) = det(sigma)^(2 c) det(rho)^(alpha/z) in log space
+        half_exp = (1.0 - alpha) / (2.0 * z)
         logdet = 2.0 * half_exp * np.log(sigma.eigenvalues).sum() + (alpha / z) * np.log(
             rho.eigenvalues
         ).sum()
         smallest = math.exp(logdet - np.log(resolved).sum())
         return float((resolved**z).sum() + smallest**z)
     return float((resolved**z).sum())
+
+
+def _purity_values(
+    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
+) -> list[float]:
+    """g(rho, sigma) for every alpha at one z.
+
+    All matrix powers come from the states' cached spectra, and the
+    sandwiched cores of the whole alpha grid are diagonalized in one batch.
+    """
+    outer = linalg.spectral_powers(
+        sigma.eigenvalues, sigma.eigenvectors, [(1.0 - a) / (2.0 * z) for a in alphas]
+    )
+    inner = linalg.spectral_powers(rho.eigenvalues, rho.eigenvectors, [a / z for a in alphas])
+    cores = linalg.hermitian_part(outer @ inner @ outer)
+    spectra = np.maximum(np.linalg.eigvalsh(cores), 0.0)
+    return [_zpow_trace(vals, rho, sigma, a, z) for vals, a in zip(spectra, alphas)]
+
+
+def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float) -> float:
+    return _purity_values(rho, sigma, [alpha], z)[0]
 
 
 def relative_purity(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:
@@ -93,13 +113,21 @@ def relative_purity(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) 
     return _purity_value(rho, sigma, p.alpha, p.z)
 
 
-def renyi_az(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:
-    """ln(g)/(alpha - 1) on matching supports, +inf otherwise."""
+def _renyi_az_values(
+    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
+) -> list[float]:
+    """renyi_az for every alpha of a grid at one z, sharing the support test
+    and the spectral work."""
     _check_dims(rho, sigma)
     if not support_contained(rho, sigma):
-        return math.inf
-    g = _purity_value(rho, sigma, p.alpha, p.z)
-    return math.log(g) / (p.alpha - 1.0)
+        return [math.inf] * len(alphas)
+    gs = _purity_values(rho, sigma, alphas, z)
+    return [math.log(g) / (a - 1.0) for g, a in zip(gs, alphas)]
+
+
+def renyi_az(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:
+    """ln(g)/(alpha - 1) on matching supports, +inf otherwise."""
+    return _renyi_az_values(rho, sigma, [p.alpha], p.z)[0]
 
 
 def renyi_az_symmetrized(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:

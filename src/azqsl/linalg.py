@@ -42,8 +42,8 @@ class Eigensystem(NamedTuple):
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (m + m†) / 2."""
-    return (m + m.conj().T) / 2
+    """Return (m + m†) / 2; a stack of matrices is symmetrized matrix by matrix."""
+    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
 
 
 def asymmetry(m: np.ndarray) -> float:
@@ -81,20 +81,38 @@ def mat_pow(
     """Fractional power m^s of a PSD Hermitian matrix via its spectrum.
 
     Eigenvalues in (-psd_tol, 0) are clamped to zero; anything more negative
-    raises NotPSDError. The support cut is relative to the largest
-    eigenvalue (solver noise scales with the matrix norm, and products like
-    sigma^(large) rho sigma^(large) carry genuinely tiny spectra that an
-    absolute cut would destroy); eigenvalues below it map to zero for every
-    exponent, so negative powers act as generalized inverses on the support.
+    raises NotPSDError. The power itself is `spectral_powers` of the clamped
+    spectrum.
     """
     values, vectors = eigh(m)
     if values[0] < -psd_tol * max(values[-1], 1.0):
         raise NotPSDError(f"smallest eigenvalue {values[0]:.3e} below tolerance")
-    values = np.maximum(values, 0.0)
+    return spectral_powers(np.maximum(values, 0.0), vectors, [s], support_tol)[0]
+
+
+def spectral_powers(
+    values: np.ndarray,
+    vectors: np.ndarray,
+    exponents,
+    support_tol: float = SUPPORT_TOL,
+) -> np.ndarray:
+    """Powers m^s of one PSD matrix, one per exponent, from its clamped
+    ascending spectrum; shape (len(exponents), dim, dim).
+
+    The support cut is relative to the largest eigenvalue (solver noise
+    scales with the matrix norm, and products like sigma^(large) rho
+    sigma^(large) carry genuinely tiny spectra that an absolute cut would
+    destroy); eigenvalues below it map to zero for every exponent, so
+    negative powers act as generalized inverses on the support. Each
+    exponent's eigenvalue powers are taken on their own, so a batch gives
+    the same bits as one exponent at a time.
+    """
     on_support = values > support_tol * values[-1]
-    powered = np.zeros_like(values)
-    powered[on_support] = values[on_support] ** s
-    return hermitian_part((vectors * powered) @ vectors.conj().T)
+    kept = values[on_support]
+    powered = np.zeros((len(exponents), len(values)))
+    for row, s in zip(powered, exponents):
+        row[on_support] = kept ** s
+    return hermitian_part((vectors * powered[:, None, :]) @ vectors.conj().T)
 
 
 @lru_cache(maxsize=32)

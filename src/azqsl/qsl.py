@@ -28,6 +28,7 @@ from . import entropy as ent
 from . import dynamics as dyn
 from .entropy import EntropyParams
 from .errors import (
+    AzqslError,
     DenominatorNearZeroError,
     DegenerateRangeError,
     QuadratureTooCoarseError,
@@ -111,29 +112,39 @@ def phi_func(rho0: DensityMatrix, rho_t: DensityMatrix, p: EntropyParams) -> flo
     return a * h_a * k ** (a - 1.0) + (1.0 - a) * h_b * k ** (-a)
 
 
-def _quad(times: np.ndarray, vals: np.ndarray) -> float:
-    """Composite Simpson when the interval count is even, trapezoid otherwise."""
+def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Integral of each row of `vals`: composite Simpson when the interval
+    count is even, trapezoid otherwise."""
     n = len(times) - 1
     if n >= 2 and n % 2 == 0:
         h = times[1] - times[0]
-        return float(
-            h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
+        return h / 3.0 * (
+            vals[..., 0] + vals[..., -1]
+            + 4.0 * vals[..., 1:-1:2].sum(axis=-1) + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
         )
-    return float(np.trapezoid(vals, times))
+    # np.trapezoid needs numpy >= 2.0; scipy.integrate takes ~0.3 s to
+    # import, so only grids that need the trapezoid rule load it
+    from scipy.integrate import trapezoid
+
+    return trapezoid(vals, times, axis=-1)
 
 
-def _gated_quad(times: np.ndarray, vals: np.ndarray, gate: bool = True) -> float:
-    """Integrate and cross-check against the half grid when both grids admit
-    the same rule; a relative disagreement above tolerance aborts."""
-    full = _quad(times, vals)
+def _gated_quads(
+    times: np.ndarray, vals: np.ndarray, gate: bool
+) -> list[float | QuadratureTooCoarseError]:
+    """Integrate each row of `vals` and cross-check it against the half grid
+    when both grids admit the same rule; a row whose relative disagreement
+    exceeds tolerance gets the error that rejects it instead of a value."""
+    full = _quad(times, vals).tolist()
     n = len(times) - 1
-    if gate and n % 4 == 0 and n >= 8:
-        half = _quad(times[::2], vals[::2])
-        if abs(full - half) > RICHARDSON_REL_TOL * max(abs(full), 1e-12):
-            raise QuadratureTooCoarseError(
-                f"half-grid check differs by {abs(full - half):.3e} vs {full:.3e}"
-            )
-    return full
+    if not (gate and n % 4 == 0 and n >= 8):
+        return full
+    half = _quad(times[::2], vals[:, ::2]).tolist()
+    return [
+        QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
+        if abs(f - h) > RICHARDSON_REL_TOL * max(abs(f), 1e-12) else f
+        for f, h in zip(full, half)
+    ]
 
 
 def _clamped_kmins(kmins: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -159,9 +170,11 @@ def _endpoint_entropies(
 
 
 def _weighted_integrals(
-    times: np.ndarray, kmins: np.ndarray, rates: np.ndarray, alpha: float
-) -> tuple[float, float, tuple[str, ...]]:
-    """Integrals of k_min^(alpha-1) and k_min^(-alpha) against a rate.
+    times: np.ndarray, kmins: np.ndarray, rate_sets: list[np.ndarray], alphas: list[float]
+) -> tuple[list[tuple[list, list]], tuple[str, ...]]:
+    """Integrals I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against each
+    rate, for every alpha: one (I1 list, I2 list) pair per rate set, each
+    entry a value or the gate error that rejected it.
 
     When k_min dips toward zero along the trajectory (amplitude damping at
     late times, zero crossings of the decoherence amplitude) the negative
@@ -171,31 +184,37 @@ def _weighted_integrals(
     """
     kc, clamped = _clamped_kmins(kmins)
     loose = bool(float(kmins.min()) < LOOSE_KMIN_TOL)
-    i1 = _gated_quad(times, kc ** (alpha - 1.0) * rates, gate=not loose)
-    i2 = _gated_quad(times, kc ** (-alpha) * rates, gate=not loose)
+    a = np.asarray(alphas)[:, None]
+    w1 = kc ** (a - 1.0)
+    w2 = kc ** (-a)
+    tables = [
+        (_gated_quads(times, w1 * rates, not loose), _gated_quads(times, w2 * rates, not loose))
+        for rates in rate_sets
+    ]
     warns: tuple[str, ...] = ()
     if clamped:
         warns += (WARN_KMIN_CLAMPED,)
     if loose:
         warns += (WARN_LOOSE_BOUND,)
-    return i1, i2, warns
+    return tables, warns
 
 
-def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
-    """Evaluate the three entropy bounds along a trajectory.
+def _route_rhs(
+    a: float, h_a: float, h_b: float, i1: float, i2: float, kraus: bool
+) -> tuple[float, float]:
+    """Forward and swapped right-hand sides of one route. Each formula keeps
+    its own operation order: another order moves the last bits of the
+    outputs."""
+    if kraus:
+        return 2.0 * a * h_a * i1 / abs(1.0 - a), 2.0 * h_b * i2
+    return a * h_a / abs(1.0 - a) * i1, h_b * i2
 
-    The symmetrized relative error compares the symmetrized entropy to its
-    integrated bound; 0 means saturation, 1 means the entropy is negligible
-    against the rate integral.
-    """
-    rho0 = traj.initial_state
-    h_a, h_b, warns = _h_pair(rho0, p)
-    i1, i2, clamp_warns = _weighted_integrals(traj.times, traj.kmins, traj.speeds, p.alpha)
-    a = p.alpha
-    rhs_fwd = a * h_a / abs(1.0 - a) * i1
-    rhs_bwd = h_b * i2
+
+def _bound_report(
+    d_fwd: float, d_bwd: float, rhs_fwd: float, rhs_bwd: float, warnings: tuple[str, ...]
+) -> BoundReport:
+    d_sym = d_fwd + d_bwd
     rhs_sym = rhs_fwd + rhs_bwd
-    d_fwd, d_bwd, d_sym = _endpoint_entropies(rho0, traj.final_state, p)
     if rhs_sym > ZERO_TOL:
         delta = 1.0 - d_sym / rhs_sym
     else:
@@ -208,8 +227,141 @@ def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
         rhs_bwd=rhs_bwd,
         rhs_sym=rhs_sym,
         delta_bound=delta,
-        warnings=clamp_warns + warns,
+        warnings=warnings,
     )
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the AzqslError it raised, without its traceback.
+
+    A kept error's traceback frames link back to the frame that keeps the
+    error, a reference cycle that would hold the trajectory and its arrays
+    alive until the next garbage collection."""
+    try:
+        return fn(*args)
+    except AzqslError as exc:
+        return exc.with_traceback(None)
+
+
+def _endpoint_entropy_grid(
+    traj: dyn.Trajectory, rho0: DensityMatrix, alphas: list[float], zs: list[float]
+) -> list[tuple[list[float], list[float]]]:
+    """(D(rho_t||rho_0), D(rho_0||rho_t)) over the alpha grid, per z."""
+    rho_tau = traj.final_state
+    return [
+        (ent._renyi_az_values(rho_tau, rho0, alphas, z),
+         ent._renyi_az_values(rho0, rho_tau, alphas, z))
+        for z in zs
+    ]
+
+
+def _trajectory_reports(
+    traj: dyn.Trajectory,
+    alphas,
+    zs,
+    bounds: bool = True,
+    qsl: bool = False,
+    terms: np.ndarray | None = None,
+) -> tuple[list[list], list[list]]:
+    """Bound and speed-limit reports along one trajectory for a whole
+    (alpha, z) grid.
+
+    The endpoint states are validated once, the weighted integrals are taken
+    once per alpha (they do not depend on z), and both endpoint entropies
+    once per (alpha, z), shared by the two report groups. The bounds use the
+    Schatten speed; the speed limits use the summed Kraus rates `terms` when
+    given, the Schatten speed otherwise.
+
+    Returns (bound reports, speed-limit reports), each indexed [alpha][z].
+    An entry is the report, the AzqslError that ended it, or None when its
+    group was not asked for. Errors take the precedence of the sequential
+    evaluation: probe state, h, I1, I2, final state, entropies, then the
+    speed-limit ratios.
+    """
+    alphas = [float(a) for a in alphas]
+    zs = [float(z) for z in zs]
+    kraus = terms is not None
+    wanted = (bounds, qsl)
+    out = tuple([[None] * len(zs) for _ in alphas] for _ in wanted)
+
+    def fail(i: int, j: int, exc: AzqslError) -> None:
+        for g in (0, 1):
+            if wanted[g]:
+                out[g][i][j] = exc
+
+    rho0 = _attempt(getattr, traj, "initial_state")
+    if isinstance(rho0, AzqslError):
+        for i in range(len(alphas)):
+            for j in range(len(zs)):
+                fail(i, j, rho0)
+        return out
+    rate_sets = [traj.speeds] if bounds or not kraus else []
+    if qsl and kraus:
+        rate_sets.append(terms)
+    tables, clamp_warns = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
+    integrals = (tables[0], tables[-1])
+
+    pending = []
+    for i, a in enumerate(alphas):
+        for j, z in enumerate(zs):
+            head = _attempt(_h_pair, rho0, EntropyParams(a, z))
+            if isinstance(head, AzqslError):
+                fail(i, j, head)
+                continue
+            h_a, h_b, chain = head
+            for g in (0, 1):
+                if not wanted[g]:
+                    continue
+                i1, i2 = integrals[g][0][i], integrals[g][1][i]
+                for step in (i1, i2):
+                    if isinstance(step, AzqslError):
+                        out[g][i][j] = step
+                        break
+                else:
+                    pending.append((g, i, j, h_a, h_b, i1, i2, clamp_warns + chain))
+    if not pending:
+        return out
+
+    entropies = _attempt(_endpoint_entropy_grid, traj, rho0, alphas, zs)
+    if isinstance(entropies, AzqslError):
+        for g, i, j, *_ in pending:
+            out[g][i][j] = entropies
+        return out
+    for g, i, j, h_a, h_b, i1, i2, warns in pending:
+        a = alphas[i]
+        d_fwd, d_bwd = entropies[j][0][i], entropies[j][1][i]
+        den_fwd, den_bwd = _route_rhs(a, h_a, h_b, i1, i2, kraus and g == 1)
+        if g == 0:
+            out[0][i][j] = _bound_report(d_fwd, d_bwd, den_fwd, den_bwd, warns)
+            continue
+        out[1][i][j] = _attempt(
+            _qsl_from_integrals,
+            traj.tau, d_fwd, d_bwd, d_fwd + d_bwd, den_fwd, den_bwd, den_fwd + den_bwd, warns,
+        )
+    return out
+
+
+def _single(reports: list[list]):
+    """The one entry of a single-point report grid, raising its error."""
+    value = reports[0][0]
+    if isinstance(value, AzqslError):
+        try:
+            raise value
+        finally:
+            # this frame is on the error's traceback: drop its references
+            # to the error so the two do not form a cycle
+            value = reports = None
+    return value
+
+
+def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
+    """Evaluate the three entropy bounds along a trajectory.
+
+    The symmetrized relative error compares the symmetrized entropy to its
+    integrated bound; 0 means saturation, 1 means the entropy is negligible
+    against the rate integral.
+    """
+    return _single(_trajectory_reports(traj, [p.alpha], [p.z])[0])
 
 
 def _tau_ratio(d: float, rhs: float, tau: float) -> float:
@@ -255,17 +407,7 @@ def _qsl_from_integrals(
 
 def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
     """Speed-limit times from the Schatten speed of the sampled trajectory."""
-    rho0 = traj.initial_state
-    h_a, h_b, warns = _h_pair(rho0, p)
-    i1, i2, clamp_warns = _weighted_integrals(traj.times, traj.kmins, traj.speeds, p.alpha)
-    a = p.alpha
-    den_fwd = a * h_a / abs(1.0 - a) * i1
-    den_bwd = h_b * i2
-    d_fwd, d_bwd, d_sym = _endpoint_entropies(rho0, traj.final_state, p)
-    return _qsl_from_integrals(
-        traj.tau, d_fwd, d_bwd, d_sym, den_fwd, den_bwd, den_fwd + den_bwd,
-        clamp_warns + warns,
-    )
+    return _single(_trajectory_reports(traj, [p.alpha], [p.z], bounds=False, qsl=True)[1])
 
 
 def qsl_unitary(
@@ -343,16 +485,8 @@ def nonunitary_qsl_from_terms(
     """Speed limits with the summed Kraus rate ||K_l rho_0 dK_l†/dt||_1 in
     place of the Schatten speed (an upper bound on speed/2, so these times
     never exceed the general ones)."""
-    rho0 = traj.initial_state
-    h_a, h_b, warns = _h_pair(rho0, p)
-    i1, i2, clamp_warns = _weighted_integrals(traj.times, traj.kmins, term_sums, p.alpha)
-    a = p.alpha
-    den_fwd = 2.0 * a * h_a * i1 / abs(1.0 - a)
-    den_bwd = 2.0 * h_b * i2
-    d_fwd, d_bwd, d_sym = _endpoint_entropies(rho0, traj.final_state, p)
-    return _qsl_from_integrals(
-        traj.tau, d_fwd, d_bwd, d_sym, den_fwd, den_bwd, den_fwd + den_bwd,
-        clamp_warns + warns,
+    return _single(
+        _trajectory_reports(traj, [p.alpha], [p.z], bounds=False, qsl=True, terms=term_sums)[1]
     )
 
 
@@ -364,9 +498,8 @@ def qsl_nonunitary(
     n_steps: int = 1001,
 ) -> QSLReport:
     """Evolve the channel and evaluate the Kraus-rate speed limits."""
-    traj = dyn.evolve_kraus(fam, rho0, tau, n_steps=n_steps)
-    terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-    return nonunitary_qsl_from_terms(traj, terms.sum(axis=1), p)
+    traj, term_sums = dyn._evolve_kraus(fam, rho0, tau, n_steps, terms=True)
+    return nonunitary_qsl_from_terms(traj, term_sums, p)
 
 
 def normalize_series(values) -> np.ndarray:

@@ -344,6 +344,38 @@ class TestQslNonunitary:
             assert r_alpha >= 0.5 * alpha * tn * tn - 1e-8
 
 
+def trapezoid_sum(times: np.ndarray, vals: np.ndarray) -> float:
+    return float(np.sum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0))
+
+
+class TestOddIntervalQuadrature:
+    # n_steps = 1000 gives 999 intervals, where Simpson does not apply and
+    # the trapezoid rule takes over. np.trapezoid only exists from numpy 2.0,
+    # above the declared numpy floor, so it is removed for these tests.
+
+    def test_quad_is_trapezoid(self, monkeypatch):
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        times = np.linspace(0.0, 3.0, 1000)
+        vals = np.exp(-times) * (1.0 + np.sin(3.0 * times) ** 2)
+        assert float(qsl._quad(times, vals)) == pytest.approx(
+            trapezoid_sum(times, vals), rel=1e-14
+        )
+
+    def test_bounds_on_odd_grid(self, monkeypatch):
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+        rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+        traj = dyn.evolve_kraus(fam, rho0, 3.0, 1000)
+        p = EntropyParams(0.3, 1.0)
+        report = qsl.integrate_bounds(traj, p)
+        kc = np.maximum(traj.kmins, qsl.KMIN_CLAMP)
+        i1 = trapezoid_sum(traj.times, kc ** (p.alpha - 1.0) * traj.speeds)
+        i2 = trapezoid_sum(traj.times, kc ** (-p.alpha) * traj.speeds)
+        h_a, h_b = qsl.h_func(rho0, p), qsl.h_func(rho0, p.swapped)
+        assert report.rhs_fwd == pytest.approx(p.alpha * h_a / (1.0 - p.alpha) * i1, rel=1e-12)
+        assert report.rhs_bwd == pytest.approx(h_b * i2, rel=1e-12)
+
+
 class TestMappingIdentities:
     def test_rhs_mapping_with_skew_factor(self, rng):
         # the forward and swapped right-hand sides map into each other with
