@@ -138,6 +138,17 @@ def _apply_config_item(cfg: SweepConfig, key: str, value: str) -> SweepConfig:
     return replace(cfg, **{key: parsed})
 
 
+def _with_overrides(cfg: SweepConfig, overrides: list[str] | None) -> SweepConfig:
+    """Apply command-line key=value overrides, then validate."""
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} is not key=value")
+        key, value = (part.strip() for part in item.split("=", 1))
+        cfg = _apply_config_item(cfg, key, value)
+    cfg.validate()
+    return cfg
+
+
 def load_config(path: str, overrides: list[str] | None = None) -> SweepConfig:
     """Flat key=value file plus command-line overrides."""
     cfg = SweepConfig()
@@ -154,13 +165,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> SweepConfig:
             raise ConfigError(f"bad config line {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         cfg = _apply_config_item(cfg, key, value)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        cfg = _apply_config_item(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return _with_overrides(cfg, overrides)
 
 
 def load_kraus_file(path: str) -> dyn.KrausFamily:
@@ -515,11 +520,9 @@ def _cfg_from_args(args) -> SweepConfig:
 
 
 def _final_state(cfg: SweepConfig, rho0: DensityMatrix, tau: float) -> DensityMatrix:
-    family = _build_family(cfg)
-    if family is None:
-        traj = dyn.evolve_unitary(dyn.HamiltonianModel.qubit(cfg.n), rho0, tau, 3)
-        return traj.final_state
-    return dyn.apply_channel(family, rho0, tau)
+    """rho_tau from a three-sample trajectory of the panel's model."""
+    traj, _ = _trajectory(replace(cfg, n_steps=3), rho0, _build_family(cfg), tau, terms=False)
+    return traj.final_state
 
 
 def _print_report(pairs) -> None:
@@ -575,42 +578,29 @@ def _cmd_qsl(args) -> int:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+    print(f"wrote {path}")
+
+
+def _write_outputs(args, csv_text: str, default_out: str) -> int:
+    """Write the CSV and, when asked, the plot script next to it."""
+    out = args.out or default_out
+    _write_text(out, csv_text)
+    if args.plot:
+        script = emit_plot_script(csv_text, out, args.plot, args.column)
+        _write_text(out.rsplit(".", 1)[0] + "_plot.py", script)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        cfg = load_config(args.config, args.set or [])
+        cfg = load_config(args.config, args.set)
     else:
-        cfg = SweepConfig()
-        for item in args.set or []:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not key=value")
-            key, value = (part.strip() for part in item.split("=", 1))
-            cfg = _apply_config_item(cfg, key, value)
-        cfg.validate()
-    csv_text = run_sweep(cfg)
-    out = args.out or "sweep.csv"
-    _write_text(out, csv_text)
-    print(f"wrote {out}")
-    if args.plot:
-        script = emit_plot_script(csv_text, out, args.plot, args.column)
-        script_path = out.rsplit(".", 1)[0] + "_plot.py"
-        _write_text(script_path, script)
-        print(f"wrote {script_path}")
-    return 0
+        cfg = _with_overrides(SweepConfig(), args.set)
+    return _write_outputs(args, run_sweep(cfg), "sweep.csv")
 
 
 def _cmd_figure(args) -> int:
-    csv_text = run_figure(args.name)
-    out = args.out or f"{args.name}.csv"
-    _write_text(out, csv_text)
-    print(f"wrote {out}")
-    if args.plot:
-        script = emit_plot_script(csv_text, out, args.plot, args.column)
-        script_path = out.rsplit(".", 1)[0] + "_plot.py"
-        _write_text(script_path, script)
-        print(f"wrote {script_path}")
-    return 0
+    return _write_outputs(args, run_figure(args.name), f"{args.name}.csv")
 
 
 def _cmd_selftest(args) -> int:

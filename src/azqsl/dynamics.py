@@ -114,16 +114,21 @@ def decoherence_gamma_dt(t, lam: float, s: float):
 class KrausFamily:
     """Time-dependent Kraus family {K_l(t)} with derivatives {dK_l/dt}.
 
-    Built-in channels supply analytic derivatives. A user family may omit
-    them, in which case trajectory generation falls back to central finite
-    differences with step 1e-5 * tau.
+    The library reads a family only through its batched stacks: `op_stacks`
+    for the operators at the exact sampled times and `stacks` for the
+    consistent (K, dK) pair that derivative products use. A user family
+    gives per-time functions `ops_fn(t)` and optionally `dops_fn(t)`, each
+    returning n_ops (dim, dim) matrices; without `dops_fn` the derivatives
+    are central finite differences of `op_stacks` with step 1e-5 * tau
+    (forward below t = step). Built-in channels override the stacks with
+    their closed forms.
     """
 
     def __init__(
         self,
         dim: int,
         n_ops: int,
-        ops_fn: Callable[[float], Sequence[np.ndarray]],
+        ops_fn: Callable[[float], Sequence[np.ndarray]] | None,
         dops_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
     ):
         self.dim = dim
@@ -131,31 +136,17 @@ class KrausFamily:
         self._ops_fn = ops_fn
         self._dops_fn = dops_fn
 
-    def operators(self, t: float) -> list[np.ndarray]:
-        return [np.asarray(k, dtype=complex) for k in self._ops_fn(t)]
-
-    def derivatives(self, t: float, fd_step: float | None = None) -> list[np.ndarray]:
-        if self._dops_fn is not None:
-            return [np.asarray(k, dtype=complex) for k in self._dops_fn(t)]
-        if fd_step is None:
-            raise InvalidParamsError(
-                "family has no analytic derivatives; supply fd_step"
-            )
-        if t < fd_step:
-            lo, hi = self.operators(t), self.operators(t + fd_step)
-            return [(b - a) / fd_step for a, b in zip(lo, hi)]
-        lo, hi = self.operators(t - fd_step), self.operators(t + fd_step)
-        return [(b - a) / (2.0 * fd_step) for a, b in zip(lo, hi)]
+    def _per_time(self, fn, times: np.ndarray) -> np.ndarray:
+        out = np.empty((len(times), self.n_ops, self.dim, self.dim), dtype=complex)
+        for i, t in enumerate(times):
+            out[i] = [np.asarray(k, dtype=complex) for k in fn(float(t))]
+        return out
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         """Operators at the exact sampled times, shape (n_times, n_ops, dim, dim).
 
         Used to build states; never regularized."""
-        nt = len(times)
-        K = np.empty((nt, self.n_ops, self.dim, self.dim), dtype=complex)
-        for i, t in enumerate(times):
-            K[i] = self.operators(float(t))
-        return K
+        return self._per_time(self._ops_fn, np.asarray(times, dtype=float))
 
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
         """Consistent (K, dK) pair for derivative products.
@@ -163,46 +154,41 @@ class KrausFamily:
         Products like K rho dK† may have finite limits where each factor is
         separately singular or vanishing; channels with such points override
         this to sample both factors at the same regularized time."""
+        times = np.asarray(times, dtype=float)
         K = self.op_stacks(times)
-        dK = np.empty_like(K)
-        for i, t in enumerate(times):
-            dK[i] = self.derivatives(float(t), fd_step=fd_step)
-        return K, dK
+        if self._dops_fn is not None:
+            return K, self._per_time(self._dops_fn, times)
+        if fd_step is None:
+            raise InvalidParamsError(
+                "family has no analytic derivatives; supply fd_step"
+            )
+        forward = times < fd_step
+        lo = self.op_stacks(np.where(forward, times, times - fd_step))
+        hi = self.op_stacks(times + fd_step)
+        width = np.where(forward, fd_step, 2.0 * fd_step)
+        return K, (hi - lo) / width[:, None, None, None]
 
     def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
         """(K at the exact times, K, dK): the state operators and the
-        derivative pair. A family whose pair is always sampled at the exact
-        times returns the pair's K twice instead of building it again."""
-        return (self.op_stacks(times),) + tuple(self.stacks(times, fd_step=fd_step))
+        derivative pair. The pair's K is sampled at the exact times, so it
+        serves as both; a family that regularizes its pair overrides this."""
+        K, dK = self.stacks(times, fd_step=fd_step)
+        return K, K, dK
 
 
 class DepolarizingFamily(KrausFamily):
     """K_0 = (1/2) sqrt(1 + 3 e^(-G t)) I and K_j = (1/2) sqrt(1 - e^(-G t)) sigma_j.
 
     The per-operator derivative of K_{1,2,3} diverges like (1 - e^(-G t))^(-1/2)
-    at t = 0, so derivative factors are evaluated at t clamped to t_floor.
+    at t = 0, so the (K, dK) pair is evaluated at t clamped to t_floor.
     """
 
     def __init__(self, params: DepolarizingParams):
         self.params = params
-        super().__init__(dim=2, n_ops=4, ops_fn=self._ops, dops_fn=self._dops)
+        super().__init__(dim=2, n_ops=4, ops_fn=None)
 
-    def _ops(self, t: float) -> list[np.ndarray]:
-        e = np.exp(-self.params.gamma * t)
-        eye = np.eye(2, dtype=complex)
-        k0 = 0.5 * np.sqrt(1.0 + 3.0 * e) * eye
-        return [k0] + [0.5 * np.sqrt(max(1.0 - e, 0.0)) * p for p in linalg.PAULIS]
-
-    def _dops(self, t: float) -> list[np.ndarray]:
-        g = self.params.gamma
-        t = max(t, DEPOLARIZING_T_FLOOR / g)
-        e = np.exp(-g * t)
-        eye = np.eye(2, dtype=complex)
-        d0 = -(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e) * eye
-        coeff = (g * e / 4.0) / np.sqrt(1.0 - e)
-        return [d0] + [coeff * p for p in linalg.PAULIS]
-
-    def _build_K(self, t: np.ndarray) -> np.ndarray:
+    def op_stacks(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
         e = np.exp(-self.params.gamma * t)
         eye = np.eye(2, dtype=complex)
         K = np.zeros((len(t), 4, 2, 2), dtype=complex)
@@ -212,9 +198,6 @@ class DepolarizingFamily(KrausFamily):
             K[:, j] = amp[:, None, None] * pauli
         return K
 
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        return self._build_K(np.asarray(times, dtype=float))
-
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
         # K and dK must be sampled at the same clamped time: the products
         # K_j rho dK_j† have a finite t -> 0 limit only because the sqrt(t)
@@ -222,7 +205,7 @@ class DepolarizingFamily(KrausFamily):
         g = self.params.gamma
         tc = np.maximum(np.asarray(times, dtype=float), DEPOLARIZING_T_FLOOR / g)
         e = np.exp(-g * tc)
-        K = self._build_K(tc)
+        K = self.op_stacks(tc)
         dK = np.zeros_like(K)
         eye = np.eye(2, dtype=complex)
         dK[:, 0] = (-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e))[:, None, None] * eye
@@ -230,6 +213,9 @@ class DepolarizingFamily(KrausFamily):
         for j, pauli in enumerate(linalg.PAULIS, start=1):
             dK[:, j] = damp[:, None, None] * pauli
         return K, dK
+
+    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
+        return (self.op_stacks(times),) + self.stacks(times)
 
 
 class AmplitudeDampingFamily(KrausFamily):
@@ -244,20 +230,16 @@ class AmplitudeDampingFamily(KrausFamily):
 
     def __init__(self, params: AmplitudeDampingParams):
         self.params = params
-        super().__init__(dim=4, n_ops=4, ops_fn=self._ops, dops_fn=self._dops)
+        super().__init__(dim=4, n_ops=4, ops_fn=None)
 
-    def _single(self, t):
+    def _pair_stacks(self, times: np.ndarray):
         lam, s = self.params.lam, self.params.s
-        g = np.asarray(decoherence_gamma(t, lam, s), dtype=float)
-        dg = np.asarray(decoherence_gamma_dt(t, lam, s), dtype=float)
+        g = np.asarray(decoherence_gamma(times, lam, s), dtype=float)
+        dg = np.asarray(decoherence_gamma_dt(times, lam, s), dtype=float)
         one_m_g2 = np.maximum(1.0 - g * g, 0.0)
         e2 = np.sqrt(one_m_g2)
         safe = np.where(one_m_g2 > _AD_SERIES_TOL, e2, 1.0)
         de2 = np.where(one_m_g2 > _AD_SERIES_TOL, -g * dg / safe, lam * np.sqrt(s / 2.0))
-        return g, dg, e2, de2
-
-    def _pair_stacks(self, times: np.ndarray):
-        g, dg, e2, de2 = self._single(times)
         nt = len(times)
         K1 = np.zeros((nt, 2, 2), dtype=complex)
         K1[:, 0, 0] = 1.0
@@ -269,19 +251,6 @@ class AmplitudeDampingFamily(KrausFamily):
         dK2 = np.zeros_like(K1)
         dK2[:, 0, 1] = de2
         return (K1, K2), (dK1, dK2)
-
-    def _ops(self, t: float) -> list[np.ndarray]:
-        (K1, K2), _ = self._pair_stacks(np.atleast_1d(np.asarray(t, dtype=float)))
-        return [np.kron(a[0], b[0]) for a in (K1, K2) for b in (K1, K2)]
-
-    def _dops(self, t: float) -> list[np.ndarray]:
-        (K1, K2), (dK1, dK2) = self._pair_stacks(np.atleast_1d(np.asarray(t, dtype=float)))
-        pairs = [((K1, dK1), (K1, dK1)), ((K1, dK1), (K2, dK2)),
-                 ((K2, dK2), (K1, dK1)), ((K2, dK2), (K2, dK2))]
-        return [
-            np.kron(da[0], b[0]) + np.kron(a[0], db[0])
-            for (a, da), (b, db) in pairs
-        ]
 
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
         times = np.asarray(times, dtype=float)
@@ -304,10 +273,6 @@ class AmplitudeDampingFamily(KrausFamily):
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return self.stacks(times)[0]
-
-    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
-        K, dK = self.stacks(times)
-        return K, K, dK
 
 
 def depolarizing_family(params: DepolarizingParams) -> DepolarizingFamily:
@@ -434,30 +399,24 @@ def _check_completeness(K: np.ndarray) -> None:
         )
 
 
-def kraus_stacks(
-    fam: KrausFamily, times: np.ndarray, fd_step: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (K, dK) stacks for the sampled times."""
-    K, dK = fam.stacks(np.asarray(times, dtype=float), fd_step=fd_step)
-    _check_completeness(K)
-    return K, dK
+def _channel_states(K: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
+    """sum_l K_l rho_0 K_l† for each sample of a (n_times, n_ops, dim, dim) stack."""
+    states = np.einsum("tlij,jk,tlmk->tim", K, rho0.mat, K.conj())
+    return (states + np.conj(np.swapaxes(states, 1, 2))) / 2
 
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    K = np.stack(fam.operators(t))
-    out = np.einsum("lij,jk,lmk->im", K, rho0.mat, K.conj())
-    return DensityMatrix(out)
+    return DensityMatrix(_channel_states(fam.op_stacks(np.array([float(t)])), rho0)[0])
 
 
 def _kraus_trajectory(
     rho0: DensityMatrix, times: np.ndarray, K_exact: np.ndarray, K: np.ndarray, dK: np.ndarray
 ) -> Trajectory:
     _check_completeness(K_exact)
-    states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
-    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+    states = _channel_states(K_exact, rho0)
     half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
     dstates = half + np.conj(np.swapaxes(half, 1, 2))
     speeds = _batch_hermitian_trace_norm(dstates)
@@ -505,7 +464,8 @@ def kraus_speed_term_stacks(
     """Per-operator norms ||K_l rho_0 dK_l†/dt||_1, shape (n_times, n_ops)."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    K, dK = kraus_stacks(fam, times, fd_step=fd_step)
+    K, dK = fam.stacks(np.asarray(times, dtype=float), fd_step=fd_step)
+    _check_completeness(K)
     return _speed_terms(K, dK, rho0)
 
 

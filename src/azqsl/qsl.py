@@ -50,6 +50,7 @@ ENTROPY_NOISE_TOL = 1e-12   # entropies below this count as zero (rounding)
 WARN_KMIN_CLAMPED = "kmin_clamped"
 WARN_LOOSE_BOUND = "loose_bound"
 WARN_CHAIN_SIGN = "chain_sign"
+WARN_QUAD_UNGATED = "quad_ungated"
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,11 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _gated_quads(
     times: np.ndarray, vals: np.ndarray, gate: bool
 ) -> list[float | QuadratureTooCoarseError]:
-    """Integrate each row of `vals` and cross-check it against the half grid
-    when both grids admit the same rule; a row whose relative disagreement
-    exceeds tolerance gets the error that rejects it instead of a value."""
+    """Integrate each row of `vals` and, when `gate` is set, cross-check it
+    against the half grid; a row whose relative disagreement exceeds
+    tolerance gets the error that rejects it instead of a value."""
     full = _quad(times, vals).tolist()
-    n = len(times) - 1
-    if not (gate and n % 4 == 0 and n >= 8):
+    if not gate:
         return full
     half = _quad(times[::2], vals[:, ::2]).tolist()
     return [
@@ -181,14 +181,20 @@ def _weighted_integrals(
     powers spike and the right-hand sides blow up: the bound is then loose
     by construction, the half-grid gate is meaningless, and the result is
     flagged instead of rejected.
+
+    The gate needs Simpson on both grids, so an interval count divisible by
+    4 and at least 8. Any other grid, the trapezoid fallback of an odd
+    count included, is integrated without it and flagged `quad_ungated`.
     """
     kc, clamped = _clamped_kmins(kmins)
     loose = bool(float(kmins.min()) < LOOSE_KMIN_TOL)
+    n = len(times) - 1
+    gate = not loose and n % 4 == 0 and n >= 8
     a = np.asarray(alphas)[:, None]
     w1 = kc ** (a - 1.0)
     w2 = kc ** (-a)
     tables = [
-        (_gated_quads(times, w1 * rates, not loose), _gated_quads(times, w2 * rates, not loose))
+        (_gated_quads(times, w1 * rates, gate), _gated_quads(times, w2 * rates, gate))
         for rates in rate_sets
     ]
     warns: tuple[str, ...] = ()
@@ -196,6 +202,8 @@ def _weighted_integrals(
         warns += (WARN_KMIN_CLAMPED,)
     if loose:
         warns += (WARN_LOOSE_BOUND,)
+    elif not gate:
+        warns += (WARN_QUAD_UNGATED,)
     return tables, warns
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from azqsl import cli, oracles
@@ -289,3 +294,16 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") >= 6
+
+
+class TestModuleEntryPoint:
+    def test_python_m_azqsl_runs_warning_free(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "azqsl", "selftest", "--draws", "5"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "SELFTEST summary: 6/6" in proc.stdout

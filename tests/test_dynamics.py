@@ -127,15 +127,14 @@ class TestCoherenceMeasure:
 class TestDepolarizing:
     def test_identity_at_time_zero(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
-        ops = fam.operators(0.0)
+        ops = fam.op_stacks(np.array([0.0]))[0]
         assert np.allclose(ops[0], np.eye(2))
         for k in ops[1:]:
             assert np.max(np.abs(k)) == 0.0
 
     def test_completeness(self, rng):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
-        for t in (0.0, 0.7, 3.0, 15.0):
-            ops = fam.operators(t)
+        for ops in fam.op_stacks(np.array([0.0, 0.7, 3.0, 15.0])):
             total = sum(k.conj().T @ k for k in ops)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
@@ -207,7 +206,7 @@ class TestAmplitudeDamping:
 
     def test_identity_at_time_zero(self):
         fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 0.5))
-        ops = fam.operators(0.0)
+        ops = fam.op_stacks(np.array([0.0]))[0]
         assert np.allclose(ops[0], np.eye(4), atol=1e-12)
         for k in ops[1:]:
             assert np.max(np.abs(k)) <= 1e-12
@@ -215,8 +214,7 @@ class TestAmplitudeDamping:
     def test_completeness(self):
         for s in (0.5, 2.0, 10.0):
             fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, s))
-            for t in (0.0, 0.3, 1.0, 5.0, 18.0):
-                ops = fam.operators(t)
+            for ops in fam.op_stacks(np.array([0.0, 0.3, 1.0, 5.0, 18.0])):
                 total = sum(k.conj().T @ k for k in ops)
                 assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
@@ -290,11 +288,20 @@ class TestTrajectories:
 
     def test_fd_fallback_for_user_family(self):
         analytic = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
-        fd_only = dyn.KrausFamily(dim=2, n_ops=4, ops_fn=analytic.operators)
+        fd_only = dyn.KrausFamily(
+            dim=2, n_ops=4, ops_fn=lambda t: analytic.op_stacks(np.array([t]))[0]
+        )
         rho0 = bloch_state(BlochVector(0.5, 0.7, 0.1))
         traj_a = dyn.evolve_kraus(analytic, rho0, 2.0, 101)
         traj_b = dyn.evolve_kraus(fd_only, rho0, 2.0, 101)
         assert np.max(np.abs(traj_a.speeds[1:] - traj_b.speeds[1:])) <= 1e-6
+        # below t = h the difference is a forward one; above it, central
+        h = 1e-5 * 2.0
+        _, dK = fd_only.stacks(traj_b.times, fd_step=h)
+        ops = analytic.op_stacks
+        assert np.array_equal(dK[0], (ops([h])[0] - ops([0.0])[0]) / h)
+        t1 = traj_b.times[1]
+        assert np.array_equal(dK[1], (ops([t1 + h])[0] - ops([t1 - h])[0]) / (2.0 * h))
 
 
 class TestStateFamiliesMatchOracleGamma:
@@ -306,5 +313,46 @@ class TestStateFamiliesMatchOracleGamma:
             k1 = np.array([[1, 0], [0, g]], dtype=complex)
             k2 = np.array([[0, e2], [0, 0]], dtype=complex)
             expected = [np.kron(a, b) for a in (k1, k2) for b in (k1, k2)]
-            for got, want in zip(fam.operators(t), expected):
+            for got, want in zip(fam.op_stacks(np.array([t]))[0], expected):
                 assert np.max(np.abs(got - want)) <= 1e-12
+
+
+BUILT_IN_FAMILIES = {
+    "depolarizing": (
+        dyn.depolarizing_family(dyn.DepolarizingParams(1.3)),
+        bloch_state(BlochVector(0.6, 0.9, 0.4)),
+    ),
+    "amplitude_damping": (
+        dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0)),
+        ghz_mixed(GHZMixedParams(0.4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+class TestOneSampleContract:
+    # every caller reads a family through its batched stacks, so a batch
+    # row must equal the one-sample call at its time bit for bit
+    times = np.array([0.0, 1e-10, 0.37, 2.0, 9.5, 17.0])
+
+    def test_stack_rows_equal_one_sample_calls(self, name):
+        fam, _ = BUILT_IN_FAMILIES[name]
+        K_exact = fam.op_stacks(self.times)
+        K, dK = fam.stacks(self.times)
+        for i, t in enumerate(self.times):
+            assert np.array_equal(K_exact[i], fam.op_stacks(np.array([t]))[0])
+            K_one, dK_one = fam.stacks(np.array([t]))
+            assert np.array_equal(K[i], K_one[0])
+            assert np.array_equal(dK[i], dK_one[0])
+
+    def test_speed_terms_equal_stack_rows(self, name):
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        rows = dyn.kraus_speed_term_stacks(fam, rho0, self.times)
+        for i, t in enumerate(self.times):
+            assert np.array_equal(rows[i], dyn.kraus_speed_terms(fam, rho0, t))
+
+    def test_apply_channel_is_trajectory_endpoint(self, name):
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        for t in self.times[1:]:
+            endpoint = dyn.evolve_kraus(fam, rho0, t, 3).final_state
+            assert np.array_equal(dyn.apply_channel(fam, rho0, t).mat, endpoint.mat)

@@ -375,6 +375,22 @@ class TestOddIntervalQuadrature:
         assert report.rhs_fwd == pytest.approx(p.alpha * h_a / (1.0 - p.alpha) * i1, rel=1e-12)
         assert report.rhs_bwd == pytest.approx(h_b * i2, rel=1e-12)
 
+    @pytest.mark.parametrize("n_steps, flagged", [(1000, True), (51, True), (1001, False)])
+    def test_ungated_grid_is_flagged(self, n_steps, flagged):
+        # the half-grid gate needs Simpson on both grids: 4 | intervals >= 8
+        fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+        rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+        traj, terms = dyn._evolve_kraus(fam, rho0, 3.0, n_steps, terms=True)
+        p = EntropyParams(0.3, 1.0)
+        reports = (
+            qsl.integrate_bounds(traj, p),
+            qsl.qsl_general(traj, p),
+            qsl.nonunitary_qsl_from_terms(traj, terms, p),
+        )
+        for report in reports:
+            assert (qsl.WARN_QUAD_UNGATED in report.warnings) == flagged
+            assert qsl.WARN_LOOSE_BOUND not in report.warnings
+
 
 class TestMappingIdentities:
     def test_rhs_mapping_with_skew_factor(self, rng):
