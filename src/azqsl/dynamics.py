@@ -121,7 +121,8 @@ class KrausFamily:
     returning n_ops (dim, dim) matrices; without `dops_fn` the derivatives
     are central finite differences of `op_stacks` with step 1e-5 * tau
     (forward below t = step). Built-in channels override the stacks with
-    their closed forms.
+    their closed forms. Every call returns new arrays, which trajectories
+    overwrite.
     """
 
     def __init__(
@@ -199,23 +200,28 @@ class DepolarizingFamily(KrausFamily):
         return K
 
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
+        return self._exact_and_pair(np.asarray(times, dtype=float), fd_step)[1:]
+
+    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
         # K and dK must be sampled at the same clamped time: the products
         # K_j rho dK_j† have a finite t -> 0 limit only because the sqrt(t)
-        # zero of K_j cancels the 1/sqrt(t) pole of dK_j.
+        # zero of K_j cancels the 1/sqrt(t) pole of dK_j. op_stacks is
+        # elementwise in time, so the pair's K is the exact stack with only
+        # the clamped rows recomputed.
         g = self.params.gamma
-        tc = np.maximum(np.asarray(times, dtype=float), DEPOLARIZING_T_FLOOR / g)
+        tc = np.maximum(times, DEPOLARIZING_T_FLOOR / g)
+        K_exact = self.op_stacks(times)
+        K = K_exact.copy()
+        clamped = tc != times
+        K[clamped] = self.op_stacks(tc[clamped])
         e = np.exp(-g * tc)
-        K = self.op_stacks(tc)
         dK = np.zeros_like(K)
         eye = np.eye(2, dtype=complex)
         dK[:, 0] = (-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e))[:, None, None] * eye
         damp = (g * e / 4.0) / np.sqrt(1.0 - e)
         for j, pauli in enumerate(linalg.PAULIS, start=1):
             dK[:, j] = damp[:, None, None] * pauli
-        return K, dK
-
-    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
-        return (self.op_stacks(times),) + self.stacks(times)
+        return K_exact, K, dK
 
 
 class AmplitudeDampingFamily(KrausFamily):
@@ -233,6 +239,8 @@ class AmplitudeDampingFamily(KrausFamily):
         super().__init__(dim=4, n_ops=4, ops_fn=None)
 
     def _pair_stacks(self, times: np.ndarray):
+        """(S, dS), shape (n_times, 2, 2, 2): the single-qubit K_1, K_2 and
+        their derivatives, stacked along axis 1."""
         lam, s = self.params.lam, self.params.s
         g = np.asarray(decoherence_gamma(times, lam, s), dtype=float)
         dg = np.asarray(decoherence_gamma_dt(times, lam, s), dtype=float)
@@ -240,36 +248,28 @@ class AmplitudeDampingFamily(KrausFamily):
         e2 = np.sqrt(one_m_g2)
         safe = np.where(one_m_g2 > _AD_SERIES_TOL, e2, 1.0)
         de2 = np.where(one_m_g2 > _AD_SERIES_TOL, -g * dg / safe, lam * np.sqrt(s / 2.0))
-        nt = len(times)
-        K1 = np.zeros((nt, 2, 2), dtype=complex)
-        K1[:, 0, 0] = 1.0
-        K1[:, 1, 1] = g
-        dK1 = np.zeros_like(K1)
-        dK1[:, 1, 1] = dg
-        K2 = np.zeros_like(K1)
-        K2[:, 0, 1] = e2
-        dK2 = np.zeros_like(K1)
-        dK2[:, 0, 1] = de2
-        return (K1, K2), (dK1, dK2)
+        S = np.zeros((len(times), 2, 2, 2), dtype=complex)
+        S[:, 0, 0, 0] = 1.0
+        S[:, 0, 1, 1] = g
+        S[:, 1, 0, 1] = e2
+        dS = np.zeros_like(S)
+        dS[:, 0, 1, 1] = dg
+        dS[:, 1, 0, 1] = de2
+        return S, dS
 
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
         times = np.asarray(times, dtype=float)
-        (K1, K2), (dK1, dK2) = self._pair_stacks(times)
-        nt = len(times)
+        S, dS = self._pair_stacks(times)
+        shape = (len(times), 4, 4, 4)
 
-        def batch_kron(a, b):
-            return np.einsum("tab,tcd->tacbd", a, b).reshape(nt, 4, 4)
+        def kron_all(a, b):
+            # [t, j, l, a, c, b, d] = a[t, j, a, b] b[t, l, c, d]: operator
+            # 2j + l is a_j ⊗ b_l
+            return a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :]
 
-        singles = [(K1, dK1), (K2, dK2)]
-        K = np.empty((nt, 4, 4, 4), dtype=complex)
-        dK = np.empty_like(K)
-        idx = 0
-        for a, da in singles:
-            for b, db in singles:
-                K[:, idx] = batch_kron(a, b)
-                dK[:, idx] = batch_kron(da, b) + batch_kron(a, db)
-                idx += 1
-        return K, dK
+        dK = kron_all(dS, S)
+        dK += kron_all(S, dS)
+        return kron_all(S, S).reshape(shape), dK.reshape(shape)
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return self.stacks(times)[0]
@@ -390,38 +390,49 @@ def coherence_measure(h: HamiltonianModel, rho0: DensityMatrix) -> float:
 
 
 def _check_completeness(K: np.ndarray) -> None:
-    dim = K.shape[-1]
-    gram = np.einsum("tlji,tljk->tik", K.conj(), K)
-    dev = float(np.max(np.abs(gram - np.eye(dim))))
+    n_times, n_ops, dim, _ = K.shape
+    X = K.reshape(n_times, n_ops * dim, dim)
+    gram = np.swapaxes(X, 1, 2).conj() @ X
+    dev = float(np.max(np.abs(gram - np.eye(dim)), initial=0.0))
     if dev > COMPLETENESS_TOL:
         raise CompletenessViolationError(
             f"sum K†K deviates from identity by {dev:.3e}"
         )
 
 
-def _channel_states(K: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
-    """sum_l K_l rho_0 K_l† for each sample of a (n_times, n_ops, dim, dim) stack."""
-    states = np.einsum("tlij,jk,tlmk->tim", K, rho0.mat, K.conj())
+# Trajectories contract (n_times, n_ops, dim, dim) stacks as X rho_0 Y†:
+# X rho_0 is formed once per stack, then contracted with conj(Y) in a
+# two-operand einsum that keeps the sum over operators inside it. For
+# operators with at most one nonzero per row and column, as in the built-in
+# channels, each term is then a single triple product and the operator sum
+# runs in operator order, so the grouping does not move any bit; for dense
+# families it moves results by about 1e-16.
+
+
+def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
+    """X_l rho_0 for each sample and operator."""
+    return np.einsum("tlij,jk->tlik", X, rho0.mat)
+
+
+def _channel_states(KR: np.ndarray, Kc: np.ndarray) -> np.ndarray:
+    """sum_l K_l rho_0 K_l† from K rho_0 and conj(K)."""
+    states = np.einsum("tlik,tlmk->tim", KR, Kc)
     return (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+
+
+def _schatten_speeds(dK: np.ndarray, rho0: DensityMatrix, Kc: np.ndarray) -> np.ndarray:
+    """||drho/dt||_1 from dK and conj(K), where drho/dt is
+    sum_l dK_l rho_0 K_l† plus its adjoint."""
+    half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
+    return _batch_hermitian_trace_norm(half + np.conj(np.swapaxes(half, 1, 2)))
 
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    return DensityMatrix(_channel_states(fam.op_stacks(np.array([float(t)])), rho0)[0])
-
-
-def _kraus_trajectory(
-    rho0: DensityMatrix, times: np.ndarray, K_exact: np.ndarray, K: np.ndarray, dK: np.ndarray
-) -> Trajectory:
-    _check_completeness(K_exact)
-    states = _channel_states(K_exact, rho0)
-    half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
-    dstates = half + np.conj(np.swapaxes(half, 1, 2))
-    speeds = _batch_hermitian_trace_norm(dstates)
-    kmins = _batch_kmin(states)
-    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
+    K = fam.op_stacks(np.array([float(t)]))
+    return DensityMatrix(_channel_states(_times_rho(K, rho0), K.conj())[0])
 
 
 def _evolve_kraus(
@@ -429,17 +440,34 @@ def _evolve_kraus(
 ) -> tuple[Trajectory, np.ndarray | None]:
     """evolve_kraus, plus the summed per-operator rates
     sum_l ||K_l rho_0 dK_l†/dt||_1 when `terms` is set. Both come from one
-    (K, dK) pair, built and validated once."""
+    (K, dK) pair, built and validated once; K rho_0 and conj(K) serve the
+    states too when the pair's K is the exact-time one."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
     K_exact, K, dK = fam._exact_and_pair(times, fd_step=1e-5 * tau)
-    traj = _kraus_trajectory(rho0, times, K_exact, K, dK)
+    _check_completeness(K_exact)
+    shared = K is K_exact
+    if not shared:
+        if terms:
+            # a regularized pair differs from the exact operators only on
+            # its regularized rows
+            _check_completeness(K[np.any(K != K_exact, axis=(1, 2, 3))])
+        states = _channel_states(_times_rho(K_exact, rho0), K_exact.conj())
+    # Conjugating in place and dropping each stack once no product needs it
+    # keeps at most four (n_times, n_ops, dim, dim) stacks alive at once.
+    del K_exact
+    KR = _times_rho(K, rho0)
+    Kc = np.conjugate(K, out=K)
+    del K
+    speeds = _schatten_speeds(dK, rho0, Kc)
+    if shared:
+        states = _channel_states(KR, Kc)
+    del Kc
+    traj = Trajectory(times=times, states=states, speeds=speeds, kmins=_batch_kmin(states))
     if not terms:
         return traj, None
-    if K is not K_exact:
-        _check_completeness(K)
-    return traj, _speed_terms(K, dK, rho0).sum(axis=1)
+    return traj, _speed_terms(KR, np.conjugate(dK, out=dK)).sum(axis=1)
 
 
 def evolve_kraus(
@@ -453,8 +481,9 @@ def evolve_kraus(
     return _evolve_kraus(fam, rho0, tau, n_steps)[0]
 
 
-def _speed_terms(K: np.ndarray, dK: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
-    prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
+def _speed_terms(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
+    """||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times, n_ops)."""
+    prods = np.einsum("tlik,tlmk->tlim", KR, dKc)
     return np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
 
 
@@ -466,7 +495,7 @@ def kraus_speed_term_stacks(
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     K, dK = fam.stacks(np.asarray(times, dtype=float), fd_step=fd_step)
     _check_completeness(K)
-    return _speed_terms(K, dK, rho0)
+    return _speed_terms(_times_rho(K, rho0), dK.conj())
 
 
 def kraus_speed_terms(fam: KrausFamily, rho0: DensityMatrix, t: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from azqsl.dynamics import KrausFamily
 from azqsl.entropy import EntropyParams
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 
@@ -22,6 +23,37 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(x)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class StinespringFamily(KrausFamily):
+    """Dense trace-preserving family K_l(t) = (<l| ⊗ I) e^(-iHt) (|0> ⊗ I)
+    for a Hermitian H on the n_ops * dim dilation, with the analytic
+    derivatives dK_l = (<l| ⊗ I) (-iH) e^(-iHt) (|0> ⊗ I), batched over
+    times."""
+
+    def __init__(self, h: np.ndarray, dim: int, n_ops: int):
+        super().__init__(dim=dim, n_ops=n_ops, ops_fn=None)
+        self.h = h
+        self._w, self._v = np.linalg.eigh(h)
+
+    def _isometries(self, times) -> np.ndarray:
+        # the first dim columns of e^(-iHt), rows indexed by l * dim + i
+        phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), self._w))
+        return (self._v * phases[:, None, :]) @ self._v[: self.dim].conj().T
+
+    def _split(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(len(u), self.n_ops, self.dim, self.dim)
+
+    def op_stacks(self, times) -> np.ndarray:
+        return self._split(self._isometries(times))
+
+    def stacks(self, times, fd_step=None):
+        u = self._isometries(times)
+        return self._split(u), self._split(-1j * self.h @ u)
+
+
+def stinespring_family(rng, dim: int, n_ops: int) -> StinespringFamily:
+    return StinespringFamily(random_hermitian(rng, n_ops * dim), dim, n_ops)
 
 
 def random_params(rng, dpi_valid: bool = True) -> EntropyParams:

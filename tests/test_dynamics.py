@@ -5,9 +5,11 @@ import pytest
 
 from azqsl import dynamics as dyn
 from azqsl import linalg
+from azqsl.entropy import EntropyParams
 from azqsl.errors import CompletenessViolationError, DimMismatchError, NotHermitianError
+from azqsl.qsl import qsl_nonunitary
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
-from helpers import random_bloch_state
+from helpers import random_bloch_state, random_density, stinespring_family
 
 
 @pytest.fixture
@@ -356,3 +358,133 @@ class TestOneSampleContract:
         for t in self.times[1:]:
             endpoint = dyn.evolve_kraus(fam, rho0, t, 3).final_state
             assert np.array_equal(dyn.apply_channel(fam, rho0, t).mat, endpoint.mat)
+
+
+def oracle_contractions(K_exact, K, dK, rho0):
+    """The trajectory layer as three-operand einsums: states, Schatten
+    speeds, k_min and per-operator rate terms from the given stacks."""
+    states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
+    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+    half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
+    dstates = half + np.conj(np.swapaxes(half, 1, 2))
+    speeds = np.abs(np.linalg.eigvalsh(dstates)).sum(axis=-1)
+    kmins = np.maximum(np.linalg.eigvalsh(states)[:, 0], 0.0)
+    prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
+    terms = np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
+    return states, speeds, kmins, terms
+
+
+def oracle_pair(fam, times):
+    """(K at the exact times, K, dK) without the stack shortcuts: the
+    amplitude-damping products as one Kronecker einsum per slot, the
+    depolarizing pair's K sampled at the clamped times."""
+    if isinstance(fam, dyn.AmplitudeDampingFamily):
+        S, dS = fam._pair_stacks(times)
+        singles = [(S[:, 0], dS[:, 0]), (S[:, 1], dS[:, 1])]
+
+        def kron(a, b):
+            return np.einsum("tab,tcd->tacbd", a, b).reshape(len(times), 4, 4)
+
+        K = np.stack([kron(a, b) for a, _ in singles for b, _ in singles], axis=1)
+        dK = np.stack(
+            [kron(da, b) + kron(a, db) for a, da in singles for b, db in singles], axis=1
+        )
+        return K, K, dK
+    K, dK = fam.stacks(times)
+    if isinstance(fam, dyn.DepolarizingFamily):
+        floor = dyn.DEPOLARIZING_T_FLOOR / fam.params.gamma
+        return fam.op_stacks(times), fam.op_stacks(np.maximum(times, floor)), dK
+    return K, K, dK
+
+
+def bit_flip_family() -> dyn.KrausFamily:
+    p = 0.3
+    ops = [math.sqrt(1 - p) * np.eye(2, dtype=complex), math.sqrt(p) * linalg.SIGMA_X]
+    zeros = [np.zeros((2, 2), dtype=complex)] * 2
+    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=lambda t: ops, dops_fn=lambda t: zeros)
+
+
+class TestContractions:
+    # K rho_0 is formed once per stack and contracted with a second stack
+    # in a two-operand einsum; for operators with one nonzero per row and
+    # column that is the same arithmetic as the three-operand oracle. The
+    # 7e-8 horizons put eleven depolarizing samples below the clamping floor.
+    MONOMIAL = {
+        "depolarizing": (BUILT_IN_FAMILIES["depolarizing"], (7.0, 7e-8)),
+        "amplitude_damping": (BUILT_IN_FAMILIES["amplitude_damping"], (17.0, 7e-8)),
+        "amplitude_damping_markovian": (
+            (dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(2.0, 0.3)),
+             ghz_mixed(GHZMixedParams(0.8))),
+            (5.0,),
+        ),
+        "bit_flip": ((bit_flip_family(), bloch_state(BlochVector(0.6, 0.9, 0.4))), (3.0,)),
+    }
+
+    @staticmethod
+    def contractions(fam, rho0, tau):
+        traj, term_sums = dyn._evolve_kraus(fam, rho0, tau, 1001, terms=True)
+        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times)
+        return traj, term_sums, terms
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_monomial_families_equal_oracle(self, name):
+        (fam, rho0), horizons = self.MONOMIAL[name]
+        for tau in horizons:
+            traj, term_sums, terms = self.contractions(fam, rho0, tau)
+            want = oracle_contractions(*oracle_pair(fam, traj.times), rho0)
+            assert np.array_equal(traj.states, want[0])
+            assert np.array_equal(traj.speeds, want[1])
+            assert np.array_equal(traj.kmins, want[2])
+            assert np.array_equal(terms, want[3])
+            assert np.array_equal(term_sums, want[3].sum(axis=1))
+
+    def test_amplitude_damping_kronecker_stacks(self):
+        fam, _ = BUILT_IN_FAMILIES["amplitude_damping"]
+        times = np.linspace(0.0, 17.0, 1001)
+        K, dK = fam.stacks(times)
+        _, K_want, dK_want = oracle_pair(fam, times)
+        assert np.array_equal(K, K_want)
+        assert np.array_equal(dK, dK_want)
+
+    @pytest.mark.parametrize("dim,n_ops", [(2, 3), (3, 2), (4, 4)])
+    def test_dense_family_matches_oracle(self, dim, n_ops):
+        rng = np.random.default_rng(dim * 10 + n_ops)
+        fam = stinespring_family(rng, dim, n_ops)
+        rho0 = random_density(rng, dim)
+        traj, term_sums, terms = self.contractions(fam, rho0, 2.0)
+        states, speeds, kmins, want_terms = oracle_contractions(
+            *oracle_pair(fam, traj.times), rho0
+        )
+        assert np.max(np.abs(traj.states - states)) <= 1e-13
+        assert np.max(np.abs(traj.kmins - kmins)) <= 1e-13
+        assert np.max(np.abs(traj.speeds - speeds) / speeds) <= 1e-12
+        assert np.max(np.abs(terms - want_terms) / want_terms) <= 1e-12
+        assert np.max(np.abs(term_sums / want_terms.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_not_trace_preserving_raises(self):
+        rng = np.random.default_rng(7)
+        dense = stinespring_family(rng, 3, 2)
+        shrunk = dyn.KrausFamily(
+            dim=3, n_ops=2, ops_fn=lambda t: 0.99 * dense.op_stacks([t])[0],
+            dops_fn=lambda t: 0.99 * dense.stacks([t])[1][0],
+        )
+        rho0 = random_density(rng, 3)
+        with pytest.raises(CompletenessViolationError):
+            dyn.evolve_kraus(shrunk, rho0, 1.0, 101)
+        with pytest.raises(CompletenessViolationError):
+            dyn.kraus_speed_term_stacks(shrunk, rho0, np.linspace(0.0, 1.0, 11))
+
+    def test_regularized_rows_are_checked(self):
+        # only the clamped t = 0 row of this pair breaks completeness: the
+        # states pass, the Kraus rates must not
+        class BadFloor(dyn.DepolarizingFamily):
+            def op_stacks(self, times):
+                K = super().op_stacks(times)
+                K[np.asarray(times) == dyn.DEPOLARIZING_T_FLOOR / self.params.gamma] *= 1.1
+                return K
+
+        fam = BadFloor(dyn.DepolarizingParams(1.0))
+        rho0 = bloch_state(BlochVector(0.5))
+        dyn.evolve_kraus(fam, rho0, 1.0, 101)
+        with pytest.raises(CompletenessViolationError):
+            qsl_nonunitary(fam, rho0, 1.0, EntropyParams(0.5, 1.0), 101)
