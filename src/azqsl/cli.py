@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import entropy as ent
 from . import qsl
-from .errors import AzqslError, ConfigError, MissingColumnError
+from .errors import AzqslError, ConfigError, DegenerateRangeError, MissingColumnError
 from .states import (
     BlochVector,
     DensityMatrix,
@@ -69,12 +69,22 @@ class SweepConfig:
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; choose from {MODELS}")
+        scalars = {
+            "r": self.r, "theta": self.theta, "phi": self.phi,
+            "nx": self.n[0], "ny": self.n[1], "nz": self.n[2],
+            "gamma": self.gamma, "lambda": self.lam, "s": self.s, "p": self.p,
+        }
+        for name, value in scalars.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name, grid in (
             ("alpha_grid", self.alpha_grid),
             ("z_grid", self.z_grid),
             ("time_grid", self.time_grid),
         ):
             lo, hi, count = grid
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"{name} bounds must be finite, got [{lo}, {hi}]")
             if count < 1 or count > MAX_GRID_COUNT:
                 raise ConfigError(f"{name} count {count} outside [1, {MAX_GRID_COUNT}]")
             if hi < lo:
@@ -127,7 +137,10 @@ _CONFIG_KEYS = {
 def _apply_config_item(cfg: SweepConfig, key: str, value: str) -> SweepConfig:
     if key not in _CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    parsed = _CONFIG_KEYS[key](value)
+    try:
+        parsed = _CONFIG_KEYS[key](value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
     if key in ("nx", "ny", "nz"):
         idx = "xyz".index(key[1])
         n = list(cfg.n)
@@ -178,11 +191,16 @@ def load_kraus_file(path: str) -> dyn.KrausFamily:
         raise ConfigError(f"cannot read kraus file {path}: {exc}") from exc
     if len(tokens) < 2:
         raise ConfigError("kraus file too short")
-    n_ops, dim = int(tokens[0]), int(tokens[1])
+    try:
+        n_ops, dim = int(tokens[0]), int(tokens[1])
+        vals = np.array([float(t) for t in tokens[2:]])
+    except ValueError as exc:
+        raise ConfigError(f"kraus file {path}: {exc}") from exc
     need = 2 + 2 * n_ops * dim * dim
     if len(tokens) != need:
         raise ConfigError(f"kraus file: expected {need} fields, found {len(tokens)}")
-    vals = np.array([float(t) for t in tokens[2:]])
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"kraus file {path}: non-finite entry")
     ops = (vals[0::2] + 1j * vals[1::2]).reshape(n_ops, dim, dim)
     zeros = [np.zeros((dim, dim), dtype=complex) for _ in range(n_ops)]
     return dyn.KrausFamily(
@@ -255,13 +273,15 @@ def _stationary_row(alpha: float, z: float, t: float, outputs) -> _Row:
     return _Row(alpha=alpha, z=z, t=t, values=values)
 
 
-def _trajectory(cfg: SweepConfig, rho0: DensityMatrix, family, t: float, terms: bool):
-    """The panel's trajectory to horizon t, with the summed Kraus rates when
-    `terms` is set and the model is a channel (None otherwise)."""
+def _trajectory(
+    cfg: SweepConfig, rho0: DensityMatrix, family, t: float, rates: bool
+) -> dyn.Trajectory:
+    """The panel's trajectory to horizon t, carrying the summed Kraus rates
+    when `rates` is set and the model is a channel."""
     if family is None:
         hmod = dyn.HamiltonianModel.qubit(cfg.n)
-        return dyn.evolve_unitary(hmod, rho0, t, cfg.n_steps), None
-    return dyn._evolve_kraus(family, rho0, t, cfg.n_steps, terms=terms)
+        return dyn.evolve_unitary(hmod, rho0, t, cfg.n_steps)
+    return dyn.evolve_kraus(family, rho0, t, cfg.n_steps, rates=rates)
 
 
 def _grid_row(outputs, alpha: float, z: float, t: float, bound, report) -> _Row:
@@ -307,13 +327,11 @@ def _time_column(cfg: SweepConfig, rho0: DensityMatrix, family, alphas, zs, t: f
     want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
     want_qsl = "qsl" in cfg.outputs
     try:
-        traj, terms = _trajectory(cfg, rho0, family, t, terms=want_qsl)
+        traj = _trajectory(cfg, rho0, family, t, rates=want_qsl)
     except AzqslError as exc:
         tag = (f"error:{type(exc).__name__}",)
         return [[_Row(alpha=a, z=z, t=t, warnings=tag) for z in zs] for a in alphas]
-    bounds, reports = qsl._trajectory_reports(
-        traj, alphas, zs, bounds=want_bounds, qsl=want_qsl, terms=terms
-    )
+    bounds, reports = qsl._trajectory_reports(traj, alphas, zs, bounds=want_bounds, qsl=want_qsl)
     return [
         [_grid_row(cfg.outputs, a, z, t, bounds[i][j], reports[i][j]) for j, z in enumerate(zs)]
         for i, a in enumerate(alphas)
@@ -352,15 +370,16 @@ def sweep_rows(cfg: SweepConfig) -> list[_Row]:
 
 
 def _attach_normalized(rows: list[_Row]) -> None:
+    """Min-max normalized error columns over the finite values of the panel;
+    a column without spread is left out."""
     for src, dst in (("delta_bound", "delta_bound_norm"), ("delta_qsl", "delta_qsl_norm")):
-        vals = [row.values.get(src, math.nan) for row in rows]
-        finite = [v for v in vals if isinstance(v, float) and math.isfinite(v)]
-        if len(finite) < 2 or max(finite) - min(finite) < 1e-15:
+        finite = [row for row in rows if math.isfinite(row.values.get(src, math.nan))]
+        try:
+            normed = qsl.normalize_series([row.values[src] for row in finite])
+        except DegenerateRangeError:
             continue
-        lo, hi = min(finite), max(finite)
-        for row, v in zip(rows, vals):
-            if isinstance(v, float) and math.isfinite(v):
-                row.values[dst] = (v - lo) / (hi - lo)
+        for row, v in zip(finite, normed.tolist()):
+            row.values[dst] = v
 
 
 def rows_to_csv(panels: list[tuple[SweepConfig, list[_Row]]]) -> str:
@@ -521,7 +540,7 @@ def _cfg_from_args(args) -> SweepConfig:
 
 def _final_state(cfg: SweepConfig, rho0: DensityMatrix, tau: float) -> DensityMatrix:
     """rho_tau from a three-sample trajectory of the panel's model."""
-    traj, _ = _trajectory(replace(cfg, n_steps=3), rho0, _build_family(cfg), tau, terms=False)
+    traj = _trajectory(replace(cfg, n_steps=3), rho0, _build_family(cfg), tau, rates=False)
     return traj.final_state
 
 
@@ -548,7 +567,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_bound(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj, _ = _trajectory(cfg, rho0, _build_family(cfg), args.tau, terms=False)
+    traj = _trajectory(cfg, rho0, _build_family(cfg), args.tau, rates=False)
     report = qsl.integrate_bounds(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("D_fwd", report.d_fwd), ("D_bwd", report.d_bwd), ("D_sym", report.d_sym),
@@ -561,12 +580,8 @@ def _cmd_bound(args) -> int:
 def _cmd_qsl(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj, terms = _trajectory(cfg, rho0, _build_family(cfg), args.tau, terms=True)
-    p = ent.EntropyParams(args.alpha, args.z)
-    if terms is None:
-        report = qsl.qsl_general(traj, p)
-    else:
-        report = qsl.nonunitary_qsl_from_terms(traj, terms, p)
+    traj = _trajectory(cfg, rho0, _build_family(cfg), args.tau, rates=True)
+    report = qsl.qsl_general(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("tau", report.tau), ("tau_fwd", report.tau_fwd), ("tau_bwd", report.tau_bwd),
         ("tau_sym", report.tau_sym), ("tau_qsl", report.tau_qsl),

@@ -5,6 +5,7 @@ two-qubit amplitude-damping channel with independent reservoirs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -62,8 +63,8 @@ class DepolarizingParams:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InvalidParamsError(f"damping rate must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvalidParamsError(f"damping rate must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ class AmplitudeDampingParams:
     markovian: bool = field(init=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidParamsError(f"spectral width must be positive, got {self.lam}")
-        if self.s < 0:
-            raise InvalidParamsError(f"regime parameter must be >= 0, got {self.s}")
+        if not 0.0 < self.lam < math.inf:
+            raise InvalidParamsError(f"spectral width must be positive and finite, got {self.lam}")
+        if not 0.0 <= self.s < math.inf:
+            raise InvalidParamsError(f"regime parameter must be >= 0 and finite, got {self.s}")
         object.__setattr__(self, "markovian", self.s <= 0.5)
 
 
@@ -286,12 +287,14 @@ def amplitude_damping_family(params: AmplitudeDampingParams) -> AmplitudeDamping
 @dataclass
 class Trajectory:
     """Time-sampled evolution: states rho_t, Schatten speeds ||drho/dt||_1,
-    and the smallest eigenvalue of each sample."""
+    the smallest eigenvalue of each sample and, for a Kraus channel evolved
+    with them, the summed Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim, dim)
     speeds: np.ndarray
     kmins: np.ndarray
+    rates: np.ndarray | None = None
 
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
@@ -305,6 +308,10 @@ class Trajectory:
             raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
         if np.any(self.speeds < 0):
             raise InvalidStateError("negative Schatten speed")
+        if self.rates is not None and self.rates.shape != self.times.shape:
+            raise InvalidStateError(f"{self.rates.shape} rates for {len(self.times)} samples")
+        if self.rates is not None and np.any(self.rates < 0):
+            raise InvalidStateError("negative Kraus rate")
 
     @property
     def tau(self) -> float:
@@ -394,7 +401,7 @@ def _check_completeness(K: np.ndarray) -> None:
     X = K.reshape(n_times, n_ops * dim, dim)
     gram = np.swapaxes(X, 1, 2).conj() @ X
     dev = float(np.max(np.abs(gram - np.eye(dim)), initial=0.0))
-    if dev > COMPLETENESS_TOL:
+    if not dev <= COMPLETENESS_TOL:
         raise CompletenessViolationError(
             f"sum K†K deviates from identity by {dev:.3e}"
         )
@@ -435,13 +442,17 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
     return DensityMatrix(_channel_states(_times_rho(K, rho0), K.conj())[0])
 
 
-def _evolve_kraus(
-    fam: KrausFamily, rho0: DensityMatrix, tau: float, n_steps: int, terms: bool = False
-) -> tuple[Trajectory, np.ndarray | None]:
-    """evolve_kraus, plus the summed per-operator rates
-    sum_l ||K_l rho_0 dK_l†/dt||_1 when `terms` is set. Both come from one
-    (K, dK) pair, built and validated once; K rho_0 and conj(K) serve the
-    states too when the pair's K is the exact-time one."""
+def evolve_kraus(
+    fam: KrausFamily, rho0: DensityMatrix, tau: float, n_steps: int = 1001, rates: bool = False
+) -> Trajectory:
+    """Trajectory of rho_t = sum_l K_l(t) rho_0 K_l(t)† with the analytic
+    derivative sum_l (dK_l rho_0 K_l† + K_l rho_0 dK_l†), carrying the summed
+    Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1 when `rates` is set.
+
+    States come from the exact-time operators; derivative products use the
+    channel's consistent (possibly regularized) pair, built and validated
+    once. K rho_0 and conj(K) serve the states too when the pair's K is the
+    exact-time one."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
@@ -449,7 +460,7 @@ def _evolve_kraus(
     _check_completeness(K_exact)
     shared = K is K_exact
     if not shared:
-        if terms:
+        if rates:
             # a regularized pair differs from the exact operators only on
             # its regularized rows
             _check_completeness(K[np.any(K != K_exact, axis=(1, 2, 3))])
@@ -464,40 +475,12 @@ def _evolve_kraus(
     if shared:
         states = _channel_states(KR, Kc)
     del Kc
-    traj = Trajectory(times=times, states=states, speeds=speeds, kmins=_batch_kmin(states))
-    if not terms:
-        return traj, None
-    return traj, _speed_terms(KR, np.conjugate(dK, out=dK)).sum(axis=1)
+    kmins = _batch_kmin(states)
+    rate_sums = _kraus_rates(KR, np.conjugate(dK, out=dK)) if rates else None
+    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)
 
 
-def evolve_kraus(
-    fam: KrausFamily, rho0: DensityMatrix, tau: float, n_steps: int = 1001
-) -> Trajectory:
-    """Trajectory of rho_t = sum_l K_l(t) rho_0 K_l(t)† with the analytic
-    derivative sum_l (dK_l rho_0 K_l† + K_l rho_0 dK_l†).
-
-    States come from the exact-time operators; derivative products use the
-    channel's consistent (possibly regularized) pair."""
-    return _evolve_kraus(fam, rho0, tau, n_steps)[0]
-
-
-def _speed_terms(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
-    """||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times, n_ops)."""
+def _kraus_rates(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
+    """sum_l ||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times,)."""
     prods = np.einsum("tlik,tlmk->tlim", KR, dKc)
-    return np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
-
-
-def kraus_speed_term_stacks(
-    fam: KrausFamily, rho0: DensityMatrix, times: np.ndarray, fd_step: float | None = None
-) -> np.ndarray:
-    """Per-operator norms ||K_l rho_0 dK_l†/dt||_1, shape (n_times, n_ops)."""
-    if fam.dim != rho0.dim:
-        raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    K, dK = fam.stacks(np.asarray(times, dtype=float), fd_step=fd_step)
-    _check_completeness(K)
-    return _speed_terms(_times_rho(K, rho0), dK.conj())
-
-
-def kraus_speed_terms(fam: KrausFamily, rho0: DensityMatrix, t: float) -> np.ndarray:
-    """Per-operator norms at a single time."""
-    return kraus_speed_term_stacks(fam, rho0, np.array([float(t)]))[0]
+    return np.linalg.svd(prods, compute_uv=False).sum(axis=-1).sum(axis=1)

@@ -39,7 +39,7 @@ class EntropyParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParamsError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.z <= 0.0:
+        if not self.z > 0.0:
             raise InvalidParamsError(f"z must be positive, got {self.z}")
         valid = max(self.alpha, 1.0 - self.alpha) <= self.z <= 1.0
         object.__setattr__(self, "dpi_valid", valid)

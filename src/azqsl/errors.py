@@ -29,20 +29,20 @@ class InvalidPError(AzqslError):
     """Schatten norm order p must be >= 1 (or infinity)."""
 
 
-class InvalidBlochError(AzqslError):
-    """Bloch vector parameters out of range."""
-
-
-class InvalidWeightError(AzqslError):
-    """Mixing weight out of [0, 1]."""
-
-
 class InvalidStateError(AzqslError):
     """Matrix fails density-matrix validation."""
 
 
 class InvalidParamsError(AzqslError):
     """Model or entropy parameters out of their admissible range."""
+
+
+class InvalidBlochError(InvalidParamsError):
+    """Bloch vector parameters out of range."""
+
+
+class InvalidWeightError(InvalidParamsError):
+    """Mixing weight out of [0, 1]."""
 
 
 class SupportViolationError(AzqslError):

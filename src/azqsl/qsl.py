@@ -269,7 +269,6 @@ def _trajectory_reports(
     zs,
     bounds: bool = True,
     qsl: bool = False,
-    terms: np.ndarray | None = None,
 ) -> tuple[list[list], list[list]]:
     """Bound and speed-limit reports along one trajectory for a whole
     (alpha, z) grid.
@@ -277,8 +276,8 @@ def _trajectory_reports(
     The endpoint states are validated once, the weighted integrals are taken
     once per alpha (they do not depend on z), and both endpoint entropies
     once per (alpha, z), shared by the two report groups. The bounds use the
-    Schatten speed; the speed limits use the summed Kraus rates `terms` when
-    given, the Schatten speed otherwise.
+    Schatten speed; the speed limits use the trajectory's summed Kraus rates
+    when it carries them, the Schatten speed otherwise.
 
     Returns (bound reports, speed-limit reports), each indexed [alpha][z].
     An entry is the report, the AzqslError that ended it, or None when its
@@ -288,7 +287,7 @@ def _trajectory_reports(
     """
     alphas = [float(a) for a in alphas]
     zs = [float(z) for z in zs]
-    kraus = terms is not None
+    kraus = traj.rates is not None
     wanted = (bounds, qsl)
     out = tuple([[None] * len(zs) for _ in alphas] for _ in wanted)
 
@@ -305,7 +304,7 @@ def _trajectory_reports(
         return out
     rate_sets = [traj.speeds] if bounds or not kraus else []
     if qsl and kraus:
-        rate_sets.append(terms)
+        rate_sets.append(traj.rates)
     tables, clamp_warns = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
     integrals = (tables[0], tables[-1])
 
@@ -414,7 +413,12 @@ def _qsl_from_integrals(
 
 
 def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
-    """Speed-limit times from the Schatten speed of the sampled trajectory."""
+    """Speed-limit times along a sampled trajectory.
+
+    A trajectory that carries its summed Kraus rates ||K_l rho_0 dK_l†/dt||_1
+    uses them in place of the Schatten speed (they bound speed/2 from above,
+    so these times never exceed the Schatten-speed ones); any other uses the
+    Schatten speed."""
     return _single(_trajectory_reports(traj, [p.alpha], [p.z], bounds=False, qsl=True)[1])
 
 
@@ -487,17 +491,6 @@ def tau_unitary_fidelity(
     return -abs(2.0 + math.log(k_min)) * k_min * math.log(f) / (2.0 * k_max * delta_h)
 
 
-def nonunitary_qsl_from_terms(
-    traj: dyn.Trajectory, term_sums: np.ndarray, p: EntropyParams
-) -> QSLReport:
-    """Speed limits with the summed Kraus rate ||K_l rho_0 dK_l†/dt||_1 in
-    place of the Schatten speed (an upper bound on speed/2, so these times
-    never exceed the general ones)."""
-    return _single(
-        _trajectory_reports(traj, [p.alpha], [p.z], bounds=False, qsl=True, terms=term_sums)[1]
-    )
-
-
 def qsl_nonunitary(
     fam: dyn.KrausFamily,
     rho0: DensityMatrix,
@@ -505,9 +498,8 @@ def qsl_nonunitary(
     p: EntropyParams,
     n_steps: int = 1001,
 ) -> QSLReport:
-    """Evolve the channel and evaluate the Kraus-rate speed limits."""
-    traj, term_sums = dyn._evolve_kraus(fam, rho0, tau, n_steps, terms=True)
-    return nonunitary_qsl_from_terms(traj, term_sums, p)
+    """Evolve the channel with its Kraus rates and evaluate the speed limits."""
+    return qsl_general(dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=True), p)
 
 
 def normalize_series(values) -> np.ndarray:

@@ -80,8 +80,8 @@ def _amplitude_damping_check(rng, n_draws: int) -> bool:
         case = oracles.TwoQubitADCase(p=p, lambda_tau=lt, s=s)
         rho_t = dyn.apply_channel(fam, rho0, lt)
         worst_k = max(worst_k, abs(rho_t.k_min - oracles.ad_kmin(case)))
-        terms = dyn.kraus_speed_terms(fam, rho0, lt)
-        worst_n = max(worst_n, abs(float(terms.sum()) - oracles.ad_kraus_norm_sum(case)))
+        rate = dyn.evolve_kraus(fam, rho0, lt, 3, rates=True).rates[-1]
+        worst_n = max(worst_n, abs(float(rate) - oracles.ad_kraus_norm_sum(case)))
     ok = worst_k <= 1e-9 and worst_n <= 1e-9
     return _check("amplitude_damping", ok, f"kmin dev {worst_k:.3e}, norm dev {worst_n:.3e}")
 
@@ -116,7 +116,7 @@ def _bound_validity_check(rng, n_draws: int) -> bool:
             )
             rho0 = ghz_mixed(GHZMixedParams(rng.uniform(0.1, 0.9)))
         tau = rng.uniform(0.5, 6.0)
-        traj = dyn.evolve_kraus(fam, rho0, tau, 801)
+        traj = dyn.evolve_kraus(fam, rho0, tau, 801, rates=True)
         bound = qsl.integrate_bounds(traj, p)
         worst_slack = min(
             worst_slack,
@@ -124,8 +124,7 @@ def _bound_validity_check(rng, n_draws: int) -> bool:
             bound.rhs_bwd - bound.d_bwd,
             bound.rhs_sym - bound.d_sym,
         )
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-        report = qsl.nonunitary_qsl_from_terms(traj, terms.sum(axis=1), p)
+        report = qsl.qsl_general(traj, p)
         worst_tau = max(worst_tau, report.tau_qsl - tau)
     ok = worst_slack >= -1e-8 and worst_tau <= 1e-8
     return _check("bound_validity", ok, f"min slack {worst_slack:.3e}, max tau excess {worst_tau:.3e}")

@@ -38,6 +38,8 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidStateError("matrix has non-finite entries")
         if linalg.asymmetry(mat) > linalg.HERMITIAN_TOL:
             raise InvalidStateError(
                 f"not Hermitian: asymmetry {linalg.asymmetry(mat):.3e}"
@@ -83,7 +85,7 @@ class BlochVector:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.r < -1e-12 or self.r > 1.0 + 1e-12:
+        if not -1e-12 <= self.r <= 1.0 + 1e-12:
             raise InvalidBlochError(f"radius {self.r} outside [0, 1]")
 
     @property
@@ -109,7 +111,7 @@ class GHZMixedParams:
     separable: bool = field(init=False)
 
     def __post_init__(self):
-        if self.p < -1e-12 or self.p > 1.0 + 1e-12:
+        if not -1e-12 <= self.p <= 1.0 + 1e-12:
             raise InvalidWeightError(f"weight {self.p} outside [0, 1]")
         object.__setattr__(self, "separable", self.p <= 1.0 / 3.0)
 
@@ -181,7 +183,10 @@ def state_from_text(text: str) -> DensityMatrix:
         raise InvalidStateError(
             f"expected {need} fields for dim {dim}, found {len(tokens)}"
         )
-    vals = np.array([float(t) for t in tokens[1:]], dtype=float)
+    try:
+        vals = np.array([float(t) for t in tokens[1:]], dtype=float)
+    except ValueError as exc:
+        raise InvalidStateError(f"bad numeric field: {exc}") from exc
     mat = (vals[0::2] + 1j * vals[1::2]).reshape(dim, dim)
     return DensityMatrix(mat)
 

@@ -8,6 +8,7 @@ that the whole module stayed inside its wall-clock budget.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,14 +124,11 @@ def test_criterion_4_depolarizing_qsl_closed_form():
     gts = np.linspace(0.5, 15.0, 10)
     worst = 0.0
     for gt in gts:
-        traj = dyn.evolve_kraus(fam, rho0, float(gt), 4001)
-        terms = dyn.kraus_speed_term_stacks(
-            fam, rho0, traj.times, fd_step=1e-5 * float(gt)
-        ).sum(axis=1)
+        traj = dyn.evolve_kraus(fam, rho0, float(gt), 4001, rates=True)
         for alpha in alphas:
             for z in zs:
                 p = EntropyParams(float(alpha), float(z))
-                got = qsl.nonunitary_qsl_from_terms(traj, terms, p).tau_fwd
+                got = qsl.qsl_general(traj, p).tau_fwd
                 ref = oracles.depolarizing_tau(oracles.DepolarizingCase(0.75, float(gt)), p)
                 worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-6
@@ -149,8 +147,8 @@ def test_criterion_5_two_qubit_ingredients():
         rho0 = ghz_mixed(GHZMixedParams(p_mix))
         rho_t = dyn.apply_channel(fam, rho0, lt)
         worst_k = max(worst_k, abs(rho_t.k_min - oracles.ad_kmin(case)))
-        terms = dyn.kraus_speed_terms(fam, rho0, lt)
-        worst_sum = max(worst_sum, abs(float(terms.sum()) - oracles.ad_kraus_norm_sum(case)))
+        rate = dyn.evolve_kraus(fam, rho0, lt, 3, rates=True).rates[-1]
+        worst_sum = max(worst_sum, abs(float(rate) - oracles.ad_kraus_norm_sum(case)))
     assert worst_k <= 1e-9
     assert worst_sum <= 1e-9
 
@@ -187,7 +185,7 @@ def test_criterion_6_bound_validity():
             fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, s))
             rho0 = ghz_mixed(GHZMixedParams(float(rng.uniform(0.05, 0.9))))
             tau = float(rng.uniform(*ad_tau_ranges[s]))
-        traj = dyn.evolve_kraus(fam, rho0, tau, 801)
+        traj = dyn.evolve_kraus(fam, rho0, tau, 801, rates=True)
         bound = qsl.integrate_bounds(traj, p)
         min_slack = min(
             min_slack,
@@ -195,9 +193,8 @@ def test_criterion_6_bound_validity():
             bound.rhs_bwd - bound.d_bwd,
             bound.rhs_sym - bound.d_sym,
         )
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-        nu = qsl.nonunitary_qsl_from_terms(traj, terms.sum(axis=1), p)
-        general = qsl.qsl_general(traj, p)
+        nu = qsl.qsl_general(traj, p)
+        general = qsl.qsl_general(replace(traj, rates=None), p)
         max_tau_excess = max(max_tau_excess, nu.tau_qsl - tau, general.tau_qsl - tau)
     assert min_slack >= -1e-8
     assert max_tau_excess <= 1e-8
@@ -222,11 +219,9 @@ def test_criterion_7_symmetry_suite():
             fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, s))
             rho0 = ghz_mixed(GHZMixedParams(float(rng.uniform(0.05, 0.9))))
             tau = float(rng.uniform(0.3, 1.4))
-        traj = dyn.evolve_kraus(fam, rho0, tau, 401)
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-        t_sums = terms.sum(axis=1)
-        rep_a = qsl.nonunitary_qsl_from_terms(traj, t_sums, EntropyParams(alpha, z))
-        rep_b = qsl.nonunitary_qsl_from_terms(traj, t_sums, EntropyParams(1 - alpha, z))
+        traj = dyn.evolve_kraus(fam, rho0, tau, 401, rates=True)
+        rep_a = qsl.qsl_general(traj, EntropyParams(alpha, z))
+        rep_b = qsl.qsl_general(traj, EntropyParams(1 - alpha, z))
         worst_tau = max(worst_tau, abs(rep_a.tau_qsl - rep_b.tau_qsl))
 
         p = EntropyParams(alpha, z)
@@ -353,12 +348,8 @@ def test_criterion_10_figure_level_shape():
 def test_criterion_11_z_monotonicity():
     fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
     rho0 = bloch_state(BlochVector(0.75, 1.0, 2.0))
-    traj = dyn.evolve_kraus(fam, rho0, 5.0, 1001)
-    terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=5e-5).sum(axis=1)
-    taus = {
-        z: qsl.nonunitary_qsl_from_terms(traj, terms, EntropyParams(0.3, z)).tau_qsl
-        for z in (0.7, 0.8, 1.0)
-    }
+    traj = dyn.evolve_kraus(fam, rho0, 5.0, 1001, rates=True)
+    taus = {z: qsl.qsl_general(traj, EntropyParams(0.3, z)).tau_qsl for z in (0.7, 0.8, 1.0)}
     assert taus[1.0] > taus[0.8] > taus[0.7]
     _report(11, f"tau(z=1.0) = {taus[1.0]:.5f} > tau(z=0.8) = {taus[0.8]:.5f} "
                 f"> tau(z=0.7) = {taus[0.7]:.5f}")

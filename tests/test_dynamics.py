@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from azqsl import dynamics as dyn
 from azqsl import linalg
 from azqsl.entropy import EntropyParams
-from azqsl.errors import CompletenessViolationError, DimMismatchError, NotHermitianError
+from azqsl.errors import (
+    CompletenessViolationError,
+    DimMismatchError,
+    InvalidStateError,
+    NotHermitianError,
+)
 from azqsl.qsl import qsl_nonunitary
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 from helpers import random_bloch_state, random_density, stinespring_family
@@ -144,11 +150,11 @@ class TestDepolarizing:
         gamma = 1.3
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(gamma))
         rho0, _ = random_bloch_state(rng)
-        for t in (0.0, 0.4, 2.0):
-            terms = dyn.kraus_speed_terms(fam, rho0, t)
+        # per-operator norms 3, 1, 1, 1 times gamma e / 8, at 0, 0.4, ..., 2
+        traj = dyn.evolve_kraus(fam, rho0, 2.0, 6, rates=True)
+        for t, rate in zip(traj.times, traj.rates):
             e = math.exp(-gamma * max(t, 1e-9 / gamma))
-            expected = np.array([3.0, 1.0, 1.0, 1.0]) * gamma * e / 8.0
-            assert np.max(np.abs(terms - expected)) <= 1e-10
+            assert abs(rate - 6.0 * gamma * e / 8.0) <= 1e-10
 
     def test_bloch_vector_contraction(self, rng):
         gamma = 0.8
@@ -237,10 +243,18 @@ class TestTrajectories:
     def test_constant_identity_family_is_stationary(self):
         fam = constant_identity_family(2)
         rho0 = bloch_state(BlochVector(0.5, 1.0, 0.2))
-        traj = dyn.evolve_kraus(fam, rho0, 2.0, 41)
+        traj = dyn.evolve_kraus(fam, rho0, 2.0, 41, rates=True)
         assert np.max(traj.speeds) == 0.0
         assert np.max(np.abs(traj.states - rho0.mat[None])) == 0.0
-        assert np.max(np.abs(dyn.kraus_speed_terms(fam, rho0, 1.0))) == 0.0
+        assert np.max(traj.rates) == 0.0
+
+    @pytest.mark.parametrize("rates", [np.zeros(10), np.full(11, -1e-3)])
+    def test_rejects_bad_rates(self, rates):
+        # one rate per sample, none negative
+        rho0 = bloch_state(BlochVector(0.5))
+        traj = dyn.evolve_kraus(constant_identity_family(2), rho0, 1.0, 11)
+        with pytest.raises(InvalidStateError):
+            replace(traj, rates=rates)
 
     def test_trace_preserved(self, rng):
         fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0))
@@ -266,9 +280,8 @@ class TestTrajectories:
              ghz_mixed(GHZMixedParams(0.4)), 3.0),
         ]
         for fam, rho0, tau in cases:
-            traj = dyn.evolve_kraus(fam, rho0, tau, 201)
-            terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-            assert np.all(traj.speeds <= 2.0 * terms.sum(axis=1) + 1e-8)
+            traj = dyn.evolve_kraus(fam, rho0, tau, 201, rates=True)
+            assert np.all(traj.speeds <= 2.0 * traj.rates + 1e-8)
 
     def test_analytic_derivative_matches_finite_difference(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
@@ -348,10 +361,12 @@ class TestOneSampleContract:
             assert np.array_equal(dK[i], dK_one[0])
 
     def test_speed_terms_equal_stack_rows(self, name):
+        # the rate at a trajectory's horizon is the one-sample oracle's
         fam, rho0 = BUILT_IN_FAMILIES[name]
-        rows = dyn.kraus_speed_term_stacks(fam, rho0, self.times)
-        for i, t in enumerate(self.times):
-            assert np.array_equal(rows[i], dyn.kraus_speed_terms(fam, rho0, t))
+        for t in self.times[1:]:
+            rate = dyn.evolve_kraus(fam, rho0, t, 3, rates=True).rates[-1]
+            want = oracle_contractions(*oracle_pair(fam, np.array([t])), rho0)[3]
+            assert rate == want.sum(axis=1)[0]
 
     def test_apply_channel_is_trajectory_endpoint(self, name):
         fam, rho0 = BUILT_IN_FAMILIES[name]
@@ -420,23 +435,16 @@ class TestContractions:
         "bit_flip": ((bit_flip_family(), bloch_state(BlochVector(0.6, 0.9, 0.4))), (3.0,)),
     }
 
-    @staticmethod
-    def contractions(fam, rho0, tau):
-        traj, term_sums = dyn._evolve_kraus(fam, rho0, tau, 1001, terms=True)
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times)
-        return traj, term_sums, terms
-
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_families_equal_oracle(self, name):
         (fam, rho0), horizons = self.MONOMIAL[name]
         for tau in horizons:
-            traj, term_sums, terms = self.contractions(fam, rho0, tau)
+            traj = dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
             want = oracle_contractions(*oracle_pair(fam, traj.times), rho0)
             assert np.array_equal(traj.states, want[0])
             assert np.array_equal(traj.speeds, want[1])
             assert np.array_equal(traj.kmins, want[2])
-            assert np.array_equal(terms, want[3])
-            assert np.array_equal(term_sums, want[3].sum(axis=1))
+            assert np.array_equal(traj.rates, want[3].sum(axis=1))
 
     def test_amplitude_damping_kronecker_stacks(self):
         fam, _ = BUILT_IN_FAMILIES["amplitude_damping"]
@@ -451,15 +459,14 @@ class TestContractions:
         rng = np.random.default_rng(dim * 10 + n_ops)
         fam = stinespring_family(rng, dim, n_ops)
         rho0 = random_density(rng, dim)
-        traj, term_sums, terms = self.contractions(fam, rho0, 2.0)
+        traj = dyn.evolve_kraus(fam, rho0, 2.0, 1001, rates=True)
         states, speeds, kmins, want_terms = oracle_contractions(
             *oracle_pair(fam, traj.times), rho0
         )
         assert np.max(np.abs(traj.states - states)) <= 1e-13
         assert np.max(np.abs(traj.kmins - kmins)) <= 1e-13
         assert np.max(np.abs(traj.speeds - speeds) / speeds) <= 1e-12
-        assert np.max(np.abs(terms - want_terms) / want_terms) <= 1e-12
-        assert np.max(np.abs(term_sums / want_terms.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.rates / want_terms.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_not_trace_preserving_raises(self):
         rng = np.random.default_rng(7)
@@ -472,7 +479,7 @@ class TestContractions:
         with pytest.raises(CompletenessViolationError):
             dyn.evolve_kraus(shrunk, rho0, 1.0, 101)
         with pytest.raises(CompletenessViolationError):
-            dyn.kraus_speed_term_stacks(shrunk, rho0, np.linspace(0.0, 1.0, 11))
+            dyn.evolve_kraus(shrunk, rho0, 1.0, 11, rates=True)
 
     def test_regularized_rows_are_checked(self):
         # only the clamped t = 0 row of this pair breaks completeness: the

@@ -174,10 +174,9 @@ class TestDepolarizingOracles:
     def test_qsl_alpha_symmetric_despite_entropy_asymmetry(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
         rho0 = bloch_state(BlochVector(0.75, 1.0, 2.0))
-        traj = dyn.evolve_kraus(fam, rho0, 4.0, 401)
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=4e-5).sum(axis=1)
-        a_rep = qsl.nonunitary_qsl_from_terms(traj, terms, EntropyParams(0.3, 1.0))
-        b_rep = qsl.nonunitary_qsl_from_terms(traj, terms, EntropyParams(0.7, 1.0))
+        traj = dyn.evolve_kraus(fam, rho0, 4.0, 401, rates=True)
+        a_rep = qsl.qsl_general(traj, EntropyParams(0.3, 1.0))
+        b_rep = qsl.qsl_general(traj, EntropyParams(0.7, 1.0))
         assert a_rep.tau_qsl == pytest.approx(b_rep.tau_qsl, abs=1e-9)
 
 
@@ -205,7 +204,7 @@ class TestAmplitudeDampingOracles:
             rho0 = ghz_mixed(GHZMixedParams(p))
             rho_t = dyn.apply_channel(fam, rho0, lt)
             worst_k = max(worst_k, abs(rho_t.k_min - oracles.ad_kmin(case)))
-            terms = dyn.kraus_speed_terms(fam, rho0, lt)
-            worst_n = max(worst_n, abs(float(terms.sum()) - oracles.ad_kraus_norm_sum(case)))
+            rate = dyn.evolve_kraus(fam, rho0, lt, 3, rates=True).rates[-1]
+            worst_n = max(worst_n, abs(float(rate) - oracles.ad_kraus_norm_sum(case)))
         assert worst_k <= 1e-9
         assert worst_n <= 1e-9

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,12 +311,8 @@ class TestQslNonunitary:
     def test_z_monotonicity(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
         rho0 = bloch_state(BlochVector(0.75, 1.0, 2.0))
-        traj = dyn.evolve_kraus(fam, rho0, 5.0, 1001)
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * 5.0).sum(axis=1)
-        taus = [
-            qsl.nonunitary_qsl_from_terms(traj, terms, EntropyParams(0.3, z)).tau_qsl
-            for z in (0.7, 0.8, 1.0)
-        ]
+        traj = dyn.evolve_kraus(fam, rho0, 5.0, 1001, rates=True)
+        taus = [qsl.qsl_general(traj, EntropyParams(0.3, z)).tau_qsl for z in (0.7, 0.8, 1.0)]
         assert taus[0] < taus[1] < taus[2]
 
     def test_never_exceeds_general(self, rng):
@@ -324,10 +321,9 @@ class TestQslNonunitary:
             rho0, _ = random_bloch_state(rng, r_max=0.85)
             tau = float(rng.uniform(0.5, 6.0))
             p = random_params(rng)
-            traj = dyn.evolve_kraus(fam, rho0, tau, 401)
-            terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * tau)
-            nonunitary = qsl.nonunitary_qsl_from_terms(traj, terms.sum(axis=1), p)
-            general = qsl.qsl_general(traj, p)
+            traj = dyn.evolve_kraus(fam, rho0, tau, 401, rates=True)
+            nonunitary = qsl.qsl_general(traj, p)
+            general = qsl.qsl_general(replace(traj, rates=None), p)
             assert nonunitary.tau_qsl <= general.tau_qsl + 1e-8
             assert nonunitary.tau_qsl <= tau + 1e-8
 
@@ -380,12 +376,12 @@ class TestOddIntervalQuadrature:
         # the half-grid gate needs Simpson on both grids: 4 | intervals >= 8
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
         rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
-        traj, terms = dyn._evolve_kraus(fam, rho0, 3.0, n_steps, terms=True)
+        traj = dyn.evolve_kraus(fam, rho0, 3.0, n_steps, rates=True)
         p = EntropyParams(0.3, 1.0)
         reports = (
             qsl.integrate_bounds(traj, p),
+            qsl.qsl_general(replace(traj, rates=None), p),
             qsl.qsl_general(traj, p),
-            qsl.nonunitary_qsl_from_terms(traj, terms, p),
         )
         for report in reports:
             assert (qsl.WARN_QUAD_UNGATED in report.warnings) == flagged

@@ -2,9 +2,9 @@
 
 Every row of `cli.sweep_rows` must equal, bit for bit and warnings included,
 what a caller gets for its (alpha, z, t) one point at a time: evolve the
-probe to t, then `integrate_bounds`, then `qsl_general` (unitary) or
-`nonunitary_qsl_from_terms` (channels), each output group degrading to an
-`error:<Class>` tag on its own.
+probe to t (a channel with its Kraus rates), then `integrate_bounds` and
+`qsl_general`, each output group degrading to an `error:<Class>` tag on its
+own.
 """
 
 import math
@@ -33,10 +33,8 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
             fam = dyn.depolarizing_family(dyn.DepolarizingParams(cfg.gamma))
     if fam is None:
         traj = dyn.evolve_unitary(dyn.HamiltonianModel.qubit(cfg.n), rho0, t, cfg.n_steps)
-        terms = None
     else:
-        traj = dyn.evolve_kraus(fam, rho0, t, cfg.n_steps)
-        terms = dyn.kraus_speed_term_stacks(fam, rho0, traj.times, fd_step=1e-5 * t).sum(axis=1)
+        traj = dyn.evolve_kraus(fam, rho0, t, cfg.n_steps, rates=True)
 
     values, warnings = {}, []
 
@@ -57,10 +55,7 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
                               delta_bound=b.delta_bound)
     if "qsl" in cfg.outputs:
         try:
-            if terms is None:
-                q = qsl.qsl_general(traj, p)
-            else:
-                q = qsl.nonunitary_qsl_from_terms(traj, terms, p)
+            q = qsl.qsl_general(traj, p)
         except AzqslError as exc:
             note([f"error:{type(exc).__name__}"])
         else:
