@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class SweepConfig:
             raise ConfigError(f"unknown outputs {sorted(unknown)}; choose from {OUTPUT_GROUPS}")
         if self.model == "custom_kraus_file" and not self.kraus_file:
             raise ConfigError("custom_kraus_file model requires kraus_file")
-
-
-def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = grid
-    return np.linspace(lo, hi, count)
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
@@ -250,27 +245,27 @@ def _model_param_cells(cfg: SweepConfig) -> list[str]:
     return cells
 
 
+_GROUPS = ("bounds", "qsl")  # report groups: entropy and bound columns, speed limits
+_GROUP_COLUMNS = {
+    "entropy": ("D_fwd", "D_bwd", "D_sym"),
+    "bounds": ("rhs_fwd", "rhs_bwd", "rhs_sym", "delta_bound"),
+    "qsl": ("tau_fwd", "tau_bwd", "tau_sym", "tau_qsl", "delta_qsl"),
+}
+
+
 @dataclass
-class _Row:
-    alpha: float
-    z: float
-    t: float
-    values: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+class Panel:
+    """One panel's sweep: per output column an (n_alpha, n_z, n_t) float
+    array, nan for an empty cell; per report group an object array of the
+    AzqslError that ended each failed cell, None elsewhere; the warnings
+    cell of every row. C order is the (alpha, z, t) row order of the CSV."""
 
-
-def _stationary_row(alpha: float, z: float, t: float, outputs) -> _Row:
-    """Limit values for a zero-length horizon: all entropies and rates are
-    zero, the bound saturates, and the speed limit is the trivial tau >= 0."""
-    values = {}
-    if "entropy" in outputs:
-        values.update({"D_fwd": 0.0, "D_bwd": 0.0, "D_sym": 0.0})
-    if "bounds" in outputs:
-        values.update({"rhs_fwd": 0.0, "rhs_bwd": 0.0, "rhs_sym": 0.0, "delta_bound": 0.0})
-    if "qsl" in outputs:
-        values.update({"tau_fwd": 0.0, "tau_bwd": 0.0, "tau_sym": 0.0,
-                       "tau_qsl": 0.0, "delta_qsl": 1.0})
-    return _Row(alpha=alpha, z=z, t=t, values=values)
+    alphas: np.ndarray
+    zs: np.ndarray
+    times: np.ndarray
+    columns: dict[str, np.ndarray]
+    errors: dict[str, np.ndarray]
+    warnings: np.ndarray
 
 
 def _trajectory(
@@ -284,118 +279,120 @@ def _trajectory(
     return dyn.evolve_kraus(family, rho0, t, cfg.n_steps, rates=rates)
 
 
-def _grid_row(outputs, alpha: float, z: float, t: float, bound, report) -> _Row:
-    """One CSV row from its bound and speed-limit reports (or the errors
-    that ended them); each output group degrades independently."""
-    values = {}
-    warnings: tuple[str, ...] = ()
-
-    def note(flags) -> None:
-        nonlocal warnings
-        warnings += tuple(w for w in flags if w not in warnings)
-
-    # near-singular late-time states can blow up the speed-limit ratios
-    # while the entropies and integrated bounds are still reportable
-    if isinstance(bound, AzqslError):
-        note((f"error:{type(bound).__name__}",))
-    elif bound is not None:
-        note(bound.warnings)
-        if "entropy" in outputs:
-            values.update({"D_fwd": bound.d_fwd, "D_bwd": bound.d_bwd, "D_sym": bound.d_sym})
-        if "bounds" in outputs:
-            values.update({
-                "rhs_fwd": bound.rhs_fwd, "rhs_bwd": bound.rhs_bwd,
-                "rhs_sym": bound.rhs_sym, "delta_bound": bound.delta_bound,
-            })
-    if isinstance(report, AzqslError):
-        note((f"error:{type(report).__name__}",))
-    elif report is not None:
-        note(report.warnings)
-        values.update({
-            "tau_fwd": report.tau_fwd, "tau_bwd": report.tau_bwd,
-            "tau_sym": report.tau_sym, "tau_qsl": report.tau_qsl,
-            "delta_qsl": report.delta_qsl,
-        })
-    return _Row(alpha=alpha, z=z, t=t, values=values, warnings=warnings)
+def _warning_cells(cells, groups: list[int]) -> np.ndarray:
+    """The warnings cell of each (alpha, z) row of one time column: per
+    asked-for group, its error tag or the trajectory's flags, each once."""
+    flagged = ";".join(cells.flags), ";".join(cells.flags + (qsl.WARN_CHAIN_SIGN,))
+    out = np.where(cells.chain, flagged[1], flagged[0]).astype(object)
+    errors = [cells.errors[g] for g in groups]
+    for idx in zip(*np.nonzero(np.logical_or.reduce([np.not_equal(e, None) for e in errors]))):
+        tags: list[str] = []
+        for err in errors:
+            exc = err[idx]
+            flags = (f"error:{type(exc).__name__}",) if exc is not None else cells.warnings(*idx)
+            tags += [w for w in flags if w not in tags]
+        out[idx] = ";".join(tags)
+    return out
 
 
-def _time_column(cfg: SweepConfig, rho0: DensityMatrix, family, alphas, zs, t: float):
-    """Rows of one time column, indexed [alpha][z]: one trajectory, one
-    validated endpoint pair and one entropy pair per (alpha, z)."""
-    if t == 0.0:
-        return [[_stationary_row(a, z, t, cfg.outputs) for z in zs] for a in alphas]
-    want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
-    want_qsl = "qsl" in cfg.outputs
-    try:
-        traj = _trajectory(cfg, rho0, family, t, rates=want_qsl)
-    except AzqslError as exc:
-        tag = (f"error:{type(exc).__name__}",)
-        return [[_Row(alpha=a, z=z, t=t, warnings=tag) for z in zs] for a in alphas]
-    bounds, reports = qsl._trajectory_reports(traj, alphas, zs, bounds=want_bounds, qsl=want_qsl)
-    return [
-        [_grid_row(cfg.outputs, a, z, t, bounds[i][j], reports[i][j]) for j, z in enumerate(zs)]
-        for i, a in enumerate(alphas)
-    ]
-
-
-def sweep_rows(cfg: SweepConfig) -> list[_Row]:
-    """Evaluate the panel on its (alpha, z, t) grid, ordered lexicographically.
+def sweep_rows(cfg: SweepConfig) -> Panel:
+    """Evaluate the panel on its (alpha, z, t) grid.
 
     Evaluation is column-major: for each time value the sweep builds one
     trajectory (with its Kraus rates), validates its two endpoint states
     once, computes the weighted integrals once per alpha and the endpoint
     entropies D(rho_t||rho_0) and D(rho_0||rho_t) once per (alpha, z), for
-    the whole (alpha, z) grid at once. Each trajectory is released after its
-    column; rows are then emitted in (alpha, z, t) order."""
+    the whole (alpha, z) grid at once, and fills that column of every
+    output array. h and chain_sign are computed once per (alpha, z) for the
+    panel. Each trajectory is released after its column. A zero horizon
+    gives the stationary limit: all entropies and rates are zero, the bound
+    saturates, and the speed limit is the trivial tau >= 0."""
     cfg.validate()
     rho0 = _probe_state(cfg)
     family = _build_family(cfg)
     if family is not None and family.dim != rho0.dim:
         raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {family.dim}")
-    alphas = [float(a) for a in _grid_values(cfg.alpha_grid)]
-    zs = [float(z) for z in _grid_values(cfg.z_grid)]
-    columns = [
-        _time_column(cfg, rho0, family, alphas, zs, float(t))
-        for t in _grid_values(cfg.time_grid)
-    ]
-    rows = [
-        column[i][j]
-        for i in range(len(alphas))
-        for j in range(len(zs))
-        for column in columns
-    ]
+    alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
+    shape = (len(alphas), len(zs), len(times))
+    want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
+    want_qsl = "qsl" in cfg.outputs
+    groups = [g for g, want in enumerate((want_bounds, want_qsl)) if want]
+    panel = Panel(
+        alphas, zs, times,
+        columns={col: np.full(shape, math.nan)
+                 for out in cfg.outputs for col in _GROUP_COLUMNS.get(out, ())},
+        errors={_GROUPS[g]: np.full(shape, None, dtype=object) for g in groups},
+        warnings=np.full(shape, "", dtype=object),
+    )
+    heads: dict = {}
+    for k, t in enumerate(times.tolist()):
+        if t == 0.0:
+            for col, arr in panel.columns.items():
+                arr[:, :, k] = 1.0 if col == "delta_qsl" else 0.0
+            continue
+        try:
+            traj = _trajectory(cfg, rho0, family, t, rates=want_qsl)
+        except AzqslError as exc:
+            exc = exc.with_traceback(None)
+            for err in panel.errors.values():
+                err[:, :, k] = exc
+            panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
+            continue
+        if not groups:
+            continue
+        cells = qsl._trajectory_cells(
+            traj, alphas, zs, bounds=want_bounds, qsl=want_qsl, heads=heads)
+        for col, arr in panel.columns.items():  # report fields are lower-case columns
+            arr[:, :, k] = cells.values[col.lower()]
+        for g in groups:
+            panel.errors[_GROUPS[g]][:, :, k] = cells.errors[g]
+        panel.warnings[:, :, k] = _warning_cells(cells, groups)
     if "errors" in cfg.outputs:
-        _attach_normalized(rows)
-    return rows
+        _attach_normalized(panel)
+    return panel
 
 
-def _attach_normalized(rows: list[_Row]) -> None:
+def _attach_normalized(panel: Panel) -> None:
     """Min-max normalized error columns over the finite values of the panel;
     a column without spread is left out."""
     for src, dst in (("delta_bound", "delta_bound_norm"), ("delta_qsl", "delta_qsl_norm")):
-        finite = [row for row in rows if math.isfinite(row.values.get(src, math.nan))]
+        values = panel.columns.get(src, np.empty(0))
+        finite = np.isfinite(values)
         try:
-            normed = qsl.normalize_series([row.values[src] for row in finite])
+            normed = qsl.normalize_series(values[finite])
         except DegenerateRangeError:
             continue
-        for row, v in zip(finite, normed.tolist()):
-            row.values[dst] = v
+        panel.columns[dst] = np.full(values.shape, math.nan)
+        panel.columns[dst][finite] = normed
 
 
-def rows_to_csv(panels: list[tuple[SweepConfig, list[_Row]]]) -> str:
-    """Render one or more panels as a single deterministic CSV string."""
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """[_fmt(x) for x in values], formatting each distinct float once.
+    Floats are told apart by their bits, so -0.0 keeps its sign."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.ravel()].tolist()
+
+
+def rows_to_csv(panels: list[tuple[SweepConfig, Panel]]) -> str:
+    """Render one or more panels as a single deterministic CSV string,
+    column by column."""
     with_norm = any("errors" in cfg.outputs for cfg, _ in panels)
     columns = BASE_COLUMNS + (NORM_COLUMNS if with_norm else []) + ["warnings"]
     lines = [",".join(columns)]
-    for cfg, rows in panels:
-        param_cells = _model_param_cells(cfg)
-        for row in rows:
-            cells = list(param_cells)
-            cells += [_fmt(row.alpha), _fmt(row.z), _fmt(row.t)]
-            for col in columns[14:-1]:
-                cells.append(_fmt(row.values.get(col, math.nan)))
-            cells.append(";".join(row.warnings))
-            lines.append(",".join(cells))
+    for cfg, panel in panels:
+        shape = panel.warnings.shape
+        n = panel.warnings.size
+        axes = (panel.alphas[:, None, None], panel.zs[None, :, None], panel.times[None, None, :])
+        cells = [[",".join(_model_param_cells(cfg))] * n]
+        cells += [_fmt_column(np.broadcast_to(axis, shape).ravel()) for axis in axes]
+        cells += [
+            _fmt_column(panel.columns[col].ravel()) if col in panel.columns else [""] * n
+            for col in columns[14:-1]
+        ]
+        cells.append(panel.warnings.ravel().tolist())
+        lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -98,7 +98,15 @@ def _purity_values(
     inner = linalg.spectral_powers(rho.eigenvalues, rho.eigenvectors, [a / z for a in alphas])
     cores = linalg.hermitian_part(outer @ inner @ outer)
     spectra = np.maximum(np.linalg.eigvalsh(cores), 0.0)
-    return [_zpow_trace(vals, rho, sigma, a, z) for vals, a in zip(spectra, alphas)]
+    # the plain power sum of every core at once (the same bits as one core
+    # at a time); a core whose spectrum is not fully resolved goes through
+    # _zpow_trace instead
+    traces = (spectra**z).sum(axis=1)
+    tops = spectra[:, -1:]
+    resolved = (tops[:, 0] > 0.0) & (spectra >= _ZPOW_NOISE_REL * tops).all(axis=1)
+    for i in np.flatnonzero(~resolved).tolist():
+        traces[i] = _zpow_trace(spectra[i], rho, sigma, alphas[i], z)
+    return traces.tolist()
 
 
 def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float) -> float:

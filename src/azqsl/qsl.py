@@ -19,6 +19,7 @@ physical horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,13 @@ class QSLReport:
     warnings: tuple[str, ...] = ()
 
 
+# report fields per group: bounds, then speed limits
+_FIELDS = (
+    ("d_fwd", "d_bwd", "d_sym", "rhs_fwd", "rhs_bwd", "rhs_sym", "delta_bound"),
+    ("tau", "tau_fwd", "tau_bwd", "tau_sym", "tau_qsl", "delta_qsl"),
+)
+
+
 def h_func(rho0: DensityMatrix, p: EntropyParams) -> float:
     """(k_max k_min^(z-1))^((1-alpha)/z) / |1 + (1-alpha) ln k_min|."""
     if not rho0.full_rank:
@@ -132,49 +140,34 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _gated_quads(
     times: np.ndarray, vals: np.ndarray, gate: bool
-) -> list[float | QuadratureTooCoarseError]:
+) -> tuple[np.ndarray, dict[int, QuadratureTooCoarseError]]:
     """Integrate each row of `vals` and, when `gate` is set, cross-check it
-    against the half grid; a row whose relative disagreement exceeds
-    tolerance gets the error that rejects it instead of a value."""
-    full = _quad(times, vals).tolist()
+    against the half grid: the integrals, and the error that rejects each
+    row whose relative disagreement exceeds tolerance, by row index."""
+    full = _quad(times, vals)
     if not gate:
-        return full
+        return full, {}
     half = _quad(times[::2], vals[:, ::2]).tolist()
-    return [
-        QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
-        if abs(f - h) > RICHARDSON_REL_TOL * max(abs(f), 1e-12) else f
-        for f, h in zip(full, half)
-    ]
+    return full, {
+        i: QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
+        for i, (f, h) in enumerate(zip(full.tolist(), half))
+        if abs(f - h) > RICHARDSON_REL_TOL * max(abs(f), 1e-12)
+    }
 
 
-def _clamped_kmins(kmins: np.ndarray) -> tuple[np.ndarray, bool]:
-    clamped = bool(np.any(kmins < KMIN_CLAMP))
-    return np.maximum(kmins, KMIN_CLAMP), clamped
-
-
-def _h_pair(rho0: DensityMatrix, p: EntropyParams) -> tuple[float, float, tuple[str, ...]]:
-    h_a = h_func(rho0, p)
-    h_b = h_func(rho0, p.swapped)
-    warns: tuple[str, ...] = ()
-    if chain_sign_negative(rho0, p.alpha) or chain_sign_negative(rho0, 1.0 - p.alpha):
-        warns = (WARN_CHAIN_SIGN,)
-    return h_a, h_b, warns
-
-
-def _endpoint_entropies(
-    rho0: DensityMatrix, rho_tau: DensityMatrix, p: EntropyParams
-) -> tuple[float, float, float]:
-    d_fwd = ent.renyi_az(rho_tau, rho0, p)
-    d_bwd = ent.renyi_az(rho0, rho_tau, p)
-    return d_fwd, d_bwd, d_fwd + d_bwd
+def _h_pair(rho0: DensityMatrix, p: EntropyParams) -> tuple[float, float, bool]:
+    """h at alpha and at 1 - alpha, and whether chain_sign applies."""
+    h_a, h_b = h_func(rho0, p), h_func(rho0, p.swapped)
+    chain = chain_sign_negative(rho0, p.alpha) or chain_sign_negative(rho0, 1.0 - p.alpha)
+    return h_a, h_b, chain
 
 
 def _weighted_integrals(
     times: np.ndarray, kmins: np.ndarray, rate_sets: list[np.ndarray], alphas: list[float]
-) -> tuple[list[tuple[list, list]], tuple[str, ...]]:
+) -> tuple[list[tuple[tuple, tuple]], tuple[str, ...]]:
     """Integrals I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against each
-    rate, for every alpha: one (I1 list, I2 list) pair per rate set, each
-    entry a value or the gate error that rejected it.
+    rate, for every alpha: one (I1, I2) pair per rate set, each the
+    `_gated_quads` pair of integrals and gate errors over the alpha grid.
 
     When k_min dips toward zero along the trajectory (amplitude damping at
     late times, zero crossings of the decoherence amplitude) the negative
@@ -186,7 +179,8 @@ def _weighted_integrals(
     4 and at least 8. Any other grid, the trapezoid fallback of an odd
     count included, is integrated without it and flagged `quad_ungated`.
     """
-    kc, clamped = _clamped_kmins(kmins)
+    clamped = bool(np.any(kmins < KMIN_CLAMP))
+    kc = np.maximum(kmins, KMIN_CLAMP)
     loose = bool(float(kmins.min()) < LOOSE_KMIN_TOL)
     n = len(times) - 1
     gate = not loose and n % 4 == 0 and n >= 8
@@ -207,36 +201,13 @@ def _weighted_integrals(
     return tables, warns
 
 
-def _route_rhs(
-    a: float, h_a: float, h_b: float, i1: float, i2: float, kraus: bool
-) -> tuple[float, float]:
-    """Forward and swapped right-hand sides of one route. Each formula keeps
-    its own operation order: another order moves the last bits of the
-    outputs."""
+def _route_rhs(a, h_a, h_b, i1, i2, kraus: bool):
+    """Forward and swapped right-hand sides of one route, elementwise. Each
+    formula keeps its own operation order: another order moves the last
+    bits of the outputs."""
     if kraus:
         return 2.0 * a * h_a * i1 / abs(1.0 - a), 2.0 * h_b * i2
     return a * h_a / abs(1.0 - a) * i1, h_b * i2
-
-
-def _bound_report(
-    d_fwd: float, d_bwd: float, rhs_fwd: float, rhs_bwd: float, warnings: tuple[str, ...]
-) -> BoundReport:
-    d_sym = d_fwd + d_bwd
-    rhs_sym = rhs_fwd + rhs_bwd
-    if rhs_sym > ZERO_TOL:
-        delta = 1.0 - d_sym / rhs_sym
-    else:
-        delta = 0.0 if abs(d_sym) <= ZERO_TOL else math.nan
-    return BoundReport(
-        d_fwd=d_fwd,
-        d_bwd=d_bwd,
-        d_sym=d_sym,
-        rhs_fwd=rhs_fwd,
-        rhs_bwd=rhs_bwd,
-        rhs_sym=rhs_sym,
-        delta_bound=delta,
-        warnings=warnings,
-    )
 
 
 def _attempt(fn, *args):
@@ -251,114 +222,170 @@ def _attempt(fn, *args):
         return exc.with_traceback(None)
 
 
+def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple:
+    """`_h_pair` over an (alpha, z) grid as arrays (h_a, h_b, chain), and
+    the error of each failed entry by index."""
+    shape = (len(alphas), len(zs))
+    h_a, h_b = np.full(shape, math.nan), np.full(shape, math.nan)
+    chain, errors = np.zeros(shape, bool), {}
+    for (i, a), (j, z) in itertools.product(enumerate(alphas), enumerate(zs)):
+        pair = _attempt(_h_pair, rho0, EntropyParams(a, z))
+        if isinstance(pair, AzqslError):
+            errors[i, j] = pair
+        else:
+            h_a[i, j], h_b[i, j], chain[i, j] = pair
+    return h_a, h_b, chain, errors
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Bound (group 0) and speed-limit (group 1) reports along one trajectory
+    over an (alpha, z) grid, as arrays indexed [alpha, z].
+
+    `values` maps each report field of an asked-for group to its floats,
+    nan where that group failed. `errors[group]` is an object array of the
+    AzqslError that ended each failed cell, None elsewhere, or None for a
+    group not asked for. A cell that did not fail carries the trajectory's
+    quadrature `flags`, then chain_sign where `chain` is set."""
+
+    values: dict[str, np.ndarray]
+    errors: list[np.ndarray | None]
+    flags: tuple[str, ...]
+    chain: np.ndarray
+
+    def warnings(self, i: int, j: int) -> tuple[str, ...]:
+        return self.flags + ((WARN_CHAIN_SIGN,) if self.chain[i, j] else ())
+
+
 def _endpoint_entropy_grid(
     traj: dyn.Trajectory, rho0: DensityMatrix, alphas: list[float], zs: list[float]
-) -> list[tuple[list[float], list[float]]]:
-    """(D(rho_t||rho_0), D(rho_0||rho_t)) over the alpha grid, per z."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """D(rho_t||rho_0) and D(rho_0||rho_t) over the (alpha, z) grid."""
     rho_tau = traj.final_state
-    return [
-        (ent._renyi_az_values(rho_tau, rho0, alphas, z),
-         ent._renyi_az_values(rho0, rho_tau, alphas, z))
-        for z in zs
-    ]
+    fwd = [ent._renyi_az_values(rho_tau, rho0, alphas, z) for z in zs]
+    bwd = [ent._renyi_az_values(rho0, rho_tau, alphas, z) for z in zs]
+    return np.array(fwd).T, np.array(bwd).T
 
 
-def _trajectory_reports(
-    traj: dyn.Trajectory,
-    alphas,
-    zs,
-    bounds: bool = True,
-    qsl: bool = False,
-) -> tuple[list[list], list[list]]:
+def _tau_ratios(d, rhs, tau: float, pending: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """QSL times tau * D / RHS with guards for vanishing rates. A pending
+    cell whose entropy diverges, or whose rate integral vanishes under a
+    nonzero entropy, gets that error instead and stops pending."""
+    stalled = rhs <= ZERO_TOL
+    out = np.where(stalled, 0.0, tau * d / rhs)
+    diverged = pending & ~np.isfinite(d)
+    stalled &= pending & ~diverged & (d > ENTROPY_NOISE_TOL)
+    for idx in zip(*np.nonzero(diverged)):
+        errors[idx] = SupportViolationError(
+            "entropy between the endpoints diverges (support mismatch)")
+    for idx in zip(*np.nonzero(stalled)):
+        errors[idx] = ZeroSpeedError(
+            f"rate integral {rhs[idx]:.3e} vanishes while entropy is {d[idx]:.3e}")
+    pending &= ~(diverged | stalled)
+    return out
+
+
+def _trajectory_cells(
+    traj: dyn.Trajectory, alphas, zs, bounds: bool = True, qsl: bool = False,
+    heads: dict | None = None,
+) -> _Cells:
     """Bound and speed-limit reports along one trajectory for a whole
     (alpha, z) grid.
 
     The endpoint states are validated once, the weighted integrals are taken
     once per alpha (they do not depend on z), and both endpoint entropies
-    once per (alpha, z), shared by the two report groups. The bounds use the
-    Schatten speed; the speed limits use the trajectory's summed Kraus rates
-    when it carries them, the Schatten speed otherwise.
+    once per (alpha, z), shared by the two report groups. h and chain_sign
+    depend only on the probe's extreme eigenvalues: a `heads` dict keeps
+    their tables by probe spectrum for the next trajectory on the same grid.
+    The bounds use the Schatten speed; the speed limits use the trajectory's
+    summed Kraus rates when it carries them, the Schatten speed otherwise.
 
-    Returns (bound reports, speed-limit reports), each indexed [alpha][z].
-    An entry is the report, the AzqslError that ended it, or None when its
-    group was not asked for. Errors take the precedence of the sequential
-    evaluation: probe state, h, I1, I2, final state, entropies, then the
-    speed-limit ratios.
+    Errors take the precedence of the sequential evaluation: probe state,
+    h, I1, I2, final state, entropies, then the speed-limit ratios. The
+    arithmetic runs elementwise in the operation order of the scalar
+    formulas, so every value keeps its bits.
     """
     alphas = [float(a) for a in alphas]
     zs = [float(z) for z in zs]
+    shape = (len(alphas), len(zs))
     kraus = traj.rates is not None
-    wanted = (bounds, qsl)
-    out = tuple([[None] * len(zs) for _ in alphas] for _ in wanted)
-
-    def fail(i: int, j: int, exc: AzqslError) -> None:
-        for g in (0, 1):
-            if wanted[g]:
-                out[g][i][j] = exc
+    wanted = [g for g, want in enumerate((bounds, qsl)) if want]
+    errors = [np.full(shape, None, dtype=object) if g in wanted else None for g in (0, 1)]
+    values = {name: np.full(shape, math.nan) for g in wanted for name in _FIELDS[g]}
 
     rho0 = _attempt(getattr, traj, "initial_state")
     if isinstance(rho0, AzqslError):
-        for i in range(len(alphas)):
-            for j in range(len(zs)):
-                fail(i, j, rho0)
-        return out
+        for g in wanted:
+            errors[g].fill(rho0)
+        return _Cells(values, errors, (), np.zeros(shape, bool))
+    heads = {} if heads is None else heads
+    if (rho0.k_min, rho0.k_max) not in heads:
+        heads[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
+    h_a, h_b, chain, h_errors = heads[rho0.k_min, rho0.k_max]
     rate_sets = [traj.speeds] if bounds or not kraus else []
     if qsl and kraus:
         rate_sets.append(traj.rates)
-    tables, clamp_warns = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
+    tables, flags = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
     integrals = (tables[0], tables[-1])
+    cells = _Cells(values, errors, flags, chain)
 
-    pending = []
-    for i, a in enumerate(alphas):
-        for j, z in enumerate(zs):
-            head = _attempt(_h_pair, rho0, EntropyParams(a, z))
-            if isinstance(head, AzqslError):
-                fail(i, j, head)
-                continue
-            h_a, h_b, chain = head
-            for g in (0, 1):
-                if not wanted[g]:
-                    continue
-                i1, i2 = integrals[g][0][i], integrals[g][1][i]
-                for step in (i1, i2):
-                    if isinstance(step, AzqslError):
-                        out[g][i][j] = step
-                        break
-                else:
-                    pending.append((g, i, j, h_a, h_b, i1, i2, clamp_warns + chain))
-    if not pending:
-        return out
-
+    pending = {}
+    for g in wanted:
+        ok = pending[g] = np.ones(shape, bool)
+        for idx, exc in h_errors.items():
+            errors[g][idx], ok[idx] = exc, False
+        for _, gate_errors in integrals[g]:  # I1, then I2
+            for i, exc in gate_errors.items():
+                errors[g][i, ok[i]] = exc
+                ok[i] = False
+    if not any(ok.any() for ok in pending.values()):
+        return cells
     entropies = _attempt(_endpoint_entropy_grid, traj, rho0, alphas, zs)
     if isinstance(entropies, AzqslError):
-        for g, i, j, *_ in pending:
-            out[g][i][j] = entropies
-        return out
-    for g, i, j, h_a, h_b, i1, i2, warns in pending:
-        a = alphas[i]
-        d_fwd, d_bwd = entropies[j][0][i], entropies[j][1][i]
-        den_fwd, den_bwd = _route_rhs(a, h_a, h_b, i1, i2, kraus and g == 1)
-        if g == 0:
-            out[0][i][j] = _bound_report(d_fwd, d_bwd, den_fwd, den_bwd, warns)
-            continue
-        out[1][i][j] = _attempt(
-            _qsl_from_integrals,
-            traj.tau, d_fwd, d_bwd, d_fwd + d_bwd, den_fwd, den_bwd, den_fwd + den_bwd, warns,
-        )
-    return out
+        for g in wanted:
+            errors[g][pending[g]] = entropies
+        return cells
+
+    d_fwd, d_bwd = entropies
+    d_sym = d_fwd + d_bwd
+    a = np.array(alphas)[:, None]
+    with np.errstate(all="ignore"):
+        for g in wanted:
+            (i1, _), (i2, _) = integrals[g]
+            rhs_fwd, rhs_bwd = _route_rhs(
+                a, h_a, h_b, i1[:, None], i2[:, None], kraus and g == 1)
+            rhs_sym = rhs_fwd + rhs_bwd
+            if g == 0:
+                idle = np.where(np.abs(d_sym) <= ZERO_TOL, 0.0, math.nan)
+                delta = np.where(rhs_sym > ZERO_TOL, 1.0 - d_sym / rhs_sym, idle)
+                group = (d_fwd, d_bwd, d_sym, rhs_fwd, rhs_bwd, rhs_sym, delta)
+            else:
+                taus = [
+                    _tau_ratios(d, rhs, traj.tau, pending[1], errors[1])
+                    for d, rhs in ((d_fwd, rhs_fwd), (d_bwd, rhs_bwd), (d_sym, rhs_sym))
+                ]
+                # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
+                tau_qsl = taus[0]
+                for later in taus[1:]:
+                    tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
+                group = (np.full(shape, traj.tau), *taus, tau_qsl, 1.0 - tau_qsl / traj.tau)
+            for name, arr in zip(_FIELDS[g], group):
+                np.copyto(values[name], arr, where=pending[g])
+    return cells
 
 
-def _single(reports: list[list]):
-    """The one entry of a single-point report grid, raising its error."""
-    value = reports[0][0]
-    if isinstance(value, AzqslError):
+def _single(cells: _Cells, group: int, report):
+    """The one cell of a single-point grid as a `report`, raising its error."""
+    exc = cells.errors[group][0, 0]
+    if exc is not None:
         try:
-            raise value
+            raise exc
         finally:
             # this frame is on the error's traceback: drop its references
             # to the error so the two do not form a cycle
-            value = reports = None
-    return value
+            exc = cells = None
+    values = {name: float(cells.values[name][0, 0]) for name in _FIELDS[group]}
+    return report(**values, warnings=cells.warnings(0, 0))
 
 
 def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
@@ -368,48 +395,7 @@ def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
     integrated bound; 0 means saturation, 1 means the entropy is negligible
     against the rate integral.
     """
-    return _single(_trajectory_reports(traj, [p.alpha], [p.z])[0])
-
-
-def _tau_ratio(d: float, rhs: float, tau: float) -> float:
-    """QSL time tau * D / RHS with guards for vanishing rates."""
-    if not math.isfinite(d):
-        raise SupportViolationError(
-            "entropy between the endpoints diverges (support mismatch)"
-        )
-    if rhs <= ZERO_TOL:
-        if d > ENTROPY_NOISE_TOL:
-            raise ZeroSpeedError(
-                f"rate integral {rhs:.3e} vanishes while entropy is {d:.3e}"
-            )
-        return 0.0
-    return tau * d / rhs
-
-
-def _qsl_from_integrals(
-    tau: float,
-    d_fwd: float,
-    d_bwd: float,
-    d_sym: float,
-    den_fwd: float,
-    den_bwd: float,
-    den_sym: float,
-    warnings: tuple[str, ...],
-) -> QSLReport:
-    tau_fwd = _tau_ratio(d_fwd, den_fwd, tau)
-    tau_bwd = _tau_ratio(d_bwd, den_bwd, tau)
-    tau_sym = _tau_ratio(d_sym, den_sym, tau)
-    tau_qsl = max(tau_fwd, tau_bwd, tau_sym)
-    delta = 1.0 - tau_qsl / tau
-    return QSLReport(
-        tau=tau,
-        tau_fwd=tau_fwd,
-        tau_bwd=tau_bwd,
-        tau_sym=tau_sym,
-        tau_qsl=tau_qsl,
-        delta_qsl=delta,
-        warnings=warnings,
-    )
+    return _single(_trajectory_cells(traj, [p.alpha], [p.z]), 0, BoundReport)
 
 
 def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
@@ -419,7 +405,10 @@ def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
     uses them in place of the Schatten speed (they bound speed/2 from above,
     so these times never exceed the Schatten-speed ones); any other uses the
     Schatten speed."""
-    return _single(_trajectory_reports(traj, [p.alpha], [p.z], bounds=False, qsl=True)[1])
+    # no local for the cells: they keep the raised error, whose traceback
+    # holds this frame and its trajectory
+    return _single(
+        _trajectory_cells(traj, [p.alpha], [p.z], bounds=False, qsl=True), 1, QSLReport)
 
 
 def qsl_unitary(
@@ -441,10 +430,12 @@ def qsl_unitary(
     dh = dyn.energy_fluctuation(h, rho0)
     if dh <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes; the probe does not evolve")
-    h_a, h_b, warns = _h_pair(rho0, p)
+    h_a, h_b, chain = _h_pair(rho0, p)
     a = p.alpha
     k = rho0.k_min
-    d_fwd, d_bwd, d_sym = _endpoint_entropies(rho0, rho_tau, p)
+    d_fwd = ent.renyi_az(rho_tau, rho0, p)
+    d_bwd = ent.renyi_az(rho0, rho_tau, p)
+    d_sym = d_fwd + d_bwd
     den_fwd = 2.0 * a * h_a * k ** (a - 1.0) * dh
     den_bwd = 2.0 * h_b * k ** (-a) * dh
     den_sym = 2.0 * (a * h_a * k ** (2.0 * a - 1.0) + abs(1.0 - a) * h_b) * dh / k**a
@@ -461,7 +452,7 @@ def qsl_unitary(
         tau_sym=tau_sym,
         tau_qsl=tau_qsl,
         delta_qsl=delta,
-        warnings=warns,
+        warnings=(WARN_CHAIN_SIGN,) if chain else (),
     )
 
 

@@ -7,7 +7,7 @@ is evaluated as written."""
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from azqsl import dynamics as dyn
@@ -51,7 +51,10 @@ def evaluated(fn, *args):
         return None
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+# a fixed seed keeps the drawn instances stable when the test body changes
+# (derandomize=True would seed from the source of the test)
+@seed(20250605)
+@settings(max_examples=100, database=None, deadline=None)
 @given(instances())
 def test_bounds_and_speed_limits_hold(instance):
     fam, rho0, p, tau = instance

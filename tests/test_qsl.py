@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from azqsl.errors import (
     QuadratureTooCoarseError,
     SingularStateError,
     SpectrumMismatchError,
+    SupportViolationError,
     ZeroSpeedError,
     ZeroVarianceError,
 )
@@ -202,6 +205,28 @@ class TestQslGeneral:
         )
         with pytest.raises(ZeroSpeedError):
             qsl.qsl_general(traj, EntropyParams(0.4, 1.0))
+
+    @pytest.mark.parametrize("entry", [qsl.integrate_bounds, qsl.qsl_general])
+    def test_failed_call_leaves_no_reference_cycle(self, entry):
+        """A raised error must not keep its trajectory alive until the next
+        garbage collection (the error's traceback holds the entry point's
+        frame)."""
+        fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0))
+        p = EntropyParams(0.5, 1.0)
+        gc.disable()
+        try:
+            traj = dyn.evolve_kraus(fam, ghz_mixed(GHZMixedParams(1.0)), 8.0, 101, rates=True)
+            alive = weakref.ref(traj)
+            try:
+                entry(traj, p)
+            except (SingularStateError, SupportViolationError):
+                pass
+            else:
+                pytest.fail("expected the call to fail")
+            del traj
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestQslUnitary:

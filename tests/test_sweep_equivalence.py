@@ -1,10 +1,11 @@
 """The column-major sweep against the public per-point calls.
 
-Every row of `cli.sweep_rows` must equal, bit for bit and warnings included,
-what a caller gets for its (alpha, z, t) one point at a time: evolve the
-probe to t (a channel with its Kraus rates), then `integrate_bounds` and
-`qsl_general`, each output group degrading to an `error:<Class>` tag on its
-own.
+Every cell of the `cli.sweep_rows` panel must equal, bit for bit and
+warnings included, what a caller gets for its (alpha, z, t) one point at a
+time: evolve the probe to t (a channel with its Kraus rates), then
+`integrate_bounds` and `qsl_general`, each output group degrading to an
+`error:<Class>` tag on its own. A zero horizon gives the documented
+stationary values.
 """
 
 import math
@@ -16,12 +17,19 @@ from azqsl import cli
 from azqsl import dynamics as dyn
 from azqsl import qsl
 from azqsl.entropy import EntropyParams
-from azqsl.errors import AzqslError
+from azqsl.errors import AzqslError, DegenerateRangeError
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
 
 
+def describe(exc: AzqslError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
-    """(values, warnings) of one grid point from the public per-point API."""
+    """(values, warnings, errors) of one grid point from the public
+    per-point API; errors maps each failed report group to its error."""
+    if t == 0.0:
+        return stationary_row(cfg), (), {}
     p = EntropyParams(alpha, z)
     if cfg.model == "amplitude_damping":
         rho0 = ghz_mixed(GHZMixedParams(cfg.p))
@@ -36,7 +44,7 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
     else:
         traj = dyn.evolve_kraus(fam, rho0, t, cfg.n_steps, rates=True)
 
-    values, warnings = {}, []
+    values, warnings, errors = {}, [], {}
 
     def note(flags):
         warnings.extend(w for w in flags if w not in warnings)
@@ -46,6 +54,7 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
             b = qsl.integrate_bounds(traj, p)
         except AzqslError as exc:
             note([f"error:{type(exc).__name__}"])
+            errors["bounds"] = describe(exc)
         else:
             note(b.warnings)
             if "entropy" in cfg.outputs:
@@ -58,19 +67,37 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
             q = qsl.qsl_general(traj, p)
         except AzqslError as exc:
             note([f"error:{type(exc).__name__}"])
+            errors["qsl"] = describe(exc)
         else:
             note(q.warnings)
             values.update(tau_fwd=q.tau_fwd, tau_bwd=q.tau_bwd, tau_sym=q.tau_sym,
                           tau_qsl=q.tau_qsl, delta_qsl=q.delta_qsl)
-    return values, tuple(warnings)
+    return values, tuple(warnings), errors
+
+
+def stationary_row(cfg: cli.SweepConfig) -> dict:
+    """Limit values for a zero-length horizon: all entropies and rates are
+    zero, the bound saturates, and the speed limit is the trivial tau >= 0."""
+    values = {}
+    if "entropy" in cfg.outputs:
+        values.update(D_fwd=0.0, D_bwd=0.0, D_sym=0.0)
+    if "bounds" in cfg.outputs:
+        values.update(rhs_fwd=0.0, rhs_bwd=0.0, rhs_sym=0.0, delta_bound=0.0)
+    if "qsl" in cfg.outputs:
+        values.update(tau_fwd=0.0, tau_bwd=0.0, tau_sym=0.0, tau_qsl=0.0, delta_qsl=1.0)
+    return values
 
 
 def normalize_like_sweep(expected: list[dict]) -> None:
-    """Min-max normalized error columns over the panel, rows in sweep order."""
+    """Min-max normalized error columns over the panel, rows in sweep order;
+    a column without spread is left out."""
     for src, dst in (("delta_bound", "delta_bound_norm"), ("delta_qsl", "delta_qsl_norm")):
         rows = [v for v in expected if math.isfinite(v.get(src, math.nan))]
-        assert len(rows) >= 2, f"{src} has too few finite values to normalize"
-        for v, norm in zip(rows, qsl.normalize_series([v[src] for v in rows])):
+        try:
+            normed = qsl.normalize_series([v[src] for v in rows])
+        except DegenerateRangeError:
+            continue
+        for v, norm in zip(rows, normed):
             v[dst] = float(norm)
 
 
@@ -103,33 +130,67 @@ PANELS = {
         alpha_grid=(0.1, 0.9, 4), time_grid=(0.5, 6.0, 3), n_steps=201,
         outputs=("entropy", "bounds", "qsl", "errors"),
     ),
+    # 8 intervals keep the half-grid gate, too coarse for most horizons
+    "depolarizing_coarse": cli.SweepConfig(
+        model="depolarizing", r=0.75, theta=1.0, gamma=1.0,
+        alpha_grid=(0.05, 0.95, 5), time_grid=(0.0, 8.0, 5), n_steps=9,
+        outputs=("entropy", "bounds", "qsl", "errors"),
+    ),
+    # 99 intervals: trapezoid rule, no gate
+    "unitary_ungated": cli.SweepConfig(
+        model="unitary_qubit", r=0.6, theta=1.1, n=(1.0, 0.3, 0.5),
+        alpha_grid=(0.15, 0.85, 3), time_grid=(0.4, 2.0, 3), n_steps=100,
+    ),
+    "amplitude_damping_s10_coarse": cli.SweepConfig(
+        model="amplitude_damping", lam=1.0, s=10.0, p=0.25,
+        alpha_grid=(0.1, 0.9, 3), z_grid=(0.9, 1.0, 2), time_grid=(0.0, 12.0, 4),
+        n_steps=17,
+    ),
 }
+
+
+def cells_of(panel: cli.Panel):
+    """((alpha, z, t), values, warnings, errors) of every panel cell in row
+    order."""
+    for idx in np.ndindex(panel.warnings.shape):
+        i, j, k = idx
+        key = (float(panel.alphas[i]), float(panel.zs[j]), float(panel.times[k]))
+        values = {col: arr[idx] for col, arr in panel.columns.items()}
+        errors = {g: describe(arr[idx]) for g, arr in panel.errors.items() if arr[idx] is not None}
+        yield key, values, tuple(filter(None, panel.warnings[idx].split(";"))), errors
 
 
 @pytest.mark.parametrize("name", sorted(PANELS))
 def test_sweep_rows_equal_point_calls(name):
     cfg = PANELS[name]
-    rows = cli.sweep_rows(cfg)
+    cells = list(cells_of(cli.sweep_rows(cfg)))
     keys = [
         (float(a), float(z), float(t))
         for a in np.linspace(*cfg.alpha_grid)
         for z in np.linspace(*cfg.z_grid)
         for t in np.linspace(*cfg.time_grid)
     ]
-    assert [(r.alpha, r.z, r.t) for r in rows] == keys
+    assert [cell[0] for cell in cells] == keys
     expected = [point_row(cfg, *key) for key in keys]
     if "errors" in cfg.outputs:
-        normalize_like_sweep([values for values, _ in expected])
-    for row, (values, warnings) in zip(rows, expected):
-        assert row.warnings == warnings, (row.alpha, row.z, row.t)
-        assert exact(row.values) == exact(values), (row.alpha, row.z, row.t)
+        normalize_like_sweep([values for values, _, _ in expected])
+    for (key, got, got_warnings, got_errors), (values, warnings, errors) in zip(cells, expected):
+        assert got_warnings == warnings, key
+        # the panel keeps each failed cell's error, message included
+        assert got_errors == errors, key
+        # a value the point calls leave out is an empty (nan) panel cell
+        assert set(values) <= set(got), key
+        assert exact(got) == exact({col: values.get(col, math.nan) for col in got}), key
 
 
 def test_cases_reach_their_failure_modes():
     tags = {
-        name: {w for row in cli.sweep_rows(cfg) for w in row.warnings}
+        name: [w for _, _, warnings, _ in cells_of(cli.sweep_rows(cfg)) for w in warnings]
         for name, cfg in PANELS.items()
-        if name in ("amplitude_damping_s10", "pure_probe")
     }
     assert "error:SupportViolationError" in tags["amplitude_damping_s10"]
-    assert tags["pure_probe"] == {"error:SingularStateError"}
+    assert set(tags["pure_probe"]) == {"error:SingularStateError"}
+    columns = cli.sweep_rows(PANELS["errors_output"]).columns
+    assert {"delta_bound_norm", "delta_qsl_norm"} <= set(columns)
+    assert tags["depolarizing_coarse"].count("error:QuadratureTooCoarseError") == 20
+    assert tags["unitary_ungated"].count(qsl.WARN_QUAD_UNGATED) == 9
