@@ -8,6 +8,8 @@ time: evolve the probe to t (a channel with its Kraus rates), then
 stationary values.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -146,6 +148,28 @@ PANELS = {
         alpha_grid=(0.1, 0.9, 3), z_grid=(0.9, 1.0, 2), time_grid=(0.0, 12.0, 4),
         n_steps=17,
     ),
+    # subsets of `outputs`: the bound group still runs for the entropy
+    # columns, and a group or column not asked for is left out
+    "subset_entropy": cli.SweepConfig(
+        model="amplitude_damping", lam=1.0, s=10.0, p=0.9,
+        alpha_grid=(0.1, 0.9, 3), time_grid=(0.0, 12.0, 4), n_steps=17,
+        outputs=("entropy",),
+    ),
+    "subset_qsl": cli.SweepConfig(
+        model="amplitude_damping", lam=1.0, s=10.0, p=0.9,
+        alpha_grid=(0.1, 0.9, 3), z_grid=(0.9, 1.0, 2), time_grid=(0.0, 12.0, 4),
+        n_steps=17, outputs=("qsl",),
+    ),
+    "subset_bounds_errors": cli.SweepConfig(
+        model="depolarizing", r=0.75, theta=1.0, gamma=1.0,
+        alpha_grid=(0.05, 0.95, 5), time_grid=(0.0, 8.0, 5), n_steps=101,
+        outputs=("bounds", "errors"),
+    ),
+    "subset_entropy_qsl_errors": cli.SweepConfig(
+        model="depolarizing", r=0.5, theta=0.7, gamma=0.5,
+        alpha_grid=(0.1, 0.9, 4), time_grid=(0.0, 6.0, 4), n_steps=17,
+        outputs=("entropy", "qsl", "errors"),
+    ),
 }
 
 
@@ -194,3 +218,42 @@ def test_cases_reach_their_failure_modes():
     assert {"delta_bound_norm", "delta_qsl_norm"} <= set(columns)
     assert tags["depolarizing_coarse"].count("error:QuadratureTooCoarseError") == 20
     assert tags["unitary_ungated"].count(qsl.WARN_QUAD_UNGATED) == 9
+
+
+SUBSETS = sorted(name for name in PANELS if name.startswith("subset_"))
+
+
+@pytest.mark.parametrize("name", SUBSETS)
+def test_subset_csv_renders_only_asked_columns(name):
+    """The CSV of an `outputs` subset keeps the full header and prints
+    exactly the point calls' values of the asked-for groups; every other
+    output cell is empty."""
+    cfg = PANELS[name]
+    text = cli.rows_to_csv([(cfg, cli.sweep_rows(cfg))])
+    rows = list(csv.reader(io.StringIO(text)))
+    norm = cli.NORM_COLUMNS if "errors" in cfg.outputs else []
+    assert rows[0] == cli.BASE_COLUMNS + norm + ["warnings"]
+    keys = [
+        (float(a), float(z), float(t))
+        for a in np.linspace(*cfg.alpha_grid)
+        for z in np.linspace(*cfg.z_grid)
+        for t in np.linspace(*cfg.time_grid)
+    ]
+    expected = [point_row(cfg, *key) for key in keys]
+    if "errors" in cfg.outputs:
+        normalize_like_sweep([values for values, _, _ in expected])
+    assert len(rows) == len(keys) + 1
+    outputs = rows[0][14:-1]
+    for row, key, (values, warnings, _) in zip(rows[1:], keys, expected):
+        assert row[-1] == ";".join(warnings), key
+        assert row[14:-1] == [cli._fmt(values.get(col, math.nan)) for col in outputs], key
+
+
+def test_subset_without_bounds_has_no_delta_bound_norm():
+    cfg = PANELS["subset_entropy_qsl_errors"]
+    for _, values, _, _ in cells_of(cli.sweep_rows(cfg)):
+        assert "delta_qsl_norm" in values
+        assert "delta_bound" not in values and "delta_bound_norm" not in values
+    cfg = PANELS["subset_bounds_errors"]
+    for _, values, _, _ in cells_of(cli.sweep_rows(cfg)):
+        assert "delta_bound_norm" in values and "delta_qsl_norm" not in values
