@@ -245,27 +245,12 @@ def _model_param_cells(cfg: SweepConfig) -> list[str]:
     return cells
 
 
-_GROUPS = ("bounds", "qsl")  # report groups: entropy and bound columns, speed limits
+# output group -> CSV columns; a column's report field is its lower-case name
 _GROUP_COLUMNS = {
     "entropy": ("D_fwd", "D_bwd", "D_sym"),
     "bounds": ("rhs_fwd", "rhs_bwd", "rhs_sym", "delta_bound"),
     "qsl": ("tau_fwd", "tau_bwd", "tau_sym", "tau_qsl", "delta_qsl"),
 }
-
-
-@dataclass
-class Panel:
-    """One panel's sweep: per output column an (n_alpha, n_z, n_t) float
-    array, nan for an empty cell; per report group an object array of the
-    AzqslError that ended each failed cell, None elsewhere; the warnings
-    cell of every row. C order is the (alpha, z, t) row order of the CSV."""
-
-    alphas: np.ndarray
-    zs: np.ndarray
-    times: np.ndarray
-    columns: dict[str, np.ndarray]
-    errors: dict[str, np.ndarray]
-    warnings: np.ndarray
 
 
 def _trajectory(
@@ -279,91 +264,57 @@ def _trajectory(
     return dyn.evolve_kraus(family, rho0, t, cfg.n_steps, rates=rates)
 
 
-def _warning_cells(cells, groups: list[int]) -> np.ndarray:
-    """The warnings cell of each (alpha, z) row of one time column: per
-    asked-for group, its error tag or the trajectory's flags, each once."""
-    flagged = ";".join(cells.flags), ";".join(cells.flags + (qsl.WARN_CHAIN_SIGN,))
-    out = np.where(cells.chain, flagged[1], flagged[0]).astype(object)
-    errors = [cells.errors[g] for g in groups]
-    for idx in zip(*np.nonzero(np.logical_or.reduce([np.not_equal(e, None) for e in errors]))):
-        tags: list[str] = []
-        for err in errors:
-            exc = err[idx]
-            flags = (f"error:{type(exc).__name__}",) if exc is not None else cells.warnings(*idx)
-            tags += [w for w in flags if w not in tags]
-        out[idx] = ";".join(tags)
-    return out
-
-
-def sweep_rows(cfg: SweepConfig) -> Panel:
+def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     """Evaluate the panel on its (alpha, z, t) grid.
 
     Evaluation is column-major: for each time value the sweep builds one
-    trajectory (with its Kraus rates), validates its two endpoint states
-    once, computes the weighted integrals once per alpha and the endpoint
-    entropies D(rho_t||rho_0) and D(rho_0||rho_t) once per (alpha, z), for
-    the whole (alpha, z) grid at once, and fills that column of every
-    output array. h and chain_sign are computed once per (alpha, z) for the
-    panel. Each trajectory is released after its column. A zero horizon
-    gives the stationary limit: all entropies and rates are zero, the bound
-    saturates, and the speed limit is the trivial tau >= 0."""
+    trajectory (with its Kraus rates) and fills that time column of the
+    panel from it (see `qsl.Panel`). Each trajectory is released after its
+    column. A zero horizon gives the stationary limit: all entropies and
+    rates are zero, the bound saturates, and the speed limit is the trivial
+    tau >= 0."""
     cfg.validate()
     rho0 = _probe_state(cfg)
     family = _build_family(cfg)
     if family is not None and family.dim != rho0.dim:
         raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {family.dim}")
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
-    shape = (len(alphas), len(zs), len(times))
     want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
     want_qsl = "qsl" in cfg.outputs
-    groups = [g for g, want in enumerate((want_bounds, want_qsl)) if want]
-    panel = Panel(
-        alphas, zs, times,
-        columns={col: np.full(shape, math.nan)
-                 for out in cfg.outputs for col in _GROUP_COLUMNS.get(out, ())},
-        errors={_GROUPS[g]: np.full(shape, None, dtype=object) for g in groups},
-        warnings=np.full(shape, "", dtype=object),
-    )
-    heads: dict = {}
+    groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
+    panel = qsl.Panel(alphas, zs, times, groups)
     for k, t in enumerate(times.tolist()):
         if t == 0.0:
-            for col, arr in panel.columns.items():
-                arr[:, :, k] = 1.0 if col == "delta_qsl" else 0.0
+            qsl._fill_stationary(panel, k)
             continue
         try:
             traj = _trajectory(cfg, rho0, family, t, rates=want_qsl)
         except AzqslError as exc:
-            exc = exc.with_traceback(None)
-            for err in panel.errors.values():
-                err[:, :, k] = exc
-            panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
+            qsl._fill_failed(panel, k, exc)
             continue
-        if not groups:
-            continue
-        cells = qsl._trajectory_cells(
-            traj, alphas, zs, bounds=want_bounds, qsl=want_qsl, heads=heads)
-        for col, arr in panel.columns.items():  # report fields are lower-case columns
-            arr[:, :, k] = cells.values[col.lower()]
-        for g in groups:
-            panel.errors[_GROUPS[g]][:, :, k] = cells.errors[g]
-        panel.warnings[:, :, k] = _warning_cells(cells, groups)
-    if "errors" in cfg.outputs:
-        _attach_normalized(panel)
+        qsl._fill_column(panel, k, traj)
     return panel
 
 
-def _attach_normalized(panel: Panel) -> None:
-    """Min-max normalized error columns over the finite values of the panel;
-    a column without spread is left out."""
-    for src, dst in (("delta_bound", "delta_bound_norm"), ("delta_qsl", "delta_qsl_norm")):
-        values = panel.columns.get(src, np.empty(0))
-        finite = np.isfinite(values)
-        try:
-            normed = qsl.normalize_series(values[finite])
-        except DegenerateRangeError:
-            continue
-        panel.columns[dst] = np.full(values.shape, math.nan)
-        panel.columns[dst][finite] = normed
+def _output_columns(cfg: SweepConfig, panel: qsl.Panel) -> dict[str, np.ndarray]:
+    """The panel's array of each CSV column that `cfg.outputs` asks for. With
+    "errors", the rendered error columns also get min-max normalized copies
+    over their finite values; a column without spread is left out."""
+    columns = {col: panel.values[col.lower()]
+               for out in cfg.outputs for col in _GROUP_COLUMNS.get(out, ())}
+    if "errors" in cfg.outputs:
+        for src in ("delta_bound", "delta_qsl"):
+            if src not in columns:
+                continue
+            values = columns[src]
+            finite = np.isfinite(values)
+            try:
+                normed = qsl.normalize_series(values[finite])
+            except DegenerateRangeError:
+                continue
+            columns[src + "_norm"] = np.full(values.shape, math.nan)
+            columns[src + "_norm"][finite] = normed
+    return columns
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
@@ -375,25 +326,30 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return texts[inverse.ravel()].tolist()
 
 
-def rows_to_csv(panels: list[tuple[SweepConfig, Panel]]) -> str:
+def rows_to_csv(panels: list[tuple[SweepConfig, qsl.Panel]]) -> str:
     """Render one or more panels as a single deterministic CSV string,
     column by column."""
     with_norm = any("errors" in cfg.outputs for cfg, _ in panels)
     columns = BASE_COLUMNS + (NORM_COLUMNS if with_norm else []) + ["warnings"]
     lines = [",".join(columns)]
     for cfg, panel in panels:
+        rendered = _output_columns(cfg, panel)
         shape = panel.warnings.shape
         n = panel.warnings.size
         axes = (panel.alphas[:, None, None], panel.zs[None, :, None], panel.times[None, None, :])
         cells = [[",".join(_model_param_cells(cfg))] * n]
         cells += [_fmt_column(np.broadcast_to(axis, shape).ravel()) for axis in axes]
         cells += [
-            _fmt_column(panel.columns[col].ravel()) if col in panel.columns else [""] * n
+            _fmt_column(rendered[col].ravel()) if col in rendered else [""] * n
             for col in columns[14:-1]
         ]
         cells.append(panel.warnings.ravel().tolist())
         lines += map(",".join, zip(*cells))
-    return "\n".join(lines) + "\n"
+        # the cell texts are the largest objects of a render: drop them
+        # before the next panel's and before the join
+        del cells
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def run_sweep(cfg: SweepConfig) -> str:

@@ -449,32 +449,30 @@ def evolve_kraus(
     derivative sum_l (dK_l rho_0 K_l† + K_l rho_0 dK_l†), carrying the summed
     Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1 when `rates` is set.
 
-    States come from the exact-time operators; derivative products use the
-    channel's consistent (possibly regularized) pair, built and validated
-    once. K rho_0 and conj(K) serve the states too when the pair's K is the
-    exact-time one."""
+    Derivative products use the channel's consistent (possibly regularized)
+    pair, built and validated once. Its K rho_0 and conj(K) serve the states
+    too; only the rows where the pair's K differs from the exact-time
+    operators (a regularized sample) are rebuilt from the exact ones."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
     K_exact, K, dK = fam._exact_and_pair(times, fd_step=1e-5 * tau)
     _check_completeness(K_exact)
-    shared = K is K_exact
-    if not shared:
-        if rates:
-            # a regularized pair differs from the exact operators only on
-            # its regularized rows
-            _check_completeness(K[np.any(K != K_exact, axis=(1, 2, 3))])
-        states = _channel_states(_times_rho(K_exact, rho0), K_exact.conj())
+    # a family that does not regularize its pair returns the exact stack as K
+    regularized = (np.zeros(len(times), bool) if K is K_exact
+                   else np.any(K != K_exact, axis=(1, 2, 3)))
+    if rates:
+        _check_completeness(K[regularized])
+    K_exact = K_exact[regularized]
     # Conjugating in place and dropping each stack once no product needs it
     # keeps at most four (n_times, n_ops, dim, dim) stacks alive at once.
-    del K_exact
     KR = _times_rho(K, rho0)
     Kc = np.conjugate(K, out=K)
     del K
     speeds = _schatten_speeds(dK, rho0, Kc)
-    if shared:
-        states = _channel_states(KR, Kc)
+    states = _channel_states(KR, Kc)
     del Kc
+    states[regularized] = _channel_states(_times_rho(K_exact, rho0), K_exact.conj())
     kmins = _batch_kmin(states)
     rate_sums = _kraus_rates(KR, np.conjugate(dK, out=dK)) if rates else None
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)

@@ -51,19 +51,20 @@ def asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> Eigensystem:
+def eigh(m: np.ndarray) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitianError if the max-entry asymmetry exceeds `tol`, and
+    Raises NotHermitianError if the max-entry asymmetry exceeds
+    HERMITIAN_TOL, and
     NoConvergenceError if the underlying solver gives up. Eigenvalues come
     back ascending; vectors are the columns of a unitary.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if asymmetry(m) > tol:
+    if asymmetry(m) > HERMITIAN_TOL:
         raise NotHermitianError(
-            f"matrix asymmetry {asymmetry(m):.3e} exceeds tolerance {tol:.3e}"
+            f"matrix asymmetry {asymmetry(m):.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
         )
     try:
         values, vectors = np.linalg.eigh(hermitian_part(m))
@@ -72,42 +73,32 @@ def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> Eigensystem:
     return Eigensystem(values, vectors)
 
 
-def mat_pow(
-    m: np.ndarray,
-    s: float,
-    psd_tol: float = PSD_TOL,
-    support_tol: float = SUPPORT_TOL,
-) -> np.ndarray:
+def mat_pow(m: np.ndarray, s: float) -> np.ndarray:
     """Fractional power m^s of a PSD Hermitian matrix via its spectrum.
 
-    Eigenvalues in (-psd_tol, 0) are clamped to zero; anything more negative
-    raises NotPSDError. The power itself is `spectral_powers` of the clamped
-    spectrum.
+    Eigenvalues in (-PSD_TOL, 0) (relative to the largest, or to 1) are
+    clamped to zero; anything more negative raises NotPSDError. The power
+    itself is `spectral_powers` of the clamped spectrum.
     """
     values, vectors = eigh(m)
-    if values[0] < -psd_tol * max(values[-1], 1.0):
+    if values[0] < -PSD_TOL * max(values[-1], 1.0):
         raise NotPSDError(f"smallest eigenvalue {values[0]:.3e} below tolerance")
-    return spectral_powers(np.maximum(values, 0.0), vectors, [s], support_tol)[0]
+    return spectral_powers(np.maximum(values, 0.0), vectors, [s])[0]
 
 
-def spectral_powers(
-    values: np.ndarray,
-    vectors: np.ndarray,
-    exponents,
-    support_tol: float = SUPPORT_TOL,
-) -> np.ndarray:
+def spectral_powers(values: np.ndarray, vectors: np.ndarray, exponents) -> np.ndarray:
     """Powers m^s of one PSD matrix, one per exponent, from its clamped
     ascending spectrum; shape (len(exponents), dim, dim).
 
-    The support cut is relative to the largest eigenvalue (solver noise
-    scales with the matrix norm, and products like sigma^(large) rho
-    sigma^(large) carry genuinely tiny spectra that an absolute cut would
-    destroy); eigenvalues below it map to zero for every exponent, so
-    negative powers act as generalized inverses on the support. Each
-    exponent's eigenvalue powers are taken on their own, so a batch gives
-    the same bits as one exponent at a time.
+    The support cut SUPPORT_TOL is relative to the largest eigenvalue
+    (solver noise scales with the matrix norm, and products like
+    sigma^(large) rho sigma^(large) carry genuinely tiny spectra that an
+    absolute cut would destroy); eigenvalues below it map to zero for every
+    exponent, so negative powers act as generalized inverses on the
+    support. Each exponent's eigenvalue powers are taken on their own, so a
+    batch gives the same bits as one exponent at a time.
     """
-    on_support = values > support_tol * values[-1]
+    on_support = values > SUPPORT_TOL * values[-1]
     kept = values[on_support]
     powered = np.zeros((len(exponents), len(values)))
     for row, s in zip(powered, exponents):

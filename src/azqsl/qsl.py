@@ -82,11 +82,33 @@ class QSLReport:
     warnings: tuple[str, ...] = ()
 
 
-# report fields per group: bounds, then speed limits
-_FIELDS = (
-    ("d_fwd", "d_bwd", "d_sym", "rhs_fwd", "rhs_bwd", "rhs_sym", "delta_bound"),
-    ("tau", "tau_fwd", "tau_bwd", "tau_sym", "tau_qsl", "delta_qsl"),
-)
+# report fields per group, in the order the warnings rule visits the groups
+_GROUP_FIELDS = {
+    "bounds": ("d_fwd", "d_bwd", "d_sym", "rhs_fwd", "rhs_bwd", "rhs_sym", "delta_bound"),
+    "qsl": ("tau", "tau_fwd", "tau_bwd", "tau_sym", "tau_qsl", "delta_qsl"),
+}
+
+
+class Panel:
+    """Bound ("bounds") and speed-limit ("qsl") reports over an
+    (alpha, z, t) grid, filled one time column at a time.
+
+    `values` maps each report field of the groups held to an
+    (n_alpha, n_z, n_t) float array, nan where that cell's group failed;
+    `errors` maps each group held to an object array of the AzqslError that
+    ended each failed cell, None elsewhere; `warnings` holds the warnings
+    cell of every row as text. C order is the (alpha, z, t) row order.
+    `h_tables` keeps the h and chain_sign tables of the (alpha, z) grid by
+    probe spectrum, for the next trajectory from the same probe."""
+
+    def __init__(self, alphas, zs, times, groups):
+        self.alphas, self.zs, self.times = (np.asarray(g, dtype=float) for g in (alphas, zs, times))
+        shape = (len(self.alphas), len(self.zs), len(self.times))
+        groups = [g for g in _GROUP_FIELDS if g in groups]
+        self.values = {name: np.full(shape, math.nan) for g in groups for name in _GROUP_FIELDS[g]}
+        self.errors = {g: np.full(shape, None, dtype=object) for g in groups}
+        self.warnings = np.full(shape, "", dtype=object)
+        self.h_tables: dict = {}
 
 
 def h_func(rho0: DensityMatrix, p: EntropyParams) -> float:
@@ -237,26 +259,6 @@ def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple
     return h_a, h_b, chain, errors
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """Bound (group 0) and speed-limit (group 1) reports along one trajectory
-    over an (alpha, z) grid, as arrays indexed [alpha, z].
-
-    `values` maps each report field of an asked-for group to its floats,
-    nan where that group failed. `errors[group]` is an object array of the
-    AzqslError that ended each failed cell, None elsewhere, or None for a
-    group not asked for. A cell that did not fail carries the trajectory's
-    quadrature `flags`, then chain_sign where `chain` is set."""
-
-    values: dict[str, np.ndarray]
-    errors: list[np.ndarray | None]
-    flags: tuple[str, ...]
-    chain: np.ndarray
-
-    def warnings(self, i: int, j: int) -> tuple[str, ...]:
-        return self.flags + ((WARN_CHAIN_SIGN,) if self.chain[i, j] else ())
-
-
 def _endpoint_entropy_grid(
     traj: dyn.Trajectory, rho0: DensityMatrix, alphas: list[float], zs: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -268,69 +270,87 @@ def _endpoint_entropy_grid(
 
 
 def _tau_ratios(d, rhs, tau: float, pending: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """QSL times tau * D / RHS with guards for vanishing rates. A pending
-    cell whose entropy diverges, or whose rate integral vanishes under a
-    nonzero entropy, gets that error instead and stops pending."""
+    """QSL times tau * D / RHS of the routes stacked along axis 0 (fwd, bwd,
+    sym), with guards for vanishing rates. A route fails where its entropy
+    diverges, or else where its rate integral vanishes under a nonzero
+    entropy; a pending cell gets the error of its first failing route and
+    stops pending."""
     stalled = rhs <= ZERO_TOL
     out = np.where(stalled, 0.0, tau * d / rhs)
-    diverged = pending & ~np.isfinite(d)
-    stalled &= pending & ~diverged & (d > ENTROPY_NOISE_TOL)
-    for idx in zip(*np.nonzero(diverged)):
-        errors[idx] = SupportViolationError(
-            "entropy between the endpoints diverges (support mismatch)")
-    for idx in zip(*np.nonzero(stalled)):
-        errors[idx] = ZeroSpeedError(
-            f"rate integral {rhs[idx]:.3e} vanishes while entropy is {d[idx]:.3e}")
-    pending &= ~(diverged | stalled)
+    diverged = ~np.isfinite(d)
+    stalled &= ~diverged & (d > ENTROPY_NOISE_TOL)
+    fails = diverged | stalled
+    first = fails.argmax(axis=0)
+    failed = pending & fails.any(axis=0)
+    for idx in zip(*np.nonzero(failed)):
+        route = (first[idx], *idx)
+        errors[idx] = (
+            SupportViolationError("entropy between the endpoints diverges (support mismatch)")
+            if diverged[route] else ZeroSpeedError(
+                f"rate integral {rhs[route]:.3e} vanishes while entropy is {d[route]:.3e}")
+        )
+    pending &= ~failed
     return out
 
 
-def _trajectory_cells(
-    traj: dyn.Trajectory, alphas, zs, bounds: bool = True, qsl: bool = False,
-    heads: dict | None = None,
-) -> _Cells:
-    """Bound and speed-limit reports along one trajectory for a whole
-    (alpha, z) grid.
+def _warning_cells(flags: tuple[str, ...], chain: np.ndarray, errors: list) -> np.ndarray:
+    """The warnings cell of each (alpha, z) row: per group, its error tag or
+    the trajectory's quadrature flags then chain_sign, each tag once."""
+    texts = ";".join(flags), ";".join(flags + (WARN_CHAIN_SIGN,))
+    out = np.where(chain, texts[1], texts[0]).astype(object)
+    failed = np.logical_or.reduce([np.not_equal(err, None) for err in errors])
+    for idx in zip(*np.nonzero(failed)):
+        tags: list[str] = []
+        for err in errors:
+            exc = err[idx]
+            if exc is not None:
+                own = (f"error:{type(exc).__name__}",)
+            else:
+                own = flags + ((WARN_CHAIN_SIGN,) if chain[idx] else ())
+            tags += [w for w in own if w not in tags]
+        out[idx] = ";".join(tags)
+    return out
+
+
+def _fill_column(panel: Panel, k: int, traj: dyn.Trajectory) -> None:
+    """Fill time column k of `panel` from one trajectory to that horizon:
+    the values, errors and warnings of every (alpha, z) cell, in place.
 
     The endpoint states are validated once, the weighted integrals are taken
     once per alpha (they do not depend on z), and both endpoint entropies
     once per (alpha, z), shared by the two report groups. h and chain_sign
-    depend only on the probe's extreme eigenvalues: a `heads` dict keeps
-    their tables by probe spectrum for the next trajectory on the same grid.
-    The bounds use the Schatten speed; the speed limits use the trajectory's
-    summed Kraus rates when it carries them, the Schatten speed otherwise.
+    depend only on the probe's extreme eigenvalues, so their tables are
+    built once per probe spectrum for the panel. The bounds use the
+    Schatten speed; the speed limits use the trajectory's summed Kraus rates
+    when it carries them, the Schatten speed otherwise.
 
     Errors take the precedence of the sequential evaluation: probe state,
-    h, I1, I2, final state, entropies, then the speed-limit ratios. The
-    arithmetic runs elementwise in the operation order of the scalar
-    formulas, so every value keeps its bits.
+    h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
+    sym. The arithmetic runs elementwise in the operation order of the
+    scalar formulas, so every value keeps its bits.
     """
-    alphas = [float(a) for a in alphas]
-    zs = [float(z) for z in zs]
-    shape = (len(alphas), len(zs))
-    kraus = traj.rates is not None
-    wanted = [g for g, want in enumerate((bounds, qsl)) if want]
-    errors = [np.full(shape, None, dtype=object) if g in wanted else None for g in (0, 1)]
-    values = {name: np.full(shape, math.nan) for g in wanted for name in _FIELDS[g]}
-
+    groups = list(panel.errors)
+    if not groups:
+        return
     rho0 = _attempt(getattr, traj, "initial_state")
     if isinstance(rho0, AzqslError):
-        for g in wanted:
-            errors[g].fill(rho0)
-        return _Cells(values, errors, (), np.zeros(shape, bool))
-    heads = {} if heads is None else heads
-    if (rho0.k_min, rho0.k_max) not in heads:
-        heads[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
-    h_a, h_b, chain, h_errors = heads[rho0.k_min, rho0.k_max]
-    rate_sets = [traj.speeds] if bounds or not kraus else []
-    if qsl and kraus:
+        _fill_failed(panel, k, rho0)
+        return
+    alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
+    shape = (len(alphas), len(zs))
+    if (rho0.k_min, rho0.k_max) not in panel.h_tables:
+        panel.h_tables[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
+    h_a, h_b, chain, h_errors = panel.h_tables[rho0.k_min, rho0.k_max]
+    kraus = traj.rates is not None
+    rate_sets = [traj.speeds] if "bounds" in groups or not kraus else []
+    if "qsl" in groups and kraus:
         rate_sets.append(traj.rates)
     tables, flags = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
-    integrals = (tables[0], tables[-1])
-    cells = _Cells(values, errors, flags, chain)
+    integrals = {"bounds": tables[0], "qsl": tables[-1]}
 
+    errors = {g: panel.errors[g][:, :, k] for g in groups}
     pending = {}
-    for g in wanted:
+    for g in groups:
         ok = pending[g] = np.ones(shape, bool)
         for idx, exc in h_errors.items():
             errors[g][idx], ok[idx] = exc, False
@@ -338,54 +358,72 @@ def _trajectory_cells(
             for i, exc in gate_errors.items():
                 errors[g][i, ok[i]] = exc
                 ok[i] = False
-    if not any(ok.any() for ok in pending.values()):
-        return cells
-    entropies = _attempt(_endpoint_entropy_grid, traj, rho0, alphas, zs)
+    entropies = None
+    if any(ok.any() for ok in pending.values()):
+        entropies = _attempt(_endpoint_entropy_grid, traj, rho0, alphas, zs)
     if isinstance(entropies, AzqslError):
-        for g in wanted:
+        for g in groups:
             errors[g][pending[g]] = entropies
-        return cells
-
-    d_fwd, d_bwd = entropies
-    d_sym = d_fwd + d_bwd
-    a = np.array(alphas)[:, None]
-    with np.errstate(all="ignore"):
-        for g in wanted:
-            (i1, _), (i2, _) = integrals[g]
-            rhs_fwd, rhs_bwd = _route_rhs(
-                a, h_a, h_b, i1[:, None], i2[:, None], kraus and g == 1)
-            rhs_sym = rhs_fwd + rhs_bwd
-            if g == 0:
-                idle = np.where(np.abs(d_sym) <= ZERO_TOL, 0.0, math.nan)
-                delta = np.where(rhs_sym > ZERO_TOL, 1.0 - d_sym / rhs_sym, idle)
-                group = (d_fwd, d_bwd, d_sym, rhs_fwd, rhs_bwd, rhs_sym, delta)
-            else:
-                taus = [
-                    _tau_ratios(d, rhs, traj.tau, pending[1], errors[1])
-                    for d, rhs in ((d_fwd, rhs_fwd), (d_bwd, rhs_bwd), (d_sym, rhs_sym))
-                ]
-                # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
-                tau_qsl = taus[0]
-                for later in taus[1:]:
-                    tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
-                group = (np.full(shape, traj.tau), *taus, tau_qsl, 1.0 - tau_qsl / traj.tau)
-            for name, arr in zip(_FIELDS[g], group):
-                np.copyto(values[name], arr, where=pending[g])
-    return cells
+    elif entropies is not None:
+        d_fwd, d_bwd = entropies
+        d_sym = d_fwd + d_bwd
+        a = np.array(alphas)[:, None]
+        with np.errstate(all="ignore"):
+            for g in groups:
+                (i1, _), (i2, _) = integrals[g]
+                rhs_fwd, rhs_bwd = _route_rhs(
+                    a, h_a, h_b, i1[:, None], i2[:, None], kraus and g == "qsl")
+                rhs_sym = rhs_fwd + rhs_bwd
+                if g == "bounds":
+                    idle = np.where(np.abs(d_sym) <= ZERO_TOL, 0.0, math.nan)
+                    delta = np.where(rhs_sym > ZERO_TOL, 1.0 - d_sym / rhs_sym, idle)
+                    report = (d_fwd, d_bwd, d_sym, rhs_fwd, rhs_bwd, rhs_sym, delta)
+                else:
+                    taus = _tau_ratios(
+                        np.stack((d_fwd, d_bwd, d_sym)), np.stack((rhs_fwd, rhs_bwd, rhs_sym)),
+                        traj.tau, pending[g], errors[g])
+                    # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
+                    tau_qsl = taus[0]
+                    for later in taus[1:]:
+                        tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
+                    report = (traj.tau, *taus, tau_qsl, 1.0 - tau_qsl / traj.tau)
+                for name, arr in zip(_GROUP_FIELDS[g], report):
+                    np.copyto(panel.values[name][:, :, k], arr, where=pending[g])
+    panel.warnings[:, :, k] = _warning_cells(flags, chain, list(errors.values()))
 
 
-def _single(cells: _Cells, group: int, report):
-    """The one cell of a single-point grid as a `report`, raising its error."""
-    exc = cells.errors[group][0, 0]
+def _fill_stationary(panel: Panel, k: int) -> None:
+    """Time column k at a zero horizon, the stationary limit: all entropies
+    and rates are zero, the bound saturates, and the speed limit is the
+    trivial tau >= 0."""
+    for name, arr in panel.values.items():
+        arr[:, :, k] = 1.0 if name == "delta_qsl" else 0.0
+
+
+def _fill_failed(panel: Panel, k: int, exc: AzqslError) -> None:
+    """Time column k when its trajectory or probe state failed: every group
+    of every cell ends in `exc`."""
+    exc = exc.with_traceback(None)
+    for err in panel.errors.values():
+        err[:, :, k] = exc
+    panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
+
+
+def _point_report(traj: dyn.Trajectory, p: EntropyParams, group: str, report):
+    """The `report` of one group at (p.alpha, p.z) along `traj`: the one
+    cell of a one-point panel, raising its error."""
+    panel = Panel([p.alpha], [p.z], [traj.tau], [group])
+    _fill_column(panel, 0, traj)
+    exc = panel.errors[group][0, 0, 0]
     if exc is not None:
         try:
             raise exc
         finally:
             # this frame is on the error's traceback: drop its references
             # to the error so the two do not form a cycle
-            exc = cells = None
-    values = {name: float(cells.values[name][0, 0]) for name in _FIELDS[group]}
-    return report(**values, warnings=cells.warnings(0, 0))
+            exc = panel = None
+    values = {name: float(panel.values[name][0, 0, 0]) for name in _GROUP_FIELDS[group]}
+    return report(**values, warnings=tuple(filter(None, panel.warnings[0, 0, 0].split(";"))))
 
 
 def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
@@ -395,7 +433,7 @@ def integrate_bounds(traj: dyn.Trajectory, p: EntropyParams) -> BoundReport:
     integrated bound; 0 means saturation, 1 means the entropy is negligible
     against the rate integral.
     """
-    return _single(_trajectory_cells(traj, [p.alpha], [p.z]), 0, BoundReport)
+    return _point_report(traj, p, "bounds", BoundReport)
 
 
 def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
@@ -405,10 +443,7 @@ def qsl_general(traj: dyn.Trajectory, p: EntropyParams) -> QSLReport:
     uses them in place of the Schatten speed (they bound speed/2 from above,
     so these times never exceed the Schatten-speed ones); any other uses the
     Schatten speed."""
-    # no local for the cells: they keep the raised error, whose traceback
-    # holds this frame and its trajectory
-    return _single(
-        _trajectory_cells(traj, [p.alpha], [p.z], bounds=False, qsl=True), 1, QSLReport)
+    return _point_report(traj, p, "qsl", QSLReport)
 
 
 def qsl_unitary(

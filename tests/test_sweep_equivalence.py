@@ -173,13 +173,24 @@ PANELS = {
 }
 
 
-def cells_of(panel: cli.Panel):
+def grid_keys(cfg: cli.SweepConfig) -> list[tuple[float, float, float]]:
+    """The (alpha, z, t) of every grid point in row order."""
+    return [
+        (float(a), float(z), float(t))
+        for a in np.linspace(*cfg.alpha_grid)
+        for z in np.linspace(*cfg.z_grid)
+        for t in np.linspace(*cfg.time_grid)
+    ]
+
+
+def cells_of(cfg: cli.SweepConfig, panel: qsl.Panel):
     """((alpha, z, t), values, warnings, errors) of every panel cell in row
-    order."""
+    order; values are those of the CSV columns the sweep renders."""
+    columns = cli._output_columns(cfg, panel)
     for idx in np.ndindex(panel.warnings.shape):
         i, j, k = idx
         key = (float(panel.alphas[i]), float(panel.zs[j]), float(panel.times[k]))
-        values = {col: arr[idx] for col, arr in panel.columns.items()}
+        values = {col: arr[idx] for col, arr in columns.items()}
         errors = {g: describe(arr[idx]) for g, arr in panel.errors.items() if arr[idx] is not None}
         yield key, values, tuple(filter(None, panel.warnings[idx].split(";"))), errors
 
@@ -187,13 +198,8 @@ def cells_of(panel: cli.Panel):
 @pytest.mark.parametrize("name", sorted(PANELS))
 def test_sweep_rows_equal_point_calls(name):
     cfg = PANELS[name]
-    cells = list(cells_of(cli.sweep_rows(cfg)))
-    keys = [
-        (float(a), float(z), float(t))
-        for a in np.linspace(*cfg.alpha_grid)
-        for z in np.linspace(*cfg.z_grid)
-        for t in np.linspace(*cfg.time_grid)
-    ]
+    cells = list(cells_of(cfg, cli.sweep_rows(cfg)))
+    keys = grid_keys(cfg)
     assert [cell[0] for cell in cells] == keys
     expected = [point_row(cfg, *key) for key in keys]
     if "errors" in cfg.outputs:
@@ -209,13 +215,13 @@ def test_sweep_rows_equal_point_calls(name):
 
 def test_cases_reach_their_failure_modes():
     tags = {
-        name: [w for _, _, warnings, _ in cells_of(cli.sweep_rows(cfg)) for w in warnings]
+        name: [w for _, _, warnings, _ in cells_of(cfg, cli.sweep_rows(cfg)) for w in warnings]
         for name, cfg in PANELS.items()
     }
     assert "error:SupportViolationError" in tags["amplitude_damping_s10"]
     assert set(tags["pure_probe"]) == {"error:SingularStateError"}
-    columns = cli.sweep_rows(PANELS["errors_output"]).columns
-    assert {"delta_bound_norm", "delta_qsl_norm"} <= set(columns)
+    cfg = PANELS["errors_output"]
+    assert {"delta_bound_norm", "delta_qsl_norm"} <= set(cli._output_columns(cfg, cli.sweep_rows(cfg)))
     assert tags["depolarizing_coarse"].count("error:QuadratureTooCoarseError") == 20
     assert tags["unitary_ungated"].count(qsl.WARN_QUAD_UNGATED) == 9
 
@@ -233,12 +239,7 @@ def test_subset_csv_renders_only_asked_columns(name):
     rows = list(csv.reader(io.StringIO(text)))
     norm = cli.NORM_COLUMNS if "errors" in cfg.outputs else []
     assert rows[0] == cli.BASE_COLUMNS + norm + ["warnings"]
-    keys = [
-        (float(a), float(z), float(t))
-        for a in np.linspace(*cfg.alpha_grid)
-        for z in np.linspace(*cfg.z_grid)
-        for t in np.linspace(*cfg.time_grid)
-    ]
+    keys = grid_keys(cfg)
     expected = [point_row(cfg, *key) for key in keys]
     if "errors" in cfg.outputs:
         normalize_like_sweep([values for values, _, _ in expected])
@@ -249,11 +250,11 @@ def test_subset_csv_renders_only_asked_columns(name):
         assert row[14:-1] == [cli._fmt(values.get(col, math.nan)) for col in outputs], key
 
 
-def test_subset_without_bounds_has_no_delta_bound_norm():
+def test_subset_norm_columns_follow_rendered_error_columns():
     cfg = PANELS["subset_entropy_qsl_errors"]
-    for _, values, _, _ in cells_of(cli.sweep_rows(cfg)):
+    for _, values, _, _ in cells_of(cfg, cli.sweep_rows(cfg)):
         assert "delta_qsl_norm" in values
         assert "delta_bound" not in values and "delta_bound_norm" not in values
     cfg = PANELS["subset_bounds_errors"]
-    for _, values, _, _ in cells_of(cli.sweep_rows(cfg)):
+    for _, values, _, _ in cells_of(cfg, cli.sweep_rows(cfg)):
         assert "delta_bound_norm" in values and "delta_qsl_norm" not in values
