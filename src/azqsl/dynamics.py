@@ -306,10 +306,14 @@ class Trajectory:
         asym = float(np.max(np.abs(self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
         if asym > linalg.HERMITIAN_TOL:
             raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
+        if not np.all(np.isfinite(self.speeds)):
+            raise InvalidStateError("non-finite Schatten speed")
         if np.any(self.speeds < 0):
             raise InvalidStateError("negative Schatten speed")
         if self.rates is not None and self.rates.shape != self.times.shape:
             raise InvalidStateError(f"{self.rates.shape} rates for {len(self.times)} samples")
+        if self.rates is not None and not np.all(np.isfinite(self.rates)):
+            raise InvalidStateError("non-finite Kraus rate")
         if self.rates is not None and np.any(self.rates < 0):
             raise InvalidStateError("negative Kraus rate")
 
@@ -452,7 +456,9 @@ def evolve_kraus(
     Derivative products use the channel's consistent (possibly regularized)
     pair, built and validated once. Its K rho_0 and conj(K) serve the states
     too; only the rows where the pair's K differs from the exact-time
-    operators (a regularized sample) are rebuilt from the exact ones."""
+    operators (a regularized sample) are rebuilt from the exact ones. A
+    derivative stack with a NaN or an infinity raises InvalidStateError
+    before anything is contracted."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
@@ -463,6 +469,8 @@ def evolve_kraus(
                    else np.any(K != K_exact, axis=(1, 2, 3)))
     if rates:
         _check_completeness(K[regularized])
+    if not np.all(np.isfinite(dK)):
+        raise InvalidStateError("non-finite Kraus derivative along trajectory")
     K_exact = K_exact[regularized]
     # Conjugating in place and dropping each stack once no product needs it
     # keeps at most four (n_times, n_ops, dim, dim) stacks alive at once.
@@ -479,6 +487,14 @@ def evolve_kraus(
 
 
 def _kraus_rates(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
-    """sum_l ||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times,)."""
+    """sum_l ||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times,).
+
+    The trace norms come from `linalg.trace_norms`, which splits each
+    product into the blocks of its own sparsity pattern. For the built-in
+    channels every block has at most two rows or columns and takes a closed
+    form (a depolarizing product is one dense 2x2 block, an amplitude-damping
+    product with the GHZ probe splits into blocks of at most 2x1), so no
+    built-in sweep runs an SVD for its rates; a family whose products are
+    dense and at least 3x3 gets the LAPACK singular-value sums as before."""
     prods = np.einsum("tlik,tlmk->tlim", KR, dKc)
-    return np.linalg.svd(prods, compute_uv=False).sum(axis=-1).sum(axis=1)
+    return linalg.trace_norms(prods).sum(axis=1)

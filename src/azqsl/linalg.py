@@ -164,6 +164,87 @@ def trace_norm(m: np.ndarray) -> float:
     return schatten_norm(m, 1.0)
 
 
+# A sparsity pattern is coded as one int64 with a bit per entry; matrices
+# with more entries go to the SVD whole.
+_PATTERN_ENTRIES = 62
+
+
+def trace_norms(stack: np.ndarray) -> np.ndarray:
+    """||X||_1 for every matrix of a (..., r, c) stack, shape (...).
+
+    Rows and columns joined by a nonzero entry of a matrix form a block,
+    and the singular values of the matrix are the union of its blocks'.
+    The pattern is each matrix's own: matrices are grouped by a pattern
+    code, the blocks are found once per distinct code, and a matrix's norm
+    depends on that matrix alone, so a stack row equals the one-matrix call
+    bit for bit. A block with one row or column has rank <= 1 and its norm
+    is the Frobenius norm; a block with two rows (or columns) has norm
+    sqrt(||B||_F^2 + 2 sigma_1 sigma_2), with sigma_1 sigma_2 the root of
+    the summed squared 2x2 minors (Cauchy-Binet), which holds for
+    rank-deficient blocks too. Both closed forms work on the block scaled
+    by its largest |entry|. Blocks of at least 3x3, and matrices of more
+    than 62 entries, take the sum of their LAPACK singular values, so a
+    dense matrix of size >= 3 gets exactly `svd(m).sum()`. Entries must be
+    finite.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    *lead, r, c = stack.shape
+    if r * c > _PATTERN_ENTRIES:
+        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    flat = stack.reshape(-1, r * c)
+    codes = (flat != 0) @ (1 << np.arange(r * c, dtype=np.int64))
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    norms = np.zeros(len(flat))
+    for u, code in enumerate(uniq):
+        members = np.flatnonzero(inverse == u)
+        for entries in _pattern_blocks(int(code), r, c):
+            norms[members] += _block_norms(flat[members[:, None, None], entries])
+    return norms.reshape(lead)
+
+
+@lru_cache(maxsize=256)
+def _pattern_blocks(code: int, r: int, c: int) -> tuple[np.ndarray, ...]:
+    """The blocks of an r x c sparsity pattern, each as the flat indices of
+    its entries, shape (block rows, block columns). Blocks come in the
+    order of their first row; all-zero rows and columns are in none."""
+    nonzero = [{j for j in range(c) if (code >> (i * c + j)) & 1} for i in range(r)]
+    seen = set()
+    blocks = []
+    for first in range(r):
+        if first in seen or not nonzero[first]:
+            continue
+        rows, cols, frontier = {first}, set(), {first}
+        while frontier:
+            new_cols = set().union(*(nonzero[i] for i in frontier)) - cols
+            cols |= new_cols
+            frontier = {k for k in range(r) if nonzero[k] & new_cols} - rows
+            rows |= frontier
+        seen |= rows
+        entries = np.array(sorted(rows))[:, None] * c + np.array(sorted(cols))
+        entries.setflags(write=False)  # cached, shared by every call
+        blocks.append(entries)
+    return tuple(blocks)
+
+
+def _block_norms(block: np.ndarray) -> np.ndarray:
+    """Trace norms of an (n, p, q) stack of blocks with one pattern."""
+    n, p, q = block.shape
+    if min(p, q) > 2:
+        return np.linalg.svd(block, compute_uv=False).sum(axis=-1)
+    mags = np.abs(block).reshape(n, -1)
+    scale = mags.max(axis=-1)
+    frobenius = np.square(mags / scale[:, None]).sum(axis=-1)
+    if min(p, q) == 1:
+        return scale * np.sqrt(frobenius)
+    two_rows = block if p == 2 else np.swapaxes(block, 1, 2)
+    top, bottom = np.moveaxis(two_rows / scale[:, None, None], 1, 0)
+    minors = np.zeros(n)
+    for i in range(top.shape[-1] - 1):
+        m = top[:, i, None] * bottom[:, i + 1:] - top[:, i + 1:] * bottom[:, i, None]
+        minors += (m.real * m.real + m.imag * m.imag).sum(axis=-1)
+    return scale * np.sqrt(frobenius + 2.0 * np.sqrt(minors))
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with complex dtype."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

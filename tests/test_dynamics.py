@@ -248,13 +248,45 @@ class TestTrajectories:
         assert np.max(np.abs(traj.states - rho0.mat[None])) == 0.0
         assert np.max(traj.rates) == 0.0
 
-    @pytest.mark.parametrize("rates", [np.zeros(10), np.full(11, -1e-3)])
+    @pytest.mark.parametrize(
+        "rates", [np.zeros(10), np.full(11, -1e-3), np.full(11, math.nan), np.full(11, math.inf)]
+    )
     def test_rejects_bad_rates(self, rates):
-        # one rate per sample, none negative
+        # one finite rate per sample, none negative
         rho0 = bloch_state(BlochVector(0.5))
         traj = dyn.evolve_kraus(constant_identity_family(2), rho0, 1.0, 11)
         with pytest.raises(InvalidStateError):
             replace(traj, rates=rates)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_rejects_bad_speeds(self, bad):
+        rho0 = bloch_state(BlochVector(0.5))
+        traj = dyn.evolve_kraus(constant_identity_family(2), rho0, 1.0, 11)
+        speeds = traj.speeds.copy()
+        speeds[7] = bad
+        with pytest.raises(InvalidStateError):
+            replace(traj, speeds=speeds)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("bad,seed", [(math.nan, 1), (math.inf, 2), (-math.inf, 3)])
+    def test_non_finite_derivative_raises(self, bad, seed, rates):
+        # one entry of one operator's derivative at one random sample
+        rng = np.random.default_rng(2 * seed + rates)
+        analytic = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+        times = np.linspace(0.0, 2.0, 101)
+        t_bad = float(times[rng.integers(len(times))])
+        l, i, j = rng.integers(4), rng.integers(2), rng.integers(2)
+
+        def dops(t):
+            dK = analytic.stacks(np.array([t]))[1][0]
+            if t == t_bad:
+                dK[l, i, j] = bad
+            return dK
+
+        fam = dyn.KrausFamily(2, 4, lambda t: analytic.op_stacks(np.array([t]))[0], dops)
+        rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+        with pytest.raises(InvalidStateError, match="non-finite Kraus derivative"):
+            dyn.evolve_kraus(fam, rho0, 2.0, len(times), rates=rates)
 
     def test_trace_preserved(self, rng):
         fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0))
@@ -377,7 +409,9 @@ class TestOneSampleContract:
 
 def oracle_contractions(K_exact, K, dK, rho0):
     """The trajectory layer as three-operand einsums: states, Schatten
-    speeds, k_min and per-operator rate terms from the given stacks."""
+    speeds, k_min and per-operator rate terms from the given stacks. The
+    rate terms take the library's trace-norm kernel, which tests/test_linalg.py
+    pins against the SVD; this oracle pins the contractions."""
     states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
     states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
     half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
@@ -385,7 +419,7 @@ def oracle_contractions(K_exact, K, dK, rho0):
     speeds = np.abs(np.linalg.eigvalsh(dstates)).sum(axis=-1)
     kmins = np.maximum(np.linalg.eigvalsh(states)[:, 0], 0.0)
     prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
-    terms = np.linalg.svd(prods, compute_uv=False).sum(axis=-1)
+    terms = linalg.trace_norms(prods)
     return states, speeds, kmins, terms
 
 
@@ -445,6 +479,16 @@ class TestContractions:
             assert np.array_equal(traj.speeds, want[1])
             assert np.array_equal(traj.kmins, want[2])
             assert np.array_equal(traj.rates, want[3].sum(axis=1))
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+    def test_built_in_rates_take_closed_forms(self, name, monkeypatch):
+        # every block of a built-in product has at most two rows or columns
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called")
+
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert dyn.evolve_kraus(fam, rho0, 17.0, 1001, rates=True).rates[-1] > 0.0
 
     def test_amplitude_damping_kronecker_stacks(self):
         fam, _ = BUILT_IN_FAMILIES["amplitude_damping"]

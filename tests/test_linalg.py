@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from azqsl import linalg
 from azqsl.errors import (
@@ -155,6 +157,91 @@ class TestSchattenNorm:
             lhs = abs(np.trace(a.conj().T @ b))
             rhs = linalg.schatten_norm(a, math.inf) * linalg.trace_norm(b)
             assert lhs <= rhs + 1e-10
+
+
+def svd_sums(stack):
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def sparse_matrix(rng, r, c):
+    """Rows and columns split at random into two blocks, each block dense,
+    an outer product (rank one, so a 2x2 determinant cancels) or zero,
+    then a random zero mask and a scale between 1e-200 and 1e200."""
+    m = np.zeros((r, c), dtype=complex)
+    rows, cols = rng.permutation(r), rng.permutation(c)
+    cut_r, cut_c = rng.integers(0, r + 1), rng.integers(0, c + 1)
+    for rs, cs in ((rows[:cut_r], cols[:cut_c]), (rows[cut_r:], cols[cut_c:])):
+        kind = rng.integers(3)
+        if kind == 0:
+            m[np.ix_(rs, cs)] = random_complex(rng, (len(rs), len(cs)))
+        elif kind == 1:
+            m[np.ix_(rs, cs)] = np.outer(random_complex(rng, len(rs)), random_complex(rng, len(cs)))
+    if rng.random() < 0.5:
+        m *= rng.random((r, c)) < 0.6
+    return m * 10.0 ** rng.uniform(-200.0, 200.0)
+
+
+@st.composite
+def sparse_stacks(draw):
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lead = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([sparse_matrix(rng, r, c) for _ in range(math.prod(lead))])
+    return stack.reshape(lead + (r, c))
+
+
+class TestTraceNorms:
+    # a fixed seed keeps the drawn stacks stable when the test body changes
+    @seed(20261018)
+    @settings(max_examples=300, database=None, deadline=None)
+    @given(sparse_stacks())
+    def test_agrees_with_svd_and_rows_with_one_matrix_calls(self, stack):
+        got = linalg.trace_norms(stack)
+        want = svd_sums(stack)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        for index in np.ndindex(stack.shape[:-2]):
+            assert linalg.trace_norms(stack[index]) == got[index]
+
+    @seed(20261019)
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.integers(3, 4), st.integers(3, 4), st.integers(0, 2**32 - 1))
+    def test_dense_blocks_take_the_svd_sum(self, p, q, draw):
+        rng = np.random.default_rng(draw)
+        dense = random_complex(rng, (5, p, q)) * 10.0 ** rng.uniform(-200.0, 200.0)
+        assert np.array_equal(linalg.trace_norms(dense), svd_sums(dense))
+        # the same block inside zero rows and columns, next to a 1x1 block
+        padded = np.zeros((5, 5, 5), dtype=complex)
+        padded[:, 1:p + 1, :q] = dense
+        assert np.array_equal(linalg.trace_norms(padded), svd_sums(dense))
+        padded[:, 0, 4] = 2.0
+        assert np.array_equal(linalg.trace_norms(padded), svd_sums(dense) + 2.0)
+
+    def test_large_matrices_take_the_svd_sum(self, rng):
+        stack = random_complex(rng, (3, 8, 8))
+        stack[:, 2:] = 0.0
+        assert np.array_equal(linalg.trace_norms(stack), svd_sums(stack))
+
+    def test_closed_forms(self):
+        # a diagonal, a rank-one 2x2 block beside a 1x1, and a 2x3 block
+        stack = np.zeros((3, 3, 3), dtype=complex)
+        stack[0] = np.diag([3.0, -4.0j, 0.0])
+        stack[1, :2, :2] = np.outer([1.0, 2.0j], [3.0, 1.0 - 1.0j])
+        stack[1, 2, 2] = 0.5
+        stack[2, :2] = [[1.0, 0.0, 1e-300], [0.0, 2.0, 1e-300]]
+        got = linalg.trace_norms(stack)
+        assert got[0] == 7.0
+        assert got[1] == pytest.approx(math.sqrt(5.0) * math.sqrt(11.0) + 0.5, rel=1e-15)
+        assert got[2] == pytest.approx(3.0, rel=1e-15)
+
+    def test_zero_and_empty_stacks(self):
+        assert np.array_equal(linalg.trace_norms(np.zeros((2, 3, 4, 2))), np.zeros((2, 3)))
+        assert linalg.trace_norms(np.zeros((0, 2, 2))).shape == (0,)
+        assert linalg.trace_norms(np.zeros((2, 2))) == 0.0
 
 
 class TestKron:
