@@ -40,6 +40,8 @@ class HamiltonianModel:
 
     def __init__(self, mat: np.ndarray, n: np.ndarray | None = None):
         mat = np.asarray(mat, dtype=complex)
+        if not np.all(np.isfinite(mat)):
+            raise InvalidParamsError("Hamiltonian has a non-finite entry")
         if linalg.asymmetry(mat) > linalg.HERMITIAN_TOL:
             raise NotHermitianError(
                 f"Hamiltonian asymmetry {linalg.asymmetry(mat):.3e}"
@@ -50,6 +52,8 @@ class HamiltonianModel:
     @classmethod
     def qubit(cls, n: Sequence[float]) -> "HamiltonianModel":
         n = np.asarray(n, dtype=float)
+        if not np.all(np.isfinite(n)):
+            raise InvalidParamsError(f"field vector must be finite, got {n}")
         mat = n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
         return cls(mat, n=n)
 
@@ -225,6 +229,12 @@ class DepolarizingFamily(KrausFamily):
         return K_exact, K, dK
 
 
+# (a, i, j) for the support of the single-qubit S_1 = diag(1, gamma) and
+# S_2 = sqrt(1 - gamma^2) |0><1|, which also holds that of their derivatives
+_AD_SUPPORT = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
+_AD_KRON_ENTRIES = tuple(p + q for p in _AD_SUPPORT for q in _AD_SUPPORT)
+
+
 class AmplitudeDampingFamily(KrausFamily):
     """Two-qubit product family K_j ⊗ K_l from the single-qubit pair
 
@@ -261,16 +271,15 @@ class AmplitudeDampingFamily(KrausFamily):
     def stacks(self, times: np.ndarray, fd_step: float | None = None):
         times = np.asarray(times, dtype=float)
         S, dS = self._pair_stacks(times)
-        shape = (len(times), 4, 4, 4)
-
-        def kron_all(a, b):
-            # [t, j, l, a, c, b, d] = a[t, j, a, b] b[t, l, c, d]: operator
-            # 2j + l is a_j ⊗ b_l
-            return a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :]
-
-        dK = kron_all(dS, S)
-        dK += kron_all(S, dS)
-        return kron_all(S, S).reshape(shape), dK.reshape(shape)
+        K = np.zeros((len(times), 4, 4, 4), dtype=complex)
+        dK = np.zeros_like(K)
+        # operator 2a + b is S_a ⊗ S_b, whose entry (2i + k, 2j + l) is
+        # S_a[i, j] S_b[k, l]; only the entries on the supports are written
+        for a, i, j, b, k, l in _AD_KRON_ENTRIES:
+            slot = (slice(None), 2 * a + b, 2 * i + k, 2 * j + l)
+            K[slot] = S[:, a, i, j] * S[:, b, k, l]
+            dK[slot] = dS[:, a, i, j] * S[:, b, k, l] + S[:, a, i, j] * dS[:, b, k, l]
+        return K, dK
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return self.stacks(times)[0]
@@ -299,7 +308,7 @@ class Trajectory:
     def __post_init__(self):
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise InvalidParamsError("times must start at 0 and increase strictly")
-        traces = np.einsum("tii->t", self.states)
+        traces = np.trace(self.states, axis1=1, axis2=2)
         drift = float(np.max(np.abs(traces - 1.0)))
         if drift > TRACE_DRIFT_TOL:
             raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
@@ -354,8 +363,8 @@ def _batch_kmin(stack: np.ndarray) -> np.ndarray:
 def _time_grid(tau: float, n_steps: int) -> np.ndarray:
     if n_steps < 2:
         raise InvalidParamsError(f"need at least 2 samples, got {n_steps}")
-    if tau <= 0:
-        raise InvalidParamsError(f"horizon must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise InvalidParamsError(f"horizon must be positive and finite, got {tau}")
     return np.linspace(0.0, tau, n_steps)
 
 
@@ -411,13 +420,74 @@ def _check_completeness(K: np.ndarray) -> None:
         )
 
 
-# Trajectories contract (n_times, n_ops, dim, dim) stacks as X rho_0 Y†:
-# X rho_0 is formed once per stack, then contracted with conj(Y) in a
-# two-operand einsum that keeps the sum over operators inside it. For
-# operators with at most one nonzero per row and column, as in the built-in
-# channels, each term is then a single triple product and the operator sum
-# runs in operator order, so the grouping does not move any bit; for dense
-# families it moves results by about 1e-16.
+# Trajectories form the products X_l rho_0 Y_l† of two (n_times, n_ops,
+# dim, dim) stacks. When every operator of both stacks has at most one
+# nonzero per row and per column over all samples, as in the built-in
+# channels and the bit-flip file family, each stack is gathered once into
+# the values and columns of those nonzeros, and entry (i, m) of a product
+# is the single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded
+# as einsum rounds it (`_cmul`); sums over operators run in operator order
+# from a zero start. That is the arithmetic of the three-operand einsum, so
+# no bit moves, and only the entries that can be nonzero are computed, with
+# time as the contiguous axis. Dense families form X rho_0 once per stack
+# and contract it with conj(Y) in a two-operand einsum that keeps the
+# operator sum inside it; that grouping moves results by about 1e-16.
+
+
+def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
+    """Per operator and row, the column of the row's single nonzero over the
+    union of the stack's samples, -1 for a row empty at every sample; None
+    when an operator has two nonzeros in a row or a column."""
+    nonzero = np.any(stack != 0, axis=0)
+    if np.any(nonzero.sum(axis=2) > 1) or np.any(nonzero.sum(axis=1) > 1):
+        return None
+    return np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1)
+
+
+def _gather(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(values, columns) of a monomial stack, or None for a dense one: the
+    value of each operator row's nonzero, shape (n_ops, dim, n_times), and
+    the columns of `_monomial_columns`. An empty row reads its last column,
+    which is zero at every sample."""
+    cols = _monomial_columns(stack)
+    if cols is None:
+        return None
+    n_ops, dim = cols.shape
+    return np.moveaxis(stack, 0, -1)[np.arange(n_ops)[:, None], np.arange(dim), cols], cols
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays by the textbook formula, each real product
+    and sum rounded on its own as in einsum; numpy's complex multiply may
+    fuse them, which moves the last bit of complex (not real) operands."""
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _gathered_products(X, Y, rho0: DensityMatrix, summed: bool) -> np.ndarray:
+    """X_l rho_0 Y_l† from two gathered stacks: per sample and operator,
+    shape (n_times, n_ops, dim, dim), or when `summed` their sum over the
+    operators in operator order from a zero start, shape (n_times, dim, dim).
+    Only entries (l, i, m) with both rows nonempty and rho_0 nonzero at
+    their columns are computed; the others are zero."""
+    (x, cx), (y, cy) = X, Y
+    n_ops, dim, n_times = x.shape
+    rho = rho0.mat[cx[:, :, None], cy[:, None, :]]
+    l, i, m = np.nonzero((cx[:, :, None] >= 0) & (cy[:, None, :] >= 0) & (rho != 0))
+    vals = _cmul(_cmul(x[l, i], rho[l, i, m, None]), np.conj(y[l, m])).T
+    if not summed:
+        out = np.zeros((n_times, n_ops, dim, dim), dtype=complex)
+        out[:, l, i, m] = vals
+        return out
+    out = np.zeros((n_times, dim, dim), dtype=complex)
+    for op in range(n_ops):
+        # one operator's entries are distinct, so += adds each once
+        sel = l == op
+        out[:, i[sel], m[sel]] += vals[:, sel]
+    return out
 
 
 def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
@@ -425,25 +495,29 @@ def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
     return np.einsum("tlij,jk->tlik", X, rho0.mat)
 
 
-def _channel_states(KR: np.ndarray, Kc: np.ndarray) -> np.ndarray:
-    """sum_l K_l rho_0 K_l† from K rho_0 and conj(K)."""
-    states = np.einsum("tlik,tlmk->tim", KR, Kc)
-    return (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return (m + np.conj(np.swapaxes(m, 1, 2))) / 2
 
 
-def _schatten_speeds(dK: np.ndarray, rho0: DensityMatrix, Kc: np.ndarray) -> np.ndarray:
-    """||drho/dt||_1 from dK and conj(K), where drho/dt is
-    sum_l dK_l rho_0 K_l† plus its adjoint."""
-    half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
+def _schatten_speeds(half: np.ndarray) -> np.ndarray:
+    """||drho/dt||_1 from half = sum_l dK_l rho_0 K_l†, where drho/dt is
+    half plus its adjoint."""
     return _batch_hermitian_trace_norm(half + np.conj(np.swapaxes(half, 1, 2)))
+
+
+def _channel_states(K: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
+    """sum_l K_l rho_0 K_l† for each sample of an operator stack."""
+    G = _gather(K)
+    if G is None:
+        return _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
+    return _hermitian(_gathered_products(G, G, rho0, summed=True))
 
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    K = fam.op_stacks(np.array([float(t)]))
-    return DensityMatrix(_channel_states(_times_rho(K, rho0), K.conj())[0])
+    return DensityMatrix(_channel_states(fam.op_stacks(np.array([float(t)])), rho0)[0])
 
 
 def evolve_kraus(
@@ -454,11 +528,11 @@ def evolve_kraus(
     Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1 when `rates` is set.
 
     Derivative products use the channel's consistent (possibly regularized)
-    pair, built and validated once. Its K rho_0 and conj(K) serve the states
-    too; only the rows where the pair's K differs from the exact-time
-    operators (a regularized sample) are rebuilt from the exact ones. A
-    derivative stack with a NaN or an infinity raises InvalidStateError
-    before anything is contracted."""
+    pair, built and validated once. Its K serves the states too; only the
+    rows where the pair's K differs from the exact-time operators (a
+    regularized sample) are rebuilt from the exact ones. A derivative stack
+    with a NaN or an infinity raises InvalidStateError before any product
+    is formed."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
@@ -472,22 +546,34 @@ def evolve_kraus(
     if not np.all(np.isfinite(dK)):
         raise InvalidStateError("non-finite Kraus derivative along trajectory")
     K_exact = K_exact[regularized]
-    # Conjugating in place and dropping each stack once no product needs it
-    # keeps at most four (n_times, n_ops, dim, dim) stacks alive at once.
-    KR = _times_rho(K, rho0)
-    Kc = np.conjugate(K, out=K)
-    del K
-    speeds = _schatten_speeds(dK, rho0, Kc)
-    states = _channel_states(KR, Kc)
-    del Kc
-    states[regularized] = _channel_states(_times_rho(K_exact, rho0), K_exact.conj())
+    G = _gather(K)
+    dG = None if G is None else _gather(dK)
+    if dG is not None:
+        del K, dK
+        speeds = _schatten_speeds(_gathered_products(dG, G, rho0, summed=True))
+        states = _hermitian(_gathered_products(G, G, rho0, summed=True))
+        prods = _gathered_products(G, dG, rho0, summed=False) if rates else None
+    else:
+        # Conjugating in place and dropping each stack once no product
+        # needs it keeps at most four dense stacks alive at once.
+        KR = _times_rho(K, rho0)
+        Kc = np.conjugate(K, out=K)
+        del K
+        speeds = _schatten_speeds(np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc))
+        states = _hermitian(np.einsum("tlik,tlmk->tim", KR, Kc))
+        del Kc
+        prods = (np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
+                 if rates else None)
+    if len(K_exact):
+        states[regularized] = _channel_states(K_exact, rho0)
     kmins = _batch_kmin(states)
-    rate_sums = _kraus_rates(KR, np.conjugate(dK, out=dK)) if rates else None
+    rate_sums = _kraus_rates(prods) if rates else None
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)
 
 
-def _kraus_rates(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
-    """sum_l ||K_l rho_0 dK_l†||_1 from K rho_0 and conj(dK), shape (n_times,).
+def _kraus_rates(prods: np.ndarray) -> np.ndarray:
+    """sum_l ||K_l rho_0 dK_l†||_1 from the per-operator products, shape
+    (n_times,).
 
     The trace norms come from `linalg.trace_norms`, which splits each
     product into the blocks of its own sparsity pattern. For the built-in
@@ -496,5 +582,4 @@ def _kraus_rates(KR: np.ndarray, dKc: np.ndarray) -> np.ndarray:
     product with the GHZ probe splits into blocks of at most 2x1), so no
     built-in sweep runs an SVD for its rates; a family whose products are
     dense and at least 3x3 gets the LAPACK singular-value sums as before."""
-    prods = np.einsum("tlik,tlmk->tlim", KR, dKc)
     return linalg.trace_norms(prods).sum(axis=1)

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from azqsl import dynamics as dyn
 from azqsl import linalg
@@ -453,11 +456,97 @@ def bit_flip_family() -> dyn.KrausFamily:
     return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=lambda t: ops, dops_fn=lambda t: zeros)
 
 
+class TableFamily(dyn.KrausFamily):
+    """A family given by its (K, dK) stacks on one time grid; it exists at
+    those times only."""
+
+    def __init__(self, times, K, dK):
+        super().__init__(dim=K.shape[-1], n_ops=K.shape[1], ops_fn=None)
+        self.times, self.K, self.dK = times, K, dK
+
+    def __repr__(self):
+        return f"TableFamily(dim={self.dim}, n_ops={self.n_ops}, n_times={len(self.times)})"
+
+    def _rows(self, times):
+        rows = np.searchsorted(self.times, np.asarray(times, dtype=float))
+        assert np.array_equal(self.times[rows], times)
+        return rows
+
+    def op_stacks(self, times):
+        return self.K[self._rows(times)]
+
+    def stacks(self, times, fd_step=None):
+        rows = self._rows(times)
+        return self.K[rows], self.dK[rows]
+
+
+def monomial_stack(amps, perms):
+    """Operator l sends column j to row perms[l][j] with amplitude
+    amps[:, l, j]; a column whose amplitude is zero at every sample leaves
+    its row empty."""
+    n_times, n_ops, dim = amps.shape
+    K = np.zeros((n_times, n_ops, dim, dim), dtype=complex)
+    for l in range(n_ops):
+        K[:, l, perms[l], np.arange(dim)] = amps[:, l]
+    return K
+
+
+def random_amplitudes(rng, n_times, n_ops, dim, p_zero, unit_columns):
+    """Complex amplitudes with some columns dropped for good and exact zeros
+    at random samples. With `unit_columns`, every column has unit norm over
+    the operators at every sample, which makes a monomial stack complete;
+    one operator per column is never zeroed, so the norm is never 0."""
+    amps = rng.normal(size=(n_times, n_ops, dim)) + 1j * rng.normal(size=(n_times, n_ops, dim))
+    keeper = (rng.integers(n_ops, size=dim), np.arange(dim))
+    dropped = rng.random((n_ops, dim)) < 0.3
+    dropped[keeper] = False
+    zeros = rng.random((n_times, n_ops, dim)) < p_zero
+    zeros[:, keeper[0], keeper[1]] = False
+    amps[zeros | dropped] = 0.0
+    if unit_columns:
+        amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1, keepdims=True))
+    return amps
+
+
+@st.composite
+def monomial_cases(draw):
+    dim = draw(st.integers(1, 4))
+    n_ops = draw(st.integers(1, 4))
+    n_steps = draw(st.sampled_from([3, 5, 9, 21]))
+    p_zero = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    tau = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.linspace(0.0, tau, n_steps)
+    K = monomial_stack(
+        random_amplitudes(rng, n_steps, n_ops, dim, p_zero, unit_columns=True),
+        [rng.permutation(dim) for _ in range(n_ops)],
+    )
+    dK = monomial_stack(
+        random_amplitudes(rng, n_steps, n_ops, dim, p_zero, unit_columns=False),
+        [rng.permutation(dim) for _ in range(n_ops)],
+    )
+    if draw(st.booleans()):
+        rho0 = random_density(rng, dim)
+    else:  # a diagonal probe puts exact zeros into the products
+        weights = rng.uniform(0.1, 1.0, size=dim)
+        rho0 = DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+    return TableFamily(times, K, dK), rho0, tau, n_steps
+
+
+def no_call(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
 class TestContractions:
-    # K rho_0 is formed once per stack and contracted with a second stack
-    # in a two-operand einsum; for operators with one nonzero per row and
-    # column that is the same arithmetic as the three-operand oracle. The
-    # 7e-8 horizons put eleven depolarizing samples below the clamping floor.
+    # Operators with at most one nonzero per row and column over all
+    # samples are gathered into values and columns, and each entry of a
+    # product is the oracle's single triple product, summed over operators
+    # in operator order: the same bits. Other families take two-operand
+    # einsums that keep the operator sum inside them. The 7e-8 horizons put
+    # eleven depolarizing samples below the clamping floor.
     MONOMIAL = {
         "depolarizing": (BUILT_IN_FAMILIES["depolarizing"], (7.0, 7e-8)),
         "amplitude_damping": (BUILT_IN_FAMILIES["amplitude_damping"], (17.0, 7e-8)),
@@ -480,6 +569,27 @@ class TestContractions:
             assert np.array_equal(traj.kmins, want[2])
             assert np.array_equal(traj.rates, want[3].sum(axis=1))
 
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(monomial_cases())
+    def test_random_monomial_families_equal_oracle(self, case):
+        fam, rho0, tau, n_steps = case
+        with mock.patch.object(np, "einsum", no_call("einsum")):
+            traj = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=True)
+        want = oracle_contractions(*oracle_pair(fam, traj.times), rho0)
+        assert np.array_equal(traj.states, want[0])
+        assert np.array_equal(traj.speeds, want[1])
+        assert np.array_equal(traj.kmins, want[2])
+        assert np.array_equal(traj.rates, want[3].sum(axis=1))
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_monomial_families_skip_einsum(self, name, monkeypatch):
+        (fam, rho0), horizons = self.MONOMIAL[name]
+        monkeypatch.setattr(np, "einsum", no_call("einsum"))
+        for tau in horizons:
+            dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
+            dyn.apply_channel(fam, rho0, tau)
+
     @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
     def test_built_in_rates_take_closed_forms(self, name, monkeypatch):
         # every block of a built-in product has at most two rows or columns
@@ -498,12 +608,10 @@ class TestContractions:
         assert np.array_equal(K, K_want)
         assert np.array_equal(dK, dK_want)
 
-    @pytest.mark.parametrize("dim,n_ops", [(2, 3), (3, 2), (4, 4)])
-    def test_dense_family_matches_oracle(self, dim, n_ops):
-        rng = np.random.default_rng(dim * 10 + n_ops)
-        fam = stinespring_family(rng, dim, n_ops)
-        rho0 = random_density(rng, dim)
-        traj = dyn.evolve_kraus(fam, rho0, 2.0, 1001, rates=True)
+    @staticmethod
+    def assert_dense_matches_oracle(fam, rho0, tau, monkeypatch):
+        monkeypatch.setattr(dyn, "_gathered_products", no_call("_gathered_products"))
+        traj = dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
         states, speeds, kmins, want_terms = oracle_contractions(
             *oracle_pair(fam, traj.times), rho0
         )
@@ -511,6 +619,28 @@ class TestContractions:
         assert np.max(np.abs(traj.kmins - kmins)) <= 1e-13
         assert np.max(np.abs(traj.speeds - speeds) / speeds) <= 1e-12
         assert np.max(np.abs(traj.rates / want_terms.sum(axis=1) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n_ops", [(2, 3), (3, 2), (4, 4)])
+    def test_dense_family_matches_oracle(self, dim, n_ops, monkeypatch):
+        rng = np.random.default_rng(dim * 10 + n_ops)
+        fam = stinespring_family(rng, dim, n_ops)
+        self.assert_dense_matches_oracle(fam, random_density(rng, dim), 2.0, monkeypatch)
+
+    def test_switching_permutation_takes_einsum(self, monkeypatch):
+        # monomial at every sample, but the permutations change halfway, so
+        # the union over samples has two nonzeros in a row
+        rng = np.random.default_rng(11)
+        times = np.linspace(0.0, 2.0, 1001)
+        halves = [np.arange(3)] * 2, [np.array([1, 2, 0]), np.array([2, 1, 0])]
+        split = len(times) // 2
+        K = np.concatenate([
+            monomial_stack(random_amplitudes(rng, n, 2, 3, 0.0, unit_columns=True), perms)
+            for n, perms in zip((split, len(times) - split), halves)
+        ])
+        dK = monomial_stack(random_amplitudes(rng, len(times), 2, 3, 0.0, unit_columns=False),
+                            [np.arange(3), np.array([2, 0, 1])])
+        fam = TableFamily(times, K, dK)
+        self.assert_dense_matches_oracle(fam, random_density(rng, 3), 2.0, monkeypatch)
 
     def test_not_trace_preserving_raises(self):
         rng = np.random.default_rng(7)

@@ -8,6 +8,7 @@ as for any invalid probe) instead of a traceback.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from azqsl import cli
 from azqsl import dynamics as dyn
 from azqsl.entropy import EntropyParams
 from azqsl.errors import CompletenessViolationError, InvalidParamsError, InvalidStateError
+from azqsl.qsl import qsl_nonunitary
 from azqsl.states import (
     BlochVector,
     DensityMatrix,
@@ -32,6 +34,18 @@ def nan_family() -> dyn.KrausFamily:
     return dyn.KrausFamily(dim=2, n_ops=1, ops_fn=lambda t: ops, dops_fn=lambda t: ops)
 
 
+def depolarizing() -> dyn.KrausFamily:
+    return dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+
+
+def z_field() -> dyn.HamiltonianModel:
+    return dyn.HamiltonianModel.qubit([0.0, 0.0, 1.0])
+
+
+def probe() -> DensityMatrix:
+    return bloch_state(BlochVector(0.5, 0.3, 0.2))
+
+
 LIBRARY_CASES = {
     "density_matrix_nan": (lambda: DensityMatrix(np.full((2, 2), NAN)), InvalidStateError),
     "density_matrix_inf": (lambda: DensityMatrix(np.diag([INF, 1.0])), InvalidStateError),
@@ -46,6 +60,24 @@ LIBRARY_CASES = {
     "entropy_z_nan": (lambda: EntropyParams(0.5, NAN), InvalidParamsError),
     "state_text_token": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nx 0\n"), InvalidStateError),
     "state_text_nan": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nnan 0\n"), InvalidStateError),
+    "hamiltonian_matrix_nan": (
+        lambda: dyn.HamiltonianModel(np.diag([NAN, 1.0])), InvalidParamsError
+    ),
+    "hamiltonian_matrix_inf": (
+        lambda: dyn.HamiltonianModel(np.diag([INF, 1.0])), InvalidParamsError
+    ),
+    "hamiltonian_qubit_nan": (lambda: dyn.HamiltonianModel.qubit([NAN, 0, 1]), InvalidParamsError),
+    "hamiltonian_qubit_inf": (lambda: dyn.HamiltonianModel.qubit([INF, 0, 1]), InvalidParamsError),
+    **{
+        f"{name}_horizon_{label}": (partial(run, tau), InvalidParamsError)
+        for name, run in (
+            ("evolve_kraus", lambda tau: dyn.evolve_kraus(depolarizing(), probe(), tau, 11)),
+            ("evolve_unitary", lambda tau: dyn.evolve_unitary(z_field(), probe(), tau, 11)),
+            ("qsl_nonunitary",
+             lambda tau: qsl_nonunitary(depolarizing(), probe(), tau, EntropyParams(0.5, 1.0), 11)),
+        )
+        for label, tau in (("nan", NAN), ("inf", INF))
+    },
     "kraus_family_nan": (
         lambda: dyn.evolve_kraus(nan_family(), bloch_state(BlochVector(0.5)), 1.0, 11),
         CompletenessViolationError,
