@@ -348,16 +348,13 @@ class Trajectory:
         return self.state(-1)
 
 
-def _batch_hermitian_trace_norm(stack: np.ndarray) -> np.ndarray:
-    """||X||_1 for a stack of Hermitian matrices via eigenvalues."""
-    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
-
-
 def _batch_kmin(stack: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(stack)
+    """Smallest eigenvalue of each sample, clamped at zero; one below
+    -1e-10 raises InvalidStateError."""
+    vals = linalg.min_eigenvalues(stack)
     if float(vals.min()) < -1e-10:
         raise InvalidStateError(f"sample eigenvalue {vals.min():.3e} below -1e-10")
-    return np.maximum(vals[..., 0], 0.0)
+    return np.maximum(vals, 0.0)
 
 
 def _time_grid(tau: float, n_steps: int) -> np.ndarray:
@@ -387,7 +384,7 @@ def evolve_unitary(
     comm = h.mat[None] @ states - states @ h.mat[None]
     dstates = -1j * comm
     dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
-    speeds = _batch_hermitian_trace_norm(dstates)
+    speeds = linalg.trace_norms(dstates)
     kmins = _batch_kmin(states)
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
 
@@ -413,7 +410,24 @@ def _check_completeness(K: np.ndarray) -> None:
     n_times, n_ops, dim, _ = K.shape
     X = K.reshape(n_times, n_ops * dim, dim)
     gram = np.swapaxes(X, 1, 2).conj() @ X
-    dev = float(np.max(np.abs(gram - np.eye(dim)), initial=0.0))
+    _require_identity(gram - np.eye(dim))
+
+
+def _check_gathered_completeness(G, rows) -> None:
+    """`_check_completeness` for the samples `rows` of a gathered stack.
+    With one nonzero per operator row and column, sum_l K_l†K_l is
+    diagonal, and its entry c is the sum of |x|^2 over the operator rows
+    whose nonzero sits in column c."""
+    x, cols = G
+    x = x[..., rows]
+    diagonal = np.zeros((cols.shape[1], x.shape[-1]))
+    for l, i in zip(*np.nonzero(cols >= 0)):
+        diagonal[cols[l, i]] += x[l, i].real ** 2 + x[l, i].imag ** 2
+    _require_identity(diagonal - 1.0)
+
+
+def _require_identity(deviation: np.ndarray) -> None:
+    dev = float(np.max(np.abs(deviation), initial=0.0))
     if not dev <= COMPLETENESS_TOL:
         raise CompletenessViolationError(
             f"sum K†K deviates from identity by {dev:.3e}"
@@ -502,7 +516,7 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
 def _schatten_speeds(half: np.ndarray) -> np.ndarray:
     """||drho/dt||_1 from half = sum_l dK_l rho_0 K_l†, where drho/dt is
     half plus its adjoint."""
-    return _batch_hermitian_trace_norm(half + np.conj(np.swapaxes(half, 1, 2)))
+    return linalg.trace_norms(half + np.conj(np.swapaxes(half, 1, 2)))
 
 
 def _channel_states(K: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
@@ -537,16 +551,21 @@ def evolve_kraus(
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
     K_exact, K, dK = fam._exact_and_pair(times, fd_step=1e-5 * tau)
-    _check_completeness(K_exact)
     # a family that does not regularize its pair returns the exact stack as K
     regularized = (np.zeros(len(times), bool) if K is K_exact
                    else np.any(K != K_exact, axis=(1, 2, 3)))
-    if rates:
-        _check_completeness(K[regularized])
+    G = _gather(K)
+    if G is None:
+        _check_completeness(K_exact)
+        if rates:
+            _check_completeness(K[regularized])
+    else:
+        # the pair's K is the exact stack outside the regularized rows
+        _check_gathered_completeness(G, slice(None) if rates else ~regularized)
+        _check_completeness(K_exact[regularized])
     if not np.all(np.isfinite(dK)):
         raise InvalidStateError("non-finite Kraus derivative along trajectory")
     K_exact = K_exact[regularized]
-    G = _gather(K)
     dG = None if G is None else _gather(dK)
     if dG is not None:
         del K, dK

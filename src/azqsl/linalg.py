@@ -165,7 +165,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 # A sparsity pattern is coded as one int64 with a bit per entry; matrices
-# with more entries go to the SVD whole.
+# with more entries go to LAPACK whole.
 _PATTERN_ENTRIES = 62
 
 
@@ -192,14 +192,20 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     if r * c > _PATTERN_ENTRIES:
         return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
     flat = stack.reshape(-1, r * c)
-    codes = (flat != 0) @ (1 << np.arange(r * c, dtype=np.int64))
-    uniq, inverse = np.unique(codes, return_inverse=True)
     norms = np.zeros(len(flat))
-    for u, code in enumerate(uniq):
-        members = np.flatnonzero(inverse == u)
-        for entries in _pattern_blocks(int(code), r, c):
+    for members, blocks in _pattern_groups(flat != 0, r, c):
+        for entries in blocks:
             norms[members] += _block_norms(flat[members[:, None, None], entries])
     return norms.reshape(lead)
+
+
+def _pattern_groups(pattern: np.ndarray, r: int, c: int):
+    """For each distinct r x c pattern of an (n, r * c) boolean stack, the
+    indices of the matrices that have it and its `_pattern_blocks`."""
+    codes = pattern @ (1 << np.arange(r * c, dtype=np.int64))
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    for u, code in enumerate(uniq):
+        yield np.flatnonzero(inverse == u), _pattern_blocks(int(code), r, c)
 
 
 @lru_cache(maxsize=256)
@@ -243,6 +249,63 @@ def _block_norms(block: np.ndarray) -> np.ndarray:
         m = top[:, i, None] * bottom[:, i + 1:] - top[:, i + 1:] * bottom[:, i, None]
         minors += (m.real * m.real + m.imag * m.imag).sum(axis=-1)
     return scale * np.sqrt(frobenius + 2.0 * np.sqrt(minors))
+
+
+def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every Hermitian matrix of a (..., n, n)
+    stack, shape (...).
+
+    As in `eigvalsh`, only the lower triangle and the real part of the
+    diagonal are read. Rows joined by a nonzero entry of the lower triangle
+    form a diagonal block, and the spectrum of the matrix is the union of
+    its blocks' spectra plus a zero for each row that lies in no block
+    (an all-zero row). As in `trace_norms`, the blocks come from each
+    matrix's own pattern, so a stack row equals the one-matrix call bit for
+    bit. A 1x1 block is its diagonal entry. A 2x2 block, scaled by its
+    largest |entry|, has diagonal a, d, lower entry b, mean m = (a + d)/2
+    and radius r = sqrt(((a - d)/2)^2 + |b|^2); its smaller eigenvalue is
+    (ad - |b|^2)/(m + r) when m > 0, which divides the determinant by the
+    larger eigenvalue without cancellation, and m - r otherwise. Blocks of
+    at least 3x3, and matrices of more than 62 entries, take the smallest
+    LAPACK `eigvalsh` eigenvalue.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    *lead, n, _ = stack.shape
+    if n * n > _PATTERN_ENTRIES:
+        return np.linalg.eigvalsh(stack)[..., 0]
+    flat = stack.reshape(-1, n * n)
+    lower = np.tril(stack.reshape(-1, n, n) != 0)
+    pattern = lower | np.swapaxes(lower, 1, 2)
+    diagonal = np.arange(n)
+    # every row with a nonzero joins its own column, so blocks are square
+    pattern[:, diagonal, diagonal] = pattern.any(axis=2)
+    mins = np.empty(len(flat))
+    for members, blocks in _pattern_groups(pattern.reshape(-1, n * n), n, n):
+        low = np.full(len(members), 0.0 if sum(map(len, blocks)) < n else np.inf)
+        for entries in blocks:
+            low = np.minimum(low, _block_min_eigenvalues(flat[members[:, None, None], entries]))
+        mins[members] = low
+    return mins.reshape(lead)
+
+
+def _block_min_eigenvalues(block: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalues of an (n, p, p) stack of Hermitian blocks."""
+    p = block.shape[-1]
+    if p == 1:
+        return block[:, 0, 0].real
+    if p > 2:
+        return np.linalg.eigvalsh(block)[:, 0]
+    a, d, b = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.abs(b))
+    a, d, br, bi = a / scale, d / scale, b.real / scale, b.imag / scale
+    mean = (a + d) / 2.0
+    half_gap = (a - d) / 2.0
+    off = br * br + bi * bi
+    radius = np.sqrt(half_gap * half_gap + off)
+    low = mean - radius
+    pos = mean > 0.0
+    low[pos] = (a[pos] * d[pos] - off[pos]) / (mean[pos] + radius[pos])
+    return scale * low
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,15 @@ class TestFigurePresets:
 
         with pytest.raises(ConfigError):
             cli.figure_panels("fig9")
+
+    def test_fig3_fig5_fig6_are_aliases(self):
+        # fig3 and fig5 add the errors columns to fig2 and fig4; fig6 is fig5
+        def with_errors(name):
+            return [replace(c, outputs=c.outputs + ("errors",)) for c in cli.figure_panels(name)]
+
+        assert cli.figure_panels("fig3") == with_errors("fig2")
+        assert cli.figure_panels("fig5") == with_errors("fig4")
+        assert cli.figure_panels("fig5") == cli.figure_panels("fig6")
 
     def test_normalized_columns_per_panel(self, tmp_path):
         cfg = cli.SweepConfig(

@@ -413,14 +413,15 @@ class TestOneSampleContract:
 def oracle_contractions(K_exact, K, dK, rho0):
     """The trajectory layer as three-operand einsums: states, Schatten
     speeds, k_min and per-operator rate terms from the given stacks. The
-    rate terms take the library's trace-norm kernel, which tests/test_linalg.py
-    pins against the SVD; this oracle pins the contractions."""
+    speeds, k_min and rate terms take the library's spectral kernels, which
+    tests/test_linalg.py pins against eigvalsh, mpmath and the SVD; this
+    oracle pins the contractions."""
     states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
     states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
     half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
     dstates = half + np.conj(np.swapaxes(half, 1, 2))
-    speeds = np.abs(np.linalg.eigvalsh(dstates)).sum(axis=-1)
-    kmins = np.maximum(np.linalg.eigvalsh(states)[:, 0], 0.0)
+    speeds = linalg.trace_norms(dstates)
+    kmins = np.maximum(linalg.min_eigenvalues(states), 0.0)
     prods = np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())
     terms = linalg.trace_norms(prods)
     return states, speeds, kmins, terms
@@ -600,6 +601,36 @@ class TestContractions:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert dyn.evolve_kraus(fam, rho0, 17.0, 1001, rates=True).rates[-1] > 0.0
 
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+    def test_built_in_spectra_take_closed_forms(self, name, monkeypatch):
+        # every block of a built-in state or speed matrix is at most 2x2
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_call("eigvalsh"))
+        monkeypatch.setattr(np.linalg, "svd", no_call("svd"))
+        assert dyn.evolve_kraus(fam, rho0, 17.0, 1001, rates=True).kmins[-1] > 0.0
+        h = dyn.HamiltonianModel.qubit([1.0, 0.0, 0.5])
+        probe = bloch_state(BlochVector(0.75, 1.0, 0.3))
+        assert dyn.evolve_unitary(h, probe, 20.0, 1001).speeds[-1] > 0.0
+
+    @pytest.mark.parametrize("name", sorted(MONOMIAL))
+    def test_monomial_families_form_no_gram_product(self, name, monkeypatch):
+        # completeness comes from the gathered values; only the exact-time
+        # operators at regularized (clamped depolarizing) samples take the
+        # dense Gram product
+        (fam, rho0), horizons = self.MONOMIAL[name]
+        checked = []
+        monkeypatch.setattr(dyn, "_check_completeness", checked.append)
+        for tau in horizons:
+            times = np.linspace(0.0, tau, 1001)
+            dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
+            (K,) = checked
+            if isinstance(fam, dyn.DepolarizingFamily):
+                clamped = times < dyn.DEPOLARIZING_T_FLOOR / fam.params.gamma
+                assert np.array_equal(K, fam.op_stacks(times[clamped]))
+            else:
+                assert len(K) == 0
+            checked.clear()
+
     def test_amplitude_damping_kronecker_stacks(self):
         fam, _ = BUILT_IN_FAMILIES["amplitude_damping"]
         times = np.linspace(0.0, 17.0, 1001)
@@ -669,3 +700,40 @@ class TestContractions:
         dyn.evolve_kraus(fam, rho0, 1.0, 101)
         with pytest.raises(CompletenessViolationError):
             qsl_nonunitary(fam, rho0, 1.0, EntropyParams(0.5, 1.0), 101)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    def test_regularized_exact_rows_take_the_dense_check(self, rates):
+        # the exact-time operators below the clamping floor break
+        # completeness by 1e-7; the pair, sampled at the floor, does not
+        class BadBelowFloor(dyn.DepolarizingFamily):
+            def op_stacks(self, times):
+                K = super().op_stacks(times)
+                K[np.asarray(times) < dyn.DEPOLARIZING_T_FLOOR / self.params.gamma] *= 1 + 1e-7
+                return K
+
+        fam = BadBelowFloor(dyn.DepolarizingParams(1.0))
+        with pytest.raises(CompletenessViolationError):
+            dyn.evolve_kraus(fam, bloch_state(BlochVector(0.5)), 7e-8, 1001, rates=rates)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("factor,complete", [(1 + 1e-7, False), (1 + 1e-10, True)])
+    def test_gathered_completeness(self, factor, complete, rates, monkeypatch):
+        # the bit-flip operators on a table, one operator scaled at one
+        # sample: sum K†K moves by 0.7 (factor^2 - 1), against the 1e-8 gate
+        times = np.linspace(0.0, 1.0, 21)
+        p = 0.3
+        ops = np.array([math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * linalg.SIGMA_X])
+        K = np.repeat(ops[None].astype(complex), len(times), axis=0)
+        K[13, 0] *= factor
+        fam = TableFamily(times, K, np.zeros_like(K))
+
+        def no_rows(K):  # a table is not regularized: no dense check runs
+            assert len(K) == 0
+
+        monkeypatch.setattr(dyn, "_check_completeness", no_rows)
+        rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+        if complete:
+            dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)
+        else:
+            with pytest.raises(CompletenessViolationError):
+                dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)

@@ -16,8 +16,13 @@ Regenerate the goldens, only for a change that moves the outputs on purpose,
 from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With `--diff` the script writes nothing and prints, per CSV golden and
+column, the largest relative move of a cell and the number of cells that
+moved, and the number of lines of `points.txt` that differ.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -75,6 +80,27 @@ def cell_mismatches(got_text: str, want_text: str) -> list[str]:
             if not same:
                 bad.append(f"line {line} {col}: {g!r} != golden {w!r}")
     return bad
+
+
+def column_moves(got_text: str, want_text: str) -> dict[str, tuple[float, int]]:
+    """Per column, the largest relative move of a cell and the number of
+    cells that moved; a changed text cell counts as an infinite move. The
+    two texts must have the same header and row count."""
+    got = list(csv.reader(io.StringIO(got_text)))
+    want = list(csv.reader(io.StringIO(want_text)))
+    moves = {col: (0.0, 0) for col in want[0]}
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for col, g, w in zip(want[0], g_row, w_row):
+            if g == w:
+                continue
+            g_num, w_num = _as_number(g), _as_number(w)
+            if col == "warnings" or g_num is None or w_num is None:
+                rel = math.inf
+            else:
+                rel = abs(g_num - w_num) / abs(w_num) if w_num else math.inf
+            largest, count = moves[col]
+            moves[col] = (max(largest, rel), count + 1)
+    return moves
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -141,11 +167,36 @@ def test_comparison_catches_a_moved_cell():
     assert len(cell_mismatches("\n".join(lines), text)) == 1
 
 
-if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def print_diff() -> None:
     for case in CASES:
-        (GOLDEN_DIR / case).write_text(render(case), newline="\n")
-        print(f"wrote {GOLDEN_DIR / case}")
+        want = (GOLDEN_DIR / case).read_text()
+        got = render(case)
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        if got_lines[0] != want_lines[0] or len(got_lines) != len(want_lines):
+            print(f"{case}: the header or the row count differs")
+            continue
+        moves = {col: m for col, m in column_moves(got, want).items() if m[1]}
+        print(f"{case}: {len(moves) or 'no'} columns moved")
+        for col, (largest, count) in moves.items():
+            print(f"  {col:<12} {count:>6} cells, largest relative move {largest:.2e}")
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN_DIR / "points.txt").write_text(render_points(Path(tmp)), newline="\n")
-    print(f"wrote {GOLDEN_DIR / 'points.txt'}")
+        got = render_points(Path(tmp)).split("\n")
+    want = (GOLDEN_DIR / "points.txt").read_text().split("\n")
+    moved = sum(g != w for g, w in zip(got, want)) + abs(len(got) - len(want))
+    print(f"points.txt: {moved} of {len(want)} lines differ")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate or compare the goldens.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the moves against the committed goldens; write nothing")
+    if parser.parse_args().diff:
+        print_diff()
+    else:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        for case in CASES:
+            (GOLDEN_DIR / case).write_text(render(case), newline="\n")
+            print(f"wrote {GOLDEN_DIR / case}")
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN_DIR / "points.txt").write_text(render_points(Path(tmp)), newline="\n")
+        print(f"wrote {GOLDEN_DIR / 'points.txt'}")

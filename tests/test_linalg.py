@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -12,7 +13,7 @@ from azqsl.errors import (
     NotPSDError,
     SingularMatrixError,
 )
-from helpers import random_hermitian
+from helpers import random_hermitian, random_unitary
 
 
 @pytest.fixture
@@ -242,6 +243,129 @@ class TestTraceNorms:
         assert np.array_equal(linalg.trace_norms(np.zeros((2, 3, 4, 2))), np.zeros((2, 3)))
         assert linalg.trace_norms(np.zeros((0, 2, 2))).shape == (0,)
         assert linalg.trace_norms(np.zeros((2, 2))) == 0.0
+
+
+def hermitian_block(rng, size, psd, ill_conditioned):
+    """A random Hermitian block; PSD ones may have k_min/k_max down to 1e-14."""
+    values = rng.uniform(0.1, 1.0, size)
+    if ill_conditioned:
+        values[0] = 10.0 ** rng.uniform(-14.0, -8.0)
+    if not psd:
+        values *= rng.choice([-1.0, 1.0], size)
+    u = random_unitary(rng, size)
+    block = (u * values) @ u.conj().T
+    return (block + block.conj().T) / 2
+
+
+def block_hermitian(rng, dim, psd):
+    """Rows split at random into empty rows and 1x1, 2x2 and 3x3 blocks,
+    each block Hermitian (PSD when `psd`), then a scale between 1e-200 and
+    1e200."""
+    m = np.zeros((dim, dim), dtype=complex)
+    rows = list(rng.permutation(dim))
+    while rows:
+        size = min(int(rng.integers(0, 4)), len(rows))
+        if size == 0:  # an empty row
+            rows.pop()
+            continue
+        block, rows = rows[:size], rows[size:]
+        ill = size == 2 and rng.random() < 0.5
+        m[np.ix_(block, block)] = hermitian_block(rng, size, psd, ill)
+    return m * 10.0 ** rng.uniform(-200.0, 200.0)
+
+
+@st.composite
+def hermitian_stacks(draw, psd):
+    dim = draw(st.integers(1, 5))
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([block_hermitian(rng, dim, psd) for _ in range(math.prod(lead))])
+    return stack.reshape(lead + (dim, dim))
+
+
+def mpmath_min_eigenvalue(m):
+    with mpmath.workdps(40):
+        a = mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row] for row in m])
+        return float(min(mpmath.eigh(a, eigvals_only=True)))
+
+
+class TestMinEigenvalues:
+    @seed(20261018)
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(hermitian_stacks(psd=True))
+    def test_agrees_with_mpmath_and_rows_with_one_matrix_calls(self, stack):
+        got = linalg.min_eigenvalues(stack)
+        assert got.shape == stack.shape[:-2]
+        for index in np.ndindex(stack.shape[:-2]):
+            m = stack[index]
+            scale = np.max(np.abs(m))
+            assert abs(got[index] - mpmath_min_eigenvalue(m)) <= 4 * np.finfo(float).eps * scale
+            assert linalg.min_eigenvalues(m) == got[index]
+            if np.count_nonzero(m - np.diag(np.diag(m))) == 0:
+                assert got[index] == np.min(np.diag(m).real)
+
+    @seed(20261019)
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.integers(3, 4), st.integers(0, 2**32 - 1))
+    def test_large_blocks_take_eigvalsh(self, p, draw):
+        rng = np.random.default_rng(draw)
+        dense = np.stack([hermitian_block(rng, p, True, False) for _ in range(5)])
+        dense *= 10.0 ** rng.uniform(-200.0, 200.0)
+        want = np.linalg.eigvalsh(dense)[:, 0]
+        assert np.array_equal(linalg.min_eigenvalues(dense), want)
+        # the same block inside an empty row, next to a larger 1x1 block
+        padded = np.zeros((5, 5, 5), dtype=complex)
+        padded[:, 1:p + 1, 1:p + 1] = dense
+        padded[:, 0, 0] = 2.0 * want
+        # at p = 3 row 4 is empty and contributes the eigenvalue 0
+        want_padded = np.zeros(5) if p == 3 else want
+        assert np.array_equal(linalg.min_eigenvalues(padded), want_padded)
+
+    def test_large_matrices_take_eigvalsh(self, rng):
+        stack = np.stack([block_hermitian(rng, 8, True) for _ in range(4)])
+        assert np.array_equal(linalg.min_eigenvalues(stack), np.linalg.eigvalsh(stack)[:, 0])
+
+    def test_closed_forms(self):
+        stack = np.zeros((5, 3, 3), dtype=complex)
+        stack[0] = np.diag([0.75, 0.25, 0.5])
+        stack[1, :2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+        stack[1, 2, 2] = 3.0
+        stack[2, :2, :2] = [[-1.0, 2.0j], [-2.0j, -1.0]]
+        stack[2, 2, 2] = 1.0
+        stack[3] = np.diag([0.75, 0.0, 0.5])
+        stack[4, 1:, 1:] = [[1.0, 1.0], [1.0, 1.0]]  # rank one
+        assert list(linalg.min_eigenvalues(stack)) == [0.25, 1.0, -3.0, 0.0, 0.0]
+
+    def test_small_eigenvalue_keeps_its_relative_accuracy(self, rng):
+        # a decayed coherence as on amplitude-damping trajectories: b ~ g,
+        # d ~ g^2, so det = ad - |b|^2 ~ g^2 does not cancel, and the
+        # smaller eigenvalue det / (larger eigenvalue) keeps a few ulps
+        # down to 1e-14, far below eps * max|entry|
+        for g in 10.0 ** rng.uniform(-7.0, -3.0, 50):
+            b = g * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.1, 0.3)
+            m = np.array([[rng.uniform(0.5, 1.0), np.conj(b)],
+                          [b, g * g * rng.uniform(0.5, 1.0)]])
+            want = mpmath_min_eigenvalue(m)
+            assert abs(linalg.min_eigenvalues(m) - want) <= 4 * np.finfo(float).eps * want
+
+    def test_reads_the_lower_triangle(self, rng):
+        stack = np.stack([block_hermitian(rng, 4, False) for _ in range(20)])
+        got = linalg.min_eigenvalues(stack)
+        assert np.array_equal(linalg.min_eigenvalues(np.tril(stack)), got)
+        assert np.array_equal(linalg.min_eigenvalues(stack + 1j * np.eye(4)), got)
+
+    def test_empty_stack(self):
+        assert linalg.min_eigenvalues(np.zeros((0, 2, 2))).shape == (0,)
+        assert linalg.min_eigenvalues(np.zeros((2, 2))) == 0.0
+
+
+class TestHermitianTraceNorms:
+    @seed(20261020)
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(hermitian_stacks(psd=False))
+    def test_agrees_with_eigenvalue_sums(self, stack):
+        want = np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+        assert np.all(np.abs(linalg.trace_norms(stack) - want) <= 1e-13 * want)
 
 
 class TestKron:
