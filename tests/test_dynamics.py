@@ -414,8 +414,8 @@ def oracle_contractions(K_exact, K, dK, rho0):
     """The trajectory layer as three-operand einsums: states, Schatten
     speeds, k_min and per-operator rate terms from the given stacks. The
     speeds, k_min and rate terms take the library's spectral kernels, which
-    tests/test_linalg.py pins against eigvalsh, mpmath and the SVD; this
-    oracle pins the contractions."""
+    tests/test_linalg.py pins against eigvalsh, a 40-digit decimal
+    reference and the SVD; this oracle pins the contractions."""
     states = np.einsum("tlij,jk,tlmk->tim", K_exact, rho0.mat, K_exact.conj())
     states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
     half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())
