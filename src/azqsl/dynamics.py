@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,18 +116,43 @@ def decoherence_gamma_dt(t, lam: float, s: float):
     return -(lam * s / q) * damp * np.sin(x * q)
 
 
+class _Gathered(NamedTuple):
+    """A monomial operator stack, with at most one nonzero per operator row
+    and column over all samples: the value of each row's nonzero, shape
+    (n_ops, dim, n_times), and its column, shape (n_ops, dim), -1 for a row
+    that holds no entry (its values are zero)."""
+
+    values: np.ndarray
+    columns: np.ndarray
+
+
+class _Pair(NamedTuple):
+    """What a trajectory reads from a family: the (K, dK) pair, as dense
+    stacks or gathered; the samples at which the pair is regularized
+    (sampled away from the exact time), which only a gathered pair has; and
+    the exact-time operators at those samples, gathered, None when there
+    are none."""
+
+    K: np.ndarray | _Gathered
+    dK: np.ndarray | _Gathered
+    regularized: np.ndarray
+    exact: _Gathered | None
+
+
 class KrausFamily:
     """Time-dependent Kraus family {K_l(t)} with derivatives {dK_l/dt}.
 
-    The library reads a family only through its batched stacks: `op_stacks`
-    for the operators at the exact sampled times and `stacks` for the
-    consistent (K, dK) pair that derivative products use. A user family
-    gives per-time functions `ops_fn(t)` and optionally `dops_fn(t)`, each
-    returning n_ops (dim, dim) matrices; without `dops_fn` the derivatives
-    are central finite differences of `op_stacks` with step 1e-5 * tau
-    (forward below t = step). Built-in channels override the stacks with
-    their closed forms. Every call returns new arrays, which trajectories
-    overwrite.
+    A user family is read through its batched dense stacks: `op_stacks` for
+    the operators at the exact sampled times and `stacks` for the
+    consistent (K, dK) pair that derivative products use. It gives per-time
+    functions `ops_fn(t)` and optionally `dops_fn(t)`, each returning n_ops
+    (dim, dim) matrices; without `dops_fn` the derivatives are central
+    finite differences of `op_stacks` with step 1e-5 * tau (forward below
+    t = step). Trajectories gather these stacks when their operators are
+    monomial. The built-in channels instead hand trajectories and
+    `apply_channel` their stacks already gathered from their closed forms,
+    and their dense `op_stacks` and `stacks` scatter those values. Every
+    call returns new arrays, which trajectories overwrite.
     """
 
     def __init__(
@@ -158,8 +183,8 @@ class KrausFamily:
         """Consistent (K, dK) pair for derivative products.
 
         Products like K rho dK† may have finite limits where each factor is
-        separately singular or vanishing; channels with such points override
-        this to sample both factors at the same regularized time."""
+        separately singular or vanishing; channels with such points sample
+        both factors at the same regularized time."""
         times = np.asarray(times, dtype=float)
         K = self.op_stacks(times)
         if self._dops_fn is not None:
@@ -174,15 +199,40 @@ class KrausFamily:
         width = np.where(forward, fd_step, 2.0 * fd_step)
         return K, (hi - lo) / width[:, None, None, None]
 
-    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
-        """(K at the exact times, K, dK): the state operators and the
-        derivative pair. The pair's K is sampled at the exact times, so it
-        serves as both; a family that regularizes its pair overrides this."""
+    def _exact_ops(self, times: np.ndarray) -> np.ndarray | _Gathered:
+        """The exact-time operators that `apply_channel` reads."""
+        return self.op_stacks(times)
+
+    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None) -> _Pair:
+        """The pair that `evolve_kraus` reads. The dense pair of `stacks`
+        is sampled at the exact times, so no sample is regularized."""
         K, dK = self.stacks(times, fd_step=fd_step)
-        return K, K, dK
+        return _Pair(K, dK, np.zeros(len(times), dtype=bool), None)
 
 
-class DepolarizingFamily(KrausFamily):
+class _ClosedFormFamily(KrausFamily):
+    """A built-in channel. Its `_exact_ops` and `_trajectory_pair` gather
+    the operators straight from their closed forms, and its dense stacks
+    are the scatter of those values."""
+
+    def op_stacks(self, times: np.ndarray) -> np.ndarray:
+        return _scatter(self._exact_ops(np.asarray(times, dtype=float)))
+
+    def stacks(self, times: np.ndarray, fd_step: float | None = None):
+        K, dK, _, _ = self._trajectory_pair(np.asarray(times, dtype=float), fd_step)
+        return _scatter(K), _scatter(dK)
+
+
+# I, sigma_x, sigma_y, sigma_z gathered: the column and the entry of each
+# row's single nonzero
+_DEPOLARIZING_BASIS = np.stack([np.eye(2, dtype=complex), *linalg.PAULIS])
+_DEPOLARIZING_COLUMNS = np.abs(_DEPOLARIZING_BASIS).argmax(axis=2)
+_DEPOLARIZING_ENTRIES = np.take_along_axis(
+    _DEPOLARIZING_BASIS, _DEPOLARIZING_COLUMNS[..., None], axis=2
+)[..., 0]
+
+
+class DepolarizingFamily(_ClosedFormFamily):
     """K_0 = (1/2) sqrt(1 + 3 e^(-G t)) I and K_j = (1/2) sqrt(1 - e^(-G t)) sigma_j.
 
     The per-operator derivative of K_{1,2,3} diverges like (1 - e^(-G t))^(-1/2)
@@ -193,49 +243,50 @@ class DepolarizingFamily(KrausFamily):
         self.params = params
         super().__init__(dim=2, n_ops=4, ops_fn=None)
 
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        e = np.exp(-self.params.gamma * t)
-        eye = np.eye(2, dtype=complex)
-        K = np.zeros((len(t), 4, 2, 2), dtype=complex)
-        K[:, 0] = 0.5 * np.sqrt(1.0 + 3.0 * e)[:, None, None] * eye
-        amp = 0.5 * np.sqrt(np.maximum(1.0 - e, 0.0))
-        for j, pauli in enumerate(linalg.PAULIS, start=1):
-            K[:, j] = amp[:, None, None] * pauli
-        return K
+    @staticmethod
+    def _scaled_basis(identity: np.ndarray, pauli: np.ndarray) -> _Gathered:
+        """c_0 I and c sigma_j for j = 1, 2, 3 from the coefficients c_0 and
+        c of each sample."""
+        coefs = np.stack([identity, pauli, pauli, pauli])
+        return _Gathered(coefs[:, None, :] * _DEPOLARIZING_ENTRIES[:, :, None],
+                         _DEPOLARIZING_COLUMNS)
 
-    def stacks(self, times: np.ndarray, fd_step: float | None = None):
-        return self._exact_and_pair(np.asarray(times, dtype=float), fd_step)[1:]
+    def _ops_at(self, e: np.ndarray) -> _Gathered:
+        """The operators where e^(-G t) is e."""
+        return self._scaled_basis(0.5 * np.sqrt(1.0 + 3.0 * e),
+                                  0.5 * np.sqrt(np.maximum(1.0 - e, 0.0)))
 
-    def _exact_and_pair(self, times: np.ndarray, fd_step: float | None):
+    def _exact_ops(self, times: np.ndarray) -> _Gathered:
+        return self._ops_at(np.exp(-self.params.gamma * times))
+
+    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None = None) -> _Pair:
         # K and dK must be sampled at the same clamped time: the products
         # K_j rho dK_j† have a finite t -> 0 limit only because the sqrt(t)
-        # zero of K_j cancels the 1/sqrt(t) pole of dK_j. op_stacks is
-        # elementwise in time, so the pair's K is the exact stack with only
-        # the clamped rows recomputed.
+        # zero of K_j cancels the 1/sqrt(t) pole of dK_j. The operators are
+        # elementwise in time, so the pair's K is the exact-time one outside
+        # the clamped samples.
         g = self.params.gamma
         tc = np.maximum(times, DEPOLARIZING_T_FLOOR / g)
-        K_exact = self.op_stacks(times)
-        K = K_exact.copy()
         clamped = tc != times
-        K[clamped] = self.op_stacks(tc[clamped])
         e = np.exp(-g * tc)
-        dK = np.zeros_like(K)
-        eye = np.eye(2, dtype=complex)
-        dK[:, 0] = (-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e))[:, None, None] * eye
-        damp = (g * e / 4.0) / np.sqrt(1.0 - e)
-        for j, pauli in enumerate(linalg.PAULIS, start=1):
-            dK[:, j] = damp[:, None, None] * pauli
-        return K_exact, K, dK
+        dK = self._scaled_basis(-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e),
+                                (g * e / 4.0) / np.sqrt(1.0 - e))
+        return _Pair(self._ops_at(e), dK, clamped, self._exact_ops(times[clamped]))
 
 
 # (a, i, j) for the support of the single-qubit S_1 = diag(1, gamma) and
-# S_2 = sqrt(1 - gamma^2) |0><1|, which also holds that of their derivatives
-_AD_SUPPORT = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
-_AD_KRON_ENTRIES = tuple(p + q for p in _AD_SUPPORT for q in _AD_SUPPORT)
+# S_2 = sqrt(1 - gamma^2) |0><1|, which also holds that of their derivatives.
+# Operator 2a + b is S_a ⊗ S_b, whose entry (2i + k, 2j + l) is
+# S_a[i, j] S_b[k, l]: per product of the support entries _AD_FIRST and
+# _AD_SECOND, its operator, row and column.
+_AD_SUPPORT = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 1)])
+_AD_FIRST, _AD_SECOND = np.divmod(np.arange(9), 3)
+_AD_OPS, _AD_ROWS, _AD_COLS = (2 * _AD_SUPPORT[_AD_FIRST] + _AD_SUPPORT[_AD_SECOND]).T
+_AD_COLUMNS = np.full((4, 4), -1)
+_AD_COLUMNS[_AD_OPS, _AD_ROWS] = _AD_COLS
 
 
-class AmplitudeDampingFamily(KrausFamily):
+class AmplitudeDampingFamily(_ClosedFormFamily):
     """Two-qubit product family K_j ⊗ K_l from the single-qubit pair
 
         K_1 = |0><0| + gamma_t |1><1|,   K_2 = sqrt(1 - gamma_t^2) |0><1|,
@@ -250,8 +301,8 @@ class AmplitudeDampingFamily(KrausFamily):
         super().__init__(dim=4, n_ops=4, ops_fn=None)
 
     def _pair_stacks(self, times: np.ndarray):
-        """(S, dS), shape (n_times, 2, 2, 2): the single-qubit K_1, K_2 and
-        their derivatives, stacked along axis 1."""
+        """(S, dS), shape (3, n_times): the entries of the single-qubit K_1,
+        K_2 on `_AD_SUPPORT` and their derivatives, as complex numbers."""
         lam, s = self.params.lam, self.params.s
         g = np.asarray(decoherence_gamma(times, lam, s), dtype=float)
         dg = np.asarray(decoherence_gamma_dt(times, lam, s), dtype=float)
@@ -259,30 +310,29 @@ class AmplitudeDampingFamily(KrausFamily):
         e2 = np.sqrt(one_m_g2)
         safe = np.where(one_m_g2 > _AD_SERIES_TOL, e2, 1.0)
         de2 = np.where(one_m_g2 > _AD_SERIES_TOL, -g * dg / safe, lam * np.sqrt(s / 2.0))
-        S = np.zeros((len(times), 2, 2, 2), dtype=complex)
-        S[:, 0, 0, 0] = 1.0
-        S[:, 0, 1, 1] = g
-        S[:, 1, 0, 1] = e2
+        S = np.zeros((3, len(times)), dtype=complex)
+        S[0] = 1.0
+        S[1] = g
+        S[2] = e2
         dS = np.zeros_like(S)
-        dS[:, 0, 1, 1] = dg
-        dS[:, 1, 0, 1] = de2
+        dS[1] = dg
+        dS[2] = de2
         return S, dS
 
-    def stacks(self, times: np.ndarray, fd_step: float | None = None):
-        times = np.asarray(times, dtype=float)
-        S, dS = self._pair_stacks(times)
-        K = np.zeros((len(times), 4, 4, 4), dtype=complex)
-        dK = np.zeros_like(K)
-        # operator 2a + b is S_a ⊗ S_b, whose entry (2i + k, 2j + l) is
-        # S_a[i, j] S_b[k, l]; only the entries on the supports are written
-        for a, i, j, b, k, l in _AD_KRON_ENTRIES:
-            slot = (slice(None), 2 * a + b, 2 * i + k, 2 * j + l)
-            K[slot] = S[:, a, i, j] * S[:, b, k, l]
-            dK[slot] = dS[:, a, i, j] * S[:, b, k, l] + S[:, a, i, j] * dS[:, b, k, l]
-        return K, dK
+    def _exact_ops(self, times: np.ndarray) -> _Gathered:
+        return self._trajectory_pair(times).K
 
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        return self.stacks(times)[0]
+    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None = None) -> _Pair:
+        S, dS = self._pair_stacks(times)
+        K = np.zeros((4, 4, len(times)), dtype=complex)
+        dK = np.zeros_like(K)
+        a, b = _AD_FIRST, _AD_SECOND
+        # complex factors keep the signed zeros of the dense Kronecker
+        # entries: the product of two negative reals has imaginary part -0
+        K[_AD_OPS, _AD_ROWS] = S[a] * S[b]
+        dK[_AD_OPS, _AD_ROWS] = dS[a] * S[b] + S[a] * dS[b]
+        return _Pair(_Gathered(K, _AD_COLUMNS), _Gathered(dK, _AD_COLUMNS),
+                     np.zeros(len(times), dtype=bool), None)
 
 
 def depolarizing_family(params: DepolarizingParams) -> DepolarizingFamily:
@@ -437,15 +487,20 @@ def _require_identity(deviation: np.ndarray) -> None:
 # Trajectories form the products X_l rho_0 Y_l† of two (n_times, n_ops,
 # dim, dim) stacks. When every operator of both stacks has at most one
 # nonzero per row and per column over all samples, as in the built-in
-# channels and the bit-flip file family, each stack is gathered once into
-# the values and columns of those nonzeros, and entry (i, m) of a product
-# is the single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded
-# as einsum rounds it (`_cmul`); sums over operators run in operator order
-# from a zero start. That is the arithmetic of the three-operand einsum, so
-# no bit moves, and only the entries that can be nonzero are computed, with
-# time as the contiguous axis. Dense families form X rho_0 once per stack
-# and contract it with conj(Y) in a two-operand einsum that keeps the
-# operator sum inside it; that grouping moves results by about 1e-16.
+# channels and the bit-flip file family, each stack is held gathered
+# (`_Gathered`) as the values and columns of those nonzeros: the built-in
+# channels hand out that form from their closed forms, and a dense stack is
+# gathered once by `_gather`. Entry (i, m) of a product is the single
+# triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded as einsum
+# rounds it (`_cmul`); sums over operators run in operator order from a
+# zero start. That is the arithmetic of the three-operand einsum, so no bit
+# moves, and only the entries that can be nonzero are computed, with time
+# as the contiguous axis. A row that is zero at every sample but has a
+# column gives signed zeros, which leave the operator sums and the trace
+# norms as a detected empty row leaves them. Dense families form X rho_0
+# once per stack and contract it with conj(Y) in a two-operand einsum that
+# keeps the operator sum inside it; that grouping moves results by about
+# 1e-16.
 
 
 def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
@@ -458,16 +513,32 @@ def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
     return np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1)
 
 
-def _gather(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(values, columns) of a monomial stack, or None for a dense one: the
-    value of each operator row's nonzero, shape (n_ops, dim, n_times), and
-    the columns of `_monomial_columns`. An empty row reads its last column,
-    which is zero at every sample."""
+def _gather(stack: np.ndarray) -> _Gathered | None:
+    """A dense stack gathered, or None when it is not monomial: the columns
+    are those of `_monomial_columns`, and an empty row reads its last
+    column, which is zero at every sample."""
     cols = _monomial_columns(stack)
     if cols is None:
         return None
     n_ops, dim = cols.shape
-    return np.moveaxis(stack, 0, -1)[np.arange(n_ops)[:, None], np.arange(dim), cols], cols
+    return _Gathered(
+        np.moveaxis(stack, 0, -1)[np.arange(n_ops)[:, None], np.arange(dim), cols], cols
+    )
+
+
+def _gathered(stack: np.ndarray | _Gathered) -> _Gathered | None:
+    """A gathered stack as it is, a dense one through `_gather`."""
+    return stack if isinstance(stack, _Gathered) else _gather(stack)
+
+
+def _scatter(G: _Gathered) -> np.ndarray:
+    """The dense (n_times, n_ops, dim, dim) stack of a gathered one."""
+    x, cols = G
+    n_ops, dim, n_times = x.shape
+    out = np.zeros((n_times, n_ops, dim, dim), dtype=complex)
+    l, i = np.nonzero(cols >= 0)
+    out[:, l, i, cols[l, i]] = x[l, i].T
+    return out
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -519,9 +590,10 @@ def _schatten_speeds(half: np.ndarray) -> np.ndarray:
     return linalg.trace_norms(half + np.conj(np.swapaxes(half, 1, 2)))
 
 
-def _channel_states(K: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
-    """sum_l K_l rho_0 K_l† for each sample of an operator stack."""
-    G = _gather(K)
+def _channel_states(K: np.ndarray | _Gathered, rho0: DensityMatrix) -> np.ndarray:
+    """sum_l K_l rho_0 K_l† for each sample of an operator stack, dense or
+    gathered."""
+    G = _gathered(K)
     if G is None:
         return _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
     return _hermitian(_gathered_products(G, G, rho0, summed=True))
@@ -531,7 +603,7 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    return DensityMatrix(_channel_states(fam.op_stacks(np.array([float(t)])), rho0)[0])
+    return DensityMatrix(_channel_states(fam._exact_ops(np.array([float(t)])), rho0)[0])
 
 
 def evolve_kraus(
@@ -542,31 +614,28 @@ def evolve_kraus(
     Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1 when `rates` is set.
 
     Derivative products use the channel's consistent (possibly regularized)
-    pair, built and validated once. Its K serves the states too; only the
-    rows where the pair's K differs from the exact-time operators (a
-    regularized sample) are rebuilt from the exact ones. A derivative stack
-    with a NaN or an infinity raises InvalidStateError before any product
-    is formed."""
+    pair, built and validated once. Its K serves the states too, except at
+    the samples where the family regularizes the pair; those states are
+    rebuilt from the exact-time operators. The built-in channels hand out
+    the pair gathered from their closed forms, so no dense stack is built,
+    scanned or compared; a user family's dense pair is gathered when its
+    operators are monomial. A derivative stack with a NaN or an infinity
+    raises InvalidStateError before any product is formed."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
-    K_exact, K, dK = fam._exact_and_pair(times, fd_step=1e-5 * tau)
-    # a family that does not regularize its pair returns the exact stack as K
-    regularized = (np.zeros(len(times), bool) if K is K_exact
-                   else np.any(K != K_exact, axis=(1, 2, 3)))
-    G = _gather(K)
+    K, dK, regularized, exact = fam._trajectory_pair(times, fd_step=1e-5 * tau)
+    G = _gathered(K)
     if G is None:
-        _check_completeness(K_exact)
-        if rates:
-            _check_completeness(K[regularized])
+        _check_completeness(K)
     else:
-        # the pair's K is the exact stack outside the regularized rows
+        # the pair's K is the exact-time stack outside the regularized rows
         _check_gathered_completeness(G, slice(None) if rates else ~regularized)
-        _check_completeness(K_exact[regularized])
-    if not np.all(np.isfinite(dK)):
+    if regularized.any():
+        _check_completeness(_scatter(exact))
+    if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
         raise InvalidStateError("non-finite Kraus derivative along trajectory")
-    K_exact = K_exact[regularized]
-    dG = None if G is None else _gather(dK)
+    dG = None if G is None else _gathered(dK)
     if dG is not None:
         del K, dK
         speeds = _schatten_speeds(_gathered_products(dG, G, rho0, summed=True))
@@ -583,8 +652,8 @@ def evolve_kraus(
         del Kc
         prods = (np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
                  if rates else None)
-    if len(K_exact):
-        states[regularized] = _channel_states(K_exact, rho0)
+    if regularized.any():
+        states[regularized] = _channel_states(exact, rho0)
     kmins = _batch_kmin(states)
     rate_sums = _kraus_rates(prods) if rates else None
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)

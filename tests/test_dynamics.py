@@ -428,12 +428,21 @@ def oracle_contractions(K_exact, K, dK, rho0):
 
 
 def oracle_pair(fam, times):
-    """(K at the exact times, K, dK) without the stack shortcuts: the
-    amplitude-damping products as one Kronecker einsum per slot, the
-    depolarizing pair's K sampled at the clamped times."""
+    """(K at the exact times, K, dK) as dense stacks. A built-in family's
+    are built without its gathered values: the amplitude-damping products
+    as one Kronecker einsum per slot of the single-qubit operators, the
+    depolarizing operators as a coefficient times a Pauli matrix, with the
+    pair sampled at the clamped times. Another family's are its `stacks`."""
+    times = np.asarray(times, dtype=float)
     if isinstance(fam, dyn.AmplitudeDampingFamily):
+        def single(entries):
+            # K_1 = diag(1, gamma) and K_2 = sqrt(1 - gamma^2) |0><1|
+            S = np.zeros((len(times), 2, 2, 2), dtype=complex)
+            S[:, 0, 0, 0], S[:, 0, 1, 1], S[:, 1, 0, 1] = entries
+            return S[:, 0], S[:, 1]
+
         S, dS = fam._pair_stacks(times)
-        singles = [(S[:, 0], dS[:, 0]), (S[:, 1], dS[:, 1])]
+        singles = list(zip(single(S), single(dS)))
 
         def kron(a, b):
             return np.einsum("tab,tcd->tacbd", a, b).reshape(len(times), 4, 4)
@@ -443,11 +452,84 @@ def oracle_pair(fam, times):
             [kron(da, b) + kron(a, db) for a, da in singles for b, db in singles], axis=1
         )
         return K, K, dK
-    K, dK = fam.stacks(times)
-    if isinstance(fam, dyn.DepolarizingFamily):
-        floor = dyn.DEPOLARIZING_T_FLOOR / fam.params.gamma
-        return fam.op_stacks(times), fam.op_stacks(np.maximum(times, floor)), dK
-    return K, K, dK
+    if not isinstance(fam, dyn.DepolarizingFamily):
+        K, dK = fam.stacks(times)
+        return K, K, dK
+    g = fam.params.gamma
+    eye = np.eye(2, dtype=complex)
+
+    def paulis(identity, pauli):
+        out = np.zeros((len(identity), 4, 2, 2), dtype=complex)
+        out[:, 0] = identity[:, None, None] * eye
+        for j, sigma in enumerate(linalg.PAULIS, start=1):
+            out[:, j] = pauli[:, None, None] * sigma
+        return out
+
+    def ops(t):
+        e = np.exp(-g * t)
+        return paulis(0.5 * np.sqrt(1.0 + 3.0 * e), 0.5 * np.sqrt(np.maximum(1.0 - e, 0.0)))
+
+    tc = np.maximum(times, dyn.DEPOLARIZING_T_FLOOR / g)
+    e = np.exp(-g * tc)
+    dK = paulis(-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e), (g * e / 4.0) / np.sqrt(1.0 - e))
+    return ops(times), ops(tc), dK
+
+
+class OracleFamily(dyn.KrausFamily):
+    """A built-in channel seen only through the dense stacks of
+    `oracle_pair`: trajectories gather them by detection, and the samples at
+    which the pair's K differs from the exact-time operators are found by
+    comparing the two stacks; the exact-time operators there are gathered
+    by detection too."""
+
+    def __init__(self, fam):
+        super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None)
+        self.fam = fam
+
+    def op_stacks(self, times):
+        return oracle_pair(self.fam, times)[0]
+
+    def _trajectory_pair(self, times, fd_step):
+        K_exact, K, dK = oracle_pair(self.fam, times)
+        regularized = np.any(K != K_exact, axis=(1, 2, 3))
+        return dyn._Pair(K, dK, regularized, dyn._gather(K_exact[regularized]))
+
+
+# regions of the built-in families that the dense-oracle test draws from
+BUILT_IN_REGIONS = {
+    "ad_s_zero": st.just(0.0),
+    "ad_below_half": st.floats(1e-6, 0.49),
+    "ad_half": st.just(0.5),
+    # within 1e-9 of 1/2, where gamma takes its closed limit
+    "ad_near_half": st.floats(-9e-10, 9e-10).map(lambda d: 0.5 + d),
+    "ad_above_half": st.floats(0.51, 20.0),
+    # 7e-8 puts samples below the clamping floor t_floor / gamma
+    "depolarizing_below_floor": st.just(7e-8),
+    "depolarizing": st.floats(1e-3, 10.0),
+}
+
+
+@st.composite
+def built_in_cases(draw, region):
+    """A built-in family, its probe, a horizon and a sample count in the
+    given region: amplitude damping by its s (above 1/2 with horizons past
+    t_1, the first zero of gamma), depolarizing by its horizon."""
+    n_steps = draw(st.sampled_from([2, 3, 17, 201, 1001]))
+    value = draw(BUILT_IN_REGIONS[region])
+    if region.startswith("ad_"):
+        lam, s = draw(st.floats(0.2, 3.0)), value
+        if region == "ad_above_half":
+            q = math.sqrt(2.0 * s - 1.0)
+            t_1 = 2.0 * (math.pi - math.atan(q)) / (q * lam)
+            tau = draw(st.floats(1.01, 4.0)) * t_1
+        else:
+            tau = draw(st.floats(0.05, 40.0)) / lam
+        rho0 = ghz_mixed(GHZMixedParams(draw(st.floats(0.02, 0.98))))
+        return dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(lam, s)), rho0, tau, n_steps
+    probe = BlochVector(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, math.pi)),
+                        draw(st.floats(0.0, 2 * math.pi)))
+    fam = dyn.depolarizing_family(dyn.DepolarizingParams(draw(st.floats(0.1, 5.0))))
+    return fam, bloch_state(probe), value, n_steps
 
 
 def bit_flip_family() -> dyn.KrausFamily:
@@ -612,23 +694,66 @@ class TestContractions:
         probe = bloch_state(BlochVector(0.75, 1.0, 0.3))
         assert dyn.evolve_unitary(h, probe, 20.0, 1001).speeds[-1] > 0.0
 
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("region", sorted(BUILT_IN_REGIONS))
+    def test_built_in_families_equal_dense_oracle(self, region, rates):
+        # the gathered closed forms against the same channel read through
+        # its independent dense stacks, gathered by detection
+        @seed(20261019)
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(built_in_cases(region))
+        def check(case):
+            self.assert_equals_dense_oracle(*case, rates)
+
+        check()
+
+    @staticmethod
+    def assert_equals_dense_oracle(fam, rho0, tau, n_steps, rates):
+        traj = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
+        want = dyn.evolve_kraus(OracleFamily(fam), rho0, tau, n_steps, rates=rates)
+        assert np.array_equal(traj.states, want.states)
+        assert np.array_equal(traj.speeds, want.speeds)
+        assert np.array_equal(traj.kmins, want.kmins)
+        assert (traj.rates is None) == (not rates)
+        if rates:
+            assert np.array_equal(traj.rates, want.rates)
+        for t in (tau, 0.0):
+            got = dyn.apply_channel(fam, rho0, t).mat
+            assert np.array_equal(got, dyn.apply_channel(OracleFamily(fam), rho0, t).mat)
+
+    @pytest.mark.parametrize("name", sorted(set(MONOMIAL) - {"bit_flip"}))
+    def test_built_in_families_skip_dense_stacks(self, name, monkeypatch):
+        # the built-in channels hand out their gathered closed forms: no
+        # dense stack is built, scanned for its pattern or gathered
+        (fam, rho0), horizons = self.MONOMIAL[name]
+        for target in ("_monomial_columns", "_gather"):
+            monkeypatch.setattr(dyn, target, no_call(target))
+        for cls in (dyn.DepolarizingFamily, dyn.AmplitudeDampingFamily):
+            for method in ("op_stacks", "stacks"):
+                monkeypatch.setattr(cls, method, no_call(f"{cls.__name__}.{method}"))
+        for tau in horizons:
+            for rates in (False, True):
+                dyn.evolve_kraus(fam, rho0, tau, 1001, rates=rates)
+            dyn.apply_channel(fam, rho0, tau)
+            dyn.apply_channel(fam, rho0, 0.0)
+
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_families_form_no_gram_product(self, name, monkeypatch):
         # completeness comes from the gathered values; only the exact-time
         # operators at regularized (clamped depolarizing) samples take the
-        # dense Gram product
+        # dense Gram product, and a family without such samples takes none
         (fam, rho0), horizons = self.MONOMIAL[name]
         checked = []
         monkeypatch.setattr(dyn, "_check_completeness", checked.append)
         for tau in horizons:
             times = np.linspace(0.0, tau, 1001)
             dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
-            (K,) = checked
             if isinstance(fam, dyn.DepolarizingFamily):
                 clamped = times < dyn.DEPOLARIZING_T_FLOOR / fam.params.gamma
+                (K,) = checked
                 assert np.array_equal(K, fam.op_stacks(times[clamped]))
             else:
-                assert len(K) == 0
+                assert checked == []
             checked.clear()
 
     def test_amplitude_damping_kronecker_stacks(self):
@@ -638,6 +763,39 @@ class TestContractions:
         _, K_want, dK_want = oracle_pair(fam, times)
         assert np.array_equal(K, K_want)
         assert np.array_equal(dK, dK_want)
+
+    def test_depolarizing_dense_stacks(self):
+        # the scatter of the gathered values: the exact-time operators and
+        # the pair at the clamped times, eleven of them below the floor
+        fam, _ = BUILT_IN_FAMILIES["depolarizing"]
+        times = np.linspace(0.0, 7e-8, 1001)
+        K_exact, K_want, dK_want = oracle_pair(fam, times)
+        K, dK = fam.stacks(times)
+        assert np.array_equal(fam.op_stacks(times), K_exact)
+        assert np.array_equal(K, K_want)
+        assert np.array_equal(dK, dK_want)
+        assert not np.array_equal(K, K_exact)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    def test_gathered_non_finite_derivative_raises(self, rates):
+        # a NaN in the gathered derivative values of a built-in channel;
+        # the completeness check still comes first
+        class NaNDerivative(dyn.AmplitudeDampingFamily):
+            scale = 1.0
+
+            def _trajectory_pair(self, times, fd_step=None):
+                pair = super()._trajectory_pair(times, fd_step)
+                pair.dK.values[2, 0, -1] = math.nan
+                pair.K.values[0, 0, -1] *= self.scale
+                return pair
+
+        fam = NaNDerivative(dyn.AmplitudeDampingParams(1.0, 10.0))
+        rho0 = ghz_mixed(GHZMixedParams(0.4))
+        with pytest.raises(InvalidStateError, match="non-finite Kraus derivative"):
+            dyn.evolve_kraus(fam, rho0, 3.0, 101, rates=rates)
+        fam.scale = 1.1
+        with pytest.raises(CompletenessViolationError):
+            dyn.evolve_kraus(fam, rho0, 3.0, 101, rates=rates)
 
     @staticmethod
     def assert_dense_matches_oracle(fam, rho0, tau, monkeypatch):
@@ -690,10 +848,10 @@ class TestContractions:
         # only the clamped t = 0 row of this pair breaks completeness: the
         # states pass, the Kraus rates must not
         class BadFloor(dyn.DepolarizingFamily):
-            def op_stacks(self, times):
-                K = super().op_stacks(times)
-                K[np.asarray(times) == dyn.DEPOLARIZING_T_FLOOR / self.params.gamma] *= 1.1
-                return K
+            def _trajectory_pair(self, times, fd_step=None):
+                pair = super()._trajectory_pair(times, fd_step)
+                pair.K.values[..., pair.regularized] *= 1.1
+                return pair
 
         fam = BadFloor(dyn.DepolarizingParams(1.0))
         rho0 = bloch_state(BlochVector(0.5))
@@ -706,10 +864,10 @@ class TestContractions:
         # the exact-time operators below the clamping floor break
         # completeness by 1e-7; the pair, sampled at the floor, does not
         class BadBelowFloor(dyn.DepolarizingFamily):
-            def op_stacks(self, times):
-                K = super().op_stacks(times)
-                K[np.asarray(times) < dyn.DEPOLARIZING_T_FLOOR / self.params.gamma] *= 1 + 1e-7
-                return K
+            def _trajectory_pair(self, times, fd_step=None):
+                pair = super()._trajectory_pair(times, fd_step)
+                pair.exact.values[...] *= 1 + 1e-7
+                return pair
 
         fam = BadBelowFloor(dyn.DepolarizingParams(1.0))
         with pytest.raises(CompletenessViolationError):

@@ -20,11 +20,16 @@ from the root of a checkout:
 With `--diff` the script writes nothing and prints, per CSV golden and
 column, the largest relative move of a cell and the number of cells that
 moved, and the number of lines of `points.txt` that differ.
+
+With `--md5` it writes nothing and prints the md5 of the full-preset CSVs
+that `azqsl figure fig2`, `fig3` and `fig4` write, in `md5sum` format, so
+two checkouts on one host can be compared byte for byte.
 """
 
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import tempfile
@@ -186,12 +191,25 @@ def print_diff() -> None:
     print(f"points.txt: {moved} of {len(want)} lines differ")
 
 
+def print_md5() -> None:
+    for name in ("fig2", "fig3", "fig4"):
+        digest = hashlib.md5(cli.run_figure(name).encode()).hexdigest()
+        print(f"{digest}  {name}.csv")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Regenerate or compare the goldens.")
-    parser.add_argument("--diff", action="store_true",
-                        help="print the moves against the committed goldens; write nothing")
-    if parser.parse_args().diff:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--diff", action="store_true",
+                      help="print the moves against the committed goldens; write nothing")
+    mode.add_argument("--md5", action="store_true",
+                      help="print the md5 of the full-preset fig2, fig3 and fig4 CSVs; "
+                           "write nothing")
+    args = parser.parse_args()
+    if args.diff:
         print_diff()
+    elif args.md5:
+        print_md5()
     else:
         GOLDEN_DIR.mkdir(exist_ok=True)
         for case in CASES:
