@@ -347,7 +347,10 @@ def amplitude_damping_family(params: AmplitudeDampingParams) -> AmplitudeDamping
 class Trajectory:
     """Time-sampled evolution: states rho_t, Schatten speeds ||drho/dt||_1,
     the smallest eigenvalue of each sample and, for a Kraus channel evolved
-    with them, the summed Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1."""
+    with them, the summed Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1.
+
+    Speeds, k_min values and rates hold one finite, non-negative value per
+    sample; anything else raises InvalidStateError."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim, dim)
@@ -365,10 +368,18 @@ class Trajectory:
         asym = float(np.max(np.abs(self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
         if asym > linalg.HERMITIAN_TOL:
             raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
+        if self.speeds.shape != self.times.shape:
+            raise InvalidStateError(f"{self.speeds.shape} speeds for {len(self.times)} samples")
         if not np.all(np.isfinite(self.speeds)):
             raise InvalidStateError("non-finite Schatten speed")
         if np.any(self.speeds < 0):
             raise InvalidStateError("negative Schatten speed")
+        if self.kmins.shape != self.times.shape:
+            raise InvalidStateError(f"{self.kmins.shape} k_min values for {len(self.times)} samples")
+        if not np.all(np.isfinite(self.kmins)):
+            raise InvalidStateError("non-finite k_min")
+        if np.any(self.kmins < 0):
+            raise InvalidStateError("negative k_min")
         if self.rates is not None and self.rates.shape != self.times.shape:
             raise InvalidStateError(f"{self.rates.shape} rates for {len(self.times)} samples")
         if self.rates is not None and not np.all(np.isfinite(self.rates)):
@@ -399,9 +410,10 @@ class Trajectory:
 
 
 def _batch_kmin(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each sample, clamped at zero; one below
-    -1e-10 raises InvalidStateError."""
-    vals = linalg.min_eigenvalues(stack)
+    """Smallest eigenvalue of each sample, from the planned spectra of
+    `linalg._planned_min_eigenvalues`, clamped at zero; one below -1e-10
+    raises InvalidStateError."""
+    vals = linalg._planned_min_eigenvalues(stack)
     if float(vals.min()) < -1e-10:
         raise InvalidStateError(f"sample eigenvalue {vals.min():.3e} below -1e-10")
     return np.maximum(vals, 0.0)
@@ -422,7 +434,9 @@ def evolve_unitary(
 
     The spectrum is invariant along the orbit, and the Schatten speed
     ||-i[H, rho_t]||_1 is time-constant; both are still computed per sample
-    as a consistency check."""
+    as a consistency check, by the planned spectra with every entry
+    structural. A sample with a zero entry, such as the zero commutator of
+    an eigenstate probe, takes the per-matrix fallback."""
     if h.dim != rho0.dim:
         raise DimMismatchError(f"H dim {h.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
@@ -434,7 +448,7 @@ def evolve_unitary(
     comm = h.mat[None] @ states - states @ h.mat[None]
     dstates = -1j * comm
     dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
-    speeds = linalg.trace_norms(dstates)
+    speeds = _schatten_speeds(_entries(dstates), h.dim)
     kmins = _batch_kmin(states)
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
 
@@ -490,17 +504,22 @@ def _require_identity(deviation: np.ndarray) -> None:
 # channels and the bit-flip file family, each stack is held gathered
 # (`_Gathered`) as the values and columns of those nonzeros: the built-in
 # channels hand out that form from their closed forms, and a dense stack is
-# gathered once by `_gather`. Entry (i, m) of a product is the single
-# triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded as einsum
-# rounds it (`_cmul`); sums over operators run in operator order from a
-# zero start. That is the arithmetic of the three-operand einsum, so no bit
-# moves, and only the entries that can be nonzero are computed, with time
-# as the contiguous axis. A row that is zero at every sample but has a
-# column gives signed zeros, which leave the operator sums and the trace
-# norms as a detected empty row leaves them. Dense families form X rho_0
-# once per stack and contract it with conj(Y) in a two-operand einsum that
-# keeps the operator sum inside it; that grouping moves results by about
-# 1e-16.
+# gathered once by `_gather`. A gathered trajectory is planned once: the
+# entries (l, i, m) of its three products (states K rho_0 K†, speeds
+# dK rho_0 K†, rates K rho_0 dK†) that can be nonzero follow from the
+# columns and the pattern of rho_0 alone (`_products`), and each product
+# is held entry-major, one time vector per entry. Entry (i, m) of a product
+# is the single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded
+# as einsum rounds it (`_cmul`); sums over operators run in operator order
+# from a zero start. That is the arithmetic of the three-operand einsum,
+# so no bit moves. Only the states are written as dense (n_times, dim,
+# dim) arrays; the speed and rate matrices go to the planned spectra of
+# `linalg._planned_trace_norms` as their entries. A row that is zero at
+# every sample but has a column gives zeros, which leave the operator sums
+# and the spectra as a detected empty row leaves them. Dense families form
+# X rho_0 once per stack and contract it with conj(Y) in a two-operand
+# einsum that keeps the operator sum inside it; that grouping moves
+# results by about 1e-16.
 
 
 def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
@@ -541,38 +560,91 @@ def _scatter(G: _Gathered) -> np.ndarray:
     return out
 
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays by the textbook formula, each real product
-    and sum rounded on its own as in einsum; numpy's complex multiply may
-    fuse them, which moves the last bit of complex (not real) operands."""
-    re = a.real * b.real - a.imag * b.imag
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) by the textbook formula, as its real and
+    imaginary parts, each real product and sum rounded on its own as in
+    einsum; numpy's complex multiply may fuse them, which moves the last
+    bit of complex (not real) operands."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _gathered_products(X, Y, rho0: DensityMatrix, summed: bool) -> np.ndarray:
-    """X_l rho_0 Y_l† from two gathered stacks: per sample and operator,
-    shape (n_times, n_ops, dim, dim), or when `summed` their sum over the
-    operators in operator order from a zero start, shape (n_times, dim, dim).
-    Only entries (l, i, m) with both rows nonempty and rho_0 nonzero at
-    their columns are computed; the others are zero."""
-    (x, cx), (y, cy) = X, Y
-    n_ops, dim, n_times = x.shape
+class _Products(NamedTuple):
+    """A trajectory's plan of the products X_l rho_0 Y_l† of two gathered
+    stacks: the entries (ops, rows, cols) that can be nonzero, in (l, i, m)
+    order, where both rows have a column and rho_0 is nonzero at the two
+    columns. `rho` holds that entry of rho_0 for each, shape
+    (n_entries, 1)."""
+
+    ops: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    rho: np.ndarray
+    n_ops: int
+
+
+def _products(X: _Gathered, Y: _Gathered, rho0: DensityMatrix) -> _Products:
+    cx, cy = X.columns, Y.columns
     rho = rho0.mat[cx[:, :, None], cy[:, None, :]]
     l, i, m = np.nonzero((cx[:, :, None] >= 0) & (cy[:, None, :] >= 0) & (rho != 0))
-    vals = _cmul(_cmul(x[l, i], rho[l, i, m, None]), np.conj(y[l, m])).T
-    if not summed:
-        out = np.zeros((n_times, n_ops, dim, dim), dtype=complex)
-        out[:, l, i, m] = vals
-        return out
-    out = np.zeros((n_times, dim, dim), dtype=complex)
-    for op in range(n_ops):
-        # one operator's entries are distinct, so += adds each once
-        sel = l == op
-        out[:, i[sel], m[sel]] += vals[:, sel]
+    return _Products(l, i, m, rho[l, i, m, None], len(cx))
+
+
+def _product_values(P: _Products, X: _Gathered, Y: _Gathered) -> np.ndarray:
+    """The products at the entries of `P`, shape (n_entries, n_times),
+    formed on contiguous real and imaginary parts."""
+    x, y = X.values, Y.values
+    re, im = _cmul(x.real[P.ops, P.rows], x.imag[P.ops, P.rows], P.rho.real, P.rho.imag)
+    # times conj(y)
+    re, im = _cmul(re, im, y.real[P.ops, P.cols], -y.imag[P.ops, P.cols])
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
+
+
+def _operator_sums(P: _Products, values: np.ndarray, dim: int):
+    """The sum over operators of the products with the given values: the
+    flat positions it can be nonzero at, ascending, and its values there,
+    shape (n_positions, n_times), each summed in operator order from zero."""
+    flat = P.rows * dim + P.cols
+    present = np.zeros(dim * dim, dtype=bool)
+    present[flat] = True
+    # each operator's terms at every position, zero where it has none: a
+    # zero term leaves a sum that started from zero as it is
+    terms = np.zeros((P.n_ops, np.count_nonzero(present), values.shape[1]), dtype=complex)
+    terms[P.ops, np.cumsum(present)[flat] - 1] = values
+    sums = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        sums += term
+    return np.flatnonzero(present), sums
+
+
+def _dense(positions: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
+    """The (n_times, dim, dim) stack with the given entries, zero elsewhere."""
+    out = np.zeros((values.shape[1], dim * dim), dtype=complex)
+    out[:, positions] = values.T
+    return out.reshape(-1, dim, dim)
+
+
+def _entries(stack: np.ndarray):
+    """A dense (n_times, r, c) stack as every flat position and its
+    entry-major values there."""
+    n, r, c = stack.shape
+    return np.arange(r * c), stack.reshape(n, r * c).T
+
+
+def _plus_adjoint(positions: np.ndarray, values: np.ndarray, dim: int):
+    """M + M† for a stack M given by its flat positions and entry-major
+    values: the positions where either term can be nonzero, and its values
+    there."""
+    present = np.zeros((dim, dim), dtype=bool)
+    present.flat[positions] = True
+    union = np.flatnonzero(present | present.T)
+    # the row of M at each position, and a zero row where M has none
+    slot = np.full(dim * dim, len(positions))
+    slot[positions] = np.arange(len(positions))
+    padded = np.concatenate([values, np.zeros((1, values.shape[1]), dtype=complex)])
+    i, m = np.divmod(union, dim)
+    return union, padded[slot[union]] + np.conj(padded[slot[m * dim + i]])
 
 
 def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
@@ -584,19 +656,16 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, 1, 2))) / 2
 
 
-def _schatten_speeds(half: np.ndarray) -> np.ndarray:
-    """||drho/dt||_1 from half = sum_l dK_l rho_0 K_l†, where drho/dt is
-    half plus its adjoint."""
-    return linalg.trace_norms(half + np.conj(np.swapaxes(half, 1, 2)))
-
-
 def _channel_states(K: np.ndarray | _Gathered, rho0: DensityMatrix) -> np.ndarray:
     """sum_l K_l rho_0 K_l† for each sample of an operator stack, dense or
     gathered."""
     G = _gathered(K)
     if G is None:
         return _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
-    return _hermitian(_gathered_products(G, G, rho0, summed=True))
+    P = _products(G, G, rho0)
+    dim = rho0.dim
+    positions, doubled = _plus_adjoint(*_operator_sums(P, _product_values(P, G, G), dim), dim)
+    return _dense(positions, doubled / 2, dim)
 
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -619,8 +688,12 @@ def evolve_kraus(
     rebuilt from the exact-time operators. The built-in channels hand out
     the pair gathered from their closed forms, so no dense stack is built,
     scanned or compared; a user family's dense pair is gathered when its
-    operators are monomial. A derivative stack with a NaN or an infinity
-    raises InvalidStateError before any product is formed."""
+    operators are monomial. A gathered pair is planned once: its products
+    are formed at the entries that can be nonzero, and only the states are
+    written densely; the speeds, k_min and rates take the planned spectra,
+    which find each matrix's structural pattern once per trajectory. A
+    derivative stack with a NaN or an infinity raises InvalidStateError
+    before any product is formed."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     times = _time_grid(tau, n_steps)
@@ -636,38 +709,57 @@ def evolve_kraus(
     if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
         raise InvalidStateError("non-finite Kraus derivative along trajectory")
     dG = None if G is None else _gathered(dK)
+    dim = rho0.dim
     if dG is not None:
         del K, dK
-        speeds = _schatten_speeds(_gathered_products(dG, G, rho0, summed=True))
-        states = _hermitian(_gathered_products(G, G, rho0, summed=True))
-        prods = _gathered_products(G, dG, rho0, summed=False) if rates else None
+        half = _products(dG, G, rho0)
+        speeds = _schatten_speeds(
+            _plus_adjoint(*_operator_sums(half, _product_values(half, dG, G), dim), dim), dim)
+        states = _channel_states(G, rho0)
+        if rates:
+            P = _products(G, dG, rho0)
+            values = _product_values(P, G, dG)
+            flat = P.rows * dim + P.cols
+            prods = [(flat[P.ops == l], values[P.ops == l]) for l in range(fam.n_ops)]
     else:
         # Conjugating in place and dropping each stack once no product
         # needs it keeps at most four dense stacks alive at once.
         KR = _times_rho(K, rho0)
         Kc = np.conjugate(K, out=K)
         del K
-        speeds = _schatten_speeds(np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc))
+        half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
+        speeds = _schatten_speeds(_entries(half + np.conj(np.swapaxes(half, 1, 2))), dim)
+        del half
         states = _hermitian(np.einsum("tlik,tlmk->tim", KR, Kc))
         del Kc
-        prods = (np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
-                 if rates else None)
+        if rates:
+            dense = np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
+            prods = [_entries(dense[:, l]) for l in range(fam.n_ops)]
     if regularized.any():
         states[regularized] = _channel_states(exact, rho0)
     kmins = _batch_kmin(states)
-    rate_sums = _kraus_rates(prods) if rates else None
+    rate_sums = _kraus_rates(prods, dim) if rates else None
     return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)
 
 
-def _kraus_rates(prods: np.ndarray) -> np.ndarray:
-    """sum_l ||K_l rho_0 dK_l†||_1 from the per-operator products, shape
-    (n_times,).
+def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:
+    """||drho/dt||_1 per sample from drho/dt given by its flat positions
+    and entry-major values, through the planned spectra of
+    `linalg._planned_trace_norms`."""
+    return linalg._planned_trace_norms([speed], dim, dim, speed[1].shape[1])[0]
 
-    The trace norms come from `linalg.trace_norms`, which splits each
-    product into the blocks of its own sparsity pattern. For the built-in
-    channels every block has at most two rows or columns and takes a closed
-    form (a depolarizing product is one dense 2x2 block, an amplitude-damping
-    product with the GHZ probe splits into blocks of at most 2x1), so no
-    built-in sweep runs an SVD for its rates; a family whose products are
-    dense and at least 3x3 gets the LAPACK singular-value sums as before."""
-    return linalg.trace_norms(prods).sum(axis=1)
+
+def _kraus_rates(prods: list, dim: int) -> np.ndarray:
+    """sum_l ||K_l rho_0 dK_l†||_1 from each operator's product, given by
+    its entries, shape (n_times,), summed in operator order as numpy sums
+    a row of per-operator norms.
+
+    The trace norms take the planned spectra of
+    `linalg._planned_trace_norms`. For the built-in channels every block
+    has at most two rows or columns and takes a closed form (a depolarizing
+    product is one dense 2x2 block, an amplitude-damping product with the
+    GHZ probe splits into blocks of at most 2x1), so no built-in sweep runs
+    an SVD for its rates; a family whose products are dense and at least
+    3x3 gets the LAPACK singular-value sums as before."""
+    n = prods[0][1].shape[1]
+    return linalg._sum_rows(linalg._planned_trace_norms(prods, dim, dim, n))

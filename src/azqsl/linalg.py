@@ -177,15 +177,11 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     The pattern is each matrix's own: matrices are grouped by a pattern
     code, the blocks are found once per distinct code, and a matrix's norm
     depends on that matrix alone, so a stack row equals the one-matrix call
-    bit for bit. A block with one row or column has rank <= 1 and its norm
-    is the Frobenius norm; a block with two rows (or columns) has norm
-    sqrt(||B||_F^2 + 2 sigma_1 sigma_2), with sigma_1 sigma_2 the root of
-    the summed squared 2x2 minors (Cauchy-Binet), which holds for
-    rank-deficient blocks too. Both closed forms work on the block scaled
-    by its largest |entry|. Blocks of at least 3x3, and matrices of more
-    than 62 entries, take the sum of their LAPACK singular values, so a
-    dense matrix of size >= 3 gets exactly `svd(m).sum()`. Entries must be
-    finite.
+    bit for bit. The blocks take `_block_norms`: closed forms for blocks
+    with one or two rows or columns, the sum of the LAPACK singular values
+    for blocks of at least 3x3. Matrices of more than 62 entries take the
+    LAPACK sum whole, so a dense matrix of size >= 3 gets exactly
+    `svd(m).sum()`. Entries must be finite.
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, r, c = stack.shape
@@ -195,7 +191,8 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     norms = np.zeros(len(flat))
     for members, blocks in _pattern_groups(flat != 0, r, c):
         for entries in blocks:
-            norms[members] += _block_norms(flat[members[:, None, None], entries])
+            rows = flat[members, entries.reshape(-1, 1)]
+            norms[members] += _block_norms(rows, *entries.shape)
     return norms.reshape(lead)
 
 
@@ -232,22 +229,64 @@ def _pattern_blocks(code: int, r: int, c: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _block_norms(block: np.ndarray) -> np.ndarray:
-    """Trace norms of an (n, p, q) stack of blocks with one pattern."""
-    n, p, q = block.shape
+# The block kernels take their blocks entry-major: row e of `rows`, shape
+# (p q, n), holds entry (e // q, e % q) of each of the n blocks, one
+# contiguous vector per entry. Every operation is elementwise over the n
+# blocks, so a block's value does not depend on the others, and the sums
+# over a block's entries take `_sum_rows`, numpy's order for a contiguous
+# run: a sample's value is the same bits whatever stack it came in.
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum of the k rows of a (k, n) array, each column summed as numpy
+    sums a contiguous run of k numbers: left to right for k < 8, and for
+    8 <= k <= 128 in eight interleaved partial sums, combined pairwise,
+    then the remainder left to right; a longer run is split in two at a
+    multiple of 8 near its middle."""
+    k = len(rows)
+    if k < 8:
+        return rows.sum(axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _sum_rows(rows[:half]) + _sum_rows(rows[half:])
+    partial = rows[:8].copy()
+    whole = k - k % 8
+    for start in range(8, whole, 8):
+        partial += rows[start:start + 8]
+    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+        (partial[4] + partial[5]) + (partial[6] + partial[7]))
+    for row in rows[whole:]:
+        total += row
+    return total
+
+
+def _block_norms(rows: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Trace norms of n p x q blocks with one pattern, given entry-major.
+
+    A block with one row or column has rank <= 1 and its norm is the
+    Frobenius norm (a 1x1 block's is its |entry|, which the formula gives
+    exactly); a block with two rows (or columns) has norm
+    sqrt(||B||_F^2 + 2 sigma_1 sigma_2), with sigma_1 sigma_2 the root of
+    the summed squared 2x2 minors (Cauchy-Binet), which holds for
+    rank-deficient blocks too. Both closed forms work on the block scaled
+    by its largest |entry|. Larger blocks take the sum of their LAPACK
+    singular values."""
     if min(p, q) > 2:
-        return np.linalg.svd(block, compute_uv=False).sum(axis=-1)
-    mags = np.abs(block).reshape(n, -1)
-    scale = mags.max(axis=-1)
-    frobenius = np.square(mags / scale[:, None]).sum(axis=-1)
+        return np.linalg.svd(rows.T.reshape(-1, p, q), compute_uv=False).sum(axis=-1)
+    if p * q == 1:
+        return np.abs(rows[0])
+    mags = np.abs(rows)
+    scale = mags.max(axis=0)
+    frobenius = _sum_rows(np.square(mags / scale))
     if min(p, q) == 1:
         return scale * np.sqrt(frobenius)
-    two_rows = block if p == 2 else np.swapaxes(block, 1, 2)
-    top, bottom = np.moveaxis(two_rows / scale[:, None, None], 1, 0)
-    minors = np.zeros(n)
-    for i in range(top.shape[-1] - 1):
-        m = top[:, i, None] * bottom[:, i + 1:] - top[:, i + 1:] * bottom[:, i, None]
-        minors += (m.real * m.real + m.imag * m.imag).sum(axis=-1)
+    # the two rows of the block, or its two columns
+    top, bottom = (rows[:q], rows[q:]) if p == 2 else (rows[0::2], rows[1::2])
+    top, bottom = top / scale, bottom / scale
+    minors = np.zeros(rows.shape[1])
+    for i in range(len(top) - 1):
+        m = top[i] * bottom[i + 1:] - top[i + 1:] * bottom[i]
+        minors += _sum_rows(m.real * m.real + m.imag * m.imag)
     return scale * np.sqrt(frobenius + 2.0 * np.sqrt(minors))
 
 
@@ -261,13 +300,8 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     its blocks' spectra plus a zero for each row that lies in no block
     (an all-zero row). As in `trace_norms`, the blocks come from each
     matrix's own pattern, so a stack row equals the one-matrix call bit for
-    bit. A 1x1 block is its diagonal entry. A 2x2 block, scaled by its
-    largest |entry|, has diagonal a, d, lower entry b, mean m = (a + d)/2
-    and radius r = sqrt(((a - d)/2)^2 + |b|^2); its smaller eigenvalue is
-    (ad - |b|^2)/(m + r) when m > 0, which divides the determinant by the
-    larger eigenvalue without cancellation, and m - r otherwise. Blocks of
-    at least 3x3, and matrices of more than 62 entries, take the smallest
-    LAPACK `eigvalsh` eigenvalue.
+    bit, and they take `_block_min_eigenvalues`. Matrices of more than 62
+    entries take the smallest LAPACK `eigvalsh` eigenvalue.
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, n, _ = stack.shape
@@ -281,21 +315,35 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     pattern[:, diagonal, diagonal] = pattern.any(axis=2)
     mins = np.empty(len(flat))
     for members, blocks in _pattern_groups(pattern.reshape(-1, n * n), n, n):
-        low = np.full(len(members), 0.0 if sum(map(len, blocks)) < n else np.inf)
-        for entries in blocks:
-            low = np.minimum(low, _block_min_eigenvalues(flat[members[:, None, None], entries]))
-        mins[members] = low
+        mins[members] = _blocks_min(
+            [flat[members, entries.reshape(-1, 1)] for entries in blocks], blocks, n, len(members))
     return mins.reshape(lead)
 
 
-def _block_min_eigenvalues(block: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalues of an (n, p, p) stack of Hermitian blocks."""
-    p = block.shape[-1]
+def _blocks_min(rows: list, blocks: tuple, n: int, count: int) -> np.ndarray:
+    """The smallest eigenvalue of `count` n x n matrices with the given
+    blocks, from each block's entry-major rows: zero when a row lies in no
+    block, else the least block minimum."""
+    low = np.full(count, 0.0 if sum(map(len, blocks)) < n else np.inf)
+    for block_rows, entries in zip(rows, blocks):
+        low = np.minimum(low, _block_min_eigenvalues(block_rows, len(entries)))
+    return low
+
+
+def _block_min_eigenvalues(rows: np.ndarray, p: int) -> np.ndarray:
+    """Smallest eigenvalues of n Hermitian p x p blocks, given entry-major.
+
+    A 1x1 block is its diagonal entry. A 2x2 block, scaled by its largest
+    |entry|, has diagonal a, d, lower entry b, mean m = (a + d)/2 and
+    radius r = sqrt(((a - d)/2)^2 + |b|^2); its smaller eigenvalue is
+    (ad - |b|^2)/(m + r) when m > 0, which divides the determinant by the
+    larger eigenvalue without cancellation, and m - r otherwise. Larger
+    blocks take the smallest LAPACK `eigvalsh` eigenvalue."""
     if p == 1:
-        return block[:, 0, 0].real
+        return rows[0].real
     if p > 2:
-        return np.linalg.eigvalsh(block)[:, 0]
-    a, d, b = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
+        return np.linalg.eigvalsh(rows.T.reshape(-1, p, p))[:, 0]
+    a, d, b = rows[0].real, rows[3].real, rows[2]
     scale = np.maximum(np.maximum(np.abs(a), np.abs(d)), np.abs(b))
     a, d, br, bi = a / scale, d / scale, b.real / scale, b.imag / scale
     mean = (a + d) / 2.0
@@ -306,6 +354,97 @@ def _block_min_eigenvalues(block: np.ndarray) -> np.ndarray:
     pos = mean > 0.0
     low[pos] = (a[pos] * d[pos] - off[pos]) / (mean[pos] + radius[pos])
     return scale * low
+
+
+# Trajectories hold many samples of one sparse matrix, and their spectra
+# are planned: the structural pattern of a stack (the entries nonzero at
+# some sample) and its blocks are found once. A sample that is nonzero at
+# every structural entry has exactly that pattern, so the kernels on those
+# blocks give it the value the per-matrix functions give it. The kernels run
+# on every sample, elementwise; the other samples (t = 0 in the built-in
+# models, where derivatives or products vanish) then take `trace_norms` or
+# `min_eigenvalues` as dense matrices, in one call, which replaces what the
+# kernels gave them. Either way a sample's value is the value of its own
+# pattern, bit for bit.
+
+
+def _structure(values: np.ndarray):
+    """Of the entries of a stack given entry-major, values (k, n): which
+    are structural (nonzero at some sample), and the samples that are zero
+    at some structural entry."""
+    nonzero = values != 0
+    live = nonzero.any(axis=1)
+    return live, ~nonzero[live].all(axis=0)
+
+
+def _planned_trace_norms(groups: list, r: int, c: int, n: int) -> np.ndarray:
+    """`trace_norms` of n samples of several sparse r x c matrices, shape
+    (len(groups), n). A group is one matrix (positions, values): its flat
+    positions (k,) and its entry-major values there (k, n), every other
+    entry +0 (LAPACK, which takes blocks of at least 3x3, tells the signed
+    zeros apart). Matrices of more than 62 entries take `trace_norms`
+    whole."""
+    norms = np.zeros((len(groups), n))
+    fallback = np.ones((len(groups), n), dtype=bool)
+    for g, (positions, values) in enumerate(groups if r * c <= _PATTERN_ENTRIES else ()):
+        live, fallback[g] = _structure(values)
+        code = sum(1 << int(e) for e in positions[live])
+        blocks, padded = _block_rows(code, r, c, tuple(positions.tolist()))
+        if padded:
+            values = np.concatenate([values, np.zeros((1, n), dtype=complex)])
+        # a fallback sample's zero block divides by zero; its value is replaced
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for rows, p, q in blocks:
+                norms[g] += _block_norms(values[rows], p, q)
+    which, samples = np.nonzero(fallback)
+    if len(which):
+        dense = np.zeros((len(which), r * c), dtype=complex)
+        for g, (positions, values) in enumerate(groups):
+            rows = np.flatnonzero(which == g)
+            dense[rows[:, None], positions] = values[:, samples[rows]].T
+        norms[which, samples] = trace_norms(dense.reshape(-1, r, c))
+    return norms
+
+
+@lru_cache(maxsize=256)
+def _block_rows(code: int, r: int, c: int, positions: tuple):
+    """For each `_pattern_blocks` block of the pattern `code`, the rows of
+    a group's values (given at `positions`) that hold its entries, and its
+    shape; and whether an entry lies at no position, which reads an extra
+    zero row."""
+    row_of = np.full(r * c, len(positions))
+    row_of[list(positions)] = np.arange(len(positions))
+    blocks = tuple((row_of[entries.ravel()], *entries.shape)
+                   for entries in _pattern_blocks(code, r, c))
+    for rows, _, _ in blocks:
+        rows.setflags(write=False)  # cached, shared by every call
+    return blocks, any(np.any(rows == len(positions)) for rows, _, _ in blocks)
+
+
+def _planned_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """`min_eigenvalues` of a (n_samples, n, n) stack of samples of one
+    Hermitian matrix, planned on the structural pattern of its lower
+    triangle. Matrices of more than 62 entries take `min_eigenvalues`."""
+    stack = np.asarray(stack, dtype=complex)
+    count, n, _ = stack.shape
+    if n * n > _PATTERN_ENTRIES:
+        return min_eigenvalues(stack)
+    flat = stack.reshape(count, n * n)
+    i, j = np.tril_indices(n)
+    lower = i * n + j
+    live, fallback = _structure(flat.T[lower])
+    code = 0
+    for e in lower[live]:
+        i, j = divmod(int(e), n)
+        # symmetrized, and every row with a nonzero joins its own column
+        for a, b in ((i, j), (j, i), (i, i), (j, j)):
+            code |= 1 << (a * n + b)
+    blocks = _pattern_blocks(code, n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mins = _blocks_min([flat.T[entries.ravel()] for entries in blocks], blocks, n, count)
+    if fallback.any():
+        mins[fallback] = min_eigenvalues(stack[fallback])
+    return mins
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -261,14 +261,33 @@ class TestTrajectories:
         with pytest.raises(InvalidStateError):
             replace(traj, rates=rates)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    @staticmethod
+    def spoiled(values, bad):
+        """`values` one sample short or long, or with sample 7 set to `bad`."""
+        if bad == "short":
+            return values[:-1]
+        if bad == "long":
+            return np.append(values, values[-1])
+        values = values.copy()
+        values[7] = bad
+        return values
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3, "short", "long"])
     def test_rejects_bad_speeds(self, bad):
+        # one finite speed per sample, none negative
         rho0 = bloch_state(BlochVector(0.5))
         traj = dyn.evolve_kraus(constant_identity_family(2), rho0, 1.0, 11)
-        speeds = traj.speeds.copy()
-        speeds[7] = bad
         with pytest.raises(InvalidStateError):
-            replace(traj, speeds=speeds)
+            replace(traj, speeds=self.spoiled(traj.speeds, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.2, "short", "long"])
+    def test_rejects_bad_kmins(self, bad):
+        # one finite k_min per sample, none negative: a negative one would
+        # otherwise pass as a loose bound and a NaN as a NaN bound
+        fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+        traj = dyn.evolve_kraus(fam, bloch_state(BlochVector(0.5, 0.3, 0.2)), 1.0, 11)
+        with pytest.raises(InvalidStateError):
+            replace(traj, kmins=self.spoiled(traj.kmins, bad))
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("bad,seed", [(math.nan, 1), (math.inf, 2), (-math.inf, 3)])
@@ -595,7 +614,8 @@ def random_amplitudes(rng, n_times, n_ops, dim, p_zero, unit_columns):
 def monomial_cases(draw):
     dim = draw(st.integers(1, 4))
     n_ops = draw(st.integers(1, 4))
-    n_steps = draw(st.sampled_from([3, 5, 9, 21]))
+    # long runs interleave planned samples with fallback ones (exact zeros)
+    n_steps = draw(st.sampled_from([3, 5, 9, 21, 101]))
     p_zero = draw(st.sampled_from([0.0, 0.2, 0.5]))
     tau = draw(st.floats(0.1, 10.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -693,6 +713,41 @@ class TestContractions:
         h = dyn.HamiltonianModel.qubit([1.0, 0.0, 0.5])
         probe = bloch_state(BlochVector(0.75, 1.0, 0.3))
         assert dyn.evolve_unitary(h, probe, 20.0, 1001).speeds[-1] > 0.0
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+    def test_built_in_spectra_group_only_t0(self, name, monkeypatch):
+        # a sample nonzero at every structural entry of its matrix takes the
+        # trajectory's planned blocks; only the other samples are grouped by
+        # pattern, and in a built-in model those are at t = 0, where dK or
+        # the products vanish
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        _, K, dK = oracle_pair(fam, np.array([0.0]))
+        half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())[0]
+        at_zero = [half + half.conj().T, rho0.mat,
+                   *np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())[0]]
+        grouped, dense = [], []
+        pattern_groups = linalg._pattern_groups
+
+        def counting(pattern, r, c):
+            grouped.append(len(pattern))
+            return pattern_groups(pattern, r, c)
+
+        monkeypatch.setattr(linalg, "_pattern_groups", counting)
+        for target in ("trace_norms", "min_eigenvalues"):
+            def recording(stack, spectra=getattr(linalg, target)):
+                dense.extend(stack)
+                return spectra(stack)
+
+            monkeypatch.setattr(linalg, target, recording)
+        counts = []
+        for n_steps in (101, 1001):
+            dyn.evolve_kraus(fam, rho0, 17.0, n_steps, rates=True)
+            counts.append(sum(grouped))
+            assert counts[-1] == len(dense) <= len(at_zero)
+            assert all(any(np.array_equal(m, z) for z in at_zero) for m in dense)
+            grouped.clear()
+            dense.clear()
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("region", sorted(BUILT_IN_REGIONS))
@@ -799,7 +854,7 @@ class TestContractions:
 
     @staticmethod
     def assert_dense_matches_oracle(fam, rho0, tau, monkeypatch):
-        monkeypatch.setattr(dyn, "_gathered_products", no_call("_gathered_products"))
+        monkeypatch.setattr(dyn, "_products", no_call("_products"))
         traj = dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
         states, speeds, kmins, want_terms = oracle_contractions(
             *oracle_pair(fam, traj.times), rho0

@@ -393,6 +393,71 @@ class TestMinEigenvalues:
         assert linalg.min_eigenvalues(np.zeros((2, 2))) == 0.0
 
 
+def sampled_matrix(rng, base, n, hermitian):
+    """n samples of one sparse matrix: new random entries on the nonzero
+    pattern of `base` (Hermitian when asked), an exact zero at one entry of
+    about a third of the samples, and a whole sample zeroed now and then."""
+    pattern = base != 0
+    # +0 off the pattern, as in a matrix built from its entries
+    samples = np.where(pattern, random_complex(rng, (n,) + base.shape), 0.0)
+    samples *= 10.0 ** rng.uniform(-100.0, 100.0, (n, 1, 1))
+    rows, cols = np.nonzero(pattern)
+    for sample in samples[rng.random(n) < 0.35]:
+        if len(rows):
+            k = rng.integers(len(rows))
+            sample[rows[k], cols[k]] = 0.0
+            if hermitian:
+                sample[cols[k], rows[k]] = 0.0
+    samples[rng.random(n) < 0.05] = 0.0
+    if hermitian:
+        samples = (samples + np.conj(np.swapaxes(samples, 1, 2))) / 2
+    return samples
+
+
+class TestPlannedSpectra:
+    # Samples of one matrix take the blocks of its structural pattern when
+    # they are nonzero at each structural entry, the pattern grouping
+    # otherwise: every sample's value is the per-matrix value, bit for bit.
+    @seed(20261021)
+    @settings(max_examples=150, database=None, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_trace_norms_equal_the_per_matrix_values(self, r, c, n_groups, draw):
+        rng = np.random.default_rng(draw)
+        n = int(rng.integers(1, 40))
+        groups, want = [], []
+        for _ in range(n_groups):
+            samples = sampled_matrix(rng, sparse_matrix(rng, r, c), n, hermitian=False)
+            # every structural position, and some that are zero throughout
+            positions = np.flatnonzero(samples.any(axis=0) | (rng.random((r, c)) < 0.2))
+            groups.append((positions, samples.reshape(n, r * c)[:, positions].T))
+            want.append(linalg.trace_norms(samples))
+        got = linalg._planned_trace_norms(groups, r, c, n)
+        assert np.array_equal(got, np.array(want))
+
+    def test_large_matrices_take_the_svd_sum(self, rng):
+        samples = random_complex(rng, (3, 8, 8))
+        groups = [(np.arange(64), samples.reshape(3, 64).T)]
+        assert np.array_equal(linalg._planned_trace_norms(groups, 8, 8, 3)[0],
+                              svd_sums(samples))
+
+    @seed(20261022)
+    @settings(max_examples=150, database=None, deadline=None)
+    @given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_min_eigenvalues_equal_the_per_matrix_values(self, dim, psd, draw):
+        rng = np.random.default_rng(draw)
+        stack = sampled_matrix(rng, block_hermitian(rng, dim, psd), int(rng.integers(1, 40)),
+                               hermitian=True)
+        assert np.array_equal(linalg._planned_min_eigenvalues(stack),
+                              linalg.min_eigenvalues(stack))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 23, 62, 128, 129, 300])
+    def test_sums_keep_the_order_of_a_contiguous_run(self, k, rng):
+        # the block kernels sum entry-major rows as numpy sums each matrix's
+        # contiguous entries
+        rows = 10.0 ** rng.uniform(-20.0, 20.0, (k, 50))
+        assert np.array_equal(linalg._sum_rows(rows), np.ascontiguousarray(rows.T).sum(axis=-1))
+
+
 class TestHermitianTraceNorms:
     @seed(20261020)
     @settings(max_examples=200, database=None, deadline=None)

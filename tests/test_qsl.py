@@ -162,6 +162,26 @@ class TestIntegrateBounds:
         assert qsl.WARN_CHAIN_SIGN in report.warnings
 
 
+class TestHalfGridGate:
+    def test_rows_fail_as_the_scalar_rule(self, monkeypatch):
+        # the gate compares every row at once; the rows it rejects and their
+        # messages are those of the scalar rule, NaN and infinite rows too
+        inf, nan = math.inf, math.nan
+        full = [1.0, 1.0, 0.0, 1e-13, nan, 1.0, inf, inf, 1.0, -inf, 2.5, 0.0]
+        half = [1.0, 1.1, 1e-17, 2e-13, 1.0, nan, inf, 1.0, inf, 1.0, 2.5 + 1e-5, 1e-15]
+        monkeypatch.setattr(qsl, "_quad", lambda times, vals: np.array(
+            full if len(times) == 9 else half))
+        _, errors = qsl._gated_quads(np.linspace(0.0, 1.0, 9), np.zeros((len(full), 9)), True)
+        want = {
+            i: f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}"
+            for i, (f, h) in enumerate(zip(full, half))
+            if abs(f - h) > qsl.RICHARDSON_REL_TOL * max(abs(f), 1e-12)
+        }
+        assert {i: str(e) for i, e in errors.items()} == want
+        assert sorted(want) == [1, 3, 8, 11]
+        assert all(type(e) is QuadratureTooCoarseError for e in errors.values())
+
+
 class TestQslGeneral:
     def test_full_period_returns_to_start(self):
         h = dyn.HamiltonianModel.qubit([0.0, 0.0, 1.0])
