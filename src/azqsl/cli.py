@@ -214,14 +214,15 @@ def _probe_state(cfg: SweepConfig) -> DensityMatrix:
     return bloch_state(BlochVector(cfg.r, cfg.theta, cfg.phi))
 
 
-def _build_family(cfg: SweepConfig) -> dyn.KrausFamily | None:
+def _model(cfg: SweepConfig) -> dyn.HamiltonianModel | dyn.KrausFamily:
+    """The panel's Kraus family, or its Hamiltonian for the unitary model."""
     if cfg.model == "depolarizing":
         return dyn.depolarizing_family(dyn.DepolarizingParams(cfg.gamma))
     if cfg.model == "amplitude_damping":
         return dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(cfg.lam, cfg.s))
     if cfg.model == "custom_kraus_file":
         return load_kraus_file(cfg.kraus_file)
-    return None
+    return dyn.HamiltonianModel.qubit(cfg.n)
 
 
 def _fmt(x: float) -> str:
@@ -253,46 +254,39 @@ _GROUP_COLUMNS = {
 }
 
 
-def _trajectory(
-    cfg: SweepConfig, rho0: DensityMatrix, family, t: float, rates: bool
-) -> dyn.Trajectory:
-    """The panel's trajectory to horizon t, carrying the summed Kraus rates
-    when `rates` is set and the model is a channel."""
-    if family is None:
-        hmod = dyn.HamiltonianModel.qubit(cfg.n)
-        return dyn.evolve_unitary(hmod, rho0, t, cfg.n_steps)
-    return dyn.evolve_kraus(family, rho0, t, cfg.n_steps, rates=rates)
-
-
 def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     """Evaluate the panel on its (alpha, z, t) grid.
 
-    Evaluation is column-major: for each time value the sweep builds one
-    trajectory (with its Kraus rates) and fills that time column of the
-    panel from it (see `qsl.Panel`). Each trajectory is released after its
-    column. A zero horizon gives the stationary limit: all entropies and
-    rates are zero, the bound saturates, and the speed limit is the trivial
-    tau >= 0."""
+    Evaluation is column-major: each nonzero time value has one trajectory
+    (with its Kraus rates) to that horizon, which fills that time column of
+    the panel (see `qsl.Panel`). The trajectories come from one
+    `dynamics._trajectories` call, which evaluates every distinct sample
+    time of the panel once and hands the trajectories out one at a time; a
+    trajectory that fails fails only its own column. A zero horizon gives
+    the stationary limit: all entropies and rates are zero, the bound
+    saturates, and the speed limit is the trivial tau >= 0."""
     cfg.validate()
     rho0 = _probe_state(cfg)
-    family = _build_family(cfg)
-    if family is not None and family.dim != rho0.dim:
-        raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {family.dim}")
+    model = _model(cfg)
+    if isinstance(model, dyn.KrausFamily) and model.dim != rho0.dim:
+        raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {model.dim}")
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
     want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
     want_qsl = "qsl" in cfg.outputs
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
+    columns = []
     for k, t in enumerate(times.tolist()):
         if t == 0.0:
             qsl._fill_stationary(panel, k)
-            continue
-        try:
-            traj = _trajectory(cfg, rho0, family, t, rates=want_qsl)
-        except AzqslError as exc:
-            qsl._fill_failed(panel, k, exc)
-            continue
-        qsl._fill_column(panel, k, traj)
+        else:
+            columns.append(k)
+    outcomes = dyn._trajectories(model, rho0, times[columns].tolist(), cfg.n_steps, want_qsl)
+    for k, traj in zip(columns, outcomes):
+        if isinstance(traj, AzqslError):
+            qsl._fill_failed(panel, k, traj)
+        else:
+            qsl._fill_column(panel, k, traj)
     return panel
 
 
@@ -493,8 +487,7 @@ def _cfg_from_args(args) -> SweepConfig:
 
 def _final_state(cfg: SweepConfig, rho0: DensityMatrix, tau: float) -> DensityMatrix:
     """rho_tau from a three-sample trajectory of the panel's model."""
-    traj = _trajectory(replace(cfg, n_steps=3), rho0, _build_family(cfg), tau, rates=False)
-    return traj.final_state
+    return dyn._evolve(_model(cfg), rho0, tau, 3, rates=False).final_state
 
 
 def _print_report(pairs) -> None:
@@ -520,7 +513,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_bound(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj = _trajectory(cfg, rho0, _build_family(cfg), args.tau, rates=False)
+    traj = dyn._evolve(_model(cfg), rho0, args.tau, cfg.n_steps, rates=False)
     report = qsl.integrate_bounds(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("D_fwd", report.d_fwd), ("D_bwd", report.d_bwd), ("D_sym", report.d_sym),
@@ -533,7 +526,7 @@ def _cmd_bound(args) -> int:
 def _cmd_qsl(args) -> int:
     cfg = _cfg_from_args(args)
     rho0 = _probe_state(cfg)
-    traj = _trajectory(cfg, rho0, _build_family(cfg), args.tau, rates=True)
+    traj = dyn._evolve(_model(cfg), rho0, args.tau, cfg.n_steps, rates=True)
     report = qsl.qsl_general(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("tau", report.tau), ("tau_fwd", report.tau_fwd), ("tau_bwd", report.tau_bwd),

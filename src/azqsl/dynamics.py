@@ -8,12 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import (
+    AzqslError,
     CompletenessViolationError,
     DimMismatchError,
     InvalidParamsError,
@@ -363,10 +364,10 @@ class Trajectory:
             raise InvalidParamsError("times must start at 0 and increase strictly")
         traces = np.trace(self.states, axis1=1, axis2=2)
         drift = float(np.max(np.abs(traces - 1.0)))
-        if drift > TRACE_DRIFT_TOL:
+        if not drift <= TRACE_DRIFT_TOL:
             raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
         asym = float(np.max(np.abs(self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
-        if asym > linalg.HERMITIAN_TOL:
+        if not asym <= linalg.HERMITIAN_TOL:
             raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
         if self.speeds.shape != self.times.shape:
             raise InvalidStateError(f"{self.speeds.shape} speeds for {len(self.times)} samples")
@@ -436,21 +437,27 @@ def evolve_unitary(
     ||-i[H, rho_t]||_1 is time-constant; both are still computed per sample
     as a consistency check, by the planned spectra with every entry
     structural. A sample with a zero entry, such as the zero commutator of
-    an eigenstate probe, takes the per-matrix fallback."""
-    if h.dim != rho0.dim:
-        raise DimMismatchError(f"H dim {h.dim} vs state dim {rho0.dim}")
-    times = _time_grid(tau, n_steps)
+    an eigenstate probe, takes the per-matrix fallback. The one-horizon
+    case of `_trajectories`."""
+    return _evolve(h, rho0, tau, n_steps, rates=False)
+
+
+def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
+    """The per-sample work of `evolve_unitary` on a run of sample times."""
     w, v = linalg.eigh(h.mat)
-    phases = np.exp(-1j * np.outer(times, w))
-    u = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
-    states = np.einsum("tab,bc,tdc->tad", u, rho0.mat, u.conj())
-    states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
-    comm = h.mat[None] @ states - states @ h.mat[None]
-    dstates = -1j * comm
-    dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
-    speeds = _schatten_speeds(_entries(dstates), h.dim)
-    kmins = _batch_kmin(states)
-    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins)
+
+    def sample(times: np.ndarray, fd_step: float | None) -> _Samples:
+        phases = np.exp(-1j * np.outer(times, w))
+        u = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
+        states = np.einsum("tab,bc,tdc->tad", u, rho0.mat, u.conj())
+        states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
+        comm = h.mat[None] @ states - states @ h.mat[None]
+        dstates = -1j * comm
+        dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
+        speeds = _schatten_speeds(_entries(dstates), h.dim)
+        return _Samples(states, speeds, _batch_kmin(states), None)
+
+    return sample
 
 
 def energy_fluctuation(h: HamiltonianModel, rho0: DensityMatrix) -> float:
@@ -520,6 +527,19 @@ def _require_identity(deviation: np.ndarray) -> None:
 # X rho_0 once per stack and contract it with conj(Y) in a two-operand
 # einsum that keeps the operator sum inside it; that grouping moves
 # results by about 1e-16.
+#
+# The trajectories of a sweep panel share their samples (`_trajectories`):
+# the horizons' grids are joined, each distinct sample time is evaluated
+# once in runs of n_steps times, and each horizon's trajectory is gathered
+# from its own samples. This work is elementwise in time, and the planned
+# spectra give each sample the value of its own pattern, so a sample gets
+# the same bits in every run it could sit in. A run that fails a check
+# raises as a whole, and each horizon that holds one of its samples is
+# evaluated again on its own, so a bad sample fails only the horizons that
+# hold it, with the error of their own call. The gathered-or-dense choice
+# above is made per run from the samples it holds, so a user family, whose
+# dense stacks may gather on some horizons and not on others, is evaluated
+# one horizon at a time.
 
 
 def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
@@ -693,53 +713,210 @@ def evolve_kraus(
     written densely; the speeds, k_min and rates take the planned spectra,
     which find each matrix's structural pattern once per trajectory. A
     derivative stack with a NaN or an infinity raises InvalidStateError
-    before any product is formed."""
-    if fam.dim != rho0.dim:
-        raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    times = _time_grid(tau, n_steps)
-    K, dK, regularized, exact = fam._trajectory_pair(times, fd_step=1e-5 * tau)
-    G = _gathered(K)
-    if G is None:
-        _check_completeness(K)
-    else:
-        # the pair's K is the exact-time stack outside the regularized rows
-        _check_gathered_completeness(G, slice(None) if rates else ~regularized)
-    if regularized.any():
-        _check_completeness(_scatter(exact))
-    if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
-        raise InvalidStateError("non-finite Kraus derivative along trajectory")
-    dG = None if G is None else _gathered(dK)
+    before any product is formed. The one-horizon case of `_trajectories`."""
+    return _evolve(fam, rho0, tau, n_steps, rates)
+
+
+def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
+    """The per-sample work of `evolve_kraus` on a run of sample times. The
+    run raises at the first check it fails, in `evolve_kraus` order, before
+    any product is formed."""
     dim = rho0.dim
-    if dG is not None:
-        del K, dK
-        half = _products(dG, G, rho0)
-        speeds = _schatten_speeds(
-            _plus_adjoint(*_operator_sums(half, _product_values(half, dG, G), dim), dim), dim)
-        states = _channel_states(G, rho0)
-        if rates:
-            P = _products(G, dG, rho0)
-            values = _product_values(P, G, dG)
-            flat = P.rows * dim + P.cols
-            prods = [(flat[P.ops == l], values[P.ops == l]) for l in range(fam.n_ops)]
+
+    def sample(times: np.ndarray, fd_step: float | None) -> _Samples:
+        K, dK, regularized, exact = fam._trajectory_pair(times, fd_step=fd_step)
+        G = _gathered(K)
+        if G is None:
+            _check_completeness(K)
+        else:
+            # the pair's K is the exact-time stack outside the regularized rows
+            _check_gathered_completeness(G, slice(None) if rates else ~regularized)
+        if regularized.any():
+            _check_completeness(_scatter(exact))
+        if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
+            raise InvalidStateError("non-finite Kraus derivative along trajectory")
+        dG = None if G is None else _gathered(dK)
+        if dG is not None:
+            del K, dK
+            half = _products(dG, G, rho0)
+            speeds = _schatten_speeds(
+                _plus_adjoint(*_operator_sums(half, _product_values(half, dG, G), dim), dim), dim)
+            states = _channel_states(G, rho0)
+            if rates:
+                P = _products(G, dG, rho0)
+                values = _product_values(P, G, dG)
+                flat = P.rows * dim + P.cols
+                prods = [(flat[P.ops == l], values[P.ops == l]) for l in range(fam.n_ops)]
+        else:
+            # Conjugating in place and dropping each stack once no product
+            # needs it keeps at most four dense stacks alive at once.
+            KR = _times_rho(K, rho0)
+            Kc = np.conjugate(K, out=K)
+            del K
+            half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
+            speeds = _schatten_speeds(_entries(half + np.conj(np.swapaxes(half, 1, 2))), dim)
+            del half
+            states = _hermitian(np.einsum("tlik,tlmk->tim", KR, Kc))
+            del Kc
+            if rates:
+                dense = np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
+                prods = [_entries(dense[:, l]) for l in range(fam.n_ops)]
+        if regularized.any():
+            states[regularized] = _channel_states(exact, rho0)
+        rate_sums = _kraus_rates(prods, dim) if rates else None
+        return _Samples(states, speeds, _batch_kmin(states), rate_sums)
+
+    return sample
+
+
+class _Samples(NamedTuple):
+    """The per-sample results on a run of sample times: dense states
+    (n, dim, dim), Schatten speeds, k_min, and summed Kraus rates or None."""
+
+    states: np.ndarray
+    speeds: np.ndarray
+    kmins: np.ndarray
+    rates: np.ndarray | None
+
+
+class _SampleStore:
+    """What a panel keeps per distinct sample time: the real and imaginary
+    parts of the state entries that are not +0 at some sample (`parts`, by
+    flat float position; every other part is +0), the speed, k_min and rate;
+    and whether the sample lies in a run that raised."""
+
+    def __init__(self, n: int, dim: int):
+        self.dim = dim
+        self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
+        self.held = np.zeros(2 * dim * dim, dtype=bool)
+        self.parts = np.flatnonzero(self.held)
+        self.entries = np.zeros((n, 0))
+        self.failed = np.zeros(n, dtype=bool)
+
+    def add(self, rows: slice, samples: _Samples) -> None:
+        parts = samples.states.reshape(len(samples.speeds), -1).view(np.float64)
+        self._widen((parts.view(np.int64) != 0).any(axis=0))
+        self.entries[rows] = parts[:, self.parts]
+        self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
+        if samples.rates is not None:
+            if self.rates is None:
+                self.rates = np.zeros(len(self.speeds))
+            self.rates[rows] = samples.rates
+
+    def _widen(self, nonzero: np.ndarray) -> None:
+        """Make room for the state parts that are `nonzero` (by flat float
+        position); the samples held so far are +0 there."""
+        if not (nonzero & ~self.held).any():
+            return
+        held = self.held | nonzero
+        entries = np.zeros((len(self.entries), np.count_nonzero(held)))
+        entries[:, self.held[held]] = self.entries
+        self.held, self.parts, self.entries = held, np.flatnonzero(held), entries
+
+    def trajectory(self, times: np.ndarray, rows: np.ndarray) -> Trajectory | AzqslError:
+        """The trajectory at `times`, held as the samples `rows`, or the
+        error `Trajectory` raises for it."""
+        states = np.zeros((len(times), 2 * self.dim * self.dim))
+        states[:, self.parts] = self.entries[rows]
+        return _trajectory(
+            times, states.view(complex).reshape(-1, self.dim, self.dim), self.speeds[rows],
+            self.kmins[rows], None if self.rates is None else self.rates[rows])
+
+
+def _trajectory(times: np.ndarray, *samples) -> Trajectory | AzqslError:
+    """`Trajectory` of the samples (states, speeds, k_min, rates) at `times`,
+    or the error it raises."""
+    try:
+        return Trajectory(times, *samples)
+    except AzqslError as exc:
+        return exc
+
+
+def _alone(sampler, times: np.ndarray, fd_step: float | None) -> Trajectory | AzqslError:
+    """The trajectory at `times` evaluated on its own, in one run, or the
+    error it ends in."""
+    try:
+        samples = sampler(times, fd_step)
+    except AzqslError as exc:
+        return exc
+    return _trajectory(times, *samples)
+
+
+def _trajectories(
+    model: HamiltonianModel | KrausFamily, rho0: DensityMatrix, taus: Sequence[float],
+    n_steps: int, rates: bool = False,
+) -> Iterator[Trajectory | AzqslError]:
+    """For each horizon of `taus`, in order, the trajectory of `evolve_unitary`
+    (a Hamiltonian) or `evolve_kraus` (a Kraus family) to it, or the
+    AzqslError that call raises; the two are its one-horizon case.
+
+    The horizons share their samples: the time grids are joined, and every
+    distinct sample time is evaluated once, in runs of `n_steps` times.
+    Every per-sample quantity is elementwise in time and the planned
+    spectra give each sample the value of its own pattern, so a sample has
+    the same bits whichever horizons hold it. A run that fails a check
+    raises as a whole, so each horizon that holds a sample of it is
+    evaluated again on its own and gets the outcome of its own call. The
+    trajectories are gathered one at a time as the caller asks for them.
+    A user family's pair may depend on the horizon (finite differences
+    take a step of 1e-5 tau), and whether its dense stacks are gathered
+    depends on the samples they hold, so its horizons are evaluated one at
+    a time."""
+    if model.dim != rho0.dim:
+        kind = "H" if isinstance(model, HamiltonianModel) else "channel"
+        exc = DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
+        yield from (exc for _ in taus)
+        return
+    if isinstance(model, HamiltonianModel):
+        sampler = _unitary_sampler(model, rho0)
     else:
-        # Conjugating in place and dropping each stack once no product
-        # needs it keeps at most four dense stacks alive at once.
-        KR = _times_rho(K, rho0)
-        Kc = np.conjugate(K, out=K)
-        del K
-        half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
-        speeds = _schatten_speeds(_entries(half + np.conj(np.swapaxes(half, 1, 2))), dim)
-        del half
-        states = _hermitian(np.einsum("tlik,tlmk->tim", KR, Kc))
-        del Kc
-        if rates:
-            dense = np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
-            prods = [_entries(dense[:, l]) for l in range(fam.n_ops)]
-    if regularized.any():
-        states[regularized] = _channel_states(exact, rho0)
-    kmins = _batch_kmin(states)
-    rate_sums = _kraus_rates(prods, dim) if rates else None
-    return Trajectory(times=times, states=states, speeds=speeds, kmins=kmins, rates=rate_sums)
+        sampler = _kraus_sampler(model, rho0, rates)
+        if not isinstance(model, _ClosedFormFamily):
+            for tau in taus:
+                yield from _panel(sampler, [tau], n_steps, rho0.dim, 1e-5 * tau)
+            return
+    yield from _panel(sampler, taus, n_steps, rho0.dim, None)
+
+
+def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
+    """`_trajectories` over horizons that share their samples."""
+    grids, errors = {}, {}
+    for h, tau in enumerate(taus):
+        try:
+            grids[h] = _time_grid(tau, n_steps)
+        except AzqslError as exc:
+            errors[h] = exc
+    if len(grids) <= 1:  # a lone grid is one run of its own
+        for h in range(len(taus)):
+            yield errors[h] if h in errors else _alone(sampler, grids.pop(h), fd_step)
+        return
+    times = np.unique(np.concatenate(list(grids.values())))
+    del grids
+    store = _SampleStore(len(times), dim)
+    for start in range(0, len(times), n_steps):
+        rows = slice(start, start + n_steps)
+        try:
+            store.add(rows, sampler(times[rows], fd_step))
+        except AzqslError:
+            store.failed[rows] = True
+    for h, tau in enumerate(taus):
+        if h in errors:
+            yield errors[h]
+            continue
+        grid = _time_grid(tau, n_steps)
+        rows = np.searchsorted(times, grid)
+        if store.failed[rows].any():
+            yield _alone(sampler, grid, fd_step)
+        else:
+            yield store.trajectory(grid, rows)
+
+
+def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
+    """The one-horizon case of `_trajectories`, raising its error."""
+    (outcome,) = _trajectories(model, rho0, [tau], n_steps, rates)
+    if isinstance(outcome, AzqslError):
+        raise outcome
+    return outcome
 
 
 def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:

@@ -11,8 +11,10 @@ from azqsl import dynamics as dyn
 from azqsl import linalg
 from azqsl.entropy import EntropyParams
 from azqsl.errors import (
+    AzqslError,
     CompletenessViolationError,
     DimMismatchError,
+    InvalidParamsError,
     InvalidStateError,
     NotHermitianError,
 )
@@ -288,6 +290,16 @@ class TestTrajectories:
         traj = dyn.evolve_kraus(fam, bloch_state(BlochVector(0.5, 0.3, 0.2)), 1.0, 11)
         with pytest.raises(InvalidStateError):
             replace(traj, kmins=self.spoiled(traj.kmins, bad))
+
+    def test_rejects_nan_state_entry(self):
+        # a NaN off-diagonal entry leaves the trace alone; the asymmetry
+        # check must still reject it
+        rho = bloch_state(BlochVector(0.5, 1.0, 0.2)).mat
+        states = np.repeat(rho[None], 3, axis=0)
+        states[1, 0, 1] = math.nan
+        with pytest.raises(InvalidStateError, match="asymmetry nan"):
+            dyn.Trajectory(times=np.array([0.0, 0.5, 1.0]), states=states,
+                           speeds=np.ones(3), kmins=np.full(3, 0.25))
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("bad,seed", [(math.nan, 1), (math.inf, 2), (-math.inf, 3)])
@@ -870,6 +882,17 @@ class TestContractions:
         fam = stinespring_family(rng, dim, n_ops)
         self.assert_dense_matches_oracle(fam, random_density(rng, dim), 2.0, monkeypatch)
 
+    def test_monomial_operators_with_dense_derivatives_take_einsum(self, monkeypatch):
+        # K gathers, its derivative does not: the dense contractions read K
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 2.0, 1001)
+        p = 0.3
+        ops = np.array([math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * linalg.SIGMA_X])
+        K = np.repeat(ops[None].astype(complex), len(times), axis=0)
+        dK = rng.normal(size=K.shape) + 1j * rng.normal(size=K.shape)
+        fam = TableFamily(times, K, dK)
+        self.assert_dense_matches_oracle(fam, random_density(rng, 2), 2.0, monkeypatch)
+
     def test_switching_permutation_takes_einsum(self, monkeypatch):
         # monomial at every sample, but the permutations change halfway, so
         # the union over samples has two nonzeros in a row
@@ -950,3 +973,208 @@ class TestContractions:
         else:
             with pytest.raises(CompletenessViolationError):
                 dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)
+
+
+def finite_difference_family() -> dyn.KrausFamily:
+    """Qubit amplitude damping with e^(-t) decay, given without derivatives:
+    its pair takes finite differences with a step that follows the horizon."""
+    def ops(t):
+        e = math.exp(-t)
+        return [np.array([[1.0, 0.0], [0.0, math.sqrt(e)]], dtype=complex),
+                np.array([[0.0, math.sqrt(1.0 - e)], [0.0, 0.0]], dtype=complex)]
+    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=ops)
+
+
+QUBIT_PROBE = bloch_state(BlochVector(0.6, 0.9, 0.4))
+SHARING_MODELS = {
+    **{f"ad_s{s}": (dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.3, s)),
+                    ghz_mixed(GHZMixedParams(0.4)))
+       for s in (0.0, 0.3, 0.5, 10.0)},
+    "depolarizing": (dyn.depolarizing_family(dyn.DepolarizingParams(1.3)), QUBIT_PROBE),
+    "unitary": (dyn.HamiltonianModel.qubit([1.0, 0.3, 0.5]), QUBIT_PROBE),
+    "bit_flip": (bit_flip_family(), QUBIT_PROBE),
+    "finite_differences": (finite_difference_family(), QUBIT_PROBE),
+}
+
+
+@st.composite
+def horizon_sets(draw):
+    """Horizons that share samples: doubling chains (the first half of the
+    grid of 2 tau is the even samples of the grid of tau), repeats of one
+    horizon, unrelated horizons, and horizons whose grids reach below the
+    depolarizing clamping floor t_floor / gamma."""
+    kind = draw(st.sampled_from(["doubling", "repeated", "free", "below_floor"]))
+    if kind == "doubling":
+        base = draw(st.floats(0.05, 3.0))
+        return [base * 2.0 ** k for k in range(draw(st.integers(2, 5)))]
+    if kind == "repeated":
+        a, b = draw(st.floats(0.05, 10.0)), draw(st.floats(0.05, 10.0))
+        return [a, b, a, a]
+    lo, hi = (1e-3, 20.0) if kind == "free" else (1e-9, 1e-6)
+    return draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5))
+
+
+def evolve_one(model, rho0, tau, n_steps, rates):
+    """The public per-horizon call of a model, or the error it raises."""
+    try:
+        if isinstance(model, dyn.HamiltonianModel):
+            return dyn.evolve_unitary(model, rho0, tau, n_steps)
+        return dyn.evolve_kraus(model, rho0, tau, n_steps, rates=rates)
+    except AzqslError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    """Equal errors (class and message), or trajectories equal byte for byte."""
+    if isinstance(want, AzqslError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, dyn.Trajectory), got
+    for name in ("times", "states", "speeds", "kmins"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.rates is None) == (want.rates is None)
+    if want.rates is not None:
+        assert got.rates.tobytes() == want.rates.tobytes()
+
+
+class TestSharedSamples:
+    # A panel's horizons share their sample times: each distinct time is
+    # evaluated once, and every horizon must get the bits (or the error)
+    # of its own per-horizon call.
+    @seed(20261020)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(SHARING_MODELS)), taus=horizon_sets(),
+           n_steps=st.sampled_from([2, 3, 17, 201, 1001]), rates=st.booleans())
+    def test_panel_equals_per_horizon_calls(self, name, taus, n_steps, rates):
+        model, rho0 = SHARING_MODELS[name]
+        outcomes = list(dyn._trajectories(model, rho0, taus, n_steps, rates))
+        assert len(outcomes) == len(taus)
+        for tau, got in zip(taus, outcomes):
+            assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
+
+    def test_doubling_chain_shares_samples(self, monkeypatch):
+        # the first half of the grid of 2 tau is the even samples of the
+        # grid of tau: the grids of 1, 2 and 4 hold 17 + 8 + 8 distinct
+        # times, evaluated in runs of 17
+        model, rho0 = SHARING_MODELS["ad_s10.0"]
+        runs = []
+        sampler = dyn._kraus_sampler
+
+        def counting(*args):
+            sample = sampler(*args)
+            return lambda times, fd_step: runs.append(len(times)) or sample(times, fd_step)
+
+        monkeypatch.setattr(dyn, "_kraus_sampler", counting)
+        list(dyn._trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True))
+        assert runs == [17, 16]
+
+    def test_finite_differences_follow_each_horizon(self):
+        # a family without derivatives steps by 1e-5 tau of the horizon
+        # that holds the sample, so the horizons share nothing
+        fam, rho0 = SHARING_MODELS["finite_differences"]
+        taus = [1.0, 2.0, 4.0]
+        for tau, traj in zip(taus, dyn._trajectories(fam, rho0, taus, 17, True)):
+            K, dK = fam.stacks(traj.times, fd_step=1e-5 * tau)
+            states, speeds, kmins, terms = oracle_contractions(K, K, dK, rho0)
+            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.speeds, speeds)
+            assert np.array_equal(traj.rates, terms.sum(axis=1))
+
+    def test_horizon_errors_stay_per_horizon(self):
+        model, rho0 = SHARING_MODELS["depolarizing"]
+        outcomes = list(dyn._trajectories(model, rho0, [1.0, -1.0, math.inf, 2.0], 11))
+        assert isinstance(outcomes[1], InvalidParamsError)
+        assert isinstance(outcomes[2], InvalidParamsError)
+        for tau, got in zip((1.0, 2.0), outcomes[::3]):
+            assert_same_outcome(got, evolve_one(model, rho0, tau, 11, False))
+
+    def test_dim_mismatch_fails_every_horizon(self):
+        model, _ = SHARING_MODELS["unitary"]
+        outcomes = list(dyn._trajectories(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11))
+        assert [type(o) for o in outcomes] == [DimMismatchError] * 2
+
+
+class IncompleteAfter(dyn.AmplitudeDampingFamily):
+    """Amplitude damping whose operators grow by 1e-6 after time T."""
+
+    T = 2.5
+
+    def _trajectory_pair(self, times, fd_step=None):
+        pair = super()._trajectory_pair(times, fd_step)
+        pair.K.values[..., times > self.T] *= 1 + 1e-6
+        return pair
+
+
+class NaNDerivativeAt(dyn.AmplitudeDampingFamily):
+    """Amplitude damping whose derivative is NaN at the single time T."""
+
+    T = 1.0
+
+    def _trajectory_pair(self, times, fd_step=None):
+        pair = super()._trajectory_pair(times, fd_step)
+        pair.dK.values[2, 0, times == self.T] = math.nan
+        return pair
+
+
+class UndefinedAfter(dyn.AmplitudeDampingFamily):
+    """Amplitude damping that refuses any time after T."""
+
+    T = 2.5
+
+    def _trajectory_pair(self, times, fd_step=None):
+        if np.any(times > self.T):
+            raise InvalidParamsError(f"no operators after t = {self.T}")
+        return super()._trajectory_pair(times, fd_step)
+
+
+def user_family(defect: str) -> dyn.KrausFamily:
+    """The bit-flip family, losing completeness or undefined after t = 2.5,
+    or with a NaN derivative at t = 1."""
+    base = bit_flip_family()
+
+    def ops(t):
+        if defect == "undefined" and t > 2.5:
+            raise InvalidParamsError("no operators after t = 2.5")
+        scale = 1 + 1e-6 if defect == "incomplete" and t > 2.5 else 1.0
+        return [scale * k for k in base._ops_fn(t)]
+
+    def dops(t):
+        nan = defect == "nan" and t == 1.0
+        return [np.full((2, 2), math.nan, dtype=complex) if nan else k for k in base._dops_fn(t)]
+
+    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=ops, dops_fn=dops)
+
+
+class TestErrorAttribution:
+    # Horizons 1, 2, 3 and 4 on 17 samples: the grids of 2 and 4 hold
+    # t = 1 (the grid of 1 ends there), the grid of 3 does not; only the
+    # grids of 3 and 4 pass t = 2.5. A family that raises fails the whole
+    # run of samples it was asked for, which here also holds samples of
+    # the horizon 2.
+    TAUS = [1.0, 2.0, 3.0, 4.0, 0.5]
+    CASES = {
+        "closed_form_incomplete": (
+            IncompleteAfter(dyn.AmplitudeDampingParams(1.0, 10.0)), ghz_mixed(GHZMixedParams(0.4)),
+            {3.0, 4.0}, CompletenessViolationError),
+        "closed_form_nan_derivative": (
+            NaNDerivativeAt(dyn.AmplitudeDampingParams(1.0, 10.0)), ghz_mixed(GHZMixedParams(0.4)),
+            {1.0, 2.0, 4.0}, InvalidStateError),
+        "closed_form_undefined": (
+            UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0)), ghz_mixed(GHZMixedParams(0.4)),
+            {3.0, 4.0}, InvalidParamsError),
+        "user_incomplete": (user_family("incomplete"), QUBIT_PROBE,
+                            {3.0, 4.0}, CompletenessViolationError),
+        "user_undefined": (user_family("undefined"), QUBIT_PROBE, {3.0, 4.0}, InvalidParamsError),
+        "user_nan_derivative": (user_family("nan"), QUBIT_PROBE,
+                                {1.0, 2.0, 4.0}, InvalidStateError),
+    }
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_only_horizons_holding_the_sample_fail(self, name, rates):
+        fam, rho0, failing, cls = self.CASES[name]
+        outcomes = list(dyn._trajectories(fam, rho0, self.TAUS, 17, rates))
+        for tau, got in zip(self.TAUS, outcomes):
+            want = evolve_one(fam, rho0, tau, 17, rates)
+            assert isinstance(want, cls) == (tau in failing), tau
+            assert_same_outcome(got, want)

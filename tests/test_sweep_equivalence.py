@@ -11,6 +11,7 @@ stationary values.
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ def point_row(cfg: cli.SweepConfig, alpha: float, z: float, t: float):
         fam = None
         if cfg.model == "depolarizing":
             fam = dyn.depolarizing_family(dyn.DepolarizingParams(cfg.gamma))
+        elif cfg.model == "custom_kraus_file":
+            fam = cli.load_kraus_file(cfg.kraus_file)
     if fam is None:
         traj = dyn.evolve_unitary(dyn.HamiltonianModel.qubit(cfg.n), rho0, t, cfg.n_steps)
     else:
@@ -108,6 +111,9 @@ def exact(values: dict) -> dict:
     return {k: repr(float(v)) for k, v in values.items()}
 
 
+# the bit-flip channel with flip probability 0.2, as a Kraus file
+BIT_FLIP_FILE = str(Path(__file__).parent / "data" / "bit_flip.txt")
+
 PANELS = {
     "unitary_general_z": cli.SweepConfig(
         model="unitary_qubit", r=0.6, theta=1.1, phi=0.4, n=(1.0, 0.3, 0.5),
@@ -164,6 +170,11 @@ PANELS = {
         model="depolarizing", r=0.75, theta=1.0, gamma=1.0,
         alpha_grid=(0.05, 0.95, 5), time_grid=(0.0, 8.0, 5), n_steps=101,
         outputs=("bounds", "errors"),
+    ),
+    # a user family: its horizons are evaluated one at a time
+    "custom_kraus_file": cli.SweepConfig(
+        model="custom_kraus_file", kraus_file=BIT_FLIP_FILE, r=0.7, theta=0.3, phi=0.2,
+        alpha_grid=(0.15, 0.85, 3), z_grid=(0.8, 1.0, 2), time_grid=(0.0, 3.0, 4), n_steps=101,
     ),
     "subset_entropy_qsl_errors": cli.SweepConfig(
         model="depolarizing", r=0.5, theta=0.7, gamma=0.5,
