@@ -350,8 +350,10 @@ class Trajectory:
     the smallest eigenvalue of each sample and, for a Kraus channel evolved
     with them, the summed Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1.
 
-    Speeds, k_min values and rates hold one finite, non-negative value per
-    sample; anything else raises InvalidStateError."""
+    The times start at 0 and increase strictly, else InvalidParamsError.
+    The states hold one (dim, dim) matrix per sample, and speeds, k_min
+    values and rates one finite, non-negative value per sample; anything
+    else raises InvalidStateError."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim, dim)
@@ -360,8 +362,11 @@ class Trajectory:
     rates: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
+        if not len(self.times) or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise InvalidParamsError("times must start at 0 and increase strictly")
+        shape = self.states.shape
+        if len(shape) != 3 or shape[0] != len(self.times) or shape[1] != shape[2]:
+            raise InvalidStateError(f"{shape} states for {len(self.times)} samples")
         traces = np.trace(self.states, axis1=1, axis2=2)
         drift = float(np.max(np.abs(traces - 1.0)))
         if not drift <= TRACE_DRIFT_TOL:
@@ -411,10 +416,9 @@ class Trajectory:
 
 
 def _batch_kmin(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each sample, from the planned spectra of
-    `linalg._planned_min_eigenvalues`, clamped at zero; one below -1e-10
-    raises InvalidStateError."""
-    vals = linalg._planned_min_eigenvalues(stack)
+    """Smallest eigenvalue of each sample, from `linalg.min_eigenvalues`,
+    clamped at zero; one below -1e-10 raises InvalidStateError."""
+    vals = linalg.min_eigenvalues(stack)
     if float(vals.min()) < -1e-10:
         raise InvalidStateError(f"sample eigenvalue {vals.min():.3e} below -1e-10")
     return np.maximum(vals, 0.0)
@@ -435,10 +439,10 @@ def evolve_unitary(
 
     The spectrum is invariant along the orbit, and the Schatten speed
     ||-i[H, rho_t]||_1 is time-constant; both are still computed per sample
-    as a consistency check, by the planned spectra with every entry
-    structural. A sample with a zero entry, such as the zero commutator of
-    an eigenstate probe, takes the per-matrix fallback. The one-horizon
-    case of `_trajectories`."""
+    as a consistency check, by `linalg._sample_spectra`: a sample with a
+    zero entry, such as the zero commutator of an eigenstate probe, is
+    evaluated again on its own pattern. The one-horizon case of
+    `_trajectories`."""
     return _evolve(h, rho0, tau, n_steps, rates=False)
 
 
@@ -520,8 +524,8 @@ def _require_identity(deviation: np.ndarray) -> None:
 # as einsum rounds it (`_cmul`); sums over operators run in operator order
 # from a zero start. That is the arithmetic of the three-operand einsum,
 # so no bit moves. Only the states are written as dense (n_times, dim,
-# dim) arrays; the speed and rate matrices go to the planned spectra of
-# `linalg._planned_trace_norms` as their entries. A row that is zero at
+# dim) arrays; the speed and rate matrices go to
+# `linalg._sample_spectra` as their entries. A row that is zero at
 # every sample but has a column gives zeros, which leave the operator sums
 # and the spectra as a detected empty row leaves them. Dense families form
 # X rho_0 once per stack and contract it with conj(Y) in a two-operand
@@ -531,15 +535,15 @@ def _require_identity(deviation: np.ndarray) -> None:
 # The trajectories of a sweep panel share their samples (`_trajectories`):
 # the horizons' grids are joined, each distinct sample time is evaluated
 # once in runs of n_steps times, and each horizon's trajectory is gathered
-# from its own samples. This work is elementwise in time, and the planned
-# spectra give each sample the value of its own pattern, so a sample gets
-# the same bits in every run it could sit in. A run that fails a check
-# raises as a whole, and each horizon that holds one of its samples is
-# evaluated again on its own, so a bad sample fails only the horizons that
-# hold it, with the error of their own call. The gathered-or-dense choice
-# above is made per run from the samples it holds, so a user family, whose
-# dense stacks may gather on some horizons and not on others, is evaluated
-# one horizon at a time.
+# from its own samples. This work is elementwise in time, and
+# `linalg._sample_spectra` gives each sample the value of its own pattern,
+# so a sample gets the same bits in every run it could sit in. A run that
+# fails a check raises as a whole, and each horizon that holds one of its
+# samples is evaluated again on its own, so a bad sample fails only the
+# horizons that hold it, with the error of their own call. The
+# gathered-or-dense choice above is made per run from the samples it
+# holds, so a user family, whose dense stacks may gather on some horizons
+# and not on others, is evaluated one horizon at a time.
 
 
 def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
@@ -580,14 +584,6 @@ def _scatter(G: _Gathered) -> np.ndarray:
     return out
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) by the textbook formula, as its real and
-    imaginary parts, each real product and sum rounded on its own as in
-    einsum; numpy's complex multiply may fuse them, which moves the last
-    bit of complex (not real) operands."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 class _Products(NamedTuple):
     """A trajectory's plan of the products X_l rho_0 Y_l† of two gathered
     stacks: the entries (ops, rows, cols) that can be nonzero, in (l, i, m)
@@ -613,9 +609,9 @@ def _product_values(P: _Products, X: _Gathered, Y: _Gathered) -> np.ndarray:
     """The products at the entries of `P`, shape (n_entries, n_times),
     formed on contiguous real and imaginary parts."""
     x, y = X.values, Y.values
-    re, im = _cmul(x.real[P.ops, P.rows], x.imag[P.ops, P.rows], P.rho.real, P.rho.imag)
+    re, im = linalg._cmul(x.real[P.ops, P.rows], x.imag[P.ops, P.rows], P.rho.real, P.rho.imag)
     # times conj(y)
-    re, im = _cmul(re, im, y.real[P.ops, P.cols], -y.imag[P.ops, P.cols])
+    re, im = linalg._cmul(re, im, y.real[P.ops, P.cols], -y.imag[P.ops, P.cols])
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -710,10 +706,12 @@ def evolve_kraus(
     scanned or compared; a user family's dense pair is gathered when its
     operators are monomial. A gathered pair is planned once: its products
     are formed at the entries that can be nonzero, and only the states are
-    written densely; the speeds, k_min and rates take the planned spectra,
-    which find each matrix's structural pattern once per trajectory. A
-    derivative stack with a NaN or an infinity raises InvalidStateError
-    before any product is formed. The one-horizon case of `_trajectories`."""
+    written densely; the speeds, k_min and rates take
+    `linalg._sample_spectra`, which evaluates each matrix's blocks on every
+    sample at once and again only where a sample is zero at one of its
+    entries. A derivative stack with a NaN or an infinity raises
+    InvalidStateError before any product is formed. The one-horizon case
+    of `_trajectories`."""
     return _evolve(fam, rho0, tau, n_steps, rates)
 
 
@@ -852,16 +850,16 @@ def _trajectories(
 
     The horizons share their samples: the time grids are joined, and every
     distinct sample time is evaluated once, in runs of `n_steps` times.
-    Every per-sample quantity is elementwise in time and the planned
-    spectra give each sample the value of its own pattern, so a sample has
-    the same bits whichever horizons hold it. A run that fails a check
-    raises as a whole, so each horizon that holds a sample of it is
-    evaluated again on its own and gets the outcome of its own call. The
-    trajectories are gathered one at a time as the caller asks for them.
-    A user family's pair may depend on the horizon (finite differences
-    take a step of 1e-5 tau), and whether its dense stacks are gathered
-    depends on the samples they hold, so its horizons are evaluated one at
-    a time."""
+    Every per-sample quantity is elementwise in time and
+    `linalg._sample_spectra` gives each sample the value of its own
+    pattern, so a sample has the same bits whichever horizons hold it. A
+    run that fails a check raises as a whole, so each horizon that holds a
+    sample of it is evaluated again on its own and gets the outcome of its
+    own call. The trajectories are gathered one at a time as the caller
+    asks for them. A user family's pair may depend on the horizon (finite
+    differences take a step of 1e-5 tau), and whether its dense stacks are
+    gathered depends on the samples they hold, so its horizons are
+    evaluated one at a time."""
     if model.dim != rho0.dim:
         kind = "H" if isinstance(model, HamiltonianModel) else "channel"
         exc = DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
@@ -921,9 +919,8 @@ def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -
 
 def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:
     """||drho/dt||_1 per sample from drho/dt given by its flat positions
-    and entry-major values, through the planned spectra of
-    `linalg._planned_trace_norms`."""
-    return linalg._planned_trace_norms([speed], dim, dim, speed[1].shape[1])[0]
+    and entry-major values, through `linalg._sample_spectra`."""
+    return linalg._sample_spectra(*speed, dim, dim)
 
 
 def _kraus_rates(prods: list, dim: int) -> np.ndarray:
@@ -931,12 +928,11 @@ def _kraus_rates(prods: list, dim: int) -> np.ndarray:
     its entries, shape (n_times,), summed in operator order as numpy sums
     a row of per-operator norms.
 
-    The trace norms take the planned spectra of
-    `linalg._planned_trace_norms`. For the built-in channels every block
-    has at most two rows or columns and takes a closed form (a depolarizing
-    product is one dense 2x2 block, an amplitude-damping product with the
-    GHZ probe splits into blocks of at most 2x1), so no built-in sweep runs
-    an SVD for its rates; a family whose products are dense and at least
-    3x3 gets the LAPACK singular-value sums as before."""
-    n = prods[0][1].shape[1]
-    return linalg._sum_rows(linalg._planned_trace_norms(prods, dim, dim, n))
+    The trace norms take `linalg._sample_spectra`, one operator at a
+    time. For the built-in channels every block has at most two rows or
+    columns and takes a closed form (a depolarizing product is one dense
+    2x2 block, an amplitude-damping product with the GHZ probe splits into
+    blocks of at most 2x1), so no built-in sweep runs an SVD for its
+    rates; a family whose products are dense and at least 3x3 gets the
+    LAPACK singular-value sums as before."""
+    return linalg._sum_rows(np.array([linalg._sample_spectra(*p, dim, dim) for p in prods]))

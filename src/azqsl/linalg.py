@@ -174,43 +174,117 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
 
     Rows and columns joined by a nonzero entry of a matrix form a block,
     and the singular values of the matrix are the union of its blocks'.
-    The pattern is each matrix's own: matrices are grouped by a pattern
-    code, the blocks are found once per distinct code, and a matrix's norm
-    depends on that matrix alone, so a stack row equals the one-matrix call
-    bit for bit. The blocks take `_block_norms`: closed forms for blocks
-    with one or two rows or columns, the sum of the LAPACK singular values
-    for blocks of at least 3x3. Matrices of more than 62 entries take the
-    LAPACK sum whole, so a dense matrix of size >= 3 gets exactly
-    `svd(m).sum()`. Entries must be finite.
+    The blocks come from each matrix's own pattern (`_sample_spectra`), so
+    a stack row equals the one-matrix call bit for bit. They take
+    `_block_norms`: closed forms for blocks with one or two rows or
+    columns, the sum of the LAPACK singular values for blocks of at least
+    3x3. Matrices of more than 62 entries take the LAPACK sum whole, so a
+    dense matrix of size >= 3 gets exactly `svd(m).sum()`. Entries must be
+    finite.
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, r, c = stack.shape
-    if r * c > _PATTERN_ENTRIES:
-        return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
     flat = stack.reshape(-1, r * c)
-    norms = np.zeros(len(flat))
-    for members, blocks in _pattern_groups(flat != 0, r, c):
-        for entries in blocks:
-            rows = flat[members, entries.reshape(-1, 1)]
-            norms[members] += _block_norms(rows, *entries.shape)
-    return norms.reshape(lead)
+    return _sample_spectra(np.arange(r * c), flat.T, r, c).reshape(lead)
 
 
-def _pattern_groups(pattern: np.ndarray, r: int, c: int):
-    """For each distinct r x c pattern of an (n, r * c) boolean stack, the
-    indices of the matrices that have it and its `_pattern_blocks`."""
-    codes = pattern @ (1 << np.arange(r * c, dtype=np.int64))
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    for u, code in enumerate(uniq):
-        yield np.flatnonzero(inverse == u), _pattern_blocks(int(code), r, c)
+def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every Hermitian matrix of a (..., n, n)
+    stack, shape (...).
+
+    As in `eigvalsh`, only the lower triangle and the real part of the
+    diagonal are read. Rows joined by a nonzero entry of the lower triangle
+    form a diagonal block, and the spectrum of the matrix is the union of
+    its blocks' spectra plus a zero for each row that lies in no block
+    (an all-zero row). As in `trace_norms`, the blocks come from each
+    matrix's own pattern, so a stack row equals the one-matrix call bit for
+    bit, and they take `_block_min_eigenvalues`. Matrices of more than 62
+    entries take the smallest LAPACK `eigvalsh` eigenvalue.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    *lead, n, _ = stack.shape
+    lower = np.flatnonzero(np.tri(n, dtype=bool))
+    flat = stack.reshape(-1, n * n)
+    return _sample_spectra(lower, flat.T[lower], n, n, hermitian=True).reshape(lead)
+
+
+def _sample_spectra(positions: np.ndarray, values: np.ndarray, r: int, c: int,
+                    hermitian: bool = False) -> np.ndarray:
+    """The trace norms of n samples of one r x c matrix, or with
+    `hermitian` the smallest eigenvalues of n samples of one Hermitian
+    matrix given by entries of its lower triangle, shape (n,). The matrix
+    is given by its flat positions (k,) and entry-major values there
+    (k, n); every other entry is +0 (LAPACK, which takes blocks of at least
+    3x3, tells the signed zeros apart).
+
+    A sample's pattern code has a bit for each of its nonzero entries. The
+    blocks of the union of the codes are evaluated on every sample at once;
+    a sample whose own code differs (t = 0 in the built-in models, where
+    derivatives or products vanish) is evaluated again, with the other
+    samples of its code, on its own blocks. The kernels work elementwise
+    over the samples, so a sample's value is the value of its own pattern,
+    bit for bit, whatever samples it came with. Matrices of more than 62
+    entries take LAPACK whole."""
+    n = values.shape[1]
+    if r * c > _PATTERN_ENTRIES:
+        dense = np.zeros((n, r * c), dtype=complex)
+        dense[:, positions] = values.T
+        dense = dense.reshape(n, r, c)
+        if hermitian:
+            return np.linalg.eigvalsh(dense)[:, 0]
+        return np.linalg.svd(dense, compute_uv=False).sum(axis=-1)
+    codes = (1 << np.asarray(positions, dtype=np.int64)) @ (values != 0)
+    union = int(np.bitwise_or.reduce(codes))
+    positions = tuple(positions.tolist())
+    # a sample of another code may have an all-zero block here; its value is
+    # replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectra = _pattern_spectra(values, union, r, c, positions, hermitian)
+    for code in np.unique(codes[codes != union]):
+        members = np.flatnonzero(codes == code)
+        spectra[members] = _pattern_spectra(
+            values[:, members], int(code), r, c, positions, hermitian)
+    return spectra
+
+
+def _pattern_spectra(values: np.ndarray, code: int, r: int, c: int, positions: tuple,
+                     hermitian: bool) -> np.ndarray:
+    """`_sample_spectra` of samples that share the pattern `code`: the sum
+    of their block norms, or the least block minimum, zero when a row lies
+    in no block."""
+    blocks, padded = _block_rows(code, r, c, positions, hermitian)
+    if padded:
+        values = np.concatenate([values, np.zeros((1, values.shape[1]), dtype=complex)])
+    if not hermitian:
+        norms = np.zeros(values.shape[1])
+        for rows, p, q in blocks:
+            norms += _block_norms(values[rows], p, q)
+        return norms
+    covered = sum(p for _, p, _ in blocks)
+    low = np.full(values.shape[1], 0.0 if covered < r else np.inf)
+    for rows, p, _ in blocks:
+        low = np.minimum(low, _block_min_eigenvalues(values[rows], p))
+    return low
 
 
 @lru_cache(maxsize=256)
-def _pattern_blocks(code: int, r: int, c: int) -> tuple[np.ndarray, ...]:
-    """The blocks of an r x c sparsity pattern, each as the flat indices of
-    its entries, shape (block rows, block columns). Blocks come in the
-    order of their first row; all-zero rows and columns are in none."""
-    nonzero = [{j for j in range(c) if (code >> (i * c + j)) & 1} for i in range(r)]
+def _block_rows(code: int, r: int, c: int, positions: tuple, hermitian: bool):
+    """The blocks of the r x c pattern `code`, in the order of their first
+    row; all-zero rows and columns are in none. With `hermitian` the code
+    holds entries of the lower triangle: each joins its row and column
+    both ways, and a row with a nonzero joins its own column, so blocks are
+    square and an entry above the diagonal reads its mirror image, which
+    the kernels do not look at. For each block, the rows of the values
+    (given at `positions`) that hold its entries, row-major, and its shape;
+    and whether an entry lies at no position, which reads an extra zero
+    row."""
+    pattern = ((code >> np.arange(r * c)) & 1).astype(bool).reshape(r, c)
+    if hermitian:
+        pattern |= pattern.T
+        pattern[np.diag_indices(r)] = pattern.any(axis=1)
+    nonzero = [set(np.flatnonzero(row).tolist()) for row in pattern]
+    row_of = np.full(r * c, len(positions))
+    row_of[list(positions)] = np.arange(len(positions))
     seen = set()
     blocks = []
     for first in range(r):
@@ -223,10 +297,12 @@ def _pattern_blocks(code: int, r: int, c: int) -> tuple[np.ndarray, ...]:
             frontier = {k for k in range(r) if nonzero[k] & new_cols} - rows
             rows |= frontier
         seen |= rows
-        entries = np.array(sorted(rows))[:, None] * c + np.array(sorted(cols))
-        entries.setflags(write=False)  # cached, shared by every call
-        blocks.append(entries)
-    return tuple(blocks)
+        i, j = np.array(sorted(rows))[:, None], np.array(sorted(cols))
+        entries = np.maximum(i, j) * c + np.minimum(i, j) if hermitian else i * c + j
+        block = row_of[entries.ravel()]
+        block.setflags(write=False)  # cached, shared by every call
+        blocks.append((block, len(rows), len(cols)))
+    return tuple(blocks), any(np.any(b == len(positions)) for b, _, _ in blocks)
 
 
 # The block kernels take their blocks entry-major: row e of `rows`, shape
@@ -235,6 +311,15 @@ def _pattern_blocks(code: int, r: int, c: int) -> tuple[np.ndarray, ...]:
 # blocks, so a block's value does not depend on the others, and the sums
 # over a block's entries take `_sum_rows`, numpy's order for a contiguous
 # run: a sample's value is the same bits whatever stack it came in.
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) by the textbook formula, as its real and
+    imaginary parts, each real product and sum rounded on its own as in
+    einsum; numpy's complex multiply may fuse them on contiguous runs and
+    not on broadcast ones, which moves the last bit of complex (not real)
+    operands."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -269,7 +354,11 @@ def _block_norms(rows: np.ndarray, p: int, q: int) -> np.ndarray:
     sqrt(||B||_F^2 + 2 sigma_1 sigma_2), with sigma_1 sigma_2 the root of
     the summed squared 2x2 minors (Cauchy-Binet), which holds for
     rank-deficient blocks too. Both closed forms work on the block scaled
-    by its largest |entry|. Larger blocks take the sum of their LAPACK
+    by its largest |entry|, the minors on its entries times the reciprocal
+    of that scale (as numpy divides a complex number by a real one), taken
+    in textbook products (`_cmul`). A block whose largest |entry| is
+    subnormal, whose reciprocal would overflow, is first lifted by an
+    exact power of two. Larger blocks take the sum of their LAPACK
     singular values."""
     if min(p, q) > 2:
         return np.linalg.svd(rows.T.reshape(-1, p, q), compute_uv=False).sum(axis=-1)
@@ -280,54 +369,22 @@ def _block_norms(rows: np.ndarray, p: int, q: int) -> np.ndarray:
     frobenius = _sum_rows(np.square(mags / scale))
     if min(p, q) == 1:
         return scale * np.sqrt(frobenius)
+    lifted = scale < np.finfo(float).tiny
+    if lifted.any():
+        rows = rows.copy()
+        rows[:, lifted] *= 2.0 ** 64
+    inverse = 1.0 / np.where(lifted, scale * 2.0 ** 64, scale)
+    re, im = rows.real * inverse, rows.imag * inverse
     # the two rows of the block, or its two columns
-    top, bottom = (rows[:q], rows[q:]) if p == 2 else (rows[0::2], rows[1::2])
-    top, bottom = top / scale, bottom / scale
+    top, bottom = (slice(q), slice(q, None)) if p == 2 else (slice(0, None, 2), slice(1, None, 2))
+    tr, ti, br, bi = re[top], im[top], re[bottom], im[bottom]
     minors = np.zeros(rows.shape[1])
-    for i in range(len(top) - 1):
-        m = top[i] * bottom[i + 1:] - top[i + 1:] * bottom[i]
-        minors += _sum_rows(m.real * m.real + m.imag * m.imag)
+    for i in range(len(tr) - 1):
+        ar, ai = _cmul(tr[i], ti[i], br[i + 1:], bi[i + 1:])
+        cr, ci = _cmul(tr[i + 1:], ti[i + 1:], br[i], bi[i])
+        mr, mi = ar - cr, ai - ci
+        minors += _sum_rows(mr * mr + mi * mi)
     return scale * np.sqrt(frobenius + 2.0 * np.sqrt(minors))
-
-
-def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of every Hermitian matrix of a (..., n, n)
-    stack, shape (...).
-
-    As in `eigvalsh`, only the lower triangle and the real part of the
-    diagonal are read. Rows joined by a nonzero entry of the lower triangle
-    form a diagonal block, and the spectrum of the matrix is the union of
-    its blocks' spectra plus a zero for each row that lies in no block
-    (an all-zero row). As in `trace_norms`, the blocks come from each
-    matrix's own pattern, so a stack row equals the one-matrix call bit for
-    bit, and they take `_block_min_eigenvalues`. Matrices of more than 62
-    entries take the smallest LAPACK `eigvalsh` eigenvalue.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    *lead, n, _ = stack.shape
-    if n * n > _PATTERN_ENTRIES:
-        return np.linalg.eigvalsh(stack)[..., 0]
-    flat = stack.reshape(-1, n * n)
-    lower = np.tril(stack.reshape(-1, n, n) != 0)
-    pattern = lower | np.swapaxes(lower, 1, 2)
-    diagonal = np.arange(n)
-    # every row with a nonzero joins its own column, so blocks are square
-    pattern[:, diagonal, diagonal] = pattern.any(axis=2)
-    mins = np.empty(len(flat))
-    for members, blocks in _pattern_groups(pattern.reshape(-1, n * n), n, n):
-        mins[members] = _blocks_min(
-            [flat[members, entries.reshape(-1, 1)] for entries in blocks], blocks, n, len(members))
-    return mins.reshape(lead)
-
-
-def _blocks_min(rows: list, blocks: tuple, n: int, count: int) -> np.ndarray:
-    """The smallest eigenvalue of `count` n x n matrices with the given
-    blocks, from each block's entry-major rows: zero when a row lies in no
-    block, else the least block minimum."""
-    low = np.full(count, 0.0 if sum(map(len, blocks)) < n else np.inf)
-    for block_rows, entries in zip(rows, blocks):
-        low = np.minimum(low, _block_min_eigenvalues(block_rows, len(entries)))
-    return low
 
 
 def _block_min_eigenvalues(rows: np.ndarray, p: int) -> np.ndarray:
@@ -354,97 +411,6 @@ def _block_min_eigenvalues(rows: np.ndarray, p: int) -> np.ndarray:
     pos = mean > 0.0
     low[pos] = (a[pos] * d[pos] - off[pos]) / (mean[pos] + radius[pos])
     return scale * low
-
-
-# Trajectories hold many samples of one sparse matrix, and their spectra
-# are planned: the structural pattern of a stack (the entries nonzero at
-# some sample) and its blocks are found once. A sample that is nonzero at
-# every structural entry has exactly that pattern, so the kernels on those
-# blocks give it the value the per-matrix functions give it. The kernels run
-# on every sample, elementwise; the other samples (t = 0 in the built-in
-# models, where derivatives or products vanish) then take `trace_norms` or
-# `min_eigenvalues` as dense matrices, in one call, which replaces what the
-# kernels gave them. Either way a sample's value is the value of its own
-# pattern, bit for bit.
-
-
-def _structure(values: np.ndarray):
-    """Of the entries of a stack given entry-major, values (k, n): which
-    are structural (nonzero at some sample), and the samples that are zero
-    at some structural entry."""
-    nonzero = values != 0
-    live = nonzero.any(axis=1)
-    return live, ~nonzero[live].all(axis=0)
-
-
-def _planned_trace_norms(groups: list, r: int, c: int, n: int) -> np.ndarray:
-    """`trace_norms` of n samples of several sparse r x c matrices, shape
-    (len(groups), n). A group is one matrix (positions, values): its flat
-    positions (k,) and its entry-major values there (k, n), every other
-    entry +0 (LAPACK, which takes blocks of at least 3x3, tells the signed
-    zeros apart). Matrices of more than 62 entries take `trace_norms`
-    whole."""
-    norms = np.zeros((len(groups), n))
-    fallback = np.ones((len(groups), n), dtype=bool)
-    for g, (positions, values) in enumerate(groups if r * c <= _PATTERN_ENTRIES else ()):
-        live, fallback[g] = _structure(values)
-        code = sum(1 << int(e) for e in positions[live])
-        blocks, padded = _block_rows(code, r, c, tuple(positions.tolist()))
-        if padded:
-            values = np.concatenate([values, np.zeros((1, n), dtype=complex)])
-        # a fallback sample's zero block divides by zero; its value is replaced
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for rows, p, q in blocks:
-                norms[g] += _block_norms(values[rows], p, q)
-    which, samples = np.nonzero(fallback)
-    if len(which):
-        dense = np.zeros((len(which), r * c), dtype=complex)
-        for g, (positions, values) in enumerate(groups):
-            rows = np.flatnonzero(which == g)
-            dense[rows[:, None], positions] = values[:, samples[rows]].T
-        norms[which, samples] = trace_norms(dense.reshape(-1, r, c))
-    return norms
-
-
-@lru_cache(maxsize=256)
-def _block_rows(code: int, r: int, c: int, positions: tuple):
-    """For each `_pattern_blocks` block of the pattern `code`, the rows of
-    a group's values (given at `positions`) that hold its entries, and its
-    shape; and whether an entry lies at no position, which reads an extra
-    zero row."""
-    row_of = np.full(r * c, len(positions))
-    row_of[list(positions)] = np.arange(len(positions))
-    blocks = tuple((row_of[entries.ravel()], *entries.shape)
-                   for entries in _pattern_blocks(code, r, c))
-    for rows, _, _ in blocks:
-        rows.setflags(write=False)  # cached, shared by every call
-    return blocks, any(np.any(rows == len(positions)) for rows, _, _ in blocks)
-
-
-def _planned_min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """`min_eigenvalues` of a (n_samples, n, n) stack of samples of one
-    Hermitian matrix, planned on the structural pattern of its lower
-    triangle. Matrices of more than 62 entries take `min_eigenvalues`."""
-    stack = np.asarray(stack, dtype=complex)
-    count, n, _ = stack.shape
-    if n * n > _PATTERN_ENTRIES:
-        return min_eigenvalues(stack)
-    flat = stack.reshape(count, n * n)
-    i, j = np.tril_indices(n)
-    lower = i * n + j
-    live, fallback = _structure(flat.T[lower])
-    code = 0
-    for e in lower[live]:
-        i, j = divmod(int(e), n)
-        # symmetrized, and every row with a nonzero joins its own column
-        for a, b in ((i, j), (j, i), (i, i), (j, j)):
-            code |= 1 << (a * n + b)
-    blocks = _pattern_blocks(code, n, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mins = _blocks_min([flat.T[entries.ravel()] for entries in blocks], blocks, n, count)
-    if fallback.any():
-        mins[fallback] = min_eigenvalues(stack[fallback])
-    return mins
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

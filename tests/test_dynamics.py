@@ -291,6 +291,21 @@ class TestTrajectories:
         with pytest.raises(InvalidStateError):
             replace(traj, kmins=self.spoiled(traj.kmins, bad))
 
+    def test_rejects_empty_times(self):
+        with pytest.raises(InvalidParamsError):
+            dyn.Trajectory(times=np.zeros(0), states=np.zeros((0, 2, 2), dtype=complex),
+                           speeds=np.zeros(0), kmins=np.zeros(0))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 2, 2), (2, 2, 3), (2, 4), (2, 1, 2, 2)])
+    def test_rejects_states_not_one_matrix_per_sample(self, shape):
+        # one (dim, dim) state per sample time: extra states would let
+        # final_state read a state at no sample time
+        rho = bloch_state(BlochVector(0.5, 1.0, 0.2)).mat
+        states = np.resize(np.broadcast_to(rho, (4, 2, 2)), shape).astype(complex)
+        with pytest.raises(InvalidStateError, match="states for 2 samples"):
+            dyn.Trajectory(times=np.array([0.0, 1.0]), states=states,
+                           speeds=np.ones(2), kmins=np.full(2, 0.25))
+
     def test_rejects_nan_state_entry(self):
         # a NaN off-diagonal entry leaves the trace alone; the asymmetry
         # check must still reject it
@@ -728,37 +743,42 @@ class TestContractions:
 
     @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
     def test_built_in_spectra_group_only_t0(self, name, monkeypatch):
-        # a sample nonzero at every structural entry of its matrix takes the
-        # trajectory's planned blocks; only the other samples are grouped by
-        # pattern, and in a built-in model those are at t = 0, where dK or
+        # `_sample_spectra` evaluates a matrix's blocks on every sample at
+        # once and evaluates again only the samples that are zero at one of
+        # its entries; in a built-in model those are at t = 0, where dK or
         # the products vanish
         fam, rho0 = BUILT_IN_FAMILIES[name]
         _, K, dK = oracle_pair(fam, np.array([0.0]))
         half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())[0]
         at_zero = [half + half.conj().T, rho0.mat,
                    *np.einsum("tlij,jk,tlmk->tlim", K, rho0.mat, dK.conj())[0]]
-        grouped, dense = [], []
-        pattern_groups = linalg._pattern_groups
+        whole, again = [], []
+        sample_spectra, pattern_spectra = linalg._sample_spectra, linalg._pattern_spectra
 
-        def counting(pattern, r, c):
-            grouped.append(len(pattern))
-            return pattern_groups(pattern, r, c)
+        def entering(positions, values, *args, **kwargs):
+            whole.append(values)
+            return sample_spectra(positions, values, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_pattern_groups", counting)
-        for target in ("trace_norms", "min_eigenvalues"):
-            def recording(stack, spectra=getattr(linalg, target)):
-                dense.extend(stack)
-                return spectra(stack)
+        def evaluating(values, code, r, c, positions, hermitian):
+            if values is not whole[-1]:  # not the pass over every sample
+                for column in values.T:
+                    m = np.zeros(r * c, dtype=complex)
+                    m[list(positions)] = column
+                    again.append((m.reshape(r, c), hermitian))
+            return pattern_spectra(values, code, r, c, positions, hermitian)
 
-            monkeypatch.setattr(linalg, target, recording)
+        monkeypatch.setattr(linalg, "_sample_spectra", entering)
+        monkeypatch.setattr(linalg, "_pattern_spectra", evaluating)
         counts = []
         for n_steps in (101, 1001):
             dyn.evolve_kraus(fam, rho0, 17.0, n_steps, rates=True)
-            counts.append(sum(grouped))
-            assert counts[-1] == len(dense) <= len(at_zero)
-            assert all(any(np.array_equal(m, z) for z in at_zero) for m in dense)
-            grouped.clear()
-            dense.clear()
+            counts.append(len(again))
+            assert whole and counts[-1] <= len(at_zero)
+            # a Hermitian sample is read by its lower triangle alone
+            assert all(any(np.array_equal(m, np.tril(z) if hermitian else z) for z in at_zero)
+                       for m, hermitian in again)
+            whole.clear()
+            again.clear()
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("rates", [False, True])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -239,6 +240,29 @@ class TestTraceNorms:
         assert got[1] == pytest.approx(math.sqrt(5.0) * math.sqrt(11.0) + 0.5, rel=1e-15)
         assert got[2] == pytest.approx(3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
+    def test_stacks_of_copies_equal_the_one_matrix_call(self, shape, rng):
+        # numpy's complex multiply fuses on contiguous runs and not on a
+        # single sample; the minors must not depend on which one they took
+        for _ in range(300):
+            m = random_complex(rng, shape)
+            want = linalg.trace_norms(m)
+            for copies in (2, 3, 9):
+                assert np.all(linalg.trace_norms(np.stack([m] * copies)) == want)
+
+    def test_subnormal_block_is_finite(self, rng):
+        # a largest |entry| below the smallest normal double overflows its
+        # reciprocal unless the block is lifted first
+        block = np.array([[9e-310, 3e-310j], [-2e-310 + 1e-310j, 5e-310]])
+        stack = np.stack([block, random_complex(rng, (2, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.trace_norms(stack)
+        want = svd_sums(stack)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert got[1] == linalg.trace_norms(stack[1])
+
     def test_zero_and_empty_stacks(self):
         assert np.array_equal(linalg.trace_norms(np.zeros((2, 3, 4, 2))), np.zeros((2, 3)))
         assert linalg.trace_norms(np.zeros((0, 2, 2))).shape == (0,)
@@ -382,6 +406,14 @@ class TestMinEigenvalues:
             want = reference_min_eigenvalue(m)
             assert abs(linalg.min_eigenvalues(m) - want) <= 4 * np.finfo(float).eps * want
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stacks_of_copies_equal_the_one_matrix_call(self, dim, rng):
+        for _ in range(300):
+            m = block_hermitian(rng, dim, psd=bool(rng.integers(2)))
+            want = linalg.min_eigenvalues(m)
+            for copies in (2, 3, 9):
+                assert np.all(linalg.min_eigenvalues(np.stack([m] * copies)) == want)
+
     def test_reads_the_lower_triangle(self, rng):
         stack = np.stack([block_hermitian(rng, 4, False) for _ in range(20)])
         got = linalg.min_eigenvalues(stack)
@@ -415,30 +447,29 @@ def sampled_matrix(rng, base, n, hermitian):
 
 
 class TestPlannedSpectra:
-    # Samples of one matrix take the blocks of its structural pattern when
-    # they are nonzero at each structural entry, the pattern grouping
-    # otherwise: every sample's value is the per-matrix value, bit for bit.
+    # Many samples of one sparse matrix given at some of its positions, as
+    # trajectories hand them to `_sample_spectra`: each sample's value is
+    # its own one-matrix value, bit for bit, whichever samples share its
+    # pattern and whichever are evaluated again on their own.
     @seed(20261021)
     @settings(max_examples=150, database=None, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_trace_norms_equal_the_per_matrix_values(self, r, c, n_groups, draw):
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_trace_norms_equal_the_per_matrix_values(self, r, c, draw):
         rng = np.random.default_rng(draw)
-        n = int(rng.integers(1, 40))
-        groups, want = [], []
-        for _ in range(n_groups):
-            samples = sampled_matrix(rng, sparse_matrix(rng, r, c), n, hermitian=False)
-            # every structural position, and some that are zero throughout
-            positions = np.flatnonzero(samples.any(axis=0) | (rng.random((r, c)) < 0.2))
-            groups.append((positions, samples.reshape(n, r * c)[:, positions].T))
-            want.append(linalg.trace_norms(samples))
-        got = linalg._planned_trace_norms(groups, r, c, n)
-        assert np.array_equal(got, np.array(want))
+        samples = sampled_matrix(rng, sparse_matrix(rng, r, c), int(rng.integers(1, 40)),
+                                 hermitian=False)
+        # every structural position, and some that are zero throughout
+        positions = np.flatnonzero(samples.any(axis=0) | (rng.random((r, c)) < 0.2))
+        values = samples.reshape(len(samples), r * c)[:, positions].T
+        got = linalg._sample_spectra(positions, values, r, c)
+        assert list(got) == [linalg.trace_norms(m) for m in samples]
 
     def test_large_matrices_take_the_svd_sum(self, rng):
         samples = random_complex(rng, (3, 8, 8))
-        groups = [(np.arange(64), samples.reshape(3, 64).T)]
-        assert np.array_equal(linalg._planned_trace_norms(groups, 8, 8, 3)[0],
-                              svd_sums(samples))
+        samples[:, :, 5:] = 0.0
+        positions = np.flatnonzero(samples.any(axis=0))
+        values = samples.reshape(3, 64)[:, positions].T
+        assert np.array_equal(linalg._sample_spectra(positions, values, 8, 8), svd_sums(samples))
 
     @seed(20261022)
     @settings(max_examples=150, database=None, deadline=None)
@@ -447,8 +478,13 @@ class TestPlannedSpectra:
         rng = np.random.default_rng(draw)
         stack = sampled_matrix(rng, block_hermitian(rng, dim, psd), int(rng.integers(1, 40)),
                                hermitian=True)
-        assert np.array_equal(linalg._planned_min_eigenvalues(stack),
-                              linalg.min_eigenvalues(stack))
+        want = [linalg.min_eigenvalues(m) for m in stack]
+        assert list(linalg.min_eigenvalues(stack)) == want
+        # the structural entries of the lower triangle, and some zero throughout
+        lower = np.tri(dim, dtype=bool)
+        positions = np.flatnonzero(lower & (stack.any(axis=0) | (rng.random((dim, dim)) < 0.2)))
+        values = stack.reshape(len(stack), dim * dim)[:, positions].T
+        assert list(linalg._sample_spectra(positions, values, dim, dim, hermitian=True)) == want
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 23, 62, 128, 129, 300])
     def test_sums_keep_the_order_of_a_contiguous_run(self, k, rng):
