@@ -1136,6 +1136,25 @@ class NaNDerivativeAt(dyn.AmplitudeDampingFamily):
         return pair
 
 
+# Operator scale factors that leave completeness within its tolerance (the
+# deviation is about twice the excess) but lift the trace of the state above
+# the trace-drift tolerance, at single sample times: a state that fails a
+# `Trajectory` check, not a sampler check. The two drifts differ, so a
+# horizon holding both samples must quote the larger one.
+DRIFT_SCALES = {1.0: 1 + 2e-9, 3.0: 1 + 4e-9}
+
+
+class DriftAt(dyn.AmplitudeDampingFamily):
+    """Amplitude damping whose states have trace about 1 + 4e-9 at t = 1
+    and 1 + 8e-9 at t = 3."""
+
+    def _trajectory_pair(self, times, fd_step=None):
+        pair = super()._trajectory_pair(times, fd_step)
+        for t, scale in DRIFT_SCALES.items():
+            pair.K.values[..., times == t] *= scale
+        return pair
+
+
 class UndefinedAfter(dyn.AmplitudeDampingFamily):
     """Amplitude damping that refuses any time after T."""
 
@@ -1149,13 +1168,15 @@ class UndefinedAfter(dyn.AmplitudeDampingFamily):
 
 def user_family(defect: str) -> dyn.KrausFamily:
     """The bit-flip family, losing completeness or undefined after t = 2.5,
-    or with a NaN derivative at t = 1."""
+    with a NaN derivative at t = 1, or with the trace drifts of `DriftAt`."""
     base = bit_flip_family()
 
     def ops(t):
         if defect == "undefined" and t > 2.5:
             raise InvalidParamsError("no operators after t = 2.5")
         scale = 1 + 1e-6 if defect == "incomplete" and t > 2.5 else 1.0
+        if defect == "drift":
+            scale = DRIFT_SCALES.get(t, 1.0)
         return [scale * k for k in base._ops_fn(t)]
 
     def dops(t):
@@ -1187,6 +1208,12 @@ class TestErrorAttribution:
         "user_undefined": (user_family("undefined"), QUBIT_PROBE, {3.0, 4.0}, InvalidParamsError),
         "user_nan_derivative": (user_family("nan"), QUBIT_PROBE,
                                 {1.0, 2.0, 4.0}, InvalidStateError),
+        # the samples pass every sampler check and fail a `Trajectory` one
+        "closed_form_trace_drift": (
+            DriftAt(dyn.AmplitudeDampingParams(1.0, 10.0)), ghz_mixed(GHZMixedParams(0.4)),
+            {1.0, 2.0, 3.0, 4.0}, InvalidStateError),
+        "user_trace_drift": (user_family("drift"), QUBIT_PROBE,
+                             {1.0, 2.0, 3.0, 4.0}, InvalidStateError),
     }
 
     @pytest.mark.parametrize("rates", [False, True])
@@ -1198,3 +1225,11 @@ class TestErrorAttribution:
             want = evolve_one(fam, rho0, tau, 17, rates)
             assert isinstance(want, cls) == (tau in failing), tau
             assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("name", ["closed_form_trace_drift", "user_trace_drift"])
+    def test_trace_drift_quotes_each_horizons_own_samples(self, name):
+        fam, rho0, _, _ = self.CASES[name]
+        messages = {tau: str(evolve_one(fam, rho0, tau, 17, True)) for tau in self.TAUS}
+        # the horizons holding t = 3 quote its larger drift, the others t = 1's
+        assert messages[3.0] == messages[4.0] != messages[1.0] == messages[2.0]
+        assert all(m.startswith("trace drift") for t, m in messages.items() if t != 0.5)
