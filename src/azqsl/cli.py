@@ -257,14 +257,14 @@ _GROUP_COLUMNS = {
 def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     """Evaluate the panel on its (alpha, z, t) grid.
 
-    Evaluation is column-major: each nonzero time value has one trajectory
-    (with its Kraus rates) to that horizon, which fills that time column of
-    the panel (see `qsl.Panel`). The trajectories come from one
-    `dynamics._trajectories` call, which evaluates every distinct sample
-    time of the panel once and hands the trajectories out one at a time; a
-    trajectory that fails fails only its own column. A zero horizon gives
-    the stationary limit: all entropies and rates are zero, the bound
-    saturates, and the speed limit is the trivial tau >= 0."""
+    Each nonzero time value is a time column: the trajectory of the probe
+    (with its Kraus rates) to that horizon. `dynamics._outcomes` evaluates
+    every distinct sample time of the panel once, `dynamics._columns` hands
+    out each column's samples and end states, and one `qsl._fill` call
+    fills every column from them (see `qsl.Panel`); a trajectory that fails
+    fails only its own column. A zero horizon gives the stationary limit: all
+    entropies and rates are zero, the bound saturates, and the speed limit
+    is the trivial tau >= 0."""
     cfg.validate()
     rho0 = _probe_state(cfg)
     model = _model(cfg)
@@ -275,18 +275,9 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     want_qsl = "qsl" in cfg.outputs
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
-    columns = []
-    for k, t in enumerate(times.tolist()):
-        if t == 0.0:
-            qsl._fill_stationary(panel, k)
-        else:
-            columns.append(k)
-    outcomes = dyn._trajectories(model, rho0, times[columns].tolist(), cfg.n_steps, want_qsl)
-    for k, traj in zip(columns, outcomes):
-        if isinstance(traj, AzqslError):
-            qsl._fill_failed(panel, k, traj)
-        else:
-            qsl._fill_column(panel, k, traj)
+    live = times != 0.0
+    outcomes = dyn._outcomes(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl)
+    qsl._fill(panel, dyn._columns(outcomes), live)
     return panel
 
 

@@ -20,8 +20,9 @@ from .errors import (
     InvalidParamsError,
     InvalidStateError,
     NotHermitianError,
+    _attempt,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, density_matrices
 
 COMPLETENESS_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-9
@@ -362,16 +363,13 @@ class Trajectory:
     rates: np.ndarray | None = None
 
     def __post_init__(self):
-        if not len(self.times) or self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise InvalidParamsError("times must start at 0 and increase strictly")
+        _check_times(self.times)
         shape = self.states.shape
         if len(shape) != 3 or shape[0] != len(self.times) or shape[1] != shape[2]:
             raise InvalidStateError(f"{shape} states for {len(self.times)} samples")
-        traces = np.trace(self.states, axis1=1, axis2=2)
-        drift = float(np.max(np.abs(traces - 1.0)))
+        drift, asym = (float(np.max(x)) for x in _state_deviations(self.states))
         if not drift <= TRACE_DRIFT_TOL:
             raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
-        asym = float(np.max(np.abs(self.states - np.conj(np.swapaxes(self.states, 1, 2)))))
         if not asym <= linalg.HERMITIAN_TOL:
             raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
         if self.speeds.shape != self.times.shape:
@@ -413,6 +411,35 @@ class Trajectory:
     def final_state(self) -> DensityMatrix:
         """Validated once, then reused."""
         return self.state(-1)
+
+
+def _check_times(times: np.ndarray) -> None:
+    if not len(times) or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise InvalidParamsError("times must start at 0 and increase strictly")
+
+
+def _state_deviations(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample of a (n, dim, dim) state stack, |Tr rho - 1| and the
+    largest entry of |rho - rho†|, NaN where one is NaN. Entries (i, j) and
+    (j, i) of |rho - rho†| are equal, so the upper triangle is read, one
+    entry at a time (a reduction over a few entries per sample is slower)."""
+    drift = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    dim = states.shape[-1]
+    asym = np.zeros(len(states))
+    for i in range(dim):
+        for j in range(i, dim):
+            np.maximum(asym, np.abs(states[:, i, j] - np.conj(states[:, j, i])), out=asym)
+    return drift, asym
+
+
+def _failing_samples(states, speeds, kmins, rates) -> np.ndarray:
+    """Per sample, whether it fails a `Trajectory` check: samples that all
+    pass them pass the checks together."""
+    drift, asym = _state_deviations(states)
+    ok = (drift <= TRACE_DRIFT_TOL) & (asym <= linalg.HERMITIAN_TOL)
+    for values in (speeds, kmins) if rates is None else (speeds, kmins, rates):
+        ok &= np.isfinite(values) & ~(values < 0)
+    return ~ok
 
 
 def _batch_kmin(stack: np.ndarray) -> np.ndarray:
@@ -532,16 +559,17 @@ def _require_identity(deviation: np.ndarray) -> None:
 # einsum that keeps the operator sum inside it; that grouping moves
 # results by about 1e-16.
 #
-# The trajectories of a sweep panel share their samples (`_trajectories`):
+# The trajectories of a sweep panel share their samples (`_outcomes`):
 # the horizons' grids are joined, each distinct sample time is evaluated
-# once in runs of n_steps times, and each horizon's trajectory is gathered
-# from its own samples. This work is elementwise in time, and
-# `linalg._sample_spectra` gives each sample the value of its own pattern,
-# so a sample gets the same bits in every run it could sit in. A run that
-# fails a check raises as a whole, and each horizon that holds one of its
-# samples is evaluated again on its own, so a bad sample fails only the
-# horizons that hold it, with the error of their own call. The
-# gathered-or-dense choice above is made per run from the samples it
+# and checked once in runs of n_steps times, and each horizon reads its
+# own samples: a sweep (`_columns`) reads their rows and the two end
+# states, `_trajectories` gathers its trajectory. This work is elementwise
+# in time, and `linalg._sample_spectra` gives each sample the value of its
+# own pattern, so a sample gets the same bits in every run it could sit
+# in. A run that fails a check raises as a whole, and each horizon that
+# holds one of its samples is evaluated again on its own, so a bad sample
+# fails only the horizons that hold it, with the error of their own call.
+# The gathered-or-dense choice above is made per run from the samples it
 # holds, so a user family, whose dense stacks may gather on some horizons
 # and not on others, is evaluated one horizon at a time.
 
@@ -778,17 +806,21 @@ class _Samples(NamedTuple):
 
 
 class _SampleStore:
-    """What a panel keeps per distinct sample time: the real and imaginary
-    parts of the state entries that are not +0 at some sample (`parts`, by
-    flat float position; every other part is +0), the speed, k_min and rate;
-    and whether the sample lies in a run that raised."""
+    """What a panel keeps per distinct sample time: the time; the real and
+    imaginary parts of the state entries that are not +0 at some sample
+    (`parts`, by flat float position; every other part is +0); the speed,
+    k_min and rate; whether the sample fails a `Trajectory` check, found
+    once per sample as it is added; and whether the sample lies in a run
+    that raised."""
 
-    def __init__(self, n: int, dim: int):
-        self.dim = dim
+    def __init__(self, times: np.ndarray, dim: int):
+        n = len(times)
+        self.times, self.dim = times, dim
         self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
         self.held = np.zeros(2 * dim * dim, dtype=bool)
         self.parts = np.flatnonzero(self.held)
         self.entries = np.zeros((n, 0))
+        self.failing = np.zeros(n, dtype=bool)
         self.failed = np.zeros(n, dtype=bool)
 
     def add(self, rows: slice, samples: _Samples) -> None:
@@ -800,6 +832,7 @@ class _SampleStore:
             if self.rates is None:
                 self.rates = np.zeros(len(self.speeds))
             self.rates[rows] = samples.rates
+        self.failing[rows] = _failing_samples(*samples)
 
     def _widen(self, nonzero: np.ndarray) -> None:
         """Make room for the state parts that are `nonzero` (by flat float
@@ -811,33 +844,36 @@ class _SampleStore:
         entries[:, self.held[held]] = self.entries
         self.held, self.parts, self.entries = held, np.flatnonzero(held), entries
 
+    def states(self, rows: np.ndarray) -> np.ndarray:
+        """The dense (len(rows), dim, dim) states of the samples `rows`."""
+        states = np.zeros((len(rows), 2 * self.dim * self.dim))
+        states[:, self.parts] = self.entries[rows]
+        return states.view(complex).reshape(-1, self.dim, self.dim)
+
+    def _rates(self, rows: np.ndarray) -> np.ndarray | None:
+        return None if self.rates is None else self.rates[rows]
+
     def trajectory(self, times: np.ndarray, rows: np.ndarray) -> Trajectory | AzqslError:
         """The trajectory at `times`, held as the samples `rows`, or the
         error `Trajectory` raises for it."""
-        states = np.zeros((len(times), 2 * self.dim * self.dim))
-        states[:, self.parts] = self.entries[rows]
-        return _trajectory(
-            times, states.view(complex).reshape(-1, self.dim, self.dim), self.speeds[rows],
-            self.kmins[rows], None if self.rates is None else self.rates[rows])
+        return _attempt(Trajectory, times, self.states(rows), self.speeds[rows],
+                        self.kmins[rows], self._rates(rows))
 
-
-def _trajectory(times: np.ndarray, *samples) -> Trajectory | AzqslError:
-    """`Trajectory` of the samples (states, speeds, k_min, rates) at `times`,
-    or the error it raises."""
-    try:
-        return Trajectory(times, *samples)
-    except AzqslError as exc:
-        return exc
+    def error(self, times: np.ndarray, rows: np.ndarray) -> AzqslError | None:
+        """The error `Trajectory` raises for the samples `rows` at `times`,
+        or None, without the dense states of a horizon whose samples all
+        passed their checks."""
+        if self.failing[rows].any():
+            outcome = self.trajectory(times, rows)
+            return outcome if isinstance(outcome, AzqslError) else None
+        return _attempt(_check_times, times)
 
 
 def _alone(sampler, times: np.ndarray, fd_step: float | None) -> Trajectory | AzqslError:
     """The trajectory at `times` evaluated on its own, in one run, or the
     error it ends in."""
-    try:
-        samples = sampler(times, fd_step)
-    except AzqslError as exc:
-        return exc
-    return _trajectory(times, *samples)
+    samples = _attempt(sampler, times, fd_step)
+    return samples if isinstance(samples, AzqslError) else _attempt(Trajectory, times, *samples)
 
 
 def _trajectories(
@@ -846,20 +882,28 @@ def _trajectories(
 ) -> Iterator[Trajectory | AzqslError]:
     """For each horizon of `taus`, in order, the trajectory of `evolve_unitary`
     (a Hamiltonian) or `evolve_kraus` (a Kraus family) to it, or the
-    AzqslError that call raises; the two are its one-horizon case.
+    AzqslError that call raises, built from the samples of `_outcomes`."""
+    for outcome in _outcomes(model, rho0, taus, n_steps, rates):
+        yield outcome[0].trajectory(*outcome[1:]) if isinstance(outcome, tuple) else outcome
 
-    The horizons share their samples: the time grids are joined, and every
-    distinct sample time is evaluated once, in runs of `n_steps` times.
-    Every per-sample quantity is elementwise in time and
-    `linalg._sample_spectra` gives each sample the value of its own
-    pattern, so a sample has the same bits whichever horizons hold it. A
-    run that fails a check raises as a whole, so each horizon that holds a
-    sample of it is evaluated again on its own and gets the outcome of its
-    own call. The trajectories are gathered one at a time as the caller
-    asks for them. A user family's pair may depend on the horizon (finite
-    differences take a step of 1e-5 tau), and whether its dense stacks are
-    gathered depends on the samples they hold, so its horizons are
-    evaluated one at a time."""
+
+def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, rates: bool):
+    """For each horizon of `taus`, in order: the AzqslError its
+    per-horizon call raises before any sample passes, its trajectory
+    evaluated on its own, or (store, times, rows), its samples in a
+    `_SampleStore` that the horizons share.
+
+    The time grids are joined, and every distinct sample time is evaluated
+    once, in runs of `n_steps` times. Every per-sample quantity is
+    elementwise in time and `linalg._sample_spectra` gives each sample the
+    value of its own pattern, so a sample has the same bits whichever
+    horizons hold it. A run that fails a check raises as a whole, so each
+    horizon that holds a sample of it is evaluated again on its own and
+    gets the outcome of its own call. The outcomes are made one at a time
+    as the caller asks for them. A user family's pair may depend on the
+    horizon (finite differences take a step of 1e-5 tau), and whether its
+    dense stacks are gathered depends on the samples they hold, so its
+    horizons are evaluated one at a time."""
     if model.dim != rho0.dim:
         kind = "H" if isinstance(model, HamiltonianModel) else "channel"
         exc = DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
@@ -877,26 +921,26 @@ def _trajectories(
 
 
 def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
-    """`_trajectories` over horizons that share their samples."""
+    """`_outcomes` over horizons that share their samples."""
     grids, errors = {}, {}
     for h, tau in enumerate(taus):
-        try:
-            grids[h] = _time_grid(tau, n_steps)
-        except AzqslError as exc:
-            errors[h] = exc
+        grids[h] = _attempt(_time_grid, tau, n_steps)
+        if isinstance(grids[h], AzqslError):
+            errors[h] = grids.pop(h)
     if len(grids) <= 1:  # a lone grid is one run of its own
         for h in range(len(taus)):
             yield errors[h] if h in errors else _alone(sampler, grids.pop(h), fd_step)
         return
     times = np.unique(np.concatenate(list(grids.values())))
     del grids
-    store = _SampleStore(len(times), dim)
+    store = _SampleStore(times, dim)
     for start in range(0, len(times), n_steps):
         rows = slice(start, start + n_steps)
-        try:
-            store.add(rows, sampler(times[rows], fd_step))
-        except AzqslError:
+        samples = _attempt(sampler, times[rows], fd_step)
+        if isinstance(samples, AzqslError):
             store.failed[rows] = True
+        else:
+            store.add(rows, samples)
     for h, tau in enumerate(taus):
         if h in errors:
             yield errors[h]
@@ -906,12 +950,83 @@ def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
         if store.failed[rows].any():
             yield _alone(sampler, grid, fd_step)
         else:
-            yield store.trajectory(grid, rows)
+            yield store, grid, rows
+
+
+class _Columns(NamedTuple):
+    """The time columns of a panel as the fill reads them: the samples
+    they hold (`times`, `speeds`, `kmins`, and `rates` or None); each
+    column's samples, `rows`, an index array into those; its states at
+    t = 0 and at its horizon, `initials` and `finals`, each a DensityMatrix
+    or the error its validation raised; and the AzqslError each column
+    ended in, `errors`, None for a column that holds samples (a failed
+    column's rows and states are None)."""
+
+    times: np.ndarray
+    speeds: np.ndarray
+    kmins: np.ndarray
+    rates: np.ndarray | None
+    rows: list
+    initials: list
+    finals: list
+    errors: list
+
+
+def _columns(outcomes) -> _Columns:
+    """The `_Columns` of the outcomes of `_outcomes`, or of trajectories and
+    errors, in order, without building a trajectory: a store's samples are
+    held once for all its columns, a trajectory's for its own column (all
+    hold equally many samples, and carry rates or none do). The states at
+    t = 0 are validated once per distinct sample, the end states of a
+    store's columns as one stack (`density_matrices`); a trajectory's are
+    its own cached states."""
+    pools, offsets, probes = [], {}, {}
+    rows, initials, finals, errors, dense = [], [], [], [], []
+    for outcome in outcomes:
+        exc = outcome if isinstance(outcome, AzqslError) else None
+        if isinstance(outcome, tuple):
+            store, grid, held = outcome
+            exc = store.error(grid, held)
+            if exc is None:
+                if id(store) not in offsets:
+                    offsets[id(store)] = sum(len(pool.times) for pool in pools)
+                    pools.append(store)
+                initial, final = store.states(held[[0, -1]])
+                if initial.tobytes() not in probes:
+                    probes[initial.tobytes()] = density_matrices(initial[None])[0]
+                rows.append(held + offsets[id(store)] if offsets[id(store)] else held)
+                initials.append(probes[initial.tobytes()])
+                dense.append((len(finals), final))
+                finals.append(None)
+        elif exc is None:
+            key = outcome.states[0].tobytes()
+            if key not in probes:
+                probes[key] = _attempt(getattr, outcome, "initial_state")
+            rows.append(sum(len(pool.times) for pool in pools) + np.arange(outcome.n_samples))
+            pools.append(outcome)
+            initials.append(probes[key])
+            finals.append(_attempt(getattr, outcome, "final_state"))
+        if exc is not None:
+            rows.append(None)
+            initials.append(None)
+            finals.append(None)
+        errors.append(exc)
+    if dense:
+        for (k, _), state in zip(dense, density_matrices(np.array([m for _, m in dense]))):
+            finals[k] = state
+    samples = []
+    for name in ("times", "speeds", "kmins", "rates"):
+        parts = [getattr(pool, name) for pool in pools]
+        if name == "rates" and (not parts or any(part is None for part in parts)):
+            samples.append(None)
+        else:
+            samples.append(parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)]))
+    return _Columns(*samples, rows, initials, finals, errors)
 
 
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
-    """The one-horizon case of `_trajectories`, raising its error."""
-    (outcome,) = _trajectories(model, rho0, [tau], n_steps, rates)
+    """The one-horizon case of `_outcomes`, raising its error."""
+    (outcome,) = _outcomes(model, rho0, [tau], n_steps, rates)
     if isinstance(outcome, AzqslError):
         raise outcome
     return outcome

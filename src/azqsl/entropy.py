@@ -84,29 +84,57 @@ def _zpow_trace(
     return float((resolved**z).sum())
 
 
-def _purity_values(
-    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
-) -> list[float]:
-    """g(rho, sigma) for every alpha at one z.
+def _stack_powers(states: list, exponents) -> np.ndarray:
+    """`linalg.spectral_powers` of each of a list of states, shape
+    (len(states), len(exponents), dim, dim). A state listed more than once
+    (the same object) has its powers taken once and copied, so every
+    operand stays contiguous, as for one state at a time."""
+    index, distinct = {}, []
+    for state in states:
+        if id(state) not in index:
+            index[id(state)] = len(distinct)
+            distinct.append(state)
+    if len(distinct) == 1:
+        one = distinct[0]
+        powers = linalg.spectral_powers(one.eigenvalues, one.eigenvectors, exponents)[None]
+    else:
+        powers = linalg.spectral_powers(np.array([s.eigenvalues for s in distinct]),
+                                        np.array([s.eigenvectors for s in distinct]), exponents)
+    return powers if len(distinct) == len(states) else powers[[index[id(s)] for s in states]]
 
-    All matrix powers come from the states' cached spectra, and the
-    sandwiched cores of the whole alpha grid are diagonalized in one batch.
+
+def _purities(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.ndarray:
+    """g(rho_i, sigma_i) of the pairs of two lists of states for every
+    alpha at one z, shape (n_pairs, len(alphas)).
+
+    All matrix powers come from the states' cached spectra, once per
+    distinct state, and the sandwiched cores of every pair and alpha are
+    diagonalized in one batch. Every step is core by core, so a pair's
+    values are those of the pair on its own, bit for bit.
     """
-    outer = linalg.spectral_powers(
-        sigma.eigenvalues, sigma.eigenvectors, [(1.0 - a) / (2.0 * z) for a in alphas]
-    )
-    inner = linalg.spectral_powers(rho.eigenvalues, rho.eigenvectors, [a / z for a in alphas])
-    cores = linalg.hermitian_part(outer @ inner @ outer)
-    spectra = np.maximum(np.linalg.eigvalsh(cores), 0.0)
+    outer = _stack_powers(sigmas, [(1.0 - a) / (2.0 * z) for a in alphas])
+    cores = outer @ _stack_powers(rhos, [a / z for a in alphas])
+    cores = cores @ outer
+    del outer
+    spectra = np.maximum(np.linalg.eigvalsh(linalg.hermitian_part(cores)), 0.0)
+    del cores
     # the plain power sum of every core at once (the same bits as one core
     # at a time); a core whose spectrum is not fully resolved goes through
     # _zpow_trace instead
-    traces = (spectra**z).sum(axis=1)
-    tops = spectra[:, -1:]
-    resolved = (tops[:, 0] > 0.0) & (spectra >= _ZPOW_NOISE_REL * tops).all(axis=1)
-    for i in np.flatnonzero(~resolved).tolist():
-        traces[i] = _zpow_trace(spectra[i], rho, sigma, alphas[i], z)
-    return traces.tolist()
+    traces = (spectra**z).sum(axis=-1)
+    tops = spectra[..., -1:]
+    resolved = (tops[..., 0] > 0.0) & (spectra >= _ZPOW_NOISE_REL * tops).all(axis=-1)
+    if not resolved.all():
+        for i, j in zip(*np.nonzero(~resolved)):
+            traces[i, j] = _zpow_trace(spectra[i, j], rhos[i], sigmas[i], alphas[j], z)
+    return traces
+
+
+def _purity_values(
+    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
+) -> list[float]:
+    """g(rho, sigma) for every alpha at one z."""
+    return _purities([rho], [sigma], alphas, z)[0].tolist()
 
 
 def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float) -> float:
@@ -121,21 +149,29 @@ def relative_purity(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) 
     return _purity_value(rho, sigma, p.alpha, p.z)
 
 
-def _renyi_az_values(
-    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
-) -> list[float]:
-    """renyi_az for every alpha of a grid at one z, sharing the support test
-    and the spectral work."""
-    _check_dims(rho, sigma)
-    if not support_contained(rho, sigma):
-        return [math.inf] * len(alphas)
-    gs = _purity_values(rho, sigma, alphas, z)
-    return [math.log(g) / (a - 1.0) for g, a in zip(gs, alphas)]
+def _renyi_az_grid(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.ndarray:
+    """renyi_az(rho_i, sigma_i) of the pairs of two lists of states for
+    every alpha of a grid at one z, shape (n_pairs, len(alphas)): each pair
+    on its own support test, and the pairs that pass it sharing the
+    spectral work of `_purities`."""
+    held = []
+    for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+        _check_dims(rho, sigma)
+        if support_contained(rho, sigma):
+            held.append(i)
+    if len(held) < len(rhos):
+        out = np.full((len(rhos), len(alphas)), math.inf)
+        if held:
+            out[held] = _renyi_az_grid([rhos[i] for i in held], [sigmas[i] for i in held],
+                                       alphas, z)
+        return out
+    gs = _purities(rhos, sigmas, alphas, z).tolist()
+    return np.array([[math.log(g) / (a - 1.0) for g, a in zip(row, alphas)] for row in gs])
 
 
 def renyi_az(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:
     """ln(g)/(alpha - 1) on matching supports, +inf otherwise."""
-    return _renyi_az_values(rho, sigma, [p.alpha], p.z)[0]
+    return float(_renyi_az_grid([rho], [sigma], [p.alpha], p.z)[0, 0])
 
 
 def renyi_az_symmetrized(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:

@@ -87,3 +87,15 @@ class MissingColumnError(AzqslError):
 
 class ConfigError(AzqslError):
     """Sweep or CLI configuration is invalid."""
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the AzqslError it raised, without its traceback.
+
+    A kept error's traceback frames link back to the frame that keeps the
+    error, a reference cycle that would hold the arrays of that frame alive
+    until the next garbage collection."""
+    try:
+        return fn(*args)
+    except AzqslError as exc:
+        return exc.with_traceback(None)

@@ -43,7 +43,7 @@ class Eigensystem(NamedTuple):
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (m + m†) / 2; a stack of matrices is symmetrized matrix by matrix."""
-    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
+    return (m + m.swapaxes(-1, -2).conj()) / 2
 
 
 def asymmetry(m: np.ndarray) -> float:
@@ -87,23 +87,32 @@ def mat_pow(m: np.ndarray, s: float) -> np.ndarray:
 
 
 def spectral_powers(values: np.ndarray, vectors: np.ndarray, exponents) -> np.ndarray:
-    """Powers m^s of one PSD matrix, one per exponent, from its clamped
-    ascending spectrum; shape (len(exponents), dim, dim).
+    """Powers m^s of a PSD matrix, one per exponent, from its clamped
+    ascending spectrum (dim,) and eigenvectors (dim, dim); shape
+    (len(exponents), dim, dim). A stack of spectra (n, dim) and
+    eigenvectors (n, dim, dim) gives shape (n, len(exponents), dim, dim).
 
     The support cut SUPPORT_TOL is relative to the largest eigenvalue
     (solver noise scales with the matrix norm, and products like
     sigma^(large) rho sigma^(large) carry genuinely tiny spectra that an
     absolute cut would destroy); eigenvalues below it map to zero for every
     exponent, so negative powers act as generalized inverses on the
-    support. Each exponent's eigenvalue powers are taken on their own, so a
-    batch gives the same bits as one exponent at a time.
+    support. Each exponent's eigenvalue powers are taken on their own, with
+    the exponent a scalar (numpy takes exponents such as 0.5 and 2 on fast
+    paths that an array of exponents would not), and every operation is
+    matrix by matrix, so a batch of exponents or of matrices gives the same
+    bits as one at a time.
     """
-    on_support = values > SUPPORT_TOL * values[-1]
+    on_support = values > SUPPORT_TOL * values[..., -1:]
     kept = values[on_support]
-    powered = np.zeros((len(exponents), len(values)))
+    powered = np.zeros((len(exponents), *values.shape))
     for row, s in zip(powered, exponents):
         row[on_support] = kept ** s
-    return hermitian_part((vectors * powered[:, None, :]) @ vectors.conj().T)
+    # (..., exponent, 1, eigenvalue): each exponent scales the columns of
+    # the eigenvectors
+    powered = powered.swapaxes(0, -2)[..., None, :]
+    adjoint = vectors.swapaxes(-1, -2).conj()[..., None, :, :]
+    return hermitian_part((vectors[..., None, :, :] * powered) @ adjoint)
 
 
 @lru_cache(maxsize=32)
@@ -318,8 +327,12 @@ def _cmul(ar, ai, br, bi):
     imaginary parts, each real product and sum rounded on its own as in
     einsum; numpy's complex multiply may fuse them on contiguous runs and
     not on broadcast ones, which moves the last bit of complex (not real)
-    operands."""
-    return ar * br - ai * bi, ar * bi + ai * br
+    operands. The sums are taken in place, which rounds them alike."""
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
 
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:

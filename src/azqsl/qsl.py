@@ -30,6 +30,7 @@ from . import dynamics as dyn
 from .entropy import EntropyParams
 from .errors import (
     AzqslError,
+    _attempt,
     DenominatorNearZeroError,
     DegenerateRangeError,
     QuadratureTooCoarseError,
@@ -91,15 +92,13 @@ _GROUP_FIELDS = {
 
 class Panel:
     """Bound ("bounds") and speed-limit ("qsl") reports over an
-    (alpha, z, t) grid, filled one time column at a time.
+    (alpha, z, t) grid, filled by `_fill` in one call.
 
     `values` maps each report field of the groups held to an
     (n_alpha, n_z, n_t) float array, nan where that cell's group failed;
     `errors` maps each group held to an object array of the AzqslError that
     ended each failed cell, None elsewhere; `warnings` holds the warnings
-    cell of every row as text. C order is the (alpha, z, t) row order.
-    `h_tables` keeps the h and chain_sign tables of the (alpha, z) grid by
-    probe spectrum, for the next trajectory from the same probe."""
+    cell of every row as text. C order is the (alpha, z, t) row order."""
 
     def __init__(self, alphas, zs, times, groups):
         self.alphas, self.zs, self.times = (np.asarray(g, dtype=float) for g in (alphas, zs, times))
@@ -108,7 +107,6 @@ class Panel:
         self.values = {name: np.full(shape, math.nan) for g in groups for name in _GROUP_FIELDS[g]}
         self.errors = {g: np.full(shape, None, dtype=object) for g in groups}
         self.warnings = np.full(shape, "", dtype=object)
-        self.h_tables: dict = {}
 
 
 def h_func(rho0: DensityMatrix, p: EntropyParams) -> float:
@@ -144,11 +142,14 @@ def phi_func(rho0: DensityMatrix, rho_t: DensityMatrix, p: EntropyParams) -> flo
 
 
 def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Integral of each row of `vals`: composite Simpson when the interval
-    count is even, trapezoid otherwise."""
-    n = len(times) - 1
+    """Integral along the last axis of `vals` over the sample times along
+    the last axis of `times` (one grid, or one per leading index of
+    `vals`): composite Simpson when the interval count is even, trapezoid
+    otherwise. Each row is summed on its own, so a batch of grids gives
+    every row the bits of its own call."""
+    n = times.shape[-1] - 1
     if n >= 2 and n % 2 == 0:
-        h = times[1] - times[0]
+        h = times[..., 1] - times[..., 0]
         return h / 3.0 * (
             vals[..., 0] + vals[..., -1]
             + 4.0 * vals[..., 1:-1:2].sum(axis=-1) + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
@@ -161,21 +162,23 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _gated_quads(
-    times: np.ndarray, vals: np.ndarray, gate: bool
+    times: np.ndarray, vals: np.ndarray, gate
 ) -> tuple[np.ndarray, dict[int, QuadratureTooCoarseError]]:
-    """Integrate each row of `vals` and, when `gate` is set, cross-check it
-    against the half grid: the integrals, and the error that rejects each
-    row whose relative disagreement exceeds tolerance, by row index."""
+    """Integrate `vals` along its last axis and, where `gate` (broadcast
+    against the integrals) is set, cross-check against the half grid: the
+    integrals, and the error that rejects each integral whose relative
+    disagreement exceeds tolerance, by flat (C-order) index of the
+    integrals."""
     full = _quad(times, vals)
-    if not gate:
+    if not np.any(gate):
         return full, {}
-    half = _quad(times[::2], vals[:, ::2])
+    half = _quad(times[..., ::2], vals[..., ::2])
     # NaN rows pass, and infinities compare, as in float arithmetic
     with np.errstate(invalid="ignore", over="ignore"):
         failed = np.abs(full - half) > RICHARDSON_REL_TOL * np.maximum(np.abs(full), 1e-12)
     errors = {}
-    for i in np.flatnonzero(failed).tolist():
-        f, h = float(full[i]), float(half[i])
+    for i in np.flatnonzero(failed & gate).tolist():
+        f, h = float(full.flat[i]), float(half.flat[i])
         errors[i] = QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
     return full, errors
 
@@ -187,12 +190,27 @@ def _h_pair(rho0: DensityMatrix, p: EntropyParams) -> tuple[float, float, bool]:
     return h_a, h_b, chain
 
 
+# The weighted integrals of a batch of columns hold at most this many
+# (integral, column, alpha, sample) floats at once, and the endpoint
+# entropies of a batch at most this many core entries, so batching adds
+# nothing to peak memory; a batch holds one column at least.
+_BATCH_ELEMENTS = 1 << 14
+
+
+def _chunks(n: int, size: int):
+    """Slices of at most `size` (at least one) of range(n)."""
+    size = max(1, size)
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
 def _weighted_integrals(
-    times: np.ndarray, kmins: np.ndarray, rate_sets: list[np.ndarray], alphas: list[float]
-) -> tuple[list[tuple[tuple, tuple]], tuple[str, ...]]:
+    cols: dyn._Columns, run: list[int], rate_names: list[str], alphas: list[float]
+) -> tuple[np.ndarray, list[list[dict]], list[tuple[str, ...]]]:
     """Integrals I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against each
-    rate, for every alpha: one (I1, I2) pair per rate set, each the
-    `_gated_quads` pair of integrals and gate errors over the alpha grid.
+    named rate of `cols` ("speeds" or "rates"), for every alpha and every
+    column of `run`: an (n_rates, 2, n_alpha, n_run) array of them, I1
+    first; the gate errors, per rate and integral, by (alpha, column)
+    index; and the quadrature flags of each column.
 
     When k_min dips toward zero along the trajectory (amplitude damping at
     late times, zero crossings of the decoherence amplitude) the negative
@@ -203,27 +221,47 @@ def _weighted_integrals(
     The gate needs Simpson on both grids, so an interval count divisible by
     4 and at least 8. Any other grid, the trapezoid fallback of an odd
     count included, is integrated without it and flagged `quad_ungated`.
+
+    A batch of columns takes the weights of both integrals as one array
+    and its products with each rate in turn, the last in place of the
+    weights. Every power, product and sum runs along one column's samples
+    as it runs for that column alone, so each integral keeps its bits.
     """
-    clamped = bool(np.any(kmins < KMIN_CLAMP))
-    kc = np.maximum(kmins, KMIN_CLAMP)
-    loose = bool(float(kmins.min()) < LOOSE_KMIN_TOL)
-    n = len(times) - 1
-    gate = not loose and n % 4 == 0 and n >= 8
-    a = np.asarray(alphas)[:, None]
-    w1 = kc ** (a - 1.0)
-    w2 = kc ** (-a)
-    tables = [
-        (_gated_quads(times, w1 * rates, gate), _gated_quads(times, w2 * rates, gate))
-        for rates in rate_sets
-    ]
-    warns: tuple[str, ...] = ()
-    if clamped:
-        warns += (WARN_KMIN_CLAMPED,)
-    if loose:
-        warns += (WARN_LOOSE_BOUND,)
-    elif not gate:
-        warns += (WARN_QUAD_UNGATED,)
-    return tables, warns
+    exponents = np.array([[alpha - 1.0, -alpha] for alpha in alphas]).T[:, None, :, None]
+    n_steps = len(cols.rows[run[0]])
+    gridded = (n_steps - 1) % 4 == 0 and n_steps > 8
+    integrals = np.empty((len(rate_names), 2, len(alphas), len(run)))
+    errors = [[{}, {}] for _ in rate_names]
+    flags = []
+    size = _BATCH_ELEMENTS // (4 * len(alphas) * n_steps)
+    for batch in _chunks(len(run), size):
+        held = np.array([cols.rows[c] for c in run[batch]])
+        kmins = cols.kmins[held]
+        low = kmins.min(axis=1)
+        loose = low < LOOSE_KMIN_TOL
+        gate = (~loose if gridded else np.zeros_like(loose))[:, None]
+        # (integral, column, alpha, sample)
+        weights = np.maximum(kmins, KMIN_CLAMP)[:, None, :] ** exponents
+        times = cols.times[held][:, None, :]
+        for r, name in enumerate(rate_names):
+            # the last rate takes its products in place of the weights
+            out = weights if r == len(rate_names) - 1 else None
+            vals = np.multiply(weights, getattr(cols, name)[held][:, None, :], out=out)
+            full, failed = _gated_quads(times, vals, gate)
+            del vals
+            integrals[r][..., batch] = full.swapaxes(-1, -2)
+            for flat, exc in failed.items():
+                k, c, i = np.unravel_index(flat, full.shape)
+                errors[r][k][i, batch.start + c] = exc
+        del weights
+        for clamped, was_loose in zip((low < KMIN_CLAMP).tolist(), loose.tolist()):
+            warns = (WARN_KMIN_CLAMPED,) if clamped else ()
+            if was_loose:
+                warns += (WARN_LOOSE_BOUND,)
+            elif not gridded:
+                warns += (WARN_QUAD_UNGATED,)
+            flags.append(warns)
+    return integrals, errors, flags
 
 
 def _route_rhs(a, h_a, h_b, i1, i2, kraus: bool):
@@ -233,18 +271,6 @@ def _route_rhs(a, h_a, h_b, i1, i2, kraus: bool):
     if kraus:
         return 2.0 * a * h_a * i1 / abs(1.0 - a), 2.0 * h_b * i2
     return a * h_a / abs(1.0 - a) * i1, h_b * i2
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the AzqslError it raised, without its traceback.
-
-    A kept error's traceback frames link back to the frame that keeps the
-    error, a reference cycle that would hold the trajectory and its arrays
-    alive until the next garbage collection."""
-    try:
-        return fn(*args)
-    except AzqslError as exc:
-        return exc.with_traceback(None)
 
 
 def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple:
@@ -262,19 +288,33 @@ def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple
     return h_a, h_b, chain, errors
 
 
-def _endpoint_entropy_grid(
-    traj: dyn.Trajectory, rho0: DensityMatrix, alphas: list[float], zs: list[float]
+def _endpoint_entropies(
+    probes: list, probe_of: list, finals: list, alphas: list[float], zs: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """D(rho_t||rho_0) and D(rho_0||rho_t) over the (alpha, z) grid."""
-    rho_tau = traj.final_state
-    fwd = [ent._renyi_az_values(rho_tau, rho0, alphas, z) for z in zs]
-    bwd = [ent._renyi_az_values(rho0, rho_tau, alphas, z) for z in zs]
-    return np.array(fwd).T, np.array(bwd).T
+    """D(rho_t||rho_0) and D(rho_0||rho_t) over the (alpha, z) grid for each
+    column with a final state (None elsewhere, left nan), shape
+    (n_alpha, n_z, n_columns): rho_0 is probe `probe_of[c]` of column c.
+    Per z, both orders of the columns' pairs go through one
+    `_renyi_az_grid` call, in batches of at most `_BATCH_ELEMENTS` core
+    entries, so each probe's powers are taken once per batch."""
+    shape = (len(alphas), len(zs), len(finals))
+    d_fwd, d_bwd = np.full(shape, math.nan), np.full(shape, math.nan)
+    held = [c for c, state in enumerate(finals) if state is not None]
+    dim = finals[held[0]].dim if held else 0
+    for batch in _chunks(len(held), _BATCH_ELEMENTS // (2 * len(alphas) * dim * dim)):
+        cs = held[batch]
+        states = [finals[c] for c in cs]
+        starts = [probes[probe_of[c]] for c in cs]
+        for j, z in enumerate(zs):
+            both = ent._renyi_az_grid(states + starts, starts + states, alphas, z)
+            d_fwd[:, j, cs], d_bwd[:, j, cs] = both[:len(cs)].T, both[len(cs):].T
+    return d_fwd, d_bwd
 
 
-def _tau_ratios(d, rhs, tau: float, pending: np.ndarray, errors: np.ndarray) -> np.ndarray:
+def _tau_ratios(d, rhs, tau, pending: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """QSL times tau * D / RHS of the routes stacked along axis 0 (fwd, bwd,
-    sym), with guards for vanishing rates. A route fails where its entropy
+    sym), the horizons `tau` broadcasting against them, with guards for
+    vanishing rates. A route fails where its entropy
     diverges, or else where its rate integral vanishes under a nonzero
     entropy; a pending cell gets the error of its first failing route and
     stops pending."""
@@ -296,111 +336,26 @@ def _tau_ratios(d, rhs, tau: float, pending: np.ndarray, errors: np.ndarray) -> 
     return out
 
 
-def _warning_cells(flags: tuple[str, ...], chain: np.ndarray, errors: list) -> np.ndarray:
-    """The warnings cell of each (alpha, z) row: per group, its error tag or
-    the trajectory's quadrature flags then chain_sign, each tag once."""
-    texts = ";".join(flags), ";".join(flags + (WARN_CHAIN_SIGN,))
-    out = np.where(chain, texts[1], texts[0]).astype(object)
-    failed = np.logical_or.reduce([np.not_equal(err, None) for err in errors])
-    for idx in zip(*np.nonzero(failed)):
+def _warning_cells(flags: list[tuple[str, ...]], chain: np.ndarray, errors: list) -> np.ndarray:
+    """The warnings cell of each (alpha, z, column) cell: per group, its
+    error tag or its column's quadrature flags then chain_sign, each tag
+    once. `chain` broadcasts against the cells."""
+    plain = np.array([";".join(f) for f in flags], dtype=object)
+    chained = np.array([";".join(f + (WARN_CHAIN_SIGN,)) for f in flags], dtype=object)
+    out = np.where(chain, chained, plain)
+    failed = np.not_equal(errors[0], None)
+    for err in errors[1:]:
+        failed |= np.not_equal(err, None)
+    for idx in zip(*failed.nonzero()):
+        # a group without an error tags the cell as the flags and chain_sign do
+        own = tuple(filter(None, out[idx].split(";")))
         tags: list[str] = []
         for err in errors:
             exc = err[idx]
-            if exc is not None:
-                own = (f"error:{type(exc).__name__}",)
-            else:
-                own = flags + ((WARN_CHAIN_SIGN,) if chain[idx] else ())
-            tags += [w for w in own if w not in tags]
+            tags += [w for w in ((f"error:{type(exc).__name__}",) if exc is not None else own)
+                     if w not in tags]
         out[idx] = ";".join(tags)
     return out
-
-
-def _fill_column(panel: Panel, k: int, traj: dyn.Trajectory) -> None:
-    """Fill time column k of `panel` from one trajectory to that horizon:
-    the values, errors and warnings of every (alpha, z) cell, in place.
-
-    The endpoint states are validated once, the weighted integrals are taken
-    once per alpha (they do not depend on z), and both endpoint entropies
-    once per (alpha, z), shared by the two report groups. h and chain_sign
-    depend only on the probe's extreme eigenvalues, so their tables are
-    built once per probe spectrum for the panel. The bounds use the
-    Schatten speed; the speed limits use the trajectory's summed Kraus rates
-    when it carries them, the Schatten speed otherwise.
-
-    Errors take the precedence of the sequential evaluation: probe state,
-    h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
-    sym. The arithmetic runs elementwise in the operation order of the
-    scalar formulas, so every value keeps its bits.
-    """
-    groups = list(panel.errors)
-    if not groups:
-        return
-    rho0 = _attempt(getattr, traj, "initial_state")
-    if isinstance(rho0, AzqslError):
-        _fill_failed(panel, k, rho0)
-        return
-    alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
-    shape = (len(alphas), len(zs))
-    if (rho0.k_min, rho0.k_max) not in panel.h_tables:
-        panel.h_tables[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
-    h_a, h_b, chain, h_errors = panel.h_tables[rho0.k_min, rho0.k_max]
-    kraus = traj.rates is not None
-    rate_sets = [traj.speeds] if "bounds" in groups or not kraus else []
-    if "qsl" in groups and kraus:
-        rate_sets.append(traj.rates)
-    tables, flags = _weighted_integrals(traj.times, traj.kmins, rate_sets, alphas)
-    integrals = {"bounds": tables[0], "qsl": tables[-1]}
-
-    errors = {g: panel.errors[g][:, :, k] for g in groups}
-    pending = {}
-    for g in groups:
-        ok = pending[g] = np.ones(shape, bool)
-        for idx, exc in h_errors.items():
-            errors[g][idx], ok[idx] = exc, False
-        for _, gate_errors in integrals[g]:  # I1, then I2
-            for i, exc in gate_errors.items():
-                errors[g][i, ok[i]] = exc
-                ok[i] = False
-    entropies = None
-    if any(ok.any() for ok in pending.values()):
-        entropies = _attempt(_endpoint_entropy_grid, traj, rho0, alphas, zs)
-    if isinstance(entropies, AzqslError):
-        for g in groups:
-            errors[g][pending[g]] = entropies
-    elif entropies is not None:
-        d_fwd, d_bwd = entropies
-        d_sym = d_fwd + d_bwd
-        a = np.array(alphas)[:, None]
-        with np.errstate(all="ignore"):
-            for g in groups:
-                (i1, _), (i2, _) = integrals[g]
-                rhs_fwd, rhs_bwd = _route_rhs(
-                    a, h_a, h_b, i1[:, None], i2[:, None], kraus and g == "qsl")
-                rhs_sym = rhs_fwd + rhs_bwd
-                if g == "bounds":
-                    idle = np.where(np.abs(d_sym) <= ZERO_TOL, 0.0, math.nan)
-                    delta = np.where(rhs_sym > ZERO_TOL, 1.0 - d_sym / rhs_sym, idle)
-                    report = (d_fwd, d_bwd, d_sym, rhs_fwd, rhs_bwd, rhs_sym, delta)
-                else:
-                    taus = _tau_ratios(
-                        np.stack((d_fwd, d_bwd, d_sym)), np.stack((rhs_fwd, rhs_bwd, rhs_sym)),
-                        traj.tau, pending[g], errors[g])
-                    # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
-                    tau_qsl = taus[0]
-                    for later in taus[1:]:
-                        tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
-                    report = (traj.tau, *taus, tau_qsl, 1.0 - tau_qsl / traj.tau)
-                for name, arr in zip(_GROUP_FIELDS[g], report):
-                    np.copyto(panel.values[name][:, :, k], arr, where=pending[g])
-    panel.warnings[:, :, k] = _warning_cells(flags, chain, list(errors.values()))
-
-
-def _fill_stationary(panel: Panel, k: int) -> None:
-    """Time column k at a zero horizon, the stationary limit: all entropies
-    and rates are zero, the bound saturates, and the speed limit is the
-    trivial tau >= 0."""
-    for name, arr in panel.values.items():
-        arr[:, :, k] = 1.0 if name == "delta_qsl" else 0.0
 
 
 def _fill_failed(panel: Panel, k: int, exc: AzqslError) -> None:
@@ -412,11 +367,132 @@ def _fill_failed(panel: Panel, k: int, exc: AzqslError) -> None:
     panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
 
 
+def _columnwise(arrays: list) -> np.ndarray:
+    """Per-column arrays stacked along a last axis; one array shared by
+    every column broadcasts along it instead."""
+    if all(arr is arrays[0] for arr in arrays):
+        return arrays[0][..., None]
+    return np.stack(arrays, axis=-1)
+
+
+def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
+    """Fill every time column of `panel` in place: the values, errors and
+    warnings of every (alpha, z) cell. A column where `live` is False is at
+    a zero horizon, the stationary limit: all entropies and rates are zero,
+    the bound saturates, and the speed limit is the trivial tau >= 0. The
+    live columns are the columns of `cols`, in order; one that ended in an
+    error, or whose probe state failed, fails every group of every cell
+    with that error.
+
+    Each column starts at its own t = 0 sample, its probe state; the
+    columns of a sweep share that sample, which `dynamics._columns`
+    validates once. The h and chain_sign tables depend only on the probe's
+    extreme eigenvalues and are built once per probe spectrum. The weighted integrals
+    are taken once per (alpha, column), as they do not depend on z, and the
+    endpoint entropies once per (alpha, z, column), shared by the two
+    report groups. The bounds use the Schatten speed; the speed limits use
+    the summed Kraus rates when the columns carry them, the Schatten speed
+    otherwise.
+
+    Errors take the precedence of the sequential evaluation: probe state,
+    h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
+    sym. The arithmetic runs elementwise over (alpha, z, column) arrays in
+    the operation order of the scalar formulas, so every value keeps its
+    bits.
+    """
+    if not live.all():
+        for name, arr in panel.values.items():
+            arr[:, :, ~live] = 1.0 if name == "delta_qsl" else 0.0
+    ks = live.nonzero()[0]
+    groups = list(panel.errors)
+    errors = list(cols.errors)
+    for c, rho0 in enumerate(cols.initials):
+        if groups and errors[c] is None and isinstance(rho0, AzqslError):
+            errors[c] = rho0
+        if errors[c] is not None:
+            _fill_failed(panel, ks[c], errors[c])
+    run = [c for c, exc in enumerate(errors) if exc is None]
+    if not groups or not run:
+        return
+    at = ks[run]
+    alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
+    shape = (len(alphas), len(zs), len(run))
+    # the distinct probe states, the probe of each column, and the h table
+    # of each probe spectrum
+    probes, probe_of, index, spectra = [], [], {}, {}
+    for c in run:
+        rho0 = cols.initials[c]
+        if id(rho0) not in index:
+            index[id(rho0)] = len(probes)
+            probes.append(rho0)
+            if (rho0.k_min, rho0.k_max) not in spectra:
+                spectra[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
+        probe_of.append(index[id(rho0)])
+    tables = [spectra[probes[t].k_min, probes[t].k_max] for t in probe_of]
+    h_a, h_b, chain = (_columnwise([table[part] for table in tables]) for part in range(3))
+    kraus = cols.rates is not None
+    rate_names = ["speeds"] if "bounds" in groups or not kraus else []
+    if "qsl" in groups and kraus:
+        rate_names.append("rates")
+    integrals, gate_errors, flags = _weighted_integrals(cols, run, rate_names, alphas)
+    rate_of = {"bounds": 0, "qsl": len(rate_names) - 1}
+
+    errs, pending = {}, {}
+    for g in groups:
+        err = errs[g] = np.full(shape, None, dtype=object)
+        ok = pending[g] = np.ones(shape, bool)
+        for c, table in enumerate(tables):
+            for (i, j), exc in table[3].items():
+                err[i, j, c], ok[i, j, c] = exc, False
+        for failed in gate_errors[rate_of[g]]:  # I1, then I2
+            for (i, c), exc in failed.items():
+                err[i, ok[i, :, c], c] = exc
+                ok[i, :, c] = False
+    # a column's end state is read where a cell is still pending
+    waiting = np.logical_or.reduce([ok.any(axis=(0, 1)) for ok in pending.values()])
+    finals = [cols.finals[c] if wait else None for c, wait in zip(run, waiting.tolist())]
+    for c, state in enumerate(finals):
+        if isinstance(state, AzqslError):
+            for g in groups:
+                errs[g][:, :, c][pending[g][:, :, c]] = state
+                pending[g][:, :, c] = False
+            finals[c] = None
+    if any(state is not None for state in finals):
+        d_fwd, d_bwd = _endpoint_entropies(probes, probe_of, finals, alphas, zs)
+        d_sym = d_fwd + d_bwd
+        a = np.array(alphas)[:, None, None]
+        tau = cols.times[[cols.rows[c][-1] for c in run]]
+        with np.errstate(all="ignore"):
+            for g in groups:
+                i1, i2 = integrals[rate_of[g]]
+                rhs_fwd, rhs_bwd = _route_rhs(
+                    a, h_a, h_b, i1[:, None, :], i2[:, None, :], kraus and g == "qsl")
+                rhs_sym = rhs_fwd + rhs_bwd
+                if g == "bounds":
+                    idle = np.where(np.abs(d_sym) <= ZERO_TOL, 0.0, math.nan)
+                    delta = np.where(rhs_sym > ZERO_TOL, 1.0 - d_sym / rhs_sym, idle)
+                    report = (d_fwd, d_bwd, d_sym, rhs_fwd, rhs_bwd, rhs_sym, delta)
+                else:
+                    taus = _tau_ratios(
+                        np.stack((d_fwd, d_bwd, d_sym)), np.stack((rhs_fwd, rhs_bwd, rhs_sym)),
+                        tau, pending[g], errs[g])
+                    # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
+                    tau_qsl = taus[0]
+                    for later in taus[1:]:
+                        tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
+                    report = (tau, *taus, tau_qsl, 1.0 - tau_qsl / tau)
+                for name, arr in zip(_GROUP_FIELDS[g], report):
+                    panel.values[name][:, :, at] = np.where(pending[g], arr, math.nan)
+    for g in groups:
+        panel.errors[g][:, :, at] = errs[g]
+    panel.warnings[:, :, at] = _warning_cells(flags, chain, list(errs.values()))
+
+
 def _point_report(traj: dyn.Trajectory, p: EntropyParams, group: str, report):
     """The `report` of one group at (p.alpha, p.z) along `traj`: the one
     cell of a one-point panel, raising its error."""
     panel = Panel([p.alpha], [p.z], [traj.tau], [group])
-    _fill_column(panel, 0, traj)
+    _fill(panel, dyn._columns([traj]), np.ones(1, dtype=bool))
     exc = panel.errors[group][0, 0, 0]
     if exc is not None:
         try:

@@ -1,11 +1,18 @@
-"""The panel layer of a sweep: column-wise CSV rendering and the work it
-saves.
+"""The panel layer of a sweep: column-wise CSV rendering, the one fill of
+a panel, and the work they save.
 
 `cli.rows_to_csv` formats each distinct float of a column once, so its
 renderer must print exactly what the cell formatter prints for every float,
 signed zeros, infinities, nans and subnormals included, and must tell apart
 floats one ulp apart. h(rho_0; alpha, z) does not depend on t, so a sweep
 computes it once per (alpha, z) for the whole panel.
+
+`qsl._fill` fills every (alpha, z, t) cell of a panel in one call, with
+array arithmetic over the cells and batched endpoint entropies. A cell must
+not depend on the cells it is batched with: a panel over any subset of the
+time columns, alphas and zs gives the same bits, errors and warnings in
+its cells as the full panel and as the one-point `integrate_bounds` and
+`qsl_general` calls.
 """
 
 import math
@@ -16,6 +23,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from azqsl import cli, qsl
+from azqsl import dynamics as dyn
+from azqsl import entropy as ent
+from azqsl.entropy import EntropyParams
+from azqsl.errors import AzqslError, InvalidParamsError
+from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
 
 SPECIALS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -64,3 +76,197 @@ def test_h_computed_once_per_alpha_z(monkeypatch):
     (cfg,) = cli.figure_panels("fig2")
     cli.sweep_rows(replace(cfg, alpha_grid=(0.01, 0.99, 20), time_grid=(0.0, 20.0, 21)))
     assert len(calls) == 2 * 20
+
+
+# --- one fill per panel -------------------------------------------------------
+
+FIG4_AD = dict(alpha_grid=(0.01, 0.99, 25), time_grid=(0.0, 20.0, 41))
+
+
+def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
+    """A fig4_ad-shaped panel (40 horizons of 1001 samples) checks each of
+    its 19 970 distinct samples once, not the 40 040 its horizons hold;
+    validates its probe state once and the 40 end states as one stack;
+    and makes dense only the two end states of each column, building no
+    trajectory."""
+    checked, stacks, dense = [], [], []
+    failing, density_matrices, states = (
+        dyn._failing_samples, dyn.density_matrices, dyn._SampleStore.states)
+    monkeypatch.setattr(dyn, "_failing_samples",
+                        lambda s, *rest: checked.append(len(s)) or failing(s, *rest))
+    monkeypatch.setattr(dyn, "density_matrices",
+                        lambda m: stacks.append(len(m)) or density_matrices(m))
+    monkeypatch.setattr(dyn._SampleStore, "states",
+                        lambda self, rows: dense.append(len(rows)) or states(self, rows))
+    monkeypatch.setattr(dyn, "Trajectory", None)  # building one would fail
+    cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
+    panel = cli.sweep_rows(cfg)
+    assert sum(checked) == 19970
+    assert sorted(stacks) == [1, 40]
+    assert dense == [2] * 40
+    assert (panel.errors["qsl"] != None).any()  # noqa: E711 - the panel was filled
+
+
+def test_panel_fills_in_one_call(monkeypatch):
+    calls = []
+    fill = qsl._fill
+    monkeypatch.setattr(qsl, "_fill", lambda *args: calls.append(args) or fill(*args))
+    (cfg,) = cli.figure_panels("fig2")
+    cli.sweep_rows(replace(cfg, alpha_grid=(0.01, 0.99, 5), time_grid=(0.0, 20.0, 6)))
+    assert len(calls) == 1
+
+
+def handmade(first, last, speeds) -> dyn.Trajectory:
+    """Nine samples on [0, 1]: `first` for every state but the last, which
+    is `last`, with the given Schatten speeds and Kraus rates and k_min
+    0.2."""
+    states = np.array([first] * 8 + [last], dtype=complex)
+    speeds = np.asarray(speeds, dtype=float)
+    return dyn.Trajectory(np.linspace(0.0, 1.0, 9), states, speeds, np.full(9, 0.2), speeds)
+
+
+MIXED, OTHER, PURE = np.diag([0.7, 0.3]), np.diag([0.4, 0.6]), np.diag([1.0, 0.0])
+NOT_PSD = np.diag([1.1, -0.1])
+
+# name -> (model and probe, or the columns themselves; alphas; zs; times);
+# each reaches one special path of the fill (`test_kinds_reach_their_paths`)
+KINDS = {
+    # tiny z: sandwiched cores with an unresolved smallest eigenvalue take
+    # the determinant reconstruction
+    "unresolved_core": ((dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 0.5)),
+                         ghz_mixed(GHZMixedParams(0.9))),
+                        (0.05, 0.95, 4), (0.05, 0.3, 3), (0.0, 12.0, 4)),
+    # the amplitude of s = 10 crosses zero: late states are singular
+    "support_violation": ((dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0)),
+                           ghz_mixed(GHZMixedParams(0.25))),
+                          (0.1, 0.9, 3), (0.8, 1.0, 2), (0.0, 16.0, 5)),
+    # states that jump without moving, a column that failed, an end state
+    # that is not a state, and a clean column
+    "zero_speed_and_failed": ([
+        handmade(MIXED, OTHER, np.zeros(9)),
+        InvalidParamsError("no trajectory to this horizon"),
+        handmade(MIXED, PURE, np.zeros(9)),
+        handmade(MIXED, NOT_PSD, np.ones(9)),
+        handmade(MIXED, OTHER, np.full(9, 0.3)),
+    ], (0.2, 0.8, 3), (0.6, 1.0, 2), None),
+}
+N_STEPS = 33
+
+
+def kind_columns(name: str, picked: list[int]):
+    """The time values, columns and per-column trajectories (or errors) of
+    the time columns `picked` of a kind, in order."""
+    source, _, _, grid = KINDS[name]
+    if grid is None:
+        trajs = [source[k] for k in picked]
+        return np.ones(len(picked)), dyn._columns(trajs), trajs
+    model, rho0 = source
+    times = np.linspace(*grid)[picked]
+    live = times != 0.0
+    trajs = [None if t == 0.0 else dyn.evolve_kraus(model, rho0, t, N_STEPS, rates=True)
+             for t in times.tolist()]
+    outcomes = dyn._outcomes(model, rho0, times[live].tolist(), N_STEPS, True)
+    return times, dyn._columns(outcomes), trajs
+
+
+def kind_panel(name: str, alphas: list[int], zs: list[int], picked: list[int]):
+    """The panel of a kind over the given alpha, z and time indices, and
+    the trajectory (or error, or None at t = 0) of each of its columns."""
+    _, alpha_grid, z_grid, _ = KINDS[name]
+    times, cols, trajs = kind_columns(name, picked)
+    panel = qsl.Panel(np.linspace(*alpha_grid)[alphas], np.linspace(*z_grid)[zs], times,
+                      ["bounds", "qsl"])
+    qsl._fill(panel, cols, times != 0.0 if KINDS[name][3] else np.ones(len(times), bool))
+    return panel, trajs
+
+
+def cell(panel, idx) -> tuple:
+    """A cell's values (by their bits), errors (class and message) and
+    warnings."""
+    values = tuple(arr[idx].tobytes() for arr in panel.values.values())
+    errors = tuple(None if e[idx] is None else (type(e[idx]), str(e[idx]))
+                   for e in panel.errors.values())
+    return values, errors, panel.warnings[idx]
+
+
+def point_cell(traj, alpha: float, z: float) -> tuple:
+    """`cell` of the one-point calls at (alpha, z) along a trajectory, a
+    failed column's error, or the stationary limit (None)."""
+    values, errors, tags = [], [], []
+    for group, fn in (("bounds", qsl.integrate_bounds), ("qsl", qsl.qsl_general)):
+        fields = qsl._GROUP_FIELDS[group]
+        if traj is None:
+            limit = dict.fromkeys(fields, 0.0) | ({"delta_qsl": 1.0} if group == "qsl" else {})
+            values += [np.float64(limit[f]).tobytes() for f in fields]
+            errors.append(None)
+            continue
+        try:
+            report = traj if isinstance(traj, AzqslError) else fn(traj, EntropyParams(alpha, z))
+            if isinstance(report, AzqslError):
+                raise report
+        except AzqslError as exc:
+            values += [np.float64(math.nan).tobytes()] * len(fields)
+            errors.append((type(exc), str(exc)))
+            own = (f"error:{type(exc).__name__}",)
+        else:
+            values += [np.float64(getattr(report, f)).tobytes() for f in fields]
+            errors.append(None)
+            own = report.warnings
+        tags += [w for w in own if w not in tags]
+    return tuple(values), tuple(errors), ";".join(tags)
+
+
+def subsets(n: int):
+    return st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted)
+
+
+@st.composite
+def panel_subsets(draw):
+    name = draw(st.sampled_from(sorted(KINDS)))
+    source, alpha_grid, z_grid, grid = KINDS[name]
+    n_times = len(source) if grid is None else grid[2]
+    return name, draw(subsets(alpha_grid[2])), draw(subsets(z_grid[2])), draw(subsets(n_times))
+
+
+@seed(20261019)
+@settings(max_examples=40, database=None, deadline=None)
+@given(panel_subsets())
+def test_cells_do_not_depend_on_their_batch(case):
+    name, alphas, zs, picked = case
+    _, alpha_grid, z_grid, grid = KINDS[name]
+    n_times = len(KINDS[name][0]) if grid is None else grid[2]
+    full, _ = kind_panel(name, list(range(alpha_grid[2])), list(range(z_grid[2])),
+                         list(range(n_times)))
+    part, trajs = kind_panel(name, alphas, zs, picked)
+    for i, a in enumerate(alphas):
+        for j, z in enumerate(zs):
+            for k, t in enumerate(picked):
+                got = cell(part, (i, j, k))
+                assert got == cell(full, (a, z, t)), (name, a, z, t)
+                assert got == point_cell(trajs[k], float(part.alphas[i]), float(part.zs[j])), (
+                    name, a, z, t)
+
+
+def test_kinds_reach_their_paths(monkeypatch):
+    # _zpow_trace reconstructs a core's one unresolved eigenvalue from the
+    # determinant
+    reconstructions = []
+    zpow = ent._zpow_trace
+
+    def counted(vals, *rest):
+        if np.count_nonzero(vals < ent._ZPOW_NOISE_REL * vals[-1]) == 1:
+            reconstructions.append(vals)
+        return zpow(vals, *rest)
+
+    monkeypatch.setattr(ent, "_zpow_trace", counted)
+    tags = {}
+    for name, (source, alpha_grid, z_grid, grid) in KINDS.items():
+        n_times = len(source) if grid is None else grid[2]
+        panel, _ = kind_panel(name, list(range(alpha_grid[2])), list(range(z_grid[2])),
+                              list(range(n_times)))
+        tags[name] = {w for cell_tags in panel.warnings.ravel() for w in cell_tags.split(";")}
+        if name == "unresolved_core":
+            assert reconstructions
+    assert "error:SupportViolationError" in tags["support_violation"]
+    assert {"error:ZeroSpeedError", "error:InvalidParamsError",
+            "error:InvalidStateError"} <= tags["zero_speed_and_failed"]
