@@ -22,7 +22,7 @@ from .errors import (
     NotHermitianError,
     _attempt,
 )
-from .states import DensityMatrix, density_matrices
+from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-8
 TRACE_DRIFT_TOL = 1e-9
@@ -850,14 +850,11 @@ class _SampleStore:
         states[:, self.parts] = self.entries[rows]
         return states.view(complex).reshape(-1, self.dim, self.dim)
 
-    def _rates(self, rows: np.ndarray) -> np.ndarray | None:
-        return None if self.rates is None else self.rates[rows]
-
     def trajectory(self, times: np.ndarray, rows: np.ndarray) -> Trajectory | AzqslError:
         """The trajectory at `times`, held as the samples `rows`, or the
         error `Trajectory` raises for it."""
         return _attempt(Trajectory, times, self.states(rows), self.speeds[rows],
-                        self.kmins[rows], self._rates(rows))
+                        self.kmins[rows], None if self.rates is None else self.rates[rows])
 
     def error(self, times: np.ndarray, rows: np.ndarray) -> AzqslError | None:
         """The error `Trajectory` raises for the samples `rows` at `times`,
@@ -936,11 +933,10 @@ def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
     store = _SampleStore(times, dim)
     for start in range(0, len(times), n_steps):
         rows = slice(start, start + n_steps)
-        samples = _attempt(sampler, times[rows], fd_step)
-        if isinstance(samples, AzqslError):
+        try:
+            store.add(rows, sampler(times[rows], fd_step))
+        except AzqslError:
             store.failed[rows] = True
-        else:
-            store.add(rows, samples)
     for h, tau in enumerate(taus):
         if h in errors:
             yield errors[h]
@@ -956,18 +952,19 @@ def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
 class _Columns(NamedTuple):
     """The time columns of a panel as the fill reads them: the samples
     they hold (`times`, `speeds`, `kmins`, and `rates` or None); each
-    column's samples, `rows`, an index array into those; its states at
-    t = 0 and at its horizon, `initials` and `finals`, each a DensityMatrix
-    or the error its validation raised; and the AzqslError each column
-    ended in, `errors`, None for a column that holds samples (a failed
-    column's rows and states are None)."""
+    column's samples, `rows`, an index array into those; the state at
+    t = 0 that every column starts from, `probe`, and each column's state
+    at its horizon, `finals`, each a DensityMatrix or the error its
+    validation raised (`probe` is None when no column holds samples); and
+    the AzqslError each column ended in, `errors`, None for a column that
+    holds samples (a failed column's rows and final state are None)."""
 
     times: np.ndarray
     speeds: np.ndarray
     kmins: np.ndarray
     rates: np.ndarray | None
     rows: list
-    initials: list
+    probe: DensityMatrix | AzqslError | None
     finals: list
     errors: list
 
@@ -976,44 +973,40 @@ def _columns(outcomes) -> _Columns:
     """The `_Columns` of the outcomes of `_outcomes`, or of trajectories and
     errors, in order, without building a trajectory: a store's samples are
     held once for all its columns, a trajectory's for its own column (all
-    hold equally many samples, and carry rates or none do). The states at
-    t = 0 are validated once per distinct sample, the end states of a
-    store's columns as one stack (`density_matrices`); a trajectory's are
-    its own cached states."""
-    pools, offsets, probes = [], {}, {}
-    rows, initials, finals, errors, dense = [], [], [], [], []
+    hold equally many samples, and carry rates or none do). Every column
+    starts from the same t = 0 sample, validated once as the probe state;
+    a column whose t = 0 sample differs from the first one fails. Each end
+    state is validated on its own; a trajectory's are its cached states."""
+    pools, offsets = [], {}
+    start = probe = None
+    rows, finals, errors = [], [], []
     for outcome in outcomes:
         exc = outcome if isinstance(outcome, AzqslError) else None
         if isinstance(outcome, tuple):
-            store, grid, held = outcome
-            exc = store.error(grid, held)
+            pool, grid, held = outcome
+            exc = pool.error(grid, held)
             if exc is None:
-                if id(store) not in offsets:
-                    offsets[id(store)] = sum(len(pool.times) for pool in pools)
-                    pools.append(store)
-                initial, final = store.states(held[[0, -1]])
-                if initial.tobytes() not in probes:
-                    probes[initial.tobytes()] = density_matrices(initial[None])[0]
-                rows.append(held + offsets[id(store)] if offsets[id(store)] else held)
-                initials.append(probes[initial.tobytes()])
-                dense.append((len(finals), final))
-                finals.append(None)
+                initial, final = pool.states(held[[0, -1]])
+                final = _attempt(DensityMatrix, final)
         elif exc is None:
-            key = outcome.states[0].tobytes()
-            if key not in probes:
-                probes[key] = _attempt(getattr, outcome, "initial_state")
-            rows.append(sum(len(pool.times) for pool in pools) + np.arange(outcome.n_samples))
-            pools.append(outcome)
-            initials.append(probes[key])
-            finals.append(_attempt(getattr, outcome, "final_state"))
-        if exc is not None:
+            pool, held = outcome, np.arange(outcome.n_samples)
+            initial, final = outcome.states[0], _attempt(getattr, outcome, "final_state")
+        if exc is None and start is None:
+            start = initial.tobytes()
+            probe = (_attempt(getattr, outcome, "initial_state") if pool is outcome
+                     else _attempt(DensityMatrix, initial))
+        elif exc is None and initial.tobytes() != start:
+            exc = InvalidStateError("state at t = 0 differs from the probe state of the panel")
+        if exc is None:
+            if id(pool) not in offsets:
+                offsets[id(pool)] = sum(len(p.times) for p in pools)
+                pools.append(pool)
+            rows.append(held + offsets[id(pool)] if offsets[id(pool)] else held)
+            finals.append(final)
+        else:
             rows.append(None)
-            initials.append(None)
             finals.append(None)
         errors.append(exc)
-    if dense:
-        for (k, _), state in zip(dense, density_matrices(np.array([m for _, m in dense]))):
-            finals[k] = state
     samples = []
     for name in ("times", "speeds", "kmins", "rates"):
         parts = [getattr(pool, name) for pool in pools]
@@ -1021,7 +1014,7 @@ def _columns(outcomes) -> _Columns:
             samples.append(None)
         else:
             samples.append(parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)]))
-    return _Columns(*samples, rows, initials, finals, errors)
+    return _Columns(*samples, rows, probe, finals, errors)
 
 
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:

@@ -142,14 +142,11 @@ def phi_func(rho0: DensityMatrix, rho_t: DensityMatrix, p: EntropyParams) -> flo
 
 
 def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Integral along the last axis of `vals` over the sample times along
-    the last axis of `times` (one grid, or one per leading index of
-    `vals`): composite Simpson when the interval count is even, trapezoid
-    otherwise. Each row is summed on its own, so a batch of grids gives
-    every row the bits of its own call."""
-    n = times.shape[-1] - 1
+    """Integral of each row of `vals`: composite Simpson when the interval
+    count is even, trapezoid otherwise."""
+    n = len(times) - 1
     if n >= 2 and n % 2 == 0:
-        h = times[..., 1] - times[..., 0]
+        h = times[1] - times[0]
         return h / 3.0 * (
             vals[..., 0] + vals[..., -1]
             + 4.0 * vals[..., 1:-1:2].sum(axis=-1) + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
@@ -162,23 +159,21 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _gated_quads(
-    times: np.ndarray, vals: np.ndarray, gate
+    times: np.ndarray, vals: np.ndarray, gate: bool
 ) -> tuple[np.ndarray, dict[int, QuadratureTooCoarseError]]:
-    """Integrate `vals` along its last axis and, where `gate` (broadcast
-    against the integrals) is set, cross-check against the half grid: the
-    integrals, and the error that rejects each integral whose relative
-    disagreement exceeds tolerance, by flat (C-order) index of the
-    integrals."""
+    """Integrate each row of `vals` and, when `gate` is set, cross-check it
+    against the half grid: the integrals, and the error that rejects each
+    row whose relative disagreement exceeds tolerance, by row index."""
     full = _quad(times, vals)
-    if not np.any(gate):
+    if not gate:
         return full, {}
-    half = _quad(times[..., ::2], vals[..., ::2])
+    half = _quad(times[::2], vals[:, ::2])
     # NaN rows pass, and infinities compare, as in float arithmetic
     with np.errstate(invalid="ignore", over="ignore"):
         failed = np.abs(full - half) > RICHARDSON_REL_TOL * np.maximum(np.abs(full), 1e-12)
     errors = {}
-    for i in np.flatnonzero(failed & gate).tolist():
-        f, h = float(full.flat[i]), float(half.flat[i])
+    for i in np.flatnonzero(failed).tolist():
+        f, h = float(full[i]), float(half[i])
         errors[i] = QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
     return full, errors
 
@@ -190,10 +185,9 @@ def _h_pair(rho0: DensityMatrix, p: EntropyParams) -> tuple[float, float, bool]:
     return h_a, h_b, chain
 
 
-# The weighted integrals of a batch of columns hold at most this many
-# (integral, column, alpha, sample) floats at once, and the endpoint
-# entropies of a batch at most this many core entries, so batching adds
-# nothing to peak memory; a batch holds one column at least.
+# The endpoint entropies of a batch of columns hold at most this many core
+# entries at once, so batching adds nothing to peak memory; a batch holds
+# one column at least.
 _BATCH_ELEMENTS = 1 << 14
 
 
@@ -222,45 +216,33 @@ def _weighted_integrals(
     4 and at least 8. Any other grid, the trapezoid fallback of an odd
     count included, is integrated without it and flagged `quad_ungated`.
 
-    A batch of columns takes the weights of both integrals as one array
-    and its products with each rate in turn, the last in place of the
-    weights. Every power, product and sum runs along one column's samples
-    as it runs for that column alone, so each integral keeps its bits.
+    The integrals are taken one column at a time: the weights of a column
+    are its only (2, n_alpha, n_samples) array.
     """
-    exponents = np.array([[alpha - 1.0, -alpha] for alpha in alphas]).T[:, None, :, None]
-    n_steps = len(cols.rows[run[0]])
-    gridded = (n_steps - 1) % 4 == 0 and n_steps > 8
+    exponents = np.array([[alpha - 1.0, -alpha] for alpha in alphas]).T[:, :, None]
     integrals = np.empty((len(rate_names), 2, len(alphas), len(run)))
     errors = [[{}, {}] for _ in rate_names]
     flags = []
-    size = _BATCH_ELEMENTS // (4 * len(alphas) * n_steps)
-    for batch in _chunks(len(run), size):
-        held = np.array([cols.rows[c] for c in run[batch]])
-        kmins = cols.kmins[held]
-        low = kmins.min(axis=1)
+    for c, held in enumerate(cols.rows[k] for k in run):
+        times, kmins = cols.times[held], cols.kmins[held]
+        low = float(kmins.min())
         loose = low < LOOSE_KMIN_TOL
-        gate = (~loose if gridded else np.zeros_like(loose))[:, None]
-        # (integral, column, alpha, sample)
-        weights = np.maximum(kmins, KMIN_CLAMP)[:, None, :] ** exponents
-        times = cols.times[held][:, None, :]
+        n = len(times) - 1
+        gate = not loose and n % 4 == 0 and n >= 8
+        # (integral, alpha, sample)
+        weights = np.maximum(kmins, KMIN_CLAMP) ** exponents
         for r, name in enumerate(rate_names):
-            # the last rate takes its products in place of the weights
-            out = weights if r == len(rate_names) - 1 else None
-            vals = np.multiply(weights, getattr(cols, name)[held][:, None, :], out=out)
-            full, failed = _gated_quads(times, vals, gate)
-            del vals
-            integrals[r][..., batch] = full.swapaxes(-1, -2)
-            for flat, exc in failed.items():
-                k, c, i = np.unravel_index(flat, full.shape)
-                errors[r][k][i, batch.start + c] = exc
-        del weights
-        for clamped, was_loose in zip((low < KMIN_CLAMP).tolist(), loose.tolist()):
-            warns = (WARN_KMIN_CLAMPED,) if clamped else ()
-            if was_loose:
-                warns += (WARN_LOOSE_BOUND,)
-            elif not gridded:
-                warns += (WARN_QUAD_UNGATED,)
-            flags.append(warns)
+            rates = getattr(cols, name)[held]
+            for k in range(2):
+                integrals[r, k, :, c], failed = _gated_quads(times, weights[k] * rates, gate)
+                for i, exc in failed.items():
+                    errors[r][k][i, c] = exc
+        warns = (WARN_KMIN_CLAMPED,) if low < KMIN_CLAMP else ()
+        if loose:
+            warns += (WARN_LOOSE_BOUND,)
+        elif not gate:
+            warns += (WARN_QUAD_UNGATED,)
+        flags.append(warns)
     return integrals, errors, flags
 
 
@@ -289,22 +271,20 @@ def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple
 
 
 def _endpoint_entropies(
-    probes: list, probe_of: list, finals: list, alphas: list[float], zs: list[float]
+    rho0: DensityMatrix, finals: list, alphas: list[float], zs: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """D(rho_t||rho_0) and D(rho_0||rho_t) over the (alpha, z) grid for each
-    column with a final state (None elsewhere, left nan), shape
-    (n_alpha, n_z, n_columns): rho_0 is probe `probe_of[c]` of column c.
-    Per z, both orders of the columns' pairs go through one
-    `_renyi_az_grid` call, in batches of at most `_BATCH_ELEMENTS` core
-    entries, so each probe's powers are taken once per batch."""
+    column with a final state rho_t (None elsewhere, left nan), shape
+    (n_alpha, n_z, n_columns). Per z, both orders of the columns' pairs go
+    through one `_renyi_az_grid` call, in batches of at most
+    `_BATCH_ELEMENTS` core entries, so the probe's powers are taken once
+    per batch."""
     shape = (len(alphas), len(zs), len(finals))
     d_fwd, d_bwd = np.full(shape, math.nan), np.full(shape, math.nan)
     held = [c for c, state in enumerate(finals) if state is not None]
-    dim = finals[held[0]].dim if held else 0
-    for batch in _chunks(len(held), _BATCH_ELEMENTS // (2 * len(alphas) * dim * dim)):
+    for batch in _chunks(len(held), _BATCH_ELEMENTS // (2 * len(alphas) * rho0.dim**2)):
         cs = held[batch]
-        states = [finals[c] for c in cs]
-        starts = [probes[probe_of[c]] for c in cs]
+        states, starts = [finals[c] for c in cs], [rho0] * len(cs)
         for j, z in enumerate(zs):
             both = ent._renyi_az_grid(states + starts, starts + states, alphas, z)
             d_fwd[:, j, cs], d_bwd[:, j, cs] = both[:len(cs)].T, both[len(cs):].T
@@ -367,14 +347,6 @@ def _fill_failed(panel: Panel, k: int, exc: AzqslError) -> None:
     panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
 
 
-def _columnwise(arrays: list) -> np.ndarray:
-    """Per-column arrays stacked along a last axis; one array shared by
-    every column broadcasts along it instead."""
-    if all(arr is arrays[0] for arr in arrays):
-        return arrays[0][..., None]
-    return np.stack(arrays, axis=-1)
-
-
 def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
     """Fill every time column of `panel` in place: the values, errors and
     warnings of every (alpha, z) cell. A column where `live` is False is at
@@ -384,15 +356,13 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
     error, or whose probe state failed, fails every group of every cell
     with that error.
 
-    Each column starts at its own t = 0 sample, its probe state; the
-    columns of a sweep share that sample, which `dynamics._columns`
-    validates once. The h and chain_sign tables depend only on the probe's
-    extreme eigenvalues and are built once per probe spectrum. The weighted integrals
-    are taken once per (alpha, column), as they do not depend on z, and the
-    endpoint entropies once per (alpha, z, column), shared by the two
-    report groups. The bounds use the Schatten speed; the speed limits use
-    the summed Kraus rates when the columns carry them, the Schatten speed
-    otherwise.
+    Every column starts from the probe state of `cols`, validated once by
+    `dynamics._columns`; the h and chain_sign tables depend only on it and
+    are built once. The weighted integrals are taken once per (alpha,
+    column), as they do not depend on z, and the endpoint entropies once
+    per (alpha, z, column), shared by the two report groups. The bounds use
+    the Schatten speed; the speed limits use the summed Kraus rates when the
+    columns carry them, the Schatten speed otherwise.
 
     Errors take the precedence of the sequential evaluation: probe state,
     h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
@@ -406,30 +376,19 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
     ks = live.nonzero()[0]
     groups = list(panel.errors)
     errors = list(cols.errors)
-    for c, rho0 in enumerate(cols.initials):
-        if groups and errors[c] is None and isinstance(rho0, AzqslError):
-            errors[c] = rho0
-        if errors[c] is not None:
-            _fill_failed(panel, ks[c], errors[c])
+    if groups and isinstance(cols.probe, AzqslError):
+        errors = [cols.probe if exc is None else exc for exc in errors]
+    for c, exc in enumerate(errors):
+        if exc is not None:
+            _fill_failed(panel, ks[c], exc)
     run = [c for c, exc in enumerate(errors) if exc is None]
     if not groups or not run:
         return
     at = ks[run]
     alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
     shape = (len(alphas), len(zs), len(run))
-    # the distinct probe states, the probe of each column, and the h table
-    # of each probe spectrum
-    probes, probe_of, index, spectra = [], [], {}, {}
-    for c in run:
-        rho0 = cols.initials[c]
-        if id(rho0) not in index:
-            index[id(rho0)] = len(probes)
-            probes.append(rho0)
-            if (rho0.k_min, rho0.k_max) not in spectra:
-                spectra[rho0.k_min, rho0.k_max] = _h_table(rho0, alphas, zs)
-        probe_of.append(index[id(rho0)])
-    tables = [spectra[probes[t].k_min, probes[t].k_max] for t in probe_of]
-    h_a, h_b, chain = (_columnwise([table[part] for table in tables]) for part in range(3))
+    h_a, h_b, chain, h_errors = _h_table(cols.probe, alphas, zs)
+    h_a, h_b, chain = h_a[..., None], h_b[..., None], chain[..., None]
     kraus = cols.rates is not None
     rate_names = ["speeds"] if "bounds" in groups or not kraus else []
     if "qsl" in groups and kraus:
@@ -441,9 +400,8 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
     for g in groups:
         err = errs[g] = np.full(shape, None, dtype=object)
         ok = pending[g] = np.ones(shape, bool)
-        for c, table in enumerate(tables):
-            for (i, j), exc in table[3].items():
-                err[i, j, c], ok[i, j, c] = exc, False
+        for (i, j), exc in h_errors.items():
+            err[i, j], ok[i, j] = exc, False
         for failed in gate_errors[rate_of[g]]:  # I1, then I2
             for (i, c), exc in failed.items():
                 err[i, ok[i, :, c], c] = exc
@@ -458,7 +416,7 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
                 pending[g][:, :, c] = False
             finals[c] = None
     if any(state is not None for state in finals):
-        d_fwd, d_bwd = _endpoint_entropies(probes, probe_of, finals, alphas, zs)
+        d_fwd, d_bwd = _endpoint_entropies(cols.probe, finals, alphas, zs)
         d_sym = d_fwd + d_bwd
         a = np.array(alphas)[:, None, None]
         tau = cols.times[[cols.rows[c][-1] for c in run]]

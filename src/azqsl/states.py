@@ -15,7 +15,6 @@ from .errors import (
     InvalidStateError,
     InvalidWeightError,
     NotHermitianError,
-    _attempt,
 )
 
 TRACE_TOL = 1e-10
@@ -56,16 +55,11 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"negative eigenvalue {values[0]:.3e} below -{EIGENVALUE_TOL:.0e}"
             )
-        self._set(linalg.hermitian_part(mat), np.maximum(values, 0.0), vectors)
-
-    def _set(self, mat: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
-        """Keep a validated Hermitian part, its clamped spectrum and its
-        eigenvectors."""
-        self.mat = mat
-        self.eigenvalues = values
+        self.mat = linalg.hermitian_part(mat)
+        self.eigenvalues = np.maximum(values, 0.0)
         self.eigenvectors = vectors
-        self.k_min = float(values[0])
-        self.k_max = float(values[-1])
+        self.k_min = float(self.eigenvalues[0])
+        self.k_max = float(self.eigenvalues[-1])
 
     @property
     def dim(self) -> int:
@@ -80,40 +74,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityMatrix(dim={self.dim}, k_min={self.k_min:.6g}, k_max={self.k_max:.6g})"
-
-
-def density_matrices(mats: np.ndarray) -> list:
-    """`DensityMatrix(m)` for each matrix m of an (n, dim, dim) stack, or
-    the AzqslError it raises, validated and diagonalised as one stack.
-
-    Each check takes the constructor's quantity matrix by matrix, and
-    LAPACK diagonalises the matrices of a stack one at a time, so each
-    state has the bits of its own constructor call. A matrix that fails a
-    check, and every matrix of a stack the eigensolver rejects, goes
-    through the constructor itself, which raises its error."""
-    mats = np.asarray(mats, dtype=complex)
-    out: list = [None] * len(mats)
-    passing = np.isfinite(mats).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        asym = np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max(axis=(1, 2), initial=0.0)
-    passing &= asym <= linalg.HERMITIAN_TOL
-    traces = np.trace(mats, axis1=1, axis2=2).tolist()
-    passing &= np.array([abs(t - 1.0) <= TRACE_TOL for t in traces], dtype=bool)
-    fast, herm, values, vectors = np.flatnonzero(passing), (), (), ()
-    if len(fast):
-        herm = linalg.hermitian_part(mats[fast])
-        try:
-            values, vectors = np.linalg.eigh(herm)
-        except np.linalg.LinAlgError:
-            fast = herm = values = vectors = ()
-        else:
-            low = values[:, 0] >= -EIGENVALUE_TOL
-            fast, herm, values, vectors = fast[low], herm[low], values[low], vectors[low]
-            values = np.maximum(values, 0.0)
-    for i, m, v, w in zip(list(fast), herm, values, vectors):
-        out[i] = DensityMatrix.__new__(DensityMatrix)
-        out[i]._set(m, v, w)
-    return [_attempt(DensityMatrix, m) if state is None else state for m, state in zip(mats, out)]
 
 
 @dataclass(frozen=True)

@@ -1233,3 +1233,54 @@ class TestErrorAttribution:
         # the horizons holding t = 3 quote its larger drift, the others t = 1's
         assert messages[3.0] == messages[4.0] != messages[1.0] == messages[2.0]
         assert all(m.startswith("trace drift") for t, m in messages.items() if t != 0.5)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_sweep_columns_carry_each_horizons_own_error(self, name, rates):
+        # the columns a sweep fills from: a column holding a failing sample
+        # gets the error of its own call, the others its samples and states
+        fam, rho0, _, _ = self.CASES[name]
+        cols = dyn._columns(dyn._outcomes(fam, rho0, self.TAUS, 17, rates))
+        for c, tau in enumerate(self.TAUS):
+            want = evolve_one(fam, rho0, tau, 17, rates)
+            if isinstance(want, AzqslError):
+                got = cols.errors[c]
+                assert type(got) is type(want) and str(got) == str(want), tau
+                continue
+            assert cols.errors[c] is None, tau
+            held = cols.rows[c]
+            for field in ("times", "speeds", "kmins", "rates"):
+                values = getattr(want, field)
+                if values is not None:
+                    assert getattr(cols, field)[held].tobytes() == values.tobytes(), field
+            assert cols.finals[c].mat.tobytes() == want.final_state.mat.tobytes()
+            assert cols.probe.mat.tobytes() == want.initial_state.mat.tobytes()
+
+
+def test_failing_samples_agree_with_trajectory_checks(rng):
+    # a run of samples passes the per-sample checks exactly when a
+    # trajectory made of them passes its own
+    n, dim = 9, 3
+    for trial in range(60):
+        states = np.array([random_density(rng, dim).mat for _ in range(n)])
+        speeds, kmins, rates = rng.random(n), rng.random(n), rng.random(n)
+        for _ in range(trial % 3):
+            i = int(rng.integers(n))
+            defect = int(rng.integers(6))
+            if defect == 0:
+                states[i] *= 1 + 2e-9 * rng.random()
+            elif defect == 1:
+                states[i, 0, dim - 1] += 2e-9 * rng.random()
+            elif defect == 2:
+                states[i, 1, 1] = math.nan
+            else:
+                (speeds, kmins, rates)[defect - 3][i] = rng.choice([-1e-300, math.inf, math.nan])
+        times = np.linspace(0.0, 1.0, n)
+        for with_rates in (None, rates):
+            failing = dyn._failing_samples(states, speeds, kmins, with_rates)
+            try:
+                dyn.Trajectory(times, states, speeds, kmins, with_rates)
+            except InvalidStateError:
+                assert failing.any(), trial
+            else:
+                assert not failing.any(), trial

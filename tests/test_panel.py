@@ -26,7 +26,7 @@ from azqsl import cli, qsl
 from azqsl import dynamics as dyn
 from azqsl import entropy as ent
 from azqsl.entropy import EntropyParams
-from azqsl.errors import AzqslError, InvalidParamsError
+from azqsl.errors import AzqslError, InvalidParamsError, InvalidStateError
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
 
 SPECIALS = [
@@ -86,23 +86,24 @@ FIG4_AD = dict(alpha_grid=(0.01, 0.99, 25), time_grid=(0.0, 20.0, 41))
 def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     """A fig4_ad-shaped panel (40 horizons of 1001 samples) checks each of
     its 19 970 distinct samples once, not the 40 040 its horizons hold;
-    validates its probe state once and the 40 end states as one stack;
+    validates its probe state once and each of the 40 end states once;
     and makes dense only the two end states of each column, building no
     trajectory."""
-    checked, stacks, dense = [], [], []
-    failing, density_matrices, states = (
-        dyn._failing_samples, dyn.density_matrices, dyn._SampleStore.states)
+    checked, validated, dense = [], [], []
+    failing, density_matrix, states = (
+        dyn._failing_samples, dyn.DensityMatrix, dyn._SampleStore.states)
     monkeypatch.setattr(dyn, "_failing_samples",
                         lambda s, *rest: checked.append(len(s)) or failing(s, *rest))
-    monkeypatch.setattr(dyn, "density_matrices",
-                        lambda m: stacks.append(len(m)) or density_matrices(m))
+    monkeypatch.setattr(dyn, "DensityMatrix",
+                        lambda m: validated.append(m.tobytes()) or density_matrix(m))
     monkeypatch.setattr(dyn._SampleStore, "states",
                         lambda self, rows: dense.append(len(rows)) or states(self, rows))
     monkeypatch.setattr(dyn, "Trajectory", None)  # building one would fail
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     panel = cli.sweep_rows(cfg)
     assert sum(checked) == 19970
-    assert sorted(stacks) == [1, 40]
+    # the probe and the 40 end states, each matrix once
+    assert len(validated) == len(set(validated)) == 1 + 40
     assert dense == [2] * 40
     assert (panel.errors["qsl"] != None).any()  # noqa: E711 - the panel was filled
 
@@ -151,6 +152,16 @@ KINDS = {
     ], (0.2, 0.8, 3), (0.6, 1.0, 2), None),
 }
 N_STEPS = 33
+
+
+def test_columns_share_one_probe():
+    # every column starts from the first column's t = 0 state; one that
+    # starts elsewhere fails instead of being filled against another probe
+    cols = dyn._columns([handmade(MIXED, OTHER, np.ones(9)), handmade(MIXED, PURE, np.ones(9)),
+                         handmade(OTHER, MIXED, np.ones(9))])
+    assert np.array_equal(cols.probe.mat, MIXED)
+    assert cols.errors[:2] == [None, None]
+    assert isinstance(cols.errors[2], InvalidStateError) and cols.rows[2] is None
 
 
 def kind_columns(name: str, picked: list[int]):

@@ -1,10 +1,7 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from azqsl.errors import (
-    AzqslError,
     DimMismatchError,
     InvalidBlochError,
     InvalidStateError,
@@ -15,7 +12,6 @@ from azqsl.states import (
     DensityMatrix,
     GHZMixedParams,
     bloch_state,
-    density_matrices,
     ghz_mixed,
     load_state,
     save_state,
@@ -61,71 +57,6 @@ class TestDensityMatrix:
             m = x @ x.conj().T
             dm = DensityMatrix(m / np.real(np.trace(m)))
             assert 0.0 <= dm.k_min <= 1.0 / dm.dim <= dm.k_max <= 1.0
-
-
-def constructed(m):
-    try:
-        return DensityMatrix(m)
-    except AzqslError as exc:
-        return exc
-
-
-def assert_same_state(got, want):
-    """The same state bit for bit, or the same error class and message."""
-    if isinstance(want, AzqslError):
-        assert type(got) is type(want) and str(got) == str(want)
-        return
-    for name in ("mat", "eigenvalues", "eigenvectors"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (got.k_min, got.k_max) == (want.k_min, want.k_max)
-
-
-class TestDensityMatrixStack:
-    # `density_matrices` validates and diagonalises a stack at once; each
-    # entry must be what the constructor gives for its matrix alone
-    def stack(self, rng, dim):
-        mats = []
-        for k in range(24):
-            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = x @ x.conj().T
-            m /= np.trace(m).real
-            if k % 6 == 1:
-                m = np.diag(rng.dirichlet(np.ones(dim))).astype(complex)  # exact zeros
-            elif k % 6 == 2:
-                m[0, -1] += 1e-9  # not Hermitian
-            elif k % 6 == 3:
-                m = m * (1 + 1e-8)  # trace off
-            elif k % 6 == 4:
-                m[0, 0] = np.nan
-            elif k % 6 == 5:
-                m = np.diag([1.2] + [-0.2 / (dim - 1)] * (dim - 1)).astype(complex)
-            mats.append(m)
-        return np.array(mats)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_entries_equal_constructor(self, rng, dim):
-        mats = self.stack(rng, dim)
-        got = density_matrices(mats)
-        assert len(got) == len(mats)
-        for m, state in zip(mats, got):
-            assert_same_state(state, constructed(m))
-
-    def test_eigensolver_failure_falls_back_to_constructor(self, rng):
-        mats = self.stack(rng, 2)[::6]  # valid states only
-        eigh = np.linalg.eigh
-
-        def fail_stacks(a, *args, **kwargs):
-            if a.ndim > 2:
-                raise np.linalg.LinAlgError("no convergence")
-            return eigh(a, *args, **kwargs)
-
-        with mock.patch.object(np.linalg, "eigh", fail_stacks):
-            got = density_matrices(mats)
-        for m, state in zip(mats, got):
-            assert_same_state(state, constructed(m))
-
-    def test_empty_stack(self):
-        assert density_matrices(np.zeros((0, 2, 2))) == []
 
 
 class TestBlochState:
