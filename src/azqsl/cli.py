@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -616,10 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: each parser is a
+    reference cycle, left for the cyclic collector when dropped."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:

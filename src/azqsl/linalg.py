@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     InvalidPError,
@@ -118,6 +117,10 @@ def spectral_powers(values: np.ndarray, vectors: np.ndarray, exponents) -> np.nd
 @lru_cache(maxsize=32)
 def _jacobi_rule(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes/weights for the weight (1-x)^(-s) (1+x)^(s-1)."""
+    # scipy.special costs about 0.3 s and 25 MB to import and serves this
+    # test oracle alone, so only its first call loads it
+    from scipy.special import roots_jacobi
+
     with np.errstate(invalid="ignore", divide="ignore"):
         return roots_jacobi(n, -s, s - 1.0)
 

@@ -151,11 +151,8 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
             vals[..., 0] + vals[..., -1]
             + 4.0 * vals[..., 1:-1:2].sum(axis=-1) + 2.0 * vals[..., 2:-1:2].sum(axis=-1)
         )
-    # np.trapezoid needs numpy >= 2.0; scipy.integrate takes ~0.3 s to
-    # import, so only grids that need the trapezoid rule load it
-    from scipy.integrate import trapezoid
-
-    return trapezoid(vals, times, axis=-1)
+    # scipy.integrate.trapezoid's arithmetic, which keeps its bits
+    return (np.diff(times) * (vals[..., 1:] + vals[..., :-1]) / 2.0).sum(axis=-1)
 
 
 def _gated_quads(
@@ -216,10 +213,15 @@ def _weighted_integrals(
     4 and at least 8. Any other grid, the trapezoid fallback of an odd
     count included, is integrated without it and flagged `quad_ungated`.
 
-    The integrals are taken one column at a time: the weights of a column
-    are its only (2, n_alpha, n_samples) array.
+    The integrals are taken one column at a time, and once per distinct
+    exponent: alpha - 1 at one alpha is -alpha at 1 - alpha, so grids
+    symmetric about 1/2 share most of them. A column's weights hold one row
+    of samples per distinct exponent, at most 2 n_alpha, and every
+    (integral, alpha) reading a row gets its integral and its gate error.
     """
-    exponents = np.array([[alpha - 1.0, -alpha] for alpha in alphas]).T[:, :, None]
+    exponents, shared = np.unique(
+        [alpha - 1.0 for alpha in alphas] + [-alpha for alpha in alphas], return_inverse=True)
+    shared = shared.reshape(2, len(alphas))  # (integral, alpha) -> exponent row
     integrals = np.empty((len(rate_names), 2, len(alphas), len(run)))
     errors = [[{}, {}] for _ in rate_names]
     flags = []
@@ -229,14 +231,14 @@ def _weighted_integrals(
         loose = low < LOOSE_KMIN_TOL
         n = len(times) - 1
         gate = not loose and n % 4 == 0 and n >= 8
-        # (integral, alpha, sample)
-        weights = np.maximum(kmins, KMIN_CLAMP) ** exponents
+        # (exponent, sample)
+        weights = np.maximum(kmins, KMIN_CLAMP) ** exponents[:, None]
         for r, name in enumerate(rate_names):
             rates = getattr(cols, name)[held]
-            for k in range(2):
-                integrals[r, k, :, c], failed = _gated_quads(times, weights[k] * rates, gate)
-                for i, exc in failed.items():
-                    errors[r][k][i, c] = exc
+            full, failed = _gated_quads(times, weights * rates, gate)
+            integrals[r, :, :, c] = full[shared]
+            for k, i in np.argwhere(np.isin(shared, list(failed))).tolist():
+                errors[r][k][i, c] = failed[shared[k, i]]
         warns = (WARN_KMIN_CLAMPED,) if low < KMIN_CLAMP else ()
         if loose:
             warns += (WARN_LOOSE_BOUND,)

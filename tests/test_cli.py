@@ -70,6 +70,26 @@ class TestSinglePoint:
         assert run_cli(["entropy", "--model", "bogus"]) == 1
 
 
+class TestParserReuse:
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        sweep = ["sweep", "--set", "model=depolarizing", "--set", "alpha_grid=0.3,0.7,2",
+                 "--set", "time_grid=1.0,2.0,2", "--set", "n_steps=101", "--out"]
+        try:
+            outs = []
+            for k in range(3):
+                assert run_cli(sweep + [tmp_path / f"{k}.csv"]) == 0
+                assert run_cli(["entropy", "--model", "bogus"]) == 1
+                outs.append((tmp_path / f"{k}.csv").read_bytes())
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 class TestSweep:
     def test_single_point_sweep(self, tmp_path, capsys):
         out = tmp_path / "one.csv"

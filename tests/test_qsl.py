@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from azqsl import dynamics as dyn
 from azqsl import entropy as ent
@@ -180,6 +181,32 @@ class TestHalfGridGate:
         assert {i: str(e) for i, e in errors.items()} == want
         assert sorted(want) == [1, 3, 8, 11]
         assert all(type(e) is QuadratureTooCoarseError for e in errors.values())
+
+
+class TestSharedExponents:
+    # alpha - 1 at one alpha is -alpha at 1 - alpha, so the weighted
+    # integrals take each distinct exponent once; every (integral, alpha)
+    # must still get the bits and the gate error of its own integral
+    def test_shared_rows_match_per_integral_quads(self):
+        # 8 intervals keep the half-grid gate, which this fast decay fails
+        fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
+        traj = dyn.evolve_kraus(fam, bloch_state(BlochVector(0.75, 1.0, 0.3)), 8.0, 9, rates=True)
+        alphas = [0.3, 0.5, 0.7, 0.9]
+        names = ["speeds", "rates"]
+        integrals, errors, _ = qsl._weighted_integrals(dyn._columns([traj]), [0], names, alphas)
+        kc = np.maximum(traj.kmins, qsl.KMIN_CLAMP)
+        for r, name in enumerate(names):
+            rates = getattr(traj, name)
+            for k, exponents in enumerate(([a - 1.0 for a in alphas], [-a for a in alphas])):
+                weights = kc ** np.array(exponents)[:, None]
+                full, failed = qsl._gated_quads(traj.times, weights * rates, True)
+                assert np.array_equal(integrals[r, k, :, 0], full)
+                got = {i: (type(e), str(e)) for (i, c), e in errors[r][k].items()}
+                assert got == {i: (type(e), str(e)) for i, e in failed.items()}
+        # -0.7 is I1 at 0.3 and I2 at 0.7; it fails the gate for both
+        for r in range(len(names)):
+            assert (0, 0) in errors[r][0] and (2, 0) in errors[r][1]
+            assert str(errors[r][0][0, 0]) == str(errors[r][1][2, 0])
 
 
 class TestQslGeneral:
@@ -387,6 +414,22 @@ class TestQslNonunitary:
 
 def trapezoid_sum(times: np.ndarray, vals: np.ndarray) -> float:
     return float(np.sum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0))
+
+
+class TestTrapezoidBits:
+    # the odd-count fallback writes out scipy.integrate.trapezoid's
+    # arithmetic, so it must keep its bits, row by row
+    @pytest.mark.parametrize("n_times", [2, 4, 10, 1000])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_quad_equals_scipy_trapezoid(self, rng, n_times, rows, uniform):
+        times = (np.linspace(0.0, 3.7, n_times) if uniform
+                 else np.cumsum(rng.uniform(0.01, 1.0, n_times)))
+        vals = rng.normal(size=(n_times,) if rows is None else (rows, n_times))
+        got = qsl._quad(times, vals)
+        want = trapezoid(vals, times, axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 class TestOddIntervalQuadrature:
