@@ -712,6 +712,23 @@ class TestContractions:
         assert np.array_equal(traj.kmins, want[2])
         assert np.array_equal(traj.rates, want[3].sum(axis=1))
 
+    @seed(20261021)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(monomial_cases(), st.booleans())
+    def test_dense_contractions_equal_gathered_ones(self, case, rates):
+        # on a monomial stack the dense einsums give the gathered products'
+        # bits, so whether a run of samples gathers moves no result: a
+        # panel's runs may gather where a horizon's own call does not
+        fam, rho0, tau, n_steps = case
+        times = np.linspace(0.0, tau, n_steps)
+        gathered = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
+        channel = [dyn.apply_channel(fam, rho0, t).mat for t in times[[0, n_steps // 2, -1]]]
+        with mock.patch.object(dyn, "_gather", lambda stack: None):
+            dense = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
+            for t, want in zip(times[[0, n_steps // 2, -1]], channel):
+                assert dyn.apply_channel(fam, rho0, t).mat.tobytes() == want.tobytes()
+        assert_same_outcome(dense, gathered)
+
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
     def test_monomial_families_skip_einsum(self, name, monkeypatch):
         (fam, rho0), horizons = self.MONOMIAL[name]
