@@ -147,11 +147,11 @@ class KrausFamily:
     A user family is read through its batched dense stacks: `op_stacks` for
     the operators at the exact sampled times and `stacks` for the
     consistent (K, dK) pair that derivative products use. It gives per-time
-    functions `ops_fn(t)` and optionally `dops_fn(t)`, each returning n_ops
-    (dim, dim) matrices; without `dops_fn` the derivatives are central
-    finite differences of `op_stacks` with step 1e-5 * tau (forward below
-    t = step). Trajectories gather these stacks when their operators are
-    monomial. The built-in channels instead hand trajectories and
+    functions `ops_fn(t)` and `dops_fn(t)`, each returning n_ops (dim, dim)
+    matrices: the operators and their analytic derivatives. Trajectories
+    gather these stacks when their operators are monomial. The built-in
+    channels, and other subclasses that override the stacks, pass
+    `ops_fn=None, dops_fn=None`; the built-ins hand trajectories and
     `apply_channel` their stacks already gathered from their closed forms,
     and their dense `op_stacks` and `stacks` scatter those values. Every
     call returns new arrays, which trajectories overwrite.
@@ -162,7 +162,7 @@ class KrausFamily:
         dim: int,
         n_ops: int,
         ops_fn: Callable[[float], Sequence[np.ndarray]] | None,
-        dops_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
+        dops_fn: Callable[[float], Sequence[np.ndarray]] | None,
     ):
         self.dim = dim
         self.n_ops = n_ops
@@ -181,34 +181,23 @@ class KrausFamily:
         Used to build states; never regularized."""
         return self._per_time(self._ops_fn, np.asarray(times, dtype=float))
 
-    def stacks(self, times: np.ndarray, fd_step: float | None = None):
+    def stacks(self, times: np.ndarray):
         """Consistent (K, dK) pair for derivative products.
 
         Products like K rho dK† may have finite limits where each factor is
         separately singular or vanishing; channels with such points sample
         both factors at the same regularized time."""
         times = np.asarray(times, dtype=float)
-        K = self.op_stacks(times)
-        if self._dops_fn is not None:
-            return K, self._per_time(self._dops_fn, times)
-        if fd_step is None:
-            raise InvalidParamsError(
-                "family has no analytic derivatives; supply fd_step"
-            )
-        forward = times < fd_step
-        lo = self.op_stacks(np.where(forward, times, times - fd_step))
-        hi = self.op_stacks(times + fd_step)
-        width = np.where(forward, fd_step, 2.0 * fd_step)
-        return K, (hi - lo) / width[:, None, None, None]
+        return self.op_stacks(times), self._per_time(self._dops_fn, times)
 
     def _exact_ops(self, times: np.ndarray) -> np.ndarray | _Gathered:
         """The exact-time operators that `apply_channel` reads."""
         return self.op_stacks(times)
 
-    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None) -> _Pair:
+    def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         """The pair that `evolve_kraus` reads. The dense pair of `stacks`
         is sampled at the exact times, so no sample is regularized."""
-        K, dK = self.stacks(times, fd_step=fd_step)
+        K, dK = self.stacks(times)
         return _Pair(K, dK, np.zeros(len(times), dtype=bool), None)
 
 
@@ -220,8 +209,8 @@ class _ClosedFormFamily(KrausFamily):
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return _scatter(self._exact_ops(np.asarray(times, dtype=float)))
 
-    def stacks(self, times: np.ndarray, fd_step: float | None = None):
-        K, dK, _, _ = self._trajectory_pair(np.asarray(times, dtype=float), fd_step)
+    def stacks(self, times: np.ndarray):
+        K, dK, _, _ = self._trajectory_pair(np.asarray(times, dtype=float))
         return _scatter(K), _scatter(dK)
 
 
@@ -243,7 +232,7 @@ class DepolarizingFamily(_ClosedFormFamily):
 
     def __init__(self, params: DepolarizingParams):
         self.params = params
-        super().__init__(dim=2, n_ops=4, ops_fn=None)
+        super().__init__(dim=2, n_ops=4, ops_fn=None, dops_fn=None)
 
     @staticmethod
     def _scaled_basis(identity: np.ndarray, pauli: np.ndarray) -> _Gathered:
@@ -261,7 +250,7 @@ class DepolarizingFamily(_ClosedFormFamily):
     def _exact_ops(self, times: np.ndarray) -> _Gathered:
         return self._ops_at(np.exp(-self.params.gamma * times))
 
-    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None = None) -> _Pair:
+    def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         # K and dK must be sampled at the same clamped time: the products
         # K_j rho dK_j† have a finite t -> 0 limit only because the sqrt(t)
         # zero of K_j cancels the 1/sqrt(t) pole of dK_j. The operators are
@@ -300,7 +289,7 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
 
     def __init__(self, params: AmplitudeDampingParams):
         self.params = params
-        super().__init__(dim=4, n_ops=4, ops_fn=None)
+        super().__init__(dim=4, n_ops=4, ops_fn=None, dops_fn=None)
 
     def _pair_stacks(self, times: np.ndarray):
         """(S, dS), shape (3, n_times): the entries of the single-qubit K_1,
@@ -324,7 +313,7 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
     def _exact_ops(self, times: np.ndarray) -> _Gathered:
         return self._trajectory_pair(times).K
 
-    def _trajectory_pair(self, times: np.ndarray, fd_step: float | None = None) -> _Pair:
+    def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         S, dS = self._pair_stacks(times)
         K = np.zeros((4, 4, len(times)), dtype=complex)
         dK = np.zeros_like(K)
@@ -469,7 +458,7 @@ def evolve_unitary(
     as a consistency check, by `linalg._sample_spectra`: a sample with a
     zero entry, such as the zero commutator of an eigenstate probe, is
     evaluated again on its own pattern. The one-horizon case of
-    `_trajectories`."""
+    `_outcomes`."""
     return _evolve(h, rho0, tau, n_steps, rates=False)
 
 
@@ -477,7 +466,7 @@ def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
     """The per-sample work of `evolve_unitary` on a run of sample times."""
     w, v = linalg.eigh(h.mat)
 
-    def sample(times: np.ndarray, fd_step: float | None) -> _Samples:
+    def sample(times: np.ndarray) -> _Samples:
         phases = np.exp(-1j * np.outer(times, w))
         u = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
         states = np.einsum("tab,bc,tdc->tad", u, rho0.mat, u.conj())
@@ -570,8 +559,13 @@ def _require_identity(deviation: np.ndarray) -> None:
 # holds one of its samples is evaluated again on its own, so a bad sample
 # fails only the horizons that hold it, with the error of their own call.
 # The gathered-or-dense choice above is made per run from the samples it
-# holds, so a user family, whose dense stacks may gather on some horizons
-# and not on others, is evaluated one horizon at a time.
+# holds, so a user family's dense stacks may gather in one run and not in
+# the call of a horizon that holds the same samples. That moves no bit: at
+# a sample whose operators are monomial, every term of a dense einsum sum
+# is a gathered triple product or an exact zero, and the sum meets its
+# nonzero terms in operator order, so the dense contractions give the
+# sample the gathered bits (`TestContractions` draws random monomial
+# stacks with exact zeros, `TestSharedSamples` a switching permutation).
 
 
 def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
@@ -739,7 +733,7 @@ def evolve_kraus(
     sample at once and again only where a sample is zero at one of its
     entries. A derivative stack with a NaN or an infinity raises
     InvalidStateError before any product is formed. The one-horizon case
-    of `_trajectories`."""
+    of `_outcomes`."""
     return _evolve(fam, rho0, tau, n_steps, rates)
 
 
@@ -749,8 +743,8 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
     any product is formed."""
     dim = rho0.dim
 
-    def sample(times: np.ndarray, fd_step: float | None) -> _Samples:
-        K, dK, regularized, exact = fam._trajectory_pair(times, fd_step=fd_step)
+    def sample(times: np.ndarray) -> _Samples:
+        K, dK, regularized, exact = fam._trajectory_pair(times)
         G = _gathered(K)
         if G is None:
             _check_completeness(K)
@@ -866,10 +860,10 @@ class _SampleStore:
         return _attempt(_check_times, times)
 
 
-def _alone(sampler, times: np.ndarray, fd_step: float | None) -> Trajectory | AzqslError:
+def _alone(sampler, times: np.ndarray) -> Trajectory | AzqslError:
     """The trajectory at `times` evaluated on its own, in one run, or the
     error it ends in."""
-    samples = _attempt(sampler, times, fd_step)
+    samples = _attempt(sampler, times)
     return samples if isinstance(samples, AzqslError) else _attempt(Trajectory, times, *samples)
 
 
@@ -894,13 +888,12 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
     once, in runs of `n_steps` times. Every per-sample quantity is
     elementwise in time and `linalg._sample_spectra` gives each sample the
     value of its own pattern, so a sample has the same bits whichever
-    horizons hold it. A run that fails a check raises as a whole, so each
-    horizon that holds a sample of it is evaluated again on its own and
-    gets the outcome of its own call. The outcomes are made one at a time
-    as the caller asks for them. A user family's pair may depend on the
-    horizon (finite differences take a step of 1e-5 tau), and whether its
-    dense stacks are gathered depends on the samples they hold, so its
-    horizons are evaluated one at a time."""
+    horizons hold it; at a monomial sample the dense contractions give the
+    gathered bits, so a run may gather where a horizon's own call does not.
+    A run that fails a check raises as a whole, so each horizon that holds
+    a sample of it is evaluated again on its own and gets the outcome of
+    its own call. The outcomes are made one at a time as the caller asks
+    for them."""
     if model.dim != rho0.dim:
         kind = "H" if isinstance(model, HamiltonianModel) else "channel"
         exc = DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
@@ -910,15 +903,6 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
         sampler = _unitary_sampler(model, rho0)
     else:
         sampler = _kraus_sampler(model, rho0, rates)
-        if not isinstance(model, _ClosedFormFamily):
-            for tau in taus:
-                yield from _panel(sampler, [tau], n_steps, rho0.dim, 1e-5 * tau)
-            return
-    yield from _panel(sampler, taus, n_steps, rho0.dim, None)
-
-
-def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
-    """`_outcomes` over horizons that share their samples."""
     grids, errors = {}, {}
     for h, tau in enumerate(taus):
         grids[h] = _attempt(_time_grid, tau, n_steps)
@@ -926,15 +910,15 @@ def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
             errors[h] = grids.pop(h)
     if len(grids) <= 1:  # a lone grid is one run of its own
         for h in range(len(taus)):
-            yield errors[h] if h in errors else _alone(sampler, grids.pop(h), fd_step)
+            yield errors[h] if h in errors else _alone(sampler, grids.pop(h))
         return
     times = np.unique(np.concatenate(list(grids.values())))
     del grids
-    store = _SampleStore(times, dim)
+    store = _SampleStore(times, rho0.dim)
     for start in range(0, len(times), n_steps):
         rows = slice(start, start + n_steps)
         try:
-            store.add(rows, sampler(times[rows], fd_step))
+            store.add(rows, sampler(times[rows]))
         except AzqslError:
             store.failed[rows] = True
     for h, tau in enumerate(taus):
@@ -944,7 +928,7 @@ def _panel(sampler, taus, n_steps: int, dim: int, fd_step: float | None):
         grid = _time_grid(tau, n_steps)
         rows = np.searchsorted(times, grid)
         if store.failed[rows].any():
-            yield _alone(sampler, grid, fd_step)
+            yield _alone(sampler, grid)
         else:
             yield store, grid, rows
 

@@ -32,7 +32,7 @@ class StinespringFamily(KrausFamily):
     times."""
 
     def __init__(self, h: np.ndarray, dim: int, n_ops: int):
-        super().__init__(dim=dim, n_ops=n_ops, ops_fn=None)
+        super().__init__(dim=dim, n_ops=n_ops, ops_fn=None, dops_fn=None)
         self.h = h
         self._w, self._v = np.linalg.eigh(h)
 
@@ -47,7 +47,7 @@ class StinespringFamily(KrausFamily):
     def op_stacks(self, times) -> np.ndarray:
         return self._split(self._isometries(times))
 
-    def stacks(self, times, fd_step=None):
+    def stacks(self, times):
         u = self._isometries(times)
         return self._split(u), self._split(-1j * self.h @ u)
 

@@ -382,23 +382,6 @@ class TestTrajectories:
         order = math.log(errs[0] / errs[1]) / math.log(2.0)
         assert order >= 1.8
 
-    def test_fd_fallback_for_user_family(self):
-        analytic = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
-        fd_only = dyn.KrausFamily(
-            dim=2, n_ops=4, ops_fn=lambda t: analytic.op_stacks(np.array([t]))[0]
-        )
-        rho0 = bloch_state(BlochVector(0.5, 0.7, 0.1))
-        traj_a = dyn.evolve_kraus(analytic, rho0, 2.0, 101)
-        traj_b = dyn.evolve_kraus(fd_only, rho0, 2.0, 101)
-        assert np.max(np.abs(traj_a.speeds[1:] - traj_b.speeds[1:])) <= 1e-6
-        # below t = h the difference is a forward one; above it, central
-        h = 1e-5 * 2.0
-        _, dK = fd_only.stacks(traj_b.times, fd_step=h)
-        ops = analytic.op_stacks
-        assert np.array_equal(dK[0], (ops([h])[0] - ops([0.0])[0]) / h)
-        t1 = traj_b.times[1]
-        assert np.array_equal(dK[1], (ops([t1 + h])[0] - ops([t1 - h])[0]) / (2.0 * h))
-
 
 class TestStateFamiliesMatchOracleGamma:
     def test_two_qubit_product_structure(self, rng):
@@ -529,13 +512,13 @@ class OracleFamily(dyn.KrausFamily):
     by detection too."""
 
     def __init__(self, fam):
-        super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None)
+        super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None, dops_fn=None)
         self.fam = fam
 
     def op_stacks(self, times):
         return oracle_pair(self.fam, times)[0]
 
-    def _trajectory_pair(self, times, fd_step):
+    def _trajectory_pair(self, times):
         K_exact, K, dK = oracle_pair(self.fam, times)
         regularized = np.any(K != K_exact, axis=(1, 2, 3))
         return dyn._Pair(K, dK, regularized, dyn._gather(K_exact[regularized]))
@@ -590,7 +573,7 @@ class TableFamily(dyn.KrausFamily):
     those times only."""
 
     def __init__(self, times, K, dK):
-        super().__init__(dim=K.shape[-1], n_ops=K.shape[1], ops_fn=None)
+        super().__init__(dim=K.shape[-1], n_ops=K.shape[1], ops_fn=None, dops_fn=None)
         self.times, self.K, self.dK = times, K, dK
 
     def __repr__(self):
@@ -604,7 +587,7 @@ class TableFamily(dyn.KrausFamily):
     def op_stacks(self, times):
         return self.K[self._rows(times)]
 
-    def stacks(self, times, fd_step=None):
+    def stacks(self, times):
         rows = self._rows(times)
         return self.K[rows], self.dK[rows]
 
@@ -887,8 +870,8 @@ class TestContractions:
         class NaNDerivative(dyn.AmplitudeDampingFamily):
             scale = 1.0
 
-            def _trajectory_pair(self, times, fd_step=None):
-                pair = super()._trajectory_pair(times, fd_step)
+            def _trajectory_pair(self, times):
+                pair = super()._trajectory_pair(times)
                 pair.dK.values[2, 0, -1] = math.nan
                 pair.K.values[0, 0, -1] *= self.scale
                 return pair
@@ -963,8 +946,8 @@ class TestContractions:
         # only the clamped t = 0 row of this pair breaks completeness: the
         # states pass, the Kraus rates must not
         class BadFloor(dyn.DepolarizingFamily):
-            def _trajectory_pair(self, times, fd_step=None):
-                pair = super()._trajectory_pair(times, fd_step)
+            def _trajectory_pair(self, times):
+                pair = super()._trajectory_pair(times)
                 pair.K.values[..., pair.regularized] *= 1.1
                 return pair
 
@@ -979,8 +962,8 @@ class TestContractions:
         # the exact-time operators below the clamping floor break
         # completeness by 1e-7; the pair, sampled at the floor, does not
         class BadBelowFloor(dyn.DepolarizingFamily):
-            def _trajectory_pair(self, times, fd_step=None):
-                pair = super()._trajectory_pair(times, fd_step)
+            def _trajectory_pair(self, times):
+                pair = super()._trajectory_pair(times)
                 pair.exact.values[...] *= 1 + 1e-7
                 return pair
 
@@ -1012,14 +995,32 @@ class TestContractions:
                 dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)
 
 
-def finite_difference_family() -> dyn.KrausFamily:
-    """Qubit amplitude damping with e^(-t) decay, given without derivatives:
-    its pair takes finite differences with a step that follows the horizon."""
+def damping_family() -> dyn.KrausFamily:
+    """K_1 = diag(1, cos t) and K_2 = sin t |0><1|, with their analytic
+    derivatives dK_1 = diag(0, -sin t) and dK_2 = cos t |0><1|."""
     def ops(t):
-        e = math.exp(-t)
-        return [np.array([[1.0, 0.0], [0.0, math.sqrt(e)]], dtype=complex),
-                np.array([[0.0, math.sqrt(1.0 - e)], [0.0, 0.0]], dtype=complex)]
-    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=ops)
+        c, s = math.cos(t), math.sin(t)
+        return [np.array([[1.0, 0.0], [0.0, c]], dtype=complex),
+                np.array([[0.0, s], [0.0, 0.0]], dtype=complex)]
+
+    def dops(t):
+        c, s = math.cos(t), math.sin(t)
+        return [np.array([[0.0, 0.0], [0.0, -s]], dtype=complex),
+                np.array([[0.0, c], [0.0, 0.0]], dtype=complex)]
+
+    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=ops, dops_fn=dops)
+
+
+def switching_family() -> dyn.KrausFamily:
+    """sqrt(0.7) I and sqrt(0.3) sigma_x up to t = 1, then 0 and sigma_z:
+    monomial at every sample, but the second operator's permutation
+    switches at t = 1, so a run of samples on both sides is not monomial
+    and takes the dense contractions, while a run on one side gathers."""
+    zero = np.zeros((2, 2), dtype=complex)
+    before = [math.sqrt(0.7) * np.eye(2, dtype=complex), math.sqrt(0.3) * linalg.SIGMA_X]
+    after = [zero, linalg.SIGMA_Z.astype(complex)]
+    return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=lambda t: before if t <= 1.0 else after,
+                           dops_fn=lambda t: [zero, zero])
 
 
 QUBIT_PROBE = bloch_state(BlochVector(0.6, 0.9, 0.4))
@@ -1030,7 +1031,8 @@ SHARING_MODELS = {
     "depolarizing": (dyn.depolarizing_family(dyn.DepolarizingParams(1.3)), QUBIT_PROBE),
     "unitary": (dyn.HamiltonianModel.qubit([1.0, 0.3, 0.5]), QUBIT_PROBE),
     "bit_flip": (bit_flip_family(), QUBIT_PROBE),
-    "finite_differences": (finite_difference_family(), QUBIT_PROBE),
+    "damping": (damping_family(), QUBIT_PROBE),
+    "switching": (switching_family(), QUBIT_PROBE),
 }
 
 
@@ -1089,33 +1091,40 @@ class TestSharedSamples:
         for tau, got in zip(taus, outcomes):
             assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
 
-    def test_doubling_chain_shares_samples(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["ad_s10.0", "damping"])
+    def test_doubling_chain_shares_samples(self, name, monkeypatch):
         # the first half of the grid of 2 tau is the even samples of the
         # grid of tau: the grids of 1, 2 and 4 hold 17 + 8 + 8 distinct
-        # times, evaluated in runs of 17
-        model, rho0 = SHARING_MODELS["ad_s10.0"]
+        # times, evaluated in runs of 17, for a built-in channel and a
+        # user family alike
+        model, rho0 = SHARING_MODELS[name]
         runs = []
         sampler = dyn._kraus_sampler
 
         def counting(*args):
             sample = sampler(*args)
-            return lambda times, fd_step: runs.append(len(times)) or sample(times, fd_step)
+            return lambda times: runs.append(len(times)) or sample(times)
 
         monkeypatch.setattr(dyn, "_kraus_sampler", counting)
         list(dyn._trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True))
         assert runs == [17, 16]
 
-    def test_finite_differences_follow_each_horizon(self):
-        # a family without derivatives steps by 1e-5 tau of the horizon
-        # that holds the sample, so the horizons share nothing
-        fam, rho0 = SHARING_MODELS["finite_differences"]
-        taus = [1.0, 2.0, 4.0]
-        for tau, traj in zip(taus, dyn._trajectories(fam, rho0, taus, 17, True)):
-            K, dK = fam.stacks(traj.times, fd_step=1e-5 * tau)
-            states, speeds, kmins, terms = oracle_contractions(K, K, dK, rho0)
-            assert np.array_equal(traj.states, states)
-            assert np.array_equal(traj.speeds, speeds)
-            assert np.array_equal(traj.rates, terms.sum(axis=1))
+    def test_switching_family_mixes_contractions(self, monkeypatch):
+        # the panel's runs gather on either side of the switch at t = 1 and
+        # go dense across it, while each horizon past the switch is dense
+        # in its own call: every horizon still gets its own call's bits
+        model, rho0 = SHARING_MODELS["switching"]
+        taus = [0.5, 1.5, 3.0]
+        dense = []
+        gather = dyn._gather
+        monkeypatch.setattr(dyn, "_gather", lambda stack: dense.append(
+            gather(stack) is None) or gather(stack))
+        outcomes = list(dyn._trajectories(model, rho0, taus, 17, True))
+        assert True in dense and False in dense
+        for tau, got in zip(taus, outcomes):
+            dense.clear()
+            assert_same_outcome(got, evolve_one(model, rho0, tau, 17, True))
+            assert dense[0] == (tau > 1.0)
 
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
@@ -1136,8 +1145,8 @@ class IncompleteAfter(dyn.AmplitudeDampingFamily):
 
     T = 2.5
 
-    def _trajectory_pair(self, times, fd_step=None):
-        pair = super()._trajectory_pair(times, fd_step)
+    def _trajectory_pair(self, times):
+        pair = super()._trajectory_pair(times)
         pair.K.values[..., times > self.T] *= 1 + 1e-6
         return pair
 
@@ -1147,8 +1156,8 @@ class NaNDerivativeAt(dyn.AmplitudeDampingFamily):
 
     T = 1.0
 
-    def _trajectory_pair(self, times, fd_step=None):
-        pair = super()._trajectory_pair(times, fd_step)
+    def _trajectory_pair(self, times):
+        pair = super()._trajectory_pair(times)
         pair.dK.values[2, 0, times == self.T] = math.nan
         return pair
 
@@ -1165,8 +1174,8 @@ class DriftAt(dyn.AmplitudeDampingFamily):
     """Amplitude damping whose states have trace about 1 + 4e-9 at t = 1
     and 1 + 8e-9 at t = 3."""
 
-    def _trajectory_pair(self, times, fd_step=None):
-        pair = super()._trajectory_pair(times, fd_step)
+    def _trajectory_pair(self, times):
+        pair = super()._trajectory_pair(times)
         for t, scale in DRIFT_SCALES.items():
             pair.K.values[..., times == t] *= scale
         return pair
@@ -1177,10 +1186,10 @@ class UndefinedAfter(dyn.AmplitudeDampingFamily):
 
     T = 2.5
 
-    def _trajectory_pair(self, times, fd_step=None):
+    def _trajectory_pair(self, times):
         if np.any(times > self.T):
             raise InvalidParamsError(f"no operators after t = {self.T}")
-        return super()._trajectory_pair(times, fd_step)
+        return super()._trajectory_pair(times)
 
 
 def user_family(defect: str) -> dyn.KrausFamily:
