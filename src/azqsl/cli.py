@@ -192,6 +192,9 @@ def load_kraus_file(path: str) -> dyn.KrausFamily:
         vals = np.array([float(t) for t in tokens[2:]])
     except ValueError as exc:
         raise ConfigError(f"kraus file {path}: {exc}") from exc
+    if n_ops < 1 or dim < 1:
+        raise ConfigError(f"kraus file {path}: header asks for {n_ops} operators of dim {dim}, "
+                          "need at least one operator of dim >= 1")
     need = 2 + 2 * n_ops * dim * dim
     if len(tokens) != need:
         raise ConfigError(f"kraus file: expected {need} fields, found {len(tokens)}")

@@ -36,8 +36,8 @@ class DensityMatrix:
 
     def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidStateError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise InvalidStateError(f"expected a non-empty square matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidStateError("matrix has non-finite entries")
         if linalg.asymmetry(mat) > linalg.HERMITIAN_TOL:
@@ -178,6 +178,8 @@ def state_from_text(text: str) -> DensityMatrix:
         dim = int(tokens[0])
     except ValueError as exc:
         raise InvalidStateError(f"bad dimension field {tokens[0]!r}") from exc
+    if dim < 1:
+        raise InvalidStateError(f"state dimension must be at least 1, got {dim}")
     need = 1 + 2 * dim * dim
     if len(tokens) != need:
         raise InvalidStateError(

@@ -60,6 +60,9 @@ LIBRARY_CASES = {
     "entropy_z_nan": (lambda: EntropyParams(0.5, NAN), InvalidParamsError),
     "state_text_token": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nx 0\n"), InvalidStateError),
     "state_text_nan": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nnan 0\n"), InvalidStateError),
+    "state_text_dim_zero": (lambda: state_from_text("0\n"), InvalidStateError),
+    "state_text_dim_negative": (lambda: state_from_text("-1 1 2\n"), InvalidStateError),
+    "density_matrix_empty": (lambda: DensityMatrix(np.zeros((0, 0))), InvalidStateError),
     "hamiltonian_matrix_nan": (
         lambda: dyn.HamiltonianModel(np.diag([NAN, 1.0])), InvalidParamsError
     ),
@@ -112,6 +115,8 @@ KRAUS_FILES = {
     "kraus_file_token": "1 2\n1 0\n0 0\n0 zero\n1 0\n",
     "kraus_file_header": "one 2\n1 0\n0 0\n0 0\n1 0\n",
     "kraus_file_nan": "1 2\n1 0\n0 0\n0 0\nnan 0\n",
+    "kraus_file_no_operators": "0 2\n",
+    "kraus_file_dim_zero": "1 0\n",
 }
 
 
@@ -136,10 +141,26 @@ def test_cli_reports_config_error(name, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["x", "nan"])
+def test_cli_single_point_reports_empty_kraus_file(tmp_path, capsys):
+    path = tmp_path / "ops.txt"
+    path.write_text(KRAUS_FILES["kraus_file_no_operators"])
+    rc, err = run_cli(capsys, ["qsl", "--model", "custom_kraus_file", "--kraus-file", path])
+    assert rc == 1
+    assert err.startswith("config error:") and str(path) in err
+
+
+STATE_FILES = {
+    "x": "2\n0.5 0\n0 0\n0 0\nx 0\n",
+    "nan": "2\n0.5 0\n0 0\n0 0\nnan 0\n",
+    "dim_zero": "0\n",
+    "dim_negative": "-1 1 2\n",
+}
+
+
+@pytest.mark.parametrize("field", list(STATE_FILES))
 def test_cli_bad_state_file_is_invalid_probe(field, tmp_path, capsys):
     path = tmp_path / "probe.txt"
-    path.write_text(f"2\n0.5 0\n0 0\n0 0\n{field} 0\n")
+    path.write_text(STATE_FILES[field])
     rc, err = run_cli(capsys, ["entropy", "--state-file", path])
     assert rc == 2
     assert err.startswith("numerical failure:")
