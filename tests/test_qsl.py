@@ -434,19 +434,16 @@ class TestTrapezoidBits:
 
 class TestOddIntervalQuadrature:
     # n_steps = 1000 gives 999 intervals, where Simpson does not apply and
-    # the trapezoid rule takes over. np.trapezoid only exists from numpy 2.0,
-    # above the declared numpy floor, so it is removed for these tests.
+    # the trapezoid rule takes over.
 
-    def test_quad_is_trapezoid(self, monkeypatch):
-        monkeypatch.delattr(np, "trapezoid", raising=False)
+    def test_quad_is_trapezoid(self):
         times = np.linspace(0.0, 3.0, 1000)
         vals = np.exp(-times) * (1.0 + np.sin(3.0 * times) ** 2)
         assert float(qsl._quad(times, vals)) == pytest.approx(
             trapezoid_sum(times, vals), rel=1e-14
         )
 
-    def test_bounds_on_odd_grid(self, monkeypatch):
-        monkeypatch.delattr(np, "trapezoid", raising=False)
+    def test_bounds_on_odd_grid(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
         rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
         traj = dyn.evolve_kraus(fam, rho0, 3.0, 1000)
