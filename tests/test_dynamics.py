@@ -703,12 +703,12 @@ class TestContractions:
         # bits, so whether a run of samples gathers moves no result: a
         # panel's runs may gather where a horizon's own call does not
         fam, rho0, tau, n_steps = case
-        times = np.linspace(0.0, tau, n_steps)
+        picked = np.linspace(0.0, tau, n_steps)[[0, n_steps // 2, -1]]
         gathered = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
-        channel = [dyn.apply_channel(fam, rho0, t).mat for t in times[[0, n_steps // 2, -1]]]
+        channel = [dyn.apply_channel(fam, rho0, t).mat for t in picked]
         with mock.patch.object(dyn, "_gather", lambda stack: None):
             dense = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
-            for t, want in zip(times[[0, n_steps // 2, -1]], channel):
+            for t, want in zip(picked, channel):
                 assert dyn.apply_channel(fam, rho0, t).mat.tobytes() == want.tobytes()
         assert_same_outcome(dense, gathered)
 
@@ -1117,8 +1117,13 @@ class TestSharedSamples:
         taus = [0.5, 1.5, 3.0]
         dense = []
         gather = dyn._gather
-        monkeypatch.setattr(dyn, "_gather", lambda stack: dense.append(
-            gather(stack) is None) or gather(stack))
+
+        def recording(stack):
+            out = gather(stack)
+            dense.append(out is None)
+            return out
+
+        monkeypatch.setattr(dyn, "_gather", recording)
         outcomes = list(dyn._trajectories(model, rho0, taus, 17, True))
         assert True in dense and False in dense
         for tau, got in zip(taus, outcomes):
