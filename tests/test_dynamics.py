@@ -1144,6 +1144,37 @@ class TestSharedSamples:
         outcomes = list(dyn._trajectories(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11))
         assert [type(o) for o in outcomes] == [DimMismatchError] * 2
 
+    # each built-in channel in its own regime, and a user family gathered by
+    # detection: depolarizing horizons whose grids hold clamped samples
+    # beyond t = 0, amplitude damping at s = 0, 1/2 and 10
+    STORE_CASES = {
+        "depolarizing": ("depolarizing", [7e-8, 1.4e-7, 2.0, 4.0, 9.0]),
+        **{f"ad_s{s}": (f"ad_s{s}", [1.0, 2.0, 4.0, 8.5, 20.0]) for s in (0.0, 0.5, 10.0)},
+        "damping": ("damping", [0.5, 1.0, 2.0, 3.7]),
+    }
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_store_holds_each_horizons_own_bits(self, name, rates):
+        # a panel's store against each horizon's own call: the states (as
+        # int64, so signed zeros count), speeds, k_min and rates
+        model, taus = self.STORE_CASES[name]
+        fam, rho0 = SHARING_MODELS[model]
+        outcomes = list(dyn._outcomes(fam, rho0, taus, 201, rates))
+        for tau, outcome in zip(taus, outcomes):
+            store, grid, rows = outcome
+            want = dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates)
+            assert store.error(grid, rows) is None
+            assert not store.failing[rows].any()
+            assert np.array_equal(store.states(rows).view(np.int64), want.states.view(np.int64))
+            for field in ("speeds", "kmins", "rates"):
+                values = getattr(want, field)
+                if values is None:
+                    assert getattr(store, field) is None
+                else:
+                    got = getattr(store, field)[rows]
+                    assert np.array_equal(got.view(np.int64), values.view(np.int64)), field
+
 
 class IncompleteAfter(dyn.AmplitudeDampingFamily):
     """Amplitude damping whose operators grow by 1e-6 after time T."""
