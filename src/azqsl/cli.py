@@ -200,14 +200,25 @@ def load_kraus_file(path: str) -> dyn.KrausFamily:
         raise ConfigError(f"kraus file: expected {need} fields, found {len(tokens)}")
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"kraus file {path}: non-finite entry")
-    ops = (vals[0::2] + 1j * vals[1::2]).reshape(n_ops, dim, dim)
-    zeros = [np.zeros((dim, dim), dtype=complex) for _ in range(n_ops)]
-    return dyn.KrausFamily(
-        dim=dim,
-        n_ops=n_ops,
-        ops_fn=lambda t: list(ops),
-        dops_fn=lambda t: zeros,
-    )
+    return _ConstantFamily((vals[0::2] + 1j * vals[1::2]).reshape(n_ops, dim, dim))
+
+
+class _ConstantFamily(dyn.KrausFamily):
+    """The same operators at every time, with zero derivatives: its stacks
+    are the one (n_ops, dim, dim) operator stack, and a zero one, repeated
+    over a run's times, with no call per sample time."""
+
+    def __init__(self, ops: np.ndarray):
+        n_ops, dim, _ = ops.shape
+        super().__init__(dim=dim, n_ops=n_ops, ops_fn=None, dops_fn=None)
+        self._ops = ops
+
+    def op_stacks(self, times: np.ndarray) -> np.ndarray:
+        return np.repeat(self._ops[None], len(times), axis=0)
+
+    def stacks(self, times: np.ndarray):
+        K = self.op_stacks(times)
+        return K, np.zeros_like(K)
 
 
 def _probe_state(cfg: SweepConfig) -> DensityMatrix:

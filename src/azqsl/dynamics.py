@@ -120,12 +120,14 @@ def decoherence_gamma_dt(t, lam: float, s: float):
 
 class _Gathered(NamedTuple):
     """A monomial operator stack, with at most one nonzero per operator row
-    and column over all samples: the value of each row's nonzero, shape
-    (n_ops, dim, n_times), and its column, shape (n_ops, dim), -1 for a row
-    that holds no entry (its values are zero)."""
+    and column over all samples, held by the rows that carry an entry, in
+    (operator, row) order: the values of each one's nonzero, shape
+    (n_rows, n_times), and its operator, row and column, each (n_rows,)."""
 
     values: np.ndarray
-    columns: np.ndarray
+    ops: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 class _Pair(NamedTuple):
@@ -207,20 +209,21 @@ class _ClosedFormFamily(KrausFamily):
     are the scatter of those values."""
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        return _scatter(self._exact_ops(np.asarray(times, dtype=float)))
+        return _scatter(self._exact_ops(np.asarray(times, dtype=float)), self.n_ops, self.dim)
 
     def stacks(self, times: np.ndarray):
         K, dK, _, _ = self._trajectory_pair(np.asarray(times, dtype=float))
-        return _scatter(K), _scatter(dK)
+        return _scatter(K, self.n_ops, self.dim), _scatter(dK, self.n_ops, self.dim)
 
 
-# I, sigma_x, sigma_y, sigma_z gathered: the column and the entry of each
-# row's single nonzero
+# I, sigma_x, sigma_y, sigma_z gathered: every row of each holds one
+# nonzero; its column, shape (4, 2), and its entry
 _DEPOLARIZING_BASIS = np.stack([np.eye(2, dtype=complex), *linalg.PAULIS])
 _DEPOLARIZING_COLUMNS = np.abs(_DEPOLARIZING_BASIS).argmax(axis=2)
 _DEPOLARIZING_ENTRIES = np.take_along_axis(
     _DEPOLARIZING_BASIS, _DEPOLARIZING_COLUMNS[..., None], axis=2
 )[..., 0]
+_DEPOLARIZING_OPS, _DEPOLARIZING_ROWS = np.divmod(np.arange(8), 2)
 
 
 class DepolarizingFamily(_ClosedFormFamily):
@@ -239,8 +242,9 @@ class DepolarizingFamily(_ClosedFormFamily):
         """c_0 I and c sigma_j for j = 1, 2, 3 from the coefficients c_0 and
         c of each sample."""
         coefs = np.stack([identity, pauli, pauli, pauli])
-        return _Gathered(coefs[:, None, :] * _DEPOLARIZING_ENTRIES[:, :, None],
-                         _DEPOLARIZING_COLUMNS)
+        values = coefs[:, None, :] * _DEPOLARIZING_ENTRIES[:, :, None]
+        return _Gathered(values.reshape(8, -1), _DEPOLARIZING_OPS, _DEPOLARIZING_ROWS,
+                         _DEPOLARIZING_COLUMNS.ravel())
 
     def _ops_at(self, e: np.ndarray) -> _Gathered:
         """The operators where e^(-G t) is e."""
@@ -268,13 +272,13 @@ class DepolarizingFamily(_ClosedFormFamily):
 # (a, i, j) for the support of the single-qubit S_1 = diag(1, gamma) and
 # S_2 = sqrt(1 - gamma^2) |0><1|, which also holds that of their derivatives.
 # Operator 2a + b is S_a ⊗ S_b, whose entry (2i + k, 2j + l) is
-# S_a[i, j] S_b[k, l]: per product of the support entries _AD_FIRST and
-# _AD_SECOND, its operator, row and column.
+# S_a[i, j] S_b[k, l]: the operator, row and column of each product of two
+# support entries, in (operator, row) order, and its factors _AD_FIRST and
+# _AD_SECOND.
 _AD_SUPPORT = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 1)])
-_AD_FIRST, _AD_SECOND = np.divmod(np.arange(9), 3)
-_AD_OPS, _AD_ROWS, _AD_COLS = (2 * _AD_SUPPORT[_AD_FIRST] + _AD_SUPPORT[_AD_SECOND]).T
-_AD_COLUMNS = np.full((4, 4), -1)
-_AD_COLUMNS[_AD_OPS, _AD_ROWS] = _AD_COLS
+_AD_OPS, _AD_ROWS, _AD_COLS, _AD_FIRST, _AD_SECOND = np.array(sorted(
+    (*(2 * _AD_SUPPORT[a] + _AD_SUPPORT[b]), a, b) for a in range(3) for b in range(3)
+)).T
 
 
 class AmplitudeDampingFamily(_ClosedFormFamily):
@@ -315,15 +319,12 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
 
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         S, dS = self._pair_stacks(times)
-        K = np.zeros((4, 4, len(times)), dtype=complex)
-        dK = np.zeros_like(K)
-        a, b = _AD_FIRST, _AD_SECOND
+        a, b = S[_AD_FIRST], S[_AD_SECOND]
         # complex factors keep the signed zeros of the dense Kronecker
         # entries: the product of two negative reals has imaginary part -0
-        K[_AD_OPS, _AD_ROWS] = S[a] * S[b]
-        dK[_AD_OPS, _AD_ROWS] = dS[a] * S[b] + S[a] * dS[b]
-        return _Pair(_Gathered(K, _AD_COLUMNS), _Gathered(dK, _AD_COLUMNS),
-                     np.zeros(len(times), dtype=bool), None)
+        K = _Gathered(a * b, _AD_OPS, _AD_ROWS, _AD_COLS)
+        dK = _Gathered(dS[_AD_FIRST] * b + a * dS[_AD_SECOND], _AD_OPS, _AD_ROWS, _AD_COLS)
+        return _Pair(K, dK, np.zeros(len(times), dtype=bool), None)
 
 
 def depolarizing_family(params: DepolarizingParams) -> DepolarizingFamily:
@@ -356,7 +357,8 @@ class Trajectory:
         shape = self.states.shape
         if len(shape) != 3 or shape[0] != len(self.times) or shape[1] != shape[2]:
             raise InvalidStateError(f"{shape} states for {len(self.times)} samples")
-        drift, asym = (float(np.max(x)) for x in _state_deviations(self.states))
+        deviations = _state_deviations(*_entries(self.states), shape[1])
+        drift, asym = (float(np.max(x)) for x in deviations)
         if not drift <= TRACE_DRIFT_TOL:
             raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
         if not asym <= linalg.HERMITIAN_TOL:
@@ -407,34 +409,50 @@ def _check_times(times: np.ndarray) -> None:
         raise InvalidParamsError("times must start at 0 and increase strictly")
 
 
-def _state_deviations(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample of a (n, dim, dim) state stack, |Tr rho - 1| and the
-    largest entry of |rho - rho†|, NaN where one is NaN. Entries (i, j) and
-    (j, i) of |rho - rho†| are equal, so the upper triangle is read, one
-    entry at a time (a reduction over a few entries per sample is slower)."""
-    drift = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    dim = states.shape[-1]
-    asym = np.zeros(len(states))
+def _state_deviations(positions: np.ndarray, values: np.ndarray, dim: int):
+    """Per sample of a state given by its flat positions and entry-major
+    values (every other entry +0), |Tr rho - 1| and the largest entry of
+    |rho - rho†|, NaN where one is NaN. The trace sums the diagonal in index
+    order from +0; an absent entry adds nothing, as +0 would. Entries (i, j)
+    and (j, i) of |rho - rho†| are equal, so the upper triangle is read, one
+    entry at a time (a reduction over a few entries per sample is slower);
+    against an absent mirror entry the deviation is |rho_ij| itself."""
+    slot = np.full(dim * dim, -1)
+    slot[positions] = np.arange(len(positions))
+    trace = np.zeros(values.shape[1], dtype=complex)
+    for k in slot[::dim + 1]:
+        if k >= 0:
+            trace += values[k]
+    asym = np.zeros(values.shape[1])
     for i in range(dim):
         for j in range(i, dim):
-            np.maximum(asym, np.abs(states[:, i, j] - np.conj(states[:, j, i])), out=asym)
-    return drift, asym
+            a, b = slot[i * dim + j], slot[j * dim + i]
+            if a >= 0 and b >= 0:
+                np.maximum(asym, np.abs(values[a] - np.conj(values[b])), out=asym)
+            elif max(a, b) >= 0:
+                np.maximum(asym, np.abs(values[max(a, b)]), out=asym)
+    return np.abs(trace - 1.0), asym
 
 
-def _failing_samples(states, speeds, kmins, rates) -> np.ndarray:
+def _failing_samples(samples: _Samples, dim: int) -> np.ndarray:
     """Per sample, whether it fails a `Trajectory` check: samples that all
     pass them pass the checks together."""
-    drift, asym = _state_deviations(states)
+    drift, asym = _state_deviations(*samples.state, dim)
     ok = (drift <= TRACE_DRIFT_TOL) & (asym <= linalg.HERMITIAN_TOL)
+    speeds, kmins, rates = samples[1:]
     for values in (speeds, kmins) if rates is None else (speeds, kmins, rates):
         ok &= np.isfinite(values) & ~(values < 0)
     return ~ok
 
 
-def _batch_kmin(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each sample, from `linalg.min_eigenvalues`,
-    clamped at zero; one below -1e-10 raises InvalidStateError."""
-    vals = linalg.min_eigenvalues(stack)
+def _batch_kmin(state: tuple, dim: int) -> np.ndarray:
+    """Smallest eigenvalue of each sample of a state given by its entries,
+    from the entries of its lower triangle (`linalg._sample_spectra`, as
+    `linalg.min_eigenvalues` reads a dense stack), clamped at zero; one
+    below -1e-10 raises InvalidStateError."""
+    positions, values = state
+    lower = positions % dim <= positions // dim
+    vals = linalg._sample_spectra(positions[lower], values[lower], dim, dim, hermitian=True)
     if float(vals.min()) < -1e-10:
         raise InvalidStateError(f"sample eigenvalue {vals.min():.3e} below -1e-10")
     return np.maximum(vals, 0.0)
@@ -475,7 +493,8 @@ def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
         dstates = -1j * comm
         dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
         speeds = _schatten_speeds(_entries(dstates), h.dim)
-        return _Samples(states, speeds, _batch_kmin(states), None)
+        state = _entries(states)
+        return _Samples(state, speeds, _batch_kmin(state, h.dim), None)
 
     return sample
 
@@ -504,16 +523,16 @@ def _check_completeness(K: np.ndarray) -> None:
     _require_identity(gram - np.eye(dim))
 
 
-def _check_gathered_completeness(G, rows) -> None:
-    """`_check_completeness` for the samples `rows` of a gathered stack.
+def _check_gathered_completeness(G: _Gathered, samples, dim: int) -> None:
+    """`_check_completeness` for the samples `samples` of a gathered stack.
     With one nonzero per operator row and column, sum_l K_l†K_l is
     diagonal, and its entry c is the sum of |x|^2 over the operator rows
-    whose nonzero sits in column c."""
-    x, cols = G
-    x = x[..., rows]
-    diagonal = np.zeros((cols.shape[1], x.shape[-1]))
-    for l, i in zip(*np.nonzero(cols >= 0)):
-        diagonal[cols[l, i]] += x[l, i].real ** 2 + x[l, i].imag ** 2
+    whose nonzero sits in column c, in (operator, row) order."""
+    x = G.values[:, samples]
+    squares = x.real ** 2 + x.imag ** 2
+    diagonal = np.zeros((dim, x.shape[-1]))
+    for row, c in zip(squares, G.cols):
+        diagonal[c] += row
     _require_identity(diagonal - 1.0)
 
 
@@ -529,24 +548,35 @@ def _require_identity(deviation: np.ndarray) -> None:
 # dim, dim) stacks. When every operator of both stacks has at most one
 # nonzero per row and per column over all samples, as in the built-in
 # channels and the bit-flip file family, each stack is held gathered
-# (`_Gathered`) as the values and columns of those nonzeros: the built-in
-# channels hand out that form from their closed forms, and a dense stack is
-# gathered once by `_gather`. A gathered trajectory is planned once: the
-# entries (l, i, m) of its three products (states K rho_0 K†, speeds
-# dK rho_0 K†, rates K rho_0 dK†) that can be nonzero follow from the
-# columns and the pattern of rho_0 alone (`_products`), and each product
-# is held entry-major, one time vector per entry. Entry (i, m) of a product
-# is the single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded
-# as einsum rounds it (`_cmul`); sums over operators run in operator order
+# (`_Gathered`): entry-major, one time vector per operator row that carries
+# a nonzero, with that row's operator, row and column. The built-in
+# channels write that form straight from their closed forms (the nine
+# amplitude-damping products S_a S_b, the eight depolarizing entries), and
+# a dense stack is gathered once by `_gather`. A gathered trajectory is
+# planned once: the entries (l, i, m) of its three products (states
+# K rho_0 K†, speeds dK rho_0 K†, rates K rho_0 dK†) that can be nonzero
+# follow from the rows and the pattern of rho_0 alone (`_products`), and
+# each product is held entry-major too. Entry (i, m) of a product is the
+# single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded as
+# einsum rounds it (`_cmul`); sums over operators run in operator order
 # from a zero start. That is the arithmetic of the three-operand einsum,
-# so no bit moves. Only the states are written as dense (n_times, dim,
-# dim) arrays; the speed and rate matrices go to
-# `linalg._sample_spectra` as their entries. A row that is zero at
-# every sample but has a column gives zeros, which leave the operator sums
-# and the spectra as a detected empty row leaves them. Dense families form
-# X rho_0 once per stack and contract it with conj(Y) in a two-operand
-# einsum that keeps the operator sum inside it; that grouping moves
-# results by about 1e-16.
+# so no bit moves. The states and rates share the first factor when K and
+# dK hold the same rows, and then the three products share one plan. A
+# row that is zero at every sample but carries an entry gives zeros, which
+# leave the operator sums and the spectra as a detected empty row leaves
+# them.
+#
+# The state of a run is held as entries too, the flat positions where it
+# can be nonzero and one time vector per position (every other entry +0),
+# the same form as the speed and rate matrices: `_batch_kmin` passes its
+# lower triangle to `linalg._sample_spectra`, `_failing_samples` reads its
+# trace and asymmetry, and `_SampleStore` keeps its nonzero parts. Dense
+# stacks are written only where a caller reads them: `Trajectory.states`,
+# the end states of a sweep column, `apply_channel`, the dense stacks of
+# the built-in channels, and the contractions of a family that does not
+# gather. Those form X rho_0 once per stack and contract it with conj(Y) in
+# a two-operand einsum that keeps the operator sum inside it; that grouping
+# moves results by about 1e-16.
 #
 # The trajectories of a sweep panel share their samples (`_outcomes`):
 # the horizons' grids are joined, each distinct sample time is evaluated
@@ -579,16 +609,14 @@ def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
 
 
 def _gather(stack: np.ndarray) -> _Gathered | None:
-    """A dense stack gathered, or None when it is not monomial: the columns
-    are those of `_monomial_columns`, and an empty row reads its last
-    column, which is zero at every sample."""
+    """A dense stack gathered, or None when it is not monomial: the rows
+    with a column of `_monomial_columns`."""
     cols = _monomial_columns(stack)
     if cols is None:
         return None
-    n_ops, dim = cols.shape
-    return _Gathered(
-        np.moveaxis(stack, 0, -1)[np.arange(n_ops)[:, None], np.arange(dim), cols], cols
-    )
+    ops, rows = np.nonzero(cols >= 0)
+    cols = cols[ops, rows]
+    return _Gathered(np.moveaxis(stack, 0, -1)[ops, rows, cols], ops, rows, cols)
 
 
 def _gathered(stack: np.ndarray | _Gathered) -> _Gathered | None:
@@ -596,47 +624,60 @@ def _gathered(stack: np.ndarray | _Gathered) -> _Gathered | None:
     return stack if isinstance(stack, _Gathered) else _gather(stack)
 
 
-def _scatter(G: _Gathered) -> np.ndarray:
+def _scatter(G: _Gathered, n_ops: int, dim: int) -> np.ndarray:
     """The dense (n_times, n_ops, dim, dim) stack of a gathered one."""
-    x, cols = G
-    n_ops, dim, n_times = x.shape
-    out = np.zeros((n_times, n_ops, dim, dim), dtype=complex)
-    l, i = np.nonzero(cols >= 0)
-    out[:, l, i, cols[l, i]] = x[l, i].T
+    out = np.zeros((G.values.shape[1], n_ops, dim, dim), dtype=complex)
+    out[:, G.ops, G.rows, G.cols] = G.values.T
     return out
 
 
 class _Products(NamedTuple):
     """A trajectory's plan of the products X_l rho_0 Y_l† of two gathered
     stacks: the entries (ops, rows, cols) that can be nonzero, in (l, i, m)
-    order, where both rows have a column and rho_0 is nonzero at the two
-    columns. `rho` holds that entry of rho_0 for each, shape
-    (n_entries, 1)."""
+    order, where rho_0 is nonzero at the columns of X's row i and Y's row
+    m; the rows of X and of Y that form each (`first`, `second`); and that
+    entry of rho_0 for each, shape (n_entries, 1)."""
 
     ops: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     rho: np.ndarray
-    n_ops: int
 
 
 def _products(X: _Gathered, Y: _Gathered, rho0: DensityMatrix) -> _Products:
-    cx, cy = X.columns, Y.columns
-    rho = rho0.mat[cx[:, :, None], cy[:, None, :]]
-    l, i, m = np.nonzero((cx[:, :, None] >= 0) & (cy[:, None, :] >= 0) & (rho != 0))
-    return _Products(l, i, m, rho[l, i, m, None], len(cx))
+    rho = rho0.mat[X.cols[:, None], Y.cols[None, :]]
+    e, f = np.nonzero((X.ops[:, None] == Y.ops[None, :]) & (rho != 0))
+    return _Products(X.ops[e], X.rows[e], Y.rows[f], e, f, rho[e, f, None])
 
 
-def _product_values(P: _Products, X: _Gathered, Y: _Gathered) -> np.ndarray:
-    """The products at the entries of `P`, shape (n_entries, n_times),
-    formed on contiguous real and imaginary parts."""
-    x, y = X.values, Y.values
-    re, im = linalg._cmul(x.real[P.ops, P.rows], x.imag[P.ops, P.rows], P.rho.real, P.rho.imag)
-    # times conj(y)
-    re, im = linalg._cmul(re, im, y.real[P.ops, P.cols], -y.imag[P.ops, P.cols])
+def _same_rows(X: _Gathered, Y: _Gathered) -> bool:
+    """Whether two gathered stacks hold the same rows, so that any plan with
+    one of them as a factor is the plan with the other."""
+    return all(np.array_equal(a, b) for a, b in zip(X[1:], Y[1:]))
+
+
+def _first_factors(P: _Products, X: _Gathered):
+    """x_i rho_0[c(i), d(m)] at the entries of `P`, as its real and
+    imaginary parts."""
+    x = X.values
+    return linalg._cmul(x.real[P.first], x.imag[P.first], P.rho.real, P.rho.imag)
+
+
+def _times_conj(first, P: _Products, Y: _Gathered) -> np.ndarray:
+    """The products at the entries of `P` from their first factors, shape
+    (n_entries, n_times), formed on contiguous real and imaginary parts."""
+    y = Y.values
+    re, im = linalg._cmul(*first, y.real[P.second], -y.imag[P.second])
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+def _product_values(P: _Products, X: _Gathered, Y: _Gathered) -> np.ndarray:
+    """The products at the entries of `P`, shape (n_entries, n_times)."""
+    return _times_conj(_first_factors(P, X), P, Y)
 
 
 def _operator_sums(P: _Products, values: np.ndarray, dim: int):
@@ -646,13 +687,11 @@ def _operator_sums(P: _Products, values: np.ndarray, dim: int):
     flat = P.rows * dim + P.cols
     present = np.zeros(dim * dim, dtype=bool)
     present[flat] = True
-    # each operator's terms at every position, zero where it has none: a
-    # zero term leaves a sum that started from zero as it is
-    terms = np.zeros((P.n_ops, np.count_nonzero(present), values.shape[1]), dtype=complex)
-    terms[P.ops, np.cumsum(present)[flat] - 1] = values
-    sums = np.zeros(terms.shape[1:], dtype=complex)
-    for term in terms:
-        sums += term
+    sums = np.zeros((np.count_nonzero(present), values.shape[1]), dtype=complex)
+    # the entries come in operator order; an operator without a term at a
+    # position would add a zero, which leaves a sum started from zero as it is
+    for k, term in zip(np.cumsum(present)[flat] - 1, values):
+        sums[k] += term
     return np.flatnonzero(present), sums
 
 
@@ -685,6 +724,32 @@ def _plus_adjoint(positions: np.ndarray, values: np.ndarray, dim: int):
     return union, padded[slot[union]] + np.conj(padded[slot[m * dim + i]])
 
 
+def _hermitian_sum(P: _Products, values: np.ndarray, dim: int):
+    """(M + M†) / 2 for M the sum over operators of the products with the
+    given values: the entries of a state."""
+    positions, doubled = _plus_adjoint(*_operator_sums(P, values, dim), dim)
+    return positions, doubled / 2
+
+
+def _state_entries(G: _Gathered, rho0: DensityMatrix):
+    """sum_l K_l rho_0 K_l† of a gathered stack, as entries."""
+    P = _products(G, G, rho0)
+    return _hermitian_sum(P, _product_values(P, G, G), rho0.dim)
+
+
+def _replaced(state: tuple, samples: np.ndarray, other: tuple) -> tuple:
+    """The entries `state` with the samples where `samples` is set taken
+    from the entries `other`, which hold those samples only."""
+    (positions, values), (other_positions, other_values) = state, other
+    union = np.union1d(positions, other_positions)
+    out = np.zeros((len(union), values.shape[1]), dtype=complex)
+    out[np.searchsorted(union, positions)] = values
+    at = np.flatnonzero(samples)
+    out[:, at] = 0.0
+    out[np.searchsorted(union, other_positions)[:, None], at] = other_values
+    return union, out
+
+
 def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
     """X_l rho_0 for each sample and operator."""
     return np.einsum("tlij,jk->tlik", X, rho0.mat)
@@ -694,23 +759,17 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, 1, 2))) / 2
 
 
-def _channel_states(K: np.ndarray | _Gathered, rho0: DensityMatrix) -> np.ndarray:
-    """sum_l K_l rho_0 K_l† for each sample of an operator stack, dense or
-    gathered."""
-    G = _gathered(K)
-    if G is None:
-        return _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
-    P = _products(G, G, rho0)
-    dim = rho0.dim
-    positions, doubled = _plus_adjoint(*_operator_sums(P, _product_values(P, G, G), dim), dim)
-    return _dense(positions, doubled / 2, dim)
-
-
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
-    return DensityMatrix(_channel_states(fam._exact_ops(np.array([float(t)])), rho0)[0])
+    K = fam._exact_ops(np.array([float(t)]))
+    G = _gathered(K)
+    if G is None:
+        state = _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
+    else:
+        state = _dense(*_state_entries(G, rho0), rho0.dim)
+    return DensityMatrix(state[0])
 
 
 def evolve_kraus(
@@ -727,8 +786,8 @@ def evolve_kraus(
     the pair gathered from their closed forms, so no dense stack is built,
     scanned or compared; a user family's dense pair is gathered when its
     operators are monomial. A gathered pair is planned once: its products
-    are formed at the entries that can be nonzero, and only the states are
-    written densely; the speeds, k_min and rates take
+    and the states are formed entry by entry at the entries that can be
+    nonzero, and the speeds, k_min and rates take
     `linalg._sample_spectra`, which evaluates each matrix's blocks on every
     sample at once and again only where a sample is zero at one of its
     entries. A derivative stack with a NaN or an infinity raises
@@ -750,21 +809,26 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
             _check_completeness(K)
         else:
             # the pair's K is the exact-time stack outside the regularized rows
-            _check_gathered_completeness(G, slice(None) if rates else ~regularized)
+            _check_gathered_completeness(G, slice(None) if rates else ~regularized, dim)
         if regularized.any():
-            _check_completeness(_scatter(exact))
+            _check_completeness(_scatter(exact, fam.n_ops, dim))
         if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
             raise InvalidStateError("non-finite Kraus derivative along trajectory")
         dG = None if G is None else _gathered(dK)
         if dG is not None:
             del K, dK
-            half = _products(dG, G, rho0)
-            speeds = _schatten_speeds(
-                _plus_adjoint(*_operator_sums(half, _product_values(half, dG, G), dim), dim), dim)
-            states = _channel_states(G, rho0)
+            P = _products(G, G, rho0)
+            same = _same_rows(G, dG)
+            half = P if same else _products(dG, G, rho0)
+            speeds = _schatten_speeds(_plus_adjoint(*_operator_sums(
+                half, _product_values(half, dG, G), dim), dim), dim)
+            first = _first_factors(P, G)
+            state = _hermitian_sum(P, _times_conj(first, P, G), dim)
             if rates:
-                P = _products(G, dG, rho0)
-                values = _product_values(P, G, dG)
+                if not same:
+                    P = _products(G, dG, rho0)
+                    first = _first_factors(P, G)
+                values = _times_conj(first, P, dG)
                 flat = P.rows * dim + P.cols
                 prods = [(flat[P.ops == l], values[P.ops == l]) for l in range(fam.n_ops)]
         else:
@@ -776,24 +840,25 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
             half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
             speeds = _schatten_speeds(_entries(half + np.conj(np.swapaxes(half, 1, 2))), dim)
             del half
-            states = _hermitian(np.einsum("tlik,tlmk->tim", KR, Kc))
+            state = _entries(_hermitian(np.einsum("tlik,tlmk->tim", KR, Kc)))
             del Kc
             if rates:
                 dense = np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
                 prods = [_entries(dense[:, l]) for l in range(fam.n_ops)]
         if regularized.any():
-            states[regularized] = _channel_states(exact, rho0)
+            state = _replaced(state, regularized, _state_entries(exact, rho0))
         rate_sums = _kraus_rates(prods, dim) if rates else None
-        return _Samples(states, speeds, _batch_kmin(states), rate_sums)
+        return _Samples(state, speeds, _batch_kmin(state, dim), rate_sums)
 
     return sample
 
 
 class _Samples(NamedTuple):
-    """The per-sample results on a run of sample times: dense states
-    (n, dim, dim), Schatten speeds, k_min, and summed Kraus rates or None."""
+    """The per-sample results on a run of sample times: the states as
+    entries (flat positions, and entry-major values there; every other
+    entry +0), Schatten speeds, k_min, and summed Kraus rates or None."""
 
-    states: np.ndarray
+    state: tuple
     speeds: np.ndarray
     kmins: np.ndarray
     rates: np.ndarray | None
@@ -802,10 +867,11 @@ class _Samples(NamedTuple):
 class _SampleStore:
     """What a panel keeps per distinct sample time: the time; the real and
     imaginary parts of the state entries that are not +0 at some sample
-    (`parts`, by flat float position; every other part is +0); the speed,
-    k_min and rate; whether the sample fails a `Trajectory` check, found
-    once per sample as it is added; and whether the sample lies in a run
-    that raised."""
+    (`parts`, by flat float position, 2 p for the real and 2 p + 1 for the
+    imaginary part of flat position p; every other part is +0), held
+    entry-major; the speed, k_min and rate; whether the sample fails a
+    `Trajectory` check, found once per sample as it is added; and whether
+    the sample lies in a run that raised."""
 
     def __init__(self, times: np.ndarray, dim: int):
         n = len(times)
@@ -813,35 +879,43 @@ class _SampleStore:
         self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
         self.held = np.zeros(2 * dim * dim, dtype=bool)
         self.parts = np.flatnonzero(self.held)
-        self.entries = np.zeros((n, 0))
+        self.entries = np.zeros((0, n))
         self.failing = np.zeros(n, dtype=bool)
         self.failed = np.zeros(n, dtype=bool)
 
     def add(self, rows: slice, samples: _Samples) -> None:
-        parts = samples.states.reshape(len(samples.speeds), -1).view(np.float64)
-        self._widen((parts.view(np.int64) != 0).any(axis=0))
-        self.entries[rows] = parts[:, self.parts]
+        positions, values = samples.state
+        # the float positions of the real and imaginary parts, and their
+        # values; int64 tells -0.0 from +0
+        parts = [(2 * positions, values.real), (2 * positions + 1, values.imag)]
+        self._widen(np.concatenate(
+            [at[(part.view(np.int64) != 0).any(axis=1)] for at, part in parts]))
+        slot = np.cumsum(self.held) - 1
+        for at, part in parts:
+            held = self.held[at]
+            self.entries[slot[at[held]], rows] = part[held]
         self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
         if samples.rates is not None:
             if self.rates is None:
                 self.rates = np.zeros(len(self.speeds))
             self.rates[rows] = samples.rates
-        self.failing[rows] = _failing_samples(*samples)
+        self.failing[rows] = _failing_samples(samples, self.dim)
 
-    def _widen(self, nonzero: np.ndarray) -> None:
-        """Make room for the state parts that are `nonzero` (by flat float
-        position); the samples held so far are +0 there."""
-        if not (nonzero & ~self.held).any():
+    def _widen(self, parts: np.ndarray) -> None:
+        """Make room for the state parts `parts` (flat float positions); the
+        samples held so far are +0 there."""
+        if self.held[parts].all():
             return
-        held = self.held | nonzero
-        entries = np.zeros((len(self.entries), np.count_nonzero(held)))
-        entries[:, self.held[held]] = self.entries
+        held = self.held.copy()
+        held[parts] = True
+        entries = np.zeros((np.count_nonzero(held), len(self.times)))
+        entries[self.held[held]] = self.entries
         self.held, self.parts, self.entries = held, np.flatnonzero(held), entries
 
     def states(self, rows: np.ndarray) -> np.ndarray:
         """The dense (len(rows), dim, dim) states of the samples `rows`."""
         states = np.zeros((len(rows), 2 * self.dim * self.dim))
-        states[:, self.parts] = self.entries[rows]
+        states[:, self.parts] = self.entries[:, rows].T
         return states.view(complex).reshape(-1, self.dim, self.dim)
 
     def trajectory(self, times: np.ndarray, rows: np.ndarray) -> Trajectory | AzqslError:
@@ -860,11 +934,13 @@ class _SampleStore:
         return _attempt(_check_times, times)
 
 
-def _alone(sampler, times: np.ndarray) -> Trajectory | AzqslError:
+def _alone(sampler, times: np.ndarray, dim: int) -> Trajectory | AzqslError:
     """The trajectory at `times` evaluated on its own, in one run, or the
     error it ends in."""
     samples = _attempt(sampler, times)
-    return samples if isinstance(samples, AzqslError) else _attempt(Trajectory, times, *samples)
+    if isinstance(samples, AzqslError):
+        return samples
+    return _attempt(Trajectory, times, _dense(*samples.state, dim), *samples[1:])
 
 
 def _trajectories(
@@ -910,7 +986,7 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
             errors[h] = grids.pop(h)
     if len(grids) <= 1:  # a lone grid is one run of its own
         for h in range(len(taus)):
-            yield errors[h] if h in errors else _alone(sampler, grids.pop(h))
+            yield errors[h] if h in errors else _alone(sampler, grids.pop(h), rho0.dim)
         return
     times = np.unique(np.concatenate(list(grids.values())))
     del grids
@@ -928,7 +1004,7 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
         grid = _time_grid(tau, n_steps)
         rows = np.searchsorted(times, grid)
         if store.failed[rows].any():
-            yield _alone(sampler, grid)
+            yield _alone(sampler, grid, rho0.dim)
         else:
             yield store, grid, rows
 

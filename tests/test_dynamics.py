@@ -646,6 +646,12 @@ def monomial_cases(draw):
     return TableFamily(times, K, dK), rho0, tau, n_steps
 
 
+def gathered_row(G, op, row):
+    """The index of operator `op`'s row `row` among a gathered stack's rows."""
+    (k,) = np.flatnonzero((G.ops == op) & (G.rows == row))
+    return k
+
+
 def no_call(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} called")
@@ -872,8 +878,8 @@ class TestContractions:
 
             def _trajectory_pair(self, times):
                 pair = super()._trajectory_pair(times)
-                pair.dK.values[2, 0, -1] = math.nan
-                pair.K.values[0, 0, -1] *= self.scale
+                pair.dK.values[gathered_row(pair.dK, 2, 0), -1] = math.nan
+                pair.K.values[gathered_row(pair.K, 0, 0), -1] *= self.scale
                 return pair
 
         fam = NaNDerivative(dyn.AmplitudeDampingParams(1.0, 10.0))
@@ -1194,7 +1200,7 @@ class NaNDerivativeAt(dyn.AmplitudeDampingFamily):
 
     def _trajectory_pair(self, times):
         pair = super()._trajectory_pair(times)
-        pair.dK.values[2, 0, times == self.T] = math.nan
+        pair.dK.values[gathered_row(pair.dK, 2, 0), times == self.T] = math.nan
         return pair
 
 
@@ -1319,30 +1325,85 @@ class TestErrorAttribution:
             assert cols.probe.mat.tobytes() == want.initial_state.mat.tobytes()
 
 
+def assert_flags_agree(positions, values, speeds, kmins, rates, dim):
+    """`_failing_samples` of a run given entry-major against the checks of
+    `Trajectory` on its dense states: per sample and for the whole run."""
+    n = len(speeds)
+    states = np.zeros((n, dim * dim), dtype=complex)
+    states[:, positions] = values.T
+    states = states.reshape(n, dim, dim)
+    failing = dyn._failing_samples(dyn._Samples((positions, values), speeds, kmins, rates), dim)
+    for i in range(n):
+        sample = (states[i:i + 1], speeds[i:i + 1], kmins[i:i + 1],
+                  None if rates is None else rates[i:i + 1])
+        try:
+            dyn.Trajectory(np.zeros(1), *sample)
+        except InvalidStateError:
+            assert failing[i], i
+        else:
+            assert not failing[i], i
+    try:
+        dyn.Trajectory(np.linspace(0.0, 1.0, n), states, speeds, kmins, rates)
+    except InvalidStateError:
+        assert failing.any()
+    else:
+        assert not failing.any()
+    return failing
+
+
 def test_failing_samples_agree_with_trajectory_checks(rng):
     # a run of samples passes the per-sample checks exactly when a
-    # trajectory made of them passes its own
+    # trajectory made of them passes its own; the run is given entry-major,
+    # without some of the positions that hold +0 in its dense states, and
+    # with signed zeros at others
     n, dim = 9, 3
     for trial in range(60):
-        states = np.array([random_density(rng, dim).mat for _ in range(n)])
+        support = rng.permutation(dim)[:int(rng.integers(1, dim + 1))]
+        states = np.zeros((n, dim, dim), dtype=complex)
+        for state in states:
+            state[np.ix_(support, support)] = random_density(rng, len(support)).mat
+        flat = states.reshape(n, dim * dim)
+        rows, cols = np.divmod(np.arange(dim * dim), dim)
+        outside = np.flatnonzero(~np.isin(rows, support) | ~np.isin(cols, support))
+        absent = outside[rng.random(len(outside)) < 0.5]
+        present = np.setdiff1d(np.arange(dim * dim), absent)
+        for k in np.setdiff1d(outside, absent):
+            flat[:, k] = complex(*rng.choice([0.0, -0.0], size=2))
         speeds, kmins, rates = rng.random(n), rng.random(n), rng.random(n)
         for _ in range(trial % 3):
             i = int(rng.integers(n))
             defect = int(rng.integers(6))
             if defect == 0:
-                states[i] *= 1 + 2e-9 * rng.random()
+                flat[i] *= 1 + 2e-9 * rng.random()
             elif defect == 1:
-                states[i, 0, dim - 1] += 2e-9 * rng.random()
+                off = present[rows[present] != cols[present]]
+                if len(off):
+                    flat[i, rng.choice(off)] += 2e-9 * rng.random()
             elif defect == 2:
-                states[i, 1, 1] = math.nan
+                flat[i, rng.choice(present)] = math.nan
             else:
                 (speeds, kmins, rates)[defect - 3][i] = rng.choice([-1e-300, math.inf, math.nan])
-        times = np.linspace(0.0, 1.0, n)
         for with_rates in (None, rates):
-            failing = dyn._failing_samples(states, speeds, kmins, with_rates)
-            try:
-                dyn.Trajectory(times, states, speeds, kmins, with_rates)
-            except InvalidStateError:
-                assert failing.any(), trial
-            else:
-                assert not failing.any(), trial
+            assert_flags_agree(present, flat[:, present].T.copy(), speeds, kmins, with_rates, dim)
+
+
+def test_failing_samples_at_the_tolerances():
+    # a 3x3 state held at (0, 0), (0, 1) and (1, 1): its (1, 0) mirror and
+    # its (2, 2) diagonal entry are absent. Traces one ulp either side of
+    # 1 +- TRACE_DRIFT_TOL, and asymmetries (an entry against its absent
+    # mirror, an imaginary diagonal part) at HERMITIAN_TOL and one ulp
+    # either side of it
+    eps = np.finfo(float).eps
+    above = math.floor(dyn.TRACE_DRIFT_TOL / eps)
+    below = math.floor(dyn.TRACE_DRIFT_TOL / (eps / 2))
+    traces = [1 + above * eps, 1 + (above + 1) * eps,
+              1 - below * eps / 2, 1 - (below + 1) * eps / 2]
+    tol = linalg.HERMITIAN_TOL
+    asymmetries = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)]
+    columns = [(t - 0.5, 0.0, 0.5) for t in traces]
+    columns += [(0.5, x, 0.5) for x in asymmetries]
+    columns += [(0.5 + 0.5j * x, 0.0, 0.5) for x in asymmetries]
+    values = np.array(columns, dtype=complex).T
+    n = values.shape[1]
+    failing = assert_flags_agree(np.array([0, 1, 4]), values, np.ones(n), np.ones(n), None, 3)
+    assert failing.tolist() == [False, True, False, True] + [False, False, True] * 2

@@ -22,8 +22,9 @@ column, the largest relative move of a cell and the number of cells that
 moved, and the number of lines of `points.txt` that differ.
 
 With `--md5` it writes nothing and prints the md5 of the full-preset CSVs
-that `azqsl figure fig2`, `fig3` and `fig4` write, in `md5sum` format, so
-two checkouts on one host can be compared byte for byte.
+that `azqsl figure fig2`, `fig3` and `fig4` write, and of a user Kraus
+family's sweep (`BIT_FLIP_SWEEP`), in `md5sum` format, so two checkouts on
+one host can be compared byte for byte.
 """
 
 import argparse
@@ -41,6 +42,14 @@ import pytest
 from azqsl import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# the sweep of the bit-flip file family on the figure grid, as
+#   azqsl sweep --set model=custom_kraus_file --set kraus_file=tests/data/bit_flip.txt
+#     --set alpha_grid=0.01,0.99,100 --set time_grid=0,20,100
+BIT_FLIP_SWEEP = cli.SweepConfig(
+    model="custom_kraus_file",
+    kraus_file=str(Path(__file__).resolve().parent / "data" / "bit_flip.txt"),
+    alpha_grid=(0.01, 0.99, 100), time_grid=(0.0, 20.0, 100),
+)
 RTOL = 1e-12
 CASES = {
     "fig2_20x21.csv": ("fig2", (0.01, 0.99, 20), (0.0, 20.0, 21)),
@@ -195,6 +204,8 @@ def print_md5() -> None:
     for name in ("fig2", "fig3", "fig4"):
         digest = hashlib.md5(cli.run_figure(name).encode()).hexdigest()
         print(f"{digest}  {name}.csv")
+    digest = hashlib.md5(cli.run_sweep(BIT_FLIP_SWEEP).encode()).hexdigest()
+    print(f"{digest}  bit_flip.csv")
 
 
 if __name__ == "__main__":
@@ -203,8 +214,8 @@ if __name__ == "__main__":
     mode.add_argument("--diff", action="store_true",
                       help="print the moves against the committed goldens; write nothing")
     mode.add_argument("--md5", action="store_true",
-                      help="print the md5 of the full-preset fig2, fig3 and fig4 CSVs; "
-                           "write nothing")
+                      help="print the md5 of the full-preset fig2, fig3 and fig4 CSVs "
+                           "and of the bit-flip file family's sweep; write nothing")
     args = parser.parse_args()
     if args.diff:
         print_diff()

@@ -93,7 +93,7 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     failing, density_matrix, states = (
         dyn._failing_samples, dyn.DensityMatrix, dyn._SampleStore.states)
     monkeypatch.setattr(dyn, "_failing_samples",
-                        lambda s, *rest: checked.append(len(s)) or failing(s, *rest))
+                        lambda s, dim: checked.append(len(s.speeds)) or failing(s, dim))
     monkeypatch.setattr(dyn, "DensityMatrix",
                         lambda m: validated.append(m.tobytes()) or density_matrix(m))
     monkeypatch.setattr(dyn._SampleStore, "states",
@@ -106,6 +106,16 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     assert len(validated) == len(set(validated)) == 1 + 40
     assert dense == [2] * 40
     assert (panel.errors["qsl"] != None).any()  # noqa: E711 - the panel was filled
+
+
+def test_fig4_ad_panel_writes_no_dense_stack(monkeypatch):
+    """From the closed forms to the sample store, a fig4_ad-shaped panel
+    holds its operators, products and states entry by entry: no gathered
+    stack is scattered and no state stack is made dense."""
+    for name in ("_scatter", "_dense"):
+        monkeypatch.setattr(dyn, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
+    assert (cli.sweep_rows(cfg).errors["qsl"] != None).any()  # noqa: E711
 
 
 def test_panel_fills_in_one_call(monkeypatch):
