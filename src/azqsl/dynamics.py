@@ -817,6 +817,8 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
         dG = None if G is None else _gathered(dK)
         if dG is not None:
             del K, dK
+            # when K and dK hold the same rows, the three products share one
+            # plan, and the states and rates their first factor
             P = _products(G, G, rho0)
             same = _same_rows(G, dG)
             half = P if same else _products(dG, G, rho0)
@@ -829,8 +831,11 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
                     P = _products(G, dG, rho0)
                     first = _first_factors(P, G)
                 values = _times_conj(first, P, dG)
+                del first
                 flat = P.rows * dim + P.cols
-                prods = [(flat[P.ops == l], values[P.ops == l]) for l in range(fam.n_ops)]
+                # the entries come in operator order: each operator's are a run
+                ends = np.searchsorted(P.ops, np.arange(fam.n_ops + 1))
+                prods = [(flat[a:b], values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
         else:
             # Conjugating in place and dropping each stack once no product
             # needs it keeps at most four dense stacks alive at once.
