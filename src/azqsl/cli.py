@@ -326,30 +326,40 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return texts[inverse.ravel()].tolist()
 
 
+# rows per rendered block: a block's cell texts are the largest objects of a
+# render, so only one block's are alive at a time
+_CSV_BLOCK_ROWS = 1000
+
+
 def rows_to_csv(panels: list[tuple[SweepConfig, qsl.Panel]]) -> str:
     """Render one or more panels as a single deterministic CSV string,
-    column by column."""
+    column by column within each block of `_CSV_BLOCK_ROWS` rows."""
     with_norm = any("errors" in cfg.outputs for cfg, _ in panels)
     columns = BASE_COLUMNS + (NORM_COLUMNS if with_norm else []) + ["warnings"]
-    lines = [",".join(columns)]
+    blocks = []
+    lines = [",".join(columns)]  # the header opens the first block
     for cfg, panel in panels:
         rendered = _output_columns(cfg, panel)
+        params = ",".join(_model_param_cells(cfg))
         shape = panel.warnings.shape
-        n = panel.warnings.size
         axes = (panel.alphas[:, None, None], panel.zs[None, :, None], panel.times[None, None, :])
-        cells = [[",".join(_model_param_cells(cfg))] * n]
-        cells += [_fmt_column(np.broadcast_to(axis, shape).ravel()) for axis in axes]
-        cells += [
-            _fmt_column(rendered[col].ravel()) if col in rendered else [""] * n
-            for col in columns[14:-1]
-        ]
-        cells.append(panel.warnings.ravel().tolist())
-        lines += map(",".join, zip(*cells))
-        # the cell texts are the largest objects of a render: drop them
-        # before the next panel's and before the join
-        del cells
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+        flat = [np.broadcast_to(axis, shape).ravel() for axis in axes]
+        flat += [rendered[col].ravel() if col in rendered else None for col in columns[14:-1]]
+        warnings = panel.warnings.ravel()
+        for start in range(0, warnings.size, _CSV_BLOCK_ROWS):
+            rows = slice(start, min(start + _CSV_BLOCK_ROWS, warnings.size))
+            m = rows.stop - start
+            cells = [[params] * m]
+            cells += [[""] * m if values is None else _fmt_column(values[rows]) for values in flat]
+            cells.append(warnings[rows].tolist())
+            lines += map(",".join, zip(*cells))
+            del cells  # before the block's join
+            lines.append("")  # each line's newline, the last one's included
+            blocks.append("\n".join(lines))
+            lines = []
+    if lines:  # no rows: the header alone
+        blocks.append(lines[0] + "\n")
+    return "".join(blocks)
 
 
 def run_sweep(cfg: SweepConfig) -> str:
@@ -462,7 +472,7 @@ print("wrote {out_name}")
 
 def emit_plot_script(csv_text: str, csv_name: str, kind: str, column: str) -> str:
     """Self-contained matplotlib script referencing the CSV by relative path."""
-    header = csv_text.splitlines()[0].split(",") if csv_text else []
+    header = csv_text.partition("\n")[0].split(",") if csv_text else []
     if column not in header:
         raise MissingColumnError(f"column {column!r} not in dataset header {header}")
     if kind not in ("heatmap", "line"):

@@ -1,10 +1,12 @@
 """The panel layer of a sweep: column-wise CSV rendering, the one fill of
 a panel, and the work they save.
 
-`cli.rows_to_csv` formats each distinct float of a column once, so its
-renderer must print exactly what the cell formatter prints for every float,
-signed zeros, infinities, nans and subnormals included, and must tell apart
-floats one ulp apart. h(rho_0; alpha, z) does not depend on t, so a sweep
+`cli.rows_to_csv` renders in blocks of rows and formats each distinct float
+of a column once per block of rows, so its renderer must print exactly what
+the cell formatter prints for every float, signed zeros, infinities, nans
+and subnormals included, and must tell apart floats one ulp apart; the text
+must not depend on the block size, and a render holds one block's cell
+texts at a time. h(rho_0; alpha, z) does not depend on t, so a sweep
 computes it once per (alpha, z) for the whole panel.
 
 `qsl._fill` fills every (alpha, z, t) cell of a panel in one call, with
@@ -16,9 +18,11 @@ its cells as the full panel and as the one-point `integrate_bounds` and
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -60,6 +64,73 @@ def test_column_renderer_equals_cell_formatter(col):
 def test_column_renderer_keeps_signed_zero():
     # ln(1) / (alpha - 1) is -0.0, and -0.0 == 0.0 hash alike
     assert cli._fmt_column(np.array([0.0, -0.0, 0.0])) == ["0", "-0", "0"]
+
+
+# --- rendering in blocks of rows ------------------------------------------------
+
+ALL_OUTPUTS = ("entropy", "bounds", "qsl", "errors")
+WARNING_CELLS = np.array([
+    "", "chain_sign", "error:SupportViolationError",
+    "error:QuadratureTooCoarseError;chain_sign", "loose_bound;chain_sign",
+], dtype=object)
+
+
+def random_panel(rng, shape, specials: bool) -> qsl.Panel:
+    """A hand-filled panel of both groups: random floats in every report
+    field and, with `specials`, nan, +-inf and -0.0 cells and error-tagged
+    warnings."""
+    panel = qsl.Panel(*(np.sort(rng.uniform(0.0, 20.0, n)) for n in shape), ["bounds", "qsl"])
+    for values in panel.values.values():
+        values[...] = rng.random(shape)
+        if specials:
+            values[...] *= 10.0 ** rng.integers(-20, 20, shape)
+            cells = values.reshape(-1)
+            for special in (math.nan, math.inf, -math.inf, -0.0):
+                cells[rng.integers(0, cells.size, max(cells.size // 6, 1))] = special
+    if specials:
+        panel.warnings[...] = WARNING_CELLS[rng.integers(0, len(WARNING_CELLS), shape)]
+    return panel
+
+
+@pytest.mark.parametrize("n_rows", [6, 7, 8, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                                    cli._CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("block", [1, 7, cli._CSV_BLOCK_ROWS])
+def test_blocks_of_rows_render_the_same_text(monkeypatch, block, n_rows):
+    """The CSV text does not depend on the block size: two panels with
+    `_norm` columns, special cells and error-tagged warnings, with row
+    counts below, at and one past a block, render as one whole block."""
+    rng = np.random.default_rng(n_rows)
+    panels = [
+        (cli.SweepConfig(outputs=ALL_OUTPUTS), random_panel(rng, (n_rows, 1, 1), True)),
+        (cli.SweepConfig(model="amplitude_damping", s=10.0, outputs=ALL_OUTPUTS),
+         random_panel(rng, (3, 2, 4), True)),
+    ]
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 10**9)
+    whole = cli.rows_to_csv(panels)
+    lines = whole.split("\n")
+    assert lines[0].split(",")[-3:] == cli.NORM_COLUMNS + ["warnings"]
+    assert len(lines) == 1 + n_rows + 24 + 1 and lines[-1] == ""
+    cells = {cell for line in lines[1:] for cell in line.split(",")}
+    assert {"", "inf", "-inf", "-0", "error:SupportViolationError"} <= cells
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+    assert cli.rows_to_csv(panels) == whole
+
+
+@pytest.mark.parametrize("shape, bound", [((100, 1, 200), 2.5), ((10, 1, 41), 4.5)])
+def test_render_peak_memory_is_a_small_multiple_of_the_text(shape, bound):
+    """Rendering holds one block's cell texts at a time: a 20 000-row panel
+    of random floats peaks at no more than 2.5 times its text (the joined
+    blocks and the result), and a 410-row panel, one block, at 4.5 times."""
+    panels = [(cli.SweepConfig(), random_panel(np.random.default_rng(11), shape, False))]
+    cli.rows_to_csv(panels)  # first-call allocations are not the renderer's
+    tracemalloc.start()
+    try:
+        text = cli.rows_to_csv(panels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + math.prod(shape)
+    assert peak <= bound * len(text), peak / len(text)
 
 
 def test_h_computed_once_per_alpha_z(monkeypatch):
