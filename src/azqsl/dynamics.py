@@ -87,6 +87,22 @@ class AmplitudeDampingParams:
         object.__setattr__(self, "markovian", self.s <= 0.5)
 
 
+def _decoherence_pair(t, lam: float, s: float):
+    """(gamma_t, d gamma_t/dt) from one exp(-x) and one sin or sinh of x q.
+    Each value keeps the operation order of its own closed form."""
+    x = lam * np.asarray(t, dtype=float) / 2.0
+    damp = np.exp(-x)
+    if abs(s - 0.5) < 1e-9:
+        return damp * (1.0 + x), -(lam / 2.0) * x * damp
+    if s < 0.5:
+        q = np.sqrt(1.0 - 2.0 * s)
+        even, odd = np.cosh(x * q), np.sinh(x * q)
+    else:
+        q = np.sqrt(2.0 * s - 1.0)
+        even, odd = np.cos(x * q), np.sin(x * q)
+    return damp * (even + odd / q), -(lam * s / q) * damp * odd
+
+
 def decoherence_gamma(t, lam: float, s: float):
     """Resonant-regime decoherence amplitude.
 
@@ -94,28 +110,12 @@ def decoherence_gamma(t, lam: float, s: float):
     s = 1/2 degeneracy is handled by its closed limit on |s - 1/2| < 1e-9.
     Accepts scalars or arrays of times.
     """
-    x = lam * np.asarray(t, dtype=float) / 2.0
-    damp = np.exp(-x)
-    if abs(s - 0.5) < 1e-9:
-        return damp * (1.0 + x)
-    if s < 0.5:
-        q = np.sqrt(1.0 - 2.0 * s)
-        return damp * (np.cosh(x * q) + np.sinh(x * q) / q)
-    q = np.sqrt(2.0 * s - 1.0)
-    return damp * (np.cos(x * q) + np.sin(x * q) / q)
+    return _decoherence_pair(t, lam, s)[0]
 
 
 def decoherence_gamma_dt(t, lam: float, s: float):
     """Time derivative of decoherence_gamma."""
-    x = lam * np.asarray(t, dtype=float) / 2.0
-    damp = np.exp(-x)
-    if abs(s - 0.5) < 1e-9:
-        return -(lam / 2.0) * x * damp
-    if s < 0.5:
-        q = np.sqrt(1.0 - 2.0 * s)
-        return -(lam * s / q) * damp * np.sinh(x * q)
-    q = np.sqrt(2.0 * s - 1.0)
-    return -(lam * s / q) * damp * np.sin(x * q)
+    return _decoherence_pair(t, lam, s)[1]
 
 
 class _Gathered(NamedTuple):
@@ -299,8 +299,7 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
         """(S, dS), shape (3, n_times): the entries of the single-qubit K_1,
         K_2 on `_AD_SUPPORT` and their derivatives, as complex numbers."""
         lam, s = self.params.lam, self.params.s
-        g = np.asarray(decoherence_gamma(times, lam, s), dtype=float)
-        dg = np.asarray(decoherence_gamma_dt(times, lam, s), dtype=float)
+        g, dg = _decoherence_pair(times, lam, s)
         one_m_g2 = np.maximum(1.0 - g * g, 0.0)
         e2 = np.sqrt(one_m_g2)
         safe = np.where(one_m_g2 > _AD_SERIES_TOL, e2, 1.0)

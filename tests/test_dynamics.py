@@ -206,6 +206,40 @@ class TestAmplitudeDamping:
             assert lo == pytest.approx(mid, abs=1e-9)
             assert hi == pytest.approx(mid, abs=1e-9)
 
+    @staticmethod
+    def separate_formulas(t, lam, s):
+        """gamma_t and its derivative as two separate closed forms."""
+        x = lam * np.asarray(t, dtype=float) / 2.0
+        damp = np.exp(-x)
+        if abs(s - 0.5) < 1e-9:
+            return damp * (1.0 + x), -(lam / 2.0) * x * damp
+        if s < 0.5:
+            q = np.sqrt(1.0 - 2.0 * s)
+            g = damp * (np.cosh(x * q) + np.sinh(x * q) / q)
+            return g, -(lam * s / q) * damp * np.sinh(x * q)
+        q = np.sqrt(2.0 * s - 1.0)
+        g = damp * (np.cos(x * q) + np.sin(x * q) / q)
+        return g, -(lam * s / q) * damp * np.sin(x * q)
+
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.5 - 5e-10, 0.5, 0.5 + 5e-10, 0.7, 10.0])
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_gamma_pair_keeps_the_separate_formulas_bits(self, s, lam):
+        times = np.concatenate([np.linspace(0.0, 20.0, 1001), [1e-300, 3.7, 55.0]])
+        g, dg = self.separate_formulas(times, lam, s)
+        fam = dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(lam, s))
+        S, dS = fam._pair_stacks(times)
+        for got, want in [
+            (dyn.decoherence_gamma(times, lam, s), g),
+            (dyn.decoherence_gamma_dt(times, lam, s), dg),
+            (S[1].real, g),
+            (dS[1].real, dg),
+        ]:
+            np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+        for t in (0.0, 2.5):
+            g0, dg0 = self.separate_formulas(t, lam, s)
+            assert np.float64(dyn.decoherence_gamma(t, lam, s)).view(np.int64) == g0.view(np.int64)
+            assert np.float64(dyn.decoherence_gamma_dt(t, lam, s)).view(np.int64) == dg0.view(np.int64)
+
     def test_derivative_oscillates_when_non_markovian(self):
         grid = np.linspace(1e-4, 10.0, 2000)
         dg = dyn.decoherence_gamma_dt(grid, 1.0, 10.0)
