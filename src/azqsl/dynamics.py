@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -119,10 +119,10 @@ def decoherence_gamma_dt(t, lam: float, s: float):
 
 
 class _Gathered(NamedTuple):
-    """A monomial operator stack, with at most one nonzero per operator row
-    and column over all samples, held by the rows that carry an entry, in
-    (operator, row) order: the values of each one's nonzero, shape
-    (n_rows, n_times), and its operator, row and column, each (n_rows,)."""
+    """A sparse operator stack, held by its entries that can be nonzero at
+    some sample, one per (operator, row, column), in that order: the values
+    of each, shape (n_entries, n_times), and its operator, row and column,
+    each (n_entries,)."""
 
     values: np.ndarray
     ops: np.ndarray
@@ -131,14 +131,13 @@ class _Gathered(NamedTuple):
 
 
 class _Pair(NamedTuple):
-    """What a trajectory reads from a family: the (K, dK) pair, as dense
-    stacks or gathered; the samples at which the pair is regularized
-    (sampled away from the exact time), which only a gathered pair has; and
-    the exact-time operators at those samples, gathered, None when there
-    are none."""
+    """What a trajectory reads from a family: the gathered (K, dK) pair; the
+    samples at which the pair is regularized (sampled away from the exact
+    time); and the exact-time operators at those samples, gathered, None
+    when there are none."""
 
-    K: np.ndarray | _Gathered
-    dK: np.ndarray | _Gathered
+    K: _Gathered
+    dK: _Gathered
     regularized: np.ndarray
     exact: _Gathered | None
 
@@ -151,12 +150,12 @@ class KrausFamily:
     consistent (K, dK) pair that derivative products use. It gives per-time
     functions `ops_fn(t)` and `dops_fn(t)`, each returning n_ops (dim, dim)
     matrices: the operators and their analytic derivatives. Trajectories
-    gather these stacks when their operators are monomial. The built-in
-    channels, and other subclasses that override the stacks, pass
-    `ops_fn=None, dops_fn=None`; the built-ins hand trajectories and
-    `apply_channel` their stacks already gathered from their closed forms,
-    and their dense `op_stacks` and `stacks` scatter those values. Every
-    call returns new arrays, which trajectories overwrite.
+    and `apply_channel` read every family gathered (`_Gathered`), a user
+    family's stacks through `_gather`. The built-in channels, and other
+    subclasses that override the stacks, pass `ops_fn=None, dops_fn=None`;
+    the built-ins hand out their stacks already gathered from their closed
+    forms, and their dense `op_stacks` and `stacks` scatter those values.
+    Every call returns new arrays, which trajectories overwrite.
     """
 
     def __init__(
@@ -192,15 +191,15 @@ class KrausFamily:
         times = np.asarray(times, dtype=float)
         return self.op_stacks(times), self._per_time(self._dops_fn, times)
 
-    def _exact_ops(self, times: np.ndarray) -> np.ndarray | _Gathered:
+    def _exact_ops(self, times: np.ndarray) -> _Gathered:
         """The exact-time operators that `apply_channel` reads."""
-        return self.op_stacks(times)
+        return _gather(self.op_stacks(times))
 
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
-        """The pair that `evolve_kraus` reads. The dense pair of `stacks`
-        is sampled at the exact times, so no sample is regularized."""
+        """The pair that `evolve_kraus` reads. The pair of `stacks` is
+        sampled at the exact times, so no sample is regularized."""
         K, dK = self.stacks(times)
-        return _Pair(K, dK, np.zeros(len(times), dtype=bool), None)
+        return _Pair(_gather(K), _gather(dK), np.zeros(len(times), dtype=bool), None)
 
 
 class _ClosedFormFamily(KrausFamily):
@@ -515,24 +514,27 @@ def coherence_measure(h: HamiltonianModel, rho0: DensityMatrix) -> float:
     return max(float(np.real(-0.25 * np.trace(comm @ comm))), 0.0)
 
 
-def _check_completeness(K: np.ndarray) -> None:
-    n_times, n_ops, dim, _ = K.shape
-    X = K.reshape(n_times, n_ops * dim, dim)
-    gram = np.swapaxes(X, 1, 2).conj() @ X
-    _require_identity(gram - np.eye(dim))
-
-
-def _check_gathered_completeness(G: _Gathered, samples, dim: int) -> None:
-    """`_check_completeness` for the samples `samples` of a gathered stack.
-    With one nonzero per operator row and column, sum_l K_l†K_l is
-    diagonal, and its entry c is the sum of |x|^2 over the operator rows
-    whose nonzero sits in column c, in (operator, row) order."""
+def _check_gathered_completeness(G: _Gathered, dim: int, samples=slice(None)) -> None:
+    """Raise CompletenessViolationError unless sum_l K_l†K_l is the
+    identity at the samples `samples` of a gathered stack. It is checked
+    through its entrywise conjugate, which deviates from the identity as
+    much: entry (c, c') sums K_l[i, c] conj(K_l[i, c']) over the pairs of
+    entries that share an operator row, as `_plan` sums over a shared
+    index, then over operators from zero. In a monomial stack each such
+    pair is an entry with itself: entry (c, c) sums |x|^2 over the entries
+    in column c, in (operator, row) order from zero, and the other entries
+    are zero."""
     x = G.values[:, samples]
-    squares = x.real ** 2 + x.imag ** 2
-    diagonal = np.zeros((dim, x.shape[-1]))
-    for row, c in zip(squares, G.cols):
-        diagonal[c] += row
-    _require_identity(diagonal - 1.0)
+    # K_l transposed: x at (c, i) where K_l holds x at (i, c)
+    transposed = _Gathered(x, G.ops, G.cols, G.rows)
+    P = _plan(transposed, transposed)
+    positions, deviation = _operator_sums(
+        P, _complex(*_sums(P, (x.real, x.imag), x, conj=True)), dim)
+    diagonal = positions % (dim + 1) == 0
+    deviation[diagonal] -= 1.0
+    if np.count_nonzero(diagonal) < dim:  # a diagonal entry without terms is 0, not 1
+        deviation = np.concatenate([deviation, np.ones((1, x.shape[1]))])
+    _require_identity(deviation)
 
 
 def _require_identity(deviation: np.ndarray) -> None:
@@ -543,27 +545,28 @@ def _require_identity(deviation: np.ndarray) -> None:
         )
 
 
-# Trajectories form the products X_l rho_0 Y_l† of two (n_times, n_ops,
-# dim, dim) stacks. When every operator of both stacks has at most one
-# nonzero per row and per column over all samples, as in the built-in
-# channels and the bit-flip file family, each stack is held gathered
-# (`_Gathered`): entry-major, one time vector per operator row that carries
-# a nonzero, with that row's operator, row and column. The built-in
-# channels write that form straight from their closed forms (the nine
-# amplitude-damping products S_a S_b, the eight depolarizing entries), and
-# a dense stack is gathered once by `_gather`. A gathered trajectory is
-# planned once: the entries (l, i, m) of its three products (states
-# K rho_0 K†, speeds dK rho_0 K†, rates K rho_0 dK†) that can be nonzero
-# follow from the rows and the pattern of rho_0 alone (`_products`), and
-# each product is held entry-major too. Entry (i, m) of a product is the
-# single triple product (x_i rho_0[c(i), d(m)]) conj(y_m), rounded as
-# einsum rounds it (`_cmul`); sums over operators run in operator order
-# from a zero start. That is the arithmetic of the three-operand einsum,
-# so no bit moves. The states and rates share the first factor when K and
-# dK hold the same rows, and then the three products share one plan. A
-# row that is zero at every sample but carries an entry gives zeros, which
-# leave the operator sums and the spectra as a detected empty row leaves
-# them.
+# Trajectories form the products X_l rho_0 Y_l† of two operator stacks:
+# the states K rho_0 K†, the speeds dK rho_0 K† and the rates K rho_0 dK†.
+# Every stack is held gathered (`_Gathered`), one time vector per entry
+# that can be nonzero: the built-in channels write their entries straight
+# from their closed forms, and `_gather` reads any other family's dense
+# stacks. A product is contracted in two stages over a shared index,
+# A = X rho_0 and then A Y†, each planned from the entries of its factors
+# and the pattern of rho_0 alone (`_plan`); a channel keeps those from run
+# to run, so the plans are cached by them. An entry sums its terms in index
+# order and takes a one-term sum as that term, with no +0 start; each term
+# is rounded as einsum rounds a product (`_cmul`). Sums over operators run
+# in operator order from a zero start. The states and rates share
+# A = K rho_0, and completeness is checked on a plan of the same kind.
+#
+# In a monomial stack, with at most one nonzero per operator row and
+# column (the built-in channels, the bit-flip file family), every entry of
+# A and of a product has one term: entry (i, m) of a product is the single
+# triple product (x_i rho_0[c(i), d(m)]) conj(y_m), the arithmetic of the
+# three-operand einsum, so no bit moves from it. Other families, such as
+# Stinespring dilations, move from it by rounding. An entry that is zero
+# at a sample adds exact zeros to that sample's sums, which leave a
+# nonzero sum and an operator sum's zero start as they are.
 #
 # The state of a run is held as entries too, the flat positions where it
 # can be nonzero and one time vector per position (every other entry +0),
@@ -571,11 +574,8 @@ def _require_identity(deviation: np.ndarray) -> None:
 # lower triangle to `linalg._sample_spectra`, `_failing_samples` reads its
 # trace and asymmetry, and `_SampleStore` keeps its nonzero parts. Dense
 # stacks are written only where a caller reads them: `Trajectory.states`,
-# the end states of a sweep column, `apply_channel`, the dense stacks of
-# the built-in channels, and the contractions of a family that does not
-# gather. Those form X rho_0 once per stack and contract it with conj(Y) in
-# a two-operand einsum that keeps the operator sum inside it; that grouping
-# moves results by about 1e-16.
+# the end states of a sweep column, `apply_channel` and the dense stacks of
+# the built-in channels.
 #
 # The trajectories of a sweep panel share their samples (`_outcomes`):
 # the horizons' grids are joined, each distinct sample time is evaluated
@@ -584,43 +584,19 @@ def _require_identity(deviation: np.ndarray) -> None:
 # states, `_trajectories` gathers its trajectory. This work is elementwise
 # in time, and `linalg._sample_spectra` gives each sample the value of its
 # own pattern, so a sample gets the same bits in every run it could sit
-# in. A run that fails a check raises as a whole, and each horizon that
-# holds one of its samples is evaluated again on its own, so a bad sample
-# fails only the horizons that hold it, with the error of their own call.
-# The gathered-or-dense choice above is made per run from the samples it
-# holds, so a user family's dense stacks may gather in one run and not in
-# the call of a horizon that holds the same samples. That moves no bit: at
-# a sample whose operators are monomial, every term of a dense einsum sum
-# is a gathered triple product or an exact zero, and the sum meets its
-# nonzero terms in operator order, so the dense contractions give the
-# sample the gathered bits (`TestContractions` draws random monomial
-# stacks with exact zeros, `TestSharedSamples` a switching permutation).
+# in, even where the run gathers entries that are zero at it
+# (`TestContractions` pads monomial stacks with zero entries,
+# `TestSharedSamples` runs a family that switches permutation). A run
+# that fails a check raises as a whole, and each horizon that holds one of
+# its samples is evaluated again on its own, so a bad sample fails only
+# the horizons that hold it, with the error of their own call.
 
 
-def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
-    """Per operator and row, the column of the row's single nonzero over the
-    union of the stack's samples, -1 for a row empty at every sample; None
-    when an operator has two nonzeros in a row or a column."""
-    nonzero = np.any(stack != 0, axis=0)
-    if np.any(nonzero.sum(axis=2) > 1) or np.any(nonzero.sum(axis=1) > 1):
-        return None
-    return np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), -1)
-
-
-def _gather(stack: np.ndarray) -> _Gathered | None:
-    """A dense stack gathered, or None when it is not monomial: the rows
-    with a column of `_monomial_columns`."""
-    cols = _monomial_columns(stack)
-    if cols is None:
-        return None
-    ops, rows = np.nonzero(cols >= 0)
-    cols = cols[ops, rows]
+def _gather(stack: np.ndarray) -> _Gathered:
+    """A dense (n_times, n_ops, dim, dim) stack gathered: its entries that
+    are nonzero (or NaN) at some sample."""
+    ops, rows, cols = np.nonzero(np.any(stack != 0, axis=0))
     return _Gathered(np.moveaxis(stack, 0, -1)[ops, rows, cols], ops, rows, cols)
-
-
-def _gathered(stack: np.ndarray | _Gathered) -> _Gathered | None:
-    """A gathered stack as it is, a dense one through `_gather`."""
-    return stack if isinstance(stack, _Gathered) else _gather(stack)
 
 
 def _scatter(G: _Gathered, n_ops: int, dim: int) -> np.ndarray:
@@ -630,56 +606,104 @@ def _scatter(G: _Gathered, n_ops: int, dim: int) -> np.ndarray:
     return out
 
 
-class _Products(NamedTuple):
-    """A trajectory's plan of the products X_l rho_0 Y_l† of two gathered
-    stacks: the entries (ops, rows, cols) that can be nonzero, in (l, i, m)
-    order, where rho_0 is nonzero at the columns of X's row i and Y's row
-    m; the rows of X and of Y that form each (`first`, `second`); and that
-    entry of rho_0 for each, shape (n_entries, 1)."""
+def _rho_factor(rho0: DensityMatrix) -> _Gathered:
+    """rho_0 as the second factor V of X rho_0 = sum_j X_l[i, j] V[k, j],
+    for every operator (`ops` is None): its nonzero entries (j, k), each
+    held at (k, j), with values shape (n_entries, 1)."""
+    j, k = np.nonzero(rho0.mat)
+    return _Gathered(rho0.mat[j, k, None], None, k, j)
+
+
+class _Plan(NamedTuple):
+    """The sums sum_s U_l[i, s] V_l[m, s] of two sparse stacks over their
+    shared column index s, planned from their entries: the entries
+    (l, i, m) where a sum has a term, in (operator, row, column) order, and
+    its terms in rounds. Round r holds the r-th term, in index order of s,
+    of the entries `at[r]` that have one, formed from the entries `left[r]`
+    of U and `right[r]` of V; round 0 holds the first term of every entry,
+    in entry order."""
 
     ops: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-    rho: np.ndarray
+    left: tuple
+    right: tuple
+    at: tuple
 
 
-def _products(X: _Gathered, Y: _Gathered, rho0: DensityMatrix) -> _Products:
-    rho = rho0.mat[X.cols[:, None], Y.cols[None, :]]
-    e, f = np.nonzero((X.ops[:, None] == Y.ops[None, :]) & (rho != 0))
-    return _Products(X.ops[e], X.rows[e], Y.rows[f], e, f, rho[e, f, None])
+def _plan(U, V) -> _Plan:
+    """The `_Plan` of two stacks given by their entries (`ops`, `rows`,
+    `cols`); a V whose `ops` is None pairs with every operator. A channel
+    holds the same entries from run to run, so plans are cached by them."""
+    return _entries_plan(*(None if a is None else tuple(a.tolist())
+                           for a in (U.ops, U.rows, U.cols, V.ops, V.rows, V.cols)))
 
 
-def _same_rows(X: _Gathered, Y: _Gathered) -> bool:
-    """Whether two gathered stacks hold the same rows, so that any plan with
-    one of them as a factor is the plan with the other."""
-    return all(np.array_equal(a, b) for a, b in zip(X[1:], Y[1:]))
+@lru_cache(maxsize=256)
+def _entries_plan(u_ops, u_rows, u_cols, v_ops, v_rows, v_cols) -> _Plan:
+    """`_plan` of entries given as tuples. Its arrays are shared by every
+    call, so they are read-only."""
+    u_ops, u_rows, u_cols, v_rows, v_cols = (
+        np.array(a, dtype=np.int64) for a in (u_ops, u_rows, u_cols, v_rows, v_cols))
+    match = u_cols[:, None] == v_cols
+    if v_ops is not None:
+        match &= u_ops[:, None] == np.array(v_ops, dtype=np.int64)
+    e, f = np.nonzero(match)
+    # one integer per (l, i, m), and per term (l, i, m, s)
+    n = 1 + max(u_rows.max(initial=0), u_cols.max(initial=0), v_rows.max(initial=0))
+    key = (u_ops[e] * n + u_rows[e]) * n + v_rows[f]
+    order = np.argsort(key * n + u_cols[e])
+    e, f, key = e[order], f[order], key[order]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    entry = np.cumsum(first) - 1
+    rank = np.arange(len(e)) - starts[entry]
+    rounds = [rank == r for r in range(1, rank.max(initial=0) + 1)]
+    plan = _Plan(u_ops[e[starts]], u_rows[e[starts]], v_rows[f[starts]],
+                 (e[first], *(e[r] for r in rounds)), (f[first], *(f[r] for r in rounds)),
+                 (np.arange(len(starts)), *(entry[r] for r in rounds)))
+    for a in (*plan[:3], *plan.left, *plan.right, *plan.at):
+        a.setflags(write=False)
+    return plan
 
 
-def _first_factors(P: _Products, X: _Gathered):
-    """x_i rho_0[c(i), d(m)] at the entries of `P`, as its real and
-    imaginary parts."""
-    x = X.values
-    return linalg._cmul(x.real[P.first], x.imag[P.first], P.rho.real, P.rho.imag)
+def _sums(P: _Plan, U, V: np.ndarray, conj: bool = False):
+    """The sums of `P` from the real and imaginary parts `U` of U's values
+    and the values of V, or of conj(V) when `conj` is set, as their real
+    and imaginary parts, shape (n_entries, n_times): one round of textbook
+    products (`linalg._cmul`) at a time, each added to the entry it belongs
+    to."""
+    (ur, ui), (vr, vi) = U, (V.real, V.imag)
+    out_re = out_im = None
+    for left, right, at in zip(P.left, P.right, P.at):
+        re, im = linalg._cmul(ur[left], ui[left], vr[right], -vi[right] if conj else vi[right])
+        if out_re is None:
+            out_re, out_im = re, im
+        elif len(at) == len(out_re):  # every entry, in order
+            out_re += re
+            out_im += im
+        else:
+            out_re[at] += re
+            out_im[at] += im
+        del re, im  # before the next round's products are formed
+    return out_re, out_im
 
 
-def _times_conj(first, P: _Products, Y: _Gathered) -> np.ndarray:
-    """The products at the entries of `P` from their first factors, shape
-    (n_entries, n_times), formed on contiguous real and imaginary parts."""
-    y = Y.values
-    re, im = linalg._cmul(*first, y.real[P.second], -y.imag[P.second])
+def _products(P: _Plan, XR, Y: _Gathered) -> np.ndarray:
+    """X_l rho_0 Y_l† at the entries of `P`, a plan of X rho_0 against Y,
+    from the parts `XR` of X rho_0, shape (n_entries, n_times)."""
+    return _complex(*_sums(P, XR, Y.values, conj=True))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with the given real and imaginary parts."""
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
 
 
-def _product_values(P: _Products, X: _Gathered, Y: _Gathered) -> np.ndarray:
-    """The products at the entries of `P`, shape (n_entries, n_times)."""
-    return _times_conj(_first_factors(P, X), P, Y)
-
-
-def _operator_sums(P: _Products, values: np.ndarray, dim: int):
+def _operator_sums(P: _Plan, values: np.ndarray, dim: int):
     """The sum over operators of the products with the given values: the
     flat positions it can be nonzero at, ascending, and its values there,
     shape (n_positions, n_times), each summed in operator order from zero."""
@@ -723,7 +747,7 @@ def _plus_adjoint(positions: np.ndarray, values: np.ndarray, dim: int):
     return union, padded[slot[union]] + np.conj(padded[slot[m * dim + i]])
 
 
-def _hermitian_sum(P: _Products, values: np.ndarray, dim: int):
+def _hermitian_sum(P: _Plan, values: np.ndarray, dim: int):
     """(M + M†) / 2 for M the sum over operators of the products with the
     given values: the entries of a state."""
     positions, doubled = _plus_adjoint(*_operator_sums(P, values, dim), dim)
@@ -732,8 +756,11 @@ def _hermitian_sum(P: _Products, values: np.ndarray, dim: int):
 
 def _state_entries(G: _Gathered, rho0: DensityMatrix):
     """sum_l K_l rho_0 K_l† of a gathered stack, as entries."""
-    P = _products(G, G, rho0)
-    return _hermitian_sum(P, _product_values(P, G, G), rho0.dim)
+    rho = _rho_factor(rho0)
+    R = _plan(G, rho)
+    P = _plan(R, G)
+    KR = _sums(R, (G.values.real, G.values.imag), rho.values)
+    return _hermitian_sum(P, _products(P, KR, G), rho0.dim)
 
 
 def _replaced(state: tuple, samples: np.ndarray, other: tuple) -> tuple:
@@ -749,26 +776,14 @@ def _replaced(state: tuple, samples: np.ndarray, other: tuple) -> tuple:
     return union, out
 
 
-def _times_rho(X: np.ndarray, rho0: DensityMatrix) -> np.ndarray:
-    """X_l rho_0 for each sample and operator."""
-    return np.einsum("tlij,jk->tlik", X, rho0.mat)
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(np.swapaxes(m, 1, 2))) / 2
-
-
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†."""
+    """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†, after the
+    completeness check that `evolve_kraus` makes."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     K = fam._exact_ops(np.array([float(t)]))
-    G = _gathered(K)
-    if G is None:
-        state = _hermitian(np.einsum("tlik,tlmk->tim", _times_rho(K, rho0), K.conj()))
-    else:
-        state = _dense(*_state_entries(G, rho0), rho0.dim)
-    return DensityMatrix(state[0])
+    _check_gathered_completeness(K, rho0.dim)
+    return DensityMatrix(_dense(*_state_entries(K, rho0), rho0.dim)[0])
 
 
 def evolve_kraus(
@@ -783,13 +798,12 @@ def evolve_kraus(
     the samples where the family regularizes the pair; those states are
     rebuilt from the exact-time operators. The built-in channels hand out
     the pair gathered from their closed forms, so no dense stack is built,
-    scanned or compared; a user family's dense pair is gathered when its
-    operators are monomial. A gathered pair is planned once: its products
-    and the states are formed entry by entry at the entries that can be
-    nonzero, and the speeds, k_min and rates take
-    `linalg._sample_spectra`, which evaluates each matrix's blocks on every
-    sample at once and again only where a sample is zero at one of its
-    entries. A derivative stack with a NaN or an infinity raises
+    scanned or compared; a user family's dense pair is gathered. The
+    products and the states are formed entry by entry, in two planned
+    stages, at the entries that can be nonzero, and the speeds, k_min and
+    rates take `linalg._sample_spectra`, which evaluates each matrix's
+    blocks on every sample at once and again only where a sample is zero
+    at one of its entries. A derivative stack with a NaN or an infinity raises
     InvalidStateError before any product is formed. The one-horizon case
     of `_outcomes`."""
     return _evolve(fam, rho0, tau, n_steps, rates)
@@ -800,55 +814,33 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
     run raises at the first check it fails, in `evolve_kraus` order, before
     any product is formed."""
     dim = rho0.dim
+    rho = _rho_factor(rho0)
 
     def sample(times: np.ndarray) -> _Samples:
         K, dK, regularized, exact = fam._trajectory_pair(times)
-        G = _gathered(K)
-        if G is None:
-            _check_completeness(K)
-        else:
-            # the pair's K is the exact-time stack outside the regularized rows
-            _check_gathered_completeness(G, slice(None) if rates else ~regularized, dim)
+        # the pair's K is the exact-time stack outside the regularized rows
+        _check_gathered_completeness(K, dim, slice(None) if rates else ~regularized)
         if regularized.any():
-            _check_completeness(_scatter(exact, fam.n_ops, dim))
-        if not np.all(np.isfinite(dK.values if isinstance(dK, _Gathered) else dK)):
+            _check_gathered_completeness(exact, dim)
+        if not np.all(np.isfinite(dK.values)):
             raise InvalidStateError("non-finite Kraus derivative along trajectory")
-        dG = None if G is None else _gathered(dK)
-        if dG is not None:
-            del K, dK
-            # when K and dK hold the same rows, the three products share one
-            # plan, and the states and rates their first factor
-            P = _products(G, G, rho0)
-            same = _same_rows(G, dG)
-            half = P if same else _products(dG, G, rho0)
-            speeds = _schatten_speeds(_plus_adjoint(*_operator_sums(
-                half, _product_values(half, dG, G), dim), dim), dim)
-            first = _first_factors(P, G)
-            state = _hermitian_sum(P, _times_conj(first, P, G), dim)
-            if rates:
-                if not same:
-                    P = _products(G, dG, rho0)
-                    first = _first_factors(P, G)
-                values = _times_conj(first, P, dG)
-                del first
-                flat = P.rows * dim + P.cols
-                # the entries come in operator order: each operator's are a run
-                ends = np.searchsorted(P.ops, np.arange(fam.n_ops + 1))
-                prods = [(flat[a:b], values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
-        else:
-            # Conjugating in place and dropping each stack once no product
-            # needs it keeps at most four dense stacks alive at once.
-            KR = _times_rho(K, rho0)
-            Kc = np.conjugate(K, out=K)
-            del K
-            half = np.einsum("tlik,tlmk->tim", _times_rho(dK, rho0), Kc)
-            speeds = _schatten_speeds(_entries(half + np.conj(np.swapaxes(half, 1, 2))), dim)
-            del half
-            state = _entries(_hermitian(np.einsum("tlik,tlmk->tim", KR, Kc)))
-            del Kc
-            if rates:
-                dense = np.einsum("tlik,tlmk->tlim", KR, np.conjugate(dK, out=dK))
-                prods = [_entries(dense[:, l]) for l in range(fam.n_ops)]
+        R, dR = _plan(K, rho), _plan(dK, rho)
+        KR = _sums(R, (K.values.real, K.values.imag), rho.values)
+        P = _plan(R, K)
+        state = _hermitian_sum(P, _products(P, KR, K), dim)
+        half = _plan(dR, K)
+        dKR = _sums(dR, (dK.values.real, dK.values.imag), rho.values)
+        speeds = _schatten_speeds(_plus_adjoint(*_operator_sums(
+            half, _products(half, dKR, K), dim), dim), dim)
+        del dKR
+        if rates:
+            P = _plan(R, dK)
+            values = _products(P, KR, dK)
+            flat = P.rows * dim + P.cols
+            # the entries come in operator order: each operator's are a run
+            ends = np.searchsorted(P.ops, np.arange(fam.n_ops + 1))
+            prods = [(flat[a:b], values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        del KR
         if regularized.any():
             state = _replaced(state, regularized, _state_entries(exact, rho0))
         rate_sums = _kraus_rates(prods, dim) if rates else None
@@ -968,9 +960,8 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
     once, in runs of `n_steps` times. Every per-sample quantity is
     elementwise in time and `linalg._sample_spectra` gives each sample the
     value of its own pattern, so a sample has the same bits whichever
-    horizons hold it; at a monomial sample the dense contractions give the
-    gathered bits, so a run may gather where a horizon's own call does not.
-    A run that fails a check raises as a whole, so each horizon that holds
+    horizons hold it; the entries a run's other samples add to a gathered
+    stack are zero at it and add only exact zeros. A run that fails a check raises as a whole, so each horizon that holds
     a sample of it is evaluated again on its own and gets the outcome of
     its own call. The outcomes are made one at a time as the caller asks
     for them."""

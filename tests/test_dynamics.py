@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from azqsl import cli, linalg
 from azqsl import dynamics as dyn
-from azqsl import linalg
 from azqsl.entropy import EntropyParams
 from azqsl.errors import (
     AzqslError,
@@ -19,7 +20,14 @@ from azqsl.errors import (
     NotHermitianError,
 )
 from azqsl.qsl import qsl_nonunitary
-from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
+from azqsl.states import (
+    BlochVector,
+    DensityMatrix,
+    GHZMixedParams,
+    bloch_state,
+    ghz_mixed,
+    load_state,
+)
 from helpers import random_bloch_state, random_density, stinespring_family
 
 
@@ -377,15 +385,34 @@ class TestTrajectories:
         traces = np.einsum("tii->t", traj.states).real
         assert np.max(np.abs(traces - 1.0)) <= 1e-9
 
-    def test_completeness_violation_raises(self):
+    # a scaled identity, and a projector whose second column holds no entry
+    @pytest.mark.parametrize("op", [0.9 * np.eye(2), np.diag([1.0, 0.0])])
+    def test_completeness_violation_raises(self, op):
         bad = dyn.KrausFamily(
             dim=2,
             n_ops=1,
-            ops_fn=lambda t: [0.9 * np.eye(2, dtype=complex)],
+            ops_fn=lambda t: [op.astype(complex)],
             dops_fn=lambda t: [np.zeros((2, 2), dtype=complex)],
         )
         with pytest.raises(CompletenessViolationError):
             dyn.evolve_kraus(bad, bloch_state(BlochVector(0.3)), 1.0, 11)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    def test_off_diagonal_completeness_violation_raises(self, rates):
+        # K_1 = (|0><0| + |0><1|)/sqrt(2) and K_2 = (|1><0| + |1><1|)/sqrt(2):
+        # sum K†K has a unit diagonal and off-diagonal entries of 1, so only
+        # a check of the off-diagonal entries finds the violation. The probe
+        # without coherence maps to a valid state.
+        row = np.full(2, math.sqrt(0.5), dtype=complex)
+        ops = [np.array([row, np.zeros(2)]), np.array([np.zeros(2), row])]
+        zeros = [np.zeros((2, 2), dtype=complex)] * 2
+        fam = dyn.KrausFamily(dim=2, n_ops=2, ops_fn=lambda t: ops, dops_fn=lambda t: zeros)
+        for probe in (BlochVector(0.3), BlochVector(0.6, 0.9, 0.4)):
+            rho0 = bloch_state(probe)
+            with pytest.raises(CompletenessViolationError):
+                dyn.evolve_kraus(fam, rho0, 1.0, 11, rates=rates)
+            with pytest.raises(CompletenessViolationError):
+                dyn.apply_channel(fam, rho0, 0.5)
 
     def test_kraus_triangle_bound(self, rng):
         cases = [
@@ -540,10 +567,10 @@ def oracle_pair(fam, times):
 
 class OracleFamily(dyn.KrausFamily):
     """A built-in channel seen only through the dense stacks of
-    `oracle_pair`: trajectories gather them by detection, and the samples at
-    which the pair's K differs from the exact-time operators are found by
-    comparing the two stacks; the exact-time operators there are gathered
-    by detection too."""
+    `oracle_pair`, gathered by detection: the entries nonzero at some
+    sample. The samples at which the pair's K differs from the exact-time
+    operators are found by comparing the two stacks; the exact-time
+    operators there are gathered by detection too."""
 
     def __init__(self, fam):
         super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None, dops_fn=None)
@@ -555,7 +582,8 @@ class OracleFamily(dyn.KrausFamily):
     def _trajectory_pair(self, times):
         K_exact, K, dK = oracle_pair(self.fam, times)
         regularized = np.any(K != K_exact, axis=(1, 2, 3))
-        return dyn._Pair(K, dK, regularized, dyn._gather(K_exact[regularized]))
+        return dyn._Pair(dyn._gather(K), dyn._gather(dK), regularized,
+                         dyn._gather(K_exact[regularized]))
 
 
 # regions of the built-in families that the dense-oracle test draws from
@@ -686,6 +714,18 @@ def gathered_row(G, op, row):
     return k
 
 
+def every_entry(stack):
+    """A dense stack gathered with every one of its entries, zero or not."""
+    n_times, n_ops, dim, _ = stack.shape
+    ops, rows, cols = np.indices((n_ops, dim, dim)).reshape(3, -1)
+    return dyn._Gathered(np.moveaxis(stack, 0, -1).reshape(-1, n_times), ops, rows, cols)
+
+
+def assert_near_oracle(got, want):
+    """Within 1e-14 of the oracle's largest entry."""
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def no_call(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} called")
@@ -694,12 +734,14 @@ def no_call(name):
 
 
 class TestContractions:
-    # Operators with at most one nonzero per row and column over all
-    # samples are gathered into values and columns, and each entry of a
-    # product is the oracle's single triple product, summed over operators
-    # in operator order: the same bits. Other families take two-operand
-    # einsums that keep the operator sum inside them. The 7e-8 horizons put
-    # eleven depolarizing samples below the clamping floor.
+    # Every family is contracted from its gathered entries in two stages,
+    # K rho_0 and then its product with a conjugated stack. When operators
+    # have at most one nonzero per row and column over all samples, every
+    # entry of a stage is one term, and each entry of a product is the
+    # oracle's single triple product, summed over operators in operator
+    # order: the same bits. Other families agree with the oracle up to
+    # rounding. The 7e-8 horizons put eleven depolarizing samples below
+    # the clamping floor.
     MONOMIAL = {
         "depolarizing": (BUILT_IN_FAMILIES["depolarizing"], (7.0, 7e-8)),
         "amplitude_damping": (BUILT_IN_FAMILIES["amplitude_damping"], (17.0, 7e-8)),
@@ -738,23 +780,30 @@ class TestContractions:
     @seed(20261021)
     @settings(max_examples=120, deadline=None, database=None)
     @given(monomial_cases(), st.booleans())
-    def test_dense_contractions_equal_gathered_ones(self, case, rates):
-        # on a monomial stack the dense einsums give the gathered products'
-        # bits, so whether a run of samples gathers moves no result: a
-        # panel's runs may gather where a horizon's own call does not
+    def test_zero_entries_move_no_bit(self, case, rates):
+        # a monomial stack gathered with every entry, zero or not, sums
+        # exact zeros into every entry of its products: the gathered
+        # products' bits stay, so a panel's run may hold entries that are
+        # zero at the samples of a horizon whose own call does not
         fam, rho0, tau, n_steps = case
         picked = np.linspace(0.0, tau, n_steps)[[0, n_steps // 2, -1]]
         gathered = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
         channel = [dyn.apply_channel(fam, rho0, t).mat for t in picked]
-        with mock.patch.object(dyn, "_gather", lambda stack: None):
-            dense = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
+        with mock.patch.object(dyn, "_gather", every_entry):
+            padded = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
             for t, want in zip(picked, channel):
                 assert dyn.apply_channel(fam, rho0, t).mat.tobytes() == want.tobytes()
-        assert_same_outcome(dense, gathered)
+        assert_same_outcome(padded, gathered)
 
-    @pytest.mark.parametrize("name", sorted(MONOMIAL))
-    def test_monomial_families_skip_einsum(self, name, monkeypatch):
-        (fam, rho0), horizons = self.MONOMIAL[name]
+    @pytest.mark.parametrize("name", sorted(MONOMIAL) + ["stinespring_2_3", "stinespring_4_4"])
+    def test_families_skip_einsum(self, name, monkeypatch):
+        if name in self.MONOMIAL:
+            (fam, rho0), horizons = self.MONOMIAL[name]
+        else:
+            dim, n_ops = map(int, name.split("_")[1:])
+            rng = np.random.default_rng(dim * 10 + n_ops)
+            fam, rho0 = stinespring_family(rng, dim, n_ops), random_density(rng, dim)
+            horizons = (2.0,)
         monkeypatch.setattr(np, "einsum", no_call("einsum"))
         for tau in horizons:
             dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
@@ -853,8 +902,7 @@ class TestContractions:
         # the built-in channels hand out their gathered closed forms: no
         # dense stack is built, scanned for its pattern or gathered
         (fam, rho0), horizons = self.MONOMIAL[name]
-        for target in ("_monomial_columns", "_gather"):
-            monkeypatch.setattr(dyn, target, no_call(target))
+        monkeypatch.setattr(dyn, "_gather", no_call("_gather"))
         for cls in (dyn.DepolarizingFamily, dyn.AmplitudeDampingFamily):
             for method in ("op_stacks", "stacks"):
                 monkeypatch.setattr(cls, method, no_call(f"{cls.__name__}.{method}"))
@@ -865,22 +913,27 @@ class TestContractions:
             dyn.apply_channel(fam, rho0, 0.0)
 
     @pytest.mark.parametrize("name", sorted(MONOMIAL))
-    def test_monomial_families_form_no_gram_product(self, name, monkeypatch):
-        # completeness comes from the gathered values; only the exact-time
-        # operators at regularized (clamped depolarizing) samples take the
-        # dense Gram product, and a family without such samples takes none
+    def test_regularized_samples_take_a_second_check(self, name, monkeypatch):
+        # the pair's K is checked at every sample when rates are asked for;
+        # only the exact-time operators at regularized (clamped
+        # depolarizing) samples take a second check, and a family without
+        # such samples takes none
         (fam, rho0), horizons = self.MONOMIAL[name]
         checked = []
-        monkeypatch.setattr(dyn, "_check_completeness", checked.append)
+        check = dyn._check_gathered_completeness
+        monkeypatch.setattr(dyn, "_check_gathered_completeness",
+                            lambda G, *args: checked.append(G) or check(G, *args))
         for tau in horizons:
             times = np.linspace(0.0, tau, 1001)
             dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
+            assert checked[0].values.shape[1] == len(times)
             if isinstance(fam, dyn.DepolarizingFamily):
                 clamped = times < dyn.DEPOLARIZING_T_FLOOR / fam.params.gamma
-                (K,) = checked
-                assert np.array_equal(K, fam.op_stacks(times[clamped]))
+                (_, exact) = checked
+                assert np.array_equal(dyn._scatter(exact, fam.n_ops, fam.dim),
+                                      fam.op_stacks(times[clamped]))
             else:
-                assert checked == []
+                assert len(checked) == 1
             checked.clear()
 
     def test_amplitude_damping_kronecker_stacks(self):
@@ -925,25 +978,28 @@ class TestContractions:
             dyn.evolve_kraus(fam, rho0, 3.0, 101, rates=rates)
 
     @staticmethod
-    def assert_dense_matches_oracle(fam, rho0, tau, monkeypatch):
-        monkeypatch.setattr(dyn, "_products", no_call("_products"))
+    def assert_dense_matches_oracle(fam, rho0, tau):
         traj = dyn.evolve_kraus(fam, rho0, tau, 1001, rates=True)
         states, speeds, kmins, want_terms = oracle_contractions(
             *oracle_pair(fam, traj.times), rho0
         )
-        assert np.max(np.abs(traj.states - states)) <= 1e-13
-        assert np.max(np.abs(traj.kmins - kmins)) <= 1e-13
-        assert np.max(np.abs(traj.speeds - speeds) / speeds) <= 1e-12
-        assert np.max(np.abs(traj.rates / want_terms.sum(axis=1) - 1.0)) <= 1e-12
+        assert_near_oracle(traj.states, states)
+        assert_near_oracle(traj.kmins, kmins)
+        assert_near_oracle(traj.speeds, speeds)
+        assert_near_oracle(traj.rates, want_terms.sum(axis=1))
+        for t in traj.times[[0, len(traj.times) // 2, -1]]:
+            assert_near_oracle(dyn.apply_channel(fam, rho0, t).mat,
+                               oracle_contractions(*oracle_pair(fam, [t]), rho0)[0][0])
 
     @pytest.mark.parametrize("dim,n_ops", [(2, 3), (3, 2), (4, 4)])
-    def test_dense_family_matches_oracle(self, dim, n_ops, monkeypatch):
+    def test_dense_family_matches_oracle(self, dim, n_ops):
         rng = np.random.default_rng(dim * 10 + n_ops)
         fam = stinespring_family(rng, dim, n_ops)
-        self.assert_dense_matches_oracle(fam, random_density(rng, dim), 2.0, monkeypatch)
+        self.assert_dense_matches_oracle(fam, random_density(rng, dim), 2.0)
 
-    def test_monomial_operators_with_dense_derivatives_take_einsum(self, monkeypatch):
-        # K gathers, its derivative does not: the dense contractions read K
+    def test_monomial_operators_with_dense_derivatives_match_oracle(self):
+        # K is monomial, its derivative is dense: the products with dK sum
+        # several terms per entry
         rng = np.random.default_rng(12)
         times = np.linspace(0.0, 2.0, 1001)
         p = 0.3
@@ -951,9 +1007,9 @@ class TestContractions:
         K = np.repeat(ops[None].astype(complex), len(times), axis=0)
         dK = rng.normal(size=K.shape) + 1j * rng.normal(size=K.shape)
         fam = TableFamily(times, K, dK)
-        self.assert_dense_matches_oracle(fam, random_density(rng, 2), 2.0, monkeypatch)
+        self.assert_dense_matches_oracle(fam, random_density(rng, 2), 2.0)
 
-    def test_switching_permutation_takes_einsum(self, monkeypatch):
+    def test_switching_permutation_matches_oracle(self):
         # monomial at every sample, but the permutations change halfway, so
         # the union over samples has two nonzeros in a row
         rng = np.random.default_rng(11)
@@ -967,7 +1023,22 @@ class TestContractions:
         dK = monomial_stack(random_amplitudes(rng, len(times), 2, 3, 0.0, unit_columns=False),
                             [np.arange(3), np.array([2, 0, 1])])
         fam = TableFamily(times, K, dK)
-        self.assert_dense_matches_oracle(fam, random_density(rng, 3), 2.0, monkeypatch)
+        self.assert_dense_matches_oracle(fam, random_density(rng, 3), 2.0)
+
+    def test_kraus_file_family_matches_oracle(self):
+        # two-qubit amplitude damping with decay probability 0.36, rotated
+        # by H ⊗ H: K_jl = (H K_j H) ⊗ (H K_l H), entries written to 17
+        # digits. Every entry of every operator is nonzero.
+        data = Path(__file__).parent / "data"
+        fam = cli.load_kraus_file(str(data / "hh_amplitude_damping.txt"))
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        singles = [h @ np.diag([1.0, 0.8]) @ h, h @ np.array([[0.0, 0.6], [0.0, 0.0]]) @ h]
+        want = np.array([np.kron(a, b) for a in singles for b in singles])
+        assert np.max(np.abs(fam.op_stacks(np.zeros(1))[0] - want)) <= 1e-16
+        assert np.all(want != 0)
+        rho0 = load_state(data / "ghz_mixed_p0.4.txt")
+        assert rho0.mat.tobytes() == ghz_mixed(GHZMixedParams(0.4)).mat.tobytes()
+        self.assert_dense_matches_oracle(fam, rho0, 2.0)
 
     def test_not_trace_preserving_raises(self):
         rng = np.random.default_rng(7)
@@ -998,7 +1069,7 @@ class TestContractions:
             qsl_nonunitary(fam, rho0, 1.0, EntropyParams(0.5, 1.0), 101)
 
     @pytest.mark.parametrize("rates", [False, True])
-    def test_regularized_exact_rows_take_the_dense_check(self, rates):
+    def test_regularized_exact_rows_are_checked(self, rates):
         # the exact-time operators below the clamping floor break
         # completeness by 1e-7; the pair, sampled at the floor, does not
         class BadBelowFloor(dyn.DepolarizingFamily):
@@ -1013,7 +1084,7 @@ class TestContractions:
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("factor,complete", [(1 + 1e-7, False), (1 + 1e-10, True)])
-    def test_gathered_completeness(self, factor, complete, rates, monkeypatch):
+    def test_gathered_completeness(self, factor, complete, rates):
         # the bit-flip operators on a table, one operator scaled at one
         # sample: sum K†K moves by 0.7 (factor^2 - 1), against the 1e-8 gate
         times = np.linspace(0.0, 1.0, 21)
@@ -1022,11 +1093,6 @@ class TestContractions:
         K = np.repeat(ops[None].astype(complex), len(times), axis=0)
         K[13, 0] *= factor
         fam = TableFamily(times, K, np.zeros_like(K))
-
-        def no_rows(K):  # a table is not regularized: no dense check runs
-            assert len(K) == 0
-
-        monkeypatch.setattr(dyn, "_check_completeness", no_rows)
         rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
         if complete:
             dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)
@@ -1054,8 +1120,9 @@ def damping_family() -> dyn.KrausFamily:
 def switching_family() -> dyn.KrausFamily:
     """sqrt(0.7) I and sqrt(0.3) sigma_x up to t = 1, then 0 and sigma_z:
     monomial at every sample, but the second operator's permutation
-    switches at t = 1, so a run of samples on both sides is not monomial
-    and takes the dense contractions, while a run on one side gathers."""
+    switches at t = 1, so a run of samples on both sides gathers two
+    entries in a row of it, each zero on one side, while a run on one side
+    gathers one."""
     zero = np.zeros((2, 2), dtype=complex)
     before = [math.sqrt(0.7) * np.eye(2, dtype=complex), math.sqrt(0.3) * linalg.SIGMA_X]
     after = [zero, linalg.SIGMA_Z.astype(complex)]
@@ -1149,27 +1216,29 @@ class TestSharedSamples:
         list(dyn._trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True))
         assert runs == [17, 16]
 
-    def test_switching_family_mixes_contractions(self, monkeypatch):
-        # the panel's runs gather on either side of the switch at t = 1 and
-        # go dense across it, while each horizon past the switch is dense
-        # in its own call: every horizon still gets its own call's bits
+    def test_switching_family_mixes_entry_sets(self, monkeypatch):
+        # the panel's runs on either side of the switch at t = 1 gather one
+        # entry per operator row and the runs across it two, as the call
+        # of each horizon past the switch does: every horizon still gets
+        # its own call's bits
         model, rho0 = SHARING_MODELS["switching"]
         taus = [0.5, 1.5, 3.0]
-        dense = []
+        shared = []
         gather = dyn._gather
 
         def recording(stack):
             out = gather(stack)
-            dense.append(out is None)
+            rows = out.ops * stack.shape[-1] + out.rows
+            shared.append(len(np.unique(rows)) < len(rows))
             return out
 
         monkeypatch.setattr(dyn, "_gather", recording)
         outcomes = list(dyn._trajectories(model, rho0, taus, 17, True))
-        assert True in dense and False in dense
+        assert True in shared and False in shared
         for tau, got in zip(taus, outcomes):
-            dense.clear()
+            shared.clear()
             assert_same_outcome(got, evolve_one(model, rho0, tau, 17, True))
-            assert dense[0] == (tau > 1.0)
+            assert shared[0] == (tau > 1.0)
 
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
