@@ -241,10 +241,8 @@ def _model(cfg: SweepConfig) -> dyn.HamiltonianModel | dyn.KrausFamily:
 
 
 def _fmt(x: float) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+    if x is None or math.isnan(x):
         return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.17g}"
 
 
@@ -274,10 +272,13 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
 
     Each nonzero time value is a time column: the trajectory of the probe
     (with its Kraus rates) to that horizon. `dynamics._outcomes` evaluates
-    every distinct sample time of the panel once, `dynamics._columns` hands
-    out each column's samples and end states, and one `qsl._fill` call
-    fills every column from them (see `qsl.Panel`); a trajectory that fails
-    fails only its own column. A zero horizon gives the stationary limit: all
+    every distinct sample time of the panel once, into one sample store,
+    `dynamics._columns` hands out each column's rows of it and end states,
+    and one `qsl._fill` call fills every column from them (see
+    `qsl.Panel`); a trajectory that fails fails only its own column. A
+    single-point command evolves its one horizon with `evolve_kraus` or
+    `evolve_unitary` instead, in one run without a store, and gets the same
+    samples. A zero horizon gives the stationary limit: all
     entropies and rates are zero, the bound saturates, and the speed limit
     is the trivial tau >= 0."""
     cfg.validate()
@@ -291,8 +292,8 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
     live = times != 0.0
-    outcomes = dyn._outcomes(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl)
-    qsl._fill(panel, dyn._columns(outcomes), live)
+    store, outcomes = dyn._outcomes(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl)
+    qsl._fill(panel, dyn._columns(store, outcomes), live)
     return panel
 
 

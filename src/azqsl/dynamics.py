@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,9 +38,9 @@ _AD_SERIES_TOL = 1e-12
 
 
 class HamiltonianModel:
-    """Time-independent Hamiltonian, optionally in qubit form n·sigma."""
+    """Time-independent Hamiltonian, optionally built in qubit form n·sigma."""
 
-    def __init__(self, mat: np.ndarray, n: np.ndarray | None = None):
+    def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
         if not np.all(np.isfinite(mat)):
             raise InvalidParamsError("Hamiltonian has a non-finite entry")
@@ -49,7 +49,6 @@ class HamiltonianModel:
                 f"Hamiltonian asymmetry {linalg.asymmetry(mat):.3e}"
             )
         self.mat = linalg.hermitian_part(mat)
-        self.n = None if n is None else np.asarray(n, dtype=float)
 
     @classmethod
     def qubit(cls, n: Sequence[float]) -> "HamiltonianModel":
@@ -57,7 +56,7 @@ class HamiltonianModel:
         if not np.all(np.isfinite(n)):
             raise InvalidParamsError(f"field vector must be finite, got {n}")
         mat = n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
-        return cls(mat, n=n)
+        return cls(mat)
 
     @property
     def dim(self) -> int:
@@ -473,8 +472,9 @@ def evolve_unitary(
     ||-i[H, rho_t]||_1 is time-constant; both are still computed per sample
     as a consistency check, by `linalg._sample_spectra`: a sample with a
     zero entry, such as the zero commutator of an eigenstate probe, is
-    evaluated again on its own pattern. The one-horizon case of
-    `_outcomes`."""
+    evaluated again on its own pattern. The samples are evaluated in one
+    run, as a sweep's runs evaluate them (`_outcomes`), without its
+    store."""
     return _evolve(h, rho0, tau, n_steps, rates=False)
 
 
@@ -577,19 +577,20 @@ def _require_identity(deviation: np.ndarray) -> None:
 # the end states of a sweep column, `apply_channel` and the dense stacks of
 # the built-in channels.
 #
-# The trajectories of a sweep panel share their samples (`_outcomes`):
-# the horizons' grids are joined, each distinct sample time is evaluated
-# and checked once in runs of n_steps times, and each horizon reads its
-# own samples: a sweep (`_columns`) reads their rows and the two end
-# states, `_trajectories` gathers its trajectory. This work is elementwise
+# The trajectories of a sweep panel share one store of samples
+# (`_outcomes`): the horizons' grids are joined, each distinct sample time
+# is evaluated and checked once in runs of n_steps times, and each horizon
+# is its rows of the store, from which `_columns` reads the samples and
+# the two end states of every column. This work is elementwise
 # in time, and `linalg._sample_spectra` gives each sample the value of its
 # own pattern, so a sample gets the same bits in every run it could sit
 # in, even where the run gathers entries that are zero at it
 # (`TestContractions` pads monomial stacks with zero entries,
 # `TestSharedSamples` runs a family that switches permutation). A run
 # that fails a check raises as a whole, and each horizon that holds one of
-# its samples is evaluated again on its own, so a bad sample fails only
-# the horizons that hold it, with the error of their own call.
+# its samples is evaluated again on its own grid, into its rows of the
+# same store, so a bad sample fails only the horizons that hold it, with
+# the error of their own call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -804,8 +805,9 @@ def evolve_kraus(
     rates take `linalg._sample_spectra`, which evaluates each matrix's
     blocks on every sample at once and again only where a sample is zero
     at one of its entries. A derivative stack with a NaN or an infinity raises
-    InvalidStateError before any product is formed. The one-horizon case
-    of `_outcomes`."""
+    InvalidStateError before any product is formed. The samples are
+    evaluated in one run, as a sweep's runs evaluate them (`_outcomes`),
+    without its store."""
     return _evolve(fam, rho0, tau, n_steps, rates)
 
 
@@ -867,7 +869,7 @@ class _SampleStore:
     imaginary part of flat position p; every other part is +0), held
     entry-major; the speed, k_min and rate; whether the sample fails a
     `Trajectory` check, found once per sample as it is added; and whether
-    the sample lies in a run that raised."""
+    the sample is missing: no run that holds it has passed."""
 
     def __init__(self, times: np.ndarray, dim: int):
         n = len(times)
@@ -877,9 +879,14 @@ class _SampleStore:
         self.parts = np.flatnonzero(self.held)
         self.entries = np.zeros((0, n))
         self.failing = np.zeros(n, dtype=bool)
-        self.failed = np.zeros(n, dtype=bool)
+        self.missing = np.ones(n, dtype=bool)
 
-    def add(self, rows: slice, samples: _Samples) -> None:
+    def fill(self, sampler, rows: np.ndarray) -> AzqslError | None:
+        """Evaluate the samples `rows` in one run of `sampler` and hold them,
+        or return the error the run raised and leave the store as it is."""
+        samples = _attempt(sampler, self.times[rows])
+        if isinstance(samples, AzqslError):
+            return samples
         positions, values = samples.state
         # the float positions of the real and imaginary parts, and their
         # values; int64 tells -0.0 from +0
@@ -889,13 +896,15 @@ class _SampleStore:
         slot = np.cumsum(self.held) - 1
         for at, part in parts:
             held = self.held[at]
-            self.entries[slot[at[held]], rows] = part[held]
+            self.entries[np.ix_(slot[at[held]], rows)] = part[held]
         self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
         if samples.rates is not None:
             if self.rates is None:
                 self.rates = np.zeros(len(self.speeds))
             self.rates[rows] = samples.rates
         self.failing[rows] = _failing_samples(samples, self.dim)
+        self.missing[rows] = False
+        return None
 
     def _widen(self, parts: np.ndarray) -> None:
         """Make room for the state parts `parts` (flat float positions); the
@@ -914,94 +923,68 @@ class _SampleStore:
         states[:, self.parts] = self.entries[:, rows].T
         return states.view(complex).reshape(-1, self.dim, self.dim)
 
-    def trajectory(self, times: np.ndarray, rows: np.ndarray) -> Trajectory | AzqslError:
-        """The trajectory at `times`, held as the samples `rows`, or the
-        error `Trajectory` raises for it."""
-        return _attempt(Trajectory, times, self.states(rows), self.speeds[rows],
+    def trajectory(self, rows: np.ndarray) -> Trajectory | AzqslError:
+        """The trajectory held as the samples `rows`, or the error
+        `Trajectory` raises for it."""
+        return _attempt(Trajectory, self.times[rows], self.states(rows), self.speeds[rows],
                         self.kmins[rows], None if self.rates is None else self.rates[rows])
 
-    def error(self, times: np.ndarray, rows: np.ndarray) -> AzqslError | None:
-        """The error `Trajectory` raises for the samples `rows` at `times`,
-        or None, without the dense states of a horizon whose samples all
-        passed their checks."""
+    def error(self, rows: np.ndarray) -> AzqslError | None:
+        """The error `Trajectory` raises for the samples `rows`, or None,
+        without the dense states of a horizon whose samples all passed
+        their checks."""
         if self.failing[rows].any():
-            outcome = self.trajectory(times, rows)
+            outcome = self.trajectory(rows)
             return outcome if isinstance(outcome, AzqslError) else None
-        return _attempt(_check_times, times)
+        return _attempt(_check_times, self.times[rows])
 
 
-def _alone(sampler, times: np.ndarray, dim: int) -> Trajectory | AzqslError:
-    """The trajectory at `times` evaluated on its own, in one run, or the
-    error it ends in."""
-    samples = _attempt(sampler, times)
-    if isinstance(samples, AzqslError):
-        return samples
-    return _attempt(Trajectory, times, _dense(*samples.state, dim), *samples[1:])
-
-
-def _trajectories(
-    model: HamiltonianModel | KrausFamily, rho0: DensityMatrix, taus: Sequence[float],
-    n_steps: int, rates: bool = False,
-) -> Iterator[Trajectory | AzqslError]:
-    """For each horizon of `taus`, in order, the trajectory of `evolve_unitary`
-    (a Hamiltonian) or `evolve_kraus` (a Kraus family) to it, or the
-    AzqslError that call raises, built from the samples of `_outcomes`."""
-    for outcome in _outcomes(model, rho0, taus, n_steps, rates):
-        yield outcome[0].trajectory(*outcome[1:]) if isinstance(outcome, tuple) else outcome
+def _sampler(model, rho0: DensityMatrix, rates: bool):
+    """The per-sample work of `evolve_unitary` (a Hamiltonian) or
+    `evolve_kraus` (a Kraus family) from `rho0`."""
+    if model.dim != rho0.dim:
+        kind = "H" if isinstance(model, HamiltonianModel) else "channel"
+        raise DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
+    if isinstance(model, HamiltonianModel):
+        return _unitary_sampler(model, rho0)
+    return _kraus_sampler(model, rho0, rates)
 
 
 def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, rates: bool):
-    """For each horizon of `taus`, in order: the AzqslError its
-    per-horizon call raises before any sample passes, its trajectory
-    evaluated on its own, or (store, times, rows), its samples in a
-    `_SampleStore` that the horizons share.
+    """The `_SampleStore` that the horizons of `taus` share, and for each
+    horizon, in order, its rows in the store or the AzqslError its
+    per-horizon call raises before any sample passes.
 
     The time grids are joined, and every distinct sample time is evaluated
     once, in runs of `n_steps` times. Every per-sample quantity is
     elementwise in time and `linalg._sample_spectra` gives each sample the
     value of its own pattern, so a sample has the same bits whichever
     horizons hold it; the entries a run's other samples add to a gathered
-    stack are zero at it and add only exact zeros. A run that fails a check raises as a whole, so each horizon that holds
-    a sample of it is evaluated again on its own and gets the outcome of
-    its own call. The outcomes are made one at a time as the caller asks
-    for them."""
-    if model.dim != rho0.dim:
-        kind = "H" if isinstance(model, HamiltonianModel) else "channel"
-        exc = DimMismatchError(f"{kind} dim {model.dim} vs state dim {rho0.dim}")
-        yield from (exc for _ in taus)
-        return
-    if isinstance(model, HamiltonianModel):
-        sampler = _unitary_sampler(model, rho0)
-    else:
-        sampler = _kraus_sampler(model, rho0, rates)
-    grids, errors = {}, {}
-    for h, tau in enumerate(taus):
-        grids[h] = _attempt(_time_grid, tau, n_steps)
-        if isinstance(grids[h], AzqslError):
-            errors[h] = grids.pop(h)
-    if len(grids) <= 1:  # a lone grid is one run of its own
-        for h in range(len(taus)):
-            yield errors[h] if h in errors else _alone(sampler, grids.pop(h), rho0.dim)
-        return
-    times = np.unique(np.concatenate(list(grids.values())))
-    del grids
+    stack are zero at it and add only exact zeros. A run that fails a
+    check raises as a whole, so each horizon that holds a sample of it is
+    evaluated again on its own grid, written into its rows, and gets the
+    outcome of its own call. A re-evaluation that raises leaves the store
+    as it is, and a horizon whose rows earlier re-evaluations refilled is
+    not evaluated again."""
+    sampler = _attempt(_sampler, model, rho0, rates)
+    if isinstance(sampler, AzqslError):
+        return _SampleStore(np.zeros(0), rho0.dim), [sampler] * len(taus)
+    grids = [_attempt(_time_grid, tau, n_steps) for tau in taus]
+    live = [grid for grid in grids if not isinstance(grid, AzqslError)]
+    times = np.unique(np.concatenate(live)) if live else np.zeros(0)
+    outcomes = [grid if isinstance(grid, AzqslError) else np.searchsorted(times, grid)
+                for grid in grids]
+    del grids, live
     store = _SampleStore(times, rho0.dim)
+    index = np.arange(len(times))
     for start in range(0, len(times), n_steps):
-        rows = slice(start, start + n_steps)
-        try:
-            store.add(rows, sampler(times[rows]))
-        except AzqslError:
-            store.failed[rows] = True
-    for h, tau in enumerate(taus):
-        if h in errors:
-            yield errors[h]
-            continue
-        grid = _time_grid(tau, n_steps)
-        rows = np.searchsorted(times, grid)
-        if store.failed[rows].any():
-            yield _alone(sampler, grid, rho0.dim)
-        else:
-            yield store, grid, rows
+        store.fill(sampler, index[start:start + n_steps])
+    for h, rows in enumerate(outcomes):
+        if not isinstance(rows, AzqslError) and store.missing[rows].any():
+            exc = store.fill(sampler, rows)
+            if exc is not None:
+                outcomes[h] = exc
+    return store, outcomes
 
 
 class _Columns(NamedTuple):
@@ -1024,60 +1007,36 @@ class _Columns(NamedTuple):
     errors: list
 
 
-def _columns(outcomes) -> _Columns:
-    """The `_Columns` of the outcomes of `_outcomes`, or of trajectories and
-    errors, in order, without building a trajectory: a store's samples are
-    held once for all its columns, a trajectory's for its own column (all
-    hold equally many samples, and carry rates or none do). Every column
-    starts from the same t = 0 sample, validated once as the probe state;
-    a column whose t = 0 sample differs from the first one fails. Each end
-    state is validated on its own; a trajectory's are its cached states."""
-    pools, offsets = [], {}
-    start = probe = None
+def _columns(store: _SampleStore, outcomes: list) -> _Columns:
+    """The `_Columns` of the store and outcomes of `_outcomes`, without
+    building a trajectory: every column reads its rows of the one store.
+    Every grid starts at t = 0, so every column starts from the store's
+    first sample, validated once as the probe state; each end state is
+    validated on its own."""
+    probe = None
     rows, finals, errors = [], [], []
     for outcome in outcomes:
-        exc = outcome if isinstance(outcome, AzqslError) else None
-        if isinstance(outcome, tuple):
-            pool, grid, held = outcome
-            exc = pool.error(grid, held)
-            if exc is None:
-                initial, final = pool.states(held[[0, -1]])
-                final = _attempt(DensityMatrix, final)
-        elif exc is None:
-            pool, held = outcome, np.arange(outcome.n_samples)
-            initial, final = outcome.states[0], _attempt(getattr, outcome, "final_state")
-        if exc is None and start is None:
-            start = initial.tobytes()
-            probe = (_attempt(getattr, outcome, "initial_state") if pool is outcome
-                     else _attempt(DensityMatrix, initial))
-        elif exc is None and initial.tobytes() != start:
-            exc = InvalidStateError("state at t = 0 differs from the probe state of the panel")
+        exc = outcome if isinstance(outcome, AzqslError) else store.error(outcome)
+        held = final = None
         if exc is None:
-            if id(pool) not in offsets:
-                offsets[id(pool)] = sum(len(p.times) for p in pools)
-                pools.append(pool)
-            rows.append(held + offsets[id(pool)] if offsets[id(pool)] else held)
-            finals.append(final)
-        else:
-            rows.append(None)
-            finals.append(None)
+            initial, final = store.states(outcome[[0, -1]])
+            if probe is None:
+                probe = _attempt(DensityMatrix, initial)
+            held, final = outcome, _attempt(DensityMatrix, final)
+        rows.append(held)
+        finals.append(final)
         errors.append(exc)
-    samples = []
-    for name in ("times", "speeds", "kmins", "rates"):
-        parts = [getattr(pool, name) for pool in pools]
-        if name == "rates" and (not parts or any(part is None for part in parts)):
-            samples.append(None)
-        else:
-            samples.append(parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0)]))
-    return _Columns(*samples, rows, probe, finals, errors)
+    return _Columns(store.times, store.speeds, store.kmins, store.rates,
+                    rows, probe, finals, errors)
 
 
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
-    """The one-horizon case of `_outcomes`, raising its error."""
-    (outcome,) = _outcomes(model, rho0, [tau], n_steps, rates)
-    if isinstance(outcome, AzqslError):
-        raise outcome
-    return outcome
+    """The trajectory of `evolve_unitary` or `evolve_kraus`: one horizon,
+    evaluated in one run without a store."""
+    sampler = _sampler(model, rho0, rates)
+    times = _time_grid(tau, n_steps)
+    samples = sampler(times)
+    return Trajectory(times, _dense(*samples.state, rho0.dim), *samples[1:])
 
 
 def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:

@@ -358,13 +358,14 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
     error, or whose probe state failed, fails every group of every cell
     with that error.
 
-    Every column starts from the probe state of `cols`, validated once by
-    `dynamics._columns`; the h and chain_sign tables depend only on it and
-    are built once. The weighted integrals are taken once per (alpha,
-    column), as they do not depend on z, and the endpoint entropies once
-    per (alpha, z, column), shared by the two report groups. The bounds use
-    the Schatten speed; the speed limits use the summed Kraus rates when the
-    columns carry them, the Schatten speed otherwise.
+    Every column starts from the probe state of `cols`, validated once
+    (in a sweep by `dynamics._columns`, for a point by `_point_report`);
+    the h and chain_sign tables depend only on it and are built once. The
+    weighted integrals are taken once per (alpha, column), as they do not
+    depend on z, and the endpoint entropies once per (alpha, z, column),
+    shared by the two report groups. The bounds use the Schatten speed;
+    the speed limits use the summed Kraus rates when the columns carry
+    them, the Schatten speed otherwise.
 
     Errors take the precedence of the sequential evaluation: probe state,
     h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
@@ -452,7 +453,10 @@ def _point_report(traj: dyn.Trajectory, p: EntropyParams, group: str, report):
     """The `report` of one group at (p.alpha, p.z) along `traj`: the one
     cell of a one-point panel, raising its error."""
     panel = Panel([p.alpha], [p.z], [traj.tau], [group])
-    _fill(panel, dyn._columns([traj]), np.ones(1, dtype=bool))
+    cols = dyn._Columns(traj.times, traj.speeds, traj.kmins, traj.rates,
+                        [np.arange(traj.n_samples)], _attempt(getattr, traj, "initial_state"),
+                        [_attempt(getattr, traj, "final_state")], [None])
+    _fill(panel, cols, np.ones(1, dtype=bool))
     exc = panel.errors[group][0, 0, 0]
     if exc is not None:
         try:

@@ -1,9 +1,12 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and panel builders for the test
+suite."""
 
 import numpy as np
 
+from azqsl import dynamics as dyn
 from azqsl.dynamics import KrausFamily
 from azqsl.entropy import EntropyParams
+from azqsl.errors import AzqslError, _attempt
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 
 
@@ -77,3 +80,33 @@ def random_bloch_state(rng, r_max: float = 0.95):
 def random_ghz_state(rng, p_max: float = 0.95):
     params = GHZMixedParams(float(rng.uniform(0.02, p_max)))
     return ghz_mixed(params), params
+
+
+def trajectories(model, rho0, taus, n_steps: int, rates: bool = False) -> list:
+    """For each horizon of `taus`, in order, the trajectory that its rows
+    of the `dynamics._outcomes` store hold, or the AzqslError it ended in:
+    what `evolve_unitary` (a Hamiltonian) or `evolve_kraus` (a Kraus
+    family) gives for it."""
+    store, outcomes = dyn._outcomes(model, rho0, taus, n_steps, rates)
+    return [o if isinstance(o, AzqslError) else store.trajectory(o) for o in outcomes]
+
+
+def trajectory_columns(outcomes: list) -> dyn._Columns:
+    """The `dynamics._Columns` of trajectories and errors, in order: the
+    samples of every trajectory concatenated (with rates when all carry
+    them), each column's rows into them, the first trajectory's t = 0
+    state as the probe and each trajectory's end state, validated."""
+    trajs = [o for o in outcomes if not isinstance(o, AzqslError)]
+    samples = [np.concatenate([np.zeros(0)] + [getattr(t, name) for t in trajs])
+               for name in ("times", "speeds", "kmins")]
+    with_rates = bool(trajs) and all(t.rates is not None for t in trajs)
+    rates = np.concatenate([t.rates for t in trajs]) if with_rates else None
+    starts = iter(np.cumsum([0] + [t.n_samples for t in trajs]).tolist())
+    rows, finals, errors = [], [], []
+    for o in outcomes:
+        failed = isinstance(o, AzqslError)
+        rows.append(None if failed else next(starts) + np.arange(o.n_samples))
+        finals.append(None if failed else _attempt(getattr, o, "final_state"))
+        errors.append(o if failed else None)
+    probe = _attempt(getattr, trajs[0], "initial_state") if trajs else None
+    return dyn._Columns(*samples, rates, rows, probe, finals, errors)

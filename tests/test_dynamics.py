@@ -28,7 +28,7 @@ from azqsl.states import (
     ghz_mixed,
     load_state,
 )
-from helpers import random_bloch_state, random_density, stinespring_family
+from helpers import random_bloch_state, random_density, stinespring_family, trajectories
 
 
 @pytest.fixture
@@ -1183,6 +1183,33 @@ def assert_same_outcome(got, want):
         assert got.rates.tobytes() == want.rates.tobytes()
 
 
+def assert_store_bits(store, rows, want):
+    """The samples `rows` of a store against a trajectory: the states (as
+    int64, so signed zeros count), speeds, k_min and rates."""
+    assert np.array_equal(store.states(rows).view(np.int64), want.states.view(np.int64))
+    for field in ("speeds", "kmins", "rates"):
+        values = getattr(want, field)
+        if values is None:
+            assert getattr(store, field) is None
+        else:
+            got = getattr(store, field)[rows]
+            assert np.array_equal(got.view(np.int64), values.view(np.int64)), field
+
+
+def recorded_runs(monkeypatch) -> list:
+    """The sample times of every run of `_kraus_sampler`'s samplers, in
+    order, from here on."""
+    runs = []
+    sampler = dyn._kraus_sampler
+
+    def recording(*args):
+        sample = sampler(*args)
+        return lambda times: runs.append(times.copy()) or sample(times)
+
+    monkeypatch.setattr(dyn, "_kraus_sampler", recording)
+    return runs
+
+
 class TestSharedSamples:
     # A panel's horizons share their sample times: each distinct time is
     # evaluated once, and every horizon must get the bits (or the error)
@@ -1193,7 +1220,7 @@ class TestSharedSamples:
            n_steps=st.sampled_from([2, 3, 17, 201, 1001]), rates=st.booleans())
     def test_panel_equals_per_horizon_calls(self, name, taus, n_steps, rates):
         model, rho0 = SHARING_MODELS[name]
-        outcomes = list(dyn._trajectories(model, rho0, taus, n_steps, rates))
+        outcomes = trajectories(model, rho0, taus, n_steps, rates)
         assert len(outcomes) == len(taus)
         for tau, got in zip(taus, outcomes):
             assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
@@ -1205,16 +1232,9 @@ class TestSharedSamples:
         # times, evaluated in runs of 17, for a built-in channel and a
         # user family alike
         model, rho0 = SHARING_MODELS[name]
-        runs = []
-        sampler = dyn._kraus_sampler
-
-        def counting(*args):
-            sample = sampler(*args)
-            return lambda times: runs.append(len(times)) or sample(times)
-
-        monkeypatch.setattr(dyn, "_kraus_sampler", counting)
-        list(dyn._trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True))
-        assert runs == [17, 16]
+        runs = recorded_runs(monkeypatch)
+        trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True)
+        assert [len(run) for run in runs] == [17, 16]
 
     def test_switching_family_mixes_entry_sets(self, monkeypatch):
         # the panel's runs on either side of the switch at t = 1 gather one
@@ -1233,7 +1253,7 @@ class TestSharedSamples:
             return out
 
         monkeypatch.setattr(dyn, "_gather", recording)
-        outcomes = list(dyn._trajectories(model, rho0, taus, 17, True))
+        outcomes = trajectories(model, rho0, taus, 17, True)
         assert True in shared and False in shared
         for tau, got in zip(taus, outcomes):
             shared.clear()
@@ -1242,7 +1262,7 @@ class TestSharedSamples:
 
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
-        outcomes = list(dyn._trajectories(model, rho0, [1.0, -1.0, math.inf, 2.0], 11))
+        outcomes = trajectories(model, rho0, [1.0, -1.0, math.inf, 2.0], 11)
         assert isinstance(outcomes[1], InvalidParamsError)
         assert isinstance(outcomes[2], InvalidParamsError)
         for tau, got in zip((1.0, 2.0), outcomes[::3]):
@@ -1250,7 +1270,7 @@ class TestSharedSamples:
 
     def test_dim_mismatch_fails_every_horizon(self):
         model, _ = SHARING_MODELS["unitary"]
-        outcomes = list(dyn._trajectories(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11))
+        outcomes = trajectories(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11)
         assert [type(o) for o in outcomes] == [DimMismatchError] * 2
 
     # each built-in channel in its own regime, and a user family gathered by
@@ -1269,20 +1289,12 @@ class TestSharedSamples:
         # int64, so signed zeros count), speeds, k_min and rates
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
-        outcomes = list(dyn._outcomes(fam, rho0, taus, 201, rates))
-        for tau, outcome in zip(taus, outcomes):
-            store, grid, rows = outcome
+        store, outcomes = dyn._outcomes(fam, rho0, taus, 201, rates)
+        for tau, rows in zip(taus, outcomes):
             want = dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates)
-            assert store.error(grid, rows) is None
+            assert store.error(rows) is None
             assert not store.failing[rows].any()
-            assert np.array_equal(store.states(rows).view(np.int64), want.states.view(np.int64))
-            for field in ("speeds", "kmins", "rates"):
-                values = getattr(want, field)
-                if values is None:
-                    assert getattr(store, field) is None
-                else:
-                    got = getattr(store, field)[rows]
-                    assert np.array_equal(got.view(np.int64), values.view(np.int64)), field
+            assert_store_bits(store, rows, want)
 
 
 class IncompleteAfter(dyn.AmplitudeDampingFamily):
@@ -1391,7 +1403,7 @@ class TestErrorAttribution:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_only_horizons_holding_the_sample_fail(self, name, rates):
         fam, rho0, failing, cls = self.CASES[name]
-        outcomes = list(dyn._trajectories(fam, rho0, self.TAUS, 17, rates))
+        outcomes = trajectories(fam, rho0, self.TAUS, 17, rates)
         for tau, got in zip(self.TAUS, outcomes):
             want = evolve_one(fam, rho0, tau, 17, rates)
             assert isinstance(want, cls) == (tau in failing), tau
@@ -1411,7 +1423,7 @@ class TestErrorAttribution:
         # the columns a sweep fills from: a column holding a failing sample
         # gets the error of its own call, the others its samples and states
         fam, rho0, _, _ = self.CASES[name]
-        cols = dyn._columns(dyn._outcomes(fam, rho0, self.TAUS, 17, rates))
+        cols = dyn._columns(*dyn._outcomes(fam, rho0, self.TAUS, 17, rates))
         for c, tau in enumerate(self.TAUS):
             want = evolve_one(fam, rho0, tau, 17, rates)
             if isinstance(want, AzqslError):
@@ -1426,6 +1438,41 @@ class TestErrorAttribution:
                     assert getattr(cols, field)[held].tobytes() == values.tobytes(), field
             assert cols.finals[c].mat.tobytes() == want.final_state.mat.tobytes()
             assert cols.probe.mat.tobytes() == want.initial_state.mat.tobytes()
+
+    RAISING = sorted(name for name in CASES if "trace_drift" not in name)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", RAISING)
+    def test_reevaluated_horizons_hold_their_own_bits(self, name, rates, monkeypatch):
+        # a horizon that holds a sample of a run that raised is evaluated
+        # again on its own grid, and its rows of the store then hold the
+        # bits of its own call
+        fam, rho0, failing, _ = self.CASES[name]
+        runs = recorded_runs(monkeypatch)
+        store, outcomes = dyn._outcomes(fam, rho0, self.TAUS, 17, rates)
+        shared = -(-len(store.times) // 17)
+        again = [float(run[-1]) for run in runs[shared:]]
+        assert set(again) - failing
+        for tau, rows in zip(self.TAUS, outcomes):
+            if tau in again and tau not in failing:
+                assert store.error(rows) is None
+                assert_store_bits(store, rows, dyn.evolve_kraus(fam, rho0, tau, 17, rates=rates))
+
+    def test_refilled_rows_are_not_run_again(self, monkeypatch):
+        # the grids of 1, 2 and 4 hold 17 + 8 + 8 distinct times; the run
+        # of the last 16 reaches past t = 2.5 and raises. The horizon 2 is
+        # evaluated again and refills its rows, the horizon 4 is evaluated
+        # again and raises, marking nothing, and the repeated horizon 2
+        # finds its rows held and is not run again
+        fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
+        rho0 = ghz_mixed(GHZMixedParams(0.4))
+        runs = recorded_runs(monkeypatch)
+        store, outcomes = dyn._outcomes(fam, rho0, [1.0, 2.0, 4.0, 2.0], 17, True)
+        assert [len(run) for run in runs] == [17, 16, 17, 17]
+        assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
+        assert isinstance(outcomes[2], InvalidParamsError)
+        assert np.array_equal(outcomes[1], outcomes[3])
+        assert_store_bits(store, outcomes[3], dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
 
 
 def assert_flags_agree(positions, values, speeds, kmins, rates, dim):

@@ -30,8 +30,9 @@ from azqsl import cli, qsl
 from azqsl import dynamics as dyn
 from azqsl import entropy as ent
 from azqsl.entropy import EntropyParams
-from azqsl.errors import AzqslError, InvalidParamsError, InvalidStateError
+from azqsl.errors import AzqslError, InvalidParamsError
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
+from helpers import trajectory_columns
 
 SPECIALS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -235,30 +236,20 @@ KINDS = {
 N_STEPS = 33
 
 
-def test_columns_share_one_probe():
-    # every column starts from the first column's t = 0 state; one that
-    # starts elsewhere fails instead of being filled against another probe
-    cols = dyn._columns([handmade(MIXED, OTHER, np.ones(9)), handmade(MIXED, PURE, np.ones(9)),
-                         handmade(OTHER, MIXED, np.ones(9))])
-    assert np.array_equal(cols.probe.mat, MIXED)
-    assert cols.errors[:2] == [None, None]
-    assert isinstance(cols.errors[2], InvalidStateError) and cols.rows[2] is None
-
-
 def kind_columns(name: str, picked: list[int]):
     """The time values, columns and per-column trajectories (or errors) of
     the time columns `picked` of a kind, in order."""
     source, _, _, grid = KINDS[name]
     if grid is None:
         trajs = [source[k] for k in picked]
-        return np.ones(len(picked)), dyn._columns(trajs), trajs
+        return np.ones(len(picked)), trajectory_columns(trajs), trajs
     model, rho0 = source
     times = np.linspace(*grid)[picked]
     live = times != 0.0
     trajs = [None if t == 0.0 else dyn.evolve_kraus(model, rho0, t, N_STEPS, rates=True)
              for t in times.tolist()]
-    outcomes = dyn._outcomes(model, rho0, times[live].tolist(), N_STEPS, True)
-    return times, dyn._columns(outcomes), trajs
+    cols = dyn._columns(*dyn._outcomes(model, rho0, times[live].tolist(), N_STEPS, True))
+    return times, cols, trajs
 
 
 def kind_panel(name: str, alphas: list[int], zs: list[int], picked: list[int]):

@@ -22,7 +22,7 @@ from azqsl.errors import (
     ZeroVarianceError,
 )
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
-from helpers import random_bloch_state, random_params
+from helpers import random_bloch_state, random_params, trajectory_columns
 
 H_AT_MIXED_HALF_ONE = 1.0821521301679873  # 2^(-1/2) / |1 - ln(2)/2|
 
@@ -193,7 +193,7 @@ class TestSharedExponents:
         traj = dyn.evolve_kraus(fam, bloch_state(BlochVector(0.75, 1.0, 0.3)), 8.0, 9, rates=True)
         alphas = [0.3, 0.5, 0.7, 0.9]
         names = ["speeds", "rates"]
-        integrals, errors, _ = qsl._weighted_integrals(dyn._columns([traj]), [0], names, alphas)
+        integrals, errors, _ = qsl._weighted_integrals(trajectory_columns([traj]), [0], names, alphas)
         kc = np.maximum(traj.kmins, qsl.KMIN_CLAMP)
         for r, name in enumerate(names):
             rates = getattr(traj, name)

@@ -171,10 +171,15 @@ PANELS = {
         alpha_grid=(0.05, 0.95, 5), time_grid=(0.0, 8.0, 5), n_steps=101,
         outputs=("bounds", "errors"),
     ),
-    # a user family: its horizons are evaluated one at a time
+    # a user family: its horizons share their samples as the built-ins' do
     "custom_kraus_file": cli.SweepConfig(
         model="custom_kraus_file", kraus_file=BIT_FLIP_FILE, r=0.7, theta=0.3, phi=0.2,
         alpha_grid=(0.15, 0.85, 3), z_grid=(0.8, 1.0, 2), time_grid=(0.0, 3.0, 4), n_steps=101,
+    ),
+    # one live column: its grid alone fills the panel's sample store
+    "one_live_column": cli.SweepConfig(
+        model="amplitude_damping", lam=1.0, s=10.0, p=0.9,
+        alpha_grid=(0.1, 0.9, 3), z_grid=(0.9, 1.0, 2), time_grid=(0.0, 2.5, 2), n_steps=101,
     ),
     "subset_entropy_qsl_errors": cli.SweepConfig(
         model="depolarizing", r=0.5, theta=0.7, gamma=0.5,
