@@ -319,11 +319,15 @@ def _output_columns(cfg: SweepConfig, panel: qsl.Panel) -> dict[str, np.ndarray]
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
-    """[_fmt(x) for x in values], formatting each distinct float once.
-    Floats are told apart by their bits, so -0.0 keeps its sign."""
+    """[_fmt(x) for x in values]: each distinct float, told apart by its bits
+    (so -0.0 keeps its sign), formatted once, all in one "%.17g" call,
+    which prints as f"{x:.17g}" does; a nan of any bits is ""."""
     bits, inverse = np.unique(
         np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    floats = bits.view(np.float64)
+    shown = ~np.isnan(floats)
+    texts = np.full(len(bits), "", dtype=object)
+    texts[shown] = ("%.17g\n" * int(shown.sum()) % tuple(floats[shown].tolist())).split("\n")[:-1]
     return texts[inverse.ravel()].tolist()
 
 

@@ -338,7 +338,8 @@ class Trajectory:
     the smallest eigenvalue of each sample and, for a Kraus channel evolved
     with them, the summed Kraus rates sum_l ||K_l rho_0 dK_l†/dt||_1.
 
-    The times start at 0 and increase strictly, else InvalidParamsError.
+    The times start at 0, increase strictly and end finite (so none is
+    NaN or infinite), else InvalidParamsError.
     The states hold one (dim, dim) matrix per sample, and speeds, k_min
     values and rates one finite, non-negative value per sample; anything
     else raises InvalidStateError."""
@@ -402,7 +403,9 @@ class Trajectory:
 
 
 def _check_times(times: np.ndarray) -> None:
-    if not len(times) or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+    # a step is positive, not merely not <= 0: a NaN step fails it
+    if (not len(times) or times[0] != 0.0 or not np.all(np.diff(times) > 0)
+            or not math.isfinite(times[-1])):
         raise InvalidParamsError("times must start at 0 and increase strictly")
 
 
@@ -516,25 +519,41 @@ def coherence_measure(h: HamiltonianModel, rho0: DensityMatrix) -> float:
 
 def _check_gathered_completeness(G: _Gathered, dim: int, samples=slice(None)) -> None:
     """Raise CompletenessViolationError unless sum_l K_l†K_l is the
-    identity at the samples `samples` of a gathered stack. It is checked
-    through its entrywise conjugate, which deviates from the identity as
-    much: entry (c, c') sums K_l[i, c] conj(K_l[i, c']) over the pairs of
-    entries that share an operator row, as `_plan` sums over a shared
-    index, then over operators from zero. In a monomial stack each such
-    pair is an entry with itself: entry (c, c) sums |x|^2 over the entries
-    in column c, in (operator, row) order from zero, and the other entries
-    are zero."""
+    identity at the samples `samples` of a gathered stack. Entry (c, c')
+    sums conj(K_l[i, c]) K_l[i, c'] over the pairs of entries that share
+    an operator row (`_gram_pairs`); an entry without pairs is 0. Only the
+    largest deviation is read, so the order of the sums is free."""
     x = G.values[:, samples]
-    # K_l transposed: x at (c, i) where K_l holds x at (i, c)
-    transposed = _Gathered(x, G.ops, G.cols, G.rows)
-    P = _plan(transposed, transposed)
-    positions, deviation = _operator_sums(
-        P, _complex(*_sums(P, (x.real, x.imag), x, conj=True)), dim)
-    diagonal = positions % (dim + 1) == 0
+    pairs, diagonal, n = _gram_pairs(*(tuple(a.tolist()) for a in (G.ops, G.rows, G.cols)), dim)
+    deviation = np.zeros((n, x.shape[1]), dtype=complex)
+    for k, left, right in pairs:
+        deviation[k] = (np.conj(x[left]) * x[right]).sum(axis=0)
     deviation[diagonal] -= 1.0
-    if np.count_nonzero(diagonal) < dim:  # a diagonal entry without terms is 0, not 1
-        deviation = np.concatenate([deviation, np.ones((1, x.shape[1]))])
     _require_identity(deviation)
+
+
+@lru_cache(maxsize=256)
+def _gram_pairs(ops, rows, cols, dim: int):
+    """The entries of K†K that `_check_gathered_completeness` holds, for a
+    stack of the entries given as tuples: the flat positions that have
+    pairs and the diagonal ones, ascending, n of them. Per position with
+    pairs, its index there and the left and right entries (e, f) of its
+    pairs, which share an operator row and add to position
+    cols[e] dim + cols[f]; and the index of each diagonal position. A
+    channel holds the same entries from run to run, so these are cached by
+    them; their arrays are shared by every call, so they are read-only."""
+    ops, rows, cols = (np.array(a, dtype=np.int64) for a in (ops, rows, cols))
+    key = ops * dim + rows
+    e, f = np.nonzero(key[:, None] == key)
+    slot = cols[e] * dim + cols[f]
+    diagonal = np.arange(dim) * (dim + 1)
+    held = np.union1d(slot, diagonal)
+    pairs = tuple((int(np.searchsorted(held, p)), e[slot == p], f[slot == p])
+                  for p in np.unique(slot).tolist())
+    diagonal = np.searchsorted(held, diagonal)
+    for a in (diagonal, *(a for _, left, right in pairs for a in (left, right))):
+        a.setflags(write=False)
+    return pairs, diagonal, len(held)
 
 
 def _require_identity(deviation: np.ndarray) -> None:
@@ -571,17 +590,18 @@ def _require_identity(deviation: np.ndarray) -> None:
 # The state of a run is held as entries too, the flat positions where it
 # can be nonzero and one time vector per position (every other entry +0),
 # the same form as the speed and rate matrices: `_batch_kmin` passes its
-# lower triangle to `linalg._sample_spectra`, `_failing_samples` reads its
-# trace and asymmetry, and `_SampleStore` keeps its nonzero parts. Dense
-# stacks are written only where a caller reads them: `Trajectory.states`,
-# the end states of a sweep column, `apply_channel` and the dense stacks of
-# the built-in channels.
+# lower triangle to `linalg._sample_spectra` and `_failing_samples` reads
+# its trace and asymmetry. Dense stacks are written only where a caller
+# reads them: `Trajectory.states`, the end states of a sweep column,
+# `apply_channel` and the dense stacks of the built-in channels.
 #
 # The trajectories of a sweep panel share one store of samples
 # (`_outcomes`): the horizons' grids are joined, each distinct sample time
 # is evaluated and checked once in runs of n_steps times, and each horizon
-# is its rows of the store, from which `_columns` reads the samples and
-# the two end states of every column. This work is elementwise
+# is its rows of the store. The store keeps what `qsl._fill` reads: per
+# sample the speed, k_min and rate, and the dense states of the t = 0
+# sample and of each horizon's last one, from which `_columns` reads every
+# column. This work is elementwise
 # in time, and `linalg._sample_spectra` gives each sample the value of its
 # own pattern, so a sample gets the same bits in every run it could sit
 # in, even where the run gathers entries that are zero at it
@@ -589,8 +609,9 @@ def _require_identity(deviation: np.ndarray) -> None:
 # `TestSharedSamples` runs a family that switches permutation). A run
 # that fails a check raises as a whole, and each horizon that holds one of
 # its samples is evaluated again on its own grid, into its rows of the
-# same store, so a bad sample fails only the horizons that hold it, with
-# the error of their own call.
+# same store; a horizon that holds a sample failing a `Trajectory` check
+# takes the error of its own grid's `Trajectory`. So a bad sample fails
+# only the horizons that hold it, with the error of their own call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -863,40 +884,32 @@ class _Samples(NamedTuple):
 
 
 class _SampleStore:
-    """What a panel keeps per distinct sample time: the time; the real and
-    imaginary parts of the state entries that are not +0 at some sample
-    (`parts`, by flat float position, 2 p for the real and 2 p + 1 for the
-    imaginary part of flat position p; every other part is +0), held
-    entry-major; the speed, k_min and rate; whether the sample fails a
-    `Trajectory` check, found once per sample as it is added; and whether
-    the sample is missing: no run that holds it has passed."""
+    """What a panel keeps per distinct sample time, as `qsl._fill` reads
+    it: the time; the speed, k_min and rate; whether the sample fails a
+    `Trajectory` check, found once per sample as it is added; whether the
+    sample is missing: no run that holds it has passed; and the dense
+    states of the samples `ends` (ascending), the only states a column
+    reads: the t = 0 sample and each horizon's last one."""
 
-    def __init__(self, times: np.ndarray, dim: int):
+    def __init__(self, times: np.ndarray, ends: np.ndarray, dim: int):
         n = len(times)
-        self.times, self.dim = times, dim
+        self.times, self.ends, self.dim = times, ends, dim
         self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
-        self.held = np.zeros(2 * dim * dim, dtype=bool)
-        self.parts = np.flatnonzero(self.held)
-        self.entries = np.zeros((0, n))
+        self.end_states = np.zeros((len(ends), dim, dim), dtype=complex)
         self.failing = np.zeros(n, dtype=bool)
         self.missing = np.ones(n, dtype=bool)
 
-    def fill(self, sampler, rows: np.ndarray) -> AzqslError | None:
-        """Evaluate the samples `rows` in one run of `sampler` and hold them,
-        or return the error the run raised and leave the store as it is."""
+    def fill(self, sampler, rows: np.ndarray) -> _Samples | AzqslError:
+        """Evaluate the samples `rows` in one run of `sampler`, hold them and
+        return them, or return the error the run raised and leave the store
+        as it is."""
         samples = _attempt(sampler, self.times[rows])
         if isinstance(samples, AzqslError):
             return samples
         positions, values = samples.state
-        # the float positions of the real and imaginary parts, and their
-        # values; int64 tells -0.0 from +0
-        parts = [(2 * positions, values.real), (2 * positions + 1, values.imag)]
-        self._widen(np.concatenate(
-            [at[(part.view(np.int64) != 0).any(axis=1)] for at, part in parts]))
-        slot = np.cumsum(self.held) - 1
-        for at, part in parts:
-            held = self.held[at]
-            self.entries[np.ix_(slot[at[held]], rows)] = part[held]
+        at = np.isin(rows, self.ends)
+        self.end_states[np.searchsorted(self.ends, rows[at])] = _dense(
+            positions, values[:, at], self.dim)
         self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
         if samples.rates is not None:
             if self.rates is None:
@@ -904,39 +917,11 @@ class _SampleStore:
             self.rates[rows] = samples.rates
         self.failing[rows] = _failing_samples(samples, self.dim)
         self.missing[rows] = False
-        return None
+        return samples
 
-    def _widen(self, parts: np.ndarray) -> None:
-        """Make room for the state parts `parts` (flat float positions); the
-        samples held so far are +0 there."""
-        if self.held[parts].all():
-            return
-        held = self.held.copy()
-        held[parts] = True
-        entries = np.zeros((np.count_nonzero(held), len(self.times)))
-        entries[self.held[held]] = self.entries
-        self.held, self.parts, self.entries = held, np.flatnonzero(held), entries
-
-    def states(self, rows: np.ndarray) -> np.ndarray:
-        """The dense (len(rows), dim, dim) states of the samples `rows`."""
-        states = np.zeros((len(rows), 2 * self.dim * self.dim))
-        states[:, self.parts] = self.entries[:, rows].T
-        return states.view(complex).reshape(-1, self.dim, self.dim)
-
-    def trajectory(self, rows: np.ndarray) -> Trajectory | AzqslError:
-        """The trajectory held as the samples `rows`, or the error
-        `Trajectory` raises for it."""
-        return _attempt(Trajectory, self.times[rows], self.states(rows), self.speeds[rows],
-                        self.kmins[rows], None if self.rates is None else self.rates[rows])
-
-    def error(self, rows: np.ndarray) -> AzqslError | None:
-        """The error `Trajectory` raises for the samples `rows`, or None,
-        without the dense states of a horizon whose samples all passed
-        their checks."""
-        if self.failing[rows].any():
-            outcome = self.trajectory(rows)
-            return outcome if isinstance(outcome, AzqslError) else None
-        return _attempt(_check_times, self.times[rows])
+    def end_state(self, row: int) -> np.ndarray:
+        """The dense state of the sample `row`, one of `ends`."""
+        return self.end_states[np.searchsorted(self.ends, row)]
 
 
 def _sampler(model, rho0: DensityMatrix, rates: bool):
@@ -953,7 +938,7 @@ def _sampler(model, rho0: DensityMatrix, rates: bool):
 def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, rates: bool):
     """The `_SampleStore` that the horizons of `taus` share, and for each
     horizon, in order, its rows in the store or the AzqslError its
-    per-horizon call raises before any sample passes.
+    per-horizon call raises.
 
     The time grids are joined, and every distinct sample time is evaluated
     once, in runs of `n_steps` times. Every per-sample quantity is
@@ -965,25 +950,34 @@ def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, r
     evaluated again on its own grid, written into its rows, and gets the
     outcome of its own call. A re-evaluation that raises leaves the store
     as it is, and a horizon whose rows earlier re-evaluations refilled is
-    not evaluated again."""
+    not evaluated again. A horizon that holds a sample failing a
+    `Trajectory` check takes its error from the `Trajectory` of its own
+    grid's run: its re-evaluation, or else one run of its own; so it runs
+    its grid at most once."""
     sampler = _attempt(_sampler, model, rho0, rates)
     if isinstance(sampler, AzqslError):
-        return _SampleStore(np.zeros(0), rho0.dim), [sampler] * len(taus)
+        return _SampleStore(np.zeros(0), np.zeros(0, dtype=int), rho0.dim), [sampler] * len(taus)
     grids = [_attempt(_time_grid, tau, n_steps) for tau in taus]
     live = [grid for grid in grids if not isinstance(grid, AzqslError)]
     times = np.unique(np.concatenate(live)) if live else np.zeros(0)
     outcomes = [grid if isinstance(grid, AzqslError) else np.searchsorted(times, grid)
                 for grid in grids]
     del grids, live
-    store = _SampleStore(times, rho0.dim)
+    ends = np.unique(np.array([rows[[0, -1]] for rows in outcomes
+                               if not isinstance(rows, AzqslError)], dtype=int))
+    store = _SampleStore(times, ends, rho0.dim)
     index = np.arange(len(times))
     for start in range(0, len(times), n_steps):
         store.fill(sampler, index[start:start + n_steps])
     for h, rows in enumerate(outcomes):
-        if not isinstance(rows, AzqslError) and store.missing[rows].any():
-            exc = store.fill(sampler, rows)
-            if exc is not None:
-                outcomes[h] = exc
+        if isinstance(rows, AzqslError):
+            continue
+        own = store.fill(sampler, rows) if store.missing[rows].any() else None
+        if not isinstance(own, AzqslError):
+            own = (_attempt(_run_trajectory, sampler, store.times[rows], own, rho0.dim)
+                   if store.failing[rows].any() else _attempt(_check_times, store.times[rows]))
+        if isinstance(own, AzqslError):
+            outcomes[h] = own
     return store, outcomes
 
 
@@ -1009,23 +1003,19 @@ class _Columns(NamedTuple):
 
 def _columns(store: _SampleStore, outcomes: list) -> _Columns:
     """The `_Columns` of the store and outcomes of `_outcomes`, without
-    building a trajectory: every column reads its rows of the one store.
-    Every grid starts at t = 0, so every column starts from the store's
-    first sample, validated once as the probe state; each end state is
-    validated on its own."""
+    building a trajectory: every column reads its rows of the one store
+    and its end state there. Every grid starts at t = 0, so every column
+    starts from the store's first sample, validated once as the probe
+    state; each end state is validated on its own."""
     probe = None
     rows, finals, errors = [], [], []
     for outcome in outcomes:
-        exc = outcome if isinstance(outcome, AzqslError) else store.error(outcome)
-        held = final = None
-        if exc is None:
-            initial, final = store.states(outcome[[0, -1]])
-            if probe is None:
-                probe = _attempt(DensityMatrix, initial)
-            held, final = outcome, _attempt(DensityMatrix, final)
-        rows.append(held)
-        finals.append(final)
-        errors.append(exc)
+        failed = isinstance(outcome, AzqslError)
+        if not failed and probe is None:
+            probe = _attempt(DensityMatrix, store.end_state(0))
+        rows.append(None if failed else outcome)
+        finals.append(None if failed else _attempt(DensityMatrix, store.end_state(outcome[-1])))
+        errors.append(outcome if failed else None)
     return _Columns(store.times, store.speeds, store.kmins, store.rates,
                     rows, probe, finals, errors)
 
@@ -1033,10 +1023,14 @@ def _columns(store: _SampleStore, outcomes: list) -> _Columns:
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
     """The trajectory of `evolve_unitary` or `evolve_kraus`: one horizon,
     evaluated in one run without a store."""
-    sampler = _sampler(model, rho0, rates)
-    times = _time_grid(tau, n_steps)
-    samples = sampler(times)
-    return Trajectory(times, _dense(*samples.state, rho0.dim), *samples[1:])
+    return _run_trajectory(_sampler(model, rho0, rates), _time_grid(tau, n_steps), None, rho0.dim)
+
+
+def _run_trajectory(sampler, times: np.ndarray, samples: _Samples | None, dim: int) -> Trajectory:
+    """The `Trajectory` of the run of `sampler` on `times`: `samples`, when
+    that run has been made, else a new run."""
+    samples = samples or sampler(times)
+    return Trajectory(times, _dense(*samples.state, dim), *samples[1:])
 
 
 def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared random-instance generators and panel builders for the test
 suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from azqsl import dynamics as dyn
@@ -82,13 +84,33 @@ def random_ghz_state(rng, p_max: float = 0.95):
     return ghz_mixed(params), params
 
 
+class Held(NamedTuple):
+    """What a panel's sample store holds for one horizon: the times,
+    speeds, k_min and rates (None without) of its samples, and its dense
+    t = 0 and end states."""
+
+    times: np.ndarray
+    speeds: np.ndarray
+    kmins: np.ndarray
+    rates: np.ndarray | None
+    initial: np.ndarray
+    final: np.ndarray
+
+
+def held(store: dyn._SampleStore, rows: np.ndarray) -> Held:
+    """What `store` holds for the horizon of the samples `rows`."""
+    return Held(store.times[rows], store.speeds[rows], store.kmins[rows],
+                None if store.rates is None else store.rates[rows],
+                store.end_state(rows[0]), store.end_state(rows[-1]))
+
+
 def trajectories(model, rho0, taus, n_steps: int, rates: bool = False) -> list:
-    """For each horizon of `taus`, in order, the trajectory that its rows
-    of the `dynamics._outcomes` store hold, or the AzqslError it ended in:
-    what `evolve_unitary` (a Hamiltonian) or `evolve_kraus` (a Kraus
-    family) gives for it."""
+    """For each horizon of `taus`, in order, what its rows of the
+    `dynamics._outcomes` store hold (`Held`), or the AzqslError it ended
+    in: what `evolve_unitary` (a Hamiltonian) or `evolve_kraus` (a Kraus
+    family) gives for it, without the interior states."""
     store, outcomes = dyn._outcomes(model, rho0, taus, n_steps, rates)
-    return [o if isinstance(o, AzqslError) else store.trajectory(o) for o in outcomes]
+    return [o if isinstance(o, AzqslError) else held(store, o) for o in outcomes]
 
 
 def trajectory_columns(outcomes: list) -> dyn._Columns:

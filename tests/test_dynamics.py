@@ -28,7 +28,8 @@ from azqsl.states import (
     ghz_mixed,
     load_state,
 )
-from helpers import random_bloch_state, random_density, stinespring_family, trajectories
+from helpers import (
+    Held, held, random_bloch_state, random_density, stinespring_family, trajectories)
 
 
 @pytest.fixture
@@ -337,6 +338,17 @@ class TestTrajectories:
         with pytest.raises(InvalidParamsError):
             dyn.Trajectory(times=np.zeros(0), states=np.zeros((0, 2, 2), dtype=complex),
                            speeds=np.zeros(0), kmins=np.zeros(0))
+
+    # a NaN inside the grid, at its end and at its start, and an infinite
+    # end: each step from or to a NaN is NaN, and an infinite end would be
+    # an infinite horizon
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, 1.0, math.nan],
+                                       [math.nan, 1.0, 2.0], [0.0, 1.0, math.inf]])
+    def test_rejects_non_finite_times(self, times):
+        rho = bloch_state(BlochVector(0.5, 1.0, 0.2)).mat
+        with pytest.raises(InvalidParamsError, match="times must"):
+            dyn.Trajectory(times=np.array(times), states=np.repeat(rho[None], 3, axis=0),
+                           speeds=np.ones(3), kmins=np.full(3, 0.25))
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 2, 2), (2, 2, 3), (2, 4), (2, 1, 2, 2)])
     def test_rejects_states_not_one_matrix_per_sample(self, shape):
@@ -793,7 +805,10 @@ class TestContractions:
             padded = dyn.evolve_kraus(fam, rho0, tau, n_steps, rates=rates)
             for t, want in zip(picked, channel):
                 assert dyn.apply_channel(fam, rho0, t).mat.tobytes() == want.tobytes()
-        assert_same_outcome(padded, gathered)
+        for name in ("times", "states", "speeds", "kmins", "rates"):
+            got, want = getattr(padded, name), getattr(gathered, name)
+            assert (got is None) == (want is None), name
+            assert got is None or got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("name", sorted(MONOMIAL) + ["stinespring_2_3", "stinespring_4_4"])
     def test_families_skip_einsum(self, name, monkeypatch):
@@ -1101,6 +1116,56 @@ class TestContractions:
                 dyn.evolve_kraus(fam, rho0, 1.0, len(times), rates=rates)
 
 
+@st.composite
+def completeness_cases(draw):
+    """A stack of up to 9 samples, (n_times, n_ops, dim, dim), and the
+    samples to check (all, or a random subset): monomial (complete, with
+    exact zeros at random samples) or the isometries of a Stinespring
+    dilation. Then left as it is, scaled by 1 + 1e-4 at one sample,
+    stripped of every entry in one column, or given a NaN or an infinity
+    at one entry of one sample: deviations far from the tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n_ops, n_times = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        K = monomial_stack(random_amplitudes(rng, n_times, n_ops, dim, 0.2, unit_columns=True),
+                           [rng.permutation(dim) for _ in range(n_ops)])
+    else:
+        K = stinespring_family(rng, dim, n_ops).op_stacks(rng.uniform(0.0, 5.0, n_times))
+    t, l, i, c = (int(rng.integers(n)) for n in K.shape)
+    defect = draw(st.sampled_from(["none", "scaled", "empty_column", "nan", "inf"]))
+    if defect == "scaled":
+        K[t] *= 1 + 1e-4
+    elif defect == "empty_column":
+        K[..., c] = 0.0
+    elif defect != "none":  # a NaN or a signed infinity, real or imaginary
+        x = math.nan if defect == "nan" else float(rng.choice([math.inf, -math.inf]))
+        K[t, l, i, c] = complex(x, 0.0) if rng.random() < 0.5 else complex(0.0, x)
+    samples = rng.random(n_times) < 0.5 if draw(st.booleans()) else np.ones(n_times, bool)
+    return K, samples
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(completeness_cases())
+def test_gathered_completeness_equals_dense_oracle(case):
+    # the check raises exactly where the dense einsum oracle's largest
+    # |K†K - I| over the checked samples exceeds the tolerance (a NaN
+    # deviation exceeds it)
+    K, samples = case
+    dim = K.shape[-1]
+    with np.errstate(invalid="ignore"):
+        gram = np.einsum("tlic,tlid->tcd", K[samples].conj(), K[samples])
+        deviation = np.max(np.abs(gram - np.eye(dim)), initial=0.0)
+        assert not 1e-12 < deviation < 1e-6  # far from the tolerance either way
+        try:
+            dyn._check_gathered_completeness(dyn._gather(K), dim, samples)
+        except CompletenessViolationError:
+            raised = True
+        else:
+            raised = False
+    assert raised == (not deviation <= dyn.COMPLETENESS_TOL), deviation
+
+
 def damping_family() -> dyn.KrausFamily:
     """K_1 = diag(1, cos t) and K_2 = sin t |0><1|, with their analytic
     derivatives dK_1 = diag(0, -sin t) and dK_2 = cos t |0><1|."""
@@ -1171,29 +1236,20 @@ def evolve_one(model, rho0, tau, n_steps, rates):
 
 
 def assert_same_outcome(got, want):
-    """Equal errors (class and message), or trajectories equal byte for byte."""
+    """Equal errors (class and message), or what a store holds for a
+    horizon (`Held`) equal to its trajectory as int64 bits, so signed zeros
+    count: the times, speeds, k_min, rates and the two end states."""
     if isinstance(want, AzqslError):
         assert type(got) is type(want) and str(got) == str(want)
         return
-    assert isinstance(got, dyn.Trajectory), got
-    for name in ("times", "states", "speeds", "kmins"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (got.rates is None) == (want.rates is None)
-    if want.rates is not None:
-        assert got.rates.tobytes() == want.rates.tobytes()
-
-
-def assert_store_bits(store, rows, want):
-    """The samples `rows` of a store against a trajectory: the states (as
-    int64, so signed zeros count), speeds, k_min and rates."""
-    assert np.array_equal(store.states(rows).view(np.int64), want.states.view(np.int64))
-    for field in ("speeds", "kmins", "rates"):
-        values = getattr(want, field)
-        if values is None:
-            assert getattr(store, field) is None
-        else:
-            got = getattr(store, field)[rows]
-            assert np.array_equal(got.view(np.int64), values.view(np.int64)), field
+    assert isinstance(got, Held), got
+    pairs = [(name, getattr(got, name), getattr(want, name))
+             for name in ("times", "speeds", "kmins", "rates")]
+    pairs += [("initial", got.initial, want.states[0]), ("final", got.final, want.states[-1])]
+    for name, a, b in pairs:
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def recorded_runs(monkeypatch) -> list:
@@ -1284,17 +1340,19 @@ class TestSharedSamples:
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("name", sorted(STORE_CASES))
-    def test_store_holds_each_horizons_own_bits(self, name, rates):
-        # a panel's store against each horizon's own call: the states (as
-        # int64, so signed zeros count), speeds, k_min and rates
+    def test_store_holds_each_horizons_own_bits(self, name, rates, monkeypatch):
+        # a panel's store against each horizon's own call: the speeds,
+        # k_min, rates and end states as int64, so signed zeros count. No
+        # sample fails, so the panel makes its shared runs alone
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
+        runs = recorded_runs(monkeypatch)
         store, outcomes = dyn._outcomes(fam, rho0, taus, 201, rates)
+        assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
+        assert np.array_equal(np.concatenate(runs), store.times)
+        assert not store.failing.any()
         for tau, rows in zip(taus, outcomes):
-            want = dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates)
-            assert store.error(rows) is None
-            assert not store.failing[rows].any()
-            assert_store_bits(store, rows, want)
+            assert_same_outcome(held(store, rows), dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
 
 
 class IncompleteAfter(dyn.AmplitudeDampingFamily):
@@ -1349,6 +1407,10 @@ class UndefinedAfter(dyn.AmplitudeDampingFamily):
         return super()._trajectory_pair(times)
 
 
+class UndefinedAfterDriftAt(UndefinedAfter, DriftAt):
+    """The trace drifts of `DriftAt`, refusing any time after T."""
+
+
 def user_family(defect: str) -> dyn.KrausFamily:
     """The bit-flip family, losing completeness or undefined after t = 2.5,
     with a NaN derivative at t = 1, or with the trace drifts of `DriftAt`."""
@@ -1397,6 +1459,12 @@ class TestErrorAttribution:
             {1.0, 2.0, 3.0, 4.0}, InvalidStateError),
         "user_trace_drift": (user_family("drift"), QUBIT_PROBE,
                              {1.0, 2.0, 3.0, 4.0}, InvalidStateError),
+        # a raising run and a drifting sample: the horizon 2 is evaluated
+        # again on its own grid and its drift at t = 1 fails that run's
+        # trajectory; the horizons 3 and 4 raise
+        "closed_form_undefined_trace_drift": (
+            UndefinedAfterDriftAt(dyn.AmplitudeDampingParams(1.0, 10.0)),
+            ghz_mixed(GHZMixedParams(0.4)), {1.0, 2.0, 3.0, 4.0}, AzqslError),
     }
 
     @pytest.mark.parametrize("rates", [False, True])
@@ -1455,8 +1523,29 @@ class TestErrorAttribution:
         assert set(again) - failing
         for tau, rows in zip(self.TAUS, outcomes):
             if tau in again and tau not in failing:
-                assert store.error(rows) is None
-                assert_store_bits(store, rows, dyn.evolve_kraus(fam, rho0, tau, 17, rates=rates))
+                want = dyn.evolve_kraus(fam, rho0, tau, 17, rates=rates)
+                assert_same_outcome(held(store, rows), want)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_horizons_run_their_own_grid_at_most_once(self, name, rates, monkeypatch):
+        # past the panel's shared runs, each run is the whole grid of one
+        # horizon, and no horizon's grid runs twice: a horizon whose
+        # re-evaluation passed takes a failing sample's error from that
+        # run, and one that was not re-evaluated runs its grid once. Only
+        # the trace-drift cases fail no run: there, each failing horizon
+        # runs its grid once and the others not at all
+        fam, rho0, failing, _ = self.CASES[name]
+        runs = recorded_runs(monkeypatch)
+        store, _ = dyn._outcomes(fam, rho0, self.TAUS, 17, rates)
+        shared = -(-len(store.times) // 17)
+        assert np.array_equal(np.concatenate(runs[:shared]), store.times)
+        again = [float(run[-1]) for run in runs[shared:]]
+        assert len(again) == len(set(again))
+        for run in runs[shared:]:
+            assert np.array_equal(run, dyn._time_grid(float(run[-1]), 17))
+        if "trace_drift" in name:
+            assert again == [tau for tau in self.TAUS if tau in failing]
 
     def test_refilled_rows_are_not_run_again(self, monkeypatch):
         # the grids of 1, 2 and 4 hold 17 + 8 + 8 distinct times; the run
@@ -1472,7 +1561,7 @@ class TestErrorAttribution:
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
         assert isinstance(outcomes[2], InvalidParamsError)
         assert np.array_equal(outcomes[1], outcomes[3])
-        assert_store_bits(store, outcomes[3], dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
+        assert_same_outcome(held(store, outcomes[3]), dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
 
 
 def assert_flags_agree(positions, values, speeds, kmins, rates, dim):

@@ -62,6 +62,28 @@ def test_column_renderer_equals_cell_formatter(col):
     assert cli._fmt_column(np.array(col, dtype=float)) == [cli._fmt(x) for x in col]
 
 
+_SIGN, _EXPONENT = 1 << 63, 0x7FF << 52
+
+# any float64 bit pattern, and more often: nans with any payload, zeros
+# and subnormals, and the infinities, each of either sign
+float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+        lambda p: p[0] * _SIGN | _EXPONENT | p[1]),
+    st.tuples(st.booleans(), st.integers(0, 2**52 - 1)).map(lambda p: p[0] * _SIGN | p[1]),
+    st.sampled_from([_EXPONENT, _SIGN | _EXPONENT]),
+)
+
+
+@seed(20261019)
+@settings(max_examples=300, database=None, deadline=None)
+@given(st.lists(float_bits, max_size=60))
+def test_column_renderer_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    want = ["" if math.isnan(x) else f"{x:.17g}" for x in values.tolist()]
+    assert cli._fmt_column(values) == want
+
+
 def test_column_renderer_keeps_signed_zero():
     # ln(1) / (alpha - 1) is -0.0, and -0.0 == 0.0 hash alike
     assert cli._fmt_column(np.array([0.0, -0.0, 0.0])) == ["0", "-0", "0"]
@@ -159,35 +181,43 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     """A fig4_ad-shaped panel (40 horizons of 1001 samples) checks each of
     its 19 970 distinct samples once, not the 40 040 its horizons hold;
     validates its probe state once and each of the 40 end states once;
-    and makes dense only the two end states of each column, building no
+    and makes dense only the states it validates, building no
     trajectory."""
     checked, validated, dense = [], [], []
-    failing, density_matrix, states = (
-        dyn._failing_samples, dyn.DensityMatrix, dyn._SampleStore.states)
+    failing, density_matrix, to_dense = dyn._failing_samples, dyn.DensityMatrix, dyn._dense
     monkeypatch.setattr(dyn, "_failing_samples",
                         lambda s, dim: checked.append(len(s.speeds)) or failing(s, dim))
     monkeypatch.setattr(dyn, "DensityMatrix",
                         lambda m: validated.append(m.tobytes()) or density_matrix(m))
-    monkeypatch.setattr(dyn._SampleStore, "states",
-                        lambda self, rows: dense.append(len(rows)) or states(self, rows))
+
+    def recording(*args):
+        states = to_dense(*args)
+        dense.extend(m.tobytes() for m in states)
+        return states
+
+    monkeypatch.setattr(dyn, "_dense", recording)
     monkeypatch.setattr(dyn, "Trajectory", None)  # building one would fail
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     panel = cli.sweep_rows(cfg)
     assert sum(checked) == 19970
     # the probe and the 40 end states, each matrix once
     assert len(validated) == len(set(validated)) == 1 + 40
-    assert dense == [2] * 40
+    assert sorted(dense) == sorted(validated)
     assert (panel.errors["qsl"] != None).any()  # noqa: E711 - the panel was filled
 
 
 def test_fig4_ad_panel_writes_no_dense_stack(monkeypatch):
     """From the closed forms to the sample store, a fig4_ad-shaped panel
     holds its operators, products and states entry by entry: no gathered
-    stack is scattered and no state stack is made dense."""
-    for name in ("_scatter", "_dense"):
-        monkeypatch.setattr(dyn, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    stack is scattered, and states are made dense only at its 41 end-state
+    samples (t = 0 and each horizon)."""
+    dense, to_dense = [], dyn._dense
+    monkeypatch.setattr(dyn, "_scatter", lambda *args: pytest.fail("_scatter called"))
+    monkeypatch.setattr(dyn, "_dense", lambda positions, values, dim: dense.append(
+        values.shape[1]) or to_dense(positions, values, dim))
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     assert (cli.sweep_rows(cfg).errors["qsl"] != None).any()  # noqa: E711
+    assert sum(dense) == 41
 
 
 def test_panel_fills_in_one_call(monkeypatch):
