@@ -576,7 +576,7 @@ def _require_identity(deviation: np.ndarray) -> None:
 # order and takes a one-term sum as that term, with no +0 start; each term
 # is rounded as einsum rounds a product (`_cmul`). Sums over operators run
 # in operator order from a zero start. The states and rates share
-# A = K rho_0, and completeness is checked on a plan of the same kind.
+# A = K rho_0; completeness sums cached entry pairs (`_gram_pairs`).
 #
 # In a monomial stack, with at most one nonzero per operator row and
 # column (the built-in channels, the bit-flip file family), every entry of
