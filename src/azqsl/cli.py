@@ -271,10 +271,10 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     """Evaluate the panel on its (alpha, z, t) grid.
 
     Each nonzero time value is a time column: the trajectory of the probe
-    (with its Kraus rates) to that horizon. `dynamics._outcomes` evaluates
+    (with its Kraus rates) to that horizon. `dynamics._columns` evaluates
     every distinct sample time of the panel once, into one sample store,
-    `dynamics._columns` hands out each column's rows of it and end states,
-    and one `qsl._fill` call fills every column from them (see
+    and hands out each column's rows of it and end states, and one
+    `qsl._fill` call fills every column from them (see
     `qsl.Panel`); a trajectory that fails fails only its own column. A
     single-point command evolves its one horizon with `evolve_kraus` or
     `evolve_unitary` instead, in one run without a store, and gets the same
@@ -292,8 +292,7 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
     live = times != 0.0
-    store, outcomes = dyn._outcomes(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl)
-    qsl._fill(panel, dyn._columns(store, outcomes), live)
+    qsl._fill(panel, dyn._columns(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl), live)
     return panel
 
 
@@ -592,23 +591,25 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", default="depolarizing", choices=MODELS)
-    sub.add_argument("--alpha", type=float, default=0.5)
-    sub.add_argument("--z", type=float, default=1.0)
-    sub.add_argument("--r", type=float, default=0.75)
-    sub.add_argument("--theta", type=float, default=math.pi / 2)
-    sub.add_argument("--phi", type=float, default=0.0)
-    sub.add_argument("--nx", type=float, default=0.0)
-    sub.add_argument("--ny", type=float, default=0.0)
-    sub.add_argument("--nz", type=float, default=1.0)
-    sub.add_argument("--gamma", type=float, default=1.0)
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sub.add_argument("--s", type=float, default=0.5)
-    sub.add_argument("--p", type=float, default=0.25)
-    sub.add_argument("--tau", type=float, default=1.0)
-    sub.add_argument("--steps", type=int, default=1001)
-    sub.add_argument("--state-file", default=None)
-    sub.add_argument("--kraus-file", default=None)
+    """The single-point flags, each defaulting to its `SweepConfig` value."""
+    cfg = SweepConfig()
+    sub.add_argument("--model", default=cfg.model, choices=MODELS)
+    sub.add_argument("--alpha", type=float, default=cfg.alpha_grid[0])
+    sub.add_argument("--z", type=float, default=cfg.z_grid[0])
+    sub.add_argument("--r", type=float, default=cfg.r)
+    sub.add_argument("--theta", type=float, default=cfg.theta)
+    sub.add_argument("--phi", type=float, default=cfg.phi)
+    sub.add_argument("--nx", type=float, default=cfg.n[0])
+    sub.add_argument("--ny", type=float, default=cfg.n[1])
+    sub.add_argument("--nz", type=float, default=cfg.n[2])
+    sub.add_argument("--gamma", type=float, default=cfg.gamma)
+    sub.add_argument("--lambda", dest="lam", type=float, default=cfg.lam)
+    sub.add_argument("--s", type=float, default=cfg.s)
+    sub.add_argument("--p", type=float, default=cfg.p)
+    sub.add_argument("--tau", type=float, default=cfg.time_grid[0])
+    sub.add_argument("--steps", type=int, default=cfg.n_steps)
+    sub.add_argument("--state-file", default=cfg.state_file)
+    sub.add_argument("--kraus-file", default=cfg.kraus_file)
 
 
 def build_parser() -> argparse.ArgumentParser:

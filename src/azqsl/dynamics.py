@@ -355,30 +355,8 @@ class Trajectory:
         shape = self.states.shape
         if len(shape) != 3 or shape[0] != len(self.times) or shape[1] != shape[2]:
             raise InvalidStateError(f"{shape} states for {len(self.times)} samples")
-        deviations = _state_deviations(*_entries(self.states), shape[1])
-        drift, asym = (float(np.max(x)) for x in deviations)
-        if not drift <= TRACE_DRIFT_TOL:
-            raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
-        if not asym <= linalg.HERMITIAN_TOL:
-            raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
-        if self.speeds.shape != self.times.shape:
-            raise InvalidStateError(f"{self.speeds.shape} speeds for {len(self.times)} samples")
-        if not np.all(np.isfinite(self.speeds)):
-            raise InvalidStateError("non-finite Schatten speed")
-        if np.any(self.speeds < 0):
-            raise InvalidStateError("negative Schatten speed")
-        if self.kmins.shape != self.times.shape:
-            raise InvalidStateError(f"{self.kmins.shape} k_min values for {len(self.times)} samples")
-        if not np.all(np.isfinite(self.kmins)):
-            raise InvalidStateError("non-finite k_min")
-        if np.any(self.kmins < 0):
-            raise InvalidStateError("negative k_min")
-        if self.rates is not None and self.rates.shape != self.times.shape:
-            raise InvalidStateError(f"{self.rates.shape} rates for {len(self.times)} samples")
-        if self.rates is not None and not np.all(np.isfinite(self.rates)):
-            raise InvalidStateError("non-finite Kraus rate")
-        if self.rates is not None and np.any(self.rates < 0):
-            raise InvalidStateError("negative Kraus rate")
+        _check_samples(len(self.times), *_state_deviations(*_entries(self.states), shape[1]),
+                       self.speeds, self.kmins, self.rates)
 
     @property
     def tau(self) -> float:
@@ -434,15 +412,28 @@ def _state_deviations(positions: np.ndarray, values: np.ndarray, dim: int):
     return np.abs(trace - 1.0), asym
 
 
-def _failing_samples(samples: _Samples, dim: int) -> np.ndarray:
-    """Per sample, whether it fails a `Trajectory` check: samples that all
-    pass them pass the checks together."""
-    drift, asym = _state_deviations(*samples.state, dim)
-    ok = (drift <= TRACE_DRIFT_TOL) & (asym <= linalg.HERMITIAN_TOL)
-    speeds, kmins, rates = samples[1:]
-    for values in (speeds, kmins) if rates is None else (speeds, kmins, rates):
-        ok &= np.isfinite(values) & ~(values < 0)
-    return ~ok
+def _check_samples(n: int, drift: np.ndarray, asym: np.ndarray, speeds: np.ndarray,
+                   kmins: np.ndarray, rates: np.ndarray | None) -> None:
+    """The checks of `Trajectory` past its times and the shape of its
+    states, in its order and with its messages, on n samples given by their
+    trace drift and asymmetry (`_state_deviations`), speeds, k_min values
+    and Kraus rates (or None). Each check holds for every sample, so
+    samples that pass apart pass together."""
+    drift, asym = float(np.max(drift)), float(np.max(asym))
+    if not drift <= TRACE_DRIFT_TOL:
+        raise InvalidStateError(f"trace drift {drift:.3e} along trajectory")
+    if not asym <= linalg.HERMITIAN_TOL:
+        raise InvalidStateError(f"non-Hermitian sample, asymmetry {asym:.3e}")
+    checked = [(speeds, "speeds", "Schatten speed"), (kmins, "k_min values", "k_min")]
+    if rates is not None:
+        checked.append((rates, "rates", "Kraus rate"))
+    for values, plural, name in checked:
+        if values.shape != (n,):
+            raise InvalidStateError(f"{values.shape} {plural} for {n} samples")
+        if not np.all(np.isfinite(values)):
+            raise InvalidStateError(f"non-finite {name}")
+        if np.any(values < 0):
+            raise InvalidStateError(f"negative {name}")
 
 
 def _batch_kmin(state: tuple, dim: int) -> np.ndarray:
@@ -476,7 +467,7 @@ def evolve_unitary(
     as a consistency check, by `linalg._sample_spectra`: a sample with a
     zero entry, such as the zero commutator of an eigenstate probe, is
     evaluated again on its own pattern. The samples are evaluated in one
-    run, as a sweep's runs evaluate them (`_outcomes`), without its
+    run, as a sweep's runs evaluate them (`_columns`), without its
     store."""
     return _evolve(h, rho0, tau, n_steps, rates=False)
 
@@ -493,7 +484,7 @@ def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
         comm = h.mat[None] @ states - states @ h.mat[None]
         dstates = -1j * comm
         dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
-        speeds = _schatten_speeds(_entries(dstates), h.dim)
+        speeds = linalg._sample_spectra(*_entries(dstates), h.dim, h.dim)
         state = _entries(states)
         return _Samples(state, speeds, _batch_kmin(state, h.dim), None)
 
@@ -522,14 +513,19 @@ def _check_gathered_completeness(G: _Gathered, dim: int, samples=slice(None)) ->
     identity at the samples `samples` of a gathered stack. Entry (c, c')
     sums conj(K_l[i, c]) K_l[i, c'] over the pairs of entries that share
     an operator row (`_gram_pairs`); an entry without pairs is 0. Only the
-    largest deviation is read, so the order of the sums is free."""
+    largest deviation is read, so the order of the sums is free. An
+    infinite entry, or one whose square overflows, makes the deviation
+    infinite or NaN, which fails the check."""
     x = G.values[:, samples]
     pairs, diagonal, n = _gram_pairs(*(tuple(a.tolist()) for a in (G.ops, G.rows, G.cols)), dim)
     deviation = np.zeros((n, x.shape[1]), dtype=complex)
-    for k, left, right in pairs:
-        deviation[k] = (np.conj(x[left]) * x[right]).sum(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k, left, right in pairs:
+            deviation[k] = (np.conj(x[left]) * x[right]).sum(axis=0)
     deviation[diagonal] -= 1.0
-    _require_identity(deviation)
+    dev = float(np.max(np.abs(deviation), initial=0.0))
+    if not dev <= COMPLETENESS_TOL:
+        raise CompletenessViolationError(f"sum K†K deviates from identity by {dev:.3e}")
 
 
 @lru_cache(maxsize=256)
@@ -554,14 +550,6 @@ def _gram_pairs(ops, rows, cols, dim: int):
     for a in (diagonal, *(a for _, left, right in pairs for a in (left, right))):
         a.setflags(write=False)
     return pairs, diagonal, len(held)
-
-
-def _require_identity(deviation: np.ndarray) -> None:
-    dev = float(np.max(np.abs(deviation), initial=0.0))
-    if not dev <= COMPLETENESS_TOL:
-        raise CompletenessViolationError(
-            f"sum K†K deviates from identity by {dev:.3e}"
-        )
 
 
 # Trajectories form the products X_l rho_0 Y_l† of two operator stacks:
@@ -590,28 +578,30 @@ def _require_identity(deviation: np.ndarray) -> None:
 # The state of a run is held as entries too, the flat positions where it
 # can be nonzero and one time vector per position (every other entry +0),
 # the same form as the speed and rate matrices: `_batch_kmin` passes its
-# lower triangle to `linalg._sample_spectra` and `_failing_samples` reads
+# lower triangle to `linalg._sample_spectra` and `_state_deviations` reads
 # its trace and asymmetry. Dense stacks are written only where a caller
 # reads them: `Trajectory.states`, the end states of a sweep column,
 # `apply_channel` and the dense stacks of the built-in channels.
 #
 # The trajectories of a sweep panel share one store of samples
-# (`_outcomes`): the horizons' grids are joined, each distinct sample time
-# is evaluated and checked once in runs of n_steps times, and each horizon
-# is its rows of the store. The store keeps what `qsl._fill` reads: per
-# sample the speed, k_min and rate, and the dense states of the t = 0
-# sample and of each horizon's last one, from which `_columns` reads every
-# column. This work is elementwise
-# in time, and `linalg._sample_spectra` gives each sample the value of its
-# own pattern, so a sample gets the same bits in every run it could sit
-# in, even where the run gathers entries that are zero at it
+# (`_columns`): the horizons' grids are joined, each distinct sample time
+# is evaluated once in runs of n_steps times, and each horizon is its rows
+# of the store. The store keeps what `qsl._fill` and the `Trajectory`
+# checks read: per sample the speed, k_min and rate, the trace drift and
+# asymmetry of the state, and the dense states of the t = 0 sample and of
+# each horizon's last one, from which every column is read. This work is
+# elementwise in time, and `linalg._sample_spectra` gives each sample the
+# value of its own pattern, so a sample gets the same bits in every run it
+# could sit in, even where the run gathers entries that are zero at it
 # (`TestContractions` pads monomial stacks with zero entries,
 # `TestSharedSamples` runs a family that switches permutation). A run
 # that fails a check raises as a whole, and each horizon that holds one of
 # its samples is evaluated again on its own grid, into its rows of the
-# same store; a horizon that holds a sample failing a `Trajectory` check
-# takes the error of its own grid's `Trajectory`. So a bad sample fails
-# only the horizons that hold it, with the error of their own call.
+# same store. The `Trajectory` checks (`_check_samples`) hold for every
+# sample, so one check covers the whole store, and only when it fails
+# does each horizon check its own rows, which gives the error of its own
+# `Trajectory` with no run. So a bad sample fails only the horizons that
+# hold it, with the error of their own call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -715,11 +705,7 @@ def _sums(P: _Plan, U, V: np.ndarray, conj: bool = False):
 def _products(P: _Plan, XR, Y: _Gathered) -> np.ndarray:
     """X_l rho_0 Y_l† at the entries of `P`, a plan of X rho_0 against Y,
     from the parts `XR` of X rho_0, shape (n_entries, n_times)."""
-    return _complex(*_sums(P, XR, Y.values, conj=True))
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array with the given real and imaginary parts."""
+    re, im = _sums(P, XR, Y.values, conj=True)
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -827,7 +813,7 @@ def evolve_kraus(
     blocks on every sample at once and again only where a sample is zero
     at one of its entries. A derivative stack with a NaN or an infinity raises
     InvalidStateError before any product is formed. The samples are
-    evaluated in one run, as a sweep's runs evaluate them (`_outcomes`),
+    evaluated in one run, as a sweep's runs evaluate them (`_columns`),
     without its store."""
     return _evolve(fam, rho0, tau, n_steps, rates)
 
@@ -853,8 +839,8 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
         state = _hermitian_sum(P, _products(P, KR, K), dim)
         half = _plan(dR, K)
         dKR = _sums(dR, (dK.values.real, dK.values.imag), rho.values)
-        speeds = _schatten_speeds(_plus_adjoint(*_operator_sums(
-            half, _products(half, dKR, K), dim), dim), dim)
+        speeds = linalg._sample_spectra(*_plus_adjoint(*_operator_sums(
+            half, _products(half, dKR, K), dim), dim), dim, dim)
         del dKR
         if rates:
             P = _plan(R, dK)
@@ -884,25 +870,26 @@ class _Samples(NamedTuple):
 
 
 class _SampleStore:
-    """What a panel keeps per distinct sample time, as `qsl._fill` reads
-    it: the time; the speed, k_min and rate; whether the sample fails a
-    `Trajectory` check, found once per sample as it is added; whether the
-    sample is missing: no run that holds it has passed; and the dense
+    """What a panel keeps per distinct sample time, as `qsl._fill` and
+    `_check_samples` read it: the time; the speed, k_min and rate; the
+    trace drift and asymmetry of the state (`_state_deviations`); whether
+    the sample is missing: no run that holds it has passed; and the dense
     states of the samples `ends` (ascending), the only states a column
-    reads: the t = 0 sample and each horizon's last one."""
+    reads: the t = 0 sample and each horizon's last one. A missing sample
+    holds zeros, which pass every check."""
 
     def __init__(self, times: np.ndarray, ends: np.ndarray, dim: int):
         n = len(times)
         self.times, self.ends, self.dim = times, ends, dim
         self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
+        self.drift, self.asym = np.zeros(n), np.zeros(n)
         self.end_states = np.zeros((len(ends), dim, dim), dtype=complex)
-        self.failing = np.zeros(n, dtype=bool)
         self.missing = np.ones(n, dtype=bool)
 
-    def fill(self, sampler, rows: np.ndarray) -> _Samples | AzqslError:
-        """Evaluate the samples `rows` in one run of `sampler`, hold them and
-        return them, or return the error the run raised and leave the store
-        as it is."""
+    def fill(self, sampler, rows: np.ndarray) -> AzqslError | None:
+        """Evaluate the samples `rows` in one run of `sampler` and hold
+        them, or return the error the run raised and leave the store as it
+        is."""
         samples = _attempt(sampler, self.times[rows])
         if isinstance(samples, AzqslError):
             return samples
@@ -910,14 +897,20 @@ class _SampleStore:
         at = np.isin(rows, self.ends)
         self.end_states[np.searchsorted(self.ends, rows[at])] = _dense(
             positions, values[:, at], self.dim)
+        self.drift[rows], self.asym[rows] = _state_deviations(positions, values, self.dim)
         self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
         if samples.rates is not None:
             if self.rates is None:
                 self.rates = np.zeros(len(self.speeds))
             self.rates[rows] = samples.rates
-        self.failing[rows] = _failing_samples(samples, self.dim)
         self.missing[rows] = False
-        return samples
+        return None
+
+    def check(self, rows=slice(None)) -> None:
+        """`_check_samples` of the samples `rows`, all of them by default."""
+        _check_samples(len(self.times[rows]), self.drift[rows], self.asym[rows],
+                       self.speeds[rows], self.kmins[rows],
+                       None if self.rates is None else self.rates[rows])
 
     def end_state(self, row: int) -> np.ndarray:
         """The dense state of the sample `row`, one of `ends`."""
@@ -933,52 +926,6 @@ def _sampler(model, rho0: DensityMatrix, rates: bool):
     if isinstance(model, HamiltonianModel):
         return _unitary_sampler(model, rho0)
     return _kraus_sampler(model, rho0, rates)
-
-
-def _outcomes(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int, rates: bool):
-    """The `_SampleStore` that the horizons of `taus` share, and for each
-    horizon, in order, its rows in the store or the AzqslError its
-    per-horizon call raises.
-
-    The time grids are joined, and every distinct sample time is evaluated
-    once, in runs of `n_steps` times. Every per-sample quantity is
-    elementwise in time and `linalg._sample_spectra` gives each sample the
-    value of its own pattern, so a sample has the same bits whichever
-    horizons hold it; the entries a run's other samples add to a gathered
-    stack are zero at it and add only exact zeros. A run that fails a
-    check raises as a whole, so each horizon that holds a sample of it is
-    evaluated again on its own grid, written into its rows, and gets the
-    outcome of its own call. A re-evaluation that raises leaves the store
-    as it is, and a horizon whose rows earlier re-evaluations refilled is
-    not evaluated again. A horizon that holds a sample failing a
-    `Trajectory` check takes its error from the `Trajectory` of its own
-    grid's run: its re-evaluation, or else one run of its own; so it runs
-    its grid at most once."""
-    sampler = _attempt(_sampler, model, rho0, rates)
-    if isinstance(sampler, AzqslError):
-        return _SampleStore(np.zeros(0), np.zeros(0, dtype=int), rho0.dim), [sampler] * len(taus)
-    grids = [_attempt(_time_grid, tau, n_steps) for tau in taus]
-    live = [grid for grid in grids if not isinstance(grid, AzqslError)]
-    times = np.unique(np.concatenate(live)) if live else np.zeros(0)
-    outcomes = [grid if isinstance(grid, AzqslError) else np.searchsorted(times, grid)
-                for grid in grids]
-    del grids, live
-    ends = np.unique(np.array([rows[[0, -1]] for rows in outcomes
-                               if not isinstance(rows, AzqslError)], dtype=int))
-    store = _SampleStore(times, ends, rho0.dim)
-    index = np.arange(len(times))
-    for start in range(0, len(times), n_steps):
-        store.fill(sampler, index[start:start + n_steps])
-    for h, rows in enumerate(outcomes):
-        if isinstance(rows, AzqslError):
-            continue
-        own = store.fill(sampler, rows) if store.missing[rows].any() else None
-        if not isinstance(own, AzqslError):
-            own = (_attempt(_run_trajectory, sampler, store.times[rows], own, rho0.dim)
-                   if store.failing[rows].any() else _attempt(_check_times, store.times[rows]))
-        if isinstance(own, AzqslError):
-            outcomes[h] = own
-    return store, outcomes
 
 
 class _Columns(NamedTuple):
@@ -1001,12 +948,54 @@ class _Columns(NamedTuple):
     errors: list
 
 
-def _columns(store: _SampleStore, outcomes: list) -> _Columns:
-    """The `_Columns` of the store and outcomes of `_outcomes`, without
-    building a trajectory: every column reads its rows of the one store
-    and its end state there. Every grid starts at t = 0, so every column
-    starts from the store's first sample, validated once as the probe
-    state; each end state is validated on its own."""
+def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
+             rates: bool) -> _Columns:
+    """The `_Columns` of the horizons `taus` of `model` from `rho0`, one
+    per horizon, in order: what its `evolve_unitary` (a Hamiltonian) or
+    `evolve_kraus` (a Kraus family) call gives, or the AzqslError it
+    raises, read from one `_SampleStore` without building a trajectory.
+
+    The time grids are joined, and every distinct sample time is evaluated
+    once, in runs of `n_steps` times. Every per-sample quantity is
+    elementwise in time and `linalg._sample_spectra` gives each sample the
+    value of its own pattern, so a sample has the same bits whichever
+    horizons hold it; the entries a run's other samples add to a gathered
+    stack are zero at it and add only exact zeros. A run that fails a
+    check raises as a whole, so each horizon that holds a sample of it is
+    evaluated again on its own grid, written into its rows, and gets the
+    outcome of its own call. A re-evaluation that raises leaves the store
+    as it is, and a horizon whose rows earlier re-evaluations refilled is
+    not evaluated again. Then one `_check_samples` covers every sample of
+    the store. Each of its checks holds for every sample, so only when it
+    fails does each horizon check its own rows, which gives the error of
+    its own `Trajectory` with no further run.
+
+    Every grid starts at t = 0, so every column starts from the store's
+    first sample, validated once as the probe state; each end state is
+    validated on its own."""
+    sampler = _attempt(_sampler, model, rho0, rates)
+    grids = [sampler if isinstance(sampler, AzqslError) else _attempt(_time_grid, tau, n_steps)
+             for tau in taus]
+    live = [grid for grid in grids if not isinstance(grid, AzqslError)]
+    times = np.unique(np.concatenate(live)) if live else np.zeros(0)
+    outcomes = [grid if isinstance(grid, AzqslError) else np.searchsorted(times, grid)
+                for grid in grids]
+    del grids, live
+    ends = np.unique(np.array([rows[[0, -1]] for rows in outcomes
+                               if not isinstance(rows, AzqslError)], dtype=int))
+    store = _SampleStore(times, ends, rho0.dim)
+    index = np.arange(len(times))
+    for start in range(0, len(times), n_steps):
+        store.fill(sampler, index[start:start + n_steps])
+    # `fill` and `_attempt` of a check give None where they pass
+    for h, rows in enumerate(outcomes):
+        if not isinstance(rows, AzqslError):
+            own = store.fill(sampler, rows) if store.missing[rows].any() else None
+            outcomes[h] = own or _attempt(_check_times, store.times[rows]) or rows
+    if len(times) and _attempt(store.check) is not None:
+        for h, rows in enumerate(outcomes):
+            if not isinstance(rows, AzqslError):
+                outcomes[h] = _attempt(store.check, rows) or rows
     probe = None
     rows, finals, errors = [], [], []
     for outcome in outcomes:
@@ -1023,20 +1012,10 @@ def _columns(store: _SampleStore, outcomes: list) -> _Columns:
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
     """The trajectory of `evolve_unitary` or `evolve_kraus`: one horizon,
     evaluated in one run without a store."""
-    return _run_trajectory(_sampler(model, rho0, rates), _time_grid(tau, n_steps), None, rho0.dim)
-
-
-def _run_trajectory(sampler, times: np.ndarray, samples: _Samples | None, dim: int) -> Trajectory:
-    """The `Trajectory` of the run of `sampler` on `times`: `samples`, when
-    that run has been made, else a new run."""
-    samples = samples or sampler(times)
-    return Trajectory(times, _dense(*samples.state, dim), *samples[1:])
-
-
-def _schatten_speeds(speed: tuple, dim: int) -> np.ndarray:
-    """||drho/dt||_1 per sample from drho/dt given by its flat positions
-    and entry-major values, through `linalg._sample_spectra`."""
-    return linalg._sample_spectra(*speed, dim, dim)
+    sampler = _sampler(model, rho0, rates)
+    times = _time_grid(tau, n_steps)
+    samples = sampler(times)
+    return Trajectory(times, _dense(*samples.state, rho0.dim), *samples[1:])
 
 
 def _kraus_rates(prods: list, dim: int) -> np.ndarray:

@@ -130,15 +130,8 @@ def _purities(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.nda
     return traces
 
 
-def _purity_values(
-    rho: DensityMatrix, sigma: DensityMatrix, alphas: list[float], z: float
-) -> list[float]:
-    """g(rho, sigma) for every alpha at one z."""
-    return _purities([rho], [sigma], alphas, z)[0].tolist()
-
-
 def _purity_value(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, z: float) -> float:
-    return _purity_values(rho, sigma, [alpha], z)[0]
+    return float(_purities([rho], [sigma], [alpha], z)[0, 0])
 
 
 def relative_purity(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:

@@ -85,32 +85,32 @@ def random_ghz_state(rng, p_max: float = 0.95):
 
 
 class Held(NamedTuple):
-    """What a panel's sample store holds for one horizon: the times,
-    speeds, k_min and rates (None without) of its samples, and its dense
-    t = 0 and end states."""
+    """What a panel's columns hold for one horizon: the times, speeds,
+    k_min and rates (None without) of its samples, and its t = 0 and end
+    states, each a DensityMatrix or the error its validation raised."""
 
     times: np.ndarray
     speeds: np.ndarray
     kmins: np.ndarray
     rates: np.ndarray | None
-    initial: np.ndarray
-    final: np.ndarray
+    initial: DensityMatrix | AzqslError
+    final: DensityMatrix | AzqslError
 
 
-def held(store: dyn._SampleStore, rows: np.ndarray) -> Held:
-    """What `store` holds for the horizon of the samples `rows`."""
-    return Held(store.times[rows], store.speeds[rows], store.kmins[rows],
-                None if store.rates is None else store.rates[rows],
-                store.end_state(rows[0]), store.end_state(rows[-1]))
+def held(cols: dyn._Columns, c: int) -> Held:
+    """What the columns `cols` hold for their column `c`."""
+    rows = cols.rows[c]
+    return Held(cols.times[rows], cols.speeds[rows], cols.kmins[rows],
+                None if cols.rates is None else cols.rates[rows], cols.probe, cols.finals[c])
 
 
 def trajectories(model, rho0, taus, n_steps: int, rates: bool = False) -> list:
-    """For each horizon of `taus`, in order, what its rows of the
-    `dynamics._outcomes` store hold (`Held`), or the AzqslError it ended
-    in: what `evolve_unitary` (a Hamiltonian) or `evolve_kraus` (a Kraus
+    """For each horizon of `taus`, in order, what its column of
+    `dynamics._columns` holds (`Held`), or the AzqslError it ended in:
+    what `evolve_unitary` (a Hamiltonian) or `evolve_kraus` (a Kraus
     family) gives for it, without the interior states."""
-    store, outcomes = dyn._outcomes(model, rho0, taus, n_steps, rates)
-    return [o if isinstance(o, AzqslError) else held(store, o) for o in outcomes]
+    cols = dyn._columns(model, rho0, taus, n_steps, rates)
+    return [cols.errors[c] or held(cols, c) for c in range(len(taus))]
 
 
 def trajectory_columns(outcomes: list) -> dyn._Columns:

@@ -16,6 +16,10 @@ def run_cli(args):
 
 
 class TestSinglePoint:
+    def test_bare_command_takes_sweep_config_defaults(self):
+        args = cli.build_parser().parse_args(["bound"])
+        assert cli._cfg_from_args(args) == cli.SweepConfig()
+
     def test_entropy_depolarizing(self, capsys):
         rc = run_cli(["entropy", "--model", "depolarizing", "--r", "0.75",
                       "--alpha", "0.5", "--z", "1", "--tau", "5"])
@@ -185,6 +189,22 @@ class TestSweep:
 
     def test_invalid_grid_rejected(self):
         assert run_cli(["sweep", "--set", "alpha_grid=0.0,0.9,5"]) == 1
+
+    def test_overflowing_kraus_entry_fails_every_row(self, tmp_path):
+        # 1e200 is finite, so the file loads, but its square overflows:
+        # every row fails the completeness check, with no numpy warning
+        kraus = tmp_path / "huge.kraus"
+        kraus.write_text("1 2\n1e200 0\n0 0\n0 0\n1 0\n")
+        out = tmp_path / "huge.csv"
+        rc = run_cli(["sweep", "--set", "model=custom_kraus_file", "--set", f"kraus_file={kraus}",
+                      "--set", "alpha_grid=0.3,0.7,2", "--set", "time_grid=0.5,1.0,2",
+                      "--set", "n_steps=11", "--out", out])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 1 + 4
+        for line in lines[1:]:
+            assert line.split(",")[header.index("warnings")] == "error:CompletenessViolationError"
 
     def test_custom_kraus_identity(self, tmp_path):
         kraus = tmp_path / "identity.kraus"

@@ -18,6 +18,7 @@ from azqsl.errors import (
     InvalidParamsError,
     InvalidStateError,
     NotHermitianError,
+    _attempt,
 )
 from azqsl.qsl import qsl_nonunitary
 from azqsl.states import (
@@ -1153,17 +1154,34 @@ def test_gathered_completeness_equals_dense_oracle(case):
     # deviation exceeds it)
     K, samples = case
     dim = K.shape[-1]
-    with np.errstate(invalid="ignore"):
-        gram = np.einsum("tlic,tlid->tcd", K[samples].conj(), K[samples])
-        deviation = np.max(np.abs(gram - np.eye(dim)), initial=0.0)
-        assert not 1e-12 < deviation < 1e-6  # far from the tolerance either way
-        try:
-            dyn._check_gathered_completeness(dyn._gather(K), dim, samples)
-        except CompletenessViolationError:
-            raised = True
-        else:
-            raised = False
+    gram = np.einsum("tlic,tlid->tcd", K[samples].conj(), K[samples])
+    deviation = np.max(np.abs(gram - np.eye(dim)), initial=0.0)
+    assert not 1e-12 < deviation < 1e-6  # far from the tolerance either way
+    try:
+        dyn._check_gathered_completeness(dyn._gather(K), dim, samples)
+    except CompletenessViolationError:
+        raised = True
+    else:
+        raised = False
     assert raised == (not deviation <= dyn.COMPLETENESS_TOL), deviation
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, 1e200, 1e200j])
+def test_huge_operator_entry_fails_completeness(entry):
+    # an infinite operator entry, or one whose square overflows, makes the
+    # deviation from the identity infinite or NaN: evolve_kraus, with and
+    # without rates, and apply_channel raise CompletenessViolationError,
+    # with no numpy warning on the way (the suite makes warnings errors)
+    ops = [k.copy() for k in bit_flip_family()._ops_fn(0.0)]
+    ops[1][0, 1] = entry
+    zeros = [np.zeros((2, 2), dtype=complex)] * 2
+    fam = dyn.KrausFamily(dim=2, n_ops=2, ops_fn=lambda t: ops, dops_fn=lambda t: zeros)
+    rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+    for rates in (False, True):
+        with pytest.raises(CompletenessViolationError):
+            dyn.evolve_kraus(fam, rho0, 1.0, 11, rates=rates)
+    with pytest.raises(CompletenessViolationError):
+        dyn.apply_channel(fam, rho0, 1.0)
 
 
 def damping_family() -> dyn.KrausFamily:
@@ -1236,20 +1254,36 @@ def evolve_one(model, rho0, tau, n_steps, rates):
 
 
 def assert_same_outcome(got, want):
-    """Equal errors (class and message), or what a store holds for a
-    horizon (`Held`) equal to its trajectory as int64 bits, so signed zeros
-    count: the times, speeds, k_min, rates and the two end states."""
+    """Equal errors (class and message), or what a panel's columns hold
+    for a horizon (`Held`) equal to its trajectory as int64 bits, so signed
+    zeros count: the times, speeds, k_min, rates and the two validated end
+    states, or the errors of their validation."""
     if isinstance(want, AzqslError):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert isinstance(got, Held), got
     pairs = [(name, getattr(got, name), getattr(want, name))
              for name in ("times", "speeds", "kmins", "rates")]
-    pairs += [("initial", got.initial, want.states[0]), ("final", got.final, want.states[-1])]
+    for name in ("initial", "final"):
+        state = _attempt(getattr, want, f"{name}_state")
+        if isinstance(state, AzqslError):
+            assert_same_outcome(getattr(got, name), state)
+        else:
+            pairs.append((name, getattr(got, name).mat, state.mat))
     for name, a, b in pairs:
         assert (a is None) == (b is None), name
         if b is not None:
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def recorded_checks(monkeypatch) -> list:
+    """The number of samples of every `_check_samples` call, in order,
+    from here on."""
+    checks = []
+    check = dyn._check_samples
+    monkeypatch.setattr(dyn, "_check_samples",
+                        lambda n, *args: checks.append(n) or check(n, *args))
+    return checks
 
 
 def recorded_runs(monkeypatch) -> list:
@@ -1341,18 +1375,20 @@ class TestSharedSamples:
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("name", sorted(STORE_CASES))
     def test_store_holds_each_horizons_own_bits(self, name, rates, monkeypatch):
-        # a panel's store against each horizon's own call: the speeds,
+        # a panel's columns against each horizon's own call: the speeds,
         # k_min, rates and end states as int64, so signed zeros count. No
-        # sample fails, so the panel makes its shared runs alone
+        # sample fails, so the panel makes its shared runs and one
+        # store-wide check alone
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
-        store, outcomes = dyn._outcomes(fam, rho0, taus, 201, rates)
+        checks = recorded_checks(monkeypatch)
+        cols = dyn._columns(fam, rho0, taus, 201, rates)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
-        assert np.array_equal(np.concatenate(runs), store.times)
-        assert not store.failing.any()
-        for tau, rows in zip(taus, outcomes):
-            assert_same_outcome(held(store, rows), dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
+        assert np.array_equal(np.concatenate(runs), cols.times)
+        assert checks == [len(cols.times)]
+        for c, tau in enumerate(taus):
+            assert_same_outcome(held(cols, c), dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
 
 
 class IncompleteAfter(dyn.AmplitudeDampingFamily):
@@ -1491,7 +1527,7 @@ class TestErrorAttribution:
         # the columns a sweep fills from: a column holding a failing sample
         # gets the error of its own call, the others its samples and states
         fam, rho0, _, _ = self.CASES[name]
-        cols = dyn._columns(*dyn._outcomes(fam, rho0, self.TAUS, 17, rates))
+        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
         for c, tau in enumerate(self.TAUS):
             want = evolve_one(fam, rho0, tau, 17, rates)
             if isinstance(want, AzqslError):
@@ -1517,35 +1553,61 @@ class TestErrorAttribution:
         # bits of its own call
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        store, outcomes = dyn._outcomes(fam, rho0, self.TAUS, 17, rates)
-        shared = -(-len(store.times) // 17)
+        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        shared = -(-len(cols.times) // 17)
         again = [float(run[-1]) for run in runs[shared:]]
         assert set(again) - failing
-        for tau, rows in zip(self.TAUS, outcomes):
+        for c, tau in enumerate(self.TAUS):
             if tau in again and tau not in failing:
                 want = dyn.evolve_kraus(fam, rho0, tau, 17, rates=rates)
-                assert_same_outcome(held(store, rows), want)
+                assert_same_outcome(held(cols, c), want)
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_horizons_run_their_own_grid_at_most_once(self, name, rates, monkeypatch):
         # past the panel's shared runs, each run is the whole grid of one
-        # horizon, and no horizon's grid runs twice: a horizon whose
-        # re-evaluation passed takes a failing sample's error from that
-        # run, and one that was not re-evaluated runs its grid once. Only
-        # the trace-drift cases fail no run: there, each failing horizon
-        # runs its grid once and the others not at all
+        # horizon re-evaluated after a run that raised, and no horizon's
+        # grid runs twice; a sample failing a `Trajectory` check is settled
+        # from the stored rows with no run. So the trace-drift cases, which
+        # fail no run, make no run past the shared ones
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        store, _ = dyn._outcomes(fam, rho0, self.TAUS, 17, rates)
-        shared = -(-len(store.times) // 17)
-        assert np.array_equal(np.concatenate(runs[:shared]), store.times)
+        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        shared = -(-len(cols.times) // 17)
+        assert np.array_equal(np.concatenate(runs[:shared]), cols.times)
         again = [float(run[-1]) for run in runs[shared:]]
         assert len(again) == len(set(again))
         for run in runs[shared:]:
             assert np.array_equal(run, dyn._time_grid(float(run[-1]), 17))
-        if "trace_drift" in name:
-            assert again == [tau for tau in self.TAUS if tau in failing]
+        if name in ("closed_form_trace_drift", "user_trace_drift"):
+            assert again == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("field", ["speeds", "kmins", "rates"])
+    def test_failing_sample_values_fail_their_horizons(self, field, bad, monkeypatch):
+        # a speed, k_min or rate spoiled at t = 1 alone, in the panel's
+        # runs and in each horizon's own call: the store-wide check fails,
+        # and the horizons holding t = 1 take their own call's error with
+        # no run past the shared ones
+        sampler = dyn._kraus_sampler
+
+        def spoiled(*args):
+            sample = sampler(*args)
+
+            def run(times):
+                samples = sample(times)
+                getattr(samples, field)[times == 1.0] = bad
+                return samples
+            return run
+
+        monkeypatch.setattr(dyn, "_kraus_sampler", spoiled)
+        fam, rho0 = SHARING_MODELS["ad_s10.0"]
+        wants = [evolve_one(fam, rho0, tau, 17, True) for tau in self.TAUS]
+        assert [isinstance(w, InvalidStateError) for w in wants] == [True, True, False, True, False]
+        runs = recorded_runs(monkeypatch)
+        for got, want in zip(trajectories(fam, rho0, self.TAUS, 17, True), wants):
+            assert_same_outcome(got, want)
+        assert sum(len(run) for run in runs) == len(np.unique(np.concatenate(runs)))
 
     def test_refilled_rows_are_not_run_again(self, monkeypatch):
         # the grids of 1, 2 and 4 hold 17 + 8 + 8 distinct times; the run
@@ -1556,46 +1618,43 @@ class TestErrorAttribution:
         fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
         rho0 = ghz_mixed(GHZMixedParams(0.4))
         runs = recorded_runs(monkeypatch)
-        store, outcomes = dyn._outcomes(fam, rho0, [1.0, 2.0, 4.0, 2.0], 17, True)
+        cols = dyn._columns(fam, rho0, [1.0, 2.0, 4.0, 2.0], 17, True)
         assert [len(run) for run in runs] == [17, 16, 17, 17]
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
-        assert isinstance(outcomes[2], InvalidParamsError)
-        assert np.array_equal(outcomes[1], outcomes[3])
-        assert_same_outcome(held(store, outcomes[3]), dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
+        assert isinstance(cols.errors[2], InvalidParamsError)
+        assert np.array_equal(cols.rows[1], cols.rows[3])
+        assert_same_outcome(held(cols, 3), dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
 
 
-def assert_flags_agree(positions, values, speeds, kmins, rates, dim):
-    """`_failing_samples` of a run given entry-major against the checks of
-    `Trajectory` on its dense states: per sample and for the whole run."""
-    n = len(speeds)
+def check_error(fn, *args):
+    """The class and message of the error that fn(*args) raises, or None."""
+    error = _attempt(fn, *args)
+    return (type(error), str(error)) if isinstance(error, AzqslError) else None
+
+
+def assert_checks_agree(positions, values, speeds, kmins, rates, dim, rows):
+    """`_check_samples` on the entry-major deviations of the samples `rows`
+    of a run against `Trajectory` on their dense states: the same error
+    class and message, or no error from either. Returns that error."""
+    n = len(rows)
     states = np.zeros((n, dim * dim), dtype=complex)
-    states[:, positions] = values.T
-    states = states.reshape(n, dim, dim)
-    failing = dyn._failing_samples(dyn._Samples((positions, values), speeds, kmins, rates), dim)
-    for i in range(n):
-        sample = (states[i:i + 1], speeds[i:i + 1], kmins[i:i + 1],
-                  None if rates is None else rates[i:i + 1])
-        try:
-            dyn.Trajectory(np.zeros(1), *sample)
-        except InvalidStateError:
-            assert failing[i], i
-        else:
-            assert not failing[i], i
-    try:
-        dyn.Trajectory(np.linspace(0.0, 1.0, n), states, speeds, kmins, rates)
-    except InvalidStateError:
-        assert failing.any()
-    else:
-        assert not failing.any()
-    return failing
+    states[:, positions] = values[:, rows].T
+    picked = (speeds[rows], kmins[rows], None if rates is None else rates[rows])
+    got = check_error(dyn._check_samples, n,
+                      *dyn._state_deviations(positions, values[:, rows], dim), *picked)
+    want = check_error(dyn.Trajectory, np.linspace(0.0, 1.0, n),
+                       states.reshape(n, dim, dim), *picked)
+    assert got == want
+    return got
 
 
-def test_failing_samples_agree_with_trajectory_checks(rng):
-    # a run of samples passes the per-sample checks exactly when a
-    # trajectory made of them passes its own; the run is given entry-major,
-    # without some of the positions that hold +0 in its dense states, and
-    # with signed zeros at others
+def test_sample_checks_agree_with_trajectory_checks(rng):
+    # the checks of a subset of a run's samples, given entry-major, raise
+    # what a trajectory made of them raises, or pass where it passes; the
+    # run lacks some of the positions that hold +0 in its dense states and
+    # holds signed zeros at others
     n, dim = 9, 3
+    raised = set()
     for trial in range(60):
         support = rng.permutation(dim)[:int(rng.integers(1, dim + 1))]
         states = np.zeros((n, dim, dim), dtype=complex)
@@ -1622,11 +1681,21 @@ def test_failing_samples_agree_with_trajectory_checks(rng):
                 flat[i, rng.choice(present)] = math.nan
             else:
                 (speeds, kmins, rates)[defect - 3][i] = rng.choice([-1e-300, math.inf, math.nan])
+        values = flat[:, present].T.copy()
+        subsets = [np.arange(n), np.array([int(rng.integers(n))])]
+        subsets += [np.flatnonzero(rng.random(n) < 0.5) for _ in range(4)]
         for with_rates in (None, rates):
-            assert_flags_agree(present, flat[:, present].T.copy(), speeds, kmins, with_rates, dim)
+            for picked in subsets:
+                if len(picked):
+                    error = assert_checks_agree(present, values, speeds, kmins, with_rates,
+                                                dim, picked)
+                    raised.add(error and error[1].split(" ")[0])
+    # every defect reached an error: trace drift, asymmetry and non-finite
+    # or negative values
+    assert {None, "trace", "non-Hermitian", "non-finite", "negative"} <= raised
 
 
-def test_failing_samples_at_the_tolerances():
+def test_sample_checks_at_the_tolerances():
     # a 3x3 state held at (0, 0), (0, 1) and (1, 1): its (1, 0) mirror and
     # its (2, 2) diagonal entry are absent. Traces one ulp either side of
     # 1 +- TRACE_DRIFT_TOL, and asymmetries (an entry against its absent
@@ -1644,5 +1713,8 @@ def test_failing_samples_at_the_tolerances():
     columns += [(0.5 + 0.5j * x, 0.0, 0.5) for x in asymmetries]
     values = np.array(columns, dtype=complex).T
     n = values.shape[1]
-    failing = assert_flags_agree(np.array([0, 1, 4]), values, np.ones(n), np.ones(n), None, 3)
-    assert failing.tolist() == [False, True, False, True] + [False, False, True] * 2
+    ones, positions = np.ones(n), np.array([0, 1, 4])
+    failing = [assert_checks_agree(positions, values, ones, ones, None, 3, np.array([i]))
+               is not None for i in range(n)]
+    assert failing == [False, True, False, True] + [False, False, True] * 2
+    assert assert_checks_agree(positions, values, ones, ones, None, 3, np.arange(n))

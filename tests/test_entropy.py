@@ -130,7 +130,7 @@ class TestRenyi:
             spectra = np.maximum(np.linalg.eigvalsh(
                 linalg.hermitian_part(outer @ inner @ outer)), 0.0)
             want = [ent._zpow_trace(v, rho, sigma, a, z) for v, a in zip(spectra, alphas)]
-            assert ent._purity_values(rho, sigma, alphas, z) == want
+            assert ent._purities([rho], [sigma], alphas, z)[0].tolist() == want
 
 
 class TestSymmetrized:

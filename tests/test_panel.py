@@ -178,15 +178,19 @@ FIG4_AD = dict(alpha_grid=(0.01, 0.99, 25), time_grid=(0.0, 20.0, 41))
 
 
 def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
-    """A fig4_ad-shaped panel (40 horizons of 1001 samples) checks each of
-    its 19 970 distinct samples once, not the 40 040 its horizons hold;
-    validates its probe state once and each of the 40 end states once;
-    and makes dense only the states it validates, building no
+    """A fig4_ad-shaped panel (40 horizons of 1001 samples) takes the trace
+    drift and asymmetry of each of its 19 970 distinct samples once, not
+    of the 40 040 its horizons hold, and checks them in one store-wide
+    call; validates its probe state once and each of the 40 end states
+    once; and makes dense only the states it validates, building no
     trajectory."""
-    checked, validated, dense = [], [], []
-    failing, density_matrix, to_dense = dyn._failing_samples, dyn.DensityMatrix, dyn._dense
-    monkeypatch.setattr(dyn, "_failing_samples",
-                        lambda s, dim: checked.append(len(s.speeds)) or failing(s, dim))
+    deviations, checks, validated, dense = [], [], [], []
+    deviate, check = dyn._state_deviations, dyn._check_samples
+    density_matrix, to_dense = dyn.DensityMatrix, dyn._dense
+    monkeypatch.setattr(dyn, "_state_deviations", lambda positions, values, dim: (
+        deviations.append(values.shape[1]) or deviate(positions, values, dim)))
+    monkeypatch.setattr(dyn, "_check_samples",
+                        lambda n, *args: checks.append(n) or check(n, *args))
     monkeypatch.setattr(dyn, "DensityMatrix",
                         lambda m: validated.append(m.tobytes()) or density_matrix(m))
 
@@ -199,7 +203,8 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     monkeypatch.setattr(dyn, "Trajectory", None)  # building one would fail
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     panel = cli.sweep_rows(cfg)
-    assert sum(checked) == 19970
+    assert sum(deviations) == 19970
+    assert checks == [19970]
     # the probe and the 40 end states, each matrix once
     assert len(validated) == len(set(validated)) == 1 + 40
     assert sorted(dense) == sorted(validated)
@@ -278,7 +283,7 @@ def kind_columns(name: str, picked: list[int]):
     live = times != 0.0
     trajs = [None if t == 0.0 else dyn.evolve_kraus(model, rho0, t, N_STEPS, rates=True)
              for t in times.tolist()]
-    cols = dyn._columns(*dyn._outcomes(model, rho0, times[live].tolist(), N_STEPS, True))
+    cols = dyn._columns(model, rho0, times[live].tolist(), N_STEPS, True)
     return times, cols, trajs
 
 
