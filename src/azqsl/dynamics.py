@@ -597,11 +597,10 @@ def _gram_pairs(ops, rows, cols, dim: int):
 # `TestSharedSamples` runs a family that switches permutation). A run
 # that fails a check raises as a whole, and each horizon that holds one of
 # its samples is evaluated again on its own grid, into its rows of the
-# same store. The `Trajectory` checks (`_check_samples`) hold for every
-# sample, so one check covers the whole store, and only when it fails
-# does each horizon check its own rows, which gives the error of its own
-# `Trajectory` with no run. So a bad sample fails only the horizons that
-# hold it, with the error of their own call.
+# same store. Each horizon then makes the `Trajectory` checks
+# (`_check_samples`) on the deviations and values its rows hold, which
+# gives the error of its own `Trajectory` with no run. So a bad sample
+# fails only the horizons that hold it, with the error of their own call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -906,9 +905,9 @@ class _SampleStore:
         self.missing[rows] = False
         return None
 
-    def check(self, rows=slice(None)) -> None:
-        """`_check_samples` of the samples `rows`, all of them by default."""
-        _check_samples(len(self.times[rows]), self.drift[rows], self.asym[rows],
+    def check(self, rows: np.ndarray) -> None:
+        """`_check_samples` of the samples `rows`."""
+        _check_samples(len(rows), self.drift[rows], self.asym[rows],
                        self.speeds[rows], self.kmins[rows],
                        None if self.rates is None else self.rates[rows])
 
@@ -965,10 +964,9 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     evaluated again on its own grid, written into its rows, and gets the
     outcome of its own call. A re-evaluation that raises leaves the store
     as it is, and a horizon whose rows earlier re-evaluations refilled is
-    not evaluated again. Then one `_check_samples` covers every sample of
-    the store. Each of its checks holds for every sample, so only when it
-    fails does each horizon check its own rows, which gives the error of
-    its own `Trajectory` with no further run.
+    not evaluated again. Then each horizon makes `_check_samples` on its
+    own rows, which gives the error of its own `Trajectory` with no
+    further run.
 
     Every grid starts at t = 0, so every column starts from the store's
     first sample, validated once as the probe state; each end state is
@@ -991,11 +989,8 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     for h, rows in enumerate(outcomes):
         if not isinstance(rows, AzqslError):
             own = store.fill(sampler, rows) if store.missing[rows].any() else None
-            outcomes[h] = own or _attempt(_check_times, store.times[rows]) or rows
-    if len(times) and _attempt(store.check) is not None:
-        for h, rows in enumerate(outcomes):
-            if not isinstance(rows, AzqslError):
-                outcomes[h] = _attempt(store.check, rows) or rows
+            outcomes[h] = (own or _attempt(_check_times, store.times[rows])
+                           or _attempt(store.check, rows) or rows)
     probe = None
     rows, finals, errors = [], [], []
     for outcome in outcomes:

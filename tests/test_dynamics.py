@@ -1377,8 +1377,8 @@ class TestSharedSamples:
     def test_store_holds_each_horizons_own_bits(self, name, rates, monkeypatch):
         # a panel's columns against each horizon's own call: the speeds,
         # k_min, rates and end states as int64, so signed zeros count. No
-        # sample fails, so the panel makes its shared runs and one
-        # store-wide check alone
+        # sample fails, so the panel makes its shared runs alone and checks
+        # each horizon's rows once
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
@@ -1386,7 +1386,7 @@ class TestSharedSamples:
         cols = dyn._columns(fam, rho0, taus, 201, rates)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
         assert np.array_equal(np.concatenate(runs), cols.times)
-        assert checks == [len(cols.times)]
+        assert checks == [201] * len(taus)
         for c, tau in enumerate(taus):
             assert_same_outcome(held(cols, c), dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
 
@@ -1569,7 +1569,9 @@ class TestErrorAttribution:
         # horizon re-evaluated after a run that raised, and no horizon's
         # grid runs twice; a sample failing a `Trajectory` check is settled
         # from the stored rows with no run. So the trace-drift cases, which
-        # fail no run, make no run past the shared ones
+        # fail no run, make no run past the shared ones, and the mixed case
+        # runs again only the horizons 2, 3 and 4, which hold samples of
+        # its raising run
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
         cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
@@ -1581,14 +1583,16 @@ class TestErrorAttribution:
             assert np.array_equal(run, dyn._time_grid(float(run[-1]), 17))
         if name in ("closed_form_trace_drift", "user_trace_drift"):
             assert again == []
+        elif name == "closed_form_undefined_trace_drift":
+            assert again == [2.0, 3.0, 4.0]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0])
     @pytest.mark.parametrize("field", ["speeds", "kmins", "rates"])
     def test_failing_sample_values_fail_their_horizons(self, field, bad, monkeypatch):
         # a speed, k_min or rate spoiled at t = 1 alone, in the panel's
-        # runs and in each horizon's own call: the store-wide check fails,
-        # and the horizons holding t = 1 take their own call's error with
-        # no run past the shared ones
+        # runs and in each horizon's own call: the horizons holding t = 1
+        # fail their rows' check and take their own call's error with no
+        # run past the shared ones
         sampler = dyn._kraus_sampler
 
         def spoiled(*args):

@@ -180,8 +180,8 @@ FIG4_AD = dict(alpha_grid=(0.01, 0.99, 25), time_grid=(0.0, 20.0, 41))
 def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     """A fig4_ad-shaped panel (40 horizons of 1001 samples) takes the trace
     drift and asymmetry of each of its 19 970 distinct samples once, not
-    of the 40 040 its horizons hold, and checks them in one store-wide
-    call; validates its probe state once and each of the 40 end states
+    of the 40 040 its horizons hold, and checks each horizon's 1001 rows
+    once; validates its probe state once and each of the 40 end states
     once; and makes dense only the states it validates, building no
     trajectory."""
     deviations, checks, validated, dense = [], [], [], []
@@ -204,7 +204,7 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     panel = cli.sweep_rows(cfg)
     assert sum(deviations) == 19970
-    assert checks == [19970]
+    assert checks == [1001] * 40
     # the probe and the 40 end states, each matrix once
     assert len(validated) == len(set(validated)) == 1 + 40
     assert sorted(dense) == sorted(validated)
