@@ -273,7 +273,7 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     Each nonzero time value is a time column: the trajectory of the probe
     (with its Kraus rates) to that horizon. `dynamics._columns` evaluates
     every distinct sample time of the panel once, into one sample store,
-    and hands out each column's rows of it and end states, and one
+    and hands out each column's samples and states, and one
     `qsl._fill` call fills every column from them (see
     `qsl.Panel`); a trajectory that fails fails only its own column. A
     single-point command evolves its one horizon with `evolve_kraus` or
@@ -411,8 +411,11 @@ def run_figure(name: str) -> str:
 
 # --- plot scripts ------------------------------------------------------------
 
+# names enter a script as Python literals (`repr`), so the quotes and
+# backslashes of a path keep their meaning
+_HEATMAP_DOC = "Render {column} from {csv_name} as heatmaps (x = t, y = alpha)."
 _HEATMAP_TEMPLATE = '''#!/usr/bin/env python3
-"""Render {column} from {csv_name} as heatmaps (x = t, y = alpha)."""
+{doc}
 import csv
 from collections import defaultdict
 
@@ -420,9 +423,9 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 panels = defaultdict(dict)
-with open("{csv_name}") as fh:
+with open({csv_name!r}) as fh:
     for row in csv.DictReader(fh):
-        cell = row["{column}"]
+        cell = row[{column!r}]
         if cell in ("", "inf", "-inf"):
             continue
         key = (row["model"], row["s"], row["p"], row["r"])
@@ -439,23 +442,24 @@ for ax, (key, data) in zip(axes[0], sorted(panels.items())):
     ax.set_xlabel("t")
     ax.set_ylabel("alpha")
     ax.set_title(" ".join(filter(None, key)))
-    fig.colorbar(im, ax=ax, label="{column}")
+    fig.colorbar(im, ax=ax, label={column!r})
 fig.tight_layout()
-fig.savefig("{out_name}", dpi=150)
-print("wrote {out_name}")
+fig.savefig({out_name!r}, dpi=150)
+print("wrote", {out_name!r})
 '''
 
+_LINE_DOC = "Plot {column} against t from {csv_name}, one curve per (panel, alpha)."
 _LINE_TEMPLATE = '''#!/usr/bin/env python3
-"""Plot {column} against t from {csv_name}, one curve per (panel, alpha)."""
+{doc}
 import csv
 from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
-with open("{csv_name}") as fh:
+with open({csv_name!r}) as fh:
     for row in csv.DictReader(fh):
-        cell = row["{column}"]
+        cell = row[{column!r}]
         if cell in ("", "inf", "-inf"):
             continue
         key = (row["model"], row["s"], row["p"], row["alpha"])
@@ -466,11 +470,11 @@ for key, pts in sorted(curves.items()):
     pts.sort()
     ax.plot([t for t, _ in pts], [v for _, v in pts], label="alpha=" + key[3])
 ax.set_xlabel("t")
-ax.set_ylabel("{column}")
+ax.set_ylabel({column!r})
 ax.legend(fontsize=7)
 fig.tight_layout()
-fig.savefig("{out_name}", dpi=150)
-print("wrote {out_name}")
+fig.savefig({out_name!r}, dpi=150)
+print("wrote", {out_name!r})
 '''
 
 
@@ -481,9 +485,11 @@ def emit_plot_script(csv_text: str, csv_name: str, kind: str, column: str) -> st
         raise MissingColumnError(f"column {column!r} not in dataset header {header}")
     if kind not in ("heatmap", "line"):
         raise ConfigError(f"plot kind must be heatmap or line, got {kind!r}")
-    template = _HEATMAP_TEMPLATE if kind == "heatmap" else _LINE_TEMPLATE
+    doc, template = ((_HEATMAP_DOC, _HEATMAP_TEMPLATE) if kind == "heatmap"
+                     else (_LINE_DOC, _LINE_TEMPLATE))
     out_name = csv_name.rsplit(".", 1)[0] + f"_{column}.png"
-    return template.format(csv_name=csv_name, column=column, out_name=out_name)
+    return template.format(doc=repr(doc.format(csv_name=csv_name, column=column)),
+                           csv_name=csv_name, column=column, out_name=out_name)
 
 
 # --- single-point commands ----------------------------------------------------

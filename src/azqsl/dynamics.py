@@ -589,7 +589,9 @@ def _gram_pairs(ops, rows, cols, dim: int):
 # of the store. The store keeps what `qsl._fill` and the `Trajectory`
 # checks read: per sample the speed, k_min and rate, the trace drift and
 # asymmetry of the state, and the dense states of the t = 0 sample and of
-# each horizon's last one, from which every column is read. This work is
+# each horizon's last one. Each horizon's column (`_Column`) copies its
+# rows of the samples and holds its end state and the one t = 0 state,
+# validated, as a `Trajectory` would hand them to the fill. This work is
 # elementwise in time, and `linalg._sample_spectra` gives each sample the
 # value of its own pattern, so a sample gets the same bits in every run it
 # could sit in, even where the run gathers entries that are zero at it
@@ -927,32 +929,26 @@ def _sampler(model, rho0: DensityMatrix, rates: bool):
     return _kraus_sampler(model, rho0, rates)
 
 
-class _Columns(NamedTuple):
-    """The time columns of a panel as the fill reads them: the samples
-    they hold (`times`, `speeds`, `kmins`, and `rates` or None); each
-    column's samples, `rows`, an index array into those; the state at
-    t = 0 that every column starts from, `probe`, and each column's state
-    at its horizon, `finals`, each a DensityMatrix or the error its
-    validation raised (`probe` is None when no column holds samples); and
-    the AzqslError each column ended in, `errors`, None for a column that
-    holds samples (a failed column's rows and final state are None)."""
+class _Column(NamedTuple):
+    """The fields of one horizon's `Trajectory` that `qsl._fill` reads: its
+    samples (`rates` None without them) and its states at t = 0 and at the
+    horizon, each a DensityMatrix or the error its validation raised."""
 
     times: np.ndarray
     speeds: np.ndarray
     kmins: np.ndarray
     rates: np.ndarray | None
-    rows: list
-    probe: DensityMatrix | AzqslError | None
-    finals: list
-    errors: list
+    initial_state: DensityMatrix | AzqslError
+    final_state: DensityMatrix | AzqslError
 
 
 def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
-             rates: bool) -> _Columns:
-    """The `_Columns` of the horizons `taus` of `model` from `rho0`, one
-    per horizon, in order: what its `evolve_unitary` (a Hamiltonian) or
-    `evolve_kraus` (a Kraus family) call gives, or the AzqslError it
-    raises, read from one `_SampleStore` without building a trajectory.
+             rates: bool) -> list:
+    """One `_Column`, or the AzqslError it ended in, per horizon of `taus`
+    of `model` from `rho0`, in order: what its `evolve_unitary` (a
+    Hamiltonian) or `evolve_kraus` (a Kraus family) call gives, or the
+    error it raises, read from one `_SampleStore` without building a
+    trajectory.
 
     The time grids are joined, and every distinct sample time is evaluated
     once, in runs of `n_steps` times. Every per-sample quantity is
@@ -968,8 +964,8 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     own rows, which gives the error of its own `Trajectory` with no
     further run.
 
-    Every grid starts at t = 0, so every column starts from the store's
-    first sample, validated once as the probe state; each end state is
+    Every grid starts at t = 0, so every column shares the store's first
+    sample, validated once, as its initial state; each end state is
     validated on its own."""
     sampler = _attempt(_sampler, model, rho0, rates)
     grids = [sampler if isinstance(sampler, AzqslError) else _attempt(_time_grid, tau, n_steps)
@@ -991,17 +987,23 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
             own = store.fill(sampler, rows) if store.missing[rows].any() else None
             outcomes[h] = (own or _attempt(_check_times, store.times[rows])
                            or _attempt(store.check, rows) or rows)
-    probe = None
-    rows, finals, errors = [], [], []
+    held = [rows for rows in outcomes if not isinstance(rows, AzqslError)]
+    if not held:
+        return outcomes
+    # the columns' samples are views of one block, freed at once: small
+    # copies, one per column and field, would leave their pages on the heap
+    fields = [store.times, store.speeds, store.kmins, store.rates]
+    block = np.stack([f for f in fields if f is not None])[:, np.concatenate(held)]
+    parts = iter(np.split(block, np.cumsum([len(rows) for rows in held])[:-1], axis=1))
+    probe = _attempt(DensityMatrix, store.end_state(0))
+    columns = []
     for outcome in outcomes:
-        failed = isinstance(outcome, AzqslError)
-        if not failed and probe is None:
-            probe = _attempt(DensityMatrix, store.end_state(0))
-        rows.append(None if failed else outcome)
-        finals.append(None if failed else _attempt(DensityMatrix, store.end_state(outcome[-1])))
-        errors.append(outcome if failed else None)
-    return _Columns(store.times, store.speeds, store.kmins, store.rates,
-                    rows, probe, finals, errors)
+        if not isinstance(outcome, AzqslError):
+            part = next(parts)
+            outcome = _Column(*part[:3], part[3] if len(part) == 4 else None, probe,
+                              _attempt(DensityMatrix, store.end_state(outcome[-1])))
+        columns.append(outcome)
+    return columns
 
 
 def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:

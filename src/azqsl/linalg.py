@@ -389,7 +389,9 @@ def _block_norms(rows: np.ndarray, p: int, q: int) -> np.ndarray:
     if lifted.any():
         rows = rows.copy()
         rows[:, lifted] *= 2.0 ** 64
-    inverse = 1.0 / np.where(lifted, scale * 2.0 ** 64, scale)
+    # lifting only the subnormal scales keeps a scale near the largest
+    # double from overflowing
+    inverse = 1.0 / (scale * np.where(lifted, 2.0 ** 64, 1.0))
     re, im = rows.real * inverse, rows.imag * inverse
     # the two rows of the block, or its two columns
     top, bottom = (slice(q), slice(q, None)) if p == 2 else (slice(0, None, 2), slice(1, None, 2))

@@ -155,20 +155,19 @@ def _quad(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (np.diff(times) * (vals[..., 1:] + vals[..., :-1]) / 2.0).sum(axis=-1)
 
 
-def _gated_quads(
-    times: np.ndarray, vals: np.ndarray, gate: bool
-) -> tuple[np.ndarray, dict[int, QuadratureTooCoarseError]]:
+def _gated_quads(times: np.ndarray, vals: np.ndarray, gate: bool) -> tuple[np.ndarray, np.ndarray]:
     """Integrate each row of `vals` and, when `gate` is set, cross-check it
-    against the half grid: the integrals, and the error that rejects each
-    row whose relative disagreement exceeds tolerance, by row index."""
+    against the half grid: the integrals, and an object array of the error
+    that rejects each row whose relative disagreement exceeds tolerance,
+    None for every other row."""
     full = _quad(times, vals)
+    errors = np.full(full.shape, None, dtype=object)
     if not gate:
-        return full, {}
+        return full, errors
     half = _quad(times[::2], vals[:, ::2])
     # NaN rows pass, and infinities compare, as in float arithmetic
     with np.errstate(invalid="ignore", over="ignore"):
         failed = np.abs(full - half) > RICHARDSON_REL_TOL * np.maximum(np.abs(full), 1e-12)
-    errors = {}
     for i in np.flatnonzero(failed).tolist():
         f, h = float(full[i]), float(half[i])
         errors[i] = QuadratureTooCoarseError(f"half-grid check differs by {abs(f - h):.3e} vs {f:.3e}")
@@ -195,13 +194,14 @@ def _chunks(n: int, size: int):
 
 
 def _weighted_integrals(
-    cols: dyn._Columns, run: list[int], rate_names: list[str], alphas: list[float]
-) -> tuple[np.ndarray, list[list[dict]], list[tuple[str, ...]]]:
+    cols: list, rate_names: list[str], alphas: list[float]
+) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
     """Integrals I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against each
-    named rate of `cols` ("speeds" or "rates"), for every alpha and every
-    column of `run`: an (n_rates, 2, n_alpha, n_run) array of them, I1
-    first; the gate errors, per rate and integral, by (alpha, column)
-    index; and the quadrature flags of each column.
+    named rate ("speeds" or "rates") of every column of `cols` (each a
+    `Trajectory` or a `dynamics._Column`), for every alpha: an
+    (n_rates, 2, n_alpha, n_columns) array of them, I1 first; an object
+    array of the same shape of the gate error of each, None where the gate
+    passes or does not run; and the quadrature flags of each column.
 
     When k_min dips toward zero along the trajectory (amplitude damping at
     late times, zero crossings of the decoherence amplitude) the negative
@@ -222,11 +222,11 @@ def _weighted_integrals(
     exponents, shared = np.unique(
         [alpha - 1.0 for alpha in alphas] + [-alpha for alpha in alphas], return_inverse=True)
     shared = shared.reshape(2, len(alphas))  # (integral, alpha) -> exponent row
-    integrals = np.empty((len(rate_names), 2, len(alphas), len(run)))
-    errors = [[{}, {}] for _ in rate_names]
+    integrals = np.empty((len(rate_names), 2, len(alphas), len(cols)))
+    errors = np.empty(integrals.shape, dtype=object)
     flags = []
-    for c, held in enumerate(cols.rows[k] for k in run):
-        times, kmins = cols.times[held], cols.kmins[held]
+    for c, col in enumerate(cols):
+        times, kmins = col.times, col.kmins
         low = float(kmins.min())
         loose = low < LOOSE_KMIN_TOL
         n = len(times) - 1
@@ -234,11 +234,8 @@ def _weighted_integrals(
         # (exponent, sample)
         weights = np.maximum(kmins, KMIN_CLAMP) ** exponents[:, None]
         for r, name in enumerate(rate_names):
-            rates = getattr(cols, name)[held]
-            full, failed = _gated_quads(times, weights * rates, gate)
-            integrals[r, :, :, c] = full[shared]
-            for k, i in np.argwhere(np.isin(shared, list(failed))).tolist():
-                errors[r][k][i, c] = failed[shared[k, i]]
+            full, failed = _gated_quads(times, weights * getattr(col, name), gate)
+            integrals[r, :, :, c], errors[r, :, :, c] = full[shared], failed[shared]
         warns = (WARN_KMIN_CLAMPED,) if low < KMIN_CLAMP else ()
         if loose:
             warns += (WARN_LOOSE_BOUND,)
@@ -259,10 +256,10 @@ def _route_rhs(a, h_a, h_b, i1, i2, kraus: bool):
 
 def _h_table(rho0: DensityMatrix, alphas: list[float], zs: list[float]) -> tuple:
     """`_h_pair` over an (alpha, z) grid as arrays (h_a, h_b, chain), and
-    the error of each failed entry by index."""
+    an object array of the error of each failed entry, None elsewhere."""
     shape = (len(alphas), len(zs))
     h_a, h_b = np.full(shape, math.nan), np.full(shape, math.nan)
-    chain, errors = np.zeros(shape, bool), {}
+    chain, errors = np.zeros(shape, bool), np.full(shape, None, dtype=object)
     for (i, a), (j, z) in itertools.product(enumerate(alphas), enumerate(zs)):
         pair = _attempt(_h_pair, rho0, EntropyParams(a, z))
         if isinstance(pair, AzqslError):
@@ -293,20 +290,20 @@ def _endpoint_entropies(
     return d_fwd, d_bwd
 
 
-def _tau_ratios(d, rhs, tau, pending: np.ndarray, errors: np.ndarray) -> np.ndarray:
+def _tau_ratios(d, rhs, tau, errors: np.ndarray) -> np.ndarray:
     """QSL times tau * D / RHS of the routes stacked along axis 0 (fwd, bwd,
     sym), the horizons `tau` broadcasting against them, with guards for
-    vanishing rates. A route fails where its entropy
-    diverges, or else where its rate integral vanishes under a nonzero
-    entropy; a pending cell gets the error of its first failing route and
-    stops pending."""
+    vanishing rates. A route fails where its entropy diverges, or else
+    where its rate integral vanishes under a nonzero entropy; a cell whose
+    entry of `errors` is still None takes the error of its first failing
+    route there."""
     stalled = rhs <= ZERO_TOL
     out = np.where(stalled, 0.0, tau * d / rhs)
     diverged = ~np.isfinite(d)
     stalled &= ~diverged & (d > ENTROPY_NOISE_TOL)
     fails = diverged | stalled
     first = fails.argmax(axis=0)
-    failed = pending & fails.any(axis=0)
+    failed = np.equal(errors, None) & fails.any(axis=0)
     for idx in zip(*np.nonzero(failed)):
         route = (first[idx], *idx)
         errors[idx] = (
@@ -314,7 +311,6 @@ def _tau_ratios(d, rhs, tau, pending: np.ndarray, errors: np.ndarray) -> np.ndar
             if diverged[route] else ZeroSpeedError(
                 f"rate integral {rhs[route]:.3e} vanishes while entropy is {d[route]:.3e}")
         )
-    pending &= ~failed
     return out
 
 
@@ -349,80 +345,80 @@ def _fill_failed(panel: Panel, k: int, exc: AzqslError) -> None:
     panel.warnings[:, :, k] = f"error:{type(exc).__name__}"
 
 
-def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
+def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
     """Fill every time column of `panel` in place: the values, errors and
     warnings of every (alpha, z) cell. A column where `live` is False is at
     a zero horizon, the stationary limit: all entropies and rates are zero,
     the bound saturates, and the speed limit is the trivial tau >= 0. The
-    live columns are the columns of `cols`, in order; one that ended in an
-    error, or whose probe state failed, fails every group of every cell
-    with that error.
+    live columns are `columns`, in order: each a `Trajectory`, a
+    `dynamics._Column` (the trajectory fields the fill reads), or the
+    AzqslError that fails every group of every cell of its column, as an
+    error of the probe state does.
 
-    Every column starts from the probe state of `cols`, validated once
-    (in a sweep by `dynamics._columns`, for a point by `_point_report`);
-    the h and chain_sign tables depend only on it and are built once. The
-    weighted integrals are taken once per (alpha, column), as they do not
-    depend on z, and the endpoint entropies once per (alpha, z, column),
-    shared by the two report groups. The bounds use the Schatten speed;
-    the speed limits use the summed Kraus rates when the columns carry
-    them, the Schatten speed otherwise.
+    Every column starts from the probe state, the first column's initial
+    state, validated once; the h and chain_sign tables depend only on it
+    and are built once. The weighted integrals are taken once per (alpha,
+    column), as they do not depend on z, and the endpoint entropies once
+    per (alpha, z, column), shared by the two report groups. The bounds use
+    the Schatten speed; the speed limits use the summed Kraus rates when
+    the columns carry them, the Schatten speed otherwise.
 
+    Each group keeps the first error of each cell in one object array,
+    None while no step has failed, and values where it stays None.
     Errors take the precedence of the sequential evaluation: probe state,
-    h, I1, I2, final state, entropies, then the speed-limit ratios fwd, bwd,
-    sym. The arithmetic runs elementwise over (alpha, z, column) arrays in
-    the operation order of the scalar formulas, so every value keeps its
-    bits.
+    h, I1, I2, final state, entropies, then the speed-limit ratios fwd,
+    bwd, sym. The arithmetic runs elementwise over (alpha, z, column)
+    arrays in the operation order of the scalar formulas, so every value
+    keeps its bits.
     """
     if not live.all():
         for name, arr in panel.values.items():
             arr[:, :, ~live] = 1.0 if name == "delta_qsl" else 0.0
     ks = live.nonzero()[0]
     groups = list(panel.errors)
-    errors = list(cols.errors)
-    if groups and isinstance(cols.probe, AzqslError):
-        errors = [cols.probe if exc is None else exc for exc in errors]
-    for c, exc in enumerate(errors):
-        if exc is not None:
-            _fill_failed(panel, ks[c], exc)
-    run = [c for c, exc in enumerate(errors) if exc is None]
-    if not groups or not run:
+    held = [c for c, col in enumerate(columns) if not isinstance(col, AzqslError)]
+    probe = _attempt(getattr, columns[held[0]], "initial_state") if held else None
+    if groups and isinstance(probe, AzqslError):
+        columns = [col if isinstance(col, AzqslError) else probe for col in columns]
+        held = []
+    for c, col in enumerate(columns):
+        if isinstance(col, AzqslError):
+            _fill_failed(panel, ks[c], col)
+    if not groups or not held:
         return
-    at = ks[run]
+    cols, at = [columns[c] for c in held], ks[held]
     alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
-    shape = (len(alphas), len(zs), len(run))
-    h_a, h_b, chain, h_errors = _h_table(cols.probe, alphas, zs)
+    h_a, h_b, chain, h_errors = _h_table(probe, alphas, zs)
     h_a, h_b, chain = h_a[..., None], h_b[..., None], chain[..., None]
-    kraus = cols.rates is not None
+    kraus = all(col.rates is not None for col in cols)
     rate_names = ["speeds"] if "bounds" in groups or not kraus else []
     if "qsl" in groups and kraus:
         rate_names.append("rates")
-    integrals, gate_errors, flags = _weighted_integrals(cols, run, rate_names, alphas)
+    integrals, gate_errors, flags = _weighted_integrals(cols, rate_names, alphas)
     rate_of = {"bounds": 0, "qsl": len(rate_names) - 1}
 
-    errs, pending = {}, {}
+    # each later step's errors broadcast against a group's, which keep the
+    # first error of each cell
+    errs = {}
     for g in groups:
-        err = errs[g] = np.full(shape, None, dtype=object)
-        ok = pending[g] = np.ones(shape, bool)
-        for (i, j), exc in h_errors.items():
-            err[i, j], ok[i, j] = exc, False
-        for failed in gate_errors[rate_of[g]]:  # I1, then I2
-            for (i, c), exc in failed.items():
-                err[i, ok[i, :, c], c] = exc
-                ok[i, :, c] = False
-    # a column's end state is read where a cell is still pending
-    waiting = np.logical_or.reduce([ok.any(axis=(0, 1)) for ok in pending.values()])
-    finals = [cols.finals[c] if wait else None for c, wait in zip(run, waiting.tolist())]
+        err = h_errors[..., None]
+        for later in gate_errors[rate_of[g]]:  # I1, then I2
+            err = np.where(np.equal(err, None), later[:, None, :], err)
+        errs[g] = err
+    # a column's end state is read where a cell is still waiting for it
+    waiting = np.logical_or.reduce([np.equal(err, None).any(axis=(0, 1)) for err in errs.values()])
+    finals = [_attempt(getattr, col, "final_state") if wait else None
+              for col, wait in zip(cols, waiting.tolist())]
+    failed = np.full(len(cols), None, dtype=object)
     for c, state in enumerate(finals):
         if isinstance(state, AzqslError):
-            for g in groups:
-                errs[g][:, :, c][pending[g][:, :, c]] = state
-                pending[g][:, :, c] = False
-            finals[c] = None
+            failed[c], finals[c] = state, None
+    errs = {g: np.where(np.equal(err, None), failed, err) for g, err in errs.items()}
     if any(state is not None for state in finals):
-        d_fwd, d_bwd = _endpoint_entropies(cols.probe, finals, alphas, zs)
+        d_fwd, d_bwd = _endpoint_entropies(probe, finals, alphas, zs)
         d_sym = d_fwd + d_bwd
         a = np.array(alphas)[:, None, None]
-        tau = cols.times[[cols.rows[c][-1] for c in run]]
+        tau = np.array([col.times[-1] for col in cols])
         with np.errstate(all="ignore"):
             for g in groups:
                 i1, i2 = integrals[rate_of[g]]
@@ -436,14 +432,15 @@ def _fill(panel: Panel, cols: dyn._Columns, live: np.ndarray) -> None:
                 else:
                     taus = _tau_ratios(
                         np.stack((d_fwd, d_bwd, d_sym)), np.stack((rhs_fwd, rhs_bwd, rhs_sym)),
-                        tau, pending[g], errs[g])
+                        tau, errs[g])
                     # max(tau_fwd, tau_bwd, tau_sym) as Python's max takes it
                     tau_qsl = taus[0]
                     for later in taus[1:]:
                         tau_qsl = np.where(later > tau_qsl, later, tau_qsl)
                     report = (tau, *taus, tau_qsl, 1.0 - tau_qsl / tau)
+                ok = np.equal(errs[g], None)
                 for name, arr in zip(_GROUP_FIELDS[g], report):
-                    panel.values[name][:, :, at] = np.where(pending[g], arr, math.nan)
+                    panel.values[name][:, :, at] = np.where(ok, arr, math.nan)
     for g in groups:
         panel.errors[g][:, :, at] = errs[g]
     panel.warnings[:, :, at] = _warning_cells(flags, chain, list(errs.values()))
@@ -453,10 +450,7 @@ def _point_report(traj: dyn.Trajectory, p: EntropyParams, group: str, report):
     """The `report` of one group at (p.alpha, p.z) along `traj`: the one
     cell of a one-point panel, raising its error."""
     panel = Panel([p.alpha], [p.z], [traj.tau], [group])
-    cols = dyn._Columns(traj.times, traj.speeds, traj.kmins, traj.rates,
-                        [np.arange(traj.n_samples)], _attempt(getattr, traj, "initial_state"),
-                        [_attempt(getattr, traj, "final_state")], [None])
-    _fill(panel, cols, np.ones(1, dtype=bool))
+    _fill(panel, [traj], np.ones(1, dtype=bool))
     exc = panel.errors[group][0, 0, 0]
     if exc is not None:
         try:

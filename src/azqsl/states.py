@@ -14,7 +14,6 @@ from .errors import (
     InvalidBlochError,
     InvalidStateError,
     InvalidWeightError,
-    NotHermitianError,
 )
 
 TRACE_TOL = 1e-10
@@ -40,17 +39,13 @@ class DensityMatrix:
             raise InvalidStateError(f"expected a non-empty square matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidStateError("matrix has non-finite entries")
-        if linalg.asymmetry(mat) > linalg.HERMITIAN_TOL:
-            raise InvalidStateError(
-                f"not Hermitian: asymmetry {linalg.asymmetry(mat):.3e}"
-            )
+        asym = linalg.asymmetry(mat)
+        if asym > linalg.HERMITIAN_TOL:
+            raise InvalidStateError(f"not Hermitian: asymmetry {asym:.3e}")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        try:
-            values, vectors = linalg.eigh(mat)
-        except NotHermitianError as exc:  # pragma: no cover - guarded above
-            raise InvalidStateError(str(exc)) from exc
+        values, vectors = linalg.eigh(mat)
         if values[0] < -EIGENVALUE_TOL:
             raise InvalidStateError(
                 f"negative eigenvalue {values[0]:.3e} below -{EIGENVALUE_TOL:.0e}"

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -280,7 +281,7 @@ class TestPlotScripts:
     def test_heatmap_script(self, tmp_path):
         csv_text = self._small_csv(tmp_path)
         script = cli.emit_plot_script(csv_text, "data.csv", "heatmap", "tau_qsl")
-        assert '"data.csv"' in script
+        assert "open('data.csv')" in script
         assert "tau_qsl" in script
         assert "pcolormesh" in script
         compile(script, "plot.py", "exec")
@@ -290,6 +291,22 @@ class TestPlotScripts:
         script = cli.emit_plot_script(csv_text, "data.csv", "line", "D_fwd")
         assert "plot(" in script
         compile(script, "plot.py", "exec")
+
+    @pytest.mark.parametrize("kind", ["heatmap", "line"])
+    @pytest.mark.parametrize("name", ['say "hi".csv', "C:\\data\\new.csv"])
+    def test_names_enter_as_literals(self, tmp_path, kind, name):
+        # a double quote would end a "..." literal early, and the \n of a
+        # Windows path would read as a newline in one
+        script = cli.emit_plot_script(self._small_csv(tmp_path), name, kind, "tau_qsl")
+        tree = ast.parse(script)
+        assert name in ast.get_docstring(tree)
+        paths = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                if fn in ("open", "savefig"):
+                    paths[fn] = ast.literal_eval(node.args[0])
+        assert paths == {"open": name, "savefig": name.rsplit(".", 1)[0] + "_tau_qsl.png"}
 
     def test_missing_column(self, tmp_path):
         csv_text = self._small_csv(tmp_path)

@@ -29,8 +29,7 @@ from azqsl.states import (
     ghz_mixed,
     load_state,
 )
-from helpers import (
-    Held, held, random_bloch_state, random_density, stinespring_family, trajectories)
+from helpers import random_bloch_state, random_density, stinespring_family
 
 
 @pytest.fixture
@@ -437,6 +436,20 @@ class TestTrajectories:
         for fam, rho0, tau in cases:
             traj = dyn.evolve_kraus(fam, rho0, tau, 201, rates=True)
             assert np.all(traj.speeds <= 2.0 * traj.rates + 1e-8)
+
+    @pytest.mark.parametrize("rates", [False, True])
+    def test_huge_finite_derivative_gives_finite_speeds(self, rates):
+        # the bit-flip operators with a derivative of entries 1e300: the
+        # speed and rate blocks scale near the largest double and their
+        # norms must neither overflow nor warn
+        dops = [1e300 * np.eye(2, dtype=complex), 1e300 * linalg.SIGMA_Y]
+        fam = dyn.KrausFamily(dim=2, n_ops=2, ops_fn=bit_flip_family()._ops_fn,
+                              dops_fn=lambda t: dops)
+        rho0 = bloch_state(BlochVector(0.6, 0.9, 0.4))
+        traj = dyn.evolve_kraus(fam, rho0, 1.0, 5, rates=rates)
+        assert np.all(np.isfinite(traj.speeds)) and np.all(traj.speeds > 1e299)
+        if rates:
+            assert np.all(np.isfinite(traj.rates)) and np.all(traj.rates > 1e299)
 
     def test_analytic_derivative_matches_finite_difference(self):
         fam = dyn.depolarizing_family(dyn.DepolarizingParams(1.0))
@@ -1254,18 +1267,18 @@ def evolve_one(model, rho0, tau, n_steps, rates):
 
 
 def assert_same_outcome(got, want):
-    """Equal errors (class and message), or what a panel's columns hold
-    for a horizon (`Held`) equal to its trajectory as int64 bits, so signed
+    """Equal errors (class and message), or a panel's column for a horizon
+    (`dynamics._Column`) equal to its trajectory as int64 bits, so signed
     zeros count: the times, speeds, k_min, rates and the two validated end
     states, or the errors of their validation."""
     if isinstance(want, AzqslError):
         assert type(got) is type(want) and str(got) == str(want)
         return
-    assert isinstance(got, Held), got
+    assert isinstance(got, dyn._Column), got
     pairs = [(name, getattr(got, name), getattr(want, name))
              for name in ("times", "speeds", "kmins", "rates")]
-    for name in ("initial", "final"):
-        state = _attempt(getattr, want, f"{name}_state")
+    for name in ("initial_state", "final_state"):
+        state = _attempt(getattr, want, name)
         if isinstance(state, AzqslError):
             assert_same_outcome(getattr(got, name), state)
         else:
@@ -1274,6 +1287,12 @@ def assert_same_outcome(got, want):
         assert (a is None) == (b is None), name
         if b is not None:
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+def panel_times(taus, n_steps: int) -> np.ndarray:
+    """The distinct sample times of the grids of the horizons `taus`, the
+    times a panel's sample store holds."""
+    return np.unique(np.concatenate([dyn._time_grid(tau, n_steps) for tau in taus]))
 
 
 def recorded_checks(monkeypatch) -> list:
@@ -1310,7 +1329,7 @@ class TestSharedSamples:
            n_steps=st.sampled_from([2, 3, 17, 201, 1001]), rates=st.booleans())
     def test_panel_equals_per_horizon_calls(self, name, taus, n_steps, rates):
         model, rho0 = SHARING_MODELS[name]
-        outcomes = trajectories(model, rho0, taus, n_steps, rates)
+        outcomes = dyn._columns(model, rho0, taus, n_steps, rates)
         assert len(outcomes) == len(taus)
         for tau, got in zip(taus, outcomes):
             assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
@@ -1323,7 +1342,7 @@ class TestSharedSamples:
         # user family alike
         model, rho0 = SHARING_MODELS[name]
         runs = recorded_runs(monkeypatch)
-        trajectories(model, rho0, [1.0, 2.0, 4.0], 17, True)
+        dyn._columns(model, rho0, [1.0, 2.0, 4.0], 17, True)
         assert [len(run) for run in runs] == [17, 16]
 
     def test_switching_family_mixes_entry_sets(self, monkeypatch):
@@ -1343,7 +1362,7 @@ class TestSharedSamples:
             return out
 
         monkeypatch.setattr(dyn, "_gather", recording)
-        outcomes = trajectories(model, rho0, taus, 17, True)
+        outcomes = dyn._columns(model, rho0, taus, 17, True)
         assert True in shared and False in shared
         for tau, got in zip(taus, outcomes):
             shared.clear()
@@ -1352,7 +1371,7 @@ class TestSharedSamples:
 
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
-        outcomes = trajectories(model, rho0, [1.0, -1.0, math.inf, 2.0], 11)
+        outcomes = dyn._columns(model, rho0, [1.0, -1.0, math.inf, 2.0], 11, False)
         assert isinstance(outcomes[1], InvalidParamsError)
         assert isinstance(outcomes[2], InvalidParamsError)
         for tau, got in zip((1.0, 2.0), outcomes[::3]):
@@ -1360,7 +1379,7 @@ class TestSharedSamples:
 
     def test_dim_mismatch_fails_every_horizon(self):
         model, _ = SHARING_MODELS["unitary"]
-        outcomes = trajectories(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11)
+        outcomes = dyn._columns(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11, False)
         assert [type(o) for o in outcomes] == [DimMismatchError] * 2
 
     # each built-in channel in its own regime, and a user family gathered by
@@ -1378,17 +1397,19 @@ class TestSharedSamples:
         # a panel's columns against each horizon's own call: the speeds,
         # k_min, rates and end states as int64, so signed zeros count. No
         # sample fails, so the panel makes its shared runs alone and checks
-        # each horizon's rows once
+        # each horizon's rows once; every column holds the one validated
+        # t = 0 state
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
         checks = recorded_checks(monkeypatch)
         cols = dyn._columns(fam, rho0, taus, 201, rates)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
-        assert np.array_equal(np.concatenate(runs), cols.times)
+        assert np.array_equal(np.concatenate(runs), panel_times(taus, 201))
         assert checks == [201] * len(taus)
-        for c, tau in enumerate(taus):
-            assert_same_outcome(held(cols, c), dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
+        assert all(col.initial_state is cols[0].initial_state for col in cols)
+        for col, tau in zip(cols, taus):
+            assert_same_outcome(col, dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
 
 
 class IncompleteAfter(dyn.AmplitudeDampingFamily):
@@ -1507,7 +1528,7 @@ class TestErrorAttribution:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_only_horizons_holding_the_sample_fail(self, name, rates):
         fam, rho0, failing, cls = self.CASES[name]
-        outcomes = trajectories(fam, rho0, self.TAUS, 17, rates)
+        outcomes = dyn._columns(fam, rho0, self.TAUS, 17, rates)
         for tau, got in zip(self.TAUS, outcomes):
             want = evolve_one(fam, rho0, tau, 17, rates)
             assert isinstance(want, cls) == (tau in failing), tau
@@ -1528,20 +1549,18 @@ class TestErrorAttribution:
         # gets the error of its own call, the others its samples and states
         fam, rho0, _, _ = self.CASES[name]
         cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
-        for c, tau in enumerate(self.TAUS):
+        for col, tau in zip(cols, self.TAUS):
             want = evolve_one(fam, rho0, tau, 17, rates)
             if isinstance(want, AzqslError):
-                got = cols.errors[c]
-                assert type(got) is type(want) and str(got) == str(want), tau
+                assert type(col) is type(want) and str(col) == str(want), tau
                 continue
-            assert cols.errors[c] is None, tau
-            held = cols.rows[c]
+            assert isinstance(col, dyn._Column), tau
             for field in ("times", "speeds", "kmins", "rates"):
                 values = getattr(want, field)
                 if values is not None:
-                    assert getattr(cols, field)[held].tobytes() == values.tobytes(), field
-            assert cols.finals[c].mat.tobytes() == want.final_state.mat.tobytes()
-            assert cols.probe.mat.tobytes() == want.initial_state.mat.tobytes()
+                    assert getattr(col, field).tobytes() == values.tobytes(), field
+            assert col.final_state.mat.tobytes() == want.final_state.mat.tobytes()
+            assert col.initial_state.mat.tobytes() == want.initial_state.mat.tobytes()
 
     RAISING = sorted(name for name in CASES if "trace_drift" not in name)
 
@@ -1554,13 +1573,13 @@ class TestErrorAttribution:
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
         cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
-        shared = -(-len(cols.times) // 17)
+        shared = -(-len(panel_times(self.TAUS, 17)) // 17)
         again = [float(run[-1]) for run in runs[shared:]]
         assert set(again) - failing
-        for c, tau in enumerate(self.TAUS):
+        for col, tau in zip(cols, self.TAUS):
             if tau in again and tau not in failing:
                 want = dyn.evolve_kraus(fam, rho0, tau, 17, rates=rates)
-                assert_same_outcome(held(cols, c), want)
+                assert_same_outcome(col, want)
 
     @pytest.mark.parametrize("rates", [False, True])
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -1574,9 +1593,10 @@ class TestErrorAttribution:
         # its raising run
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
-        shared = -(-len(cols.times) // 17)
-        assert np.array_equal(np.concatenate(runs[:shared]), cols.times)
+        dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        times = panel_times(self.TAUS, 17)
+        shared = -(-len(times) // 17)
+        assert np.array_equal(np.concatenate(runs[:shared]), times)
         again = [float(run[-1]) for run in runs[shared:]]
         assert len(again) == len(set(again))
         for run in runs[shared:]:
@@ -1609,7 +1629,7 @@ class TestErrorAttribution:
         wants = [evolve_one(fam, rho0, tau, 17, True) for tau in self.TAUS]
         assert [isinstance(w, InvalidStateError) for w in wants] == [True, True, False, True, False]
         runs = recorded_runs(monkeypatch)
-        for got, want in zip(trajectories(fam, rho0, self.TAUS, 17, True), wants):
+        for got, want in zip(dyn._columns(fam, rho0, self.TAUS, 17, True), wants):
             assert_same_outcome(got, want)
         assert sum(len(run) for run in runs) == len(np.unique(np.concatenate(runs)))
 
@@ -1618,16 +1638,17 @@ class TestErrorAttribution:
         # of the last 16 reaches past t = 2.5 and raises. The horizon 2 is
         # evaluated again and refills its rows, the horizon 4 is evaluated
         # again and raises, marking nothing, and the repeated horizon 2
-        # finds its rows held and is not run again
+        # finds its rows held and is not run again: both of its columns
+        # hold its own call's bits
         fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
         rho0 = ghz_mixed(GHZMixedParams(0.4))
         runs = recorded_runs(monkeypatch)
         cols = dyn._columns(fam, rho0, [1.0, 2.0, 4.0, 2.0], 17, True)
         assert [len(run) for run in runs] == [17, 16, 17, 17]
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
-        assert isinstance(cols.errors[2], InvalidParamsError)
-        assert np.array_equal(cols.rows[1], cols.rows[3])
-        assert_same_outcome(held(cols, 3), dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
+        assert isinstance(cols[2], InvalidParamsError)
+        for col in (cols[1], cols[3]):
+            assert_same_outcome(col, dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
 
 
 def check_error(fn, *args):

@@ -263,6 +263,18 @@ class TestTraceNorms:
         assert np.all(np.abs(got - want) <= 1e-13 * want)
         assert got[1] == linalg.trace_norms(stack[1])
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2)])
+    def test_huge_block_is_finite(self, rng, shape):
+        # a largest |entry| near the largest double must not overflow the
+        # lift that only subnormal blocks take
+        unit = random_complex(rng, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.trace_norms(1e300 * unit)
+        want = 1e300 * svd_sums(unit)
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-14 * want
+
     def test_zero_and_empty_stacks(self):
         assert np.array_equal(linalg.trace_norms(np.zeros((2, 3, 4, 2))), np.zeros((2, 3)))
         assert linalg.trace_norms(np.zeros((0, 2, 2))).shape == (0,)

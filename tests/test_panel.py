@@ -32,7 +32,6 @@ from azqsl import entropy as ent
 from azqsl.entropy import EntropyParams
 from azqsl.errors import AzqslError, InvalidParamsError
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
-from helpers import trajectory_columns
 
 SPECIALS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -277,7 +276,7 @@ def kind_columns(name: str, picked: list[int]):
     source, _, _, grid = KINDS[name]
     if grid is None:
         trajs = [source[k] for k in picked]
-        return np.ones(len(picked)), trajectory_columns(trajs), trajs
+        return np.ones(len(picked)), trajs, trajs
     model, rho0 = source
     times = np.linspace(*grid)[picked]
     live = times != 0.0

@@ -22,7 +22,7 @@ from azqsl.errors import (
     ZeroVarianceError,
 )
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
-from helpers import random_bloch_state, random_params, trajectory_columns
+from helpers import random_bloch_state, random_params
 
 H_AT_MIXED_HALF_ONE = 1.0821521301679873  # 2^(-1/2) / |1 - ln(2)/2|
 
@@ -178,9 +178,10 @@ class TestHalfGridGate:
             for i, (f, h) in enumerate(zip(full, half))
             if abs(f - h) > qsl.RICHARDSON_REL_TOL * max(abs(f), 1e-12)
         }
-        assert {i: str(e) for i, e in errors.items()} == want
+        assert errors.shape == (len(full),) and errors.dtype == object
+        assert {i: str(e) for i, e in enumerate(errors) if e is not None} == want
         assert sorted(want) == [1, 3, 8, 11]
-        assert all(type(e) is QuadratureTooCoarseError for e in errors.values())
+        assert all(type(errors[i]) is QuadratureTooCoarseError for i in want)
 
 
 class TestSharedExponents:
@@ -193,7 +194,8 @@ class TestSharedExponents:
         traj = dyn.evolve_kraus(fam, bloch_state(BlochVector(0.75, 1.0, 0.3)), 8.0, 9, rates=True)
         alphas = [0.3, 0.5, 0.7, 0.9]
         names = ["speeds", "rates"]
-        integrals, errors, _ = qsl._weighted_integrals(trajectory_columns([traj]), [0], names, alphas)
+        integrals, errors, _ = qsl._weighted_integrals([traj], names, alphas)
+        assert errors.shape == integrals.shape == (len(names), 2, len(alphas), 1)
         kc = np.maximum(traj.kmins, qsl.KMIN_CLAMP)
         for r, name in enumerate(names):
             rates = getattr(traj, name)
@@ -201,12 +203,12 @@ class TestSharedExponents:
                 weights = kc ** np.array(exponents)[:, None]
                 full, failed = qsl._gated_quads(traj.times, weights * rates, True)
                 assert np.array_equal(integrals[r, k, :, 0], full)
-                got = {i: (type(e), str(e)) for (i, c), e in errors[r][k].items()}
-                assert got == {i: (type(e), str(e)) for i, e in failed.items()}
+                assert ([None if e is None else (type(e), str(e)) for e in errors[r, k, :, 0]]
+                        == [None if e is None else (type(e), str(e)) for e in failed])
         # -0.7 is I1 at 0.3 and I2 at 0.7; it fails the gate for both
         for r in range(len(names)):
-            assert (0, 0) in errors[r][0] and (2, 0) in errors[r][1]
-            assert str(errors[r][0][0, 0]) == str(errors[r][1][2, 0])
+            assert errors[r, 0, 0, 0] is not None and errors[r, 1, 2, 0] is not None
+            assert str(errors[r, 0, 0, 0]) == str(errors[r, 1, 2, 0])
 
 
 class TestQslGeneral:
