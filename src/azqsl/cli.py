@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -487,7 +488,7 @@ def emit_plot_script(csv_text: str, csv_name: str, kind: str, column: str) -> st
         raise ConfigError(f"plot kind must be heatmap or line, got {kind!r}")
     doc, template = ((_HEATMAP_DOC, _HEATMAP_TEMPLATE) if kind == "heatmap"
                      else (_LINE_DOC, _LINE_TEMPLATE))
-    out_name = csv_name.rsplit(".", 1)[0] + f"_{column}.png"
+    out_name = os.path.splitext(csv_name)[0] + f"_{column}.png"
     return template.format(doc=repr(doc.format(csv_name=csv_name, column=column)),
                            csv_name=csv_name, column=column, out_name=out_name)
 
@@ -574,7 +575,7 @@ def _write_outputs(args, csv_text: str, default_out: str) -> int:
     _write_text(out, csv_text)
     if args.plot:
         script = emit_plot_script(csv_text, out, args.plot, args.column)
-        _write_text(out.rsplit(".", 1)[0] + "_plot.py", script)
+        _write_text(os.path.splitext(out)[0] + "_plot.py", script)
     return 0
 
 

@@ -44,10 +44,9 @@ class HamiltonianModel:
         mat = np.asarray(mat, dtype=complex)
         if not np.all(np.isfinite(mat)):
             raise InvalidParamsError("Hamiltonian has a non-finite entry")
-        if linalg.asymmetry(mat) > linalg.HERMITIAN_TOL:
-            raise NotHermitianError(
-                f"Hamiltonian asymmetry {linalg.asymmetry(mat):.3e}"
-            )
+        asym = linalg.asymmetry(mat)
+        if asym > linalg.HERMITIAN_TOL:
+            raise NotHermitianError(f"Hamiltonian asymmetry {asym:.3e}")
         self.mat = linalg.hermitian_part(mat)
 
     @classmethod
@@ -462,33 +461,68 @@ def evolve_unitary(
 ) -> Trajectory:
     """rho_t = U_t rho_0 U_t† with U_t = e^(-i t H).
 
-    The spectrum is invariant along the orbit, and the Schatten speed
-    ||-i[H, rho_t]||_1 is time-constant; both are still computed per sample
-    as a consistency check, by `linalg._sample_spectra`: a sample with a
-    zero entry, such as the zero commutator of an eigenstate probe, is
-    evaluated again on its own pattern. The samples are evaluated in one
-    run, as a sweep's runs evaluate them (`_columns`), without its
-    store."""
+    The orbit keeps the spectrum of rho_0 and the Schatten speed
+    ||-i[H, rho_t]||_1 = ||-i[H, rho_0]||_1, so the speeds and k_min values
+    are these invariants, each taken once from rho_0 by
+    `linalg._sample_spectra`: the zero commutator of an eigenstate probe
+    gives a zero speed. The states come from the one eigendecomposition of
+    H (`_unitary_sampler`). The samples are evaluated in one run, as a
+    sweep's runs evaluate them (`_columns`), without its store."""
     return _evolve(h, rho0, tau, n_steps, rates=False)
 
 
 def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
-    """The per-sample work of `evolve_unitary` on a run of sample times."""
+    """The per-sample work of `evolve_unitary` on a run of sample times.
+
+    With H = V diag(w) V†, rho_t = V (rho~ ∘ e^{-i(w_a - w_b) t}) V† for
+    rho~ = V† rho_0 V (Hermitian part), whose diagonal is constant and
+    whose lower triangle mirrors the upper one. The two products with V
+    sum over the shared index one term at a time, and the sample axis sees
+    only real elementwise arithmetic (`linalg._cmul`), so a sample has the
+    same bits in every run that holds it. The state is then hermitized,
+    and the speed and k_min, taken once from rho_0, repeat per sample."""
+    dim = h.dim
     w, v = linalg.eigh(h.mat)
+    tilde = linalg.hermitian_part(v.conj().T @ rho0.mat @ v)
+    dstate = linalg.hermitian_part(-1j * (h.mat @ rho0.mat - rho0.mat @ h.mat))
+    speed = linalg._sample_spectra(*_entries(dstate[None]), dim, dim)
+    kmin = _batch_kmin(_entries(rho0.mat[None]), dim)
+    a, b = np.triu_indices(dim, 1)
+    gaps = w[a] - w[b]
+    upper = tilde[a, b, None]
+    vr, vi = v.real, v.imag
 
     def sample(times: np.ndarray) -> _Samples:
-        phases = np.exp(-1j * np.outer(times, w))
-        u = np.einsum("ab,tb,cb->tac", v, phases, v.conj())
-        states = np.einsum("tab,bc,tdc->tad", u, rho0.mat, u.conj())
-        states = (states + np.conj(np.swapaxes(states, 1, 2))) / 2
-        comm = h.mat[None] @ states - states @ h.mat[None]
-        dstates = -1j * comm
-        dstates = (dstates + np.conj(np.swapaxes(dstates, 1, 2))) / 2
-        speeds = linalg._sample_spectra(*_entries(dstates), h.dim, h.dim)
-        state = _entries(states)
-        return _Samples(state, speeds, _batch_kmin(state, h.dim), None)
+        n = len(times)
+        phases = np.exp(-1j * np.outer(gaps, times))
+        xr, xi = (np.repeat(part[:, :, None], n, axis=2) for part in (tilde.real, tilde.imag))
+        re, im = linalg._cmul(upper.real, upper.imag, phases.real, phases.imag)
+        xr[a, b], xi[a, b] = re, im
+        xr[b, a], xi[b, a] = re, -im
+        # V X, then (V X) V†, entry (i, j) of each at axes 0 and 1
+        ar, ai = _summed(linalg._cmul(vr[:, k, None, None], vi[:, k, None, None], xr[k], xi[k])
+                         for k in range(dim))
+        sr, si = _summed(linalg._cmul(ar[:, k, None], ai[:, k, None],
+                                      vr[None, :, k, None], -vi[None, :, k, None])
+                         for k in range(dim))
+        values = np.empty((dim * dim, n), dtype=complex)
+        values.real = ((sr + sr.swapaxes(0, 1)) / 2).reshape(dim * dim, n)
+        values.imag = ((si - si.swapaxes(0, 1)) / 2).reshape(dim * dim, n)
+        return _Samples((np.arange(dim * dim), values), np.repeat(speed, n),
+                        np.repeat(kmin, n), None)
 
     return sample
+
+
+def _summed(terms):
+    """The sum of a sequence of (real part, imaginary part) pairs, each
+    added in order into the arrays of the first."""
+    terms = iter(terms)
+    re, im = next(terms)
+    for term_re, term_im in terms:
+        re += term_re
+        im += term_im
+    return re, im
 
 
 def energy_fluctuation(h: HamiltonianModel, rho0: DensityMatrix) -> float:

@@ -50,23 +50,28 @@ def asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def eigh(m: np.ndarray) -> Eigensystem:
+def eigh(m: np.ndarray, symmetrized: bool = False) -> Eigensystem:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitianError if the max-entry asymmetry exceeds
     HERMITIAN_TOL, and
     NoConvergenceError if the underlying solver gives up. Eigenvalues come
-    back ascending; vectors are the columns of a unitary.
+    back ascending; vectors are the columns of a unitary. A caller that has
+    checked the asymmetry itself and passes the Hermitian part sets
+    `symmetrized`, which skips both.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if asymmetry(m) > HERMITIAN_TOL:
-        raise NotHermitianError(
-            f"matrix asymmetry {asymmetry(m):.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
-        )
+    if not symmetrized:
+        asym = asymmetry(m)
+        if asym > HERMITIAN_TOL:
+            raise NotHermitianError(
+                f"matrix asymmetry {asym:.3e} exceeds tolerance {HERMITIAN_TOL:.3e}"
+            )
+        m = hermitian_part(m)
     try:
-        values, vectors = np.linalg.eigh(hermitian_part(m))
+        values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return Eigensystem(values, vectors)

@@ -45,12 +45,12 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace {trace} differs from 1 beyond {TRACE_TOL}")
-        values, vectors = linalg.eigh(mat)
+        self.mat = linalg.hermitian_part(mat)
+        values, vectors = linalg.eigh(self.mat, symmetrized=True)
         if values[0] < -EIGENVALUE_TOL:
             raise InvalidStateError(
                 f"negative eigenvalue {values[0]:.3e} below -{EIGENVALUE_TOL:.0e}"
             )
-        self.mat = linalg.hermitian_part(mat)
         self.eigenvalues = np.maximum(values, 0.0)
         self.eigenvectors = vectors
         self.k_min = float(self.eigenvalues[0])

@@ -293,7 +293,7 @@ class TestPlotScripts:
         compile(script, "plot.py", "exec")
 
     @pytest.mark.parametrize("kind", ["heatmap", "line"])
-    @pytest.mark.parametrize("name", ['say "hi".csv', "C:\\data\\new.csv"])
+    @pytest.mark.parametrize("name", ['say "hi".csv', "C:\\data\\new.csv", "runs.v2/data"])
     def test_names_enter_as_literals(self, tmp_path, kind, name):
         # a double quote would end a "..." literal early, and the \n of a
         # Windows path would read as a newline in one
@@ -306,7 +306,7 @@ class TestPlotScripts:
                 fn = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 if fn in ("open", "savefig"):
                     paths[fn] = ast.literal_eval(node.args[0])
-        assert paths == {"open": name, "savefig": name.rsplit(".", 1)[0] + "_tau_qsl.png"}
+        assert paths == {"open": name, "savefig": os.path.splitext(name)[0] + "_tau_qsl.png"}
 
     def test_missing_column(self, tmp_path):
         csv_text = self._small_csv(tmp_path)
@@ -328,6 +328,20 @@ class TestPlotScripts:
                       "--column", "tau_qsl"])
         assert rc == 0
         assert (tmp_path / "mini_plot.py").exists()
+
+    def test_plot_script_stays_in_a_dotted_directory(self, tmp_path, capsys):
+        # the extension is cut from the file name, not from a directory's
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        rc = run_cli(["sweep", "--set", "model=depolarizing",
+                      "--set", "alpha_grid=0.3,0.7,2", "--set", "time_grid=1.0,2.0,2",
+                      "--set", "n_steps=101", "--out", out_dir / "data", "--plot", "line",
+                      "--column", "D_fwd"])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["data", "data_plot.py"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v2"]
+        script = (out_dir / "data_plot.py").read_text()
+        assert repr(str(out_dir / "data_D_fwd.png")) in script
 
 
 class TestFigureCommand:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -5,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from azqsl import cli, linalg
+from azqsl import cli, linalg, oracles
 from azqsl import dynamics as dyn
 from azqsl.entropy import EntropyParams
 from azqsl.errors import (
@@ -92,6 +95,71 @@ class TestUnitary:
         h = dyn.HamiltonianModel(linalg.SIGMA_Z)
         with pytest.raises(DimMismatchError):
             dyn.evolve_unitary(h, ghz_mixed(GHZMixedParams(0.5)), 1.0, 11)
+
+    def test_sweep_matches_purity_oracle(self):
+        # D_fwd = log g / (alpha - 1) with g the closed-form relative purity
+        # of the rotated probe, on a field that is not along the Bloch axis
+        cfg = cli.SweepConfig(model="unitary_qubit", n=(1.0, 0.0, 0.5),
+                              alpha_grid=(0.01, 0.99, 10), time_grid=(0.0, 20.0, 11))
+        rows = list(csv.DictReader(io.StringIO(cli.run_sweep(cfg))))
+        worst, checked = 0.0, 0
+        for row in rows:
+            d_fwd = float(row["D_fwd"])
+            if not math.isfinite(d_fwd):
+                continue
+            alpha, t = float(row["alpha"]), float(row["t"])
+            case = oracles.QubitUnitaryCase(cfg.r, cfg.theta, cfg.phi, cfg.n, t)
+            g = oracles.unitary_purity(case, EntropyParams(alpha, float(row["z"])))
+            worst = max(worst, abs(d_fwd - math.log(g) / (alpha - 1.0)))
+            checked += 1
+        assert checked >= 100
+        assert worst <= 5e-13
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_speed_and_kmin_are_the_orbit_invariants(self, dim, monkeypatch):
+        # taken once from rho_0, with no einsum and no per-sample spectra
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h, rho0 = dyn.HamiltonianModel((x + x.conj().T) / 2), random_density(rng, dim)
+        widths = []
+
+        def spectra(positions, values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return real_spectra(positions, values, *args, **kwargs)
+
+        real_spectra = linalg._sample_spectra
+        monkeypatch.setattr(linalg, "_sample_spectra", spectra)
+        monkeypatch.setattr(np, "einsum", no_call("einsum"))
+        traj = dyn.evolve_unitary(h, rho0, 3.0, 1001)
+        assert widths == [1, 1]
+        assert np.all(traj.speeds == traj.speeds[0]) and np.all(traj.kmins == traj.kmins[0])
+        comm = h.mat @ rho0.mat - rho0.mat @ h.mat
+        assert traj.speeds[0] == pytest.approx(np.linalg.svd(comm, compute_uv=False).sum(),
+                                               rel=1e-12)
+        assert traj.kmins[0] == pytest.approx(max(rho0.k_min, 0.0), abs=1e-15)
+        # the states are the orbit, and keep the spectrum of rho_0
+        u = scipy.linalg.expm(-3.0j * h.mat)
+        assert np.max(np.abs(traj.states[-1] - u @ rho0.mat @ u.conj().T)) <= 1e-12
+        spectra_t = np.linalg.eigvalsh(traj.states)
+        assert np.max(np.abs(spectra_t - rho0.eigenvalues)) <= 1e-12
+
+    def test_zero_commutator_sweep(self):
+        # a probe diagonal in the eigenbasis of a diagonal field does not
+        # move: every state is rho_0 bit for bit, so every horizon of an
+        # alpha gives the same row, with a zero speed and bound
+        cfg = cli.SweepConfig(model="unitary_qubit", r=0.6, theta=0.0,
+                              alpha_grid=(0.01, 0.99, 10), time_grid=(0.0, 20.0, 11))
+        model, rho0 = cli._model(cfg), cli._probe_state(cfg)
+        traj = dyn.evolve_unitary(model, rho0, 20.0, 1001)
+        assert np.all(traj.states == rho0.mat) and np.all(traj.speeds == 0.0)
+        panel = cli.sweep_rows(cfg)
+        assert np.all(panel.values["rhs_sym"] == 0.0)
+        rows = list(csv.reader(io.StringIO(cli.rows_to_csv([(cfg, panel)]))))
+        t_col = rows[0].index("t")
+        moving = [row[:t_col] + row[t_col + 1:] for row in rows[1:] if float(row[t_col]) > 0.0]
+        assert len(moving) == 100
+        for first in range(0, 100, 10):
+            assert all(row == moving[first] for row in moving[first:first + 10])
 
 
 class TestEnergyFluctuation:

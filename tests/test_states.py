@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from azqsl import linalg
 from azqsl.errors import (
     DimMismatchError,
     InvalidBlochError,
@@ -57,6 +58,33 @@ class TestDensityMatrix:
             m = x @ x.conj().T
             dm = DensityMatrix(m / np.real(np.trace(m)))
             assert 0.0 <= dm.k_min <= 1.0 / dm.dim <= dm.k_max <= 1.0
+
+    def test_checks_and_symmetrizes_once(self, rng, monkeypatch):
+        # a slightly non-Hermitian input: the state holds its Hermitian part
+        # and that part's LAPACK eigendecomposition, bit for bit
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m = x @ x.conj().T
+        m = m / np.real(np.trace(m))
+        m[0, 1] += 1e-12
+        want = linalg.hermitian_part(m)
+        values, vectors = np.linalg.eigh(want)
+        calls = {"asymmetry": 0, "hermitian_part": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        dm = DensityMatrix(m)
+        assert calls == {"asymmetry": 1, "hermitian_part": 1}
+        assert dm.mat.tobytes() == want.tobytes()
+        assert dm.eigenvectors.tobytes() == vectors.tobytes()
+        assert dm.eigenvalues.tobytes() == np.maximum(values, 0.0).tobytes()
+
+    def test_errors_keep_their_messages(self):
+        with pytest.raises(InvalidStateError, match=r"^not Hermitian: asymmetry 1\.000e-01$"):
+            DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -1\.000e-01 below -1e-10$"):
+            DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
 
 
 class TestBlochState:
