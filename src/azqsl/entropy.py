@@ -103,15 +103,35 @@ def _stack_powers(states: list, exponents) -> np.ndarray:
     return powers if len(distinct) == len(states) else powers[[index[id(s)] for s in states]]
 
 
+def _petz_traces(rhos: list, sigmas: list, alphas: list[float]) -> np.ndarray:
+    """Tr(sigma_i^(1-a) rho_i^a) of the pairs of two lists of states for
+    every alpha, shape (n_pairs, len(alphas)), as sum_jk mu_j^(1-a)
+    |<v_j|u_k>|^2 lambda_k^a from the cached spectra of sigma (mu, v) and
+    rho (lambda, u). The sums run elementwise over the (pair, alpha) cells
+    in a fixed j, k order, so a cell has the same bits in any batch."""
+    overlaps = (np.array([s.eigenvectors for s in sigmas]).conj().swapaxes(-1, -2)
+                @ np.array([r.eigenvectors for r in rhos]))
+    weights = overlaps.real ** 2 + overlaps.imag ** 2
+    # the eigenvalue powers, shape (dim, n_pairs, n_alphas)
+    outer = linalg.eigenvalue_powers(np.array([s.eigenvalues for s in sigmas]),
+                                     [1.0 - a for a in alphas]).T
+    inner = linalg.eigenvalue_powers(np.array([r.eigenvalues for r in rhos]), alphas).T
+    return sum(outer_j * sum(weights[:, j, k, None] * inner_k for k, inner_k in enumerate(inner))
+               for j, outer_j in enumerate(outer))
+
+
 def _purities(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.ndarray:
     """g(rho_i, sigma_i) of the pairs of two lists of states for every
     alpha at one z, shape (n_pairs, len(alphas)).
 
-    All matrix powers come from the states' cached spectra, once per
-    distinct state, and the sandwiched cores of every pair and alpha are
-    diagonalized in one batch. Every step is core by core, so a pair's
-    values are those of the pair on its own, bit for bit.
+    At z = 1, g is `_petz_traces`. Otherwise all matrix powers come from
+    the states' cached spectra, once per distinct state, and the sandwiched
+    cores of every pair and alpha are diagonalized in one batch. Every step
+    is core by core, so a pair's values are those of the pair on its own,
+    bit for bit.
     """
+    if z == 1.0:
+        return _petz_traces(rhos, sigmas, alphas)
     outer = _stack_powers(sigmas, [(1.0 - a) / (2.0 * z) for a in alphas])
     cores = outer @ _stack_powers(rhos, [a / z for a in alphas])
     cores = cores @ outer
@@ -192,12 +212,7 @@ def petz(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
         raise InvalidParamsError(f"Petz order must be positive and != 1, got {alpha}")
     if not support_contained(rho, sigma):
         return math.inf
-    val = float(
-        np.real(
-            np.trace(linalg.mat_pow(rho.mat, alpha) @ linalg.mat_pow(sigma.mat, 1.0 - alpha))
-        )
-    )
-    return math.log(val) / (alpha - 1.0)
+    return math.log(float(_petz_traces([rho], [sigma], [alpha])[0, 0])) / (alpha - 1.0)
 
 
 def sandwiched(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:

@@ -95,28 +95,31 @@ def spectral_powers(values: np.ndarray, vectors: np.ndarray, exponents) -> np.nd
     ascending spectrum (dim,) and eigenvectors (dim, dim); shape
     (len(exponents), dim, dim). A stack of spectra (n, dim) and
     eigenvectors (n, dim, dim) gives shape (n, len(exponents), dim, dim).
+    The eigenvalues take `eigenvalue_powers`, and every operation is matrix
+    by matrix, so a batch gives the same bits as one matrix at a time."""
+    # (..., exponent, 1, eigenvalue): each exponent scales the columns of
+    # the eigenvectors
+    powered = eigenvalue_powers(values, exponents).swapaxes(0, -2)[..., None, :]
+    adjoint = vectors.swapaxes(-1, -2).conj()[..., None, :, :]
+    return hermitian_part((vectors[..., None, :, :] * powered) @ adjoint)
 
-    The support cut SUPPORT_TOL is relative to the largest eigenvalue
-    (solver noise scales with the matrix norm, and products like
-    sigma^(large) rho sigma^(large) carry genuinely tiny spectra that an
-    absolute cut would destroy); eigenvalues below it map to zero for every
-    exponent, so negative powers act as generalized inverses on the
-    support. Each exponent's eigenvalue powers are taken on their own, with
-    the exponent a scalar (numpy takes exponents such as 0.5 and 2 on fast
-    paths that an array of exponents would not), and every operation is
-    matrix by matrix, so a batch of exponents or of matrices gives the same
-    bits as one at a time.
-    """
+
+def eigenvalue_powers(values: np.ndarray, exponents) -> np.ndarray:
+    """Powers of clamped ascending spectra (..., dim), one per exponent,
+    shape (len(exponents), ..., dim). Eigenvalues at or below SUPPORT_TOL
+    times the largest map to zero for every exponent, so negative powers act
+    as generalized inverses on the support (the cut is relative: solver
+    noise scales with the norm, and products such as sigma^(large) rho
+    sigma^(large) carry genuinely tiny spectra). Each exponent is taken as
+    a scalar (numpy takes exponents such as 0.5 and 2 on fast paths that an
+    array of exponents would not), so a batch gives the same bits as one
+    spectrum at a time."""
     on_support = values > SUPPORT_TOL * values[..., -1:]
     kept = values[on_support]
     powered = np.zeros((len(exponents), *values.shape))
     for row, s in zip(powered, exponents):
         row[on_support] = kept ** s
-    # (..., exponent, 1, eigenvalue): each exponent scales the columns of
-    # the eigenvectors
-    powered = powered.swapaxes(0, -2)[..., None, :]
-    adjoint = vectors.swapaxes(-1, -2).conj()[..., None, :, :]
-    return hermitian_part((vectors[..., None, :, :] * powered) @ adjoint)
+    return powered
 
 
 @lru_cache(maxsize=32)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from azqsl import cli, oracles
 from azqsl import dynamics as dyn
 from azqsl import entropy as ent
 from azqsl import linalg
@@ -131,6 +133,114 @@ class TestRenyi:
                 linalg.hermitian_part(outer @ inner @ outer)), 0.0)
             want = [ent._zpow_trace(v, rho, sigma, a, z) for v, a in zip(spectra, alphas)]
             assert ent._purities([rho], [sigma], alphas, z)[0].tolist() == want
+
+
+def former_core_trace(rho, sigma, alpha: float) -> float:
+    """The z = 1 purity by the sandwiched-core path: the clamped spectrum
+    of sigma^((1-a)/2) rho^a sigma^((1-a)/2), summed."""
+    outer = linalg.spectral_powers(sigma.eigenvalues, sigma.eigenvectors, [(1.0 - alpha) / 2.0])[0]
+    inner = linalg.spectral_powers(rho.eigenvalues, rho.eigenvectors, [alpha])[0]
+    core = linalg.hermitian_part(outer @ inner @ outer)
+    return float(np.maximum(np.linalg.eigvalsh(core), 0.0).sum())
+
+
+class TestPetzTraces:
+    """At z = 1 the purity is the Petz trace sum_jk mu_j^(1-a)
+    |<v_j|u_k>|^2 lambda_k^a, taken from the states' cached spectra."""
+
+    ALPHAS = list(np.linspace(0.01, 0.99, 25))
+
+    @staticmethod
+    def hard_states(rng, dim: int) -> list:
+        """Full-rank, nearly pure (unresolved eigenvalues), exactly pure and
+        rank-deficient states of one dimension, as in
+        `TestRenyi.test_grid_traces_equal_per_core_traces_bitwise`."""
+        states = []
+        for trial in range(8):
+            mix = 10.0 ** -rng.uniform(0.0, 14.0) if trial % 2 else 1.0
+            states.append(DensityMatrix((1 - mix) * pure(rng.normal(size=dim)).mat
+                                        + mix * random_density(rng, dim).mat))
+        states.append(pure(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+        u = random_unitary(rng, dim)[:, 1:]
+        weights = rng.uniform(0.1, 1.0, size=dim - 1)
+        states.append(DensityMatrix((u * (weights / weights.sum())) @ u.conj().T))
+        return states
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_batch_equals_per_pair_calls_bitwise(self, rng, dim):
+        # the pairs of a sweep batch: (rho_t, rho_0) and (rho_0, rho_t)
+        # with one shared rho_0, plus pairs of independent states
+        states = self.hard_states(rng, dim)
+        start = random_density(rng, dim)
+        others = [random_density(rng, dim) for _ in states]
+        rhos = states + [start] * len(states) + others
+        sigmas = [start] * len(states) + states + states
+        batch = ent._purities(rhos, sigmas, self.ALPHAS, 1.0)
+        for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
+            assert batch[i].tolist() == ent._purities([rho], [sigma], self.ALPHAS, 1.0)[0].tolist()
+            for j in (0, 7, 24):
+                assert batch[i, j] == ent._purities([rho], [sigma], [self.ALPHAS[j]], 1.0)[0, 0]
+
+    def test_matches_former_core_path(self, rng):
+        worst = 0.0
+        for _ in range(60):
+            dim = int(rng.choice([2, 3, 4]))
+            rho, sigma = random_density(rng, dim), random_density(rng, dim)
+            got = ent._purities([rho], [sigma], self.ALPHAS, 1.0)[0]
+            want = np.array([former_core_trace(rho, sigma, a) for a in self.ALPHAS])
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-12
+
+    def test_swap_identity(self, rng):
+        # g(rho, sigma, a) = g(sigma, rho, 1 - a)
+        for _ in range(60):
+            dim = int(rng.choice([2, 3, 4]))
+            rho, sigma = random_density(rng, dim), random_density(rng, dim)
+            got = ent._purities([rho], [sigma], self.ALPHAS, 1.0)[0]
+            swapped = ent._purities([sigma], [rho], [1.0 - a for a in self.ALPHAS], 1.0)[0]
+            np.testing.assert_allclose(swapped, got, rtol=1e-14, atol=0.0)
+
+    def test_powers_take_the_support_cut(self, rng):
+        # an eigenvalue of rho at or below SUPPORT_TOL times its largest is
+        # zero in every power, as in the sandwiched cores: g is the value of
+        # rho's top eigenvector alone
+        sigma = random_density(rng, 2)
+        u = random_unitary(rng, 2)
+        for small in (1e-13, 5e-13):
+            rho = DensityMatrix(u @ np.diag([small, 1.0 - small]) @ u.conj().T)
+            top = rho.eigenvectors[:, -1]
+            for alpha in (0.01, 0.5, 0.99):
+                outer = linalg.mat_pow(sigma.mat, 1.0 - alpha)
+                want = rho.eigenvalues[-1] ** alpha * (top.conj() @ outer @ top).real
+                got = ent._purities([rho], [sigma], [alpha], 1.0)[0, 0]
+                assert got == pytest.approx(want, rel=1e-13)
+
+    def test_fig2_cells_match_depolarizing_oracle(self):
+        # the fig2 preset (z = 1) on a reduced grid
+        cfg = replace(cli.figure_panels("fig2")[0], alpha_grid=(0.01, 0.99, 10),
+                      time_grid=(0.0, 20.0, 11))
+        panel = cli.sweep_rows(cfg)
+        d_fwd = panel.values["d_fwd"][:, 0, :]
+        for i, alpha in enumerate(panel.alphas):
+            for k, t in enumerate(panel.times):
+                ref = oracles.depolarizing_entropy(
+                    oracles.DepolarizingCase(cfg.r, cfg.gamma * t), float(alpha))
+                assert d_fwd[i, k] == pytest.approx(ref, abs=1e-9)
+
+    def test_petz_above_one_is_a_generalized_inverse(self, rng):
+        # alpha > 1: sigma^(1 - alpha) inverts sigma on its support
+        for dim in (2, 3, 4):
+            rho, sigma = random_density(rng, dim), random_density(rng, dim)
+            for alpha in (1.5, 2.0, 3.0):
+                want = np.trace(linalg.mat_pow(rho.mat, alpha) @ linalg.mat_pow(sigma.mat, 1 - alpha))
+                assert ent.petz(rho, sigma, alpha) == pytest.approx(
+                    math.log(want.real) / (alpha - 1.0), rel=1e-12)
+        # a rank-deficient sigma holding rho's support
+        u = random_unitary(rng, 3)
+        rho = DensityMatrix(u[:, :2] @ np.diag([0.3, 0.7]) @ u[:, :2].conj().T)
+        sigma = DensityMatrix(u[:, :2] @ np.diag([0.6, 0.4]) @ u[:, :2].conj().T)
+        want = 0.3 ** 2 * 0.6 ** -1 + 0.7 ** 2 * 0.4 ** -1
+        assert ent.petz(rho, sigma, 2.0) == pytest.approx(math.log(want), rel=1e-12)
 
 
 class TestSymmetrized:

@@ -17,6 +17,11 @@ from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
 
+This rewrites a CSV golden only when its header or row count changed or a
+cell moved beyond the test tolerance, so a host's last bits are not
+committed, and `points.txt` only when it differs; it prints each file it
+wrote.
+
 With `--diff` the script writes nothing and prints, per CSV golden and
 column, the largest relative move of a cell and the number of cells that
 moved, and the number of lines of `points.txt` that differ.
@@ -33,6 +38,7 @@ import csv
 import hashlib
 import io
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -181,6 +187,53 @@ def test_comparison_catches_a_moved_cell():
     assert len(cell_mismatches("\n".join(lines), text)) == 1
 
 
+def regenerate() -> list[Path]:
+    """Rewrite each golden whose output changed, as the module docstring
+    says, and return the files written."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {name: render(name) for name in CASES} | {"points.txt": render_points(Path(tmp))}
+    written = []
+    for name, got in outputs.items():
+        path = GOLDEN_DIR / name
+        want = path.read_text() if path.exists() else None
+        if want is None or (cell_mismatches(got, want) if name in CASES else got != want):
+            path.write_text(got, newline="\n")
+            written.append(path)
+    return written
+
+
+def test_regeneration_writes_only_moved_goldens(tmp_path, monkeypatch):
+    # the committed goldens in a temporary GOLDEN_DIR, with outputs that
+    # move a cell by one part in 1e14 (within RTOL)
+    goldens = {name: (GOLDEN_DIR / name).read_text() for name in [*CASES, "points.txt"]}
+    for name, text in goldens.items():
+        (tmp_path / name).write_text(text, newline="\n")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+
+    def moved(text: str, scale: float) -> str:
+        lines = text.split("\n")
+        cells = lines[2].split(",")
+        col = lines[0].split(",").index("rhs_fwd")
+        cells[col] = repr(float(cells[col]) * scale)
+        lines[2] = ",".join(cells)
+        return "\n".join(lines)
+
+    outputs = {name: moved(goldens[name], 1.0 + 1e-14) for name in CASES}
+    points = goldens["points.txt"]
+    monkeypatch.setattr(sys.modules[__name__], "render", lambda name: outputs[name])
+    monkeypatch.setattr(sys.modules[__name__], "render_points", lambda workdir: points)
+    assert regenerate() == []
+    assert {name: (tmp_path / name).read_text() for name in goldens} == goldens
+    # a cell moved beyond RTOL and a changed points.txt are written
+    outputs["fig4_10x11.csv"] = moved(goldens["fig4_10x11.csv"], 1.0 + 1e-11)
+    points = goldens["points.txt"] + "\n"
+    assert regenerate() == [tmp_path / "fig4_10x11.csv", tmp_path / "points.txt"]
+    assert (tmp_path / "fig4_10x11.csv").read_text() == outputs["fig4_10x11.csv"]
+    assert (tmp_path / "fig2_20x21.csv").read_text() == goldens["fig2_20x21.csv"]
+    assert (tmp_path / "points.txt").read_text() == points
+
+
 def print_diff() -> None:
     for case in CASES:
         want = (GOLDEN_DIR / case).read_text()
@@ -222,10 +275,8 @@ if __name__ == "__main__":
     elif args.md5:
         print_md5()
     else:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        for case in CASES:
-            (GOLDEN_DIR / case).write_text(render(case), newline="\n")
-            print(f"wrote {GOLDEN_DIR / case}")
-        with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN_DIR / "points.txt").write_text(render_points(Path(tmp)), newline="\n")
-        print(f"wrote {GOLDEN_DIR / 'points.txt'}")
+        written = regenerate()
+        for path in written:
+            print(f"wrote {path}")
+        if not written:
+            print("no golden changed")

@@ -99,6 +99,32 @@ class TestMatPow:
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-13)
 
 
+class TestEigenvaluePowers:
+    # the one support cut of every matrix and eigenvalue power: at or below
+    # SUPPORT_TOL times the largest eigenvalue of its own spectrum, an
+    # eigenvalue is zero for every exponent
+    def test_cut_is_relative_to_the_largest(self):
+        top = 0.75
+        edge = linalg.SUPPORT_TOL * top
+        values = np.array([[edge, 2.0 * edge, top], [0.0, 0.5 * top, top], [edge, edge, 2e-12]])
+        exponents = [0.5, -1.0, 0.01]
+        out = linalg.eigenvalue_powers(values, exponents)
+        assert out.shape == (3, 3, 3)
+        for row, s in zip(out, exponents):
+            assert row[0].tolist() == [0.0, *(np.array([2.0 * edge, top]) ** s)]
+            assert row[1].tolist() == [0.0, *(np.array([0.5 * top, top]) ** s)]
+            assert row[2].tolist() == (np.array([edge, edge, 2e-12]) ** s).tolist()
+
+    def test_batch_equals_one_spectrum_at_a_time(self, rng):
+        values = np.sort(rng.uniform(0.0, 1.0, size=(20, 4)) ** 8, axis=-1)
+        exponents = list(rng.uniform(-2.0, 2.0, size=7)) + [0.5, 2.0, 1.0]
+        out = linalg.eigenvalue_powers(values, exponents)
+        for i, spectrum in enumerate(values):
+            assert out[:, i].tolist() == linalg.eigenvalue_powers(spectrum, exponents).tolist()
+            for j, s in enumerate(exponents):
+                assert out[j, i].tolist() == linalg.eigenvalue_powers(spectrum, [s])[0].tolist()
+
+
 class TestMatPowIntegral:
     def test_identity(self):
         out = linalg.mat_pow_integral(np.eye(2, dtype=complex), 0.5)

@@ -18,6 +18,7 @@ its cells as the full panel and as the one-point `integrate_bounds` and
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -387,3 +388,35 @@ def test_kinds_reach_their_paths(monkeypatch):
     assert "error:SupportViolationError" in tags["support_violation"]
     assert {"error:ZeroSpeedError", "error:InvalidParamsError",
             "error:InvalidStateError"} <= tags["zero_speed_and_failed"]
+
+
+def test_z_one_sweeps_diagonalize_no_cores(monkeypatch):
+    # at z = 1 the purities are Petz traces of the states' cached spectra:
+    # no sandwiched core reaches eigvalsh or _zpow_trace. A z < 1 panel of
+    # the same states still takes both.
+    calls = {"eigvalsh": 0, "_zpow_trace": 0}
+    eigvalsh, zpow = np.linalg.eigvalsh, ent._zpow_trace
+
+    def counted_eigvalsh(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == ent.__name__:
+            calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_zpow(*args):
+        calls["_zpow_trace"] += 1
+        return zpow(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(ent, "_zpow_trace", counted_zpow)
+
+    def sweep(figure, z):
+        for cfg in cli.figure_panels(figure):
+            panel = cli.sweep_rows(replace(cfg, alpha_grid=(0.01, 0.99, 10), z_grid=(z, z, 1),
+                                           time_grid=(0.0, 20.0, 11)))
+            assert np.isfinite(panel.values["d_fwd"]).any()
+
+    sweep("fig2", 1.0)
+    sweep("fig4", 1.0)
+    assert calls == {"eigvalsh": 0, "_zpow_trace": 0}
+    sweep("fig4", 0.5)
+    assert calls["eigvalsh"] > 0 and calls["_zpow_trace"] > 0
