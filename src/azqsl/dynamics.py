@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -316,10 +316,17 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         S, dS = self._pair_stacks(times)
         a, b = S[_AD_FIRST], S[_AD_SECOND]
+        # dS_first b + a dS_second and then a b, each product formed in
+        # place on a gathered factor with the operands in that order;
         # complex factors keep the signed zeros of the dense Kronecker
         # entries: the product of two negative reals has imaginary part -0
-        K = _Gathered(a * b, _AD_OPS, _AD_ROWS, _AD_COLS)
-        dK = _Gathered(dS[_AD_FIRST] * b + a * dS[_AD_SECOND], _AD_OPS, _AD_ROWS, _AD_COLS)
+        first, second = dS[_AD_FIRST], dS[_AD_SECOND]
+        first *= b
+        np.multiply(a, second, out=second)
+        first += second
+        a *= b
+        K = _Gathered(a, _AD_OPS, _AD_ROWS, _AD_COLS)
+        dK = _Gathered(first, _AD_OPS, _AD_ROWS, _AD_COLS)
         return _Pair(K, dK, np.zeros(len(times), dtype=bool), None)
 
 
@@ -435,14 +442,21 @@ def _check_samples(n: int, drift: np.ndarray, asym: np.ndarray, speeds: np.ndarr
             raise InvalidStateError(f"negative {name}")
 
 
-def _batch_kmin(state: tuple, dim: int) -> np.ndarray:
-    """Smallest eigenvalue of each sample of a state given by its entries,
-    from the entries of its lower triangle (`linalg._sample_spectra`, as
-    `linalg.min_eigenvalues` reads a dense stack), clamped at zero; one
-    below -1e-10 raises InvalidStateError."""
-    positions, values = state
+def _kmin_plan(positions: np.ndarray, dim: int) -> tuple:
+    """The lower triangle of a state held at the flat positions `positions`:
+    which of them it takes, and their `linalg._Patterns`."""
     lower = positions % dim <= positions // dim
-    vals = linalg._sample_spectra(positions[lower], values[lower], dim, dim, hermitian=True)
+    return lower, linalg._Patterns([positions[lower]], dim, dim, hermitian=True)
+
+
+def _batch_kmin(values: np.ndarray, kmin: tuple) -> np.ndarray:
+    """Smallest eigenvalue of each sample of a state given by its values at
+    the positions of `kmin` (`_kmin_plan`), from the entries of its lower
+    triangle (`linalg._sample_spectra`, as `linalg.min_eigenvalues` reads a
+    dense stack), clamped at zero; one below -1e-10 raises
+    InvalidStateError."""
+    lower, patterns = kmin
+    vals = linalg._sample_spectra(patterns, values[lower])[0]
     if float(vals.min()) < -1e-10:
         raise InvalidStateError(f"sample eigenvalue {vals.min():.3e} below -1e-10")
     return np.maximum(vals, 0.0)
@@ -485,8 +499,9 @@ def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
     w, v = linalg.eigh(h.mat)
     tilde = linalg.hermitian_part(v.conj().T @ rho0.mat @ v)
     dstate = linalg.hermitian_part(-1j * (h.mat @ rho0.mat - rho0.mat @ h.mat))
-    speed = linalg._sample_spectra(*_entries(dstate[None]), dim, dim)
-    kmin = _batch_kmin(_entries(rho0.mat[None]), dim)
+    positions, values = _entries(dstate[None])
+    speed = linalg._sample_spectra(linalg._Patterns([positions], dim, dim), values)[0]
+    kmin = _batch_kmin(_entries(rho0.mat[None])[1], _kmin_plan(positions, dim))
     a, b = np.triu_indices(dim, 1)
     gaps = w[a] - w[b]
     upper = tilde[a, b, None]
@@ -542,16 +557,17 @@ def coherence_measure(h: HamiltonianModel, rho0: DensityMatrix) -> float:
     return max(float(np.real(-0.25 * np.trace(comm @ comm))), 0.0)
 
 
-def _check_gathered_completeness(G: _Gathered, dim: int, samples=slice(None)) -> None:
+def _check_gathered_completeness(G: _Gathered, gram: tuple, samples=slice(None)) -> None:
     """Raise CompletenessViolationError unless sum_l K_l†K_l is the
     identity at the samples `samples` of a gathered stack. Entry (c, c')
     sums conj(K_l[i, c]) K_l[i, c'] over the pairs of entries that share
-    an operator row (`_gram_pairs`); an entry without pairs is 0. Only the
-    largest deviation is read, so the order of the sums is free. An
-    infinite entry, or one whose square overflows, makes the deviation
-    infinite or NaN, which fails the check."""
+    an operator row (`gram`, the `_gram_pairs` of the stack's entries); an
+    entry without pairs is 0. Only the largest deviation is read, so the
+    order of the sums is free. An infinite entry, or one whose square
+    overflows, makes the deviation infinite or NaN, which fails the
+    check."""
     x = G.values[:, samples]
-    pairs, diagonal, n = _gram_pairs(*(tuple(a.tolist()) for a in (G.ops, G.rows, G.cols)), dim)
+    pairs, diagonal, n = gram
     deviation = np.zeros((n, x.shape[1]), dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         for k, left, right in pairs:
@@ -562,28 +578,21 @@ def _check_gathered_completeness(G: _Gathered, dim: int, samples=slice(None)) ->
         raise CompletenessViolationError(f"sum K†K deviates from identity by {dev:.3e}")
 
 
-@lru_cache(maxsize=256)
-def _gram_pairs(ops, rows, cols, dim: int):
-    """The entries of K†K that `_check_gathered_completeness` holds, for a
-    stack of the entries given as tuples: the flat positions that have
-    pairs and the diagonal ones, ascending, n of them. Per position with
-    pairs, its index there and the left and right entries (e, f) of its
-    pairs, which share an operator row and add to position
-    cols[e] dim + cols[f]; and the index of each diagonal position. A
-    channel holds the same entries from run to run, so these are cached by
-    them; their arrays are shared by every call, so they are read-only."""
-    ops, rows, cols = (np.array(a, dtype=np.int64) for a in (ops, rows, cols))
-    key = ops * dim + rows
+def _gram_pairs(G: _Gathered, dim: int) -> tuple:
+    """The entries of K†K that `_check_gathered_completeness` holds, for
+    a gathered stack: the flat positions that have pairs and the diagonal
+    ones, ascending, n of them. Per position with pairs, its index there
+    and the left and right entries (e, f) of its pairs, which share an
+    operator row and add to position cols[e] dim + cols[f]; and the index
+    of each diagonal position."""
+    key = G.ops * dim + G.rows
     e, f = np.nonzero(key[:, None] == key)
-    slot = cols[e] * dim + cols[f]
+    slot = G.cols[e] * dim + G.cols[f]
     diagonal = np.arange(dim) * (dim + 1)
     held = np.union1d(slot, diagonal)
     pairs = tuple((int(np.searchsorted(held, p)), e[slot == p], f[slot == p])
                   for p in np.unique(slot).tolist())
-    diagonal = np.searchsorted(held, diagonal)
-    for a in (diagonal, *(a for _, left, right in pairs for a in (left, right))):
-        a.setflags(write=False)
-    return pairs, diagonal, len(held)
+    return pairs, np.searchsorted(held, diagonal), len(held)
 
 
 # Trajectories form the products X_l rho_0 Y_l† of two operator stacks:
@@ -593,12 +602,25 @@ def _gram_pairs(ops, rows, cols, dim: int):
 # from their closed forms, and `_gather` reads any other family's dense
 # stacks. A product is contracted in two stages over a shared index,
 # A = X rho_0 and then A Y†, each planned from the entries of its factors
-# and the pattern of rho_0 alone (`_plan`); a channel keeps those from run
-# to run, so the plans are cached by them. An entry sums its terms in index
-# order and takes a one-term sum as that term, with no +0 start; each term
-# is rounded as einsum rounds a product (`_cmul`). Sums over operators run
-# in operator order from a zero start. The states and rates share
-# A = K rho_0; completeness sums cached entry pairs (`_gram_pairs`).
+# and the pattern of rho_0 alone (`_plan`). An entry sums its terms in
+# index order and takes a one-term sum as that term, with no +0 start;
+# each term is rounded as einsum rounds a product (`linalg._cmul`'s
+# roundings, formed in place on the round's gathered copies). Sums over
+# operators run in operator order from a zero start. The states and rates
+# share A = K rho_0; completeness sums entry pairs (`_gram_pairs`).
+#
+# Everything a run forms that depends on its pair's entries alone is
+# planned once per set of entries and pattern of rho_0 (`_RunPlan`, kept
+# by `_planned`): the stages' plans, the operator-sum rounds and adjoint
+# index of the state and the speed matrix (`_Adjoint`), the split of the
+# rate products by operator, the spectra's block layouts
+# (`linalg._Patterns`), k_min's lower triangle and the completeness
+# pairs. A channel gathers the same entries from run to run, so a run
+# past the first only looks its plan up. The speed matrix and each
+# operator's rate product are written as consecutive rows of one array,
+# and all their trace norms take one `linalg._sample_spectra` call, which
+# evaluates the blocks of one shape across the matrices together; k_min
+# takes one more.
 #
 # In a monomial stack, with at most one nonzero per operator row and
 # column (the built-in channels, the bit-flip file family), every entry of
@@ -680,26 +702,15 @@ class _Plan(NamedTuple):
 
 def _plan(U, V) -> _Plan:
     """The `_Plan` of two stacks given by their entries (`ops`, `rows`,
-    `cols`); a V whose `ops` is None pairs with every operator. A channel
-    holds the same entries from run to run, so plans are cached by them."""
-    return _entries_plan(*(None if a is None else tuple(a.tolist())
-                           for a in (U.ops, U.rows, U.cols, V.ops, V.rows, V.cols)))
-
-
-@lru_cache(maxsize=256)
-def _entries_plan(u_ops, u_rows, u_cols, v_ops, v_rows, v_cols) -> _Plan:
-    """`_plan` of entries given as tuples. Its arrays are shared by every
-    call, so they are read-only."""
-    u_ops, u_rows, u_cols, v_rows, v_cols = (
-        np.array(a, dtype=np.int64) for a in (u_ops, u_rows, u_cols, v_rows, v_cols))
-    match = u_cols[:, None] == v_cols
-    if v_ops is not None:
-        match &= u_ops[:, None] == np.array(v_ops, dtype=np.int64)
+    `cols`); a V whose `ops` is None pairs with every operator."""
+    match = U.cols[:, None] == V.cols
+    if V.ops is not None:
+        match &= U.ops[:, None] == V.ops
     e, f = np.nonzero(match)
     # one integer per (l, i, m), and per term (l, i, m, s)
-    n = 1 + max(u_rows.max(initial=0), u_cols.max(initial=0), v_rows.max(initial=0))
-    key = (u_ops[e] * n + u_rows[e]) * n + v_rows[f]
-    order = np.argsort(key * n + u_cols[e])
+    n = 1 + max(U.rows.max(initial=0), U.cols.max(initial=0), V.rows.max(initial=0))
+    key = (U.ops[e] * n + U.rows[e]) * n + V.rows[f]
+    order = np.argsort(key * n + U.cols[e])
     e, f, key = e[order], f[order], key[order]
     first = np.ones(len(e), dtype=bool)
     first[1:] = key[1:] != key[:-1]
@@ -707,24 +718,37 @@ def _entries_plan(u_ops, u_rows, u_cols, v_ops, v_rows, v_cols) -> _Plan:
     entry = np.cumsum(first) - 1
     rank = np.arange(len(e)) - starts[entry]
     rounds = [rank == r for r in range(1, rank.max(initial=0) + 1)]
-    plan = _Plan(u_ops[e[starts]], u_rows[e[starts]], v_rows[f[starts]],
+    return _Plan(U.ops[e[starts]], U.rows[e[starts]], V.rows[f[starts]],
                  (e[first], *(e[r] for r in rounds)), (f[first], *(f[r] for r in rounds)),
                  (np.arange(len(starts)), *(entry[r] for r in rounds)))
-    for a in (*plan[:3], *plan.left, *plan.right, *plan.at):
-        a.setflags(write=False)
-    return plan
 
 
 def _sums(P: _Plan, U, V: np.ndarray, conj: bool = False):
     """The sums of `P` from the real and imaginary parts `U` of U's values
     and the values of V, or of conj(V) when `conj` is set, as their real
     and imaginary parts, shape (n_entries, n_times): one round of textbook
-    products (`linalg._cmul`) at a time, each added to the entry it belongs
-    to."""
+    products at a time, each added to the entry it belongs to. A round's
+    products are formed in place on its gathered copies of the factors,
+    each real product and sum rounded on its own as `linalg._cmul` rounds
+    them (with conj(V), ar*br - ai*(-bi) is ar*br + ai*bi and
+    ar*(-bi) + ai*br is ai*br - ar*bi, exactly)."""
     (ur, ui), (vr, vi) = U, (V.real, V.imag)
     out_re = out_im = None
     for left, right, at in zip(P.left, P.right, P.at):
-        re, im = linalg._cmul(ur[left], ui[left], vr[right], -vi[right] if conj else vi[right])
+        ar, ai, br, bi = ur[left], ui[left], vr[right], vi[right]
+        re = ar * br
+        ar *= bi
+        # a V of one column (rho_0) is broadcast over the samples
+        bi = np.multiply(ai, bi, out=bi if bi.shape == ai.shape else None)
+        ai *= br
+        if conj:
+            re += bi
+            ai -= ar
+            im = ai
+        else:
+            re -= bi
+            ar += ai
+            im = ar
         if out_re is None:
             out_re, out_im = re, im
         elif len(at) == len(out_re):  # every entry, in order
@@ -733,7 +757,7 @@ def _sums(P: _Plan, U, V: np.ndarray, conj: bool = False):
         else:
             out_re[at] += re
             out_im[at] += im
-        del re, im  # before the next round's products are formed
+        del ar, ai, br, bi, re, im  # before the next round's products are formed
     return out_re, out_im
 
 
@@ -746,19 +770,61 @@ def _products(P: _Plan, XR, Y: _Gathered) -> np.ndarray:
     return out
 
 
-def _operator_sums(P: _Plan, values: np.ndarray, dim: int):
-    """The sum over operators of the products with the given values: the
-    flat positions it can be nonzero at, ascending, and its values there,
-    shape (n_positions, n_times), each summed in operator order from zero."""
+class _Adjoint(NamedTuple):
+    """M + M† for M the sum over operators of the products of a `_Plan`,
+    planned from its entries. M is held at `n_sums` flat positions,
+    ascending, summed in rounds: round r adds, to the positions `at[r]`
+    (a slice where it is every position in order), the r-th product there
+    in operator order, the products `terms[r]`. M + M† is held at
+    `positions`, and entry (i, m) of it is row `left` of M plus the
+    conjugate of row `right`, its mirror (i.e. entry (m, i)); `padded` when
+    some entry has no row in M, which then reads a zero row past M's."""
+
+    at: tuple
+    terms: tuple
+    n_sums: int
+    positions: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    padded: bool
+
+
+def _adjoint_plan(P: _Plan, dim: int) -> _Adjoint:
     flat = P.rows * dim + P.cols
-    present = np.zeros(dim * dim, dtype=bool)
-    present[flat] = True
-    sums = np.zeros((np.count_nonzero(present), values.shape[1]), dtype=complex)
-    # the entries come in operator order; an operator without a term at a
-    # position would add a zero, which leaves a sum started from zero as it is
-    for k, term in zip(np.cumsum(present)[flat] - 1, values):
-        sums[k] += term
-    return np.flatnonzero(present), sums
+    present = np.zeros((dim, dim), dtype=bool)
+    present.flat[flat] = True
+    n_sums = np.count_nonzero(present)
+    row = np.full(dim * dim, n_sums)
+    row[present.ravel()] = np.arange(n_sums)
+    slots = row[flat]
+    # the rank of each product among those at its position, in operator order
+    counts, rank = {}, []
+    for k in slots.tolist():
+        rank.append(counts.get(k, 0))
+        counts[k] = rank[-1] + 1
+    rank = np.array(rank, dtype=int)
+    terms = [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
+    at = [slots[t] for t in terms]
+    if terms:  # every position has a first product: round 0 in position order
+        terms[0] = terms[0][np.argsort(at[0])]
+        at[0] = slice(0, n_sums)
+    positions = np.flatnonzero(present | present.T)
+    i, m = np.divmod(positions, dim)
+    left, right = row[positions], row[m * dim + i]
+    padded = bool(np.any(left == n_sums) or np.any(right == n_sums))
+    return _Adjoint(tuple(at), tuple(terms), n_sums, positions, left, right, padded)
+
+
+def _plus_adjoint(A: _Adjoint, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M + M† of `A` from the values of its products, at `A.positions`,
+    written into `out` when it is given. Each position of M sums its
+    products in operator order from a zero start; a position without a
+    product of some operator would add a zero, which leaves a sum started
+    from zero as it is."""
+    sums = np.zeros((A.n_sums + A.padded, values.shape[1]), dtype=complex)
+    for at, terms in zip(A.at, A.terms):
+        sums[at] += values[terms]
+    return np.add(sums[A.left], np.conj(sums[A.right]), out=out)
 
 
 def _dense(positions: np.ndarray, values: np.ndarray, dim: int) -> np.ndarray:
@@ -775,35 +841,37 @@ def _entries(stack: np.ndarray):
     return np.arange(r * c), stack.reshape(n, r * c).T
 
 
-def _plus_adjoint(positions: np.ndarray, values: np.ndarray, dim: int):
-    """M + M† for a stack M given by its flat positions and entry-major
-    values: the positions where either term can be nonzero, and its values
-    there."""
-    present = np.zeros((dim, dim), dtype=bool)
-    present.flat[positions] = True
-    union = np.flatnonzero(present | present.T)
-    # the row of M at each position, and a zero row where M has none
-    slot = np.full(dim * dim, len(positions))
-    slot[positions] = np.arange(len(positions))
-    padded = np.concatenate([values, np.zeros((1, values.shape[1]), dtype=complex)])
-    i, m = np.divmod(union, dim)
-    return union, padded[slot[union]] + np.conj(padded[slot[m * dim + i]])
+class _StatePlan(NamedTuple):
+    """What forms sum_l K_l rho_0 K_l† from a gathered K, planned from its
+    entries and those of rho_0: the pairs of its completeness check
+    (`_gram_pairs`), the plans of A = K rho_0 (`R`) and of A K† (`P`), and
+    the operator sums and M + M† of the latter (`adjoint`), whose positions
+    are the state's."""
+
+    gram: tuple
+    R: _Plan
+    P: _Plan
+    adjoint: _Adjoint
 
 
-def _hermitian_sum(P: _Plan, values: np.ndarray, dim: int):
-    """(M + M†) / 2 for M the sum over operators of the products with the
-    given values: the entries of a state."""
-    positions, doubled = _plus_adjoint(*_operator_sums(P, values, dim), dim)
-    return positions, doubled / 2
+def _state_plan(K: _Gathered, rho: _Gathered, dim: int) -> _StatePlan:
+    R = _plan(K, rho)
+    P = _plan(R, K)
+    return _StatePlan(_gram_pairs(K, dim), R, P, _adjoint_plan(P, dim))
 
 
-def _state_entries(G: _Gathered, rho0: DensityMatrix):
+def _state_entries(plan: _StatePlan, K: _Gathered, rho: _Gathered):
     """sum_l K_l rho_0 K_l† of a gathered stack, as entries."""
-    rho = _rho_factor(rho0)
-    R = _plan(G, rho)
-    P = _plan(R, G)
-    KR = _sums(R, (G.values.real, G.values.imag), rho.values)
-    return _hermitian_sum(P, _products(P, KR, G), rho0.dim)
+    KR = _sums(plan.R, (K.values.real, K.values.imag), rho.values)
+    return plan.adjoint.positions, _state_values(plan, KR, K)
+
+
+def _state_values(plan: _StatePlan, KR, K: _Gathered) -> np.ndarray:
+    """The state of a `_StatePlan` at its positions, from the parts `KR`
+    of K rho_0."""
+    doubled = _plus_adjoint(plan.adjoint, _products(plan.P, KR, K))
+    doubled /= 2
+    return doubled
 
 
 def _replaced(state: tuple, samples: np.ndarray, other: tuple) -> tuple:
@@ -825,8 +893,11 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
     K = fam._exact_ops(np.array([float(t)]))
-    _check_gathered_completeness(K, rho0.dim)
-    return DensityMatrix(_dense(*_state_entries(K, rho0), rho0.dim)[0])
+    rho = _rho_factor(rho0)
+    plan = _planned((*_probe_key(rho, rho0.dim), *_entries_key(K)), _state_plan, K, rho,
+                    rho0.dim)
+    _check_gathered_completeness(K, plan.gram)
+    return DensityMatrix(_dense(*_state_entries(plan, K, rho), rho0.dim)[0])
 
 
 def evolve_kraus(
@@ -844,51 +915,139 @@ def evolve_kraus(
     scanned or compared; a user family's dense pair is gathered. The
     products and the states are formed entry by entry, in two planned
     stages, at the entries that can be nonzero, and the speeds, k_min and
-    rates take `linalg._sample_spectra`, which evaluates each matrix's
-    blocks on every sample at once and again only where a sample is zero
-    at one of its entries. A derivative stack with a NaN or an infinity raises
-    InvalidStateError before any product is formed. The samples are
-    evaluated in one run, as a sweep's runs evaluate them (`_columns`),
-    without its store."""
+    rates take `linalg._sample_spectra`, which evaluates the blocks of
+    every matrix on every sample at once and again only where a sample is
+    zero at one of its entries. A derivative stack with a NaN or an
+    infinity raises InvalidStateError before any product is formed. The
+    samples are evaluated in one run, as a sweep's runs evaluate them
+    (`_columns`), without its store."""
     return _evolve(fam, rho0, tau, n_steps, rates)
+
+
+class _RunPlan(NamedTuple):
+    """What a run of `_kraus_sampler` forms from its (K, dK) pair, planned
+    from the pair's entries and those of rho_0: the state's `_StatePlan`;
+    the plans of dK rho_0 (`dR`) and of (dK rho_0) K† (`half`), and the
+    operator sums and M + M† of the latter, the speed matrix (`speed`);
+    the plan of the rate products (K rho_0) dK†, or None without rates;
+    each operator's rate product and then the speed matrix as consecutive
+    rows of one array, which `linalg._sample_spectra` reads (`norms`); and
+    the lower triangle of the state (`_kmin_plan`)."""
+
+    state: _StatePlan
+    dR: _Plan
+    half: _Plan
+    speed: _Adjoint
+    rates: _Plan | None
+    norms: linalg._Patterns
+    kmin: tuple
+
+
+def _run_plan(K: _Gathered, dK: _Gathered, rho: _Gathered, dim: int,
+              n_ops: int | None) -> _RunPlan:
+    """The `_RunPlan` of a pair, with the rates of `n_ops` operators, or
+    without them when `n_ops` is None."""
+    state = _state_plan(K, rho, dim)
+    dR = _plan(dK, rho)
+    half = _plan(dR, K)
+    speed = _adjoint_plan(half, dim)
+    matrices, rates = [], None
+    if n_ops is not None:
+        rates = _plan(state.R, dK)
+        flat = rates.rows * dim + rates.cols
+        # the entries come in operator order: each operator's are a run
+        ends = np.searchsorted(rates.ops, np.arange(n_ops + 1)).tolist()
+        matrices = [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    return _RunPlan(state, dR, half, speed, rates,
+                    linalg._Patterns([*matrices, speed.positions], dim, dim),
+                    _kmin_plan(state.adjoint.positions, dim))
+
+
+def _entries_key(*stacks: _Gathered) -> tuple:
+    """The entries of gathered stacks, as part of the key of what is
+    planned from them."""
+    return tuple(a.tobytes() for G in stacks for a in (G.ops, G.rows, G.cols))
+
+
+def _probe_key(rho: _Gathered, dim: int) -> tuple:
+    """The pattern of rho_0 (`_rho_factor`), as part of the key of what is
+    planned from it."""
+    return dim, rho.rows.tobytes(), rho.cols.tobytes()
+
+
+# Plans by what they are planned from; a full table starts afresh
+_PLANS: dict = {}
+_MAX_PLANS = 256
+
+
+def _planned(key: tuple, build, *args):
+    """The plan `build(*args)` under `key`, built when it is first asked for."""
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _MAX_PLANS:
+            _PLANS.clear()
+        plan = _PLANS[key] = build(*args)
+    return plan
 
 
 def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
     """The per-sample work of `evolve_kraus` on a run of sample times. The
     run raises at the first check it fails, in `evolve_kraus` order, before
-    any product is formed."""
+    any product is formed.
+
+    What a run forms depends on its values alone once its pair's entries
+    are planned (`_run_plan`, and `_state_plan` for the exact-time
+    operators at regularized samples). Each set of entries is planned
+    once, when a run first meets it, and kept with the pattern of rho_0
+    (`_planned`): a built-in channel gathers the same entries in every
+    run, and a user family whose gathered entries change from run to run
+    gets a plan for each set. Every trace norm of a run, each operator's
+    rate product K_l rho_0 dK_l† and the speed matrix, takes one
+    `linalg._sample_spectra` call, and k_min another. For the built-in
+    channels every block has at most two rows or columns and takes a
+    closed form (a depolarizing product is one dense 2x2 block, an
+    amplitude-damping product with the GHZ probe splits into blocks of at
+    most 2x1), so no built-in sweep runs an SVD; a family whose products
+    are dense and at least 3x3 gets the LAPACK singular-value sums. The
+    rates sum the per-operator norms in operator order, as numpy sums a
+    row of them (`linalg._sum_rows`)."""
     dim = rho0.dim
     rho = _rho_factor(rho0)
+    n_ops = fam.n_ops if rates else None
+    probe = _probe_key(rho, dim)
 
     def sample(times: np.ndarray) -> _Samples:
         K, dK, regularized, exact = fam._trajectory_pair(times)
+        plan = _planned((*probe, n_ops, *_entries_key(K, dK)), _run_plan, K, dK, rho, dim, n_ops)
         # the pair's K is the exact-time stack outside the regularized rows
-        _check_gathered_completeness(K, dim, slice(None) if rates else ~regularized)
+        _check_gathered_completeness(K, plan.state.gram, slice(None) if rates else ~regularized)
         if regularized.any():
-            _check_gathered_completeness(exact, dim)
+            exact_plan = _planned((*probe, *_entries_key(exact)), _state_plan, exact, rho, dim)
+            _check_gathered_completeness(exact, exact_plan.gram)
         if not np.all(np.isfinite(dK.values)):
             raise InvalidStateError("non-finite Kraus derivative along trajectory")
-        R, dR = _plan(K, rho), _plan(dK, rho)
-        KR = _sums(R, (K.values.real, K.values.imag), rho.values)
-        P = _plan(R, K)
-        state = _hermitian_sum(P, _products(P, KR, K), dim)
-        half = _plan(dR, K)
-        dKR = _sums(dR, (dK.values.real, dK.values.imag), rho.values)
-        speeds = linalg._sample_spectra(*_plus_adjoint(*_operator_sums(
-            half, _products(half, dKR, K), dim), dim), dim, dim)
-        del dKR
+        KR = _sums(plan.state.R, (K.values.real, K.values.imag), rho.values)
+        state = plan.state.adjoint.positions, _state_values(plan.state, KR, K)
+        # each operator's rate product, then the speed matrix
+        norms = np.empty((plan.norms.starts[-1], len(times)), dtype=complex)
+        speed = plan.norms.starts[-2]
         if rates:
-            P = _plan(R, dK)
-            values = _products(P, KR, dK)
-            flat = P.rows * dim + P.cols
-            # the entries come in operator order: each operator's are a run
-            ends = np.searchsorted(P.ops, np.arange(fam.n_ops + 1))
-            prods = [(flat[a:b], values[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+            products = norms[:speed]
+            products.real, products.imag = _sums(plan.rates, KR, dK.values, conj=True)
         del KR
+        dKR = _sums(plan.dR, (dK.values.real, dK.values.imag), rho.values)
+        half = _products(plan.half, dKR, K)
+        del dKR
+        _plus_adjoint(plan.speed, half, out=norms[speed:])
+        del half
+        kmin = plan.kmin
         if regularized.any():
-            state = _replaced(state, regularized, _state_entries(exact, rho0))
-        rate_sums = _kraus_rates(prods, dim) if rates else None
-        return _Samples(state, speeds, _batch_kmin(state, dim), rate_sums)
+            state = _replaced(state, regularized, _state_entries(exact_plan, exact, rho))
+            if len(state[0]) > len(plan.state.adjoint.positions):
+                kmin = _kmin_plan(state[0], dim)
+        spectra = linalg._sample_spectra(plan.norms, norms)
+        return _Samples(state, spectra[-1], _batch_kmin(state[1], kmin),
+                        linalg._sum_rows(spectra[:-1]) if rates else None)
 
     return sample
 
@@ -1047,18 +1206,3 @@ def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -
     times = _time_grid(tau, n_steps)
     samples = sampler(times)
     return Trajectory(times, _dense(*samples.state, rho0.dim), *samples[1:])
-
-
-def _kraus_rates(prods: list, dim: int) -> np.ndarray:
-    """sum_l ||K_l rho_0 dK_l†||_1 from each operator's product, given by
-    its entries, shape (n_times,), summed in operator order as numpy sums
-    a row of per-operator norms.
-
-    The trace norms take `linalg._sample_spectra`, one operator at a
-    time. For the built-in channels every block has at most two rows or
-    columns and takes a closed form (a depolarizing product is one dense
-    2x2 block, an amplitude-damping product with the GHZ probe splits into
-    blocks of at most 2x1), so no built-in sweep runs an SVD for its
-    rates; a family whose products are dense and at least 3x3 gets the
-    LAPACK singular-value sums as before."""
-    return linalg._sum_rows(np.array([linalg._sample_spectra(*p, dim, dim) for p in prods]))

@@ -178,8 +178,11 @@ def _renyi_az_grid(rhos: list, sigmas: list, alphas: list[float], z: float) -> n
             out[held] = _renyi_az_grid([rhos[i] for i in held], [sigmas[i] for i in held],
                                        alphas, z)
         return out
-    gs = _purities(rhos, sigmas, alphas, z).tolist()
-    return np.array([[math.log(g) / (a - 1.0) for g, a in zip(row, alphas)] for row in gs])
+    gs = _purities(rhos, sigmas, alphas, z)
+    # math.log per cell (it raises on g <= 0); float division is correctly
+    # rounded, so one array division gives each cell's scalar quotient
+    logs = np.array(list(map(math.log, gs.ravel().tolist())), dtype=float)
+    return logs.reshape(gs.shape) / (np.array(alphas, dtype=float) - 1.0)
 
 
 def renyi_az(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:

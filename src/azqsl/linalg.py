@@ -188,6 +188,9 @@ def trace_norm(m: np.ndarray) -> float:
 # with more entries go to LAPACK whole.
 _PATTERN_ENTRIES = 62
 
+# The block layouts one `_Patterns` keeps at most
+_MAX_LAYOUTS = 256
+
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """||X||_1 for every matrix of a (..., r, c) stack, shape (...).
@@ -205,7 +208,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     *lead, r, c = stack.shape
     flat = stack.reshape(-1, r * c)
-    return _sample_spectra(np.arange(r * c), flat.T, r, c).reshape(lead)
+    return _sample_spectra(_Patterns([np.arange(r * c)], r, c), flat.T)[0].reshape(lead)
 
 
 def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -225,66 +228,155 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     *lead, n, _ = stack.shape
     lower = np.flatnonzero(np.tri(n, dtype=bool))
     flat = stack.reshape(-1, n * n)
-    return _sample_spectra(lower, flat.T[lower], n, n, hermitian=True).reshape(lead)
+    patterns = _Patterns([lower], n, n, hermitian=True)
+    return _sample_spectra(patterns, flat.T[lower])[0].reshape(lead)
 
 
-def _sample_spectra(positions: np.ndarray, values: np.ndarray, r: int, c: int,
-                    hermitian: bool = False) -> np.ndarray:
-    """The trace norms of n samples of one r x c matrix, or with
-    `hermitian` the smallest eigenvalues of n samples of one Hermitian
-    matrix given by entries of its lower triangle, shape (n,). The matrix
-    is given by its flat positions (k,) and entry-major values there
-    (k, n); every other entry is +0 (LAPACK, which takes blocks of at least
-    3x3, tells the signed zeros apart).
+class _Patterns:
+    """m matrices, each r x c, given as consecutive rows of one entry-major
+    values array (k, n) of n samples: matrix i by its flat positions
+    `positions[i]`, its values the next len(positions[i]) rows; every other
+    entry is +0 (LAPACK, which takes blocks of at least 3x3, tells the
+    signed zeros apart). With `hermitian` each is a Hermitian matrix given
+    by entries of its lower triangle. What `_sample_spectra` reads of them
+    apart from the values is built here, once for every call: the rows of
+    each matrix, the pattern bit of each row, and the `_Layout` of each set
+    of nonzero rows that a call meets."""
 
-    A sample's pattern code has a bit for each of its nonzero entries. The
-    blocks of the union of the codes are evaluated on every sample at once;
-    a sample whose own code differs (t = 0 in the built-in models, where
+    def __init__(self, positions, r: int, c: int, hermitian: bool = False):
+        self.r, self.c, self.hermitian = r, c, hermitian
+        self.positions = [tuple(np.asarray(p).tolist()) for p in positions]
+        self.starts = np.cumsum([0, *map(len, self.positions)]).tolist()
+        # bits[i] holds 1 << position at the rows of matrix i, 0 elsewhere
+        self.bits = np.zeros((len(self.positions), self.starts[-1]), dtype=np.int64)
+        if r * c <= _PATTERN_ENTRIES:
+            for i, p in enumerate(self.positions):
+                self.bits[i, self.starts[i]:self.starts[i + 1]] = np.left_shift(
+                    1, np.array(p, dtype=np.int64))
+        self.layouts = {}
+
+    def layout(self, nonzero: np.ndarray) -> _Layout:
+        """The `_Layout` of samples whose nonzero rows are `nonzero`."""
+        key = nonzero.tobytes()
+        layout = self.layouts.get(key)
+        if layout is None:
+            if len(self.layouts) >= _MAX_LAYOUTS:  # a family of ever new patterns
+                self.layouts.clear()
+            layout = self.layouts[key] = _layout(self, (self.bits @ nonzero).tolist())
+        return layout
+
+
+class _Layout(NamedTuple):
+    """The blocks of m matrices at one pattern code each. Per shape (p, q)
+    of block, the value rows of its blocks' entries, shape (p q, n_blocks);
+    an entry at no position reads a zero row appended past the values,
+    when `padded`. The block results of every shape are stacked, in that
+    order, under two start rows, 0 and inf; `order` (n_steps + 1, m) picks
+    each matrix's start, then its blocks in the order of their first row,
+    then start rows that leave its value as it is: 0 for a sum of norms,
+    inf for a least eigenvalue. A matrix starts from 0, or for the smallest
+    eigenvalue from inf when every row lies in a block."""
+
+    groups: tuple
+    order: np.ndarray
+    padded: bool
+
+
+def _layout(patterns: _Patterns, codes: list) -> _Layout:
+    shapes = {}  # (p, q) -> the value rows of its blocks
+    placed, start = [], []
+    zero_row = patterns.starts[-1]
+    for i, code in enumerate(codes):
+        blocks = _block_rows(code, patterns.r, patterns.c, patterns.positions[i],
+                             patterns.hermitian)
+        first, size = patterns.starts[i], len(patterns.positions[i])
+        own = []
+        for rows, p, q in blocks:
+            group = shapes.setdefault((p, q), [])
+            own.append(((p, q), len(group)))
+            group.append(np.where(rows < size, rows + first, zero_row))
+        placed.append(own)
+        covered = sum(p for _, p, _ in blocks) == patterns.r
+        start.append(int(patterns.hermitian and covered))
+    offsets, groups, n_blocks = {}, [], 2
+    for (p, q), rows in shapes.items():
+        offsets[p, q] = n_blocks
+        groups.append((np.array(rows).T.copy(), p, q))
+        n_blocks += len(rows)
+    neutral = int(patterns.hermitian)
+    order = np.full((1 + max(map(len, placed), default=0), len(codes)), neutral)
+    order[0] = start
+    for i, own in enumerate(placed):
+        order[1:1 + len(own), i] = [offsets[shape] + k for shape, k in own]
+    padded = any(np.any(rows == zero_row) for rows, *_ in groups)
+    return _Layout(tuple(groups), order, padded)
+
+
+def _sample_spectra(patterns: _Patterns, values: np.ndarray) -> np.ndarray:
+    """The trace norms of n samples of each matrix of `patterns`, or with
+    `hermitian` their smallest eigenvalues, shape (m, n), from the values
+    (k, n) that `patterns` describes.
+
+    A sample's pattern code in a matrix has a bit for each of its nonzero
+    entries. The blocks of each matrix's union of codes are evaluated on
+    every sample at once, those of every matrix together, each shape of
+    block in one kernel call (`_pattern_spectra`); a sample whose own code
+    differs in some matrix (t = 0 in the built-in models, where
     derivatives or products vanish) is evaluated again, with the other
-    samples of its code, on its own blocks. The kernels work elementwise
+    samples of its codes, on its own blocks. The kernels work elementwise
     over the samples, so a sample's value is the value of its own pattern,
-    bit for bit, whatever samples it came with. Matrices of more than 62
-    entries take LAPACK whole."""
-    n = values.shape[1]
+    bit for bit, whatever samples and matrices it came with. Matrices of
+    more than 62 entries take LAPACK whole, one matrix at a time."""
+    r, c, n = patterns.r, patterns.c, values.shape[1]
     if r * c > _PATTERN_ENTRIES:
-        dense = np.zeros((n, r * c), dtype=complex)
-        dense[:, positions] = values.T
-        dense = dense.reshape(n, r, c)
-        if hermitian:
-            return np.linalg.eigvalsh(dense)[:, 0]
-        return np.linalg.svd(dense, compute_uv=False).sum(axis=-1)
-    codes = (1 << np.asarray(positions, dtype=np.int64)) @ (values != 0)
-    union = int(np.bitwise_or.reduce(codes))
-    positions = tuple(positions.tolist())
+        spectra = np.empty((len(patterns.positions), n))
+        for i, p in enumerate(patterns.positions):
+            dense = np.zeros((n, r * c), dtype=complex)
+            dense[:, list(p)] = values[patterns.starts[i]:patterns.starts[i + 1]].T
+            dense = dense.reshape(n, r, c)
+            spectra[i] = (np.linalg.eigvalsh(dense)[:, 0] if patterns.hermitian
+                          else np.linalg.svd(dense, compute_uv=False).sum(axis=-1))
+        return spectra
+    nonzero = values != 0
+    held = nonzero.any(axis=1)
     # a sample of another code may have an all-zero block here; its value is
     # replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
-        spectra = _pattern_spectra(values, union, r, c, positions, hermitian)
-    for code in np.unique(codes[codes != union]):
-        members = np.flatnonzero(codes == code)
-        spectra[members] = _pattern_spectra(
-            values[:, members], int(code), r, c, positions, hermitian)
+        spectra = _pattern_spectra(values, patterns, held)
+    # the samples at which an entry nonzero at some sample is zero
+    other = np.flatnonzero(~nonzero[held].all(axis=0))
+    if len(other):
+        members = {}
+        for sample in other.tolist():
+            members.setdefault(nonzero[:, sample].tobytes(), []).append(sample)
+        for samples in members.values():
+            spectra[:, samples] = _pattern_spectra(values[:, samples], patterns,
+                                                   nonzero[:, samples[0]])
     return spectra
 
 
-def _pattern_spectra(values: np.ndarray, code: int, r: int, c: int, positions: tuple,
-                     hermitian: bool) -> np.ndarray:
-    """`_sample_spectra` of samples that share the pattern `code`: the sum
-    of their block norms, or the least block minimum, zero when a row lies
-    in no block."""
-    blocks, padded = _block_rows(code, r, c, positions, hermitian)
-    if padded:
-        values = np.concatenate([values, np.zeros((1, values.shape[1]), dtype=complex)])
-    if not hermitian:
-        norms = np.zeros(values.shape[1])
-        for rows, p, q in blocks:
-            norms += _block_norms(values[rows], p, q)
-        return norms
-    covered = sum(p for _, p, _ in blocks)
-    low = np.full(values.shape[1], 0.0 if covered < r else np.inf)
-    for rows, p, _ in blocks:
-        low = np.minimum(low, _block_min_eigenvalues(values[rows], p))
-    return low
+def _pattern_spectra(values: np.ndarray, patterns: _Patterns, nonzero: np.ndarray) -> np.ndarray:
+    """`_sample_spectra` of samples whose nonzero rows are `nonzero`: the
+    sum of each matrix's block norms, or its least block minimum, zero when
+    a row lies in no block."""
+    layout = patterns.layout(nonzero)
+    n = values.shape[1]
+    if layout.padded:
+        values = np.concatenate([values, np.zeros((1, n), dtype=complex)])
+    results = [np.zeros((2, n))]
+    results[0][1] = np.inf
+    for rows, p, q in layout.groups:
+        block = values[rows].reshape(p * q, -1)
+        results.append((_block_min_eigenvalues(block, p) if patterns.hermitian
+                        else _block_norms(block, p, q)).reshape(-1, n))
+    results = np.concatenate(results)
+    spectra = results[layout.order[0]]
+    for step in layout.order[1:]:
+        if patterns.hermitian:
+            np.minimum(spectra, results[step], out=spectra)
+        else:
+            spectra += results[step]
+    return spectra
 
 
 @lru_cache(maxsize=256)
@@ -295,9 +387,8 @@ def _block_rows(code: int, r: int, c: int, positions: tuple, hermitian: bool):
     both ways, and a row with a nonzero joins its own column, so blocks are
     square and an entry above the diagonal reads its mirror image, which
     the kernels do not look at. For each block, the rows of the values
-    (given at `positions`) that hold its entries, row-major, and its shape;
-    and whether an entry lies at no position, which reads an extra zero
-    row."""
+    (given at `positions`) that hold its entries, row-major, len(positions)
+    for an entry at no position, and its shape."""
     pattern = ((code >> np.arange(r * c)) & 1).astype(bool).reshape(r, c)
     if hermitian:
         pattern |= pattern.T
@@ -322,7 +413,7 @@ def _block_rows(code: int, r: int, c: int, positions: tuple, hermitian: bool):
         block = row_of[entries.ravel()]
         block.setflags(write=False)  # cached, shared by every call
         blocks.append((block, len(rows), len(cols)))
-    return tuple(blocks), any(np.any(b == len(positions)) for b, _, _ in blocks)
+    return tuple(blocks)
 
 
 # The block kernels take their blocks entry-major: row e of `rows`, shape
@@ -390,16 +481,19 @@ def _block_norms(rows: np.ndarray, p: int, q: int) -> np.ndarray:
         return np.abs(rows[0])
     mags = np.abs(rows)
     scale = mags.max(axis=0)
-    frobenius = _sum_rows(np.square(mags / scale))
+    mags /= scale
+    frobenius = _sum_rows(np.square(mags, out=mags))
     if min(p, q) == 1:
         return scale * np.sqrt(frobenius)
     lifted = scale < np.finfo(float).tiny
     if lifted.any():
         rows = rows.copy()
         rows[:, lifted] *= 2.0 ** 64
-    # lifting only the subnormal scales keeps a scale near the largest
-    # double from overflowing
-    inverse = 1.0 / (scale * np.where(lifted, 2.0 ** 64, 1.0))
+        # lifting only the subnormal scales keeps a scale near the largest
+        # double from overflowing
+        inverse = 1.0 / (scale * np.where(lifted, 2.0 ** 64, 1.0))
+    else:
+        inverse = 1.0 / scale
     re, im = rows.real * inverse, rows.imag * inverse
     # the two rows of the block, or its two columns
     top, bottom = (slice(q), slice(q, None)) if p == 2 else (slice(0, None, 2), slice(1, None, 2))

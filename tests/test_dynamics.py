@@ -928,11 +928,31 @@ class TestContractions:
         assert dyn.evolve_unitary(h, probe, 20.0, 1001).speeds[-1] > 0.0
 
     @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+    def test_built_in_runs_share_one_plan(self, name, monkeypatch):
+        # a built-in channel gathers the same entries in every run: its
+        # second run builds no plan, and each run hands all of its trace
+        # norms to one spectra call and its k_min to another
+        fam, rho0 = BUILT_IN_FAMILIES[name]
+        built, calls = [], []
+        run_plan, sample_spectra = dyn._run_plan, linalg._sample_spectra
+        monkeypatch.setattr(dyn, "_PLANS", {})
+        monkeypatch.setattr(dyn, "_run_plan", lambda *args: built.append(args) or run_plan(*args))
+        monkeypatch.setattr(linalg, "_sample_spectra",
+                            lambda *args: calls.append(args) or sample_spectra(*args))
+        sample = dyn._kraus_sampler(fam, rho0, True)
+        for times in (np.linspace(0.0, 17.0, 1001), np.linspace(17.0, 34.0, 1001)[1:]):
+            calls.clear()
+            sample(times)
+            assert len(built) == 1
+            assert len(calls) == 2
+            assert [len(patterns.positions) for patterns, _ in calls] == [1 + fam.n_ops, 1]
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
     def test_built_in_spectra_group_only_t0(self, name, monkeypatch):
-        # `_sample_spectra` evaluates a matrix's blocks on every sample at
-        # once and evaluates again only the samples that are zero at one of
-        # its entries; in a built-in model those are at t = 0, where dK or
-        # the products vanish
+        # `_sample_spectra` evaluates its matrices' blocks on every sample
+        # at once and evaluates again, in every matrix, only the samples
+        # that are zero at one of their entries; in a built-in model those
+        # are at t = 0, where dK or the products vanish
         fam, rho0 = BUILT_IN_FAMILIES[name]
         _, K, dK = oracle_pair(fam, np.array([0.0]))
         half = np.einsum("tlij,jk,tlmk->tim", dK, rho0.mat, K.conj())[0]
@@ -945,13 +965,15 @@ class TestContractions:
             whole.append(values)
             return sample_spectra(positions, values, *args, **kwargs)
 
-        def evaluating(values, code, r, c, positions, hermitian):
+        def evaluating(values, patterns, nonzero):
             if values is not whole[-1]:  # not the pass over every sample
+                r, c = patterns.r, patterns.c
                 for column in values.T:
-                    m = np.zeros(r * c, dtype=complex)
-                    m[list(positions)] = column
-                    again.append((m.reshape(r, c), hermitian))
-            return pattern_spectra(values, code, r, c, positions, hermitian)
+                    for i, positions in enumerate(patterns.positions):
+                        m = np.zeros(r * c, dtype=complex)
+                        m[list(positions)] = column[patterns.starts[i]:patterns.starts[i + 1]]
+                        again.append((m.reshape(r, c), patterns.hermitian))
+            return pattern_spectra(values, patterns, nonzero)
 
         monkeypatch.setattr(linalg, "_sample_spectra", entering)
         monkeypatch.setattr(linalg, "_pattern_spectra", evaluating)
@@ -1239,7 +1261,8 @@ def test_gathered_completeness_equals_dense_oracle(case):
     deviation = np.max(np.abs(gram - np.eye(dim)), initial=0.0)
     assert not 1e-12 < deviation < 1e-6  # far from the tolerance either way
     try:
-        dyn._check_gathered_completeness(dyn._gather(K), dim, samples)
+        G = dyn._gather(K)
+        dyn._check_gathered_completeness(G, dyn._gram_pairs(G, dim), samples)
     except CompletenessViolationError:
         raised = True
     else:
@@ -1412,6 +1435,28 @@ class TestSharedSamples:
         runs = recorded_runs(monkeypatch)
         dyn._columns(model, rho0, [1.0, 2.0, 4.0], 17, True)
         assert [len(run) for run in runs] == [17, 16]
+
+    def test_sampler_plans_each_entry_set(self, monkeypatch):
+        # one sampler's runs before the switch at t = 1, after it, across it
+        # and before it again gather three entry sets: each gets a plan of
+        # its own, the last run takes the first's, and every run has the
+        # bits of a fresh sampler that plans from nothing
+        model, rho0 = SHARING_MODELS["switching"]
+        grids = [np.linspace(0.05, 0.9, 7), np.linspace(1.2, 3.0, 9),
+                 np.linspace(0.5, 2.0, 11), np.linspace(0.1, 0.8, 5)]
+        built = []
+        run_plan = dyn._run_plan
+        monkeypatch.setattr(dyn, "_PLANS", {})
+        monkeypatch.setattr(dyn, "_run_plan", lambda *args: built.append(args) or run_plan(*args))
+        sample = dyn._kraus_sampler(model, rho0, True)
+        runs = [sample(times) for times in grids]
+        assert len(built) == 3
+        for times, got in zip(grids, runs):
+            monkeypatch.setattr(dyn, "_PLANS", {})
+            want = dyn._kraus_sampler(model, rho0, True)(times)
+            assert np.array_equal(got.state[0], want.state[0])
+            for a, b in [(got.state[1], want.state[1]), *zip(got[1:], want[1:])]:
+                assert a.tobytes() == b.tobytes()
 
     def test_switching_family_mixes_entry_sets(self, monkeypatch):
         # the panel's runs on either side of the switch at t = 1 gather one

@@ -499,7 +499,7 @@ class TestPlannedSpectra:
         # every structural position, and some that are zero throughout
         positions = np.flatnonzero(samples.any(axis=0) | (rng.random((r, c)) < 0.2))
         values = samples.reshape(len(samples), r * c)[:, positions].T
-        got = linalg._sample_spectra(positions, values, r, c)
+        got = linalg._sample_spectra(linalg._Patterns([positions], r, c), values)[0]
         assert list(got) == [linalg.trace_norms(m) for m in samples]
 
     def test_large_matrices_take_the_svd_sum(self, rng):
@@ -507,7 +507,41 @@ class TestPlannedSpectra:
         samples[:, :, 5:] = 0.0
         positions = np.flatnonzero(samples.any(axis=0))
         values = samples.reshape(3, 64)[:, positions].T
-        assert np.array_equal(linalg._sample_spectra(positions, values, 8, 8), svd_sums(samples))
+        patterns = linalg._Patterns([positions], 8, 8)
+        assert np.array_equal(linalg._sample_spectra(patterns, values)[0], svd_sums(samples))
+        # two matrices in one call, the second the first's leading columns
+        patterns = linalg._Patterns([positions, positions[:9]], 8, 8)
+        got = linalg._sample_spectra(patterns, np.concatenate([values, values[:9]]))
+        leading = np.zeros_like(samples)
+        leading.reshape(3, 64)[:, positions[:9]] = samples.reshape(3, 64)[:, positions[:9]]
+        assert np.array_equal(got, [svd_sums(samples), svd_sums(leading)])
+
+    @seed(20261023)
+    @settings(max_examples=150, database=None, deadline=None)
+    @given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matrices_of_one_call_equal_their_own_calls(self, dim, hermitian, draw):
+        # matrices with their own patterns and positions, as consecutive
+        # rows of one values array: the blocks of one shape are evaluated
+        # together, and each matrix still gets its own call's bits
+        rng = np.random.default_rng(draw)
+        n = int(rng.integers(1, 30))
+        positions, values, want = [], [], []
+        for _ in range(int(rng.integers(1, 5))):
+            if hermitian:
+                base = block_hermitian(rng, dim, bool(rng.integers(2)))
+                stack = sampled_matrix(rng, base, n, hermitian=True)
+                held = np.tri(dim, dtype=bool) & (stack.any(axis=0)
+                                                  | (rng.random((dim, dim)) < 0.2))
+            else:
+                stack = sampled_matrix(rng, sparse_matrix(rng, dim, dim), n, hermitian=False)
+                held = stack.any(axis=0) | (rng.random((dim, dim)) < 0.2)
+            positions.append(np.flatnonzero(held))
+            values.append(stack.reshape(n, dim * dim)[:, positions[-1]].T)
+            own = linalg._Patterns([positions[-1]], dim, dim, hermitian)
+            want.append(linalg._sample_spectra(own, values[-1])[0])
+        patterns = linalg._Patterns(positions, dim, dim, hermitian)
+        got = linalg._sample_spectra(patterns, np.concatenate(values))
+        assert got.tobytes() == np.array(want).tobytes()
 
     @seed(20261022)
     @settings(max_examples=150, database=None, deadline=None)
@@ -522,7 +556,8 @@ class TestPlannedSpectra:
         lower = np.tri(dim, dtype=bool)
         positions = np.flatnonzero(lower & (stack.any(axis=0) | (rng.random((dim, dim)) < 0.2)))
         values = stack.reshape(len(stack), dim * dim)[:, positions].T
-        assert list(linalg._sample_spectra(positions, values, dim, dim, hermitian=True)) == want
+        patterns = linalg._Patterns([positions], dim, dim, hermitian=True)
+        assert list(linalg._sample_spectra(patterns, values)[0]) == want
 
     @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 23, 62, 128, 129, 300])
     def test_sums_keep_the_order_of_a_contiguous_run(self, k, rng):
