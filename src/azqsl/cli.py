@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -285,8 +285,8 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     cfg.validate()
     rho0 = _probe_state(cfg)
     model = _model(cfg)
-    if isinstance(model, dyn.KrausFamily) and model.dim != rho0.dim:
-        raise ConfigError(f"probe dim {rho0.dim} does not match channel dim {model.dim}")
+    if model.dim != rho0.dim:
+        raise ConfigError(f"probe dim {rho0.dim} does not match model dim {model.dim}")
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
     want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
     want_qsl = "qsl" in cfg.outputs
@@ -519,6 +519,8 @@ def _final_state(cfg: SweepConfig, rho0: DensityMatrix, tau: float) -> DensityMa
 
 def _print_report(pairs) -> None:
     for key, value in pairs:
+        if isinstance(value, tuple):  # the warnings
+            value = ";".join(value)
         print(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
 
 
@@ -537,28 +539,20 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    cfg = _cfg_from_args(args)
-    rho0 = _probe_state(cfg)
-    traj = dyn._evolve(_model(cfg), rho0, args.tau, cfg.n_steps, rates=False)
-    report = qsl.integrate_bounds(traj, ent.EntropyParams(args.alpha, args.z))
-    _print_report([
-        ("D_fwd", report.d_fwd), ("D_bwd", report.d_bwd), ("D_sym", report.d_sym),
-        ("rhs_fwd", report.rhs_fwd), ("rhs_bwd", report.rhs_bwd), ("rhs_sym", report.rhs_sym),
-        ("delta_bound", report.delta_bound), ("warnings", ";".join(report.warnings)),
-    ])
-    return 0
+# single-point command -> whether its trajectory takes Kraus rates, and
+# the report it prints
+_REPORTS = {"bound": (False, qsl.integrate_bounds), "qsl": (True, qsl.qsl_general)}
 
 
-def _cmd_qsl(args) -> int:
+def _cmd_report(args) -> int:
+    """`bound` or `qsl`: the report's fields in order, `d_*` as `D_*`."""
+    rates, report_of = _REPORTS[args.command]
     cfg = _cfg_from_args(args)
-    rho0 = _probe_state(cfg)
-    traj = dyn._evolve(_model(cfg), rho0, args.tau, cfg.n_steps, rates=True)
-    report = qsl.qsl_general(traj, ent.EntropyParams(args.alpha, args.z))
+    traj = dyn._evolve(_model(cfg), _probe_state(cfg), args.tau, cfg.n_steps, rates=rates)
+    report = report_of(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
-        ("tau", report.tau), ("tau_fwd", report.tau_fwd), ("tau_bwd", report.tau_bwd),
-        ("tau_sym", report.tau_sym), ("tau_qsl", report.tau_qsl),
-        ("delta_qsl", report.delta_qsl), ("warnings", ";".join(report.warnings)),
+        ("D_" + f.name[2:] if f.name.startswith("d_") else f.name, getattr(report, f.name))
+        for f in fields(report)
     ])
     return 0
 
@@ -626,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("entropy", _cmd_entropy), ("bound", _cmd_bound), ("qsl", _cmd_qsl)):
+    for name, fn in (("entropy", _cmd_entropy), ("bound", _cmd_report), ("qsl", _cmd_report)):
         sub = subs.add_parser(name, help=f"single-point {name} evaluation")
         _add_model_flags(sub)
         sub.set_defaults(func=fn)

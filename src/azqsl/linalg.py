@@ -184,10 +184,6 @@ def trace_norm(m: np.ndarray) -> float:
     return schatten_norm(m, 1.0)
 
 
-# A sparsity pattern is coded as one int64 with a bit per entry; matrices
-# with more entries go to LAPACK whole.
-_PATTERN_ENTRIES = 62
-
 # The block layouts one `_Patterns` keeps at most
 _MAX_LAYOUTS = 256
 
@@ -201,9 +197,8 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     a stack row equals the one-matrix call bit for bit. They take
     `_block_norms`: closed forms for blocks with one or two rows or
     columns, the sum of the LAPACK singular values for blocks of at least
-    3x3. Matrices of more than 62 entries take the LAPACK sum whole, so a
-    dense matrix of size >= 3 gets exactly `svd(m).sum()`. Entries must be
-    finite.
+    3x3, so a dense matrix of size >= 3 gets exactly `svd(m).sum()`.
+    Entries must be finite.
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, r, c = stack.shape
@@ -221,8 +216,7 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     its blocks' spectra plus a zero for each row that lies in no block
     (an all-zero row). As in `trace_norms`, the blocks come from each
     matrix's own pattern, so a stack row equals the one-matrix call bit for
-    bit, and they take `_block_min_eigenvalues`. Matrices of more than 62
-    entries take the smallest LAPACK `eigvalsh` eigenvalue.
+    bit, and they take `_block_min_eigenvalues`.
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, n, _ = stack.shape
@@ -240,19 +234,13 @@ class _Patterns:
     signed zeros apart). With `hermitian` each is a Hermitian matrix given
     by entries of its lower triangle. What `_sample_spectra` reads of them
     apart from the values is built here, once for every call: the rows of
-    each matrix, the pattern bit of each row, and the `_Layout` of each set
-    of nonzero rows that a call meets."""
+    each matrix and the `_Layout` of each set of nonzero rows that a call
+    meets."""
 
     def __init__(self, positions, r: int, c: int, hermitian: bool = False):
         self.r, self.c, self.hermitian = r, c, hermitian
         self.positions = [tuple(np.asarray(p).tolist()) for p in positions]
         self.starts = np.cumsum([0, *map(len, self.positions)]).tolist()
-        # bits[i] holds 1 << position at the rows of matrix i, 0 elsewhere
-        self.bits = np.zeros((len(self.positions), self.starts[-1]), dtype=np.int64)
-        if r * c <= _PATTERN_ENTRIES:
-            for i, p in enumerate(self.positions):
-                self.bits[i, self.starts[i]:self.starts[i + 1]] = np.left_shift(
-                    1, np.array(p, dtype=np.int64))
         self.layouts = {}
 
     def layout(self, nonzero: np.ndarray) -> _Layout:
@@ -262,13 +250,13 @@ class _Patterns:
         if layout is None:
             if len(self.layouts) >= _MAX_LAYOUTS:  # a family of ever new patterns
                 self.layouts.clear()
-            layout = self.layouts[key] = _layout(self, (self.bits @ nonzero).tolist())
+            layout = self.layouts[key] = _layout(self, key)
         return layout
 
 
 class _Layout(NamedTuple):
-    """The blocks of m matrices at one pattern code each. Per shape (p, q)
-    of block, the value rows of its blocks' entries, shape (p q, n_blocks);
+    """The blocks of m matrices at one pattern each. Per shape (p, q) of
+    block, the value rows of its blocks' entries, shape (p q, n_blocks);
     an entry at no position reads a zero row appended past the values,
     when `padded`. The block results of every shape are stacked, in that
     order, under two start rows, 0 and inf; `order` (n_steps + 1, m) picks
@@ -282,14 +270,15 @@ class _Layout(NamedTuple):
     padded: bool
 
 
-def _layout(patterns: _Patterns, codes: list) -> _Layout:
+def _layout(patterns: _Patterns, nonzero: bytes) -> _Layout:
     shapes = {}  # (p, q) -> the value rows of its blocks
     placed, start = [], []
     zero_row = patterns.starts[-1]
-    for i, code in enumerate(codes):
-        blocks = _block_rows(code, patterns.r, patterns.c, patterns.positions[i],
+    for i, positions in enumerate(patterns.positions):
+        first, size = patterns.starts[i], len(positions)
+        # a matrix's pattern is the mask of its nonzero rows, a byte each
+        blocks = _block_rows(nonzero[first:first + size], patterns.r, patterns.c, positions,
                              patterns.hermitian)
-        first, size = patterns.starts[i], len(patterns.positions[i])
         own = []
         for rows, p, q in blocks:
             group = shapes.setdefault((p, q), [])
@@ -304,7 +293,7 @@ def _layout(patterns: _Patterns, codes: list) -> _Layout:
         groups.append((np.array(rows).T.copy(), p, q))
         n_blocks += len(rows)
     neutral = int(patterns.hermitian)
-    order = np.full((1 + max(map(len, placed), default=0), len(codes)), neutral)
+    order = np.full((1 + max(map(len, placed), default=0), len(placed)), neutral)
     order[0] = start
     for i, own in enumerate(placed):
         order[1:1 + len(own), i] = [offsets[shape] + k for shape, k in own]
@@ -317,30 +306,19 @@ def _sample_spectra(patterns: _Patterns, values: np.ndarray) -> np.ndarray:
     `hermitian` their smallest eigenvalues, shape (m, n), from the values
     (k, n) that `patterns` describes.
 
-    A sample's pattern code in a matrix has a bit for each of its nonzero
-    entries. The blocks of each matrix's union of codes are evaluated on
-    every sample at once, those of every matrix together, each shape of
-    block in one kernel call (`_pattern_spectra`); a sample whose own code
-    differs in some matrix (t = 0 in the built-in models, where
-    derivatives or products vanish) is evaluated again, with the other
-    samples of its codes, on its own blocks. The kernels work elementwise
-    over the samples, so a sample's value is the value of its own pattern,
-    bit for bit, whatever samples and matrices it came with. Matrices of
-    more than 62 entries take LAPACK whole, one matrix at a time."""
-    r, c, n = patterns.r, patterns.c, values.shape[1]
-    if r * c > _PATTERN_ENTRIES:
-        spectra = np.empty((len(patterns.positions), n))
-        for i, p in enumerate(patterns.positions):
-            dense = np.zeros((n, r * c), dtype=complex)
-            dense[:, list(p)] = values[patterns.starts[i]:patterns.starts[i + 1]].T
-            dense = dense.reshape(n, r, c)
-            spectra[i] = (np.linalg.eigvalsh(dense)[:, 0] if patterns.hermitian
-                          else np.linalg.svd(dense, compute_uv=False).sum(axis=-1))
-        return spectra
+    A sample's pattern in a matrix is the mask of its nonzero entries. The
+    blocks of each matrix's union of patterns are evaluated on every sample
+    at once, those of every matrix together, each shape of block in one
+    kernel call (`_pattern_spectra`); a sample whose own pattern differs in
+    some matrix (t = 0 in the built-in models, where derivatives or
+    products vanish) is evaluated again, with the other samples of its
+    patterns, on its own blocks. The kernels work elementwise over the
+    samples, so a sample's value is the value of its own pattern, bit for
+    bit, whatever samples and matrices it came with."""
     nonzero = values != 0
     held = nonzero.any(axis=1)
-    # a sample of another code may have an all-zero block here; its value is
-    # replaced below
+    # a sample of another pattern may have an all-zero block here; its value
+    # is replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
         spectra = _pattern_spectra(values, patterns, held)
     # the samples at which an entry nonzero at some sample is zero
@@ -380,16 +358,19 @@ def _pattern_spectra(values: np.ndarray, patterns: _Patterns, nonzero: np.ndarra
 
 
 @lru_cache(maxsize=256)
-def _block_rows(code: int, r: int, c: int, positions: tuple, hermitian: bool):
-    """The blocks of the r x c pattern `code`, in the order of their first
-    row; all-zero rows and columns are in none. With `hermitian` the code
-    holds entries of the lower triangle: each joins its row and column
-    both ways, and a row with a nonzero joins its own column, so blocks are
-    square and an entry above the diagonal reads its mirror image, which
-    the kernels do not look at. For each block, the rows of the values
-    (given at `positions`) that hold its entries, row-major, len(positions)
-    for an entry at no position, and its shape."""
-    pattern = ((code >> np.arange(r * c)) & 1).astype(bool).reshape(r, c)
+def _block_rows(mask: bytes, r: int, c: int, positions: tuple, hermitian: bool):
+    """The blocks of the r x c pattern that is nonzero at the `positions`
+    where `mask` (a bool byte each) is set, in the order of their first
+    row; all-zero rows and columns are in none. With `hermitian` the
+    positions are entries of the lower triangle: each nonzero joins its row
+    and column both ways, and a row with a nonzero joins its own column, so
+    blocks are square and an entry above the diagonal reads its mirror
+    image, which the kernels do not look at. For each block, the rows of
+    the values (given at `positions`) that hold its entries, row-major,
+    len(positions) for an entry at no position, and its shape."""
+    pattern = np.zeros(r * c, dtype=bool)
+    pattern[list(positions)] = np.frombuffer(mask, dtype=bool)
+    pattern = pattern.reshape(r, c)
     if hermitian:
         pattern |= pattern.T
         pattern[np.diag_indices(r)] = pattern.any(axis=1)

@@ -1,8 +1,15 @@
 """Shared random-instance generators for the test suite."""
 
+import itertools
+
 import numpy as np
 
-from azqsl.dynamics import KrausFamily
+from azqsl.dynamics import (
+    _AD_SUPPORT,
+    AmplitudeDampingFamily,
+    AmplitudeDampingParams,
+    KrausFamily,
+)
 from azqsl.entropy import EntropyParams
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 
@@ -54,6 +61,47 @@ class StinespringFamily(KrausFamily):
 
 def stinespring_family(rng, dim: int, n_ops: int) -> StinespringFamily:
     return StinespringFamily(random_hermitian(rng, n_ops * dim), dim, n_ops)
+
+
+class ThreeQubitDampingFamily(KrausFamily):
+    """Three-qubit product family K_a ⊗ K_b ⊗ K_c, operator 4a + 2b + c,
+    of the single-qubit amplitude-damping pair
+
+        K_1 = |0><0| + gamma_t |1><1|,   K_2 = sqrt(1 - gamma_t^2) |0><1|,
+
+    with product-rule derivatives: 8 operators of dim 8. The single-qubit
+    entries and their derivatives are the closed forms of
+    `AmplitudeDampingFamily`, and each of the 27 products of three support
+    entries is taken in real numbers in a fixed order, so a sample's
+    operators do not depend on the times it is evaluated with. Trajectories
+    gather its dense stacks; its states and products have 64 entries and
+    split into small blocks."""
+
+    def __init__(self, params: AmplitudeDampingParams):
+        super().__init__(dim=8, n_ops=8, ops_fn=None, dops_fn=None)
+        self.qubit = AmplitudeDampingFamily(params)
+
+    def op_stacks(self, times) -> np.ndarray:
+        return self.stacks(times)[0]
+
+    def stacks(self, times):
+        S, dS = (x.real for x in self.qubit._pair_stacks(np.asarray(times, dtype=float)))
+        K, dK = np.zeros((2, len(times), 8, 8, 8), dtype=complex)
+        # support entry f of the first qubit's operator, g of the second's
+        # and h of the third's: (operator, row, column) each as in np.kron
+        for f, g, h in itertools.product(range(3), repeat=3):
+            op, row, col = 4 * _AD_SUPPORT[f] + 2 * _AD_SUPPORT[g] + _AD_SUPPORT[h]
+            K[:, op, row, col] = S[f] * S[g] * S[h]
+            dK[:, op, row, col] = dS[f] * S[g] * S[h] + S[f] * dS[g] * S[h] + S[f] * S[g] * dS[h]
+        return K, dK
+
+
+def ghz3_mixed(p: float) -> DensityMatrix:
+    """[(1-p)/8] I + p |GHZ3><GHZ3|, |GHZ3> = (|000> + |111>)/sqrt(2)."""
+    ket = np.zeros(8, dtype=complex)
+    ket[0] = ket[7] = 1.0 / np.sqrt(2.0)
+    mat = (1.0 - p) / 8.0 * np.eye(8, dtype=complex) + p * np.outer(ket, ket.conj())
+    return DensityMatrix(mat)
 
 
 def random_params(rng, dpi_valid: bool = True) -> EntropyParams:

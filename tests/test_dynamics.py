@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,7 +33,13 @@ from azqsl.states import (
     ghz_mixed,
     load_state,
 )
-from helpers import random_bloch_state, random_density, stinespring_family
+from helpers import (
+    ThreeQubitDampingFamily,
+    ghz3_mixed,
+    random_bloch_state,
+    random_density,
+    stinespring_family,
+)
 
 
 @pytest.fixture
@@ -349,6 +356,20 @@ class TestAmplitudeDamping:
         ground = np.zeros((4, 4))
         ground[0, 0] = 1.0
         assert np.max(np.abs(out.mat - ground)) <= 1e-8
+
+    def test_three_qubit_kmin_matches_mpmath(self):
+        # the three-qubit states have 64 entries and split into the 2x2
+        # block of the GHZ coherence and 1x1 populations: k_min keeps its
+        # relative accuracy as the smallest population decays to 5e-6
+        fam, rho0 = SHARING_MODELS["ad3_s0.5"]
+        traj = dyn.evolve_kraus(fam, rho0, 5.0, 1001, rates=True)
+        for i in np.linspace(0, 1000, 25).astype(int):
+            # the Hermitian matrix that k_min reads from the lower triangle
+            m = np.tril(traj.states[i]) + np.tril(traj.states[i], -1).conj().T
+            m[np.diag_indices(8)] = m.diagonal().real
+            with mpmath.workdps(40):
+                want = min(mpmath.eigh(mpmath.matrix(m.tolist()), eigvals_only=True))
+                assert abs(traj.kmins[i] - want) <= 1e-15 * want
 
     def test_markovian_flag(self):
         assert dyn.AmplitudeDampingParams(1.0, 0.5).markovian
@@ -1327,6 +1348,7 @@ SHARING_MODELS = {
     "bit_flip": (bit_flip_family(), QUBIT_PROBE),
     "damping": (damping_family(), QUBIT_PROBE),
     "switching": (switching_family(), QUBIT_PROBE),
+    "ad3_s0.5": (ThreeQubitDampingFamily(dyn.AmplitudeDampingParams(1.3, 0.5)), ghz3_mixed(0.4)),
 }
 
 

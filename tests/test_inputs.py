@@ -9,6 +9,7 @@ as for any invalid probe) instead of a traceback.
 
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +110,8 @@ CLI_CONFIG_ERRORS = {
     "qsl_tau_nan": ["qsl", "--tau", "nan"],
     "bound_r_nan": ["bound", "--r", "nan"],
     "entropy_z_nan": ["entropy", "--z", "nan"],
+    "unitary_two_qubit_probe": ["sweep", "--set", "model=unitary_qubit", "--set",
+                                f"state_file={Path(__file__).parent / 'data' / 'ghz_mixed_p0.4.txt'}"],
 }
 
 KRAUS_FILES = {

@@ -249,10 +249,19 @@ class TestTraceNorms:
         padded[:, 0, 4] = 2.0
         assert np.array_equal(linalg.trace_norms(padded), svd_sums(dense) + 2.0)
 
-    def test_large_matrices_take_the_svd_sum(self, rng):
-        stack = random_complex(rng, (3, 8, 8))
-        stack[:, 2:] = 0.0
-        assert np.array_equal(linalg.trace_norms(stack), svd_sums(stack))
+    def test_large_matrices_take_their_blocks(self, rng):
+        # a matrix of more than 62 entries takes the path of a small one:
+        # its norm sums, in the order of their first row, the norms its
+        # blocks have as matrices of their own, and a dense 8x8 is one
+        # block, the svd sum
+        for shape in [(8, 8), (8, 9), (10, 7)] * 20:
+            m, blocks = split_matrix(rng, *shape, hermitian=False)
+            want = 0.0
+            for rows, cols in blocks:
+                want += linalg.trace_norms(m[np.ix_(rows, cols)])
+            assert linalg.trace_norms(m) == want
+        dense = random_complex(rng, (5, 8, 8))
+        assert np.array_equal(linalg.trace_norms(dense), svd_sums(dense))
 
     def test_closed_forms(self):
         # a diagonal, a rank-one 2x2 block beside a 1x1, and a 2x3 block
@@ -336,6 +345,36 @@ def block_hermitian(rng, dim, psd):
     return m * 10.0 ** rng.uniform(-200.0, 200.0)
 
 
+def split_matrix(rng, r, c, hermitian):
+    """An r x c matrix whose rows and columns are split at random into
+    blocks of at most 3x3 and empty rows and columns, each block dense or
+    of rank one (with `hermitian`, square on its diagonal and Hermitian),
+    then a scale between 1e-100 and 1e100; with the (rows, columns) of
+    its blocks in the order of their first row."""
+    m = np.zeros((r, c), dtype=complex)
+    rows, cols = list(rng.permutation(r)), list(rng.permutation(c))
+    blocks = []
+    while rows and cols:
+        p, q = (int(k) for k in rng.integers(0, 4, 2))
+        block_rows, rows = sorted(rows[:p]), rows[p:]
+        if hermitian:
+            block_cols = block_rows
+        else:
+            block_cols, cols = sorted(cols[:q]), cols[q:]
+        if not (block_rows and block_cols):
+            continue
+        shape = (len(block_rows), len(block_cols))
+        if hermitian:
+            block = hermitian_block(rng, shape[0], bool(rng.integers(2)), False)
+        elif rng.integers(2):
+            block = random_complex(rng, shape)
+        else:
+            block = np.outer(random_complex(rng, shape[0]), random_complex(rng, shape[1]))
+        m[np.ix_(block_rows, block_cols)] = block
+        blocks.append((block_rows, block_cols))
+    return m * 10.0 ** rng.uniform(-100.0, 100.0), sorted(blocks)
+
+
 @st.composite
 def hermitian_stacks(draw, psd):
     dim = draw(st.integers(1, 5))
@@ -417,9 +456,18 @@ class TestMinEigenvalues:
         want_padded = np.zeros(5) if p == 3 else want
         assert np.array_equal(linalg.min_eigenvalues(padded), want_padded)
 
-    def test_large_matrices_take_eigvalsh(self, rng):
-        stack = np.stack([block_hermitian(rng, 8, True) for _ in range(4)])
-        assert np.array_equal(linalg.min_eigenvalues(stack), np.linalg.eigvalsh(stack)[:, 0])
+    def test_large_matrices_take_their_blocks(self, rng):
+        # as for trace norms: the least of the smallest eigenvalues the
+        # blocks have as matrices of their own, and 0 for an empty row; a
+        # dense 8x8 takes eigvalsh
+        for dim in [8, 9, 10] * 20:
+            m, blocks = split_matrix(rng, dim, dim, hermitian=True)
+            lows = [linalg.min_eigenvalues(m[np.ix_(rows, rows)]) for rows, _ in blocks]
+            if sum(len(rows) for rows, _ in blocks) < dim:
+                lows.append(0.0)
+            assert linalg.min_eigenvalues(m) == min(lows)
+        dense = np.stack([hermitian_block(rng, 8, psd, False) for psd in (True, False)])
+        assert np.array_equal(linalg.min_eigenvalues(dense), np.linalg.eigvalsh(dense)[:, 0])
 
     def test_closed_forms(self):
         stack = np.zeros((5, 3, 3), dtype=complex)
@@ -502,19 +550,25 @@ class TestPlannedSpectra:
         got = linalg._sample_spectra(linalg._Patterns([positions], r, c), values)[0]
         assert list(got) == [linalg.trace_norms(m) for m in samples]
 
-    def test_large_matrices_take_the_svd_sum(self, rng):
-        samples = random_complex(rng, (3, 8, 8))
-        samples[:, :, 5:] = 0.0
-        positions = np.flatnonzero(samples.any(axis=0))
-        values = samples.reshape(3, 64)[:, positions].T
-        patterns = linalg._Patterns([positions], 8, 8)
-        assert np.array_equal(linalg._sample_spectra(patterns, values)[0], svd_sums(samples))
-        # two matrices in one call, the second the first's leading columns
-        patterns = linalg._Patterns([positions, positions[:9]], 8, 8)
-        got = linalg._sample_spectra(patterns, np.concatenate([values, values[:9]]))
-        leading = np.zeros_like(samples)
-        leading.reshape(3, 64)[:, positions[:9]] = samples.reshape(3, 64)[:, positions[:9]]
-        assert np.array_equal(got, [svd_sums(samples), svd_sums(leading)])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_large_matrices_equal_the_per_matrix_values(self, hermitian, rng):
+        # three matrices of more than 62 entries in one call, as a
+        # three-qubit trajectory hands them over: every sample has the bits
+        # of its one-matrix call
+        r, c = (8, 8) if hermitian else (8, 9)
+        positions, values, want = [], [], []
+        for _ in range(3):
+            samples = sampled_matrix(rng, split_matrix(rng, r, c, hermitian)[0], 30, hermitian)
+            held = samples.any(axis=0) | (rng.random((r, c)) < 0.2)
+            if hermitian:
+                held &= np.tri(r, dtype=bool)
+            positions.append(np.flatnonzero(held))
+            values.append(samples.reshape(30, r * c)[:, positions[-1]].T)
+            one = linalg.min_eigenvalues if hermitian else linalg.trace_norms
+            want.append([one(m) for m in samples])
+        patterns = linalg._Patterns(positions, r, c, hermitian)
+        got = linalg._sample_spectra(patterns, np.concatenate(values))
+        assert got.tobytes() == np.array(want).tobytes()
 
     @seed(20261023)
     @settings(max_examples=150, database=None, deadline=None)
