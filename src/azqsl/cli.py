@@ -230,6 +230,18 @@ def _probe_state(cfg: SweepConfig) -> DensityMatrix:
     return bloch_state(BlochVector(cfg.r, cfg.theta, cfg.phi))
 
 
+def _probe_and_model(
+    cfg: SweepConfig,
+) -> tuple[DensityMatrix, dyn.HamiltonianModel | dyn.KrausFamily]:
+    """The probe state and the model of a panel or a single point, whose
+    dims must match."""
+    rho0 = _probe_state(cfg)
+    model = _model(cfg)
+    if model.dim != rho0.dim:
+        raise ConfigError(f"probe dim {rho0.dim} does not match model dim {model.dim}")
+    return rho0, model
+
+
 def _model(cfg: SweepConfig) -> dyn.HamiltonianModel | dyn.KrausFamily:
     """The panel's Kraus family, or its Hamiltonian for the unitary model."""
     if cfg.model == "depolarizing":
@@ -283,10 +295,7 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     entropies and rates are zero, the bound saturates, and the speed limit
     is the trivial tau >= 0."""
     cfg.validate()
-    rho0 = _probe_state(cfg)
-    model = _model(cfg)
-    if model.dim != rho0.dim:
-        raise ConfigError(f"probe dim {rho0.dim} does not match model dim {model.dim}")
+    rho0, model = _probe_and_model(cfg)
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
     want_bounds = "entropy" in cfg.outputs or "bounds" in cfg.outputs
     want_qsl = "qsl" in cfg.outputs
@@ -512,11 +521,6 @@ def _cfg_from_args(args) -> SweepConfig:
     return cfg
 
 
-def _final_state(cfg: SweepConfig, rho0: DensityMatrix, tau: float) -> DensityMatrix:
-    """rho_tau from a three-sample trajectory of the panel's model."""
-    return dyn._evolve(_model(cfg), rho0, tau, 3, rates=False).final_state
-
-
 def _print_report(pairs) -> None:
     for key, value in pairs:
         if isinstance(value, tuple):  # the warnings
@@ -525,9 +529,9 @@ def _print_report(pairs) -> None:
 
 
 def _cmd_entropy(args) -> int:
-    cfg = _cfg_from_args(args)
-    rho0 = _probe_state(cfg)
-    rho_tau = _final_state(cfg, rho0, args.tau)
+    rho0, model = _probe_and_model(_cfg_from_args(args))
+    # rho_tau from a three-sample trajectory
+    rho_tau = dyn._evolve(model, rho0, args.tau, 3, rates=False).final_state
     p = ent.EntropyParams(args.alpha, args.z)
     g = ent.relative_purity(rho_tau, rho0, p)
     d_fwd = ent.renyi_az(rho_tau, rho0, p)
@@ -548,7 +552,8 @@ def _cmd_report(args) -> int:
     """`bound` or `qsl`: the report's fields in order, `d_*` as `D_*`."""
     rates, report_of = _REPORTS[args.command]
     cfg = _cfg_from_args(args)
-    traj = dyn._evolve(_model(cfg), _probe_state(cfg), args.tau, cfg.n_steps, rates=rates)
+    rho0, model = _probe_and_model(cfg)
+    traj = dyn._evolve(model, rho0, args.tau, cfg.n_steps, rates=rates)
     report = report_of(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("D_" + f.name[2:] if f.name.startswith("d_") else f.name, getattr(report, f.name))

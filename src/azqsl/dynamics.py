@@ -655,10 +655,12 @@ def _gram_pairs(G: _Gathered, dim: int) -> tuple:
 # `TestSharedSamples` runs a family that switches permutation). A run
 # that fails a check raises as a whole, and each horizon that holds one of
 # its samples is evaluated again on its own grid, into its rows of the
-# same store. Each horizon then makes the `Trajectory` checks
-# (`_check_samples`) on the deviations and values its rows hold, which
-# gives the error of its own `Trajectory` with no run. So a bad sample
-# fails only the horizons that hold it, with the error of their own call.
+# same store. The store checks each sample once, as it is filled, and a
+# horizon makes the `Trajectory` checks (`_check_samples`) on the
+# deviations and values its rows hold only when it holds a failing sample,
+# which gives the error of its own `Trajectory` with no run. So a bad
+# sample fails only the horizons that hold it, with the error of their own
+# call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -1067,10 +1069,12 @@ class _SampleStore:
     """What a panel keeps per distinct sample time, as `qsl._fill` and
     `_check_samples` read it: the time; the speed, k_min and rate; the
     trace drift and asymmetry of the state (`_state_deviations`); whether
-    the sample is missing: no run that holds it has passed; and the dense
-    states of the samples `ends` (ascending), the only states a column
-    reads: the t = 0 sample and each horizon's last one. A missing sample
-    holds zeros, which pass every check."""
+    the sample passes every condition of `_check_samples`, taken once per
+    sample as it is filled; whether the sample is missing: no run that
+    holds it has passed; and the dense states of the samples `ends`
+    (ascending), the only states a column reads: the t = 0 sample and each
+    horizon's last one. A missing sample holds zeros, which pass every
+    check."""
 
     def __init__(self, times: np.ndarray, ends: np.ndarray, dim: int):
         n = len(times)
@@ -1078,30 +1082,40 @@ class _SampleStore:
         self.speeds, self.kmins, self.rates = np.zeros(n), np.zeros(n), None
         self.drift, self.asym = np.zeros(n), np.zeros(n)
         self.end_states = np.zeros((len(ends), dim, dim), dtype=complex)
+        self.passes = np.ones(n, dtype=bool)
         self.missing = np.ones(n, dtype=bool)
 
     def fill(self, sampler, rows: np.ndarray) -> AzqslError | None:
-        """Evaluate the samples `rows` in one run of `sampler` and hold
-        them, or return the error the run raised and leave the store as it
-        is."""
+        """Evaluate the samples `rows` (ascending) in one run of `sampler`
+        and hold them, or return the error the run raised and leave the
+        store as it is."""
         samples = _attempt(sampler, self.times[rows])
         if isinstance(samples, AzqslError):
             return samples
         positions, values = samples.state
-        at = np.isin(rows, self.ends)
-        self.end_states[np.searchsorted(self.ends, rows[at])] = _dense(
-            positions, values[:, at], self.dim)
-        self.drift[rows], self.asym[rows] = _state_deviations(positions, values, self.dim)
+        at = np.minimum(np.searchsorted(rows, self.ends), len(rows) - 1)
+        held = rows[at] == self.ends
+        self.end_states[held] = _dense(positions, values[:, at[held]], self.dim)
+        drift, asym = _state_deviations(positions, values, self.dim)
+        self.drift[rows], self.asym[rows] = drift, asym
         self.speeds[rows], self.kmins[rows] = samples.speeds, samples.kmins
+        # a NaN fails every comparison, as it fails `_check_samples`
+        passes = ((drift <= TRACE_DRIFT_TOL) & (asym <= linalg.HERMITIAN_TOL)
+                  & _valid(samples.speeds) & _valid(samples.kmins))
         if samples.rates is not None:
             if self.rates is None:
                 self.rates = np.zeros(len(self.speeds))
             self.rates[rows] = samples.rates
+            passes &= _valid(samples.rates)
+        self.passes[rows] = passes
         self.missing[rows] = False
         return None
 
     def check(self, rows: np.ndarray) -> None:
-        """`_check_samples` of the samples `rows`."""
+        """`_check_samples` of the samples `rows`, made only when one of
+        them fails a check: samples that pass apart pass together."""
+        if self.passes[rows].all():
+            return
         _check_samples(len(rows), self.drift[rows], self.asym[rows],
                        self.speeds[rows], self.kmins[rows],
                        None if self.rates is None else self.rates[rows])
@@ -1109,6 +1123,11 @@ class _SampleStore:
     def end_state(self, row: int) -> np.ndarray:
         """The dense state of the sample `row`, one of `ends`."""
         return self.end_states[np.searchsorted(self.ends, row)]
+
+
+def _valid(values: np.ndarray) -> np.ndarray:
+    """Per sample, whether a speed, k_min or rate is finite and >= 0."""
+    return np.isfinite(values) & (values >= 0)
 
 
 def _sampler(model, rho0: DensityMatrix, rates: bool):
@@ -1143,8 +1162,9 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     error it raises, read from one `_SampleStore` without building a
     trajectory.
 
-    The time grids are joined, and every distinct sample time is evaluated
-    once, in runs of `n_steps` times. Every per-sample quantity is
+    The time grids are joined in one pass that gives every horizon its
+    rows of the store, and every distinct sample time is evaluated once, in
+    runs of `n_steps` times. Every per-sample quantity is
     elementwise in time and `linalg._sample_spectra` gives each sample the
     value of its own pattern, so a sample has the same bits whichever
     horizons hold it; the entries a run's other samples add to a gathered
@@ -1153,8 +1173,9 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     evaluated again on its own grid, written into its rows, and gets the
     outcome of its own call. A re-evaluation that raises leaves the store
     as it is, and a horizon whose rows earlier re-evaluations refilled is
-    not evaluated again. Then each horizon makes `_check_samples` on its
-    own rows, which gives the error of its own `Trajectory` with no
+    not evaluated again. Each sample is checked once, as it is filled, and
+    a horizon makes `_check_samples` on its own rows only when it holds a
+    failing sample, which gives the error of its own `Trajectory` with no
     further run.
 
     Every grid starts at t = 0, so every column shares the store's first
@@ -1164,13 +1185,15 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     grids = [sampler if isinstance(sampler, AzqslError) else _attempt(_time_grid, tau, n_steps)
              for tau in taus]
     live = [grid for grid in grids if not isinstance(grid, AzqslError)]
-    times = np.unique(np.concatenate(live)) if live else np.zeros(0)
-    outcomes = [grid if isinstance(grid, AzqslError) else np.searchsorted(times, grid)
-                for grid in grids]
+    if not live:
+        return grids
+    # every horizon's rows of the store, from one pass over the joined grids
+    times, rows = np.unique(np.concatenate(live), return_inverse=True)
+    rows = rows.reshape(len(live), n_steps)
+    held_rows = iter(rows)
+    outcomes = [grid if isinstance(grid, AzqslError) else next(held_rows) for grid in grids]
+    store = _SampleStore(times, np.unique(rows[:, [0, -1]]), rho0.dim)
     del grids, live
-    ends = np.unique(np.array([rows[[0, -1]] for rows in outcomes
-                               if not isinstance(rows, AzqslError)], dtype=int))
-    store = _SampleStore(times, ends, rho0.dim)
     index = np.arange(len(times))
     for start in range(0, len(times), n_steps):
         store.fill(sampler, index[start:start + n_steps])

@@ -317,14 +317,33 @@ def _tau_ratios(d, rhs, tau, errors: np.ndarray) -> np.ndarray:
 def _warning_cells(flags: list[tuple[str, ...]], chain: np.ndarray, errors: list) -> np.ndarray:
     """The warnings cell of each (alpha, z, column) cell: per group, its
     error tag or its column's quadrature flags then chain_sign, each tag
-    once. `chain` broadcasts against the cells."""
+    once. `chain` broadcasts against the cells, and each group's errors
+    are an array of the cells' shape. A failed cell's text depends only on
+    its column's flags, its chain_sign and each group's error class, so it
+    is built once per such combination and scattered to its cells."""
     plain = np.array([";".join(f) for f in flags], dtype=object)
     chained = np.array([";".join(f + (WARN_CHAIN_SIGN,)) for f in flags], dtype=object)
     out = np.where(chain, chained, plain)
     failed = np.not_equal(errors[0], None)
     for err in errors[1:]:
         failed |= np.not_equal(err, None)
-    for idx in zip(*failed.nonzero()):
+    if not failed.any():
+        return out
+    cells = failed.nonzero()
+    # one integer per failed cell: its column's flags, its chain_sign, then
+    # per group its error class, 0 for none
+    kinds: dict = {}
+    kind = np.array([kinds.setdefault(f, len(kinds)) for f in flags])
+    classes = {type(None): 0}
+    codes = [[classes.setdefault(type(exc), len(classes)) for exc in err[cells].tolist()]
+             for err in errors]
+    key = 2 * kind[cells[-1]] + np.broadcast_to(chain, failed.shape)[cells]
+    for group in codes:
+        key = key * len(classes) + group
+    _, first, combination = np.unique(key, return_index=True, return_inverse=True)
+    texts = []
+    for i in first.tolist():
+        idx = tuple(axis[i] for axis in cells)
         # a group without an error tags the cell as the flags and chain_sign do
         own = tuple(filter(None, out[idx].split(";")))
         tags: list[str] = []
@@ -332,7 +351,8 @@ def _warning_cells(flags: list[tuple[str, ...]], chain: np.ndarray, errors: list
             exc = err[idx]
             tags += [w for w in ((f"error:{type(exc).__name__}",) if exc is not None else own)
                      if w not in tags]
-        out[idx] = ";".join(tags)
+        texts.append(";".join(tags))
+    out[cells] = np.array(texts, dtype=object)[combination]
     return out
 
 

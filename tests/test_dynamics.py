@@ -1531,9 +1531,9 @@ class TestSharedSamples:
     def test_store_holds_each_horizons_own_bits(self, name, rates, monkeypatch):
         # a panel's columns against each horizon's own call: the speeds,
         # k_min, rates and end states as int64, so signed zeros count. No
-        # sample fails, so the panel makes its shared runs alone and checks
-        # each horizon's rows once; every column holds the one validated
-        # t = 0 state
+        # sample fails, so the panel makes its shared runs alone and makes
+        # no `_check_samples` call: the store checked each sample once as
+        # it was filled. Every column holds the one validated t = 0 state
         model, taus = self.STORE_CASES[name]
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
@@ -1541,7 +1541,7 @@ class TestSharedSamples:
         cols = dyn._columns(fam, rho0, taus, 201, rates)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
         assert np.array_equal(np.concatenate(runs), panel_times(taus, 201))
-        assert checks == [201] * len(taus)
+        assert checks == []
         assert all(col.initial_state is cols[0].initial_state for col in cols)
         for col, tau in zip(cols, taus):
             assert_same_outcome(col, dyn.evolve_kraus(fam, rho0, tau, 201, rates=rates))
@@ -1621,6 +1621,62 @@ def user_family(defect: str) -> dyn.KrausFamily:
         return [np.full((2, 2), math.nan, dtype=complex) if nan else k for k in base._dops_fn(t)]
 
     return dyn.KrausFamily(dim=2, n_ops=2, ops_fn=ops, dops_fn=dops)
+
+
+# One spoiled sample per condition of `_check_samples`, by its size: a
+# trace drift, a NaN diagonal entry (a NaN drift), an asymmetry, a NaN or
+# negative speed, a negative k_min and a NaN rate
+SPOILS = ("trace_drift", "nan_entry", "asymmetry", "nan_speed", "negative_speed",
+          "negative_kmin", "nan_rate")
+
+
+def spoiling(sampler, spoils: dict):
+    """`sampler` (`dynamics._kraus_sampler`) whose runs spoil the sample at
+    each time of `spoils` by its (kind, size)."""
+    def spoiled(fam, rho0, rates):
+        sample = sampler(fam, rho0, rates)
+
+        def run(times):
+            samples = sample(times)
+            positions, values = samples.state
+            dim = rho0.dim
+            for t, (kind, size) in spoils.items():
+                at = times == t
+                if kind == "trace_drift":
+                    values[:, at] *= 1.0 + size
+                elif kind == "nan_entry":
+                    diagonal = np.flatnonzero(positions % dim == positions // dim)
+                    values[diagonal[-1], at] = math.nan
+                elif kind == "asymmetry":
+                    off = np.flatnonzero(positions % dim != positions // dim)
+                    values[off[0], at] += 10.0 * size
+                elif kind == "nan_speed":
+                    samples.speeds[at] = math.nan
+                elif kind == "negative_speed":
+                    samples.speeds[at] = -size
+                elif kind == "negative_kmin":
+                    samples.kmins[at] = -size
+                else:
+                    samples.rates[at] = math.nan
+            return samples
+        return run
+    return spoiled
+
+
+@st.composite
+def spoiled_panels(draw):
+    """A panel of a built-in or user family, and one to four of its sample
+    times, each spoiled by a kind of `SPOILS` and a size that fails the
+    check: (model name, horizons, n_steps, rates, {time: (kind, size)})."""
+    name = draw(st.sampled_from(["ad_s0.5", "ad_s10.0", "depolarizing", "damping"]))
+    taus = draw(horizon_sets())
+    n_steps = draw(st.sampled_from([3, 17, 41]))
+    rates = draw(st.booleans())
+    times = panel_times(taus, n_steps)
+    kinds = [kind for kind in SPOILS if rates or kind != "nan_rate"]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(times) - 1), st.sampled_from(kinds),
+                                    st.floats(2e-9, 1e-6)), min_size=1, max_size=4))
+    return name, taus, n_steps, rates, {float(times[i]): (k, size) for i, k, size in picks}
 
 
 class TestErrorAttribution:
@@ -1784,6 +1840,55 @@ class TestErrorAttribution:
         assert isinstance(cols[2], InvalidParamsError)
         for col in (cols[1], cols[3]):
             assert_same_outcome(col, dyn.evolve_kraus(fam, rho0, 2.0, 17, rates=True))
+
+
+    def test_reevaluated_horizon_writes_its_own_end_states(self, monkeypatch):
+        # the run of the last 16 of the 33 distinct times of the grids of
+        # 1, 2 and 4 raises past t = 2.5, so the horizon 2 is evaluated
+        # again on its own grid: the end states its rows hold, at t = 0, 1
+        # and 2, are those of its own run, bit for bit, and the end state
+        # of the horizon 4, which no run passed, stays unwritten
+        fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
+        rho0 = ghz_mixed(GHZMixedParams(0.4))
+        stores = []
+        store = dyn._SampleStore
+
+        def recording(*args):
+            stores.append(store(*args))
+            return stores[-1]
+
+        monkeypatch.setattr(dyn, "_SampleStore", recording)
+        runs = recorded_runs(monkeypatch)
+        dyn._columns(fam, rho0, [1.0, 2.0, 4.0], 17, True)
+        assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
+        (store,) = stores
+        own = dyn._evolve(fam, rho0, 2.0, 17, True)
+        rows = np.searchsorted(store.times, own.times)
+        assert np.array_equal(store.times[store.ends], [0.0, 1.0, 2.0, 4.0])
+        for row in store.ends[:3]:
+            (k,) = np.flatnonzero(rows == row)
+            assert store.end_state(row).tobytes() == own.states[k].tobytes()
+        assert not store.end_state(store.ends[3]).any()
+
+    @seed(20261021)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(case=spoiled_panels())
+    def test_randomly_failing_samples_fail_their_horizons(self, case):
+        # samples spoiled at random, each failing one condition of
+        # `_check_samples`, in the panel's runs and in each horizon's own
+        # call alike: a horizon that holds one fails with its own call's
+        # error class and message (the first condition its samples fail,
+        # the largest drift or asymmetry among them), and every other
+        # horizon keeps its own call's bits
+        name, taus, n_steps, rates, spoils = case
+        fam, rho0 = SHARING_MODELS[name]
+        with mock.patch.object(dyn, "_kraus_sampler", spoiling(dyn._kraus_sampler, spoils)):
+            outcomes = dyn._columns(fam, rho0, taus, n_steps, rates)
+            wants = [_attempt(dyn._evolve, fam, rho0, tau, n_steps, rates) for tau in taus]
+        for tau, got, want in zip(taus, outcomes, wants):
+            holds = np.isin(dyn._time_grid(tau, n_steps), list(spoils)).any()
+            assert isinstance(want, InvalidStateError) == holds, tau
+            assert_same_outcome(got, want)
 
 
 def check_error(fn, *args):

@@ -96,6 +96,9 @@ def test_library_rejects(name):
         build()
 
 
+DATA = Path(__file__).parent / "data"
+GHZ_PROBE_FILE = DATA / "ghz_mixed_p0.4.txt"
+
 CLI_CONFIG_ERRORS = {
     "time_grid_nan": ["sweep", "--set", "time_grid=nan"],
     "z_grid_nan": ["sweep", "--set", "z_grid=nan"],
@@ -111,7 +114,17 @@ CLI_CONFIG_ERRORS = {
     "bound_r_nan": ["bound", "--r", "nan"],
     "entropy_z_nan": ["entropy", "--z", "nan"],
     "unitary_two_qubit_probe": ["sweep", "--set", "model=unitary_qubit", "--set",
-                                f"state_file={Path(__file__).parent / 'data' / 'ghz_mixed_p0.4.txt'}"],
+                                f"state_file={GHZ_PROBE_FILE}"],
+    # the single-point commands check the probe against the model as a sweep does
+    "entropy_unitary_two_qubit_probe": ["entropy", "--model", "unitary_qubit",
+                                        "--state-file", GHZ_PROBE_FILE],
+    "bound_depolarizing_two_qubit_probe": ["bound", "--model", "depolarizing",
+                                           "--state-file", GHZ_PROBE_FILE],
+    "qsl_unitary_two_qubit_probe": ["qsl", "--model", "unitary_qubit",
+                                    "--state-file", GHZ_PROBE_FILE],
+    "qsl_kraus_file_two_qubit_probe": ["qsl", "--model", "custom_kraus_file",
+                                       "--kraus-file", DATA / "bit_flip.txt",
+                                       "--state-file", GHZ_PROBE_FILE],
 }
 
 KRAUS_FILES = {

@@ -31,7 +31,14 @@ from azqsl import cli, qsl
 from azqsl import dynamics as dyn
 from azqsl import entropy as ent
 from azqsl.entropy import EntropyParams
-from azqsl.errors import AzqslError, InvalidParamsError
+from azqsl.errors import (
+    AzqslError,
+    InvalidParamsError,
+    InvalidStateError,
+    QuadratureTooCoarseError,
+    SupportViolationError,
+    ZeroSpeedError,
+)
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
 
 SPECIALS = [
@@ -180,8 +187,9 @@ FIG4_AD = dict(alpha_grid=(0.01, 0.99, 25), time_grid=(0.0, 20.0, 41))
 def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     """A fig4_ad-shaped panel (40 horizons of 1001 samples) takes the trace
     drift and asymmetry of each of its 19 970 distinct samples once, not
-    of the 40 040 its horizons hold, and checks each horizon's 1001 rows
-    once; validates its probe state once and each of the 40 end states
+    of the 40 040 its horizons hold, and checks each sample once as it
+    fills it: every sample passes, so no horizon makes a `_check_samples`
+    call on its rows; validates its probe state once and each of the 40 end states
     once; and makes dense only the states it validates, building no
     trajectory."""
     deviations, checks, validated, dense = [], [], [], []
@@ -204,7 +212,7 @@ def test_fig4_ad_panel_checks_each_sample_once(monkeypatch):
     cfg = replace(cli.figure_panels("fig4")[3], **FIG4_AD)  # s = 10, p = 0.9
     panel = cli.sweep_rows(cfg)
     assert sum(deviations) == 19970
-    assert checks == [1001] * 40
+    assert checks == []
     # the probe and the 40 end states, each matrix once
     assert len(validated) == len(set(validated)) == 1 + 40
     assert sorted(dense) == sorted(validated)
@@ -420,3 +428,65 @@ def test_z_one_sweeps_diagonalize_no_cores(monkeypatch):
     assert calls == {"eigvalsh": 0, "_zpow_trace": 0}
     sweep("fig4", 0.5)
     assert calls["eigvalsh"] > 0 and calls["_zpow_trace"] > 0
+
+
+def warning_cells_loop(flags, chain, errors) -> np.ndarray:
+    """The warnings cells as each failed cell's text built on its own, in a
+    loop over the cells: the oracle of `qsl._warning_cells`."""
+    plain = np.array([";".join(f) for f in flags], dtype=object)
+    chained = np.array([";".join(f + (qsl.WARN_CHAIN_SIGN,)) for f in flags], dtype=object)
+    out = np.where(chain, chained, plain)
+    failed = np.not_equal(errors[0], None)
+    for err in errors[1:]:
+        failed |= np.not_equal(err, None)
+    for idx in zip(*failed.nonzero()):
+        own = tuple(filter(None, out[idx].split(";")))
+        tags: list[str] = []
+        for err in errors:
+            exc = err[idx]
+            tags += [w for w in ((f"error:{type(exc).__name__}",) if exc is not None else own)
+                     if w not in tags]
+        out[idx] = ";".join(tags)
+    return out
+
+
+WARNING_FLAGS = [(), (qsl.WARN_QUAD_UNGATED,), (qsl.WARN_LOOSE_BOUND,),
+                 (qsl.WARN_KMIN_CLAMPED, qsl.WARN_QUAD_UNGATED),
+                 (qsl.WARN_QUAD_UNGATED, qsl.WARN_QUAD_UNGATED)]
+ERROR_CLASSES = [SupportViolationError, ZeroSpeedError, InvalidParamsError,
+                 InvalidStateError, QuadratureTooCoarseError]
+
+
+@pytest.mark.parametrize("draw", range(40))
+def test_warning_cells_equal_the_per_cell_loop(draw):
+    # random column flags, chain masks and per-group errors mixing None
+    # with several error classes, some cells sharing one error object: the
+    # texts built once per combination equal the per-cell loop's
+    rng = np.random.default_rng([20261020, draw])
+    n_a, n_z, n_c = rng.integers(1, 6, size=3)
+    shape = (n_a, n_z, n_c)
+    flags = [WARNING_FLAGS[k] for k in rng.integers(0, len(WARNING_FLAGS), n_c)]
+    chain = rng.random((n_a, n_z, 1)) < rng.random()
+    classes = [ERROR_CLASSES[k] for k in rng.choice(len(ERROR_CLASSES), 3, replace=False)]
+    shared = classes[0]("shared")
+    errors = []
+    for _ in range(rng.integers(1, 3)):
+        err = np.full(shape, None, dtype=object)
+        for idx in zip(*np.nonzero(rng.random(shape) < rng.random())):
+            k = rng.integers(0, len(classes) + 1)
+            err[idx] = shared if k == len(classes) else classes[k](f"cell {idx}")
+        errors.append(err)
+    got = qsl._warning_cells(flags, chain, errors)
+    want = warning_cells_loop(flags, chain, errors)
+    assert got.shape == want.shape == shape
+    assert got.tolist() == want.tolist()
+
+
+def test_warning_cells_without_failures_group_nothing(monkeypatch):
+    # a panel with no failed cell returns before any grouping
+    monkeypatch.setattr(qsl.np, "unique", lambda *args, **kwargs: pytest.fail("grouped"))
+    errors = [np.full((2, 3, 4), None, dtype=object)] * 2
+    chain = np.array([True, False])[:, None, None] & np.ones((2, 3, 1), dtype=bool)
+    got = qsl._warning_cells([(qsl.WARN_QUAD_UNGATED,), (), (), ()], chain, errors)
+    assert got.tolist() == warning_cells_loop([(qsl.WARN_QUAD_UNGATED,), (), (), ()],
+                                              chain, errors).tolist()
