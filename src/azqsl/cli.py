@@ -345,11 +345,16 @@ def _fmt_column(values: np.ndarray) -> list[str]:
 _CSV_BLOCK_ROWS = 1000
 
 
+def _csv_columns(cfgs: list[SweepConfig]) -> list[str]:
+    """The CSV header of a run of these panels."""
+    with_norm = any("errors" in cfg.outputs for cfg in cfgs)
+    return BASE_COLUMNS + (NORM_COLUMNS if with_norm else []) + ["warnings"]
+
+
 def rows_to_csv(panels: list[tuple[SweepConfig, qsl.Panel]]) -> str:
     """Render one or more panels as a single deterministic CSV string,
     column by column within each block of `_CSV_BLOCK_ROWS` rows."""
-    with_norm = any("errors" in cfg.outputs for cfg, _ in panels)
-    columns = BASE_COLUMNS + (NORM_COLUMNS if with_norm else []) + ["warnings"]
+    columns = _csv_columns([cfg for cfg, _ in panels])
     blocks = []
     lines = [",".join(columns)]  # the header opens the first block
     for cfg, panel in panels:
@@ -568,6 +573,14 @@ def _write_text(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _check_plot_column(args, cfgs: list[SweepConfig]) -> None:
+    """With --plot, a --column the run's CSV will lack is a config error,
+    found before any panel is evaluated."""
+    columns = _csv_columns(cfgs)
+    if args.plot and args.column not in columns:
+        raise ConfigError(f"plot column {args.column!r} not in the CSV columns {columns}")
+
+
 def _write_outputs(args, csv_text: str, default_out: str) -> int:
     """Write the CSV and, when asked, the plot script next to it."""
     out = args.out or default_out
@@ -583,10 +596,12 @@ def _cmd_sweep(args) -> int:
         cfg = load_config(args.config, args.set)
     else:
         cfg = _with_overrides(SweepConfig(), args.set)
+    _check_plot_column(args, [cfg])
     return _write_outputs(args, run_sweep(cfg), "sweep.csv")
 
 
 def _cmd_figure(args) -> int:
+    _check_plot_column(args, figure_panels(args.name))
     return _write_outputs(args, run_figure(args.name), f"{args.name}.csv")
 
 

@@ -14,13 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidPError,
-    NoConvergenceError,
-    NotHermitianError,
-    NotPSDError,
-    SingularMatrixError,
-)
+from .errors import InvalidPError, NoConvergenceError, NotHermitianError, NotPSDError
 
 # Tolerances shared across modules.
 HERMITIAN_TOL = 1e-10   # max-entry asymmetry allowed before rejecting input
@@ -120,46 +114,6 @@ def eigenvalue_powers(values: np.ndarray, exponents) -> np.ndarray:
     for row, s in zip(powered, exponents):
         row[on_support] = kept ** s
     return powered
-
-
-@lru_cache(maxsize=32)
-def _jacobi_rule(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights for the weight (1-x)^(-s) (1+x)^(s-1)."""
-    # scipy.special costs about 0.3 s and 25 MB to import and serves this
-    # test oracle alone, so only its first call loads it
-    from scipy.special import roots_jacobi
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return roots_jacobi(n, -s, s - 1.0)
-
-
-def mat_pow_integral(m: np.ndarray, s: float, quad_points: int = 2000) -> np.ndarray:
-    """m^s for 0 < s < 1 from the resolvent integral
-
-        m^s = sin(pi s)/pi * ∫_0^∞ x^(s-1) m (m + x I)^(-1) dx,
-
-    mapped to the unit interval by x = u/(1-u). The transformed integrand
-    carries the weight u^(s-1) (1-u)^(-s) times the smooth matrix factor
-    m [(1-u) m + u I]^(-1), so the weight is absorbed exactly by Gauss-Jacobi
-    nodes and the solver never touches an eigendecomposition of m. Intended
-    purely as a cross-check oracle for mat_pow.
-    """
-    if not 0.0 < s < 1.0:
-        raise InvalidPError(f"integral representation requires 0 < s < 1, got {s}")
-    m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    smallest = float(np.linalg.eigvalsh(hermitian_part(m))[0])
-    if smallest <= SUPPORT_TOL:
-        raise SingularMatrixError(
-            f"integral oracle needs a strictly positive matrix (min eig {smallest:.3e})"
-        )
-    nodes, weights = _jacobi_rule(quad_points, s)
-    u = (1.0 + nodes) / 2.0
-    eye = np.eye(dim, dtype=complex)
-    shifted = (1.0 - u)[:, None, None] * m[None] + u[:, None, None] * eye[None]
-    solved = np.linalg.solve(shifted, np.broadcast_to(m, shifted.shape))
-    total = np.tensordot(weights, solved, axes=(0, 0))
-    return hermitian_part(math.sin(math.pi * s) / math.pi * total)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

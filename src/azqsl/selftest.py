@@ -11,6 +11,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import entropy as ent
 from . import oracles, qsl
+from .errors import ConfigError
 from .states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
 
 
@@ -131,7 +132,10 @@ def _bound_validity_check(rng, n_draws: int) -> bool:
 
 
 def run(n_draws: int = 100) -> int:
-    """Run every cross-check; returns 0 when all pass, 2 otherwise."""
+    """Run every cross-check; returns 0 when all pass, 2 otherwise. Fewer
+    than one draw would leave the randomized checks nothing to compare."""
+    if n_draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(20240811)
     results = [
         _unitary_purity_check(rng, n_draws),

@@ -1,8 +1,11 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and oracles for the test suite."""
 
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from azqsl.dynamics import (
     _AD_SUPPORT,
@@ -11,6 +14,8 @@ from azqsl.dynamics import (
     KrausFamily,
 )
 from azqsl.entropy import EntropyParams
+from azqsl.errors import InvalidPError, SingularMatrixError
+from azqsl.linalg import SUPPORT_TOL, hermitian_part
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 
 
@@ -125,3 +130,39 @@ def random_bloch_state(rng, r_max: float = 0.95):
 def random_ghz_state(rng, p_max: float = 0.95):
     params = GHZMixedParams(float(rng.uniform(0.02, p_max)))
     return ghz_mixed(params), params
+
+
+@lru_cache(maxsize=32)
+def _jacobi_rule(n: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes/weights for the weight (1-x)^(-s) (1+x)^(s-1)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return roots_jacobi(n, -s, s - 1.0)
+
+
+def mat_pow_integral(m: np.ndarray, s: float, quad_points: int = 2000) -> np.ndarray:
+    """m^s for 0 < s < 1 from the resolvent integral
+
+        m^s = sin(pi s)/pi * ∫_0^∞ x^(s-1) m (m + x I)^(-1) dx,
+
+    mapped to the unit interval by x = u/(1-u). The transformed integrand
+    carries the weight u^(s-1) (1-u)^(-s) times the smooth matrix factor
+    m [(1-u) m + u I]^(-1), so the weight is absorbed exactly by Gauss-Jacobi
+    nodes and the solver never touches an eigendecomposition of m: a
+    cross-check oracle for `linalg.mat_pow`.
+    """
+    if not 0.0 < s < 1.0:
+        raise InvalidPError(f"integral representation requires 0 < s < 1, got {s}")
+    m = np.asarray(m, dtype=complex)
+    dim = m.shape[0]
+    smallest = float(np.linalg.eigvalsh(hermitian_part(m))[0])
+    if smallest <= SUPPORT_TOL:
+        raise SingularMatrixError(
+            f"integral oracle needs a strictly positive matrix (min eig {smallest:.3e})"
+        )
+    nodes, weights = _jacobi_rule(quad_points, s)
+    u = (1.0 + nodes) / 2.0
+    eye = np.eye(dim, dtype=complex)
+    shifted = (1.0 - u)[:, None, None] * m[None] + u[:, None, None] * eye[None]
+    solved = np.linalg.solve(shifted, np.broadcast_to(m, shifted.shape))
+    total = np.tensordot(weights, solved, axes=(0, 0))
+    return hermitian_part(math.sin(math.pi * s) / math.pi * total)

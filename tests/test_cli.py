@@ -343,6 +343,32 @@ class TestPlotScripts:
         script = (out_dir / "data_plot.py").read_text()
         assert repr(str(out_dir / "data_D_fwd.png")) in script
 
+    @pytest.mark.parametrize("argv, column", [
+        (["sweep", "--set", "time_grid=0,1,2"], "nope"),
+        # fig2 renders no errors columns, so no normalized error either
+        (["figure", "fig2"], "delta_bound_norm"),
+    ], ids=["sweep", "figure"])
+    def test_bad_plot_column_is_a_config_error_before_evaluation(
+            self, tmp_path, capsys, monkeypatch, argv, column):
+        def no_evaluation(cfg):
+            raise AssertionError("a panel was evaluated")
+        monkeypatch.setattr(cli, "sweep_rows", no_evaluation)
+        out = tmp_path / "g.csv"
+        rc = run_cli(argv + ["--out", out, "--plot", "line", "--column", column])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: plot column {column!r}")
+        assert not out.exists()
+
+    def test_plot_column_of_the_errors_group_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = run_cli(["sweep", "--set", "outputs=entropy,bounds,qsl,errors",
+                      "--set", "alpha_grid=0.3,0.7,2", "--set", "time_grid=1.0,2.0,2",
+                      "--set", "n_steps=101", "--out", out, "--plot", "line",
+                      "--column", "delta_bound_norm"])
+        assert rc == 0
+        assert "delta_bound_norm" in out.read_text().partition("\n")[0].split(",")
+        assert (tmp_path / "g_plot.py").exists()
+
 
 class TestFigureCommand:
     def test_fig2_end_to_end(self, tmp_path, capsys):
@@ -375,6 +401,15 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") >= 6
+
+    @pytest.mark.parametrize("draws", ["0", "-1", "-100"])
+    def test_rejects_draw_counts_below_one(self, capsys, draws):
+        # with no draws the randomized checks would compare nothing and pass
+        rc = run_cli(["selftest", "--draws", draws])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("config error: draws must be >= 1")
+        assert "SELFTEST" not in captured.out
 
 
 class TestModuleEntryPoint:
