@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import entropy as ent
 from . import qsl
-from .errors import AzqslError, ConfigError, DegenerateRangeError, MissingColumnError
+from .errors import AzqslError, ConfigError, DegenerateRangeError, MissingColumnError, _attempt
 from .states import (
     BlochVector,
     DensityMatrix,
@@ -104,6 +104,8 @@ class SweepConfig:
         unknown = set(self.outputs) - set(OUTPUT_GROUPS)
         if unknown:
             raise ConfigError(f"unknown outputs {sorted(unknown)}; choose from {OUTPUT_GROUPS}")
+        if not set(self.outputs) & set(_GROUP_COLUMNS):
+            raise ConfigError(f"outputs name no report group of {list(_GROUP_COLUMNS)}")
         if self.model == "custom_kraus_file" and not self.kraus_file:
             raise ConfigError("custom_kraus_file model requires kraus_file")
 
@@ -284,16 +286,15 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     """Evaluate the panel on its (alpha, z, t) grid.
 
     Each nonzero time value is a time column: the trajectory of the probe
-    (with its Kraus rates) to that horizon. `dynamics._columns` evaluates
-    every distinct sample time of the panel once, into one sample store,
-    and hands out each column's samples and states, and one
-    `qsl._fill` call fills every column from them (see
-    `qsl.Panel`); a trajectory that fails fails only its own column. A
-    single-point command evolves its one horizon with `evolve_kraus` or
-    `evolve_unitary` instead, in one run without a store, and gets the same
-    samples. A zero horizon gives the stationary limit: all
-    entropies and rates are zero, the bound saturates, and the speed limit
-    is the trivial tau >= 0."""
+    (with its Kraus rates) on that horizon's grid (`dynamics._time_grid`).
+    `dynamics._columns` evaluates every distinct sample time of the
+    panel's grids once, into one sample store, and hands out each column's
+    samples and states, and one `qsl._fill` call fills every column from
+    them (see `qsl.Panel`); a grid or trajectory that fails fails only its
+    own column. A single-point command evolves its one grid in one run
+    without a store (`dynamics._evolve`), and gets the same samples. A zero
+    horizon gives the stationary limit: all entropies and rates are zero,
+    the bound saturates, and the speed limit is the trivial tau >= 0."""
     cfg.validate()
     rho0, model = _probe_and_model(cfg)
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
@@ -302,7 +303,9 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
     live = times != 0.0
-    qsl._fill(panel, dyn._columns(model, rho0, times[live].tolist(), cfg.n_steps, want_qsl), live)
+    # `_columns` frees the grids before its runs, so no list of them is kept here
+    qsl._fill(panel, dyn._columns(model, rho0, (_attempt(dyn._time_grid, t, cfg.n_steps)
+                                                for t in times[live].tolist()), want_qsl), live)
     return panel
 
 
@@ -523,6 +526,8 @@ def _cfg_from_args(args) -> SweepConfig:
         kraus_file=args.kraus_file,
     )
     cfg.validate()
+    if args.tau == 0.0:  # the stationary limit is a sweep's t = 0 row, not a command
+        raise ConfigError("single-point commands need a positive horizon --tau, got 0")
     return cfg
 
 
@@ -536,7 +541,7 @@ def _print_report(pairs) -> None:
 def _cmd_entropy(args) -> int:
     rho0, model = _probe_and_model(_cfg_from_args(args))
     # rho_tau from a three-sample trajectory
-    rho_tau = dyn._evolve(model, rho0, args.tau, 3, rates=False).final_state
+    rho_tau = dyn._evolve(model, rho0, dyn._time_grid(args.tau, 3), rates=False).final_state
     p = ent.EntropyParams(args.alpha, args.z)
     g = ent.relative_purity(rho_tau, rho0, p)
     d_fwd = ent.renyi_az(rho_tau, rho0, p)
@@ -558,7 +563,7 @@ def _cmd_report(args) -> int:
     rates, report_of = _REPORTS[args.command]
     cfg = _cfg_from_args(args)
     rho0, model = _probe_and_model(cfg)
-    traj = dyn._evolve(model, rho0, args.tau, cfg.n_steps, rates=rates)
+    traj = dyn._evolve(model, rho0, dyn._time_grid(args.tau, cfg.n_steps), rates=rates)
     report = report_of(traj, ent.EntropyParams(args.alpha, args.z))
     _print_report([
         ("D_" + f.name[2:] if f.name.startswith("d_") else f.name, getattr(report, f.name))

@@ -386,11 +386,12 @@ class Trajectory:
         return self.state(-1)
 
 
-def _check_times(times: np.ndarray) -> None:
+def _check_times(times: np.ndarray) -> np.ndarray:
     # a step is positive, not merely not <= 0: a NaN step fails it
     if (not len(times) or times[0] != 0.0 or not np.all(np.diff(times) > 0)
             or not math.isfinite(times[-1])):
         raise InvalidParamsError("times must start at 0 and increase strictly")
+    return times
 
 
 def _state_deviations(positions: np.ndarray, values: np.ndarray, dim: int):
@@ -463,11 +464,12 @@ def _batch_kmin(values: np.ndarray, kmin: tuple) -> np.ndarray:
 
 
 def _time_grid(tau: float, n_steps: int) -> np.ndarray:
+    """n_steps equal steps on [0, tau], checked: the one place a grid is made."""
     if n_steps < 2:
         raise InvalidParamsError(f"need at least 2 samples, got {n_steps}")
     if not 0.0 < tau < math.inf:
         raise InvalidParamsError(f"horizon must be positive and finite, got {tau}")
-    return np.linspace(0.0, tau, n_steps)
+    return _check_times(np.linspace(0.0, tau, n_steps))
 
 
 def evolve_unitary(
@@ -482,7 +484,7 @@ def evolve_unitary(
     gives a zero speed. The states come from the one eigendecomposition of
     H (`_unitary_sampler`). The samples are evaluated in one run, as a
     sweep's runs evaluate them (`_columns`), without its store."""
-    return _evolve(h, rho0, tau, n_steps, rates=False)
+    return _evolve(h, rho0, _time_grid(tau, n_steps), rates=False)
 
 
 def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
@@ -640,27 +642,27 @@ def _gram_pairs(G: _Gathered, dim: int) -> tuple:
 # `apply_channel` and the dense stacks of the built-in channels.
 #
 # The trajectories of a sweep panel share one store of samples
-# (`_columns`): the horizons' grids are joined, each distinct sample time
-# is evaluated once in runs of n_steps times, and each horizon is its rows
-# of the store. The store keeps what `qsl._fill` and the `Trajectory`
-# checks read: per sample the speed, k_min and rate, the trace drift and
+# (`_columns`): each column is a grid that `_time_grid` made and checked,
+# the grids are joined, each distinct sample time is evaluated once in
+# runs as long as the longest grid, and each grid is its rows of the
+# store. The store keeps what `qsl._fill` and the `Trajectory` checks
+# read: per sample the speed, k_min and rate, the trace drift and
 # asymmetry of the state, and the dense states of the t = 0 sample and of
-# each horizon's last one. Each horizon's column (`_Column`) copies its
-# rows of the samples and holds its end state and the one t = 0 state,
-# validated, as a `Trajectory` would hand them to the fill. This work is
-# elementwise in time, and `linalg._sample_spectra` gives each sample the
-# value of its own pattern, so a sample gets the same bits in every run it
-# could sit in, even where the run gathers entries that are zero at it
+# each grid's last one. Each column (`_Column`) copies its rows of the
+# samples and holds its end state and the one t = 0 state, validated, as a
+# `Trajectory` would hand them to the fill. This work is elementwise in
+# time, and `linalg._sample_spectra` gives each sample the value of its
+# own pattern, so a sample gets the same bits in every run it could sit
+# in, even where the run gathers entries that are zero at it
 # (`TestContractions` pads monomial stacks with zero entries,
-# `TestSharedSamples` runs a family that switches permutation). A run
-# that fails a check raises as a whole, and each horizon that holds one of
-# its samples is evaluated again on its own grid, into its rows of the
-# same store. The store checks each sample once, as it is filled, and a
-# horizon makes the `Trajectory` checks (`_check_samples`) on the
-# deviations and values its rows hold only when it holds a failing sample,
-# which gives the error of its own `Trajectory` with no run. So a bad
-# sample fails only the horizons that hold it, with the error of their own
-# call.
+# `TestSharedSamples` runs a family that switches permutation). A run that
+# fails a check raises as a whole, and each grid that holds one of its
+# samples is evaluated again on its own, into its rows of the same store.
+# The store checks each sample once, as it is filled, and a grid makes the
+# `Trajectory` checks (`_check_samples`) on the deviations and values its
+# rows hold only when it holds a failing sample, which gives the error of
+# its own `Trajectory` with no run. So a bad sample fails only the grids
+# that hold it, with the error of their own call.
 
 
 def _gather(stack: np.ndarray) -> _Gathered:
@@ -923,7 +925,7 @@ def evolve_kraus(
     infinity raises InvalidStateError before any product is formed. The
     samples are evaluated in one run, as a sweep's runs evaluate them
     (`_columns`), without its store."""
-    return _evolve(fam, rho0, tau, n_steps, rates)
+    return _evolve(fam, rho0, _time_grid(tau, n_steps), rates)
 
 
 class _RunPlan(NamedTuple):
@@ -1154,55 +1156,52 @@ class _Column(NamedTuple):
     final_state: DensityMatrix | AzqslError
 
 
-def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
-             rates: bool) -> list:
-    """One `_Column`, or the AzqslError it ended in, per horizon of `taus`
-    of `model` from `rho0`, in order: what its `evolve_unitary` (a
-    Hamiltonian) or `evolve_kraus` (a Kraus family) call gives, or the
-    error it raises, read from one `_SampleStore` without building a
-    trajectory.
+def _columns(model, rho0: DensityMatrix, grids, rates: bool) -> list:
+    """One `_Column`, or the AzqslError it ended in, per time grid of the
+    iterable `grids` (each from `_time_grid`, or the error making it
+    raised) of `model` from `rho0`, in order: what `_evolve` gives on that
+    grid, or the error it raises, read from one `_SampleStore` with no
+    `Trajectory`. Grids that only `grids` holds are freed before the runs.
 
-    The time grids are joined in one pass that gives every horizon its
-    rows of the store, and every distinct sample time is evaluated once, in
-    runs of `n_steps` times. Every per-sample quantity is
-    elementwise in time and `linalg._sample_spectra` gives each sample the
-    value of its own pattern, so a sample has the same bits whichever
-    horizons hold it; the entries a run's other samples add to a gathered
-    stack are zero at it and add only exact zeros. A run that fails a
-    check raises as a whole, so each horizon that holds a sample of it is
-    evaluated again on its own grid, written into its rows, and gets the
-    outcome of its own call. A re-evaluation that raises leaves the store
-    as it is, and a horizon whose rows earlier re-evaluations refilled is
-    not evaluated again. Each sample is checked once, as it is filled, and
-    a horizon makes `_check_samples` on its own rows only when it holds a
-    failing sample, which gives the error of its own `Trajectory` with no
-    further run.
+    The grids are joined in one pass that gives every grid its rows of the
+    store, and every distinct sample time is evaluated once, in runs as
+    long as the longest grid. Every per-sample quantity is elementwise in
+    time and `linalg._sample_spectra` gives each sample the value of its
+    own pattern, so a sample has the same bits whichever grids hold it; the
+    entries a run's other samples add to a gathered stack are zero at it
+    and add only exact zeros. A run that fails a check raises as a whole,
+    so each grid that holds a sample of it is evaluated again on its own,
+    written into its rows, and gets the outcome of its own call. A
+    re-evaluation that raises leaves the store as it is, and a grid whose
+    rows earlier re-evaluations refilled is not evaluated again. Each
+    sample is checked once, as it is filled, and a grid makes
+    `_check_samples` on its own rows only when it holds a failing sample,
+    which gives the error of its own `Trajectory` with no further run.
 
     Every grid starts at t = 0, so every column shares the store's first
     sample, validated once, as its initial state; each end state is
     validated on its own."""
-    sampler = _attempt(_sampler, model, rho0, rates)
-    grids = [sampler if isinstance(sampler, AzqslError) else _attempt(_time_grid, tau, n_steps)
-             for tau in taus]
+    sampler, grids = _attempt(_sampler, model, rho0, rates), list(grids)
+    if isinstance(sampler, AzqslError):
+        return [sampler] * len(grids)
     live = [grid for grid in grids if not isinstance(grid, AzqslError)]
     if not live:
         return grids
-    # every horizon's rows of the store, from one pass over the joined grids
+    # every grid's rows of the store, from one pass over the joined grids
     times, rows = np.unique(np.concatenate(live), return_inverse=True)
-    rows = rows.reshape(len(live), n_steps)
-    held_rows = iter(rows)
+    bounds = np.cumsum([len(grid) for grid in live])
+    held_rows = iter(np.split(rows, bounds[:-1]))
     outcomes = [grid if isinstance(grid, AzqslError) else next(held_rows) for grid in grids]
-    store = _SampleStore(times, np.unique(rows[:, [0, -1]]), rho0.dim)
+    store = _SampleStore(times, np.unique(rows[np.r_[0, bounds - 1]]), rho0.dim)
+    run, index = max(len(grid) for grid in live), np.arange(len(times))
     del grids, live
-    index = np.arange(len(times))
-    for start in range(0, len(times), n_steps):
-        store.fill(sampler, index[start:start + n_steps])
+    for start in range(0, len(times), run):
+        store.fill(sampler, index[start:start + run])
     # `fill` and `_attempt` of a check give None where they pass
     for h, rows in enumerate(outcomes):
         if not isinstance(rows, AzqslError):
             own = store.fill(sampler, rows) if store.missing[rows].any() else None
-            outcomes[h] = (own or _attempt(_check_times, store.times[rows])
-                           or _attempt(store.check, rows) or rows)
+            outcomes[h] = own or _attempt(store.check, rows) or rows
     held = [rows for rows in outcomes if not isinstance(rows, AzqslError)]
     if not held:
         return outcomes
@@ -1222,10 +1221,7 @@ def _columns(model, rho0: DensityMatrix, taus: Sequence[float], n_steps: int,
     return columns
 
 
-def _evolve(model, rho0: DensityMatrix, tau: float, n_steps: int, rates: bool) -> Trajectory:
-    """The trajectory of `evolve_unitary` or `evolve_kraus`: one horizon,
-    evaluated in one run without a store."""
-    sampler = _sampler(model, rho0, rates)
-    times = _time_grid(tau, n_steps)
-    samples = sampler(times)
+def _evolve(model, rho0: DensityMatrix, times: np.ndarray, rates: bool) -> Trajectory:
+    """`evolve_unitary` or `evolve_kraus` on the grid `times`, in one run."""
+    samples = _sampler(model, rho0, rates)(times)
     return Trajectory(times, _dense(*samples.state, rho0.dim), *samples[1:])

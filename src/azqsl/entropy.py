@@ -167,22 +167,19 @@ def _renyi_az_grid(rhos: list, sigmas: list, alphas: list[float], z: float) -> n
     every alpha of a grid at one z, shape (n_pairs, len(alphas)): each pair
     on its own support test, and the pairs that pass it sharing the
     spectral work of `_purities`."""
-    held = []
-    for i, (rho, sigma) in enumerate(zip(rhos, sigmas)):
-        _check_dims(rho, sigma)
-        if support_contained(rho, sigma):
-            held.append(i)
-    if len(held) < len(rhos):
-        out = np.full((len(rhos), len(alphas)), math.inf)
-        if held:
-            out[held] = _renyi_az_grid([rhos[i] for i in held], [sigmas[i] for i in held],
-                                       alphas, z)
-        return out
-    gs = _purities(rhos, sigmas, alphas, z)
-    # math.log per cell (it raises on g <= 0); float division is correctly
-    # rounded, so one array division gives each cell's scalar quotient
-    logs = np.array(list(map(math.log, gs.ravel().tolist())), dtype=float)
-    return logs.reshape(gs.shape) / (np.array(alphas, dtype=float) - 1.0)
+    # `support_contained` raises `_check_dims`' error on a dim mismatch
+    held = [i for i, pair in enumerate(zip(rhos, sigmas)) if support_contained(*pair)]
+    values = np.empty((0, len(alphas)))
+    if held:
+        gs = _purities([rhos[i] for i in held], [sigmas[i] for i in held], alphas, z)
+        # math.log per cell (it raises on g <= 0); float division is correctly
+        # rounded, so one array division gives each cell's scalar quotient
+        logs = np.array(list(map(math.log, gs.ravel().tolist())), dtype=float)
+        values = logs.reshape(gs.shape) / (np.array(alphas, dtype=float) - 1.0)
+    # made after `_purities`' temporaries: made before, it grows a sweep's heap
+    out = np.full((len(rhos), len(alphas)), math.inf)
+    out[held] = values
+    return out
 
 
 def renyi_az(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyParams) -> float:

@@ -12,9 +12,10 @@ from azqsl.dynamics import (
     AmplitudeDampingFamily,
     AmplitudeDampingParams,
     KrausFamily,
+    _time_grid,
 )
 from azqsl.entropy import EntropyParams
-from azqsl.errors import InvalidPError, SingularMatrixError
+from azqsl.errors import InvalidPError, SingularMatrixError, _attempt
 from azqsl.linalg import SUPPORT_TOL, hermitian_part
 from azqsl.states import BlochVector, DensityMatrix, GHZMixedParams, bloch_state, ghz_mixed
 
@@ -166,3 +167,9 @@ def mat_pow_integral(m: np.ndarray, s: float, quad_points: int = 2000) -> np.nda
     solved = np.linalg.solve(shifted, np.broadcast_to(m, shifted.shape))
     total = np.tensordot(weights, solved, axes=(0, 0))
     return hermitian_part(math.sin(math.pi * s) / math.pi * total)
+
+
+def time_grids(taus, n_steps: int) -> list:
+    """The grids of `n_steps` samples of the horizons `taus` that a sweep
+    hands `dynamics._columns`: each a `_time_grid`, or the error it raised."""
+    return [_attempt(_time_grid, tau, n_steps) for tau in taus]

@@ -74,6 +74,16 @@ class TestSinglePoint:
     def test_bad_flag_exit_code(self, capsys):
         assert run_cli(["entropy", "--model", "bogus"]) == 1
 
+    @pytest.mark.parametrize("command", ["entropy", "bound", "qsl"])
+    @pytest.mark.parametrize("tau", ["0", "-0.0"])
+    def test_zero_horizon_is_a_config_error(self, command, tau, capsys):
+        # a sweep's t = 0 row is the stationary limit, but a command has
+        # no trajectory to evaluate there
+        assert run_cli([command, "--tau", tau]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: single-point commands need a positive")
+
 
 class TestParserReuse:
     def test_main_builds_one_parser(self, tmp_path, monkeypatch):
@@ -190,6 +200,20 @@ class TestSweep:
 
     def test_invalid_grid_rejected(self):
         assert run_cli(["sweep", "--set", "alpha_grid=0.0,0.9,5"]) == 1
+
+    @pytest.mark.parametrize("outputs", ["", "errors", " , errors"])
+    def test_outputs_without_a_report_group_rejected(self, outputs, tmp_path, capsys,
+                                                     monkeypatch):
+        # such a sweep would evaluate every trajectory and write blank cells
+        monkeypatch.setattr(cli, "sweep_rows", lambda cfg: pytest.fail("panel evaluated"))
+        out = tmp_path / "none.csv"
+        assert run_cli(["sweep", "--set", f"outputs={outputs}", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error: outputs name no report group")
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="no report group"):
+            cli.SweepConfig(outputs=("errors",)).validate()
+        for group in ("entropy", "bounds", "qsl"):
+            cli.SweepConfig(outputs=(group, "errors")).validate()
 
     def test_overflowing_kraus_entry_fails_every_row(self, tmp_path):
         # 1e200 is finite, so the file loads, but its square overflows:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -39,6 +40,7 @@ from helpers import (
     random_bloch_state,
     random_density,
     stinespring_family,
+    time_grids,
 )
 
 
@@ -1442,7 +1444,7 @@ class TestSharedSamples:
            n_steps=st.sampled_from([2, 3, 17, 201, 1001]), rates=st.booleans())
     def test_panel_equals_per_horizon_calls(self, name, taus, n_steps, rates):
         model, rho0 = SHARING_MODELS[name]
-        outcomes = dyn._columns(model, rho0, taus, n_steps, rates)
+        outcomes = dyn._columns(model, rho0, time_grids(taus, n_steps), rates)
         assert len(outcomes) == len(taus)
         for tau, got in zip(taus, outcomes):
             assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
@@ -1455,7 +1457,7 @@ class TestSharedSamples:
         # user family alike
         model, rho0 = SHARING_MODELS[name]
         runs = recorded_runs(monkeypatch)
-        dyn._columns(model, rho0, [1.0, 2.0, 4.0], 17, True)
+        dyn._columns(model, rho0, time_grids([1.0, 2.0, 4.0], 17), True)
         assert [len(run) for run in runs] == [17, 16]
 
     def test_sampler_plans_each_entry_set(self, monkeypatch):
@@ -1497,7 +1499,7 @@ class TestSharedSamples:
             return out
 
         monkeypatch.setattr(dyn, "_gather", recording)
-        outcomes = dyn._columns(model, rho0, taus, 17, True)
+        outcomes = dyn._columns(model, rho0, time_grids(taus, 17), True)
         assert True in shared and False in shared
         for tau, got in zip(taus, outcomes):
             shared.clear()
@@ -1506,7 +1508,8 @@ class TestSharedSamples:
 
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
-        outcomes = dyn._columns(model, rho0, [1.0, -1.0, math.inf, 2.0], 11, False)
+        outcomes = dyn._columns(model, rho0, time_grids([1.0, -1.0, math.inf, 2.0], 11),
+                                False)
         assert isinstance(outcomes[1], InvalidParamsError)
         assert isinstance(outcomes[2], InvalidParamsError)
         for tau, got in zip((1.0, 2.0), outcomes[::3]):
@@ -1514,7 +1517,8 @@ class TestSharedSamples:
 
     def test_dim_mismatch_fails_every_horizon(self):
         model, _ = SHARING_MODELS["unitary"]
-        outcomes = dyn._columns(model, ghz_mixed(GHZMixedParams(0.5)), [1.0, 2.0], 11, False)
+        outcomes = dyn._columns(model, ghz_mixed(GHZMixedParams(0.5)),
+                                time_grids([1.0, 2.0], 11), False)
         assert [type(o) for o in outcomes] == [DimMismatchError] * 2
 
     # each built-in channel in its own regime, and a user family gathered by
@@ -1538,7 +1542,7 @@ class TestSharedSamples:
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
         checks = recorded_checks(monkeypatch)
-        cols = dyn._columns(fam, rho0, taus, 201, rates)
+        cols = dyn._columns(fam, rho0, time_grids(taus, 201), rates)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
         assert np.array_equal(np.concatenate(runs), panel_times(taus, 201))
         assert checks == []
@@ -1719,7 +1723,7 @@ class TestErrorAttribution:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_only_horizons_holding_the_sample_fail(self, name, rates):
         fam, rho0, failing, cls = self.CASES[name]
-        outcomes = dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        outcomes = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
         for tau, got in zip(self.TAUS, outcomes):
             want = evolve_one(fam, rho0, tau, 17, rates)
             assert isinstance(want, cls) == (tau in failing), tau
@@ -1739,7 +1743,7 @@ class TestErrorAttribution:
         # the columns a sweep fills from: a column holding a failing sample
         # gets the error of its own call, the others its samples and states
         fam, rho0, _, _ = self.CASES[name]
-        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
         for col, tau in zip(cols, self.TAUS):
             want = evolve_one(fam, rho0, tau, 17, rates)
             if isinstance(want, AzqslError):
@@ -1763,7 +1767,7 @@ class TestErrorAttribution:
         # bits of its own call
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        cols = dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
         shared = -(-len(panel_times(self.TAUS, 17)) // 17)
         again = [float(run[-1]) for run in runs[shared:]]
         assert set(again) - failing
@@ -1784,7 +1788,7 @@ class TestErrorAttribution:
         # its raising run
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        dyn._columns(fam, rho0, self.TAUS, 17, rates)
+        dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
         times = panel_times(self.TAUS, 17)
         shared = -(-len(times) // 17)
         assert np.array_equal(np.concatenate(runs[:shared]), times)
@@ -1820,7 +1824,7 @@ class TestErrorAttribution:
         wants = [evolve_one(fam, rho0, tau, 17, True) for tau in self.TAUS]
         assert [isinstance(w, InvalidStateError) for w in wants] == [True, True, False, True, False]
         runs = recorded_runs(monkeypatch)
-        for got, want in zip(dyn._columns(fam, rho0, self.TAUS, 17, True), wants):
+        for got, want in zip(dyn._columns(fam, rho0, time_grids(self.TAUS, 17), True), wants):
             assert_same_outcome(got, want)
         assert sum(len(run) for run in runs) == len(np.unique(np.concatenate(runs)))
 
@@ -1834,7 +1838,7 @@ class TestErrorAttribution:
         fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
         rho0 = ghz_mixed(GHZMixedParams(0.4))
         runs = recorded_runs(monkeypatch)
-        cols = dyn._columns(fam, rho0, [1.0, 2.0, 4.0, 2.0], 17, True)
+        cols = dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0, 2.0], 17), True)
         assert [len(run) for run in runs] == [17, 16, 17, 17]
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
         assert isinstance(cols[2], InvalidParamsError)
@@ -1859,10 +1863,10 @@ class TestErrorAttribution:
 
         monkeypatch.setattr(dyn, "_SampleStore", recording)
         runs = recorded_runs(monkeypatch)
-        dyn._columns(fam, rho0, [1.0, 2.0, 4.0], 17, True)
+        dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0], 17), True)
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
         (store,) = stores
-        own = dyn._evolve(fam, rho0, 2.0, 17, True)
+        own = dyn._evolve(fam, rho0, dyn._time_grid(2.0, 17), True)
         rows = np.searchsorted(store.times, own.times)
         assert np.array_equal(store.times[store.ends], [0.0, 1.0, 2.0, 4.0])
         for row in store.ends[:3]:
@@ -1883,12 +1887,105 @@ class TestErrorAttribution:
         name, taus, n_steps, rates, spoils = case
         fam, rho0 = SHARING_MODELS[name]
         with mock.patch.object(dyn, "_kraus_sampler", spoiling(dyn._kraus_sampler, spoils)):
-            outcomes = dyn._columns(fam, rho0, taus, n_steps, rates)
-            wants = [_attempt(dyn._evolve, fam, rho0, tau, n_steps, rates) for tau in taus]
+            outcomes = dyn._columns(fam, rho0, time_grids(taus, n_steps), rates)
+            wants = [_attempt(dyn._evolve, fam, rho0, grid, rates)
+                     for grid in time_grids(taus, n_steps)]
         for tau, got, want in zip(taus, outcomes, wants):
             holds = np.isin(dyn._time_grid(tau, n_steps), list(spoils)).any()
             assert isinstance(want, InvalidStateError) == holds, tau
             assert_same_outcome(got, want)
+
+
+@st.composite
+def unequal_grids(draw):
+    """One to five sample grids of unequal lengths and spacings that share
+    samples: 9 on [0, tau], 17 on [0, 2 tau], the 25 of 17 on [0, tau] and
+    9 on [tau, 2 tau] (the first half refined), and 5 to 12 random steps;
+    a grid may be drawn more than once."""
+    tau = draw(st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.05, 5.0)))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=5, max_size=12))
+    pool = [np.linspace(0.0, tau, 9), np.linspace(0.0, 2.0 * tau, 17),
+            np.union1d(np.linspace(0.0, tau, 17), np.linspace(tau, 2.0 * tau, 9)),
+            np.concatenate([[0.0], np.cumsum(steps) * tau])]
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=5))
+    return [pool[k] for k in picks]
+
+
+# the sharing models and the families that fail some of their samples
+GRID_MODELS = {**SHARING_MODELS,
+               **{name: case[:2] for name, case in TestErrorAttribution.CASES.items()}}
+
+
+class TestGivenGrids:
+    # `_columns` evaluates whatever grids it is given: each column gets the
+    # bits, or the error, of `_evolve` on its own grid, in runs as long as
+    # the longest grid, and a run that raises sends the grids holding its
+    # samples back to runs of their own, shorter, length
+    @seed(20261022)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(GRID_MODELS)), grids=unequal_grids(),
+           rates=st.booleans())
+    def test_columns_equal_own_grid_trajectories(self, name, grids, rates):
+        model, rho0 = GRID_MODELS[name]
+        outcomes = dyn._columns(model, rho0, grids, rates)
+        assert len(outcomes) == len(grids)
+        for grid, got in zip(grids, outcomes):
+            want = _attempt(dyn._evolve, model, rho0, grid, rates)
+            assert_same_outcome(got, want)
+            if isinstance(got, dyn._Column):
+                assert got.times is not grid and got.times.base is not grid
+
+    def test_runs_are_as_long_as_the_longest_grid(self, monkeypatch):
+        model, rho0 = SHARING_MODELS["ad_s0.5"]
+        grids = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 3.0, 31), np.linspace(0.0, 2.0, 17)]
+        runs = recorded_runs(monkeypatch)
+        dyn._columns(model, rho0, grids, True)
+        times = np.unique(np.concatenate(grids))
+        assert [len(run) for run in runs] == [31, len(times) - 31]
+        assert np.array_equal(np.concatenate(runs), times)
+
+    def test_grids_are_freed_before_the_runs(self, monkeypatch):
+        # a sweep hands `_columns` its grids as a generator, so none of
+        # them outlives the join: no grid is alive when a run starts
+        model, rho0 = SHARING_MODELS["ad_s0.5"]
+        refs, alive = [], []
+
+        def grids():
+            for tau in (1.0, 2.0, 4.0):
+                grid = dyn._time_grid(tau, 17)
+                refs.append(weakref.ref(grid))
+                yield grid
+
+        sampler = dyn._kraus_sampler
+
+        def recording(*args):
+            sample = sampler(*args)
+            def run(times):
+                alive.append(sum(ref() is not None for ref in refs))
+                return sample(times)
+            return run
+
+        monkeypatch.setattr(dyn, "_kraus_sampler", recording)
+        cols = dyn._columns(model, rho0, grids(), True)
+        assert len(refs) == 3 and alive == [0, 0]
+        assert all(isinstance(col, dyn._Column) for col in cols)
+
+    def test_subnormal_horizon_fails_when_its_grid_is_made(self, monkeypatch):
+        # 1001 samples on [0, 1e-323] repeat subnormal times: the grid fails
+        # its check as it is made, before any run, even for a family whose
+        # every run raises; its neighbours keep their own outcomes
+        fam, rho0, _, _ = TestErrorAttribution.CASES["closed_form_undefined"]
+        message = "times must start at 0 and increase strictly"
+        with pytest.raises(InvalidParamsError, match=message):
+            dyn._time_grid(1e-323, 1001)
+        with pytest.raises(InvalidParamsError, match=message):
+            dyn.evolve_kraus(fam, rho0, 1e-323, 1001, rates=True)
+        runs = recorded_runs(monkeypatch)
+        outcomes = dyn._columns(fam, rho0, time_grids([1.0, 1e-323, 4.0], 1001), True)
+        assert str(outcomes[1]) == message and isinstance(outcomes[1], InvalidParamsError)
+        assert isinstance(outcomes[2], InvalidParamsError) and str(outcomes[2]) != message
+        assert_same_outcome(outcomes[0], dyn.evolve_kraus(fam, rho0, 1.0, 1001, rates=True))
+        assert not any(((run > 0.0) & (run < 1e-300)).any() for run in runs)
 
 
 def check_error(fn, *args):

@@ -4,7 +4,8 @@ output of the single-point commands.
 The presets run on coarser (alpha, t) grids with their own horizon, probes
 and 1001-sample trajectories: fig2 on 20 alphas x 21 times, the four fig4
 panels on 10 alphas x 11 times (the s = 10 panels keep their late-time rows
-whose speed-limit group fails with SupportViolationError). Every cell is
+whose speed-limit group fails with SupportViolationError). A unitary qubit
+panel covers the (alpha, z) plane: 10 alphas x 3 z values x 6 times. Every cell is
 compared with the checked-in CSV: the warnings column and all text cells
 exactly, numeric cells at a relative tolerance of 1e-12.
 
@@ -57,19 +58,31 @@ BIT_FLIP_SWEEP = cli.SweepConfig(
     alpha_grid=(0.01, 0.99, 100), time_grid=(0.0, 20.0, 100),
 )
 RTOL = 1e-12
+
+
+def reduced(figure: str, alpha_grid, time_grid) -> list[cli.SweepConfig]:
+    """The panels of a figure preset on coarser alpha and time grids."""
+    return [replace(cfg, alpha_grid=alpha_grid, time_grid=time_grid)
+            for cfg in cli.figure_panels(figure)]
+
+
+# golden file -> the panels it holds
 CASES = {
-    "fig2_20x21.csv": ("fig2", (0.01, 0.99, 20), (0.0, 20.0, 21)),
-    "fig4_10x11.csv": ("fig4", (0.01, 0.99, 10), (0.0, 20.0, 11)),
+    "fig2_20x21.csv": reduced("fig2", (0.01, 0.99, 20), (0.0, 20.0, 21)),
+    "fig4_10x11.csv": reduced("fig4", (0.01, 0.99, 10), (0.0, 20.0, 11)),
+    # the unitary qubit over alpha and z, as
+    #   azqsl sweep --set model=unitary_qubit --set r=0.6 --set theta=1.2 --set phi=0.3
+    #     --set nx=1 --set nz=0.5 --set alpha_grid=0.01,0.99,10 --set z_grid=0.6,1,3
+    #     --set time_grid=0,20,6
+    "unitary_az_10x3x6.csv": [cli.SweepConfig(
+        model="unitary_qubit", r=0.6, theta=1.2, phi=0.3, n=(1.0, 0.0, 0.5),
+        alpha_grid=(0.01, 0.99, 10), z_grid=(0.6, 1.0, 3), time_grid=(0.0, 20.0, 6),
+    )],
 }
 
 
 def render(name: str) -> str:
-    figure, alpha_grid, time_grid = CASES[name]
-    panels = [
-        replace(cfg, alpha_grid=alpha_grid, time_grid=time_grid)
-        for cfg in cli.figure_panels(figure)
-    ]
-    return cli.rows_to_csv([(cfg, cli.sweep_rows(cfg)) for cfg in panels])
+    return cli.rows_to_csv([(cfg, cli.sweep_rows(cfg)) for cfg in CASES[name]])
 
 
 def _as_number(cell: str):

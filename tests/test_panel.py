@@ -40,6 +40,7 @@ from azqsl.errors import (
     ZeroSpeedError,
 )
 from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
+from helpers import time_grids
 
 SPECIALS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -291,7 +292,7 @@ def kind_columns(name: str, picked: list[int]):
     live = times != 0.0
     trajs = [None if t == 0.0 else dyn.evolve_kraus(model, rho0, t, N_STEPS, rates=True)
              for t in times.tolist()]
-    cols = dyn._columns(model, rho0, times[live].tolist(), N_STEPS, True)
+    cols = dyn._columns(model, rho0, time_grids(times[live].tolist(), N_STEPS), True)
     return times, cols, trajs
 
 
