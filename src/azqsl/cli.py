@@ -289,12 +289,13 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     (with its Kraus rates) on that horizon's grid (`dynamics._time_grid`).
     `dynamics._columns` evaluates every distinct sample time of the
     panel's grids once, into one sample store, and hands out each column's
-    samples and states, and one `qsl._fill` call fills every column from
-    them (see `qsl.Panel`); a grid or trajectory that fails fails only its
-    own column. A single-point command evolves its one grid in one run
-    without a store (`dynamics._evolve`), and gets the same samples. A zero
-    horizon gives the stationary limit: all entropies and rates are zero,
-    the bound saturates, and the speed limit is the trivial tau >= 0."""
+    integral table (`qsl._integrator`) and states, and one `qsl._fill`
+    call fills every column from them (see `qsl.Panel`); a grid or
+    trajectory that fails fails only its own column. A single-point
+    command evolves its one grid in one run without a store
+    (`dynamics._evolve`), and gets the same samples. A zero horizon gives
+    the stationary limit: all entropies and rates are zero, the bound
+    saturates, and the speed limit is the trivial tau >= 0."""
     cfg.validate()
     rho0, model = _probe_and_model(cfg)
     alphas, zs, times = (np.linspace(*g) for g in (cfg.alpha_grid, cfg.z_grid, cfg.time_grid))
@@ -303,9 +304,10 @@ def sweep_rows(cfg: SweepConfig) -> qsl.Panel:
     groups = [g for g, want in (("bounds", want_bounds), ("qsl", want_qsl)) if want]
     panel = qsl.Panel(alphas, zs, times, groups)
     live = times != 0.0
-    # `_columns` frees the grids before its runs, so no list of them is kept here
-    qsl._fill(panel, dyn._columns(model, rho0, (_attempt(dyn._time_grid, t, cfg.n_steps)
-                                                for t in times[live].tolist()), want_qsl), live)
+    # a generator: `_columns` frees the grids before its runs
+    grids = (_attempt(dyn._time_grid, t, cfg.n_steps) for t in times[live].tolist())
+    integrate = qsl._integrator(alphas.tolist())
+    qsl._fill(panel, dyn._columns(model, rho0, grids, want_qsl, integrate), live)
     return panel
 
 

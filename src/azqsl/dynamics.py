@@ -645,15 +645,15 @@ def _gram_pairs(G: _Gathered, dim: int) -> tuple:
 # (`_columns`): each column is a grid that `_time_grid` made and checked,
 # the grids are joined, each distinct sample time is evaluated once in
 # runs as long as the longest grid, and each grid is its rows of the
-# store. The store keeps what `qsl._fill` and the `Trajectory` checks
+# store. The store keeps what the integrals and the `Trajectory` checks
 # read: per sample the speed, k_min and rate, the trace drift and
 # asymmetry of the state, and the dense states of the t = 0 sample and of
-# each grid's last one. Each column (`_Column`) copies its rows of the
-# samples and holds its end state and the one t = 0 state, validated, as a
-# `Trajectory` would hand them to the fill. This work is elementwise in
-# time, and `linalg._sample_spectra` gives each sample the value of its
-# own pattern, so a sample gets the same bits in every run it could sit
-# in, even where the run gathers entries that are zero at it
+# each grid's last one. Each column (`_Column`) holds the integral table
+# of its rows, its end state and the one t = 0 state, validated; no
+# sample leaves `_columns`. This work is elementwise in time, and
+# `linalg._sample_spectra` gives each sample the value of its own
+# pattern, so a sample gets the same bits in every run it could sit in,
+# even where the run gathers entries that are zero at it
 # (`TestContractions` pads monomial stacks with zero entries,
 # `TestSharedSamples` runs a family that switches permutation). A run that
 # fails a check raises as a whole, and each grid that holds one of its
@@ -1068,7 +1068,7 @@ class _Samples(NamedTuple):
 
 
 class _SampleStore:
-    """What a panel keeps per distinct sample time, as `qsl._fill` and
+    """What a panel keeps per distinct sample time, as `_columns` and
     `_check_samples` read it: the time; the speed, k_min and rate; the
     trace drift and asymmetry of the state (`_state_deviations`); whether
     the sample passes every condition of `_check_samples`, taken once per
@@ -1144,24 +1144,23 @@ def _sampler(model, rho0: DensityMatrix, rates: bool):
 
 
 class _Column(NamedTuple):
-    """The fields of one horizon's `Trajectory` that `qsl._fill` reads: its
-    samples (`rates` None without them) and its states at t = 0 and at the
-    horizon, each a DensityMatrix or the error its validation raised."""
+    """What `qsl._fill` reads of one horizon's trajectory: the table
+    integrate(times, kmins, (speeds, rates)) of its samples (`rates` None
+    without them), and its states at t = 0 and at the horizon, each a
+    DensityMatrix or the error its validation raised."""
 
-    times: np.ndarray
-    speeds: np.ndarray
-    kmins: np.ndarray
-    rates: np.ndarray | None
+    table: tuple
     initial_state: DensityMatrix | AzqslError
     final_state: DensityMatrix | AzqslError
 
 
-def _columns(model, rho0: DensityMatrix, grids, rates: bool) -> list:
+def _columns(model, rho0: DensityMatrix, grids, rates: bool, integrate) -> list:
     """One `_Column`, or the AzqslError it ended in, per time grid of the
     iterable `grids` (each from `_time_grid`, or the error making it
-    raised) of `model` from `rho0`, in order: what `_evolve` gives on that
-    grid, or the error it raises, read from one `_SampleStore` with no
-    `Trajectory`. Grids that only `grids` holds are freed before the runs.
+    raised) of `model` from `rho0`, in order: the `integrate` table of what
+    `_evolve` gives on that grid, or the error it raises, read from one
+    `_SampleStore` with no `Trajectory`. Grids that only `grids` holds are
+    freed before the runs.
 
     The grids are joined in one pass that gives every grid its rows of the
     store, and every distinct sample time is evaluated once, in runs as
@@ -1202,23 +1201,14 @@ def _columns(model, rho0: DensityMatrix, grids, rates: bool) -> list:
         if not isinstance(rows, AzqslError):
             own = store.fill(sampler, rows) if store.missing[rows].any() else None
             outcomes[h] = own or _attempt(store.check, rows) or rows
-    held = [rows for rows in outcomes if not isinstance(rows, AzqslError)]
-    if not held:
-        return outcomes
-    # the columns' samples are views of one block, freed at once: small
-    # copies, one per column and field, would leave their pages on the heap
-    fields = [store.times, store.speeds, store.kmins, store.rates]
-    block = np.stack([f for f in fields if f is not None])[:, np.concatenate(held)]
-    parts = iter(np.split(block, np.cumsum([len(rows) for rows in held])[:-1], axis=1))
     probe = _attempt(DensityMatrix, store.end_state(0))
-    columns = []
-    for outcome in outcomes:
-        if not isinstance(outcome, AzqslError):
-            part = next(parts)
-            outcome = _Column(*part[:3], part[3] if len(part) == 4 else None, probe,
-                              _attempt(DensityMatrix, store.end_state(outcome[-1])))
-        columns.append(outcome)
-    return columns
+    for h, rows in enumerate(outcomes):
+        if not isinstance(rows, AzqslError):
+            rates = None if store.rates is None else store.rates[rows]
+            outcomes[h] = _Column(
+                integrate(store.times[rows], store.kmins[rows], (store.speeds[rows], rates)),
+                probe, _attempt(DensityMatrix, store.end_state(rows[-1])))
+    return outcomes
 
 
 def _evolve(model, rho0: DensityMatrix, times: np.ndarray, rates: bool) -> Trajectory:

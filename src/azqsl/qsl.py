@@ -33,6 +33,7 @@ from .errors import (
     _attempt,
     DenominatorNearZeroError,
     DegenerateRangeError,
+    InvalidParamsError,
     QuadratureTooCoarseError,
     SingularStateError,
     SpectrumMismatchError,
@@ -193,15 +194,13 @@ def _chunks(n: int, size: int):
     return (slice(start, start + size) for start in range(0, n, size))
 
 
-def _weighted_integrals(
-    cols: list, rate_names: list[str], alphas: list[float]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
-    """Integrals I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against each
-    named rate ("speeds" or "rates") of every column of `cols` (each a
-    `Trajectory` or a `dynamics._Column`), for every alpha: an
-    (n_rates, 2, n_alpha, n_columns) array of them, I1 first; an object
-    array of the same shape of the gate error of each, None where the gate
-    passes or does not run; and the quadrature flags of each column.
+def _integrator(alphas: list[float]):
+    """integrate(times, kmins, (speeds, rates)): one trajectory's integrals
+    I1 of k_min^(alpha-1) and I2 of k_min^(-alpha) against its Schatten
+    speeds, then its summed Kraus rates unless `rates` is None, for every
+    alpha, as an (n_rates, 2, n_alpha) array, I1 first; an object array of
+    the same shape of the gate error of each, None where the gate passes or
+    does not run; and the trajectory's quadrature flags.
 
     When k_min dips toward zero along the trajectory (amplitude damping at
     late times, zero crossings of the decoherence amplitude) the negative
@@ -213,36 +212,37 @@ def _weighted_integrals(
     4 and at least 8. Any other grid, the trapezoid fallback of an odd
     count included, is integrated without it and flagged `quad_ungated`.
 
-    The integrals are taken one column at a time, and once per distinct
-    exponent: alpha - 1 at one alpha is -alpha at 1 - alpha, so grids
-    symmetric about 1/2 share most of them. A column's weights hold one row
-    of samples per distinct exponent, at most 2 n_alpha, and every
-    (integral, alpha) reading a row gets its integral and its gate error.
+    The integrals are taken once per distinct exponent: alpha - 1 at one
+    alpha is -alpha at 1 - alpha, so grids symmetric about 1/2 share most
+    of them. The weights hold one row of samples per distinct exponent, at
+    most 2 n_alpha, and every (integral, alpha) reading a row gets its
+    integral and its gate error.
     """
     exponents, shared = np.unique(
         [alpha - 1.0 for alpha in alphas] + [-alpha for alpha in alphas], return_inverse=True)
     shared = shared.reshape(2, len(alphas))  # (integral, alpha) -> exponent row
-    integrals = np.empty((len(rate_names), 2, len(alphas), len(cols)))
-    errors = np.empty(integrals.shape, dtype=object)
-    flags = []
-    for c, col in enumerate(cols):
-        times, kmins = col.times, col.kmins
+
+    def integrate(times: np.ndarray, kmins: np.ndarray, rates: tuple):
+        rates = [rate for rate in rates if rate is not None]
         low = float(kmins.min())
         loose = low < LOOSE_KMIN_TOL
         n = len(times) - 1
         gate = not loose and n % 4 == 0 and n >= 8
         # (exponent, sample)
         weights = np.maximum(kmins, KMIN_CLAMP) ** exponents[:, None]
-        for r, name in enumerate(rate_names):
-            full, failed = _gated_quads(times, weights * getattr(col, name), gate)
-            integrals[r, :, :, c], errors[r, :, :, c] = full[shared], failed[shared]
-        warns = (WARN_KMIN_CLAMPED,) if low < KMIN_CLAMP else ()
+        integrals = np.empty((len(rates), *shared.shape))
+        errors = np.empty(integrals.shape, dtype=object)
+        for r, rate in enumerate(rates):
+            full, failed = _gated_quads(times, weights * rate, gate)
+            integrals[r], errors[r] = full[shared], failed[shared]
+        flags = (WARN_KMIN_CLAMPED,) if low < KMIN_CLAMP else ()
         if loose:
-            warns += (WARN_LOOSE_BOUND,)
+            flags += (WARN_LOOSE_BOUND,)
         elif not gate:
-            warns += (WARN_QUAD_UNGATED,)
-        flags.append(warns)
-    return integrals, errors, flags
+            flags += (WARN_QUAD_UNGATED,)
+        return integrals, errors, flags
+
+    return integrate
 
 
 def _route_rhs(a, h_a, h_b, i1, i2, kraus: bool):
@@ -370,18 +370,17 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
     warnings of every (alpha, z) cell. A column where `live` is False is at
     a zero horizon, the stationary limit: all entropies and rates are zero,
     the bound saturates, and the speed limit is the trivial tau >= 0. The
-    live columns are `columns`, in order: each a `Trajectory`, a
-    `dynamics._Column` (the trajectory fields the fill reads), or the
-    AzqslError that fails every group of every cell of its column, as an
-    error of the probe state does.
+    live columns are `columns`, in order: each a `dynamics._Column`, whose
+    table `_integrator` of the panel's alphas made, or the AzqslError that
+    fails every group of every cell of its column, as an error of the probe
+    state does. A column's horizon is its time value.
 
     Every column starts from the probe state, the first column's initial
-    state, validated once; the h and chain_sign tables depend only on it
-    and are built once. The weighted integrals are taken once per (alpha,
-    column), as they do not depend on z, and the endpoint entropies once
-    per (alpha, z, column), shared by the two report groups. The bounds use
-    the Schatten speed; the speed limits use the summed Kraus rates when
-    the columns carry them, the Schatten speed otherwise.
+    state; the h and chain_sign tables depend only on it and are built
+    once. The endpoint entropies are taken once per (alpha, z, column),
+    shared by the two report groups. The bounds read the integrals against
+    the Schatten speed, the first row of a table; the speed limits read
+    its last row, the summed Kraus rates when the columns carry them.
 
     Each group keeps the first error of each cell in one object array,
     None while no step has failed, and values where it stays None.
@@ -397,7 +396,7 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
     ks = live.nonzero()[0]
     groups = list(panel.errors)
     held = [c for c, col in enumerate(columns) if not isinstance(col, AzqslError)]
-    probe = _attempt(getattr, columns[held[0]], "initial_state") if held else None
+    probe = columns[held[0]].initial_state if held else None
     if groups and isinstance(probe, AzqslError):
         columns = [col if isinstance(col, AzqslError) else probe for col in columns]
         held = []
@@ -410,12 +409,11 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
     alphas, zs = panel.alphas.tolist(), panel.zs.tolist()
     h_a, h_b, chain, h_errors = _h_table(probe, alphas, zs)
     h_a, h_b, chain = h_a[..., None], h_b[..., None], chain[..., None]
-    kraus = all(col.rates is not None for col in cols)
-    rate_names = ["speeds"] if "bounds" in groups or not kraus else []
-    if "qsl" in groups and kraus:
-        rate_names.append("rates")
-    integrals, gate_errors, flags = _weighted_integrals(cols, rate_names, alphas)
-    rate_of = {"bounds": 0, "qsl": len(rate_names) - 1}
+    integrals, gate_errors, flags = zip(*(col.table for col in cols))
+    # (rate, integral, alpha, column)
+    integrals, gate_errors = np.stack(integrals, axis=-1), np.stack(gate_errors, axis=-1)
+    kraus = len(integrals) == 2
+    rate_of = {"bounds": 0, "qsl": -1}
 
     # each later step's errors broadcast against a group's, which keep the
     # first error of each cell
@@ -425,10 +423,7 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
         for later in gate_errors[rate_of[g]]:  # I1, then I2
             err = np.where(np.equal(err, None), later[:, None, :], err)
         errs[g] = err
-    # a column's end state is read where a cell is still waiting for it
-    waiting = np.logical_or.reduce([np.equal(err, None).any(axis=(0, 1)) for err in errs.values()])
-    finals = [_attempt(getattr, col, "final_state") if wait else None
-              for col, wait in zip(cols, waiting.tolist())]
+    finals = [col.final_state for col in cols]
     failed = np.full(len(cols), None, dtype=object)
     for c, state in enumerate(finals):
         if isinstance(state, AzqslError):
@@ -438,7 +433,7 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
         d_fwd, d_bwd = _endpoint_entropies(probe, finals, alphas, zs)
         d_sym = d_fwd + d_bwd
         a = np.array(alphas)[:, None, None]
-        tau = np.array([col.times[-1] for col in cols])
+        tau = panel.times[at]
         with np.errstate(all="ignore"):
             for g in groups:
                 i1, i2 = integrals[rate_of[g]]
@@ -466,11 +461,18 @@ def _fill(panel: Panel, columns: list, live: np.ndarray) -> None:
     panel.warnings[:, :, at] = _warning_cells(flags, chain, list(errs.values()))
 
 
+def _trajectory_column(traj: dyn.Trajectory, integrate) -> dyn._Column:
+    """The `dynamics._Column` of a trajectory: `integrate` of its samples,
+    and its end states or the errors their validation raised."""
+    return dyn._Column(integrate(traj.times, traj.kmins, (traj.speeds, traj.rates)),
+                       *(_attempt(getattr, traj, end) for end in ("initial_state", "final_state")))
+
+
 def _point_report(traj: dyn.Trajectory, p: EntropyParams, group: str, report):
     """The `report` of one group at (p.alpha, p.z) along `traj`: the one
     cell of a one-point panel, raising its error."""
     panel = Panel([p.alpha], [p.z], [traj.tau], [group])
-    _fill(panel, [traj], np.ones(1, dtype=bool))
+    _fill(panel, [_trajectory_column(traj, _integrator([p.alpha]))], np.ones(1, dtype=bool))
     exc = panel.errors[group][0, 0, 0]
     if exc is not None:
         try:
@@ -515,8 +517,11 @@ def qsl_unitary(
     Uses the speed bound ||drho/dt||_1 <= 2 Delta H and the invariance of the
     spectrum, so no trajectory integration is involved. rho_tau must share
     the probe's spectrum; a vanishing Delta H means the probe is stationary
-    and no finite bound exists.
+    and no finite bound exists. A horizon `tau`, when given, is positive and
+    finite.
     """
+    if tau is not None and not 0.0 < tau < math.inf:
+        raise InvalidParamsError(f"horizon must be positive and finite, got {tau}")
     if np.max(np.abs(rho0.eigenvalues - rho_tau.eigenvalues)) > 1e-8:
         raise SpectrumMismatchError("rho_tau is not unitarily reachable from rho0")
     dh = dyn.energy_fluctuation(h, rho0)
@@ -586,10 +591,12 @@ def qsl_nonunitary(
 
 
 def normalize_series(values) -> np.ndarray:
-    """Affine rescale of a series onto [0, 1]."""
+    """Affine rescale of a finite series onto [0, 1]."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise DegenerateRangeError("need at least two values")
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateRangeError("cannot normalize a series with a non-finite value")
     lo, hi = float(arr.min()), float(arr.max())
     if hi - lo < 1e-15:
         raise DegenerateRangeError(f"range {hi - lo:.3e} too small to normalize")

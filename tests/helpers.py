@@ -173,3 +173,9 @@ def time_grids(taus, n_steps: int) -> list:
     """The grids of `n_steps` samples of the horizons `taus` that a sweep
     hands `dynamics._columns`: each a `_time_grid`, or the error it raised."""
     return [_attempt(_time_grid, tau, n_steps) for tau in taus]
+
+
+def samples_of(times, kmins, rates) -> tuple:
+    """An `integrate` for `dynamics._columns` that returns its inputs: a
+    column's table is then its samples, times, k_min and (speeds, rates)."""
+    return times, kmins, rates

@@ -39,6 +39,7 @@ from helpers import (
     ghz3_mixed,
     random_bloch_state,
     random_density,
+    samples_of,
     stinespring_family,
     time_grids,
 )
@@ -1381,17 +1382,23 @@ def evolve_one(model, rho0, tau, n_steps, rates):
         return exc
 
 
+def column_samples(col: dyn._Column) -> dict:
+    """The samples of a column that `_columns` made with `samples_of`."""
+    times, kmins, (speeds, rates) = col.table
+    return {"times": times, "speeds": speeds, "kmins": kmins, "rates": rates}
+
+
 def assert_same_outcome(got, want):
     """Equal errors (class and message), or a panel's column for a horizon
-    (`dynamics._Column`) equal to its trajectory as int64 bits, so signed
-    zeros count: the times, speeds, k_min, rates and the two validated end
-    states, or the errors of their validation."""
+    (`dynamics._Column`, made with `samples_of`) equal to its trajectory as
+    int64 bits, so signed zeros count: the times, speeds, k_min, rates and
+    the two validated end states, or the errors of their validation."""
     if isinstance(want, AzqslError):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert isinstance(got, dyn._Column), got
-    pairs = [(name, getattr(got, name), getattr(want, name))
-             for name in ("times", "speeds", "kmins", "rates")]
+    pairs = [(name, samples, getattr(want, name))
+             for name, samples in column_samples(got).items()]
     for name in ("initial_state", "final_state"):
         state = _attempt(getattr, want, name)
         if isinstance(state, AzqslError):
@@ -1444,7 +1451,7 @@ class TestSharedSamples:
            n_steps=st.sampled_from([2, 3, 17, 201, 1001]), rates=st.booleans())
     def test_panel_equals_per_horizon_calls(self, name, taus, n_steps, rates):
         model, rho0 = SHARING_MODELS[name]
-        outcomes = dyn._columns(model, rho0, time_grids(taus, n_steps), rates)
+        outcomes = dyn._columns(model, rho0, time_grids(taus, n_steps), rates, samples_of)
         assert len(outcomes) == len(taus)
         for tau, got in zip(taus, outcomes):
             assert_same_outcome(got, evolve_one(model, rho0, tau, n_steps, rates))
@@ -1457,7 +1464,7 @@ class TestSharedSamples:
         # user family alike
         model, rho0 = SHARING_MODELS[name]
         runs = recorded_runs(monkeypatch)
-        dyn._columns(model, rho0, time_grids([1.0, 2.0, 4.0], 17), True)
+        dyn._columns(model, rho0, time_grids([1.0, 2.0, 4.0], 17), True, samples_of)
         assert [len(run) for run in runs] == [17, 16]
 
     def test_sampler_plans_each_entry_set(self, monkeypatch):
@@ -1499,7 +1506,7 @@ class TestSharedSamples:
             return out
 
         monkeypatch.setattr(dyn, "_gather", recording)
-        outcomes = dyn._columns(model, rho0, time_grids(taus, 17), True)
+        outcomes = dyn._columns(model, rho0, time_grids(taus, 17), True, samples_of)
         assert True in shared and False in shared
         for tau, got in zip(taus, outcomes):
             shared.clear()
@@ -1509,7 +1516,7 @@ class TestSharedSamples:
     def test_horizon_errors_stay_per_horizon(self):
         model, rho0 = SHARING_MODELS["depolarizing"]
         outcomes = dyn._columns(model, rho0, time_grids([1.0, -1.0, math.inf, 2.0], 11),
-                                False)
+                                False, samples_of)
         assert isinstance(outcomes[1], InvalidParamsError)
         assert isinstance(outcomes[2], InvalidParamsError)
         for tau, got in zip((1.0, 2.0), outcomes[::3]):
@@ -1518,7 +1525,7 @@ class TestSharedSamples:
     def test_dim_mismatch_fails_every_horizon(self):
         model, _ = SHARING_MODELS["unitary"]
         outcomes = dyn._columns(model, ghz_mixed(GHZMixedParams(0.5)),
-                                time_grids([1.0, 2.0], 11), False)
+                                time_grids([1.0, 2.0], 11), False, samples_of)
         assert [type(o) for o in outcomes] == [DimMismatchError] * 2
 
     # each built-in channel in its own regime, and a user family gathered by
@@ -1542,7 +1549,7 @@ class TestSharedSamples:
         fam, rho0 = SHARING_MODELS[model]
         runs = recorded_runs(monkeypatch)
         checks = recorded_checks(monkeypatch)
-        cols = dyn._columns(fam, rho0, time_grids(taus, 201), rates)
+        cols = dyn._columns(fam, rho0, time_grids(taus, 201), rates, samples_of)
         assert [len(run) for run in runs[:-1]] == [201] * (len(runs) - 1)
         assert np.array_equal(np.concatenate(runs), panel_times(taus, 201))
         assert checks == []
@@ -1723,7 +1730,7 @@ class TestErrorAttribution:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_only_horizons_holding_the_sample_fail(self, name, rates):
         fam, rho0, failing, cls = self.CASES[name]
-        outcomes = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
+        outcomes = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates, samples_of)
         for tau, got in zip(self.TAUS, outcomes):
             want = evolve_one(fam, rho0, tau, 17, rates)
             assert isinstance(want, cls) == (tau in failing), tau
@@ -1743,17 +1750,17 @@ class TestErrorAttribution:
         # the columns a sweep fills from: a column holding a failing sample
         # gets the error of its own call, the others its samples and states
         fam, rho0, _, _ = self.CASES[name]
-        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
+        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates, samples_of)
         for col, tau in zip(cols, self.TAUS):
             want = evolve_one(fam, rho0, tau, 17, rates)
             if isinstance(want, AzqslError):
                 assert type(col) is type(want) and str(col) == str(want), tau
                 continue
             assert isinstance(col, dyn._Column), tau
-            for field in ("times", "speeds", "kmins", "rates"):
+            for field, samples in column_samples(col).items():
                 values = getattr(want, field)
                 if values is not None:
-                    assert getattr(col, field).tobytes() == values.tobytes(), field
+                    assert samples.tobytes() == values.tobytes(), field
             assert col.final_state.mat.tobytes() == want.final_state.mat.tobytes()
             assert col.initial_state.mat.tobytes() == want.initial_state.mat.tobytes()
 
@@ -1767,7 +1774,7 @@ class TestErrorAttribution:
         # bits of its own call
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
+        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates, samples_of)
         shared = -(-len(panel_times(self.TAUS, 17)) // 17)
         again = [float(run[-1]) for run in runs[shared:]]
         assert set(again) - failing
@@ -1788,7 +1795,7 @@ class TestErrorAttribution:
         # its raising run
         fam, rho0, failing, _ = self.CASES[name]
         runs = recorded_runs(monkeypatch)
-        dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates)
+        dyn._columns(fam, rho0, time_grids(self.TAUS, 17), rates, samples_of)
         times = panel_times(self.TAUS, 17)
         shared = -(-len(times) // 17)
         assert np.array_equal(np.concatenate(runs[:shared]), times)
@@ -1824,7 +1831,8 @@ class TestErrorAttribution:
         wants = [evolve_one(fam, rho0, tau, 17, True) for tau in self.TAUS]
         assert [isinstance(w, InvalidStateError) for w in wants] == [True, True, False, True, False]
         runs = recorded_runs(monkeypatch)
-        for got, want in zip(dyn._columns(fam, rho0, time_grids(self.TAUS, 17), True), wants):
+        cols = dyn._columns(fam, rho0, time_grids(self.TAUS, 17), True, samples_of)
+        for got, want in zip(cols, wants):
             assert_same_outcome(got, want)
         assert sum(len(run) for run in runs) == len(np.unique(np.concatenate(runs)))
 
@@ -1838,7 +1846,7 @@ class TestErrorAttribution:
         fam = UndefinedAfter(dyn.AmplitudeDampingParams(1.0, 10.0))
         rho0 = ghz_mixed(GHZMixedParams(0.4))
         runs = recorded_runs(monkeypatch)
-        cols = dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0, 2.0], 17), True)
+        cols = dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0, 2.0], 17), True, samples_of)
         assert [len(run) for run in runs] == [17, 16, 17, 17]
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
         assert isinstance(cols[2], InvalidParamsError)
@@ -1863,7 +1871,7 @@ class TestErrorAttribution:
 
         monkeypatch.setattr(dyn, "_SampleStore", recording)
         runs = recorded_runs(monkeypatch)
-        dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0], 17), True)
+        dyn._columns(fam, rho0, time_grids([1.0, 2.0, 4.0], 17), True, samples_of)
         assert [float(run[-1]) for run in runs[2:]] == [2.0, 4.0]
         (store,) = stores
         own = dyn._evolve(fam, rho0, dyn._time_grid(2.0, 17), True)
@@ -1887,7 +1895,7 @@ class TestErrorAttribution:
         name, taus, n_steps, rates, spoils = case
         fam, rho0 = SHARING_MODELS[name]
         with mock.patch.object(dyn, "_kraus_sampler", spoiling(dyn._kraus_sampler, spoils)):
-            outcomes = dyn._columns(fam, rho0, time_grids(taus, n_steps), rates)
+            outcomes = dyn._columns(fam, rho0, time_grids(taus, n_steps), rates, samples_of)
             wants = [_attempt(dyn._evolve, fam, rho0, grid, rates)
                      for grid in time_grids(taus, n_steps)]
         for tau, got, want in zip(taus, outcomes, wants):
@@ -1927,19 +1935,20 @@ class TestGivenGrids:
            rates=st.booleans())
     def test_columns_equal_own_grid_trajectories(self, name, grids, rates):
         model, rho0 = GRID_MODELS[name]
-        outcomes = dyn._columns(model, rho0, grids, rates)
+        outcomes = dyn._columns(model, rho0, grids, rates, samples_of)
         assert len(outcomes) == len(grids)
         for grid, got in zip(grids, outcomes):
             want = _attempt(dyn._evolve, model, rho0, grid, rates)
             assert_same_outcome(got, want)
             if isinstance(got, dyn._Column):
-                assert got.times is not grid and got.times.base is not grid
+                times = column_samples(got)["times"]
+                assert times is not grid and times.base is not grid
 
     def test_runs_are_as_long_as_the_longest_grid(self, monkeypatch):
         model, rho0 = SHARING_MODELS["ad_s0.5"]
         grids = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 3.0, 31), np.linspace(0.0, 2.0, 17)]
         runs = recorded_runs(monkeypatch)
-        dyn._columns(model, rho0, grids, True)
+        dyn._columns(model, rho0, grids, True, samples_of)
         times = np.unique(np.concatenate(grids))
         assert [len(run) for run in runs] == [31, len(times) - 31]
         assert np.array_equal(np.concatenate(runs), times)
@@ -1966,7 +1975,7 @@ class TestGivenGrids:
             return run
 
         monkeypatch.setattr(dyn, "_kraus_sampler", recording)
-        cols = dyn._columns(model, rho0, grids(), True)
+        cols = dyn._columns(model, rho0, grids(), True, samples_of)
         assert len(refs) == 3 and alive == [0, 0]
         assert all(isinstance(col, dyn._Column) for col in cols)
 
@@ -1981,7 +1990,8 @@ class TestGivenGrids:
         with pytest.raises(InvalidParamsError, match=message):
             dyn.evolve_kraus(fam, rho0, 1e-323, 1001, rates=True)
         runs = recorded_runs(monkeypatch)
-        outcomes = dyn._columns(fam, rho0, time_grids([1.0, 1e-323, 4.0], 1001), True)
+        outcomes = dyn._columns(fam, rho0, time_grids([1.0, 1e-323, 4.0], 1001), True,
+                                samples_of)
         assert str(outcomes[1]) == message and isinstance(outcomes[1], InvalidParamsError)
         assert isinstance(outcomes[2], InvalidParamsError) and str(outcomes[2]) != message
         assert_same_outcome(outcomes[0], dyn.evolve_kraus(fam, rho0, 1.0, 1001, rates=True))

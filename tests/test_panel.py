@@ -280,19 +280,23 @@ KINDS = {
 N_STEPS = 33
 
 
-def kind_columns(name: str, picked: list[int]):
+def kind_columns(name: str, picked: list[int], integrate):
     """The time values, columns and per-column trajectories (or errors) of
-    the time columns `picked` of a kind, in order."""
+    the time columns `picked` of a kind, in order, each column's table
+    made by `integrate`: a trajectory kind's columns as the one-point
+    calls make theirs."""
     source, _, _, grid = KINDS[name]
     if grid is None:
         trajs = [source[k] for k in picked]
-        return np.ones(len(picked)), trajs, trajs
+        cols = [traj if isinstance(traj, AzqslError) else qsl._trajectory_column(traj, integrate)
+                for traj in trajs]
+        return np.ones(len(picked)), cols, trajs
     model, rho0 = source
     times = np.linspace(*grid)[picked]
     live = times != 0.0
     trajs = [None if t == 0.0 else dyn.evolve_kraus(model, rho0, t, N_STEPS, rates=True)
              for t in times.tolist()]
-    cols = dyn._columns(model, rho0, time_grids(times[live].tolist(), N_STEPS), True)
+    cols = dyn._columns(model, rho0, time_grids(times[live].tolist(), N_STEPS), True, integrate)
     return times, cols, trajs
 
 
@@ -300,9 +304,9 @@ def kind_panel(name: str, alphas: list[int], zs: list[int], picked: list[int]):
     """The panel of a kind over the given alpha, z and time indices, and
     the trajectory (or error, or None at t = 0) of each of its columns."""
     _, alpha_grid, z_grid, _ = KINDS[name]
-    times, cols, trajs = kind_columns(name, picked)
-    panel = qsl.Panel(np.linspace(*alpha_grid)[alphas], np.linspace(*z_grid)[zs], times,
-                      ["bounds", "qsl"])
+    alpha_values = np.linspace(*alpha_grid)[alphas]
+    times, cols, trajs = kind_columns(name, picked, qsl._integrator(alpha_values.tolist()))
+    panel = qsl.Panel(alpha_values, np.linspace(*z_grid)[zs], times, ["bounds", "qsl"])
     qsl._fill(panel, cols, times != 0.0 if KINDS[name][3] else np.ones(len(times), bool))
     return panel, trajs
 
