@@ -22,7 +22,14 @@ import numpy as np
 from . import dynamics as dyn
 from . import entropy as ent
 from . import qsl
-from .errors import AzqslError, ConfigError, DegenerateRangeError, MissingColumnError, _attempt
+from .errors import (
+    AzqslError,
+    ConfigError,
+    DegenerateRangeError,
+    InvalidParamsError,
+    MissingColumnError,
+    _attempt,
+)
 from .states import (
     BlochVector,
     DensityMatrix,
@@ -236,9 +243,13 @@ def _probe_and_model(
     cfg: SweepConfig,
 ) -> tuple[DensityMatrix, dyn.HamiltonianModel | dyn.KrausFamily]:
     """The probe state and the model of a panel or a single point, whose
-    dims must match."""
-    rho0 = _probe_state(cfg)
-    model = _model(cfg)
+    dims must match. A model or probe parameter out of its range is a
+    ConfigError; a bad state file stays an invalid probe."""
+    try:
+        rho0 = _probe_state(cfg)
+        model = _model(cfg)
+    except InvalidParamsError as exc:
+        raise ConfigError(str(exc)) from exc
     if model.dim != rho0.dim:
         raise ConfigError(f"probe dim {rho0.dim} does not match model dim {model.dim}")
     return rho0, model

@@ -42,6 +42,8 @@ class HamiltonianModel:
 
     def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise InvalidParamsError(f"Hamiltonian must be non-empty and square, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidParamsError("Hamiltonian has a non-finite entry")
         asym = linalg.asymmetry(mat)
@@ -52,8 +54,8 @@ class HamiltonianModel:
     @classmethod
     def qubit(cls, n: Sequence[float]) -> "HamiltonianModel":
         n = np.asarray(n, dtype=float)
-        if not np.all(np.isfinite(n)):
-            raise InvalidParamsError(f"field vector must be finite, got {n}")
+        if n.shape != (3,) or not np.all(np.isfinite(n)):
+            raise InvalidParamsError(f"field vector must be 3 finite components, got {n}")
         mat = n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
         return cls(mat)
 
@@ -130,14 +132,15 @@ class _Gathered(NamedTuple):
 
 class _Pair(NamedTuple):
     """What a trajectory reads from a family: the gathered (K, dK) pair; the
-    samples at which the pair is regularized (sampled away from the exact
-    time); and the exact-time operators at those samples, gathered, None
-    when there are none."""
+    samples at which it is regularized (sampled away from the exact time);
+    and the exact-time operators there, shape (n_entries, n_regularized), at
+    K's entries, which hold every entry that is nonzero in the exact-time
+    operators; None for a family that regularizes no sample."""
 
     K: _Gathered
     dK: _Gathered
     regularized: np.ndarray
-    exact: _Gathered | None
+    exact: np.ndarray | None
 
 
 class KrausFamily:
@@ -201,9 +204,12 @@ class KrausFamily:
 
 
 class _ClosedFormFamily(KrausFamily):
-    """A built-in channel. Its `_exact_ops` and `_trajectory_pair` gather
-    the operators straight from their closed forms, and its dense stacks
-    are the scatter of those values."""
+    """A built-in channel. Its `_trajectory_pair` gathers the operators from
+    their closed forms, its dense stacks scatter those values, and its
+    exact-time operators are the pair's K unless it regularizes the pair."""
+
+    def _exact_ops(self, times: np.ndarray) -> _Gathered:
+        return self._trajectory_pair(times).K
 
     def op_stacks(self, times: np.ndarray) -> np.ndarray:
         return _scatter(self._exact_ops(np.asarray(times, dtype=float)), self.n_ops, self.dim)
@@ -263,7 +269,7 @@ class DepolarizingFamily(_ClosedFormFamily):
         e = np.exp(-g * tc)
         dK = self._scaled_basis(-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e),
                                 (g * e / 4.0) / np.sqrt(1.0 - e))
-        return _Pair(self._ops_at(e), dK, clamped, self._exact_ops(times[clamped]))
+        return _Pair(self._ops_at(e), dK, clamped, self._exact_ops(times[clamped]).values)
 
 
 # (a, i, j) for the support of the single-qubit S_1 = diag(1, gamma) and
@@ -309,9 +315,6 @@ class AmplitudeDampingFamily(_ClosedFormFamily):
         dS[1] = dg
         dS[2] = de2
         return S, dS
-
-    def _exact_ops(self, times: np.ndarray) -> _Gathered:
-        return self._trajectory_pair(times).K
 
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         S, dS = self._pair_stacks(times)
@@ -864,31 +867,12 @@ def _state_plan(K: _Gathered, rho: _Gathered, dim: int) -> _StatePlan:
     return _StatePlan(_gram_pairs(K, dim), R, P, _adjoint_plan(P, dim))
 
 
-def _state_entries(plan: _StatePlan, K: _Gathered, rho: _Gathered):
-    """sum_l K_l rho_0 K_l† of a gathered stack, as entries."""
-    KR = _sums(plan.R, (K.values.real, K.values.imag), rho.values)
-    return plan.adjoint.positions, _state_values(plan, KR, K)
-
-
 def _state_values(plan: _StatePlan, KR, K: _Gathered) -> np.ndarray:
     """The state of a `_StatePlan` at its positions, from the parts `KR`
     of K rho_0."""
     doubled = _plus_adjoint(plan.adjoint, _products(plan.P, KR, K))
     doubled /= 2
     return doubled
-
-
-def _replaced(state: tuple, samples: np.ndarray, other: tuple) -> tuple:
-    """The entries `state` with the samples where `samples` is set taken
-    from the entries `other`, which hold those samples only."""
-    (positions, values), (other_positions, other_values) = state, other
-    union = np.union1d(positions, other_positions)
-    out = np.zeros((len(union), values.shape[1]), dtype=complex)
-    out[np.searchsorted(union, positions)] = values
-    at = np.flatnonzero(samples)
-    out[:, at] = 0.0
-    out[np.searchsorted(union, other_positions)[:, None], at] = other_values
-    return union, out
 
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -901,7 +885,8 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
     plan = _planned((*_probe_key(rho, rho0.dim), *_entries_key(K)), _state_plan, K, rho,
                     rho0.dim)
     _check_gathered_completeness(K, plan.gram)
-    return DensityMatrix(_dense(*_state_entries(plan, K, rho), rho0.dim)[0])
+    KR = _sums(plan.R, (K.values.real, K.values.imag), rho.values)
+    return DensityMatrix(_dense(plan.adjoint.positions, _state_values(plan, KR, K), rho0.dim)[0])
 
 
 def evolve_kraus(
@@ -913,8 +898,8 @@ def evolve_kraus(
 
     Derivative products use the channel's consistent (possibly regularized)
     pair, built and validated once. Its K serves the states too, except at
-    the samples where the family regularizes the pair; those states are
-    rebuilt from the exact-time operators. The built-in channels hand out
+    the samples where the family regularizes the pair; those states take
+    its exact-time values at K's entries. The built-in channels hand out
     the pair gathered from their closed forms, so no dense stack is built,
     scanned or compared; a user family's dense pair is gathered. The
     products and the states are formed entry by entry, in two planned
@@ -1000,8 +985,8 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
     any product is formed.
 
     What a run forms depends on its values alone once its pair's entries
-    are planned (`_run_plan`, and `_state_plan` for the exact-time
-    operators at regularized samples). Each set of entries is planned
+    are planned (`_run_plan`; the exact-time values at regularized samples
+    share K's entries and plan). Each set of entries is planned
     once, when a run first meets it, and kept with the pattern of rho_0
     (`_planned`): a built-in channel gathers the same entries in every
     run, and a user family whose gathered entries change from run to run
@@ -1026,12 +1011,12 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
         # the pair's K is the exact-time stack outside the regularized rows
         _check_gathered_completeness(K, plan.state.gram, slice(None) if rates else ~regularized)
         if regularized.any():
-            exact_plan = _planned((*probe, *_entries_key(exact)), _state_plan, exact, rho, dim)
-            _check_gathered_completeness(exact, exact_plan.gram)
+            exact = K._replace(values=exact)
+            _check_gathered_completeness(exact, plan.state.gram)
         if not np.all(np.isfinite(dK.values)):
             raise InvalidStateError("non-finite Kraus derivative along trajectory")
         KR = _sums(plan.state.R, (K.values.real, K.values.imag), rho.values)
-        state = plan.state.adjoint.positions, _state_values(plan.state, KR, K)
+        state = _state_values(plan.state, KR, K)
         # each operator's rate product, then the speed matrix
         norms = np.empty((plan.norms.starts[-1], len(times)), dtype=complex)
         speed = plan.norms.starts[-2]
@@ -1044,13 +1029,12 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
         del dKR
         _plus_adjoint(plan.speed, half, out=norms[speed:])
         del half
-        kmin = plan.kmin
         if regularized.any():
-            state = _replaced(state, regularized, _state_entries(exact_plan, exact, rho))
-            if len(state[0]) > len(plan.state.adjoint.positions):
-                kmin = _kmin_plan(state[0], dim)
+            KR = _sums(plan.state.R, (exact.values.real, exact.values.imag), rho.values)
+            state[:, regularized] = _state_values(plan.state, KR, exact)
         spectra = linalg._sample_spectra(plan.norms, norms)
-        return _Samples(state, spectra[-1], _batch_kmin(state[1], kmin),
+        return _Samples((plan.state.adjoint.positions, state), spectra[-1],
+                        _batch_kmin(state, plan.kmin),
                         linalg._sum_rows(spectra[:-1]) if rates else None)
 
     return sample

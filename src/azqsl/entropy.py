@@ -39,8 +39,8 @@ class EntropyParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParamsError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.z > 0.0:
-            raise InvalidParamsError(f"z must be positive, got {self.z}")
+        if not 0.0 < self.z < math.inf:
+            raise InvalidParamsError(f"z must be positive and finite, got {self.z}")
         valid = max(self.alpha, 1.0 - self.alpha) <= self.z <= 1.0
         object.__setattr__(self, "dpi_valid", valid)
 
@@ -208,8 +208,9 @@ def petz(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
     the value is +inf when the support condition fails.
     """
     _check_dims(rho, sigma)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise InvalidParamsError(f"Petz order must be positive and != 1, got {alpha}")
+    # a NaN order fails the range check
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise InvalidParamsError(f"Petz order must be positive, finite and != 1, got {alpha}")
     if not support_contained(rho, sigma):
         return math.inf
     return math.log(float(_petz_traces([rho], [sigma], [alpha])[0, 0])) / (alpha - 1.0)
@@ -218,8 +219,8 @@ def petz(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
 def sandwiched(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
     """Renyi divergence at z = alpha; +inf on a support violation."""
     _check_dims(rho, sigma)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise InvalidParamsError(f"order must be positive and != 1, got {alpha}")
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise InvalidParamsError(f"order must be positive, finite and != 1, got {alpha}")
     if not support_contained(rho, sigma):
         return math.inf
     return math.log(_purity_value(rho, sigma, alpha, alpha)) / (alpha - 1.0)

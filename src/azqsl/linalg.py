@@ -123,7 +123,7 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """Schatten p-norm: (sum_i sigma_i^p)^(1/p); p may be math.inf."""
-    if p != math.inf and p < 1.0:
+    if not p >= 1.0:  # NaN fails it
         raise InvalidPError(f"Schatten order must be >= 1 or inf, got {p}")
     sv = singular_values(m)
     if p == math.inf:

@@ -33,6 +33,7 @@ from .errors import (
     _attempt,
     DenominatorNearZeroError,
     DegenerateRangeError,
+    DimMismatchError,
     InvalidParamsError,
     QuadratureTooCoarseError,
     SingularStateError,
@@ -522,6 +523,8 @@ def qsl_unitary(
     """
     if tau is not None and not 0.0 < tau < math.inf:
         raise InvalidParamsError(f"horizon must be positive and finite, got {tau}")
+    if rho_tau.dim != rho0.dim:
+        raise DimMismatchError(f"rho_tau dim {rho_tau.dim} vs rho0 dim {rho0.dim}")
     if np.max(np.abs(rho0.eigenvalues - rho_tau.eigenvalues)) > 1e-8:
         raise SpectrumMismatchError("rho_tau is not unitarily reachable from rho0")
     dh = dyn.energy_fluctuation(h, rho0)
@@ -558,6 +561,8 @@ def tau_unitary_petz(
 ) -> float:
     """Fast path of the forward unitary speed limit at z = 1, written in
     terms of the Petz entropy and the probe's extreme eigenvalues."""
+    if not math.isfinite(delta_h):
+        raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes")
     r_alpha = ent.petz(rho_tau, rho0, alpha)
@@ -572,6 +577,8 @@ def tau_unitary_fidelity(
 ) -> float:
     """Fast path at alpha = z = 1/2: a positive bound proportional to
     -ln of the Uhlmann fidelity."""
+    if not math.isfinite(delta_h):
+        raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes")
     f = ent.fidelity(rho_tau, rho0)

@@ -688,7 +688,7 @@ class OracleFamily(dyn.KrausFamily):
     `oracle_pair`, gathered by detection: the entries nonzero at some
     sample. The samples at which the pair's K differs from the exact-time
     operators are found by comparing the two stacks; the exact-time
-    operators there are gathered by detection too."""
+    operators there are read at K's entries, outside which they are zero."""
 
     def __init__(self, fam):
         super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None, dops_fn=None)
@@ -700,8 +700,12 @@ class OracleFamily(dyn.KrausFamily):
     def _trajectory_pair(self, times):
         K_exact, K, dK = oracle_pair(self.fam, times)
         regularized = np.any(K != K_exact, axis=(1, 2, 3))
-        return dyn._Pair(dyn._gather(K), dyn._gather(dK), regularized,
-                         dyn._gather(K_exact[regularized]))
+        K = dyn._gather(K)
+        exact = np.moveaxis(K_exact[regularized], 0, -1)
+        outside = exact.copy()
+        outside[K.ops, K.rows, K.cols] = 0
+        assert not outside.any()
+        return dyn._Pair(K, dyn._gather(dK), regularized, exact[K.ops, K.rows, K.cols])
 
 
 # regions of the built-in families that the dense-oracle test draws from
@@ -1218,7 +1222,7 @@ class TestContractions:
         class BadBelowFloor(dyn.DepolarizingFamily):
             def _trajectory_pair(self, times):
                 pair = super()._trajectory_pair(times)
-                pair.exact.values[...] *= 1 + 1e-7
+                pair.exact[...] *= 1 + 1e-7
                 return pair
 
         fam = BadBelowFloor(dyn.DepolarizingParams(1.0))

@@ -3,8 +3,9 @@
 NaN fails every comparison, so a range check written as `x < lo` lets it
 through; each check here must reject it. Library constructors raise
 InvalidStateError or InvalidParamsError, and the command line exits 1 with
-a `config error:` line (a bad state file exits 2 with `numerical failure:`,
-as for any invalid probe) instead of a traceback.
+a `config error:` line, or 2 for a bad state file (`numerical failure:`,
+as for any invalid probe), instead of a traceback. A model or probe
+parameter out of its range is a configuration error too.
 """
 
 import math
@@ -14,16 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from azqsl import cli
+from azqsl import cli, entropy, linalg, qsl
 from azqsl import dynamics as dyn
 from azqsl.entropy import EntropyParams
-from azqsl.errors import CompletenessViolationError, InvalidParamsError, InvalidStateError
+from azqsl.errors import (
+    CompletenessViolationError,
+    DimMismatchError,
+    InvalidParamsError,
+    InvalidPError,
+    InvalidStateError,
+)
 from azqsl.qsl import qsl_nonunitary
 from azqsl.states import (
     BlochVector,
     DensityMatrix,
     GHZMixedParams,
     bloch_state,
+    ghz_mixed,
     state_from_text,
 )
 
@@ -59,6 +67,7 @@ LIBRARY_CASES = {
     "damping_regime_nan": (lambda: dyn.AmplitudeDampingParams(1.0, NAN), InvalidParamsError),
     "entropy_alpha_nan": (lambda: EntropyParams(NAN, 1.0), InvalidParamsError),
     "entropy_z_nan": (lambda: EntropyParams(0.5, NAN), InvalidParamsError),
+    "entropy_z_inf": (lambda: EntropyParams(0.5, INF), InvalidParamsError),
     "state_text_token": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nx 0\n"), InvalidStateError),
     "state_text_nan": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nnan 0\n"), InvalidStateError),
     "state_text_dim_zero": (lambda: state_from_text("0\n"), InvalidStateError),
@@ -72,6 +81,39 @@ LIBRARY_CASES = {
     ),
     "hamiltonian_qubit_nan": (lambda: dyn.HamiltonianModel.qubit([NAN, 0, 1]), InvalidParamsError),
     "hamiltonian_qubit_inf": (lambda: dyn.HamiltonianModel.qubit([INF, 0, 1]), InvalidParamsError),
+    "hamiltonian_qubit_two_components": (
+        lambda: dyn.HamiltonianModel.qubit([1, 2]), InvalidParamsError
+    ),
+    "hamiltonian_qubit_four_components": (
+        lambda: dyn.HamiltonianModel.qubit([1, 2, 3, 4]), InvalidParamsError
+    ),
+    "hamiltonian_matrix_not_square": (
+        lambda: dyn.HamiltonianModel(np.ones((2, 3))), InvalidParamsError
+    ),
+    "hamiltonian_matrix_empty": (
+        lambda: dyn.HamiltonianModel(np.zeros((0, 0))), InvalidParamsError
+    ),
+    "hamiltonian_matrix_vector": (lambda: dyn.HamiltonianModel(np.ones(2)), InvalidParamsError),
+    # rho_tau of another dim than rho0: caught before the spectra are compared
+    "qsl_unitary_state_dims": (
+        lambda: qsl.qsl_unitary(dyn.HamiltonianModel(np.diag([1.0, 2.0, 3.0, 4.0])),
+                                ghz_mixed(GHZMixedParams(0.4)), probe(), EntropyParams(0.5, 1.0)),
+        DimMismatchError,
+    ),
+    **{
+        f"{name}_order_{label}": (partial(divergence, probe(), probe(), alpha), InvalidParamsError)
+        for name, divergence in (("petz", entropy.petz), ("sandwiched", entropy.sandwiched))
+        for label, alpha in (("nan", NAN), ("inf", INF))
+    },
+    "schatten_norm_order_nan": (lambda: linalg.schatten_norm(np.eye(2), NAN), InvalidPError),
+    **{
+        f"{name}_delta_h_{label}": (partial(run, delta_h), InvalidParamsError)
+        for name, run in (
+            ("tau_unitary_petz", lambda dh: qsl.tau_unitary_petz(probe(), probe(), 0.5, dh)),
+            ("tau_unitary_fidelity", lambda dh: qsl.tau_unitary_fidelity(probe(), probe(), dh)),
+        )
+        for label, delta_h in (("nan", NAN), ("inf", INF))
+    },
     **{
         f"{name}_horizon_{label}": (partial(run, tau), InvalidParamsError)
         for name, run in (
@@ -113,6 +155,13 @@ CLI_CONFIG_ERRORS = {
     "qsl_tau_nan": ["qsl", "--tau", "nan"],
     "bound_r_nan": ["bound", "--r", "nan"],
     "entropy_z_nan": ["entropy", "--z", "nan"],
+    # out of range rather than non-finite: a configuration error all the same
+    "gamma_negative": ["sweep", "--set", "gamma=-1"],
+    "lambda_zero": ["sweep", "--set", "model=amplitude_damping", "--set", "lambda=0"],
+    "s_negative": ["sweep", "--set", "model=amplitude_damping", "--set", "s=-1"],
+    "p_above_one": ["sweep", "--set", "model=amplitude_damping", "--set", "p=1.5"],
+    "r_above_one": ["sweep", "--set", "r=1.5"],
+    "qsl_gamma_negative": ["qsl", "--gamma", "-1"],
     "unitary_two_qubit_probe": ["sweep", "--set", "model=unitary_qubit", "--set",
                                 f"state_file={GHZ_PROBE_FILE}"],
     # the single-point commands check the probe against the model as a sweep does

@@ -250,6 +250,46 @@ class TestFig2IntegralTruth:
         assert np.median(errors) <= self.MEDIAN
 
 
+class TestFig2EntropyTruth:
+    # The fig2 panel's endpoint entropies against their closed form. rho_t
+    # and rho_0 share the Bloch axis, with eigenvalues (1 +- u)/2 for
+    # u = r e^(-gamma t) and u = r, so g = sum lambda_t^a lambda_0^(1-a)
+    # does not depend on z and D_fwd = ln g / (a - 1); D_bwd swaps the two
+    # states. Over the 100 alphas x 99 horizons the panel reads them to a
+    # worst relative error of 2.55e-12 (D_fwd) and 3.73e-12 (D_bwd), both
+    # at alpha = 0.99 and the first horizon, t = 0.202, where the two
+    # states are closest; the medians are 7.1e-15 and 7.8e-15. The bounds
+    # leave a third and a factor of 2.5 of margin.
+    WORST, MEDIAN = 5e-12, 2e-14
+
+    def test_endpoint_entropies_match_closed_form(self):
+        (cfg,) = cli.figure_panels("fig2")
+        panel = cli.sweep_rows(cfg)
+        live = panel.times != 0.0
+        errors = {"d_fwd": [], "d_bwd": []}
+        with mpmath.workdps(30):
+            r, gamma = mpmath.mpf(cfg.r), mpmath.mpf(cfg.gamma)
+            alphas = [mpmath.mpf(a) for a in panel.alphas.tolist()]
+
+            def log_spectrum(u):
+                return [mpmath.log((1 + u) / 2), mpmath.log((1 - u) / 2)]
+
+            start = log_spectrum(r)
+            for t, fwd, bwd in zip(panel.times[live].tolist(),
+                                   panel.values["d_fwd"][:, 0, live].T.tolist(),
+                                   panel.values["d_bwd"][:, 0, live].T.tolist()):
+                end = log_spectrum(r * mpmath.exp(-gamma * mpmath.mpf(t)))
+                for a, got_fwd, got_bwd in zip(alphas, fwd, bwd):
+                    for name, got, rho, sigma in (("d_fwd", got_fwd, end, start),
+                                                  ("d_bwd", got_bwd, start, end)):
+                        g = sum(mpmath.exp(a * x + (1 - a) * y) for x, y in zip(rho, sigma))
+                        errors[name].append(float(abs(got / (mpmath.log(g) / (a - 1)) - 1)))
+        for name, errs in errors.items():
+            assert len(errs) == 100 * 99
+            assert max(errs) <= self.WORST, name
+            assert np.median(errs) <= self.MEDIAN, name
+
+
 class TestQslGeneral:
     def test_full_period_returns_to_start(self):
         h = dyn.HamiltonianModel.qubit([0.0, 0.0, 1.0])
