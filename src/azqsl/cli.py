@@ -223,11 +223,8 @@ class _ConstantFamily(dyn.KrausFamily):
         super().__init__(dim=dim, n_ops=n_ops, ops_fn=None, dops_fn=None)
         self._ops = ops
 
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        return np.repeat(self._ops[None], len(times), axis=0)
-
     def stacks(self, times: np.ndarray):
-        K = self.op_stacks(times)
+        K = np.repeat(self._ops[None], len(times), axis=0)
         return K, np.zeros_like(K)
 
 

@@ -146,16 +146,14 @@ class _Pair(NamedTuple):
 class KrausFamily:
     """Time-dependent Kraus family {K_l(t)} with derivatives {dK_l/dt}.
 
-    A user family is read through its batched dense stacks: `op_stacks` for
-    the operators at the exact sampled times and `stacks` for the
-    consistent (K, dK) pair that derivative products use. It gives per-time
-    functions `ops_fn(t)` and `dops_fn(t)`, each returning n_ops (dim, dim)
-    matrices: the operators and their analytic derivatives. Trajectories
-    and `apply_channel` read every family gathered (`_Gathered`), a user
-    family's stacks through `_gather`. The built-in channels, and other
-    subclasses that override the stacks, pass `ops_fn=None, dops_fn=None`;
-    the built-ins hand out their stacks already gathered from their closed
-    forms, and their dense `op_stacks` and `stacks` scatter those values.
+    A family is read through one (K, dK) pair, from which trajectories,
+    `apply_channel` and the dense `op_stacks` all take their operators. A
+    user family gives per-time functions `ops_fn(t)` and `dops_fn(t)`, each
+    returning n_ops (dim, dim) matrices (the operators and their analytic
+    derivatives), or passes `ops_fn=None, dops_fn=None` and overrides
+    `stacks` with the batched pair. The built-in channels override
+    `_trajectory_pair` with their closed forms, already gathered
+    (`_Gathered`); a user family's stacks are gathered by `_gather`.
     Every call returns new arrays, which trajectories overwrite.
     """
 
@@ -177,24 +175,15 @@ class KrausFamily:
             out[i] = [np.asarray(k, dtype=complex) for k in fn(float(t))]
         return out
 
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        """Operators at the exact sampled times, shape (n_times, n_ops, dim, dim).
-
-        Used to build states; never regularized."""
-        return self._per_time(self._ops_fn, np.asarray(times, dtype=float))
-
     def stacks(self, times: np.ndarray):
-        """Consistent (K, dK) pair for derivative products.
+        """The (K, dK) pair, each shape (n_times, n_ops, dim, dim).
 
-        Products like K rho dK† may have finite limits where each factor is
-        separately singular or vanishing; channels with such points sample
-        both factors at the same regularized time."""
+        A user family's pair is sampled at the exact times: its K is what
+        the states read. Only the built-in channels regularize (sample the
+        pair away from a point where a factor is singular), through
+        `_trajectory_pair`."""
         times = np.asarray(times, dtype=float)
-        return self.op_stacks(times), self._per_time(self._dops_fn, times)
-
-    def _exact_ops(self, times: np.ndarray) -> _Gathered:
-        """The exact-time operators that `apply_channel` reads."""
-        return _gather(self.op_stacks(times))
+        return self._per_time(self._ops_fn, times), self._per_time(self._dops_fn, times)
 
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         """The pair that `evolve_kraus` reads. The pair of `stacks` is
@@ -202,17 +191,22 @@ class KrausFamily:
         K, dK = self.stacks(times)
         return _Pair(_gather(K), _gather(dK), np.zeros(len(times), dtype=bool), None)
 
+    def _exact_ops(self, times: np.ndarray) -> _Gathered:
+        """The operators at the exact times, which `apply_channel` reads:
+        the pair's K with the exact-time values at its regularized samples."""
+        K, _, regularized, exact = self._trajectory_pair(times)
+        if exact is not None:
+            K.values[:, regularized] = exact
+        return K
+
+    def op_stacks(self, times: np.ndarray) -> np.ndarray:
+        """Operators at the exact times, shape (n_times, n_ops, dim, dim)."""
+        return _scatter(self._exact_ops(np.asarray(times, dtype=float)), self.n_ops, self.dim)
+
 
 class _ClosedFormFamily(KrausFamily):
     """A built-in channel. Its `_trajectory_pair` gathers the operators from
-    their closed forms, its dense stacks scatter those values, and its
-    exact-time operators are the pair's K unless it regularizes the pair."""
-
-    def _exact_ops(self, times: np.ndarray) -> _Gathered:
-        return self._trajectory_pair(times).K
-
-    def op_stacks(self, times: np.ndarray) -> np.ndarray:
-        return _scatter(self._exact_ops(np.asarray(times, dtype=float)), self.n_ops, self.dim)
+    their closed forms, and its dense `stacks` scatter those values."""
 
     def stacks(self, times: np.ndarray):
         K, dK, _, _ = self._trajectory_pair(np.asarray(times, dtype=float))
@@ -254,9 +248,6 @@ class DepolarizingFamily(_ClosedFormFamily):
         return self._scaled_basis(0.5 * np.sqrt(1.0 + 3.0 * e),
                                   0.5 * np.sqrt(np.maximum(1.0 - e, 0.0)))
 
-    def _exact_ops(self, times: np.ndarray) -> _Gathered:
-        return self._ops_at(np.exp(-self.params.gamma * times))
-
     def _trajectory_pair(self, times: np.ndarray) -> _Pair:
         # K and dK must be sampled at the same clamped time: the products
         # K_j rho dK_j† have a finite t -> 0 limit only because the sqrt(t)
@@ -269,7 +260,8 @@ class DepolarizingFamily(_ClosedFormFamily):
         e = np.exp(-g * tc)
         dK = self._scaled_basis(-(3.0 * g * e / 4.0) / np.sqrt(1.0 + 3.0 * e),
                                 (g * e / 4.0) / np.sqrt(1.0 - e))
-        return _Pair(self._ops_at(e), dK, clamped, self._exact_ops(times[clamped]).values)
+        exact = self._ops_at(np.exp(-g * times[clamped])).values
+        return _Pair(self._ops_at(e), dK, clamped, exact)
 
 
 # (a, i, j) for the support of the single-qubit S_1 = diag(1, gamma) and
@@ -877,9 +869,12 @@ def _state_values(plan: _StatePlan, KR, K: _Gathered) -> np.ndarray:
 
 def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Single-time channel output sum_l K_l(t) rho_0 K_l(t)†, after the
-    completeness check that `evolve_kraus` makes."""
+    completeness check that `evolve_kraus` makes. The time must be >= 0
+    and finite, else InvalidParamsError."""
     if fam.dim != rho0.dim:
         raise DimMismatchError(f"channel dim {fam.dim} vs state dim {rho0.dim}")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParamsError(f"time must be >= 0 and finite, got {t}")
     K = fam._exact_ops(np.array([float(t)]))
     rho = _rho_factor(rho0)
     plan = _planned((*_probe_key(rho, rho0.dim), *_entries_key(K)), _state_plan, K, rho,

@@ -169,14 +169,21 @@ def ad_gamma_dt(lambda_t: float, s: float) -> float:
 
 
 def ad_kmin(case: TwoQubitADCase) -> float:
-    """Smallest eigenvalue of the damped two-qubit state."""
+    """Smallest eigenvalue of the damped two-qubit state: the smaller root
+    m - r of its {|00>, |11>} block, taken as det / (m + r) so that it
+    keeps its digits as it vanishes. With g2 = gamma^2 and u = 1 - g2, the
+    determinant is g2^2/16 [(1 - p)(1 + 3p) + 2 (1 - p^2) u + (1 + p)^2 u^2],
+    a sum of non-negative terms; m = 1/2 - b, where the {|01>, |10>}
+    population b is at most 1/4, and r = |(u, p g2)|/2."""
     g2 = ad_gamma(case.lambda_tau, case.s) ** 2
     p = case.p
-    return 0.5 * (
-        1.0
-        - math.sqrt(1.0 - g2 * (2.0 - (1.0 + p * p) * g2))
-        - 0.5 * g2 * (2.0 - (1.0 + p) * g2)
+    u = 1.0 - g2
+    det = 0.0625 * g2 * g2 * (
+        (1.0 - p) * (1.0 + 3.0 * p) + 2.0 * (1.0 - p * p) * u + ((1.0 + p) * u) ** 2
     )
+    m = 0.5 - 0.25 * g2 * (2.0 - (1.0 + p) * g2)
+    r = 0.5 * math.hypot(u, p * g2)
+    return det / (m + r)
 
 
 def ad_kraus_norm_sum(case: TwoQubitADCase) -> float:

@@ -57,9 +57,6 @@ class StinespringFamily(KrausFamily):
     def _split(self, u: np.ndarray) -> np.ndarray:
         return u.reshape(len(u), self.n_ops, self.dim, self.dim)
 
-    def op_stacks(self, times) -> np.ndarray:
-        return self._split(self._isometries(times))
-
     def stacks(self, times):
         u = self._isometries(times)
         return self._split(u), self._split(-1j * self.h @ u)
@@ -86,9 +83,6 @@ class ThreeQubitDampingFamily(KrausFamily):
     def __init__(self, params: AmplitudeDampingParams):
         super().__init__(dim=8, n_ops=8, ops_fn=None, dops_fn=None)
         self.qubit = AmplitudeDampingFamily(params)
-
-    def op_stacks(self, times) -> np.ndarray:
-        return self.stacks(times)[0]
 
     def stacks(self, times):
         S, dS = (x.real for x in self.qubit._pair_stacks(np.asarray(times, dtype=float)))

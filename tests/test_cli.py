@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from azqsl import cli, oracles
+from azqsl import cli, oracles, selftest
+from azqsl import dynamics as dyn
 from azqsl.errors import ConfigError, MissingColumnError
 from azqsl.states import BlochVector, bloch_state, save_state
 
@@ -434,6 +435,18 @@ class TestSelftestCommand:
         assert rc == 1
         assert captured.err.startswith("config error: draws must be >= 1")
         assert "SELFTEST" not in captured.out
+
+
+    def test_gamma_check_reads_the_pipeline(self, monkeypatch):
+        # a gamma off by 1e-6 relative in dynamics fails the check
+        pair = dyn._decoherence_pair
+
+        def scaled(*args):
+            g, dg = pair(*args)
+            return g * (1 + 1e-6), dg
+
+        monkeypatch.setattr(dyn, "_decoherence_pair", scaled)
+        assert not selftest._gamma_check(None, 1)
 
 
 class TestModuleEntryPoint:

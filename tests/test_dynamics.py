@@ -587,12 +587,53 @@ BUILT_IN_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
+class StacksOnlyFamily(dyn.KrausFamily):
+    """A user family that defines only `stacks`: K_0 = cos t I and
+    K_1 = sin t sigma_z, with their derivatives."""
+
+    def __init__(self):
+        super().__init__(dim=2, n_ops=2, ops_fn=None, dops_fn=None)
+
+    def stacks(self, times):
+        c, s = (f(np.asarray(times, dtype=float))[:, None, None] for f in (np.cos, np.sin))
+        eye, z = np.eye(2, dtype=complex), linalg.SIGMA_Z
+        return np.stack([c * eye, s * z], axis=1), np.stack([-s * eye, c * z], axis=1)
+
+
+def test_stacks_only_family_has_exact_operators():
+    # `op_stacks` and `apply_channel` read the pair of `stacks`
+    fam, rho0 = StacksOnlyFamily(), bloch_state(BlochVector(0.6, 0.9, 0.4))
+    times = np.array([0.0, 0.37, 2.0])
+    assert np.array_equal(fam.op_stacks(times), fam.stacks(times)[0])
+    for t in times:
+        K = fam.stacks(np.array([t]))[0][0]
+        want = np.einsum("lij,jk,lmk->im", K, rho0.mat, K.conj())
+        assert np.max(np.abs(dyn.apply_channel(fam, rho0, t).mat - want)) <= 1e-15
+
+
+USER_FAMILIES = ("bit_flip", "bit_flip_file", "stacks_only", "stinespring")
+
+
+def user_family_and_probe(name):
+    """A user family and its probe: per-time (bit flip), read from a file,
+    or batched (stacks-only and Stinespring)."""
+    bloch = bloch_state(BlochVector(0.6, 0.9, 0.4))
+    if name == "bit_flip":
+        return bit_flip_family(), bloch
+    if name == "bit_flip_file":
+        return cli.load_kraus_file(str(Path(__file__).parent / "data" / "bit_flip.txt")), bloch
+    if name == "stacks_only":
+        return StacksOnlyFamily(), bloch
+    rng = np.random.default_rng(11)
+    return stinespring_family(rng, 3, 2), random_density(rng, 3)
+
+
 class TestOneSampleContract:
     # every caller reads a family through its batched stacks, so a batch
     # row must equal the one-sample call at its time bit for bit
     times = np.array([0.0, 1e-10, 0.37, 2.0, 9.5, 17.0])
 
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
     def test_stack_rows_equal_one_sample_calls(self, name):
         fam, _ = BUILT_IN_FAMILIES[name]
         K_exact = fam.op_stacks(self.times)
@@ -603,6 +644,7 @@ class TestOneSampleContract:
             assert np.array_equal(K[i], K_one[0])
             assert np.array_equal(dK[i], dK_one[0])
 
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES))
     def test_speed_terms_equal_stack_rows(self, name):
         # the rate at a trajectory's horizon is the one-sample oracle's
         fam, rho0 = BUILT_IN_FAMILIES[name]
@@ -611,8 +653,9 @@ class TestOneSampleContract:
             want = oracle_contractions(*oracle_pair(fam, np.array([t])), rho0)[3]
             assert rate == want.sum(axis=1)[0]
 
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FAMILIES) + list(USER_FAMILIES))
     def test_apply_channel_is_trajectory_endpoint(self, name):
-        fam, rho0 = BUILT_IN_FAMILIES[name]
+        fam, rho0 = BUILT_IN_FAMILIES.get(name) or user_family_and_probe(name)
         for t in self.times[1:]:
             endpoint = dyn.evolve_kraus(fam, rho0, t, 3).final_state
             assert np.array_equal(dyn.apply_channel(fam, rho0, t).mat, endpoint.mat)
@@ -694,9 +737,6 @@ class OracleFamily(dyn.KrausFamily):
         super().__init__(dim=fam.dim, n_ops=fam.n_ops, ops_fn=None, dops_fn=None)
         self.fam = fam
 
-    def op_stacks(self, times):
-        return oracle_pair(self.fam, times)[0]
-
     def _trajectory_pair(self, times):
         K_exact, K, dK = oracle_pair(self.fam, times)
         regularized = np.any(K != K_exact, axis=(1, 2, 3))
@@ -767,9 +807,6 @@ class TableFamily(dyn.KrausFamily):
         rows = np.searchsorted(self.times, np.asarray(times, dtype=float))
         assert np.array_equal(self.times[rows], times)
         return rows
-
-    def op_stacks(self, times):
-        return self.K[self._rows(times)]
 
     def stacks(self, times):
         rows = self._rows(times)

@@ -124,6 +124,12 @@ LIBRARY_CASES = {
         )
         for label, tau in (("nan", NAN), ("inf", INF))
     },
+    **{
+        f"apply_channel_time_{label}": (
+            partial(dyn.apply_channel, depolarizing(), probe(), t), InvalidParamsError
+        )
+        for label, t in (("nan", NAN), ("inf", INF), ("negative", -1.0))
+    },
     "kraus_family_nan": (
         lambda: dyn.evolve_kraus(nan_family(), bloch_state(BlochVector(0.5)), 1.0, 11),
         CompletenessViolationError,

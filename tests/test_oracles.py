@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,6 +190,31 @@ class TestAmplitudeDampingOracles:
     def test_kmin_vanishes_when_damped(self):
         case = oracles.TwoQubitADCase(p=0.5, lambda_tau=80.0, s=0.5)
         assert oracles.ad_kmin(case) == pytest.approx(0.0, abs=1e-12)
+
+    # Cells where the root m - r of the old formula cancelled (1.7e-5,
+    # 3.4e-4, 2.1e-5 and 1.0e-2 off) and the bound on the relative error
+    # now. Measured: 1.1e-16, 6.7e-16 and 1.1e-16; next to t_1 = 0.8243
+    # (s = 10) gamma is 3.0e-4 and its own closed form is 4.7e-13 off,
+    # which k_min ~ gamma^4 carries as 1.9e-12.
+    @pytest.mark.parametrize("s, p, lt, bound", [
+        (0.5, 0.9, 18.0, 2e-15),
+        (0.5, 0.9, 20.0, 2e-15),
+        (0.5, 0.25, 18.0, 2e-15),
+        (10.0, 0.9, 0.824, 4e-12),
+    ])
+    def test_kmin_keeps_its_digits(self, s, p, lt, bound):
+        with mpmath.workdps(50):
+            x, p_ = mpmath.mpf(lt) / 2, mpmath.mpf(p)
+            if s == 0.5:
+                g = mpmath.exp(-x) * (1 + x)
+            else:
+                q = mpmath.sqrt(2 * mpmath.mpf(s) - 1)
+                g = mpmath.exp(-x) * (mpmath.cos(x * q) + mpmath.sin(x * q) / q)
+            g2 = g * g
+            want = (1 - mpmath.sqrt(1 - g2 * (2 - (1 + p_ * p_) * g2))
+                    - g2 * (2 - (1 + p_) * g2) / 2) / 2
+            got = oracles.ad_kmin(oracles.TwoQubitADCase(p=p, lambda_tau=lt, s=s))
+            assert float(abs(got / want - 1)) <= bound
 
     def test_gamma_closed_form_at_half(self):
         assert oracles.ad_gamma(2.0, 0.5) == pytest.approx(2.0 / math.e, abs=1e-14)
