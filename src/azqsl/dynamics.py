@@ -6,6 +6,7 @@ two-qubit amplitude-damping channel with independent reservoirs."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -460,6 +461,8 @@ def _batch_kmin(values: np.ndarray, kmin: tuple) -> np.ndarray:
 
 def _time_grid(tau: float, n_steps: int) -> np.ndarray:
     """n_steps equal steps on [0, tau], checked: the one place a grid is made."""
+    if not isinstance(n_steps, numbers.Integral):
+        raise InvalidParamsError(f"sample count must be an integer, got {n_steps!r}")
     if n_steps < 2:
         raise InvalidParamsError(f"need at least 2 samples, got {n_steps}")
     if not 0.0 < tau < math.inf:

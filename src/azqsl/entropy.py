@@ -193,12 +193,10 @@ def renyi_az_symmetrized(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyPar
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho))."""
+    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), symmetric: g at (1/2, 1/2), whose
+    core eigenvalues below `_ZPOW_NOISE_REL` of the largest count as noise, as for every member."""
     _check_dims(rho, sigma)
-    root = linalg.mat_pow(rho.mat, 0.5)
-    inner = linalg.hermitian_part(root @ sigma.mat @ root)
-    vals = np.maximum(np.linalg.eigvalsh(inner), 0.0)
-    return float(np.sqrt(vals).sum())
+    return _purity_value(rho, sigma, 0.5, 0.5)
 
 
 def petz(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
@@ -211,9 +209,7 @@ def petz(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
     # a NaN order fails the range check
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidParamsError(f"Petz order must be positive, finite and != 1, got {alpha}")
-    if not support_contained(rho, sigma):
-        return math.inf
-    return math.log(float(_petz_traces([rho], [sigma], [alpha])[0, 0])) / (alpha - 1.0)
+    return float(_renyi_az_grid([rho], [sigma], [alpha], 1.0)[0, 0])
 
 
 def sandwiched(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
@@ -221,9 +217,7 @@ def sandwiched(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
     _check_dims(rho, sigma)
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidParamsError(f"order must be positive, finite and != 1, got {alpha}")
-    if not support_contained(rho, sigma):
-        return math.inf
-    return math.log(_purity_value(rho, sigma, alpha, alpha)) / (alpha - 1.0)
+    return float(_renyi_az_grid([rho], [sigma], [alpha], alpha)[0, 0])
 
 
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -254,7 +248,7 @@ def max_relative(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _check_dims(rho, sigma)
     if not support_contained(rho, sigma):
         return math.inf
-    inv_root = linalg.mat_pow(sigma.mat, -0.5)
+    inv_root = _stack_powers([sigma], [-0.5])[0, 0]
     conjugated = linalg.hermitian_part(inv_root @ rho.mat @ inv_root)
     top = float(np.linalg.eigvalsh(conjugated)[-1])
     return math.log(top)

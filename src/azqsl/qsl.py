@@ -294,12 +294,13 @@ def _endpoint_entropies(
 def _tau_ratios(d, rhs, tau, errors: np.ndarray) -> np.ndarray:
     """QSL times tau * D / RHS of the routes stacked along axis 0 (fwd, bwd,
     sym), the horizons `tau` broadcasting against them, with guards for
-    vanishing rates. A route fails where its entropy diverges, or else
+    vanishing rates. An entropy below zero is rounding at a fixed point,
+    and its time is zero. A route fails where its entropy diverges, or else
     where its rate integral vanishes under a nonzero entropy; a cell whose
     entry of `errors` is still None takes the error of its first failing
     route there."""
     stalled = rhs <= ZERO_TOL
-    out = np.where(stalled, 0.0, tau * d / rhs)
+    out = np.where(stalled | (d < 0.0), 0.0, tau * d / rhs)
     diverged = ~np.isfinite(d)
     stalled &= ~diverged & (d > ENTROPY_NOISE_TOL)
     fails = diverged | stalled
@@ -539,9 +540,10 @@ def qsl_unitary(
     den_fwd = 2.0 * a * h_a * k ** (a - 1.0) * dh
     den_bwd = 2.0 * h_b * k ** (-a) * dh
     den_sym = 2.0 * (a * h_a * k ** (2.0 * a - 1.0) + abs(1.0 - a) * h_b) * dh / k**a
-    tau_fwd = abs(1.0 - a) * d_fwd / den_fwd
-    tau_bwd = d_bwd / den_bwd
-    tau_sym = abs(1.0 - a) * d_sym / den_sym
+    # an entropy below zero is rounding at a fixed point: its time is zero
+    tau_fwd = abs(1.0 - a) * max(d_fwd, 0.0) / den_fwd
+    tau_bwd = max(d_bwd, 0.0) / den_bwd
+    tau_sym = abs(1.0 - a) * max(d_sym, 0.0) / den_sym
     tau_qsl = max(tau_fwd, tau_bwd, tau_sym)
     horizon = math.nan if tau is None else tau
     delta = math.nan if tau is None else 1.0 - tau_qsl / tau
@@ -565,6 +567,8 @@ def tau_unitary_petz(
         raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes")
+    if not rho0.full_rank:
+        raise SingularStateError("auxiliary function needs a full-rank probe")
     r_alpha = ent.petz(rho_tau, rho0, alpha)
     k_min, k_max = rho0.k_min, rho0.k_max
     num = abs(1.0 - alpha) * abs(1.0 + (1.0 - alpha) * math.log(k_min)) * r_alpha
@@ -581,6 +585,8 @@ def tau_unitary_fidelity(
         raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes")
+    if not rho0.full_rank:
+        raise SingularStateError("auxiliary function needs a full-rank probe")
     f = ent.fidelity(rho_tau, rho0)
     k_min, k_max = rho0.k_min, rho0.k_max
     return -abs(2.0 + math.log(k_min)) * k_min * math.log(f) / (2.0 * k_max * delta_h)

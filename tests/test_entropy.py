@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -328,6 +329,70 @@ class TestInvariances:
             assert after <= before + 1e-8
 
 
+class TestFidelityTruth:
+    # The Uhlmann fidelity against mpmath at 30 digits, on 20 draws each
+    # at dims 2, 3 and 4. A pure state |a><a| gives F = sqrt(<a|sigma|a>)
+    # and two pure states give |<a|b>|; a full-rank pair goes through
+    # mpmath's eigendecompositions of the two matrices the states hold.
+    # Measured worst relative errors: 1.8e-15 (pure vs mixed, either
+    # order), 8.4e-15 (pure vs pure, where a small overlap magnifies the
+    # core's rounding) and 1.4e-15 (full rank). A kernel that sums the
+    # square roots of a pure core's rounding-noise eigenvalues reads the
+    # pure cases 2.7e-8 off.
+    PURE, FULL = 1e-14, 3e-14
+
+    @staticmethod
+    def ket(rng, dim):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    @staticmethod
+    def mp(x):
+        """An mpmath matrix, or column for a vector, holding x's complex floats exactly."""
+        return mpmath.matrix(np.asarray(x, dtype=complex).tolist())
+
+    @classmethod
+    def mixed_truth(cls, rho, sigma):
+        vals, vecs = mpmath.eigh(cls.mp(rho.mat))
+        root = vecs * mpmath.diag([mpmath.sqrt(max(v, 0)) for v in vals]) * vecs.H
+        core = root * cls.mp(sigma.mat) * root
+        return sum(mpmath.sqrt(max(v, 0)) for v in mpmath.eigh((core + core.H) / 2)[0])
+
+    @classmethod
+    def pure_truth(cls, a, sigma):
+        a = cls.mp(a)
+        return mpmath.sqrt(mpmath.re((a.H * cls.mp(sigma.mat) * a)[0]) / mpmath.re((a.H * a)[0]))
+
+    @classmethod
+    def overlap_truth(cls, a, b):
+        a, b = cls.mp(a), cls.mp(b)
+        return abs((a.H * b)[0]) / mpmath.sqrt(mpmath.re((a.H * a)[0] * (b.H * b)[0]))
+
+    def test_matches_mpmath(self, rng):
+        errors = {"pure_mixed": [], "pure_pure": [], "full_rank": []}
+        with mpmath.workdps(30):
+            for dim in (2, 3, 4):
+                for _ in range(20):
+                    a, b = self.ket(rng, dim), self.ket(rng, dim)
+                    rho, sigma = random_density(rng, dim), random_density(rng, dim)
+                    want = self.pure_truth(a, sigma)
+                    for got in (ent.fidelity(pure(a), sigma), ent.fidelity(sigma, pure(a))):
+                        errors["pure_mixed"].append(float(abs(got / want - 1)))
+                    want = self.overlap_truth(a, b)
+                    got = ent.fidelity(pure(a), pure(b))
+                    errors["pure_pure"].append(float(abs(got / want - 1)))
+                    want = self.mixed_truth(rho, sigma)
+                    errors["full_rank"].append(float(abs(ent.fidelity(rho, sigma) / want - 1)))
+        assert max(errors["pure_mixed"]) <= self.PURE
+        assert max(errors["pure_pure"]) <= self.PURE
+        assert max(errors["full_rank"]) <= self.FULL
+
+    def test_orthogonal_pure_states(self):
+        for a, b in (([1, 0], [0, 1]), ([1, 0, 0], [0, 0, 1])):
+            assert ent.fidelity(pure(a), pure(b)) == ent.fidelity(pure(b), pure(a)) == 0.0
+            assert ent.min_relative(pure(a), pure(b)) == math.inf
+
+
 class TestChainInequalities:
     def test_araki_lieb_thirring(self, rng):
         for _ in range(100):
@@ -362,17 +427,15 @@ class TestSpecialCases:
         for _ in range(30):
             rho, sigma = random_density(rng, 2), random_density(rng, 2)
             alpha = float(rng.uniform(0.05, 0.95))
-            assert ent.petz(rho, sigma, alpha) == pytest.approx(
-                ent.renyi_az(rho, sigma, EntropyParams(alpha, 1.0)), abs=1e-11
-            )
+            assert ent.petz(rho, sigma, alpha) == ent.renyi_az(
+                rho, sigma, EntropyParams(alpha, 1.0))
 
     def test_sandwiched_is_z_alpha(self, rng):
         for _ in range(30):
             rho, sigma = random_density(rng, 2), random_density(rng, 2)
             alpha = float(rng.uniform(0.05, 0.95))
-            assert ent.sandwiched(rho, sigma, alpha) == pytest.approx(
-                ent.renyi_az(rho, sigma, EntropyParams(alpha, alpha)), abs=1e-11
-            )
+            assert ent.sandwiched(rho, sigma, alpha) == ent.renyi_az(
+                rho, sigma, EntropyParams(alpha, alpha))
 
     def test_sandwiched_below_petz(self, rng):
         # at dim 2 the determinant rescue certifies the full alpha range;

@@ -24,6 +24,7 @@ from azqsl.errors import (
     InvalidParamsError,
     InvalidPError,
     InvalidStateError,
+    SingularStateError,
 )
 from azqsl.qsl import qsl_nonunitary
 from azqsl.states import (
@@ -53,6 +54,16 @@ def z_field() -> dyn.HamiltonianModel:
 
 def probe() -> DensityMatrix:
     return bloch_state(BlochVector(0.5, 0.3, 0.2))
+
+
+def pure_probe() -> DensityMatrix:
+    return bloch_state(BlochVector(1.0, 1.0, 0.3))
+
+
+def pure_orbit_end() -> DensityMatrix:
+    """The pure probe after unit time under n = (1, 0, 0.5)."""
+    h = dyn.HamiltonianModel.qubit([1.0, 0.0, 0.5])
+    return dyn.evolve_unitary(h, pure_probe(), 1.0, 3).final_state
 
 
 LIBRARY_CASES = {
@@ -113,6 +124,23 @@ LIBRARY_CASES = {
             ("tau_unitary_fidelity", lambda dh: qsl.tau_unitary_fidelity(probe(), probe(), dh)),
         )
         for label, delta_h in (("nan", NAN), ("inf", INF))
+    },
+    # a pure probe has no finite h, as in qsl_unitary
+    "tau_unitary_petz_rank_deficient_probe": (
+        lambda: qsl.tau_unitary_petz(pure_probe(), pure_orbit_end(), 0.4, 1.0), SingularStateError
+    ),
+    "tau_unitary_fidelity_rank_deficient_probe": (
+        lambda: qsl.tau_unitary_fidelity(pure_probe(), pure_orbit_end(), 1.0), SingularStateError
+    ),
+    **{
+        f"{name}_samples_{label}": (partial(run, n_steps), InvalidParamsError)
+        for name, run in (
+            ("evolve_kraus", lambda n: dyn.evolve_kraus(depolarizing(), probe(), 1.0, n)),
+            ("evolve_unitary", lambda n: dyn.evolve_unitary(z_field(), probe(), 1.0, n)),
+            ("qsl_nonunitary",
+             lambda n: qsl_nonunitary(depolarizing(), probe(), 1.0, EntropyParams(0.5, 1.0), n)),
+        )
+        for label, n_steps in (("float", 2.5), ("text", "5"))
     },
     **{
         f"{name}_horizon_{label}": (partial(run, tau), InvalidParamsError)
