@@ -439,19 +439,12 @@ def _check_samples(n: int, drift: np.ndarray, asym: np.ndarray, speeds: np.ndarr
             raise InvalidStateError(f"negative {name}")
 
 
-def _kmin_plan(positions: np.ndarray, dim: int) -> tuple:
-    """The lower triangle of a state held at the flat positions `positions`:
-    which of them it takes, and their `linalg._Patterns`."""
-    lower = positions % dim <= positions // dim
-    return lower, linalg._Patterns([positions[lower]], dim, dim, hermitian=True)
-
-
 def _batch_kmin(values: np.ndarray, kmin: tuple) -> np.ndarray:
     """Smallest eigenvalue of each sample of a state given by its values at
-    the positions of `kmin` (`_kmin_plan`), from the entries of its lower
-    triangle (`linalg._sample_spectra`, as `linalg.min_eigenvalues` reads a
-    dense stack), clamped at zero; one below -1e-10 raises
-    InvalidStateError."""
+    the positions of `kmin` (`linalg._lower_triangle`), from the entries of
+    its lower triangle (`linalg._sample_spectra`, as
+    `linalg.min_eigenvalues` reads a dense stack), clamped at zero; one
+    below -1e-10 raises InvalidStateError."""
     lower, patterns = kmin
     vals = linalg._sample_spectra(patterns, values[lower])[0]
     if float(vals.min()) < -1e-10:
@@ -494,14 +487,16 @@ def _unitary_sampler(h: HamiltonianModel, rho0: DensityMatrix):
     sum over the shared index one term at a time, and the sample axis sees
     only real elementwise arithmetic (`linalg._cmul`), so a sample has the
     same bits in every run that holds it. The state is then hermitized,
-    and the speed and k_min, taken once from rho_0, repeat per sample."""
+    and the speed and k_min, taken once from rho_0 with the planned dense
+    patterns of `linalg.trace_norms` and `linalg.min_eigenvalues`, repeat
+    per sample."""
     dim = h.dim
     w, v = linalg.eigh(h.mat)
     tilde = linalg.hermitian_part(v.conj().T @ rho0.mat @ v)
     dstate = linalg.hermitian_part(-1j * (h.mat @ rho0.mat - rho0.mat @ h.mat))
-    positions, values = _entries(dstate[None])
-    speed = linalg._sample_spectra(linalg._Patterns([positions], dim, dim), values)[0]
-    kmin = _batch_kmin(_entries(rho0.mat[None])[1], _kmin_plan(positions, dim))
+    speed = linalg.trace_norms(dstate)
+    kmin = _batch_kmin(rho0.mat.reshape(dim * dim, 1),
+                       linalg._planned((dim,), linalg._lower_triangle, np.arange(dim * dim), dim))
     a, b = np.triu_indices(dim, 1)
     gaps = w[a] - w[b]
     upper = tilde[a, b, None]
@@ -610,17 +605,20 @@ def _gram_pairs(G: _Gathered, dim: int) -> tuple:
 # share A = K rho_0; completeness sums entry pairs (`_gram_pairs`).
 #
 # Everything a run forms that depends on its pair's entries alone is
-# planned once per set of entries and pattern of rho_0 (`_RunPlan`, kept
-# by `_planned`): the stages' plans, the operator-sum rounds and adjoint
-# index of the state and the speed matrix (`_Adjoint`), the split of the
-# rate products by operator, the spectra's block layouts
-# (`linalg._Patterns`), k_min's lower triangle and the completeness
-# pairs. A channel gathers the same entries from run to run, so a run
-# past the first only looks its plan up. The speed matrix and each
-# operator's rate product are written as consecutive rows of one array,
-# and all their trace norms take one `linalg._sample_spectra` call, which
-# evaluates the blocks of one shape across the matrices together; k_min
-# takes one more.
+# planned once per set of entries and pattern of rho_0 (`_RunPlan`): the
+# stages' plans, the operator-sum rounds and adjoint index of the state and
+# the speed matrix (`_Adjoint`), the split of the rate products by
+# operator, the positions of the spectra's matrices (`linalg._Patterns`),
+# k_min's lower triangle and the completeness pairs. `linalg._planned`
+# keeps it in the one table of work derived from a sparsity pattern,
+# keyed by the bytes of what each is derived from and emptied at
+# `linalg._MAX_PLANS` entries, with the block layouts of the spectra's
+# nonzero masks. A channel gathers the same entries from run to run, so a
+# run past the first only looks its plan and layouts up. The speed matrix
+# and each operator's rate product are written as consecutive rows of one
+# array, and all their trace norms take one `linalg._sample_spectra` call,
+# which evaluates the blocks of one shape across the matrices together;
+# k_min takes one more.
 #
 # In a monomial stack, with at most one nonzero per operator row and
 # column (the built-in channels, the bit-flip file family), every entry of
@@ -880,8 +878,8 @@ def apply_channel(fam: KrausFamily, rho0: DensityMatrix, t: float) -> DensityMat
         raise InvalidParamsError(f"time must be >= 0 and finite, got {t}")
     K = fam._exact_ops(np.array([float(t)]))
     rho = _rho_factor(rho0)
-    plan = _planned((*_probe_key(rho, rho0.dim), *_entries_key(K)), _state_plan, K, rho,
-                    rho0.dim)
+    plan = linalg._planned((*_probe_key(rho, rho0.dim), *_entries_key(K)), _state_plan, K,
+                           rho, rho0.dim)
     _check_gathered_completeness(K, plan.gram)
     KR = _sums(plan.R, (K.values.real, K.values.imag), rho.values)
     return DensityMatrix(_dense(plan.adjoint.positions, _state_values(plan, KR, K), rho0.dim)[0])
@@ -919,7 +917,7 @@ class _RunPlan(NamedTuple):
     the plan of the rate products (K rho_0) dK†, or None without rates;
     each operator's rate product and then the speed matrix as consecutive
     rows of one array, which `linalg._sample_spectra` reads (`norms`); and
-    the lower triangle of the state (`_kmin_plan`)."""
+    the lower triangle of the state (`linalg._lower_triangle`)."""
 
     state: _StatePlan
     dR: _Plan
@@ -947,7 +945,7 @@ def _run_plan(K: _Gathered, dK: _Gathered, rho: _Gathered, dim: int,
         matrices = [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
     return _RunPlan(state, dR, half, speed, rates,
                     linalg._Patterns([*matrices, speed.positions], dim, dim),
-                    _kmin_plan(state.adjoint.positions, dim))
+                    linalg._lower_triangle(state.adjoint.positions, dim))
 
 
 def _entries_key(*stacks: _Gathered) -> tuple:
@@ -962,21 +960,6 @@ def _probe_key(rho: _Gathered, dim: int) -> tuple:
     return dim, rho.rows.tobytes(), rho.cols.tobytes()
 
 
-# Plans by what they are planned from; a full table starts afresh
-_PLANS: dict = {}
-_MAX_PLANS = 256
-
-
-def _planned(key: tuple, build, *args):
-    """The plan `build(*args)` under `key`, built when it is first asked for."""
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= _MAX_PLANS:
-            _PLANS.clear()
-        plan = _PLANS[key] = build(*args)
-    return plan
-
-
 def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
     """The per-sample work of `evolve_kraus` on a run of sample times. The
     run raises at the first check it fails, in `evolve_kraus` order, before
@@ -984,11 +967,11 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
 
     What a run forms depends on its values alone once its pair's entries
     are planned (`_run_plan`; the exact-time values at regularized samples
-    share K's entries and plan). Each set of entries is planned
-    once, when a run first meets it, and kept with the pattern of rho_0
-    (`_planned`): a built-in channel gathers the same entries in every
-    run, and a user family whose gathered entries change from run to run
-    gets a plan for each set. Every trace norm of a run, each operator's
+    share K's entries and plan). Each set of entries is planned once, when
+    a run first meets it, and kept with the pattern of rho_0
+    (`linalg._planned`): a built-in channel gathers the same entries in
+    every run, and a user family whose gathered entries change from run to
+    run gets a plan for each set. Every trace norm of a run, each operator's
     rate product K_l rho_0 dK_l† and the speed matrix, takes one
     `linalg._sample_spectra` call, and k_min another. For the built-in
     channels every block has at most two rows or columns and takes a
@@ -1005,7 +988,8 @@ def _kraus_sampler(fam: KrausFamily, rho0: DensityMatrix, rates: bool):
 
     def sample(times: np.ndarray) -> _Samples:
         K, dK, regularized, exact = fam._trajectory_pair(times)
-        plan = _planned((*probe, n_ops, *_entries_key(K, dK)), _run_plan, K, dK, rho, dim, n_ops)
+        plan = linalg._planned((*probe, n_ops, *_entries_key(K, dK)), _run_plan, K, dK, rho,
+                               dim, n_ops)
         # the pair's K is the exact-time stack outside the regularized rows
         _check_gathered_completeness(K, plan.state.gram, slice(None) if rates else ~regularized)
         if regularized.any():

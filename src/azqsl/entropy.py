@@ -103,6 +103,13 @@ def _stack_powers(states: list, exponents) -> np.ndarray:
     return powers if len(distinct) == len(states) else powers[[index[id(s)] for s in states]]
 
 
+def _top_powers(states: list, exponents) -> np.ndarray:
+    """The largest eigenvalue power of each of a list of states for every
+    exponent, shape (len(states), len(exponents))."""
+    spectra = np.array([s.eigenvalues for s in states])
+    return linalg.eigenvalue_powers(spectra, exponents).max(axis=-1).T
+
+
 def _petz_traces(rhos: list, sigmas: list, alphas: list[float]) -> np.ndarray:
     """Tr(sigma_i^(1-a) rho_i^a) of the pairs of two lists of states for
     every alpha, shape (n_pairs, len(alphas)), as sum_jk mu_j^(1-a)
@@ -126,14 +133,16 @@ def _purities(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.nda
 
     At z = 1, g is `_petz_traces`. Otherwise all matrix powers come from
     the states' cached spectra, once per distinct state, and the sandwiched
-    cores of every pair and alpha are diagonalized in one batch. Every step
-    is core by core, so a pair's values are those of the pair on its own,
-    bit for bit.
+    cores of every pair and alpha are diagonalized in one batch; a core at
+    its noise floor gives g = 0. Every step is core by core, so a pair's
+    values are those of the pair on its own, bit for bit.
     """
     if z == 1.0:
         return _petz_traces(rhos, sigmas, alphas)
-    outer = _stack_powers(sigmas, [(1.0 - a) / (2.0 * z) for a in alphas])
-    cores = outer @ _stack_powers(rhos, [a / z for a in alphas])
+    outer_exponents = [(1.0 - a) / (2.0 * z) for a in alphas]
+    inner_exponents = [a / z for a in alphas]
+    outer = _stack_powers(sigmas, outer_exponents)
+    cores = outer @ _stack_powers(rhos, inner_exponents)
     cores = cores @ outer
     del outer
     spectra = np.maximum(np.linalg.eigvalsh(linalg.hermitian_part(cores)), 0.0)
@@ -145,8 +154,15 @@ def _purities(rhos: list, sigmas: list, alphas: list[float], z: float) -> np.nda
     tops = spectra[..., -1:]
     resolved = (tops[..., 0] > 0.0) & (spectra >= _ZPOW_NOISE_REL * tops).all(axis=-1)
     if not resolved.all():
+        # unless its largest eigenvalue lies below the rounding its entries
+        # carry, dim eps times the product of its operands' largest
+        # eigenvalue powers: such a core is noise, and zero. The core of
+        # orthogonal states is one; its null directions keep it unresolved
+        floors = (spectra.shape[-1] * np.finfo(float).eps
+                  * _top_powers(sigmas, outer_exponents) ** 2 * _top_powers(rhos, inner_exponents))
         for i, j in zip(*np.nonzero(~resolved)):
-            traces[i, j] = _zpow_trace(spectra[i, j], rhos[i], sigmas[i], alphas[j], z)
+            traces[i, j] = (0.0 if tops[i, j, 0] < floors[i, j] else
+                            _zpow_trace(spectra[i, j], rhos[i], sigmas[i], alphas[j], z))
     return traces
 
 
@@ -172,9 +188,13 @@ def _renyi_az_grid(rhos: list, sigmas: list, alphas: list[float], z: float) -> n
     values = np.empty((0, len(alphas)))
     if held:
         gs = _purities([rhos[i] for i in held], [sigmas[i] for i in held], alphas, z)
-        # math.log per cell (it raises on g <= 0); float division is correctly
-        # rounded, so one array division gives each cell's scalar quotient
-        logs = np.array(list(map(math.log, gs.ravel().tolist())), dtype=float)
+        # math.log per cell; float division is correctly rounded, so one
+        # array division gives each cell's scalar quotient. A core at the
+        # noise floor has g = 0, where math.log raises: its entropy is +inf
+        try:
+            logs = np.array(list(map(math.log, gs.ravel().tolist())), dtype=float)
+        except ValueError:
+            logs = np.array([math.log(g) if g > 0.0 else -math.inf for g in gs.ravel().tolist()])
         values = logs.reshape(gs.shape) / (np.array(alphas, dtype=float) - 1.0)
     # made after `_purities`' temporaries: made before, it grows a sweep's heap
     out = np.full((len(rhos), len(alphas)), math.inf)
@@ -194,7 +214,8 @@ def renyi_az_symmetrized(rho: DensityMatrix, sigma: DensityMatrix, p: EntropyPar
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), symmetric: g at (1/2, 1/2), whose
-    core eigenvalues below `_ZPOW_NOISE_REL` of the largest count as noise, as for every member."""
+    core eigenvalues below `_ZPOW_NOISE_REL` of the largest count as noise, and whose core below
+    the rounding its entries carry counts as zero (orthogonal states), as for every member."""
     _check_dims(rho, sigma)
     return _purity_value(rho, sigma, 0.5, 0.5)
 

@@ -9,7 +9,6 @@ tuned for large problems.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -138,8 +137,21 @@ def trace_norm(m: np.ndarray) -> float:
     return schatten_norm(m, 1.0)
 
 
-# The block layouts one `_Patterns` keeps at most
-_MAX_LAYOUTS = 256
+# Everything derived from a sparsity pattern, by what it is derived from
+# and how; a full table starts afresh
+_PLANS: dict = {}
+_MAX_PLANS = 256
+
+
+def _planned(key: tuple, build, *args):
+    """The plan `build(*args)` under `key`, built when it is first asked for."""
+    key = (build, key)
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _MAX_PLANS:
+            _PLANS.clear()
+        plan = _PLANS[key] = build(*args)
+    return plan
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -156,8 +168,8 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, r, c = stack.shape
-    flat = stack.reshape(-1, r * c)
-    return _sample_spectra(_Patterns([np.arange(r * c)], r, c), flat.T)[0].reshape(lead)
+    patterns = _planned((r, c), _Patterns, [np.arange(r * c)], r, c)
+    return _sample_spectra(patterns, stack.reshape(-1, r * c).T)[0].reshape(lead)
 
 
 def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -174,10 +186,15 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """
     stack = np.asarray(stack, dtype=complex)
     *lead, n, _ = stack.shape
-    lower = np.flatnonzero(np.tri(n, dtype=bool))
-    flat = stack.reshape(-1, n * n)
-    patterns = _Patterns([lower], n, n, hermitian=True)
-    return _sample_spectra(patterns, flat.T[lower])[0].reshape(lead)
+    lower, patterns = _planned((n,), _lower_triangle, np.arange(n * n), n)
+    return _sample_spectra(patterns, stack.reshape(-1, n * n).T[lower])[0].reshape(lead)
+
+
+def _lower_triangle(positions: np.ndarray, n: int) -> tuple:
+    """The lower triangle of an n x n Hermitian matrix held at the flat
+    positions `positions`: which of them it takes, and their `_Patterns`."""
+    lower = positions % n <= positions // n
+    return lower, _Patterns([positions[lower]], n, n, hermitian=True)
 
 
 class _Patterns:
@@ -187,25 +204,22 @@ class _Patterns:
     entry is +0 (LAPACK, which takes blocks of at least 3x3, tells the
     signed zeros apart). With `hermitian` each is a Hermitian matrix given
     by entries of its lower triangle. What `_sample_spectra` reads of them
-    apart from the values is built here, once for every call: the rows of
-    each matrix and the `_Layout` of each set of nonzero rows that a call
-    meets."""
+    apart from the values is the rows of each matrix, and the `_Layout` of
+    each set of nonzero rows that a call meets, planned (`_planned`) under
+    the matrices' shape, starts and positions as bytes (`key`) and that
+    set's mask, so equal patterns share their layouts."""
 
     def __init__(self, positions, r: int, c: int, hermitian: bool = False):
         self.r, self.c, self.hermitian = r, c, hermitian
         self.positions = [tuple(np.asarray(p).tolist()) for p in positions]
         self.starts = np.cumsum([0, *map(len, self.positions)]).tolist()
-        self.layouts = {}
+        flat = [i for p in self.positions for i in p]
+        self.key = (r, c, hermitian, np.array(self.starts).tobytes(), np.array(flat).tobytes())
 
     def layout(self, nonzero: np.ndarray) -> _Layout:
         """The `_Layout` of samples whose nonzero rows are `nonzero`."""
-        key = nonzero.tobytes()
-        layout = self.layouts.get(key)
-        if layout is None:
-            if len(self.layouts) >= _MAX_LAYOUTS:  # a family of ever new patterns
-                self.layouts.clear()
-            layout = self.layouts[key] = _layout(self, key)
-        return layout
+        mask = nonzero.tobytes()
+        return _planned((self.key, mask), _layout, self, mask)
 
 
 class _Layout(NamedTuple):
@@ -311,7 +325,6 @@ def _pattern_spectra(values: np.ndarray, patterns: _Patterns, nonzero: np.ndarra
     return spectra
 
 
-@lru_cache(maxsize=256)
 def _block_rows(mask: bytes, r: int, c: int, positions: tuple, hermitian: bool):
     """The blocks of the r x c pattern that is nonzero at the `positions`
     where `mask` (a bool byte each) is set, in the order of their first
@@ -345,9 +358,7 @@ def _block_rows(mask: bytes, r: int, c: int, positions: tuple, hermitian: bool):
         seen |= rows
         i, j = np.array(sorted(rows))[:, None], np.array(sorted(cols))
         entries = np.maximum(i, j) * c + np.minimum(i, j) if hermitian else i * c + j
-        block = row_of[entries.ravel()]
-        block.setflags(write=False)  # cached, shared by every call
-        blocks.append((block, len(rows), len(cols)))
+        blocks.append((row_of[entries.ravel()], len(rows), len(cols)))
     return tuple(blocks)
 
 

@@ -562,14 +562,15 @@ def tau_unitary_petz(
     rho0: DensityMatrix, rho_tau: DensityMatrix, alpha: float, delta_h: float
 ) -> float:
     """Fast path of the forward unitary speed limit at z = 1, written in
-    terms of the Petz entropy and the probe's extreme eigenvalues."""
+    terms of the Petz entropy and the probe's extreme eigenvalues. A Petz
+    entropy below zero is rounding at a fixed point, and its time is zero."""
     if not math.isfinite(delta_h):
         raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
         raise ZeroVarianceError("Delta H vanishes")
     if not rho0.full_rank:
         raise SingularStateError("auxiliary function needs a full-rank probe")
-    r_alpha = ent.petz(rho_tau, rho0, alpha)
+    r_alpha = max(ent.petz(rho_tau, rho0, alpha), 0.0)
     k_min, k_max = rho0.k_min, rho0.k_max
     num = abs(1.0 - alpha) * abs(1.0 + (1.0 - alpha) * math.log(k_min)) * r_alpha
     den = 2.0 * alpha * k_max ** (1.0 - alpha) * k_min ** (alpha - 1.0) * delta_h
@@ -580,7 +581,8 @@ def tau_unitary_fidelity(
     rho0: DensityMatrix, rho_tau: DensityMatrix, delta_h: float
 ) -> float:
     """Fast path at alpha = z = 1/2: a positive bound proportional to
-    -ln of the Uhlmann fidelity."""
+    -ln of the Uhlmann fidelity. A fidelity of 1 or more is rounding at a
+    fixed point, and its time is zero."""
     if not math.isfinite(delta_h):
         raise InvalidParamsError(f"Delta H must be finite, got {delta_h}")
     if delta_h <= 1e-12:
@@ -588,6 +590,8 @@ def tau_unitary_fidelity(
     if not rho0.full_rank:
         raise SingularStateError("auxiliary function needs a full-rank probe")
     f = ent.fidelity(rho_tau, rho0)
+    if f >= 1.0:
+        return 0.0
     k_min, k_max = rho0.k_min, rho0.k_max
     return -abs(2.0 + math.log(k_min)) * k_min * math.log(f) / (2.0 * k_max * delta_h)
 

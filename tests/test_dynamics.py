@@ -1000,7 +1000,7 @@ class TestContractions:
         fam, rho0 = BUILT_IN_FAMILIES[name]
         built, calls = [], []
         run_plan, sample_spectra = dyn._run_plan, linalg._sample_spectra
-        monkeypatch.setattr(dyn, "_PLANS", {})
+        monkeypatch.setattr(linalg, "_PLANS", {})
         monkeypatch.setattr(dyn, "_run_plan", lambda *args: built.append(args) or run_plan(*args))
         monkeypatch.setattr(linalg, "_sample_spectra",
                             lambda *args: calls.append(args) or sample_spectra(*args))
@@ -1518,13 +1518,13 @@ class TestSharedSamples:
                  np.linspace(0.5, 2.0, 11), np.linspace(0.1, 0.8, 5)]
         built = []
         run_plan = dyn._run_plan
-        monkeypatch.setattr(dyn, "_PLANS", {})
+        monkeypatch.setattr(linalg, "_PLANS", {})
         monkeypatch.setattr(dyn, "_run_plan", lambda *args: built.append(args) or run_plan(*args))
         sample = dyn._kraus_sampler(model, rho0, True)
         runs = [sample(times) for times in grids]
         assert len(built) == 3
         for times, got in zip(grids, runs):
-            monkeypatch.setattr(dyn, "_PLANS", {})
+            monkeypatch.setattr(linalg, "_PLANS", {})
             want = dyn._kraus_sampler(model, rho0, True)(times)
             assert np.array_equal(got.state[0], want.state[0])
             for a, b in [(got.state[1], want.state[1]), *zip(got[1:], want[1:])]:

@@ -392,6 +392,50 @@ class TestFidelityTruth:
             assert ent.fidelity(pure(a), pure(b)) == ent.fidelity(pure(b), pure(a)) == 0.0
             assert ent.min_relative(pure(a), pure(b)) == math.inf
 
+    def test_rotated_orthogonal_pure_states(self):
+        # rotated orthogonal kets, whose core is rounding noise of about
+        # eps: the core lies below its noise floor and counts as zero
+        rng = np.random.default_rng(20261024)
+        for dim in (2, 3, 4):
+            for _ in range(50):
+                u = random_unitary(rng, dim)
+                a, b = pure(u[:, 0]), pure(u[:, 1])
+                assert ent.fidelity(a, b) == ent.fidelity(b, a) == 0.0
+                assert ent.min_relative(a, b) == ent.min_relative(b, a) == math.inf
+        for a, b in (([1, 1], [1, -1]), ([1, 2, 3], [3, 0, -1])):
+            assert ent.fidelity(pure(a), pure(b)) == 0.0
+            assert ent.min_relative(pure(a), pure(b)) == math.inf
+
+    def test_core_at_noise_floor_in_a_grid(self):
+        # rho pure on sigma's eigenvalue mu = 1e-6 (rotated), where
+        # D = -ln mu at every (alpha, z). At alpha = 0.1, z = 0.2 the core's
+        # top, mu^4.5 = 1e-27, lies below the rounding its entries carry
+        # (about 2 eps), so the kernel cannot resolve it: it reads g = 0 and
+        # D = +inf, and does not raise. The grid's other cell keeps its own
+        # value
+        u = random_unitary(np.random.default_rng(3), 2)
+        sigma = DensityMatrix(u @ np.diag([1.0 - 1e-6, 1e-6]) @ u.conj().T)
+        rho = pure(u[:, 1])
+        got = ent._renyi_az_grid([rho], [sigma], [0.1, 0.9], 0.2)[0]
+        assert got[0] == math.inf
+        assert got[1] == ent.renyi_az(rho, sigma, EntropyParams(0.9, 0.2))
+        assert got[1] == pytest.approx(-math.log(1e-6), rel=1e-9)
+
+    def test_near_orthogonal_pure_states(self, rng):
+        # an overlap^2 of 1e-10 lies far above the core's noise floor of
+        # about dim eps; the core's top eigenvalue carries that absolute
+        # rounding, so F is good to about dim eps / 1e-10 (measured 1.7e-6)
+        errors = []
+        with mpmath.workdps(30):
+            for dim in (2, 3, 4):
+                for _ in range(20):
+                    u = random_unitary(rng, dim)
+                    a, b = u[:, 0], math.sqrt(1.0 - 1e-10) * u[:, 1] + 1e-5 * u[:, 0]
+                    want = self.overlap_truth(a, b)
+                    for got in (ent.fidelity(pure(a), pure(b)), ent.fidelity(pure(b), pure(a))):
+                        errors.append(float(abs(got / want - 1)))
+        assert max(errors) <= 1e-5
+
 
 class TestChainInequalities:
     def test_araki_lieb_thirring(self, rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from azqsl import dynamics as dyn
 from azqsl import linalg
 from azqsl.errors import (
     InvalidPError,
@@ -14,7 +15,8 @@ from azqsl.errors import (
     NotPSDError,
     SingularMatrixError,
 )
-from helpers import mat_pow_integral, random_hermitian, random_unitary
+from azqsl.states import BlochVector, GHZMixedParams, bloch_state, ghz_mixed
+from helpers import mat_pow_integral, random_density, random_hermitian, random_unitary
 
 
 @pytest.fixture
@@ -619,6 +621,63 @@ class TestPlannedSpectra:
         # contiguous entries
         rows = 10.0 ** rng.uniform(-20.0, 20.0, (k, 50))
         assert np.array_equal(linalg._sum_rows(rows), np.ascontiguousarray(rows.T).sum(axis=-1))
+
+
+class TestPlanner:
+    # Every structure derived from a sparsity pattern, the `_Patterns` of a
+    # call and the block layouts of its nonzero masks, comes from the one
+    # bounded table of `_planned`: a repeated call derives none of them.
+    CALLS = {
+        "evolve_unitary qubit": lambda: dyn.evolve_unitary(
+            dyn.HamiltonianModel.qubit([1.0, 0.0, 0.5]), bloch_state(BlochVector(0.6, 1.2, 0.3)),
+            0.9, 101),
+        "evolve_unitary dense 4x4": lambda: dyn.evolve_unitary(
+            dyn.HamiltonianModel(random_hermitian(np.random.default_rng(4), 4)),
+            random_density(np.random.default_rng(5), 4), 3.0, 101),
+        "trace_norms": lambda: linalg.trace_norms(
+            np.random.default_rng(6).normal(size=(5, 4, 4)).astype(complex)),
+        "min_eigenvalues": lambda: linalg.min_eigenvalues(
+            np.array([random_hermitian(np.random.default_rng(7), 4)] * 5)),
+        "evolve_kraus with rates": lambda: dyn.evolve_kraus(
+            dyn.amplitude_damping_family(dyn.AmplitudeDampingParams(1.0, 10.0)),
+            ghz_mixed(GHZMixedParams(0.4)), 5.0, 101, rates=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_repeated_calls_derive_nothing(self, name, monkeypatch):
+        derived = []
+        init, layout = linalg._Patterns.__init__, linalg._layout
+
+        def counted_init(patterns, *args, **kwargs):
+            derived.append("patterns")
+            init(patterns, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_PLANS", {})
+        monkeypatch.setattr(linalg._Patterns, "__init__", counted_init)
+        monkeypatch.setattr(linalg, "_layout", lambda *args: derived.append("layout")
+                            or layout(*args))
+        call = self.CALLS[name]
+        call()
+        # the first call on an empty table derives both
+        assert {"patterns", "layout"} <= set(derived)
+        derived.clear()
+        for _ in range(20):
+            call()
+        assert derived == []
+
+    def test_table_keeps_its_bound(self, monkeypatch, rng):
+        # more sparsity patterns than the table holds: it empties when full,
+        # and every value has the bits of a call on a fresh table
+        monkeypatch.setattr(linalg, "_PLANS", {})
+        stacks = [(rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)))
+                  * (rng.random((5, 5)) < 0.3) for _ in range(linalg._MAX_PLANS + 50)]
+        values = []
+        for stack in stacks:
+            values.append(linalg.trace_norms(stack))
+            assert len(linalg._PLANS) <= linalg._MAX_PLANS
+        for stack, value in zip(stacks, values):
+            linalg._PLANS.clear()
+            assert linalg.trace_norms(stack).tobytes() == value.tobytes()
 
 
 class TestHermitianTraceNorms:

@@ -540,6 +540,19 @@ class TestFixedPointTimes:
             assert all(getattr(report, name) >= 0.0 for name in self.ROUTES)
             assert report.delta_qsl <= 1.0
 
+    def test_unitary_fast_paths(self):
+        # seeded fields with Delta H = 1 on the maximally mixed qubit, whose
+        # Petz entropy rounds below zero and whose fidelity rounds to 1 or
+        # above on some of them
+        rng = np.random.default_rng(20261022)
+        rho0 = bloch_state(BlochVector(0.0))
+        for _ in range(200):
+            n = rng.normal(size=3)
+            h = dyn.HamiltonianModel.qubit(n / np.linalg.norm(n))
+            rho_tau = dyn.evolve_unitary(h, rho0, 1.0, 3).final_state
+            assert 0.0 <= qsl.tau_unitary_petz(rho0, rho_tau, 0.4, 1.0) <= 1e-15
+            assert 0.0 <= qsl.tau_unitary_fidelity(rho0, rho_tau, 1.0) <= 1e-15
+
 
 class TestQslUnitary:
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, -math.inf])
