@@ -43,9 +43,37 @@ MODELS = ("unitary_qubit", "depolarizing", "amplitude_damping", "custom_kraus_fi
 OUTPUT_GROUPS = ("entropy", "bounds", "qsl", "errors")
 MAX_GRID_COUNT = 10_000
 
-BASE_COLUMNS = [
-    "model", "r", "theta", "phi", "nx", "ny", "nz", "gamma", "lambda", "s", "p",
-    "alpha", "z", "t",
+
+@dataclass(frozen=True)
+class _Param:
+    field: str  # its `SweepConfig` field, or the vector field holding it
+    models: tuple[str, ...]  # the models whose CSV rows print it
+    index: int | None = None  # its component of that vector field
+    probe: bool = False  # it describes the built-in probe, which `state_file` replaces
+
+    def value(self, cfg: SweepConfig) -> float:
+        value = getattr(cfg, self.field)
+        return value if self.index is None else value[self.index]
+
+
+_BLOCH = ("unitary_qubit", "depolarizing")
+# model parameter -> where it is kept and printed; each key is at once a
+# config key, a single-point flag and a CSV column, in this order
+PARAMS = {
+    "r": _Param("r", _BLOCH, probe=True),
+    "theta": _Param("theta", _BLOCH, probe=True),
+    "phi": _Param("phi", _BLOCH, probe=True),
+    "nx": _Param("n", ("unitary_qubit",), index=0),
+    "ny": _Param("n", ("unitary_qubit",), index=1),
+    "nz": _Param("n", ("unitary_qubit",), index=2),
+    "gamma": _Param("gamma", ("depolarizing",)),
+    "lambda": _Param("lam", ("amplitude_damping",)),
+    "s": _Param("s", ("amplitude_damping",)),
+    "p": _Param("p", ("amplitude_damping",), probe=True),
+}
+
+_KEY_COLUMNS = ["model", *PARAMS, "alpha", "z", "t"]
+BASE_COLUMNS = _KEY_COLUMNS + [
     "D_fwd", "D_bwd", "D_sym",
     "rhs_fwd", "rhs_bwd", "rhs_sym",
     "tau_fwd", "tau_bwd", "tau_sym", "tau_qsl",
@@ -78,20 +106,12 @@ class SweepConfig:
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; choose from {MODELS}")
-        scalars = {
-            "r": self.r, "theta": self.theta, "phi": self.phi,
-            "nx": self.n[0], "ny": self.n[1], "nz": self.n[2],
-            "gamma": self.gamma, "lambda": self.lam, "s": self.s, "p": self.p,
-        }
-        for name, value in scalars.items():
+        for name, param in PARAMS.items():
+            value = param.value(self)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name, grid in (
-            ("alpha_grid", self.alpha_grid),
-            ("z_grid", self.z_grid),
-            ("time_grid", self.time_grid),
-        ):
-            lo, hi, count = grid
+        for name in ("alpha_grid", "z_grid", "time_grid"):
+            lo, hi, count = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"{name} bounds must be finite, got [{lo}, {hi}]")
             if count < 1 or count > MAX_GRID_COUNT:
@@ -130,9 +150,7 @@ def parse_grid(text: str) -> tuple[float, float, int]:
 
 _CONFIG_KEYS = {
     "model": str,
-    "r": float, "theta": float, "phi": float,
-    "nx": float, "ny": float, "nz": float,
-    "gamma": float, "lambda": float, "s": float, "p": float,
+    **dict.fromkeys(PARAMS, float),
     "alpha_grid": parse_grid, "z_grid": parse_grid, "time_grid": parse_grid,
     "n_steps": int,
     "outputs": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
@@ -140,30 +158,38 @@ _CONFIG_KEYS = {
 }
 
 
-def _apply_config_item(cfg: SweepConfig, key: str, value: str) -> SweepConfig:
+def _config_fields(base: SweepConfig | type[SweepConfig], items: dict) -> dict:
+    """The `SweepConfig` fields these config keys set; a vector field's other
+    components come from `base`."""
+    out = {}
+    for key, value in items.items():
+        param = PARAMS.get(key) or _Param(key, ())  # any other key is a field
+        if param.index is not None:
+            vector = list(out.get(param.field, getattr(base, param.field)))
+            vector[param.index] = value
+            value = tuple(vector)
+        out[param.field] = value
+    return out
+
+
+def _apply_config_item(cfg: SweepConfig, item: str, bad_item: str) -> SweepConfig:
+    """`cfg` with the "key = value" `item` applied; `bad_item` is the error without "="."""
+    if "=" not in item:
+        raise ConfigError(bad_item)
+    key, value = (part.strip() for part in item.split("=", 1))
     if key not in _CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
         parsed = _CONFIG_KEYS[key](value)
     except ValueError as exc:
         raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
-    if key in ("nx", "ny", "nz"):
-        idx = "xyz".index(key[1])
-        n = list(cfg.n)
-        n[idx] = parsed
-        return replace(cfg, n=tuple(n))
-    if key == "lambda":
-        return replace(cfg, lam=parsed)
-    return replace(cfg, **{key: parsed})
+    return replace(cfg, **_config_fields(cfg, {key: parsed}))
 
 
 def _with_overrides(cfg: SweepConfig, overrides: list[str] | None) -> SweepConfig:
     """Apply command-line key=value overrides, then validate."""
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        cfg = _apply_config_item(cfg, key, value)
+        cfg = _apply_config_item(cfg, item, f"override {item!r} is not key=value")
     cfg.validate()
     return cfg
 
@@ -178,12 +204,8 @@ def load_config(path: str, overrides: list[str] | None = None) -> SweepConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        cfg = _apply_config_item(cfg, key, value)
+        if line:
+            cfg = _apply_config_item(cfg, line, f"bad config line {raw.strip()!r}")
     return _with_overrides(cfg, overrides)
 
 
@@ -270,16 +292,12 @@ def _fmt(x: float) -> str:
 
 
 def _model_param_cells(cfg: SweepConfig) -> list[str]:
-    qubit = cfg.model in ("unitary_qubit", "depolarizing")
-    cells = [cfg.model]
-    cells += [_fmt(cfg.r), _fmt(cfg.theta), _fmt(cfg.phi)] if qubit else ["", "", ""]
-    cells += [_fmt(v) for v in cfg.n] if cfg.model == "unitary_qubit" else ["", "", ""]
-    cells.append(_fmt(cfg.gamma) if cfg.model == "depolarizing" else "")
-    if cfg.model == "amplitude_damping":
-        cells += [_fmt(cfg.lam), _fmt(cfg.s), _fmt(cfg.p)]
-    else:
-        cells += ["", "", ""]
-    return cells
+    """The model, then each parameter, blank where the row's model or probe does not use it."""
+    return [cfg.model] + [
+        _fmt(param.value(cfg))
+        if cfg.model in param.models and not (param.probe and cfg.state_file) else ""
+        for param in PARAMS.values()
+    ]
 
 
 # output group -> CSV columns; a column's report field is its lower-case name
@@ -376,7 +394,8 @@ def rows_to_csv(panels: list[tuple[SweepConfig, qsl.Panel]]) -> str:
         shape = panel.warnings.shape
         axes = (panel.alphas[:, None, None], panel.zs[None, :, None], panel.times[None, None, :])
         flat = [np.broadcast_to(axis, shape).ravel() for axis in axes]
-        flat += [rendered[col].ravel() if col in rendered else None for col in columns[14:-1]]
+        flat += [rendered[col].ravel() if col in rendered else None
+                 for col in columns[len(_KEY_COLUMNS):-1]]
         warnings = panel.warnings.ravel()
         for start in range(0, warnings.size, _CSV_BLOCK_ROWS):
             rows = slice(start, min(start + _CSV_BLOCK_ROWS, warnings.size))
@@ -401,36 +420,29 @@ def run_sweep(cfg: SweepConfig) -> str:
 
 # --- figure presets ---------------------------------------------------------
 
-_FIG_ALPHA = (0.01, 0.99, 100)
-_FIG_TIME = (0.0, 20.0, 100)
+# figure preset -> its panels. The captions fix the model parameters; the
+# 100x100 grid resolution is a documented default since none is stated.
+# fig3 and fig5 add the errors columns to fig2 and fig4, and fig6 is fig5.
+_GRIDS = dict(alpha_grid=(0.01, 0.99, 100), z_grid=(1.0, 1.0, 1), time_grid=(0.0, 20.0, 100))
+_DEPOLARIZING = [SweepConfig(model="depolarizing", r=0.75, gamma=1.0, **_GRIDS)]
+_DAMPING = [SweepConfig(model="amplitude_damping", lam=1.0, s=s, p=p, **_GRIDS)
+            for s in (0.5, 10.0) for p in (0.25, 0.9)]
+FIGURES = {
+    "fig2": _DEPOLARIZING,
+    "fig3": [replace(cfg, outputs=cfg.outputs + ("errors",)) for cfg in _DEPOLARIZING],
+    "fig4": _DAMPING,
+    "fig5": [replace(cfg, outputs=cfg.outputs + ("errors",)) for cfg in _DAMPING],
+    "fig6": [replace(cfg, outputs=cfg.outputs + ("errors",)) for cfg in _DAMPING],
+}
+_FIGURE_SPAN = f"{list(FIGURES)[0]}..{list(FIGURES)[-1]}"
 
 
 def figure_panels(name: str) -> list[SweepConfig]:
-    """Named presets reproducing the published parameter grids.
-
-    The captions fix the model parameters; the 100x100 grid resolution is a
-    documented default since none is stated."""
-    depol = SweepConfig(
-        model="depolarizing", r=0.75, gamma=1.0,
-        alpha_grid=_FIG_ALPHA, z_grid=(1.0, 1.0, 1), time_grid=_FIG_TIME,
-    )
-    if name == "fig2":
-        return [depol]
-    if name == "fig3":
-        return [replace(depol, outputs=("entropy", "bounds", "qsl", "errors"))]
-    if name in ("fig4", "fig5", "fig6"):
-        outputs = ("entropy", "bounds", "qsl") if name == "fig4" else (
-            "entropy", "bounds", "qsl", "errors")
-        panels = []
-        for s in (0.5, 10.0):
-            for p in (0.25, 0.9):
-                panels.append(SweepConfig(
-                    model="amplitude_damping", lam=1.0, s=s, p=p,
-                    alpha_grid=_FIG_ALPHA, z_grid=(1.0, 1.0, 1), time_grid=_FIG_TIME,
-                    outputs=outputs,
-                ))
-        return panels
-    raise ConfigError(f"unknown figure {name!r}; choose fig2..fig6")
+    """A new list of the named preset's panels, which reproduce the
+    published parameter grids."""
+    if name not in FIGURES:
+        raise ConfigError(f"unknown figure {name!r}; choose {_FIGURE_SPAN}")
+    return list(FIGURES[name])
 
 
 def run_figure(name: str) -> str:
@@ -525,9 +537,7 @@ def emit_plot_script(csv_text: str, csv_name: str, kind: str, column: str) -> st
 def _cfg_from_args(args) -> SweepConfig:
     cfg = SweepConfig(
         model=args.model,
-        r=args.r, theta=args.theta, phi=args.phi,
-        n=(args.nx, args.ny, args.nz),
-        gamma=args.gamma, lam=args.lam, s=args.s, p=args.p,
+        **_config_fields(SweepConfig, {key: getattr(args, key) for key in PARAMS}),
         alpha_grid=(args.alpha, args.alpha, 1),
         z_grid=(args.z, args.z, 1),
         time_grid=(args.tau, args.tau, 1),
@@ -632,16 +642,8 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", default=cfg.model, choices=MODELS)
     sub.add_argument("--alpha", type=float, default=cfg.alpha_grid[0])
     sub.add_argument("--z", type=float, default=cfg.z_grid[0])
-    sub.add_argument("--r", type=float, default=cfg.r)
-    sub.add_argument("--theta", type=float, default=cfg.theta)
-    sub.add_argument("--phi", type=float, default=cfg.phi)
-    sub.add_argument("--nx", type=float, default=cfg.n[0])
-    sub.add_argument("--ny", type=float, default=cfg.n[1])
-    sub.add_argument("--nz", type=float, default=cfg.n[2])
-    sub.add_argument("--gamma", type=float, default=cfg.gamma)
-    sub.add_argument("--lambda", dest="lam", type=float, default=cfg.lam)
-    sub.add_argument("--s", type=float, default=cfg.s)
-    sub.add_argument("--p", type=float, default=cfg.p)
+    for key, param in PARAMS.items():
+        sub.add_argument(f"--{key}", type=float, default=param.value(cfg))
     sub.add_argument("--tau", type=float, default=cfg.time_grid[0])
     sub.add_argument("--steps", type=int, default=cfg.n_steps)
     sub.add_argument("--state-file", default=cfg.state_file)
@@ -664,17 +666,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", default=None, help="flat key=value config file")
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--plot", choices=("heatmap", "line"), default=None)
-    sweep.add_argument("--column", default="tau_qsl")
     sweep.set_defaults(func=_cmd_sweep)
 
-    figure = subs.add_parser("figure", help="built-in figure presets fig2..fig6")
-    figure.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5", "fig6"))
-    figure.add_argument("--out", default=None)
-    figure.add_argument("--plot", choices=("heatmap", "line"), default=None)
-    figure.add_argument("--column", default="tau_qsl")
+    figure = subs.add_parser("figure", help=f"built-in figure presets {_FIGURE_SPAN}")
+    figure.add_argument("name", choices=tuple(FIGURES))
     figure.set_defaults(func=_cmd_figure)
+
+    for sub in (sweep, figure):  # each writes a CSV and, with --plot, its script
+        sub.add_argument("--out", default=None)
+        sub.add_argument("--plot", choices=("heatmap", "line"), default=None)
+        sub.add_argument("--column", default="tau_qsl")
 
     selftest = subs.add_parser("selftest", help="oracle cross-checks")
     selftest.add_argument("--draws", type=int, default=100)

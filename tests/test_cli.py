@@ -12,6 +12,8 @@ from azqsl import dynamics as dyn
 from azqsl.errors import ConfigError, MissingColumnError
 from azqsl.states import BlochVector, bloch_state, save_state
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -193,6 +195,31 @@ class TestSweep:
         lines = out.read_text().splitlines()
         header = lines[0].split(",")
         assert lines[1].split(",")[header.index("r")] == "0.5"
+
+    @pytest.mark.parametrize("model, state_file, cells", [
+        ("unitary_qubit", None, {"r": "0.20000000000000001", "theta": "0", "phi": "0",
+                                 "nx": "0", "ny": "0", "nz": "1"}),
+        ("unitary_qubit", "bloch", {"nx": "0", "ny": "0", "nz": "1"}),
+        ("depolarizing", "bloch", {"gamma": "1"}),
+        ("amplitude_damping", "ghz_mixed_p0.4.txt", {"lambda": "1", "s": "0.5"}),
+    ])
+    def test_parameter_cells_describe_the_probe(self, model, state_file, cells, tmp_path):
+        # a state file replaces the Bloch (r, theta, phi) or GHZ (p) probe,
+        # so its row leaves those cells blank and prints the dynamics' own
+        settings = ["model=" + model, "r=0.2", "theta=0", "n_steps=11"]
+        if state_file == "bloch":
+            state_file = tmp_path / "probe.txt"
+            save_state(state_file, bloch_state(BlochVector(0.2, 1.0, 0.3)))
+        elif state_file:
+            state_file = DATA / state_file
+        if state_file:
+            settings.append(f"state_file={state_file}")
+        out = tmp_path / "cells.csv"
+        assert run_cli(["sweep", *(a for s in settings for a in ("--set", s)), "--out", out]) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        params = slice(header.index("model") + 1, header.index("alpha"))
+        printed = {key: cell for key, cell in zip(header[params], row[params]) if cell}
+        assert printed == cells
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -510,6 +510,9 @@ class TestSpecialCases:
     def test_umegaki_support_violation(self):
         assert ent.umegaki(bloch_state(BlochVector(0.0)), pure([0, 1])) == math.inf
 
+    def test_max_relative_support_violation(self):
+        assert ent.max_relative(bloch_state(BlochVector(0.0)), pure([0, 1])) == math.inf
+
     def test_max_relative(self, rng):
         dm = random_density(rng, 2)
         assert ent.max_relative(dm, dm) == pytest.approx(0.0, abs=1e-10)

@@ -24,7 +24,9 @@ from azqsl.errors import (
     InvalidParamsError,
     InvalidPError,
     InvalidStateError,
+    NotHermitianError,
     SingularStateError,
+    ZeroVarianceError,
 )
 from azqsl.qsl import qsl_nonunitary
 from azqsl.states import (
@@ -56,6 +58,10 @@ def probe() -> DensityMatrix:
     return bloch_state(BlochVector(0.5, 0.3, 0.2))
 
 
+def ghz_probe() -> DensityMatrix:
+    return ghz_mixed(GHZMixedParams(0.4))
+
+
 def pure_probe() -> DensityMatrix:
     return bloch_state(BlochVector(1.0, 1.0, 0.3))
 
@@ -83,6 +89,7 @@ LIBRARY_CASES = {
     "state_text_nan": (lambda: state_from_text("2\n0.5 0\n0 0\n0 0\nnan 0\n"), InvalidStateError),
     "state_text_dim_zero": (lambda: state_from_text("0\n"), InvalidStateError),
     "state_text_dim_negative": (lambda: state_from_text("-1 1 2\n"), InvalidStateError),
+    "state_text_dim_fraction": (lambda: state_from_text("2.5\n"), InvalidStateError),
     "density_matrix_empty": (lambda: DensityMatrix(np.zeros((0, 0))), InvalidStateError),
     "hamiltonian_matrix_nan": (
         lambda: dyn.HamiltonianModel(np.diag([NAN, 1.0])), InvalidParamsError
@@ -105,6 +112,17 @@ LIBRARY_CASES = {
         lambda: dyn.HamiltonianModel(np.zeros((0, 0))), InvalidParamsError
     ),
     "hamiltonian_matrix_vector": (lambda: dyn.HamiltonianModel(np.ones(2)), InvalidParamsError),
+    "eigh_not_square": (lambda: linalg.eigh(np.ones((2, 3))), NotHermitianError),
+    # a two-qubit probe against a qubit model
+    "energy_fluctuation_probe_dim": (
+        lambda: dyn.energy_fluctuation(z_field(), ghz_probe()), DimMismatchError
+    ),
+    "coherence_measure_probe_dim": (
+        lambda: dyn.coherence_measure(z_field(), ghz_probe()), DimMismatchError
+    ),
+    "apply_channel_probe_dim": (
+        lambda: dyn.apply_channel(depolarizing(), ghz_probe(), 0.5), DimMismatchError
+    ),
     # rho_tau of another dim than rho0: caught before the spectra are compared
     "qsl_unitary_state_dims": (
         lambda: qsl.qsl_unitary(dyn.HamiltonianModel(np.diag([1.0, 2.0, 3.0, 4.0])),
@@ -125,6 +143,14 @@ LIBRARY_CASES = {
         )
         for label, delta_h in (("nan", NAN), ("inf", INF))
     },
+    # no energy spread: the speed bound 2 Delta H gives no time
+    **{
+        f"{name}_delta_h_zero": (run, ZeroVarianceError)
+        for name, run in (
+            ("tau_unitary_petz", lambda: qsl.tau_unitary_petz(probe(), probe(), 0.5, 0.0)),
+            ("tau_unitary_fidelity", lambda: qsl.tau_unitary_fidelity(probe(), probe(), 0.0)),
+        )
+    },
     # a pure probe has no finite h, as in qsl_unitary
     "tau_unitary_petz_rank_deficient_probe": (
         lambda: qsl.tau_unitary_petz(pure_probe(), pure_orbit_end(), 0.4, 1.0), SingularStateError
@@ -140,7 +166,7 @@ LIBRARY_CASES = {
             ("qsl_nonunitary",
              lambda n: qsl_nonunitary(depolarizing(), probe(), 1.0, EntropyParams(0.5, 1.0), n)),
         )
-        for label, n_steps in (("float", 2.5), ("text", "5"))
+        for label, n_steps in (("float", 2.5), ("text", "5"), ("one", 1))
     },
     **{
         f"{name}_horizon_{label}": (partial(run, tau), InvalidParamsError)
@@ -208,6 +234,23 @@ CLI_CONFIG_ERRORS = {
     "qsl_kraus_file_two_qubit_probe": ["qsl", "--model", "custom_kraus_file",
                                        "--kraus-file", DATA / "bit_flip.txt",
                                        "--state-file", GHZ_PROBE_FILE],
+    # each remaining check of a config, a grid, an override or a file
+    "model_unknown": ["sweep", "--set", "model=bogus"],
+    "grid_count_zero": ["sweep", "--set", "alpha_grid=0.1,0.9,0"],
+    "grid_max_below_min": ["sweep", "--set", "alpha_grid=0.9,0.1,3"],
+    "grid_two_fields": ["sweep", "--set", "alpha_grid=0.1,0.9"],
+    "z_grid_above_one": ["sweep", "--set", "z_grid=1.5"],
+    "time_grid_negative": ["sweep", "--set", "time_grid=-1"],
+    "n_steps_one": ["sweep", "--set", "n_steps=1"],
+    "outputs_unknown": ["sweep", "--set", "outputs=entropy,bogus"],
+    "kraus_model_without_file": ["sweep", "--set", "model=custom_kraus_file"],
+    "override_without_equals": ["sweep", "--set", "r"],
+    # a directory cannot be read as a file
+    "config_unreadable": ["sweep", "--config", DATA],
+    "kraus_file_unreadable": ["sweep", "--set", "model=custom_kraus_file",
+                              "--set", f"kraus_file={DATA}"],
+    # a Kraus file, whose header "2 2" is a line without "="
+    "config_line_without_equals": ["sweep", "--config", DATA / "bit_flip.txt"],
 }
 
 KRAUS_FILES = {
@@ -216,6 +259,8 @@ KRAUS_FILES = {
     "kraus_file_nan": "1 2\n1 0\n0 0\n0 0\nnan 0\n",
     "kraus_file_no_operators": "0 2\n",
     "kraus_file_dim_zero": "1 0\n",
+    "kraus_file_too_short": "1\n",
+    "kraus_file_miscounted": "1 2\n1 0\n0 0\n",
 }
 
 
@@ -238,6 +283,15 @@ def test_cli_reports_config_error(name, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("config error:")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_reports_io_error(tmp_path, capsys):
+    # the configuration is valid, but the CSV's directory does not exist
+    out = tmp_path / "missing" / "out.csv"
+    rc, err = run_cli(capsys, ["sweep", "--set", "n_steps=11", "--out", out])
+    assert rc == 1
+    assert err.startswith("io error:")
+    assert not out.exists()
 
 
 def test_cli_single_point_reports_empty_kraus_file(tmp_path, capsys):
